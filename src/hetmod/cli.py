@@ -39,6 +39,17 @@ def _parse_alpha(text: Optional[str]) -> Optional[GaussRat]:
         raise ModelError(f"bad --alpha-prime value {text!r}: {exc}")
 
 
+def _sample_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"a scan needs at least one sample, not {value}")
+    return value
+
+
 def _emit(report: dict, out: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
@@ -109,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="built-in model name or model JSON file")
         p.add_argument("--alpha-prime", metavar="p/q", default=None,
                        help="coupling constant (rational, e.g. -4 or 1/7)")
-        p.add_argument("--samples", type=int, default=None, metavar="N",
+        p.add_argument("--samples", type=_sample_count, default=None,
+                       metavar="N",
                        help="cap on cotangent samples for the symbol scan")
         p.add_argument("--out", metavar="report.json", default=None,
                        help="write the JSON report to a file")

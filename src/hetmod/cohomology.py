@@ -140,21 +140,6 @@ def cohomology_data(m: HomogeneousModel, alpha0: Optional[GaussRat] = None,
     return CohomologyData(m.name, a0, tuple(degrees))
 
 
-def betti(m: HomogeneousModel, p: int,
-          alpha0: Optional[GaussRat] = None) -> int:
-    return cohomology_data(m, alpha0).degrees[p].h
-
-
-def harmonic_dimension(m: HomogeneousModel, p: int,
-                       alpha0: Optional[GaussRat] = None) -> int:
-    return cohomology_data(m, alpha0).degrees[p].harmonic
-
-
-def euler_char(m: HomogeneousModel,
-               alpha0: Optional[GaussRat] = None) -> int:
-    return cohomology_data(m, alpha0).euler
-
-
 def serre_report(m: HomogeneousModel,
                  alpha0: Optional[GaussRat] = None) -> Dict:
     data = cohomology_data(m, alpha0)
@@ -178,6 +163,9 @@ def symbol_matrix(m: HomogeneousModel, xi: List[GaussRat],
     Conventions: xi_kbar means the conjugate of xi_k; the coupling terms
     contract the Chern curvature with the unconjugated xi and no metric
     factors appear (symbols are computed in a local coordinate gauge).
+
+    The full matrix over GaussRat; ``injectivity_scan`` never builds it.
+    It is the independent route the tests check ``symbol_blocks`` against.
     """
     n, r = m.n, m.rank
     if len(xi) != n:
@@ -291,20 +279,103 @@ def symbol_samples(n: int, extras: Optional[List[List[GaussRat]]] = None):
     return out
 
 
+def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat):
+    """Per-model set-up for the integer blocks of the symbol; returns
+    ``build(xi) -> (B, C)`` with (re, im) int pair entries.
+
+    The gauge slots of ``symbol_matrix`` are ``r^2 - 1`` copies of the flat
+    Dolbeault block B (rows: the (0,2) legs, then the contraction; columns:
+    the (0,1) legs) and touch no other slot.  C is the covector (+) vector
+    block, which carries the alpha' R coupling.  So
+
+        rank symbol_matrix = (r^2 - 1) rank B + rank C.
+
+    Each block is a positive integer multiple of its part of
+    ``symbol_matrix``, which leaves its rank unchanged: B is scaled by the
+    common denominator of xi, C by that times the one of alpha' R.
+    """
+    n = m.n
+    pairs = list(itertools.combinations(range(n), 2))
+    npair = len(pairs)
+    # xi_kbar on leg l lands on the (0,2) row of {k, l}, with this sign
+    wedge = [(k, l, pairs.index((min(k, l), max(k, l))), 1 if k < l else -1)
+             for l in range(n) for k in range(n) if k != l]
+    R = curvature_array(m)
+    quads = list(itertools.product(range(n), repeat=4))
+    den_R, aR = linalg.gauss_ints([alpha0 * R[k][j][mm][nn]
+                                   for k, j, nn, mm in quads])
+    # coupling[(k, j, nn)]: the nonzero (mm, den_R alpha' R[k][j][mm][nn])
+    coupling: Dict[Tuple[int, int, int], list] = {}
+    for (k, j, nn, mm), v in zip(quads, aR):
+        if v != (0, 0):
+            coupling.setdefault((k, j, nn), []).append((mm, v))
+    zero = (0, 0)
+
+    def build(xi: List[GaussRat]):
+        if len(xi) != n:
+            raise ModelError("cotangent sample has the wrong length")
+        _, x = linalg.gauss_ints(xi)
+        B = [[zero] * n for _ in range(npair)] + [list(x)]
+        for k, l, row, sgn in wedge:
+            re, im = x[k]
+            B[row][l] = (sgn * re, -sgn * im)
+        # C: slot s < n is covector s, slot n + nn is vector nn; column
+        # s * n + leg; wedge rows s * npair + pair, contraction rows after
+        slots = 2 * n
+        scal = slots * npair
+        xs = [(den_R * re, den_R * im) for re, im in x]
+        C = [[zero] * (slots * n) for _ in range(scal + slots)]
+        for s in range(slots):
+            for k, l, row, sgn in wedge:
+                re, im = xs[k]
+                C[s * npair + row][s * n + l] = (sgn * re, -sgn * im)
+            C[scal + s][s * n:s * n + n] = xs
+        for (k, j, nn), terms in coupling.items():
+            re = im = 0
+            for mm, (a, b) in terms:
+                c, d = x[mm]
+                re += a * c - b * d
+                im += a * d + b * c
+            # alpha' R_{kbar j}^m_n xi_m W^n_{lbar} on the covector wedge
+            # rows, and - alpha' R_{kbar j}^m_n xi_m kappa_{j kbar} on the
+            # vector contraction rows
+            for k2, l, row, sgn in wedge:
+                if k2 == k:
+                    C[j * npair + row][(n + nn) * n + l] = (sgn * re,
+                                                            sgn * im)
+            C[scal + n + nn][j * n + k] = (-re, -im)
+        return B, C
+
+    return build
+
+
 def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
                      samples: Optional[List[List[GaussRat]]] = None,
                      limit: Optional[int] = None) -> Dict:
-    """Check injectivity of the symbol for every sample; reports the count
-    and the first failing sample if any."""
+    """Decide injectivity of the symbol at every sample, in order; reports
+    the count and the first failing sample if any.
+
+    The symbol is injective at xi iff both blocks of ``symbol_blocks`` have
+    full column rank: B (when r > 1) and C.  Each block is built from
+    Gaussian integers, one sample at a time, and reduced mod the prime
+    ``linalg.CERT_P``; full column rank there proves it over Q(i).  Only a
+    block that falls short mod p goes to exact Bareiss elimination, which
+    decides.  An empty scan is refused.
+    """
     if samples is None:
         samples = symbol_samples(m.n)
     if limit is not None:
-        samples = samples[:limit]
-    cols = (2 * m.n + m.rank * m.rank - 1) * m.n
+        samples = samples[:max(limit, 0)]
+    if not samples:
+        raise ModelError("the symbol scan needs at least one sample")
+    n = m.n
+    gauge = m.rank * m.rank > 1
+    build = symbol_blocks(m, alpha0)
     first_failure = None
     for xi in samples:
-        M = symbol_matrix(m, xi, alpha0)
-        if linalg.rank(M) != cols:
+        B, C = build(xi)
+        if ((gauge and linalg.certified_rank(B) < n)
+                or linalg.certified_rank(C) < 2 * n * n):
             first_failure = "(" + ", ".join(str(x) for x in xi) + ")"
             break
     return {

@@ -6,18 +6,20 @@ Two engines:
   GaussRat entries (Fraction-backed, exact), used wherever an explicit basis
   is needed.
 * ``rank``: fraction-free Bareiss elimination on Gaussian integers after
-  clearing denominators.  This is the hot path for the principal-symbol scan,
-  where hundreds of small matrices get rank-checked.
+  clearing denominators (``gauss_int_rank`` is the integer entry point).
+  ``certified_rank`` puts a rank certificate modulo a prime in front of it
+  for matrices that are already Gaussian-integer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .scalars import GR_ONE, GR_ZERO, GaussRat
 
 Matrix = List[List[GaussRat]]
+IntMatrix = List[List[Tuple[int, int]]]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -133,34 +135,35 @@ def solve(a: Matrix, b: Sequence[GaussRat]):
     return x
 
 
-def _to_gauss_int(a: Matrix):
+def gauss_ints(xs: Sequence[GaussRat]) -> Tuple[int, List[Tuple[int, int]]]:
+    """The least positive integer d that clears the denominators of xs,
+    and d * xs as (re, im) int pairs."""
+    den = 1
+    for x in xs:
+        den = lcm(den, x.re.denominator, x.im.denominator)
+    return den, [(int(x.re * den), int(x.im * den)) for x in xs]
+
+
+def _to_gauss_int(a: Matrix) -> IntMatrix:
     """Scale a GaussRat matrix to Gaussian integers, as (re, im) int pairs."""
-    denom = 1
-    for row in a:
-        for x in row:
-            for f in (x.re, x.im):
-                d = f.denominator
-                g = _gcd(denom, d)
-                denom = denom // g * d
-    out = []
-    for row in a:
-        out.append([
-            (int(x.re * denom), int(x.im * denom)) for x in row
-        ])
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    cols = len(a[0]) if a else 0
+    _, flat = gauss_ints([x for row in a for x in row])
+    return [flat[i * cols:(i + 1) * cols] for i in range(len(a))]
 
 
 def rank(a: Matrix) -> int:
-    """Rank via fraction-free Bareiss elimination over Gaussian integers."""
+    """Rank of a GaussRat matrix: clear denominators, then Bareiss."""
+    return gauss_int_rank(_to_gauss_int(a))
+
+
+def gauss_int_rank(a: IntMatrix) -> int:
+    """Rank via fraction-free Bareiss elimination over Gaussian integers.
+
+    Entries are (re, im) int pairs; the argument is not modified.
+    """
     if not a or not a[0]:
         return 0
-    m = _to_gauss_int(a)
+    m = [row[:] for row in a]
     rows, cols = len(m), len(m[0])
     rk = 0
     prev_re, prev_im = 1, 0  # previous pivot (starts at 1)
@@ -192,3 +195,43 @@ def rank(a: Matrix) -> int:
         if r == rows:
             break
     return rk
+
+
+# Reduction Z[i] -> F_p, re + im*i -> re + CERT_I*im mod CERT_P, is a ring
+# homomorphism because CERT_P = 1 (mod 4) and CERT_I^2 = -1 (mod CERT_P).
+# A minor that is nonzero mod p is nonzero over Q(i), so the rank mod p is
+# a lower bound for the exact rank.  Residues stay below 2^30.
+CERT_P = 1_000_000_009
+CERT_I = 430_477_711
+
+
+def rank_mod_p(a: IntMatrix) -> int:
+    """Rank of the image of a Gaussian-integer matrix in F_CERT_P."""
+    p, i_p = CERT_P, CERT_I
+    m = [[(re + i_p * im) % p for re, im in row] for row in a]
+    rk = 0
+    # eliminate on the first column, then drop it, until none is left
+    while m and m[0]:
+        k = next((k for k, row in enumerate(m) if row[0]), None)
+        if k is None:
+            m = [row[1:] for row in m]
+            continue
+        pivot = m.pop(k)
+        neg_inv = p - pow(pivot[0], p - 2, p)
+        tail = pivot[1:]
+        m = [[(x + f * y) % p for x, y in zip(row[1:], tail)]
+             if (f := row[0] * neg_inv % p) else row[1:] for row in m]
+        rk += 1
+    return rk
+
+
+def certified_rank(a: IntMatrix) -> int:
+    """Exact rank of a Gaussian-integer matrix.
+
+    Full rank mod CERT_P proves full rank over Q(i); only when the
+    certificate falls short does exact Bareiss elimination decide.
+    """
+    rows = len(a)
+    full = min(rows, len(a[0])) if rows else 0
+    rk = rank_mod_p(a)
+    return rk if rk == full else gauss_int_rank(a)

@@ -76,6 +76,26 @@ def test_symbol(capsys):
     assert rep["injective"] is True and rep["samples"] == 20
 
 
+def test_symbol_exact_fallback_verdict(capsys):
+    # the symbol loses rank at (0, 0, i); only exact elimination can say so
+    code, out, _ = run(capsys, "symbol", "calabi-eckmann",
+                       "--alpha-prime", "-4")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["first_failure"] == "(0, 0, i)"
+    assert rep["injective"] is False
+    assert rep["samples"] == 342
+
+
+@pytest.mark.parametrize("command", ["symbol", "cohomology"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_empty_scan_refused(capsys, command, samples):
+    code, out, err = run(capsys, command, "torus", "--samples", samples)
+    assert code == 2
+    assert not out
+    assert "--samples" in err
+
+
 def test_trivialize(capsys):
     code, out, _ = run(capsys, "trivialize", "iwasawa", "--degree", "1")
     assert code == 0

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from hetmod import cohomology as coh
+from hetmod import linalg
 from hetmod import qcomplex as qc
 from hetmod.exterior import EndForm, InvariantForm, MixedForm
 from hetmod.geometry import HomogeneousModel, ModelError
@@ -74,7 +75,6 @@ def test_symbol_injective_at_null_covector(iwasawa):
     # the bilinear one; regression guard for the symbol rows
     xi = [GR_ZERO, GR_ONE, GaussRat.of(0, 1)]
     M = coh.symbol_matrix(iwasawa, xi, GaussRat.of(-4))
-    from hetmod import linalg
     assert linalg.rank(M) == coh.q_value_dimension(iwasawa) * iwasawa.n
 
 
@@ -148,3 +148,68 @@ def test_hodge_isomorphism_random_metrics():
         data = coh.cohomology_data(m)
         assert data.harmonic == data.h, (m.name, data.h, data.harmonic)
         assert data.euler == 0
+
+
+# -- the certified scan against the full GaussRat symbol --------------------
+
+ORACLE_ALPHAS = [GaussRat.of(x) for x in ("0", "1", "-1", "1/7", "-4")]
+
+
+def _oracle_slice(n):
+    # nine samples; the first, (0, 0, i), is where the calabi-eckmann symbol
+    # loses rank at alpha' = -4
+    return coh.symbol_samples(n)[2::38]
+
+
+def _assert_blocks_match_oracle(m, alpha0):
+    gauge = m.rank * m.rank - 1
+    build = coh.symbol_blocks(m, alpha0)
+    for xi in _oracle_slice(m.n):
+        oracle = linalg.rank(coh.symbol_matrix(m, xi, alpha0))
+        B, C = build(xi)
+        certified = (gauge * linalg.certified_rank(B)
+                     + linalg.certified_rank(C))
+        exact = gauge * linalg.gauss_int_rank(B) + linalg.gauss_int_rank(C)
+        label = (m.name, str(alpha0), [str(x) for x in xi])
+        assert certified == oracle, label
+        assert exact == oracle, label
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "torus", "calabi-eckmann"])
+def test_symbol_blocks_match_full_symbol(name):
+    m = builtin_model(name)
+    for a0 in ORACLE_ALPHAS:
+        _assert_blocks_match_oracle(m, a0)
+
+
+def test_symbol_blocks_match_full_symbol_random_metrics():
+    rng = random.Random(20261017)
+    for idx in range(2):
+        m = _random_flat_model(rng, idx)
+        for a0 in (GaussRat.of(1), GaussRat.of("-2/3")):
+            _assert_blocks_match_oracle(m, a0)
+
+
+def test_symbol_blocks_see_the_rank_drop(calabi_eckmann):
+    # (0, 0, i) at alpha' = -4: the coupled block C loses one rank, the
+    # gauge block B does not
+    xi = [GR_ZERO, GR_ZERO, GaussRat.of(0, 1)]
+    B, C = coh.symbol_blocks(calabi_eckmann, GaussRat.of(-4))(xi)
+    assert (len(C), len(C[0])) == (24, 18)
+    assert (len(B), len(B[0])) == (4, 3)
+    assert linalg.certified_rank(C) == 17
+    assert linalg.certified_rank(B) == 3
+
+
+def test_scan_refuses_empty(iwasawa):
+    for limit in (0, -1):
+        with pytest.raises(ModelError, match="at least one sample"):
+            coh.injectivity_scan(iwasawa, GaussRat.of(0), limit=limit)
+    with pytest.raises(ModelError, match="at least one sample"):
+        coh.injectivity_scan(iwasawa, GaussRat.of(0), samples=[])
+
+
+def test_scan_reports_first_failure_in_sample_order(calabi_eckmann):
+    rep = coh.injectivity_scan(calabi_eckmann, GaussRat.of(-4), limit=30)
+    assert rep == {"samples": 30, "injective": False,
+                   "first_failure": "(0, 0, i)"}

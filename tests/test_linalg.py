@@ -88,3 +88,35 @@ def test_rank_agrees_with_rref_on_random_matrices():
 def test_kernel_dimension_plus_rank_is_width(cols, rng):
     m = _random_matrix(rng, 3, cols)
     assert len(linalg.kernel_basis(m, cols=cols)) + linalg.rank(m) == cols
+
+
+def test_certificate_constants():
+    p, i_p = linalg.CERT_P, linalg.CERT_I
+    assert p % 4 == 1
+    assert i_p * i_p % p == p - 1
+    assert all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_certified_rank_falls_back_when_singular_mod_p():
+    p, i_p = linalg.CERT_P, linalg.CERT_I
+    # full rank over Q(i), singular mod p: an entry equal to p, and a
+    # determinant -1 - i*I that vanishes once i is sent to I
+    for m in ([[(p, 0)]],
+              [[(1, 0), (0, 1)], [(i_p, 0), (-1, 0)]],
+              [[(1, 0), (0, 0)], [(0, 0), (0, p)], [(0, 0), (2 * p, 0)]]):
+        full = len(m[0])
+        assert linalg.rank_mod_p(m) < full
+        assert linalg.gauss_int_rank(m) == full
+        assert linalg.certified_rank(m) == full
+
+
+def test_certified_rank_agrees_with_rref_on_random_matrices():
+    rng = random.Random(20261017)
+    for _ in range(40):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        m = _random_matrix(rng, rows, cols)
+        _, pivots = linalg.rref(m)
+        ints = linalg._to_gauss_int(m)
+        assert linalg.certified_rank(ints) == len(pivots)
+        assert linalg.gauss_int_rank(ints) == len(pivots)
