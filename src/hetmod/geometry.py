@@ -699,7 +699,7 @@ def validate_model(m: HomogeneousModel) -> List[str]:
         # leading principal minors must be positive rationals
         for k in range(1, n + 1):
             minor = _det_gauss([row[:k] for row in m.metric[:k]])
-            if minor.im or minor.re <= 0:
+            if minor.b or minor.a <= 0:
                 errors.append(
                     f"metric leading minor {k} is not positive ({minor})"
                 )

@@ -3,8 +3,7 @@
 Two engines:
 
 * ``rref`` / ``kernel_basis`` / ``solve``: plain Gaussian elimination on
-  GaussRat entries (Fraction-backed, exact), used wherever an explicit basis
-  is needed.
+  GaussRat entries (exact), used wherever an explicit basis is needed.
 * ``rank``: fraction-free Bareiss elimination on Gaussian integers after
   clearing denominators (``gauss_int_rank`` is the integer entry point).
   ``certified_rank`` puts a rank certificate modulo a prime in front of it
@@ -138,10 +137,8 @@ def solve(a: Matrix, b: Sequence[GaussRat]):
 def gauss_ints(xs: Sequence[GaussRat]) -> Tuple[int, List[Tuple[int, int]]]:
     """The least positive integer d that clears the denominators of xs,
     and d * xs as (re, im) int pairs."""
-    den = 1
-    for x in xs:
-        den = lcm(den, x.re.denominator, x.im.denominator)
-    return den, [(int(x.re * den), int(x.im * den)) for x in xs]
+    den = lcm(*(x.d for x in xs))
+    return den, [(x.a * (den // x.d), x.b * (den // x.d)) for x in xs]
 
 
 def _to_gauss_int(a: Matrix) -> IntMatrix:

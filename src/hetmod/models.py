@@ -231,7 +231,7 @@ def parse_model_text(text: str) -> HomogeneousModel:
         if key not in data:
             raise ModelError(f"missing required key {key!r}")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ModelError("n must be a positive integer")
     coframe = data["coframe"]
     if (not isinstance(coframe, list) or len(coframe) != n
@@ -276,7 +276,7 @@ def parse_model_text(text: str) -> HomogeneousModel:
     if not isinstance(bundle, dict) or "rank" not in bundle:
         raise ModelError("bundle must be an object with a rank")
     rank = bundle["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ModelError("bundle.rank must be a positive integer")
     fgrid = [[InvariantForm.zero(n, 1, 1) for _ in range(rank)]
              for _ in range(rank)]
@@ -300,7 +300,7 @@ def parse_model_text(text: str) -> HomogeneousModel:
     alpha_raw = data.get("alpha_prime")
     alpha = (None if alpha_raw is None
              else _parse_const(alpha_raw, "alpha_prime"))
-    if alpha is not None and alpha.im:
+    if alpha is not None and alpha.b:
         raise ModelError("alpha_prime must be a real rational")
 
     chart = data.get("chart")

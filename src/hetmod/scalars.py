@@ -1,7 +1,10 @@
 """Exact coefficient arithmetic: Gaussian rationals and polynomials in the
 formal coupling variable ``a``.
 
-All linear algebra in this package runs over these types; floats never appear.
+A Gaussian rational is one normalized Gaussian-integer triple (a + b*i)/d of
+Python ints (d > 0, gcd(a, b, d) = 1, zero is (0, 0, 1)), so arithmetic is
+integer arithmetic plus one gcd per operation.  All linear algebra in this
+package runs over these types; floats never appear.
 """
 
 from __future__ import annotations
@@ -9,77 +12,160 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Tuple
 
 
 class ScalarError(ValueError):
     pass
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x) -> Tuple[int, int]:
+    """Numerator and positive denominator, in lowest terms, of an exact
+    rational given as an int, a Fraction or text such as "-3/4"."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise ScalarError(f"cannot build an exact rational from {x!r}")
 
 
-@dataclass(frozen=True)
 class GaussRat:
-    """A Gaussian rational re + im*i with exact Fraction parts."""
+    """A Gaussian rational (a + b*i)/d, stored as three ints ``a, b, d``.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The triple is canonical: d > 0, gcd(a, b, d) = 1, and zero is (0, 0, 1).
+    So two numbers are equal exactly when their triples are, and ``==`` and
+    ``hash`` compare the triple.  Each of ``+ - * /`` is integer arithmetic
+    followed by one gcd; negation and conjugation need none.  Instances are
+    immutable; ``re`` and ``im`` are read-only Fraction views.
+
+    ``GaussRat(re, im)`` takes the parts as ints or Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __new__(cls, re=0, im=0):
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        if q == s:
+            return _make(p, r, q)
+        d = lcm(q, s)
+        return _make(p * (d // q), r * (d // s), d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussRat is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GaussRat is immutable")
 
     @staticmethod
     def of(re=0, im=0) -> "GaussRat":
-        return GaussRat(_frac(re), _frac(im))
+        """From ints, Fractions or rational text such as "1/2"."""
+        return GaussRat(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaussRat:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re + other.re, self.im + other.im)
+        a, b, d = self.a, self.b, self.d
+        oa, ob, od = other.a, other.b, other.d
+        if d == od:
+            if d == 1:
+                return _make(a + oa, b + ob, 1)
+            return _canonical(a + oa, b + ob, d)
+        return _canonical(a * od + oa * d, b * od + ob * d, d * od)
 
     def __sub__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re - other.re, self.im - other.im)
+        a, b, d = self.a, self.b, self.d
+        oa, ob, od = other.a, other.b, other.d
+        if d == od:
+            if d == 1:
+                return _make(a - oa, b - ob, 1)
+            return _canonical(a - oa, b - ob, d)
+        return _canonical(a * od - oa * d, b * od - ob * d, d * od)
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self.a, self.b, self.d
+        oa, ob, od = other.a, other.b, other.d
+        d *= od
+        if d == 1:
+            return _make(a * oa - b * ob, a * ob + b * oa, 1)
+        return _canonical(a * oa - b * ob, a * ob + b * oa, d)
 
     def __truediv__(self, other: "GaussRat") -> "GaussRat":
-        if not other:
+        # (a + b i)/d  /  (oa + ob i)/od  =  (a + b i)(oa - ob i) od / (d n)
+        oa, ob, od = other.a, other.b, other.d
+        n = oa * oa + ob * ob
+        if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        n = other.re * other.re + other.im * other.im
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b = self.a, self.b
+        return _canonical((a * oa + b * ob) * od, (b * oa - a * ob) * od,
+                          self.d * n)
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
+
+    def __repr__(self) -> str:
+        return f"GaussRat({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im} i"
-        im = self.im
+            return f"{im} i"
         sign = "+" if im > 0 else "-"
         mag = abs(im)
         imtxt = "i" if mag == 1 else f"{mag} i"
-        return f"{self.re} {sign} {imtxt}"
+        return f"{re} {sign} {imtxt}"
+
+
+_alloc = object.__new__
+_set_a = GaussRat.a.__set__
+_set_b = GaussRat.b.__set__
+_set_d = GaussRat.d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussRat:
+    """A GaussRat from a triple that is already canonical."""
+    x = _alloc(GaussRat)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _canonical(a: int, b: int, d: int) -> GaussRat:
+    """A GaussRat from any triple with d > 0."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
 
 
 GR_ZERO = GaussRat()
@@ -210,7 +296,7 @@ def format_scalar(s: Scalar) -> str:
             parts.append(pw)
         elif c == -GR_ONE:
             parts.append(f"-{pw}")
-        elif c.re and c.im:
+        elif c.a and c.b:
             parts.append(f"({c}) {pw}")
         else:
             parts.append(f"{c} {pw}")
