@@ -381,6 +381,9 @@ class ChartData:
     F_chart: Tuple[Tuple[ChartForm, ...], ...]   # gauge curvature entries
     Gamma: Tuple                          # Gamma[c][a][b] Poly ((1,0) Chern)
     GammaPlus: Tuple                      # coordinate torsion-shifted blocks
+    Tcomp: List                           # _torsion_components(T_chart)
+    Fcomp: List                           # _f_components(F_chart)
+    Rcomp: List                           # _gamma_r_components(Gamma)
 
 
 def _poly_matrix_inverse(P, m_coords: int):
@@ -463,7 +466,7 @@ def chart_data(m: HomogeneousModel) -> ChartData:
                     raise ModelError("chart pullback must be holomorphic")
         Pt = tuple(tuple(r) for r in P)
         Q = _poly_matrix_inverse(Pt, mc)
-        cd0 = ChartData(mc, m.n, m.rank, Pt, Q, None, None, None, None)
+        cd0 = ChartData(mc, m.n, m.rank, Pt, Q, *(None,) * 7)
         T_chart = invariant_to_chart(cd0, torsion(m))
         F_chart = tuple(
             tuple(invariant_to_chart(cd0, m.curvature_F.entry(i, j))
@@ -502,7 +505,10 @@ def chart_data(m: HomogeneousModel) -> ChartData:
         Gamma = chart_gamma(chern_connection(m).gamma)
         GammaPlus = chart_gamma(bismut(m).gamma)
         return ChartData(mc, m.n, m.rank, Pt, Q, T_chart, F_chart,
-                         Gamma, GammaPlus)
+                         Gamma, GammaPlus,
+                         _torsion_components(mc, T_chart),
+                         _f_components(mc, m.rank, F_chart),
+                         _gamma_r_components(mc, Gamma))
     return m.cached("chart_data", build)
 
 
@@ -585,13 +591,14 @@ class Trivialization:
     cd: ChartData
     A: Tuple[Tuple[ChartForm, ...], ...]      # (1,0)-form gauge potential
     tau: Tuple[Tuple[Poly, ...], ...]         # tau[a][b] functions
+    Acomp: List                               # _a_components(A)
+    trAA: Tuple[Tuple[Poly, ...], ...]        # trAA[a][d] = tr(A_a A_d)
 
 
-def _torsion_components(cd: ChartData):
+def _torsion_components(mc: int, T_chart: ChartForm):
     """T_{lj} as (0,1)-forms: T = sum_{l<j} dz^l ^ dz^j ^ T_{lj}."""
-    mc = cd.m_coords
     out = [[ChartForm.zero(mc, 0, 1) for _ in range(mc)] for _ in range(mc)]
-    for (h, a), c in cd.T_chart.terms:
+    for (h, a), c in T_chart.terms:
         l, j = h
         form = ChartForm.build(mc, 0, 1, {((), a): c})
         out[l - 1][j - 1] = out[l - 1][j - 1] + form
@@ -599,14 +606,13 @@ def _torsion_components(cd: ChartData):
     return out
 
 
-def _f_components(cd: ChartData):
+def _f_components(mc: int, r: int, F_chart):
     """F_a[u][v] as (0,1)-forms: F = sum_a dz^a ^ F_a."""
-    mc, r = cd.m_coords, cd.rank
     out = [[[ChartForm.zero(mc, 0, 1) for _ in range(r)] for _ in range(r)]
            for _ in range(mc)]
     for u in range(r):
         for v in range(r):
-            for (h, a), c in cd.F_chart[u][v].terms:
+            for (h, a), c in F_chart[u][v].terms:
                 out[h[0] - 1][u][v] = (out[h[0] - 1][u][v]
                                        + ChartForm.build(mc, 0, 1,
                                                          {((), a): c}))
@@ -626,16 +632,15 @@ def _a_components(A):
     return out
 
 
-def _gamma_r_components(cd: ChartData):
+def _gamma_r_components(mc: int, Gamma):
     """R_d[c][b] = dbar of the Gamma coefficients, as (0,1)-forms keyed by
     the dz^d front leg (zero whenever Gamma is holomorphic)."""
-    mc = cd.m_coords
     out = [[[ChartForm.zero(mc, 0, 1) for _ in range(mc)] for _ in range(mc)]
            for _ in range(mc)]
     for d in range(mc):
         for c in range(mc):
             for b in range(mc):
-                f = cd.Gamma[d][c][b]
+                f = Gamma[d][c][b]
                 for k in range(mc):
                     dd = f.diff_zbar(k)
                     if dd:
@@ -666,24 +671,10 @@ def build_trivialization(m: HomogeneousModel,
         A[0][0] = A[0][0] + mod
         A[1][1] = A[1][1] - mod
     Acomp = _a_components(A)
-    Fcomp = _f_components(cd)
-    Tcomp = _torsion_components(cd)
-    Rcomp = _gamma_r_components(cd)
     tau = [[Poly.zero(mc) for _ in range(mc)] for _ in range(mc)]
     for a in range(mc):
         for b in range(mc):
-            rhs = Tcomp[b][a]
-            # - alpha tr(A_a F_b) + alpha tr(Gamma_a R_b)
-            for u in range(r):
-                for v in range(r):
-                    if Acomp[a][u][v] and Fcomp[b][v][u]:
-                        rhs = rhs - Fcomp[b][v][u].scale_poly(
-                            Acomp[a][u][v]).scale(a0)
-            for c in range(mc):
-                for bb in range(mc):
-                    if cd.Gamma[a][c][bb] and Rcomp[b][bb][c]:
-                        rhs = rhs + Rcomp[b][bb][c].scale_poly(
-                            cd.Gamma[a][c][bb]).scale(a0)
+            rhs = _tau_rhs(cd, Acomp, a0, a, b)
             if rhs:
                 tau[a][b] = dbar_homotopy(rhs).coeff((), ())
     if shift:
@@ -691,8 +682,35 @@ def build_trivialization(m: HomogeneousModel,
         zz = Poly.coord(mc, 2) * Poly.coord(mc, 0)
         tau[0][1] = tau[0][1] + zz.scale(s)
         tau[1][0] = tau[1][0] - zz.scale(s)
+    trAA = [[Poly.zero(mc) for _ in range(mc)] for _ in range(mc)]
+    for a in range(mc):
+        for d in range(mc):
+            for u in range(r):
+                for v in range(r):
+                    trAA[a][d] = trAA[a][d] + Acomp[a][u][v] * Acomp[d][v][u]
     return Trivialization(m.name, a0, cd, tuple(tuple(r_) for r_ in A),
-                          tuple(tuple(r_) for r_ in tau))
+                          tuple(tuple(r_) for r_ in tau), Acomp,
+                          tuple(tuple(r_) for r_ in trAA))
+
+
+def _tau_rhs(cd: ChartData, Acomp, alpha: GaussRat, a: int,
+             b: int) -> ChartForm:
+    """The right-hand side of dbar tau_{ab} = T_{ba} - alpha tr(A_a F_b)
+    + alpha tr(Gamma_a R_b), a (0,1)-form."""
+    mc, r = cd.m_coords, cd.rank
+    Fcomp, Rcomp = cd.Fcomp, cd.Rcomp
+    rhs = cd.Tcomp[b][a]
+    for u in range(r):
+        for v in range(r):
+            if Acomp[a][u][v] and Fcomp[b][v][u]:
+                rhs = rhs - Fcomp[b][v][u].scale_poly(
+                    Acomp[a][u][v]).scale(alpha)
+    for c in range(mc):
+        for bb in range(mc):
+            if cd.Gamma[a][c][bb] and Rcomp[b][bb][c]:
+                rhs = rhs + Rcomp[b][bb][c].scale_poly(
+                    cd.Gamma[a][c][bb]).scale(alpha)
+    return rhs
 
 
 def potential_residuals(t: Trivialization) -> Dict[str, bool]:
@@ -704,26 +722,11 @@ def potential_residuals(t: Trivialization) -> Dict[str, bool]:
         for v in range(r):
             if dbar_chart(t.A[u][v]) - cd.F_chart[u][v]:
                 ok_A = False
-    Acomp = _a_components(t.A)
-    Fcomp = _f_components(cd)
-    Tcomp = _torsion_components(cd)
-    Rcomp = _gamma_r_components(cd)
     ok_tau = True
     for a in range(mc):
         for b in range(mc):
-            rhs = Tcomp[b][a]
-            for u in range(r):
-                for v in range(r):
-                    if Acomp[a][u][v] and Fcomp[b][v][u]:
-                        rhs = rhs - Fcomp[b][v][u].scale_poly(
-                            Acomp[a][u][v]).scale(t.alpha)
-            for c in range(mc):
-                for bb in range(mc):
-                    if cd.Gamma[a][c][bb] and Rcomp[b][bb][c]:
-                        rhs = rhs + Rcomp[b][bb][c].scale_poly(
-                            cd.Gamma[a][c][bb]).scale(t.alpha)
             lhs = dbar_chart(ChartForm.func(t.tau[a][b]))
-            if lhs - rhs:
+            if lhs - _tau_rhs(cd, t.Acomp, t.alpha, a, b):
                 ok_tau = False
     return {"gauge_potential": ok_A, "torsion_potential": ok_tau}
 
@@ -796,9 +799,7 @@ def apply_Dbar_chart(t: Trivialization, s: ChartSection) -> ChartSection:
     cd = t.cd
     mc, r = cd.m_coords, cd.rank
     al = t.alpha
-    Fcomp = _f_components(cd)
-    Tcomp = _torsion_components(cd)
-    Rcomp = _gamma_r_components(cd)
+    Fcomp, Tcomp, Rcomp = cd.Fcomp, cd.Tcomp, cd.Rcomp
     kappa = [dbar_chart(x) for x in s.kappa]
     gamma = [[dbar_chart(s.gamma[i][j]) for j in range(r)] for i in range(r)]
     w = [dbar_chart(x) for x in s.w]
@@ -836,7 +837,7 @@ def _phi_action(t: Trivialization, s: ChartSection,
     cd = t.cd
     mc, r = cd.m_coords, cd.rank
     al = t.alpha
-    Acomp = _a_components(t.A)
+    Acomp = t.Acomp
     sgn = GaussRat.of(-1) if inverse else GR_ONE
     # gauge part: gamma -+ A W (the potential enters with a minus sign so
     # that dbar of the component matrices produces +F in the conjugation)
@@ -874,14 +875,8 @@ def _phi_action(t: Trivialization, s: ChartSection,
         if inverse:
             # + alpha' (A.A) W = alpha' tr(A_a A_d) W^d
             for d in range(mc):
-                if not s.w[d]:
-                    continue
-                tr = Poly.zero(mc)
-                for u in range(r):
-                    for v in range(r):
-                        tr = tr + Acomp[a][u][v] * Acomp[d][v][u]
-                if tr:
-                    acc = acc + s.w[d].scale_poly(tr).scale(al)
+                if s.w[d] and t.trAA[a][d]:
+                    acc = acc + s.w[d].scale_poly(t.trAA[a][d]).scale(al)
         kappa[a] = acc
     return ChartSection(mc, r, s.q, tuple(kappa),
                         tuple(tuple(row) for row in gamma), tuple(s.w))
@@ -975,8 +970,7 @@ def transition(t1: Trivialization, t2: Trivialization) -> Transition:
     mc, r = cd.m_coords, cd.rank
     a_diff = tuple(tuple(t1.A[u][v] - t2.A[u][v] for v in range(r))
                    for u in range(r))
-    A1 = _a_components(t1.A)
-    A2 = _a_components(t2.A)
+    A1, A2 = t1.Acomp, t2.Acomp
     top = [[Poly.zero(mc) for _ in range(mc)] for _ in range(mc)]
     for a in range(mc):
         for d in range(mc):

@@ -39,15 +39,17 @@ def _parse_alpha(text: Optional[str]) -> Optional[GaussRat]:
         raise ModelError(f"bad --alpha-prime value {text!r}: {exc}")
 
 
-def _sample_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"a scan needs at least one sample, not {value}")
-    return value
+def _int_at_least(least: int, why: str):
+    """An argparse type: an integer >= least; ``why`` names the bound."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{why}, not {value}")
+        return value
+    return parse
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
@@ -114,19 +116,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "operator of coupled metric-bundle systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, degree=False, diagonal=False):
+    def add(name, func, help_text, samples=False, degree=False,
+            diagonal=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model",
                        help="built-in model name or model JSON file")
         p.add_argument("--alpha-prime", metavar="p/q", default=None,
                        help="coupling constant (rational, e.g. -4 or 1/7)")
-        p.add_argument("--samples", type=_sample_count, default=None,
-                       metavar="N",
-                       help="cap on cotangent samples for the symbol scan")
+        if samples:
+            p.add_argument("--samples", default=None, metavar="N",
+                           type=_int_at_least(
+                               1, "a scan needs at least one sample"),
+                           help="cap on cotangent samples for the symbol "
+                                "scan")
         p.add_argument("--out", metavar="report.json", default=None,
                        help="write the JSON report to a file")
         if degree:
-            p.add_argument("--degree", type=int, default=3, metavar="D",
+            p.add_argument("--degree", default=3, metavar="D",
+                           type=_int_at_least(
+                               0, "the degree bound must be non-negative"),
                            help="polynomial degree bound for section checks")
         if diagonal:
             p.add_argument("--diagonal-dbar", action="store_true",
@@ -138,9 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("check", _run_check,
         "verify the coupled torsion and anomaly conditions")
     add("cohomology", _run_cohomology,
-        "invariant cohomology and harmonic dimensions", diagonal=True)
+        "invariant cohomology and harmonic dimensions", samples=True,
+        diagonal=True)
     add("serre", _run_serre, "duality symmetry of the dimensions")
-    add("symbol", _run_symbol, "principal symbol injectivity scan")
+    add("symbol", _run_symbol, "principal symbol injectivity scan",
+        samples=True)
     add("trivialize", _run_trivialize,
         "local triangular trivialization on a polynomial chart",
         degree=True)

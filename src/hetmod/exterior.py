@@ -200,11 +200,6 @@ class InvariantForm:
             total = total + c * _det([[v[s] for s in slots] for v in vectors])
         return total
 
-    def map_coeffs(self, f) -> "InvariantForm":
-        return InvariantForm.build(
-            self.n, self.p, self.q, {k: f(c) for k, c in self.terms}
-        )
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -126,15 +126,6 @@ def torsion(m: HomogeneousModel) -> InvariantForm:
     )
 
 
-def omega_top(m: HomogeneousModel) -> InvariantForm:
-    """omega^n (volume multiple)."""
-    w = omega_form(m)
-    acc = w
-    for _ in range(m.n - 1):
-        acc = acc.wedge(w)
-    return acc
-
-
 def holomorphic_volume(m: HomogeneousModel) -> InvariantForm:
     return InvariantForm.monomial(
         m.n, list(range(1, m.n + 1)), [], Scalar.const(m.omega_coeff)
@@ -240,14 +231,6 @@ class ConnectionData:
     n: int
     gamma: tuple  # gamma[a][b][c], GaussRat
     mu: tuple     # mu[a][b][c], GaussRat
-
-    def is_zero(self) -> bool:
-        return all(
-            not self.gamma[a][b][c] and not self.mu[a][b][c]
-            for a in range(self.n)
-            for b in range(self.n)
-            for c in range(self.n)
-        )
 
 
 def frame_dbar_matrix(m: HomogeneousModel):

@@ -34,6 +34,7 @@ from .exterior import (
 from .geometry import (
     HomogeneousModel,
     ModelError,
+    _det_gauss,
     anomaly_residual,
     bismut,
     chern_connection,
@@ -507,23 +508,6 @@ def _leg_gram(m: HomogeneousModel, p: int):
             out.append(row)
         return out
     return m.cached(("leg_gram", p), build)
-
-
-def _det_gauss(rows) -> GaussRat:
-    k = len(rows)
-    if k == 0:
-        return GR_ONE
-    if k == 1:
-        return rows[0][0]
-    total = GR_ZERO
-    for j in range(k):
-        c = rows[0][j]
-        if not c:
-            continue
-        minor = [[r[t] for t in range(k) if t != j] for r in rows[1:]]
-        term = c * _det_gauss(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 def gram(m: HomogeneousModel, p: int) -> List[List[GaussRat]]:

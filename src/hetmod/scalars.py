@@ -41,7 +41,8 @@ class GaussRat:
     followed by one gcd; negation and conjugation need none.  Instances are
     immutable; ``re`` and ``im`` are read-only Fraction views.
 
-    ``GaussRat(re, im)`` takes the parts as ints or Fractions.
+    ``GaussRat(re, im)`` and ``GaussRat.of(re, im)`` take the parts as ints,
+    Fractions or rational text such as "-3/4".
     """
 
     __slots__ = ("a", "b", "d")
@@ -62,7 +63,6 @@ class GaussRat:
 
     @staticmethod
     def of(re=0, im=0) -> "GaussRat":
-        """From ints, Fractions or rational text such as "1/2"."""
         return GaussRat(re, im)
 
     @property

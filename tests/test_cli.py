@@ -96,6 +96,43 @@ def test_empty_scan_refused(capsys, command, samples):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("command", ["check", "serre", "trivialize"])
+def test_samples_offered_only_by_scans(capsys, command):
+    code, out, err = run(capsys, command, "iwasawa", "--samples", "5")
+    assert code == 2
+    assert not out
+    assert "--samples" in err
+
+
+@pytest.mark.parametrize("degree", ["-1", "-4"])
+def test_negative_degree_refused(capsys, degree):
+    code, out, err = run(capsys, "trivialize", "iwasawa", "--degree", degree)
+    assert code == 2
+    assert not out
+    assert "--degree" in err
+
+
+def _line_model(n, rank):
+    return {"name": "line", "n": n, "coframe": ["a1"], "d": {},
+            "metric": [["1"]], "omega_coeff": "1", "bundle": {"rank": rank}}
+
+
+@pytest.mark.parametrize("n, rank, message", [
+    (True, 1, "n must be a positive integer"),
+    (1, True, "bundle.rank must be a positive integer"),
+])
+def test_boolean_sizes_refused(tmp_path, capsys, n, rank, message):
+    model_file = tmp_path / "line.json"
+    model_file.write_text(json.dumps(_line_model(n, rank)))
+    code, out, err = run(capsys, "check", str(model_file))
+    assert code == 2
+    assert not out
+    assert message in err
+    # the same model with integer sizes is accepted
+    model_file.write_text(json.dumps(_line_model(1, 1)))
+    assert run(capsys, "check", str(model_file))[0] == 0
+
+
 def test_trivialize(capsys):
     code, out, _ = run(capsys, "trivialize", "iwasawa", "--degree", "1")
     assert code == 0

@@ -6,6 +6,7 @@ oracles for each other on random input.
 """
 
 import random
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,3 +121,15 @@ def test_certified_rank_agrees_with_rref_on_random_matrices():
         ints = linalg._to_gauss_int(m)
         assert linalg.certified_rank(ints) == len(pivots)
         assert linalg.gauss_int_rank(ints) == len(pivots)
+
+
+def test_gauss_ints_clears_mixed_denominators():
+    xs = [GaussRat.of("1/6", "-3/4"), GaussRat.of(5), GaussRat.of(0, "2/9"),
+          GR_ZERO, GaussRat.of("-7/10", "1/15"), GaussRat.of("4/3", "4/3")]
+    # the definition: the lcm of the Fraction denominators of every part
+    den = 1
+    for x in xs:
+        den = lcm(den, x.re.denominator, x.im.denominator)
+    assert den == 180
+    assert linalg.gauss_ints(xs) == (
+        den, [(int(x.re * den), int(x.im * den)) for x in xs])

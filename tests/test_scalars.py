@@ -1,6 +1,7 @@
 """Arithmetic in the exact coefficient ring."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,71 @@ def test_gauss_division_inverts_multiplication():
     assert (x * y) / y == x
     with pytest.raises(ZeroDivisionError):
         x / GR_ZERO
+
+
+def _text(re, im):
+    """The printed form of re + im*i, written out from the two parts."""
+    if not im:
+        return str(re)
+    if not re:
+        return "i" if im == 1 else "-i" if im == -1 else f"{im} i"
+    mag = abs(im)
+    imtxt = "i" if mag == 1 else f"{mag} i"
+    return f"{re} {'+' if im > 0 else '-'} {imtxt}"
+
+
+def _is_canonical(z):
+    return (z.d > 0 and gcd(z.a, z.b, z.d) == 1
+            and (bool(z) or (z.a, z.b, z.d) == (0, 0, 1)))
+
+
+parts = st.tuples(st.one_of(fractions, st.integers(-9, 9)),
+                  st.one_of(fractions, st.integers(-9, 9)))
+
+
+@given(parts, parts)
+@settings(max_examples=300, deadline=None)
+def test_gauss_matches_fraction_pair_oracle(p, q):
+    # the oracle computes on (Fraction, Fraction) pairs, never on GaussRat
+    (xr, xi), (yr, yi) = (tuple(map(Fraction, p)), tuple(map(Fraction, q)))
+    x, y = GaussRat(*p), GaussRat(*q)
+    expected = {
+        "+": (xr + yr, xi + yi),
+        "-": (xr - yr, xi - yi),
+        "*": (xr * yr - xi * yi, xr * yi + xi * yr),
+        "neg": (-xr, -xi),
+        "conj": (xr, -xi),
+        "x": (xr, xi),
+    }
+    got = {"+": x + y, "-": x - y, "*": x * y, "neg": -x,
+           "conj": x.conjugate(), "x": x}
+    norm = yr * yr + yi * yi
+    if norm:
+        expected["/"] = ((xr * yr + xi * yi) / norm,
+                         (xi * yr - xr * yi) / norm)
+        got["/"] = x / y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    for op, z in got.items():
+        re, im = expected[op]
+        assert (z.re, z.im) == (re, im), op
+        assert _is_canonical(z), op
+        same = GaussRat(re, im)
+        assert z == same and hash(z) == hash(same), op
+        assert str(z) == _text(re, im), op
+        assert bool(z) == bool(re or im), op
+    assert (x == y) == ((xr, xi) == (yr, yi))
+
+
+def test_gauss_is_immutable():
+    x = GaussRat.of("1/2", 3)
+    with pytest.raises(AttributeError):
+        x.a = 2
+    with pytest.raises(AttributeError):
+        x.re = Fraction(1)
+    assert (x.a, x.b, x.d) == (1, 6, 2)
+    assert (GR_ZERO.a, GR_ZERO.b, GR_ZERO.d) == (0, 0, 1)
 
 
 @given(gauss, gauss)
