@@ -61,6 +61,10 @@ class GaussRat:
     def __delattr__(self, name):
         raise AttributeError("GaussRat is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not setattr
+        return GaussRat, (self.re, self.im)
+
     @staticmethod
     def of(re=0, im=0) -> "GaussRat":
         return GaussRat(re, im)

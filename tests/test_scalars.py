@@ -1,5 +1,7 @@
 """Arithmetic in the exact coefficient ring."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -104,6 +106,8 @@ def test_gauss_is_immutable():
         x.re = Fraction(1)
     assert (x.a, x.b, x.d) == (1, 6, 2)
     assert (GR_ZERO.a, GR_ZERO.b, GR_ZERO.d) == (0, 0, 1)
+    assert copy.deepcopy(x) == x
+    assert pickle.loads(pickle.dumps(x)) == x
 
 
 @given(gauss, gauss)
