@@ -14,15 +14,29 @@ provides:
   polynomial sections,
 * transition sections phi_1 o phi_2^{-1} for different potential choices,
   with holomorphy and cocycle checks.
+
+Representation.  ``Poly``, ``ChartForm`` and ``ChartSection`` are sparse:
+each holds read-only mappings of its nonzero terms only (monomial ->
+GaussRat, leg key -> Poly, slot -> (0,q)-form).  No zero is ever stored, so
+``bool`` is emptiness, ``==`` and ``hash`` compare the mappings whatever
+order the terms were inserted in, and terms are sorted only for printing.
+The public constructors and ``build`` validate what they are given; the
+arithmetic builds each result in one pass through the unchecked ``_poly``,
+``_form`` and ``_section`` and never sorts.  Sections are pushed through
+the operators along precomputed tables of the nonzero couplings, so zero
+slots and zero couplings cost nothing.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import add
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .exterior import FormError, sort_with_sign
+from .exterior import FormError, merge_with_sign, sort_with_sign
 from .geometry import (
     HomogeneousModel,
     ModelError,
@@ -30,42 +44,101 @@ from .geometry import (
     chern_connection,
     torsion,
 )
-from .scalars import GR_ONE, GR_ZERO, GaussRat, parse_gauss
+from .scalars import GR_ONE, GaussRat, parse_gauss
 
 Exp = Tuple[int, ...]
 PKey = Tuple[Exp, Exp]
+Legs = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+_frozen = MappingProxyType
+_EMPTY: Mapping = _frozen({})
+_alloc = object.__new__
+# the caches below are keyed by exponents and leg tuples, so their size is
+# bounded by the polynomial degree and the chart dimension
+_int = lru_cache(maxsize=None)(GaussRat.of)      # small exact integers
+_merge = lru_cache(maxsize=None)(merge_with_sign)
+
+
+@lru_cache(maxsize=None)
+def _front(leg: int, legs: Tuple[int, ...]):
+    """(sign, sorted legs) of d(leg) ^ d(legs); (0, ()) on a repeat."""
+    return sort_with_sign((leg,) + legs)
+
+
+class _Immutable:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _acc(acc: dict, key, v) -> None:
+    """acc[key] += v, leaving out zero summands and cancelled sums."""
+    if not v:
+        return
+    c = acc.get(key)
+    if c is None:
+        acc[key] = v
+    else:
+        c = c + v
+        if c:
+            acc[key] = c
+        else:
+            del acc[key]
+
+
+def _sum_terms(x: Mapping, y: Mapping, sign: int = 1) -> dict:
+    """x + sign * y term by term, for mappings of nonzero terms; the result
+    holds no zero either."""
+    acc = x.copy()
+    for k, v in y.items():
+        _acc(acc, k, v if sign == 1 else -v)
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # polynomials in z and zbar
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Immutable):
     """Polynomial in z_1..z_m, zbar_1..zbar_m with Gaussian rational
-    coefficients; keys are (z exponents, zbar exponents)."""
+    coefficients.
 
-    m: int
-    terms: Tuple[Tuple[PKey, GaussRat], ...] = ()
+    ``terms`` is a read-only mapping (z exponents, zbar exponents) ->
+    GaussRat that never holds a zero coefficient; the zero polynomial has
+    no terms.  ``Poly(m, terms)`` and ``Poly.build`` check the exponent
+    tuples and drop zero coefficients.
+    """
+
+    __slots__ = ("m", "terms")
+
+    def __new__(cls, m: int, terms: Mapping[PKey, GaussRat] = _EMPTY):
+        clean = {}
+        for (a, b), c in terms.items():
+            if len(a) != m or len(b) != m:
+                raise FormError("polynomial exponent tuple of wrong length")
+            if c:
+                clean[(tuple(a), tuple(b))] = c
+        return _poly(m, clean)
+
+    def __reduce__(self):
+        return Poly, (self.m, dict(self.terms))
 
     @staticmethod
-    def build(m: int, terms: Dict[PKey, GaussRat]) -> "Poly":
-        clean = []
-        for key in sorted(terms):
-            if len(key[0]) != m or len(key[1]) != m:
-                raise FormError("polynomial exponent tuple of wrong length")
-            if terms[key]:
-                clean.append((key, terms[key]))
-        return Poly(m, tuple(clean))
+    def build(m: int, terms: Mapping[PKey, GaussRat]) -> "Poly":
+        return Poly(m, terms)
 
     @staticmethod
     def zero(m: int) -> "Poly":
-        return Poly(m)
+        return _poly(m, {})
 
     @staticmethod
     def const(m: int, c: GaussRat) -> "Poly":
         z = (0,) * m
-        return Poly.build(m, {(z, z): c})
+        return _poly(m, {(z, z): c} if c else {})
 
     @staticmethod
     def coord(m: int, k: int, anti: bool = False) -> "Poly":
@@ -73,219 +146,295 @@ class Poly:
         z[k] = 1
         zero = (0,) * m
         key = (zero, tuple(z)) if anti else (tuple(z), zero)
-        return Poly.build(m, {key: GR_ONE})
+        return _poly(m, {key: GR_ONE})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self.m == other.m and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.m, frozenset(self.terms.items())))
+
+    def __repr__(self) -> str:
+        return f"Poly({self.m}, {dict(sorted(self.terms.items()))!r})"
+
     def __add__(self, o: "Poly") -> "Poly":
-        acc = dict(self.terms)
-        for k, v in o.terms:
-            acc[k] = acc.get(k, GR_ZERO) + v
-        return Poly.build(self.m, acc)
+        if not self.terms:
+            return o
+        return _poly(self.m, _sum_terms(self.terms, o.terms))
 
     def __sub__(self, o: "Poly") -> "Poly":
-        return self + (-o)
+        return _poly(self.m, _sum_terms(self.terms, o.terms, -1))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.m, tuple((k, -v) for k, v in self.terms))
+        return _poly(self.m, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, o: "Poly") -> "Poly":
         acc: Dict[PKey, GaussRat] = {}
-        for (a1, b1), c1 in self.terms:
-            for (a2, b2), c2 in o.terms:
-                key = (tuple(x + y for x, y in zip(a1, a2)),
-                       tuple(x + y for x, y in zip(b1, b2)))
-                acc[key] = acc.get(key, GR_ZERO) + c1 * c2
-        return Poly.build(self.m, acc)
+        right = o.terms.items()
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in right:
+                _acc(acc, (tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
+                     c1 * c2)
+        return _poly(self.m, acc)
 
     def scale(self, c: GaussRat) -> "Poly":
-        return Poly(self.m, tuple((k, v * c) for k, v in self.terms)
-                    if c else ())
+        if not c:
+            return _poly(self.m, {})
+        return _poly(self.m, {k: v * c for k, v in self.terms.items()})
 
     def conjugate(self) -> "Poly":
-        return Poly.build(self.m, {(b, a): c.conjugate()
-                                   for (a, b), c in self.terms})
+        return _poly(self.m, {(b, a): c.conjugate()
+                              for (a, b), c in self.terms.items()})
 
     def diff_z(self, k: int) -> "Poly":
-        acc: Dict[PKey, GaussRat] = {}
-        for (a, b), c in self.terms:
-            if a[k]:
-                aa = list(a)
-                aa[k] -= 1
-                key = (tuple(aa), b)
-                acc[key] = acc.get(key, GR_ZERO) + c * GaussRat.of(a[k])
-        return Poly.build(self.m, acc)
+        out = {}
+        for (a, b), c in self.terms.items():
+            e = a[k]
+            if e:
+                out[(a[:k] + (e - 1,) + a[k + 1:], b)] = (
+                    c if e == 1 else c * _int(e))
+        return _poly(self.m, out)
 
     def diff_zbar(self, k: int) -> "Poly":
-        acc: Dict[PKey, GaussRat] = {}
-        for (a, b), c in self.terms:
-            if b[k]:
-                bb = list(b)
-                bb[k] -= 1
-                key = (a, tuple(bb))
-                acc[key] = acc.get(key, GR_ZERO) + c * GaussRat.of(b[k])
-        return Poly.build(self.m, acc)
+        out = {}
+        for (a, b), c in self.terms.items():
+            e = b[k]
+            if e:
+                out[(a, b[:k] + (e - 1,) + b[k + 1:])] = (
+                    c if e == 1 else c * _int(e))
+        return _poly(self.m, out)
 
     def is_holomorphic(self) -> bool:
-        return all(not any(b) for (_, b), _ in self.terms)
+        return not any(any(b) for _, b in self.terms)
 
     def antiholomorphic_split(self):
         """Group terms by total zbar-degree: {degree: Poly}."""
         parts: Dict[int, Dict[PKey, GaussRat]] = {}
-        for (a, b), c in self.terms:
+        for (a, b), c in self.terms.items():
             parts.setdefault(sum(b), {})[(a, b)] = c
-        return {d: Poly.build(self.m, t) for d, t in parts.items()}
+        return {d: _poly(self.m, t) for d, t in parts.items()}
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         bits = []
-        for (a, b), c in self.terms:
+        for a, b in sorted(self.terms):
             mono = "".join(f"z{k + 1}^{e}" if e > 1 else f"z{k + 1}"
                            for k, e in enumerate(a) if e)
             mono += "".join(f"w{k + 1}^{e}" if e > 1 else f"w{k + 1}"
                             for k, e in enumerate(b) if e)
-            bits.append(f"({c}){mono or '1'}")
+            bits.append(f"({self.terms[(a, b)]}){mono or '1'}")
         return " + ".join(bits)
+
+
+_set_poly_m = Poly.m.__set__
+_set_poly_terms = Poly.terms.__set__
+
+
+def _poly(m: int, terms: dict) -> Poly:
+    """A Poly from a dict of nonzero terms that no one else holds."""
+    x = _alloc(Poly)
+    _set_poly_m(x, m)
+    _set_poly_terms(x, _frozen(terms))
+    return x
 
 
 # ---------------------------------------------------------------------------
 # polynomial-coefficient forms
 
 
-@dataclass(frozen=True)
-class ChartForm:
-    """A (p,q)-form on the chart with Poly coefficients; legs are strictly
-    increasing dz / dzbar index tuples, dz legs to the left."""
+class ChartForm(_Immutable):
+    """A (p,q)-form on the chart with Poly coefficients.
 
-    m: int
-    p: int
-    q: int
-    terms: Tuple[Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly], ...] = ()
+    ``terms`` is a read-only mapping (dz legs, dzbar legs) -> Poly that never
+    holds a zero coefficient; legs are strictly increasing index tuples and
+    the dz legs stand to the left.  ``ChartForm(m, p, q, terms)`` and
+    ``ChartForm.build`` check the keys and drop zero coefficients;
+    ``monomial`` also sorts arbitrary legs, with their sign.
+    """
+
+    __slots__ = ("m", "p", "q", "terms")
+
+    def __new__(cls, m: int, p: int, q: int,
+                terms: Mapping[Legs, Poly] = _EMPTY):
+        clean = {}
+        for (holo, anti), c in terms.items():
+            holo, anti = tuple(holo), tuple(anti)
+            if len(holo) != p or len(anti) != q:
+                raise FormError("chart form key has the wrong bidegree")
+            if (sort_with_sign(holo) != (1, holo)
+                    or sort_with_sign(anti) != (1, anti)):
+                raise FormError("chart form legs must strictly increase")
+            if c:
+                clean[(holo, anti)] = c
+        return _form(m, p, q, clean)
+
+    def __reduce__(self):
+        return ChartForm, (self.m, self.p, self.q, dict(self.terms))
 
     @staticmethod
     def build(m, p, q, terms) -> "ChartForm":
-        clean = []
-        for key in sorted(terms):
-            holo, anti = key
-            if len(holo) != p or len(anti) != q:
-                raise FormError("chart form key has the wrong bidegree")
-            if terms[key]:
-                clean.append((key, terms[key]))
-        return ChartForm(m, p, q, tuple(clean))
+        return ChartForm(m, p, q, terms)
 
     @staticmethod
     def zero(m, p, q) -> "ChartForm":
-        return ChartForm(m, p, q)
+        return _form(m, p, q, {})
 
     @staticmethod
     def monomial(m, holo, anti, coeff: Poly) -> "ChartForm":
         sh, holo_s = sort_with_sign(holo)
         sa, anti_s = sort_with_sign(anti)
         p, q = len(tuple(holo)), len(tuple(anti))
-        if sh * sa == 0:
-            return ChartForm.zero(m, p, q)
+        if sh * sa == 0 or not coeff:
+            return _form(m, p, q, {})
         c = coeff if sh * sa == 1 else -coeff
-        return ChartForm.build(m, p, q, {(holo_s, anti_s): c})
+        return _form(m, p, q, {(holo_s, anti_s): c})
 
     @staticmethod
     def func(f: Poly) -> "ChartForm":
-        return ChartForm.build(f.m, 0, 0, {((), ()): f})
+        return _form(f.m, 0, 0, {((), ()): f} if f else {})
 
     def coeff(self, holo, anti) -> Poly:
         sh, holo_s = sort_with_sign(holo)
         sa, anti_s = sort_with_sign(anti)
-        if sh * sa == 0:
+        c = self.terms.get((holo_s, anti_s)) if sh * sa else None
+        if c is None:
             return Poly.zero(self.m)
-        for k, c in self.terms:
-            if k == (holo_s, anti_s):
-                return c if sh * sa == 1 else -c
-        return Poly.zero(self.m)
+        return c if sh * sa == 1 else -c
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __add__(self, o: "ChartForm") -> "ChartForm":
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ChartForm:
+            return NotImplemented
+        return ((self.m, self.p, self.q) == (other.m, other.p, other.q)
+                and self.terms == other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.p, self.q,
+                     frozenset(self.terms.items())))
+
+    def __repr__(self) -> str:
+        return (f"ChartForm({self.m}, {self.p}, {self.q}, "
+                f"{dict(sorted(self.terms.items()))!r})")
+
+    def __str__(self) -> str:
+        """Terms in key order as ``[coefficient] legs``; the coefficient
+        prints zbar_k as w_k, and the legs print dzbar_k as dw_k."""
+        if not self.terms:
+            return "0"
+        bits = []
+        for h, a in sorted(self.terms):
+            legs = "^".join([f"dz{k}" for k in h] + [f"dw{k}" for k in a])
+            c = self.terms[(h, a)]
+            bits.append(f"[{c}] {legs}" if legs else f"[{c}]")
+        return " + ".join(bits)
+
+    def _check_shape(self, o: "ChartForm") -> None:
         if (self.m, self.p, self.q) != (o.m, o.p, o.q):
             raise FormError("chart form shapes disagree")
-        acc = dict(self.terms)
-        for k, v in o.terms:
-            acc[k] = acc.get(k, Poly.zero(self.m)) + v
-        return ChartForm.build(self.m, self.p, self.q, acc)
 
-    def __sub__(self, o):
-        return self + (-o)
+    def __add__(self, o: "ChartForm") -> "ChartForm":
+        self._check_shape(o)
+        if not self.terms:
+            return o
+        return _form(self.m, self.p, self.q, _sum_terms(self.terms, o.terms))
 
-    def __neg__(self):
-        return ChartForm(self.m, self.p, self.q,
-                         tuple((k, -v) for k, v in self.terms))
+    def __sub__(self, o: "ChartForm") -> "ChartForm":
+        self._check_shape(o)
+        return _form(self.m, self.p, self.q,
+                     _sum_terms(self.terms, o.terms, -1))
+
+    def __neg__(self) -> "ChartForm":
+        return _form(self.m, self.p, self.q,
+                     {k: -v for k, v in self.terms.items()})
 
     def scale_poly(self, f: Poly) -> "ChartForm":
-        acc = {}
-        for k, v in self.terms:
-            acc[k] = v * f
-        return ChartForm.build(self.m, self.p, self.q, acc)
+        # Poly coefficients form an integral domain: no product vanishes
+        if not f.terms:
+            return _form(self.m, self.p, self.q, {})
+        return _form(self.m, self.p, self.q,
+                     {k: v * f for k, v in self.terms.items()})
 
     def scale(self, c: GaussRat) -> "ChartForm":
-        return ChartForm(self.m, self.p, self.q,
-                         tuple((k, v.scale(c)) for k, v in self.terms)
-                         if c else ())
+        if not c:
+            return _form(self.m, self.p, self.q, {})
+        return _form(self.m, self.p, self.q,
+                     {k: v.scale(c) for k, v in self.terms.items()})
 
     def wedge(self, o: "ChartForm") -> "ChartForm":
-        from .exterior import merge_with_sign
-        acc: Dict = {}
+        acc: Dict[Legs, Poly] = {}
         cross = -1 if (o.p % 2) and (self.q % 2) else 1
-        for (h1, a1), c1 in self.terms:
-            for (h2, a2), c2 in o.terms:
-                sh, hh = merge_with_sign(h1, h2)
+        right = o.terms.items()
+        for (h1, a1), c1 in self.terms.items():
+            for (h2, a2), c2 in right:
+                sh, hh = _merge(h1, h2)
                 if sh == 0:
                     continue
-                sa, aa = merge_with_sign(a1, a2)
+                sa, aa = _merge(a1, a2)
                 if sa == 0:
                     continue
-                s = sh * sa * cross
-                key = (hh, aa)
                 v = c1 * c2
-                if s == -1:
-                    v = -v
-                acc[key] = acc.get(key, Poly.zero(self.m)) + v
-        return ChartForm.build(self.m, self.p + o.p, self.q + o.q, acc)
+                _acc(acc, (hh, aa), v if sh * sa * cross == 1 else -v)
+        return _form(self.m, self.p + o.p, self.q + o.q, acc)
 
     def conjugate(self) -> "ChartForm":
-        acc = {}
-        sign = -1 if (self.p * self.q) % 2 else 1
-        for (h, a), c in self.terms:
-            v = c.conjugate()
-            acc[(a, h)] = v if sign == 1 else -v
-        return ChartForm.build(self.m, self.q, self.p, acc)
+        odd = (self.p * self.q) % 2
+        return _form(self.m, self.q, self.p,
+                     {(a, h): -c.conjugate() if odd else c.conjugate()
+                      for (h, a), c in self.terms.items()})
 
     def is_holomorphic(self) -> bool:
         return (self.q == 0
-                and all(c.is_holomorphic() for _, c in self.terms))
+                and all(c.is_holomorphic() for c in self.terms.values()))
+
+
+_set_form_m = ChartForm.m.__set__
+_set_form_p = ChartForm.p.__set__
+_set_form_q = ChartForm.q.__set__
+_set_form_terms = ChartForm.terms.__set__
+
+
+def _form(m: int, p: int, q: int, terms: dict) -> ChartForm:
+    """A ChartForm from a dict of nonzero terms with sorted legs that no one
+    else holds."""
+    x = _alloc(ChartForm)
+    _set_form_m(x, m)
+    _set_form_p(x, p)
+    _set_form_q(x, q)
+    _set_form_terms(x, _frozen(terms))
+    return x
+
+
+def _derivative(x: ChartForm, anti: bool) -> ChartForm:
+    """partial (anti=False) or dbar (anti=True) of a chart form: each new
+    leg dz_k or dzbar_k enters at the front of its leg group, and a dzbar
+    leg then passes the p dz legs."""
+    acc: Dict[Legs, Poly] = {}
+    flip = anti and x.p % 2
+    for (h, a), c in x.terms.items():
+        for k in range(x.m):
+            sign, legs = _front(k + 1, a if anti else h)
+            if not sign:
+                continue
+            d = c.diff_zbar(k) if anti else c.diff_z(k)
+            _acc(acc, (h, legs) if anti else (legs, a),
+                 -d if (sign == -1) != flip else d)
+    return _form(x.m, x.p + (not anti), x.q + anti, acc)
 
 
 def partial_chart(x: ChartForm) -> ChartForm:
-    acc = ChartForm.zero(x.m, x.p + 1, x.q)
-    for (h, a), c in x.terms:
-        for k in range(x.m):
-            d = c.diff_z(k)
-            if d:
-                acc = acc + ChartForm.monomial(x.m, (k + 1,) + h, a, d)
-    return acc
+    return _derivative(x, anti=False)
 
 
 def dbar_chart(x: ChartForm) -> ChartForm:
-    acc = ChartForm.zero(x.m, x.p, x.q + 1)
-    sign = -1 if x.p % 2 else 1
-    for (h, a), c in x.terms:
-        for k in range(x.m):
-            d = c.diff_zbar(k)
-            if d:
-                if sign == -1:
-                    d = -d
-                acc = acc + ChartForm.monomial(x.m, h, (k + 1,) + a, d)
-    return acc
+    return _derivative(x, anti=True)
 
 
 def d_chart(x: ChartForm) -> Tuple[ChartForm, ChartForm]:
@@ -301,20 +450,17 @@ def dbar_homotopy(x: ChartForm) -> ChartForm:
     """
     if x.q < 1:
         raise FormError("a primitive needs antiholomorphic degree >= 1")
-    acc = ChartForm.zero(x.m, x.p, x.q - 1)
+    acc: Dict[Legs, Poly] = {}
     psign = -1 if x.p % 2 else 1
-    for (h, a), c in x.terms:
+    for (h, a), c in x.terms.items():
         for d, part in c.antiholomorphic_split().items():
             w = GaussRat.of(f"1/{d + x.q}")
             for v, leg in enumerate(a):
                 zbar = Poly.coord(x.m, leg - 1, anti=True)
                 sign = psign if v % 2 == 0 else -psign
-                coeff = (part * zbar).scale(w)
-                if sign == -1:
-                    coeff = -coeff
-                rest = a[:v] + a[v + 1:]
-                acc = acc + ChartForm.monomial(x.m, h, rest, coeff)
-    return acc
+                coeff = (part * zbar).scale(w if sign == 1 else -w)
+                _acc(acc, (h, a[:v] + a[v + 1:]), coeff)
+    return _form(x.m, x.p, x.q - 1, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +513,31 @@ def _parse_one_form(m_coords: int, text: str) -> List[Tuple[Poly, int]]:
     return out
 
 
+def _links(entries) -> Dict:
+    """Group nonzero couplings (source slot, target slot, coefficient) by
+    source slot: {source: ((target, coefficient), ...)}."""
+    out: Dict = {}
+    for src, dst, val in entries:
+        if val:
+            out.setdefault(src, []).append((dst, val))
+    return {k: tuple(v) for k, v in out.items()}
+
+
+def _derived(obj, **values) -> None:
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class ChartData:
-    """Everything the trivialization needs, in chart coordinates."""
+    """Everything the trivialization needs, in chart coordinates.
+
+    The component arrays and the coupling tables are derived from the
+    torsion, curvature and Christoffel data when the object is made.  A
+    table maps a source slot to the ``(target slot, coefficient)`` pairs of
+    its nonzero couplings; ``nabla`` below is the torsion-shifted
+    derivative, ``(nabla_c w)_b`` keyed by ``(c, b)``.
+    """
 
     m_coords: int
     n: int
@@ -381,9 +549,46 @@ class ChartData:
     F_chart: Tuple[Tuple[ChartForm, ...], ...]   # gauge curvature entries
     Gamma: Tuple                          # Gamma[c][a][b] Poly ((1,0) Chern)
     GammaPlus: Tuple                      # coordinate torsion-shifted blocks
-    Tcomp: List                           # _torsion_components(T_chart)
-    Fcomp: List                           # _f_components(F_chart)
-    Rcomp: List                           # _gamma_r_components(Gamma)
+    Tcomp: List = field(init=False, repr=False, compare=False)
+    Fcomp: List = field(init=False, repr=False, compare=False)
+    Rcomp: List = field(init=False, repr=False, compare=False)
+    # gauge (v, u) -> kappa j:  kappa_j += alpha' F_j[u][v] ^ gamma_vu
+    F_by_gamma: Dict = field(init=False, repr=False, compare=False)
+    # vector l -> gauge (u, v):  gamma_uv += F_l[u][v] ^ w_l
+    F_by_w: Dict = field(init=False, repr=False, compare=False)
+    # vector l -> kappa j:  kappa_j += T_lj ^ w_l
+    T_by_w: Dict = field(init=False, repr=False, compare=False)
+    # nabla (c, b) -> kappa j:  kappa_j += alpha' R_j[b][c] ^ (nabla_c w)_b
+    R_by_nabla: Dict = field(init=False, repr=False, compare=False)
+    # nabla (c, b) -> kappa a:  kappa_a += s alpha' Gamma_a[c][b] (nabla_c w)_b
+    # in phi (s = 1) and phi^{-1} (s = -1)
+    Gamma_by_nabla: Dict = field(init=False, repr=False, compare=False)
+    # (c, vector b) -> vector a:  (nabla_c w)_a += GammaPlus_c[a][b] w_b
+    GammaPlus_by_w: Dict = field(init=False, repr=False, compare=False)
+    nabla_dirs: Tuple[int, ...] = field(init=False, repr=False,
+                                        compare=False)
+
+    def __post_init__(self):
+        mc, r = self.m_coords, self.rank
+        ms, rs = range(mc), range(r)
+        T = _torsion_components(mc, self.T_chart)
+        F = _f_components(mc, r, self.F_chart)
+        R = _gamma_r_components(mc, self.Gamma)
+        G, GP = self.Gamma, self.GammaPlus
+        trip = list(itertools.product(ms, repeat=3))
+        gauge = [(j, u, v) for j in ms for u in rs for v in rs]
+        R_by_nabla = _links(((c, b), j, R[j][b][c]) for j, b, c in trip)
+        Gamma_by_nabla = _links(((c, b), a, G[a][c][b]) for a, c, b in trip)
+        _derived(
+            self, Tcomp=T, Fcomp=F, Rcomp=R,
+            F_by_gamma=_links(((v, u), j, F[j][u][v]) for j, u, v in gauge),
+            F_by_w=_links((j, (u, v), F[j][u][v]) for j, u, v in gauge),
+            T_by_w=_links((l, j, T[l][j]) for l in ms for j in ms),
+            R_by_nabla=R_by_nabla, Gamma_by_nabla=Gamma_by_nabla,
+            GammaPlus_by_w=_links(((c, b), a, GP[c][a][b])
+                                  for c, a, b in trip),
+            nabla_dirs=tuple(sorted({c for c, _ in R_by_nabla}
+                                    | {c for c, _ in Gamma_by_nabla})))
 
 
 def _poly_matrix_inverse(P, m_coords: int):
@@ -422,17 +627,16 @@ def _poly_matrix_inverse(P, m_coords: int):
     return tuple(tuple(r) for r in out)
 
 
-def invariant_to_chart(cd: ChartData, f) -> ChartForm:
-    """Substitute the invariant coframe by its chart pullback."""
-    mc = cd.m_coords
+def invariant_to_chart(P, f) -> ChartForm:
+    """Substitute the invariant coframe by its chart pullback
+    alpha^{i+1} = sum_a P[i][a] dz^{a+1}."""
+    mc = len(P[0])
     acc = ChartForm.zero(mc, f.p, f.q)
     pull = []
-    for i in range(cd.n):
+    for row in P:
         form = ChartForm.zero(mc, 1, 0)
         for a in range(mc):
-            if cd.P[i][a]:
-                form = form + ChartForm.monomial(mc, (a + 1,), (),
-                                                 cd.P[i][a])
+            form = form + ChartForm.monomial(mc, (a + 1,), (), row[a])
         pull.append(form)
     pull_bar = [x.conjugate() for x in pull]
     for (holo, anti), c in f.terms:
@@ -466,10 +670,9 @@ def chart_data(m: HomogeneousModel) -> ChartData:
                     raise ModelError("chart pullback must be holomorphic")
         Pt = tuple(tuple(r) for r in P)
         Q = _poly_matrix_inverse(Pt, mc)
-        cd0 = ChartData(mc, m.n, m.rank, Pt, Q, *(None,) * 7)
-        T_chart = invariant_to_chart(cd0, torsion(m))
+        T_chart = invariant_to_chart(Pt, torsion(m))
         F_chart = tuple(
-            tuple(invariant_to_chart(cd0, m.curvature_F.entry(i, j))
+            tuple(invariant_to_chart(Pt, m.curvature_F.entry(i, j))
                   for j in range(m.rank))
             for i in range(m.rank)
         )
@@ -502,13 +705,9 @@ def chart_data(m: HomogeneousModel) -> ChartData:
                                                 + vcomp[k] * Q[a][k])
             return tuple(tuple(tuple(r) for r in g) for g in out)
 
-        Gamma = chart_gamma(chern_connection(m).gamma)
-        GammaPlus = chart_gamma(bismut(m).gamma)
         return ChartData(mc, m.n, m.rank, Pt, Q, T_chart, F_chart,
-                         Gamma, GammaPlus,
-                         _torsion_components(mc, T_chart),
-                         _f_components(mc, m.rank, F_chart),
-                         _gamma_r_components(mc, Gamma))
+                         chart_gamma(chern_connection(m).gamma),
+                         chart_gamma(bismut(m).gamma))
     return m.cached("chart_data", build)
 
 
@@ -584,23 +783,55 @@ def cs_transgression_residual(A, F) -> Tuple[ChartForm, ...]:
 
 @dataclass(frozen=True)
 class Trivialization:
-    """A potential pair (A, tau) together with the chart data and coupling."""
+    """A potential pair (A, tau) together with the chart data and coupling.
+
+    The A components, the products tr(A_a A_d) and the coupling tables are
+    derived from A and tau when the object is made, so a copy made with
+    ``dataclasses.replace`` stays consistent.
+    """
 
     model_name: str
     alpha: GaussRat
     cd: ChartData
     A: Tuple[Tuple[ChartForm, ...], ...]      # (1,0)-form gauge potential
     tau: Tuple[Tuple[Poly, ...], ...]         # tau[a][b] functions
-    Acomp: List                               # _a_components(A)
-    trAA: Tuple[Tuple[Poly, ...], ...]        # trAA[a][d] = tr(A_a A_d)
+    Acomp: List = field(init=False, repr=False, compare=False)
+    trAA: Tuple = field(init=False, repr=False, compare=False)
+    # tables read by phi (s = 1) and phi^{-1} (s = -1):
+    # vector a -> gauge (u, v):  gamma_uv -= s A_a[u][v] w_a
+    A_by_w: Dict = field(init=False, repr=False, compare=False)
+    # gauge (v, u) -> kappa a:  kappa_a -= s alpha' A_a[u][v] gamma_vu
+    A_by_gamma: Dict = field(init=False, repr=False, compare=False)
+    # vector b -> kappa a:  kappa_a += s tau_ab w_b
+    tau_by_w: Dict = field(init=False, repr=False, compare=False)
+    # vector d -> kappa a:  kappa_a += alpha' tr(A_a A_d) w_d  (phi^{-1} only)
+    trAA_by_w: Dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        mc, r = self.cd.m_coords, self.cd.rank
+        ms, rs = range(mc), range(r)
+        A = _a_components(self.A)
+        trAA = [[Poly.zero(mc) for _ in ms] for _ in ms]
+        for a in ms:
+            for d in ms:
+                for u in rs:
+                    for v in rs:
+                        trAA[a][d] = trAA[a][d] + A[a][u][v] * A[d][v][u]
+        gauge = [(a, u, v) for a in ms for u in rs for v in rs]
+        _derived(
+            self, Acomp=A, trAA=tuple(tuple(row) for row in trAA),
+            A_by_w=_links((a, (u, v), A[a][u][v]) for a, u, v in gauge),
+            A_by_gamma=_links(((v, u), a, A[a][u][v]) for a, u, v in gauge),
+            tau_by_w=_links((b, a, self.tau[a][b]) for a in ms for b in ms),
+            trAA_by_w=_links((d, a, trAA[a][d]) for a in ms for d in ms))
 
 
 def _torsion_components(mc: int, T_chart: ChartForm):
     """T_{lj} as (0,1)-forms: T = sum_{l<j} dz^l ^ dz^j ^ T_{lj}."""
     out = [[ChartForm.zero(mc, 0, 1) for _ in range(mc)] for _ in range(mc)]
-    for (h, a), c in T_chart.terms:
+    for (h, a), c in T_chart.terms.items():
         l, j = h
-        form = ChartForm.build(mc, 0, 1, {((), a): c})
+        form = _form(mc, 0, 1, {((), a): c})
         out[l - 1][j - 1] = out[l - 1][j - 1] + form
         out[j - 1][l - 1] = out[j - 1][l - 1] - form
     return out
@@ -612,10 +843,9 @@ def _f_components(mc: int, r: int, F_chart):
            for _ in range(mc)]
     for u in range(r):
         for v in range(r):
-            for (h, a), c in F_chart[u][v].terms:
+            for (h, a), c in F_chart[u][v].terms.items():
                 out[h[0] - 1][u][v] = (out[h[0] - 1][u][v]
-                                       + ChartForm.build(mc, 0, 1,
-                                                         {((), a): c}))
+                                       + _form(mc, 0, 1, {((), a): c}))
     return out
 
 
@@ -627,7 +857,7 @@ def _a_components(A):
            for _ in range(mc)]
     for u in range(r):
         for v in range(r):
-            for (h, aa), c in A[u][v].terms:
+            for (h, aa), c in A[u][v].terms.items():
                 out[h[0] - 1][u][v] = out[h[0] - 1][u][v] + c
     return out
 
@@ -635,18 +865,8 @@ def _a_components(A):
 def _gamma_r_components(mc: int, Gamma):
     """R_d[c][b] = dbar of the Gamma coefficients, as (0,1)-forms keyed by
     the dz^d front leg (zero whenever Gamma is holomorphic)."""
-    out = [[[ChartForm.zero(mc, 0, 1) for _ in range(mc)] for _ in range(mc)]
-           for _ in range(mc)]
-    for d in range(mc):
-        for c in range(mc):
-            for b in range(mc):
-                f = Gamma[d][c][b]
-                for k in range(mc):
-                    dd = f.diff_zbar(k)
-                    if dd:
-                        out[d][c][b] = out[d][c][b] + ChartForm.monomial(
-                            mc, (), (k + 1,), dd)
-    return out
+    return [[[dbar_chart(ChartForm.func(Gamma[d][c][b])) for b in range(mc)]
+             for c in range(mc)] for d in range(mc)]
 
 
 def build_trivialization(m: HomogeneousModel,
@@ -682,15 +902,8 @@ def build_trivialization(m: HomogeneousModel,
         zz = Poly.coord(mc, 2) * Poly.coord(mc, 0)
         tau[0][1] = tau[0][1] + zz.scale(s)
         tau[1][0] = tau[1][0] - zz.scale(s)
-    trAA = [[Poly.zero(mc) for _ in range(mc)] for _ in range(mc)]
-    for a in range(mc):
-        for d in range(mc):
-            for u in range(r):
-                for v in range(r):
-                    trAA[a][d] = trAA[a][d] + Acomp[a][u][v] * Acomp[d][v][u]
     return Trivialization(m.name, a0, cd, tuple(tuple(r_) for r_ in A),
-                          tuple(tuple(r_) for r_ in tau), Acomp,
-                          tuple(tuple(r_) for r_ in trAA))
+                          tuple(tuple(r_) for r_ in tau))
 
 
 def _tau_rhs(cd: ChartData, Acomp, alpha: GaussRat, a: int,
@@ -735,180 +948,211 @@ def potential_residuals(t: Trivialization) -> Dict[str, bool]:
 # chart sections and the operator identity
 
 
-@dataclass(frozen=True)
-class ChartSection:
-    """A Q-valued chart section: covector, gauge and vector parts with
-    (0,q)-form ChartForm components."""
+class ChartSection(_Immutable):
+    """A Q-valued chart section of form degree (0,q).
 
-    mc: int
-    rank: int
-    q: int
-    kappa: Tuple[ChartForm, ...]
-    gamma: Tuple[Tuple[ChartForm, ...], ...]
-    w: Tuple[ChartForm, ...]
+    ``kappa`` (covector part, dz^{a+1} -> a), ``gamma`` (gauge part, matrix
+    entry (u, v), 0-based) and ``w`` (vector part, d/dz^{a+1} -> a) are
+    read-only mappings from slot to nonzero (0,q)-form; an absent slot is
+    zero.  ``ChartSection(mc, rank, q, kappa, gamma, w)`` checks the
+    bidegrees and drops zero forms.
+    """
+
+    __slots__ = ("mc", "rank", "q", "kappa", "gamma", "w")
+
+    def __new__(cls, mc: int, rank: int, q: int,
+                kappa: Mapping[int, ChartForm] = _EMPTY,
+                gamma: Mapping[Tuple[int, int], ChartForm] = _EMPTY,
+                w: Mapping[int, ChartForm] = _EMPTY):
+        parts = ({k: x for k, x in part.items() if x}
+                 for part in (kappa, gamma, w))
+        x = _section(mc, rank, q, *parts)
+        forms = itertools.chain(x.kappa.values(), x.gamma.values(),
+                                x.w.values())
+        if any((f.m, f.p, f.q) != (mc, 0, q) for f in forms):
+            raise FormError(f"chart section entries must be (0,{q})-forms")
+        return x
 
     @staticmethod
     def zero(mc, rank, q) -> "ChartSection":
-        z = ChartForm.zero(mc, 0, q)
-        return ChartSection(mc, rank, q, (z,) * mc,
-                            tuple((z,) * rank for _ in range(rank)),
-                            (z,) * mc)
+        return _section(mc, rank, q, {}, {}, {})
 
-    def __add__(self, o):
-        return ChartSection(
-            self.mc, self.rank, self.q,
-            tuple(x + y for x, y in zip(self.kappa, o.kappa)),
-            tuple(tuple(x + y for x, y in zip(r1, r2))
-                  for r1, r2 in zip(self.gamma, o.gamma)),
-            tuple(x + y for x, y in zip(self.w, o.w)))
+    def __bool__(self) -> bool:
+        return bool(self.kappa or self.gamma or self.w)
 
-    def __sub__(self, o):
-        return self + ChartSection(
-            o.mc, o.rank, o.q, tuple(-x for x in o.kappa),
-            tuple(tuple(-x for x in r) for r in o.gamma),
-            tuple(-x for x in o.w))
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ChartSection:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k)
+                   for k in self.__slots__)
 
-    def __bool__(self):
-        return (any(self.kappa) or any(any(r) for r in self.gamma)
-                or any(self.w))
+    def __hash__(self) -> int:
+        return hash((self.mc, self.rank, self.q,
+                     *(frozenset(part.items())
+                       for part in (self.kappa, self.gamma, self.w))))
+
+    def __add__(self, o: "ChartSection") -> "ChartSection":
+        return _section(self.mc, self.rank, self.q,
+                        _sum_terms(self.kappa, o.kappa),
+                        _sum_terms(self.gamma, o.gamma),
+                        _sum_terms(self.w, o.w))
+
+    def __sub__(self, o: "ChartSection") -> "ChartSection":
+        return _section(self.mc, self.rank, self.q,
+                        _sum_terms(self.kappa, o.kappa, -1),
+                        _sum_terms(self.gamma, o.gamma, -1),
+                        _sum_terms(self.w, o.w, -1))
+
+    def labelled(self) -> Dict[str, str]:
+        """The nonzero slots in slot order, as {label: printed form}:
+        e1:dz^a (covector), e2:E(u,v) (gauge matrix unit), e3:d/dz^a
+        (vector), 1-based."""
+        out = {}
+        for a in sorted(self.kappa):
+            out[f"e1:dz^{a + 1}"] = str(self.kappa[a])
+        for u, v in sorted(self.gamma):
+            out[f"e2:E({u + 1},{v + 1})"] = str(self.gamma[(u, v)])
+        for a in sorted(self.w):
+            out[f"e3:d/dz^{a + 1}"] = str(self.w[a])
+        return out
 
 
-def nabla_plus_chart(t: Trivialization, w, c: int):
-    """(1,0)-covariant derivative of the vector part in direction c using
+_set_section = [getattr(ChartSection, name).__set__
+                for name in ChartSection.__slots__]
+
+
+def _section(mc: int, rank: int, q: int, kappa: dict, gamma: dict,
+             w: dict) -> ChartSection:
+    """A ChartSection from dicts of nonzero (0,q)-forms that no one else
+    holds."""
+    x = _alloc(ChartSection)
+    for put, value in zip(_set_section, (mc, rank, q, _frozen(kappa),
+                                         _frozen(gamma), _frozen(w))):
+        put(x, value)
+    return x
+
+
+def nabla_plus_chart(t: Trivialization, w: Mapping, c: int) -> Dict:
+    """The nonzero components {a: (nabla_c w)_a} of the (1,0)-covariant
+    derivative of a vector part ``w`` (slot -> form) in direction c, with
     the coordinate coefficients of the torsion-shifted connection."""
-    cd = t.cd
-    mc = cd.m_coords
-    out = []
-    for a in range(mc):
-        acc = ChartForm.zero(mc, 0, w[0].q)
-        dd = ChartForm.build(mc, 0, w[a].q,
-                             {k: v.diff_z(c) for k, v in w[a].terms})
-        acc = acc + dd
-        for b in range(mc):
-            g = cd.GammaPlus[c][a][b]
-            if g and w[b]:
-                acc = acc + w[b].scale_poly(g)
-        out.append(acc)
+    out: Dict[int, ChartForm] = {}
+    for b, x in w.items():
+        _acc(out, b, _form(x.m, 0, x.q, {k: d for k, v in x.terms.items()
+                                         if (d := v.diff_z(c)).terms}))
+        for a, g in t.cd.GammaPlus_by_w.get((c, b), ()):
+            _acc(out, a, x.scale_poly(g))
     return out
 
 
-def apply_Dbar_chart(t: Trivialization, s: ChartSection) -> ChartSection:
+def _nabla_dirs(t: Trivialization, w: Mapping) -> Dict:
+    """{c: nabla_plus_chart(t, w, c)} for the directions the couplings
+    read."""
+    return {c: nabla_plus_chart(t, w, c) for c in t.cd.nabla_dirs}
+
+
+def apply_Dbar_chart(t: Trivialization, s: ChartSection,
+                     nabla: Optional[Dict] = None) -> ChartSection:
     """The deformation operator in chart coordinates: coordinate frames are
     holomorphic, so the diagonal is the plain dbar and the couplings use the
-    chart components of F, T and R."""
+    chart components of F, T and R.  ``nabla`` may pass in
+    ``_nabla_dirs(t, s.w)`` when the caller has it already."""
     cd = t.cd
-    mc, r = cd.m_coords, cd.rank
     al = t.alpha
-    Fcomp, Tcomp, Rcomp = cd.Fcomp, cd.Tcomp, cd.Rcomp
-    kappa = [dbar_chart(x) for x in s.kappa]
-    gamma = [[dbar_chart(s.gamma[i][j]) for j in range(r)] for i in range(r)]
-    w = [dbar_chart(x) for x in s.w]
-    # couplings
-    for j in range(mc):
-        acc = kappa[j]
-        for u in range(r):
-            for v in range(r):
-                if Fcomp[j][u][v] and s.gamma[v][u]:
-                    acc = acc + Fcomp[j][u][v].wedge(s.gamma[v][u]).scale(al)
-        for l in range(mc):
-            if Tcomp[l][j] and s.w[l]:
-                acc = acc + Tcomp[l][j].wedge(s.w[l])
-        for c in range(mc):
-            npw = None
-            for b in range(mc):
-                if Rcomp[j][b][c]:
-                    if npw is None:
-                        npw = nabla_plus_chart(t, s.w, c)
-                    acc = acc + Rcomp[j][b][c].wedge(npw[b]).scale(al)
-        kappa[j] = acc
-    for u in range(r):
-        for v in range(r):
-            acc = gamma[u][v]
-            for j in range(mc):
-                if Fcomp[j][u][v] and s.w[j]:
-                    acc = acc + Fcomp[j][u][v].wedge(s.w[j])
-            gamma[u][v] = acc
-    return ChartSection(mc, r, s.q + 1, tuple(kappa),
-                        tuple(tuple(row) for row in gamma), tuple(w))
+    if nabla is None:
+        nabla = _nabla_dirs(t, s.w)
+    kappa: Dict = {}
+    gamma: Dict = {}
+    w: Dict = {}
+    for a, x in s.kappa.items():
+        _acc(kappa, a, dbar_chart(x))
+    for vu, x in s.gamma.items():
+        _acc(gamma, vu, dbar_chart(x))
+        for j, f in cd.F_by_gamma.get(vu, ()):
+            _acc(kappa, j, f.wedge(x).scale(al))
+    for l, x in s.w.items():
+        _acc(w, l, dbar_chart(x))
+        for j, f in cd.T_by_w.get(l, ()):
+            _acc(kappa, j, f.wedge(x))
+        for uv, f in cd.F_by_w.get(l, ()):
+            _acc(gamma, uv, f.wedge(x))
+    for c, comps in nabla.items():
+        for b, y in comps.items():
+            for j, f in cd.R_by_nabla.get((c, b), ()):
+                _acc(kappa, j, f.wedge(y).scale(al))
+    return _section(s.mc, s.rank, s.q + 1, kappa, gamma, w)
 
 
-def _phi_action(t: Trivialization, s: ChartSection,
-                inverse: bool) -> ChartSection:
+def _phi_action(t: Trivialization, s: ChartSection, inverse: bool,
+                nabla: Optional[Dict] = None) -> ChartSection:
     cd = t.cd
-    mc, r = cd.m_coords, cd.rank
     al = t.alpha
-    Acomp = t.Acomp
     sgn = GaussRat.of(-1) if inverse else GR_ONE
-    # gauge part: gamma -+ A W (the potential enters with a minus sign so
+    if nabla is None:
+        nabla = _nabla_dirs(t, s.w)
+    # gauge part: gamma - sgn A W (the potential enters with a minus sign so
     # that dbar of the component matrices produces +F in the conjugation)
-    gamma = [[s.gamma[u][v] for v in range(r)] for u in range(r)]
-    for u in range(r):
-        for v in range(r):
-            for a in range(mc):
-                if Acomp[a][u][v] and s.w[a]:
-                    gamma[u][v] = gamma[u][v] - s.w[a].scale_poly(
-                        Acomp[a][u][v]).scale(sgn)
-    # covector part
-    kappa = [s.kappa[a] for a in range(mc)]
-    for a in range(mc):
-        acc = kappa[a]
-        # -alpha' A acting on the gauge part: -alpha' tr(A_a gamma)
-        for u in range(r):
-            for v in range(r):
-                if Acomp[a][u][v] and s.gamma[v][u]:
-                    acc = acc - s.gamma[v][u].scale_poly(
-                        Acomp[a][u][v]).scale(al * sgn)
-        # tau + alpha' Gamma . nabla+ acting on W (sign flips when inverted)
-        tterm = ChartForm.zero(mc, 0, s.q)
-        for b in range(mc):
-            if t.tau[a][b] and s.w[b]:
-                tterm = tterm + s.w[b].scale_poly(t.tau[a][b])
-        for c in range(mc):
-            npw = None
-            for b in range(mc):
-                if cd.Gamma[a][c][b]:
-                    if npw is None:
-                        npw = nabla_plus_chart(t, s.w, c)
-                    tterm = tterm + npw[b].scale_poly(
-                        cd.Gamma[a][c][b]).scale(al)
-        acc = acc + tterm.scale(sgn)
-        if inverse:
-            # + alpha' (A.A) W = alpha' tr(A_a A_d) W^d
-            for d in range(mc):
-                if s.w[d] and t.trAA[a][d]:
-                    acc = acc + s.w[d].scale_poly(t.trAA[a][d]).scale(al)
-        kappa[a] = acc
-    return ChartSection(mc, r, s.q, tuple(kappa),
-                        tuple(tuple(row) for row in gamma), tuple(s.w))
+    gamma = s.gamma.copy()
+    for a, x in s.w.items():
+        for uv, f in t.A_by_w.get(a, ()):
+            _acc(gamma, uv, x.scale_poly(f.scale(-sgn)))
+    # covector part: -alpha' A acting on the gauge part, -alpha' tr(A_a gamma)
+    kappa = s.kappa.copy()
+    for vu, x in s.gamma.items():
+        for a, f in t.A_by_gamma.get(vu, ()):
+            _acc(kappa, a, x.scale_poly(f.scale(-(al * sgn))))
+    # tau + alpha' Gamma . nabla+ acting on W (sign flips when inverted)
+    for b, x in s.w.items():
+        for a, f in t.tau_by_w.get(b, ()):
+            _acc(kappa, a, x.scale_poly(f.scale(sgn)))
+    for c, comps in nabla.items():
+        for b, y in comps.items():
+            for a, f in cd.Gamma_by_nabla.get((c, b), ()):
+                _acc(kappa, a, y.scale_poly(f.scale(al * sgn)))
+    if inverse:
+        # + alpha' (A.A) W = alpha' tr(A_a A_d) W^d
+        for d, x in s.w.items():
+            for a, f in t.trAA_by_w.get(d, ()):
+                _acc(kappa, a, x.scale_poly(f.scale(al)))
+    return _section(s.mc, s.rank, s.q, kappa, gamma, s.w.copy())
 
 
-def apply_phi(t: Trivialization, s: ChartSection) -> ChartSection:
-    return _phi_action(t, s, inverse=False)
+def apply_phi(t: Trivialization, s: ChartSection,
+              nabla: Optional[Dict] = None) -> ChartSection:
+    """phi s; ``nabla`` as for apply_Dbar_chart."""
+    return _phi_action(t, s, inverse=False, nabla=nabla)
 
 
 def apply_phi_inverse(t: Trivialization, s: ChartSection) -> ChartSection:
     return _phi_action(t, s, inverse=True)
 
 
+def _dbar_slots(part: Mapping) -> dict:
+    return {k: d for k, x in part.items() if (d := dbar_chart(x)).terms}
+
+
 def dbar_section(s: ChartSection) -> ChartSection:
-    return ChartSection(
-        s.mc, s.rank, s.q + 1,
-        tuple(dbar_chart(x) for x in s.kappa),
-        tuple(tuple(dbar_chart(x) for x in row) for row in s.gamma),
-        tuple(dbar_chart(x) for x in s.w))
+    return _section(s.mc, s.rank, s.q + 1, _dbar_slots(s.kappa),
+                    _dbar_slots(s.gamma), _dbar_slots(s.w))
 
 
 def trivialization_residual(t: Trivialization,
                             s: ChartSection) -> ChartSection:
-    """D s - phi^{-1} dbar (phi s); identically zero for a valid pair."""
-    lhs = apply_Dbar_chart(t, s)
-    rhs = apply_phi_inverse(t, dbar_section(apply_phi(t, s)))
+    """D s - phi^{-1} dbar (phi s); identically zero for a valid pair.
+
+    The two sides are built independently; they share only the
+    torsion-shifted derivative of the vector part of ``s``, which both read.
+    """
+    nabla = _nabla_dirs(t, s.w)
+    lhs = apply_Dbar_chart(t, s, nabla)
+    rhs = apply_phi_inverse(t, dbar_section(apply_phi(t, s, nabla)))
     return lhs - rhs
 
 
-def monomial_sections(t: Trivialization, degree: int):
-    """All sections with a single monomial slot entry of total degree up to
-    the bound, covering every covector, trace-free gauge and vector slot."""
+def _labelled_sections(t: Trivialization, degree: int):
+    """Yield (slot label, monomial, section) for every section with a single
+    monomial slot entry of total degree up to the bound, covering every
+    covector, trace-free gauge and vector slot."""
     cd = t.cd
     mc, r = cd.m_coords, cd.rank
     monos = []
@@ -922,29 +1166,24 @@ def monomial_sections(t: Trivialization, degree: int):
                     a[x] += 1
                 else:
                     b[x - mc] += 1
-            monos.append(Poly.build(mc, {(tuple(a), tuple(b)): GR_ONE}))
+            monos.append(_poly(mc, {(tuple(a), tuple(b)): GR_ONE}))
     from .qcomplex import trace_free_basis
-    out = []
     for f in monos:
         form = ChartForm.func(f)
         for a in range(mc):
-            s = ChartSection.zero(mc, r, 0)
-            kappa = list(s.kappa)
-            kappa[a] = form
-            out.append(ChartSection(mc, r, 0, tuple(kappa), s.gamma, s.w))
-        for _, mat in trace_free_basis(r):
-            s = ChartSection.zero(mc, r, 0)
-            gamma = [list(row) for row in s.gamma]
-            for (i, j), c in mat.items():
-                gamma[i - 1][j - 1] = gamma[i - 1][j - 1] + form.scale(c)
-            out.append(ChartSection(mc, r, 0, s.kappa,
-                                    tuple(tuple(row) for row in gamma), s.w))
+            yield f"e1:dz^{a + 1}", f, _section(mc, r, 0, {a: form}, {}, {})
+        for name, mat in trace_free_basis(r):
+            gamma = {(i - 1, j - 1): form.scale(c)
+                     for (i, j), c in mat.items()}
+            yield f"e2:{name}", f, _section(mc, r, 0, {}, gamma, {})
         for a in range(mc):
-            s = ChartSection.zero(mc, r, 0)
-            w = list(s.w)
-            w[a] = form
-            out.append(ChartSection(mc, r, 0, s.kappa, s.gamma, tuple(w)))
-    return out
+            yield f"e3:d/dz^{a + 1}", f, _section(mc, r, 0, {}, {}, {a: form})
+
+
+def monomial_sections(t: Trivialization, degree: int):
+    """All sections with a single monomial slot entry of total degree up to
+    the bound, covering every covector, trace-free gauge and vector slot."""
+    return [s for _, _, s in _labelled_sections(t, degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -1019,6 +1258,27 @@ def transition_cocycle_residual(t1: Trivialization, t2: Trivialization,
 # report
 
 
+def operator_identity_report(t: Trivialization, degree: int) -> Dict:
+    """The chart identity on every monomial section up to ``degree``; a
+    failing run also names its first failing section (slot label and
+    monomial) and that section's residual, slot by slot."""
+    checked = bad = 0
+    first = None
+    for label, mono, s in _labelled_sections(t, degree):
+        checked += 1
+        res = trivialization_residual(t, s)
+        if res:
+            bad += 1
+            if first is None:
+                first = {"slot": label, "monomial": str(mono),
+                         "residual": res.labelled()}
+    out = {"sections_checked": checked, "failures": bad,
+           "passed": bad == 0}
+    if first is not None:
+        out["first_failure"] = first
+    return out
+
+
 def trivialization_report(m: HomogeneousModel, degree: int = 3,
                           alpha0: Optional[GaussRat] = None) -> Dict:
     t0 = build_trivialization(m, alpha0, shift=0)
@@ -1029,11 +1289,7 @@ def trivialization_report(m: HomogeneousModel, degree: int = 3,
                                       for v in range(t0.cd.rank)]
                                      for u in range(t0.cd.rank)])
     cs_ok = not any(res)
-    sections = monomial_sections(t0, degree)
-    bad = 0
-    for s in sections:
-        if trivialization_residual(t0, s):
-            bad += 1
+    ident = operator_identity_report(t0, degree)
     t1 = build_trivialization(m, alpha0, shift=1)
     t2 = build_trivialization(m, alpha0, shift=2)
     pairs = [(t0, t1), (t0, t2), (t1, t2)]
@@ -1045,11 +1301,7 @@ def trivialization_report(m: HomogeneousModel, degree: int = 3,
         "degree": degree,
         "potentials": pots,
         "chern_simons_transgression": cs_ok,
-        "operator_identity": {
-            "sections_checked": len(sections),
-            "failures": bad,
-            "passed": bad == 0,
-        },
+        "operator_identity": ident,
         "transitions": {
             "pairs": len(pairs),
             "holomorphic": holo,

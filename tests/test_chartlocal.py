@@ -1,9 +1,16 @@
 """Coordinate-chart side: polynomial forms, the radial primitive, potential
 construction and the conjugation identity for the deformation operator."""
 
+import copy
+import dataclasses
+import itertools
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetmod import chartlocal as cl
 from hetmod.geometry import ModelError
@@ -174,3 +181,276 @@ def test_trivialization_report_shape(iwasawa):
     assert rep["operator_identity"]["passed"] is True
     assert rep["transitions"]["holomorphic"] is True
     assert rep["transitions"]["cocycle"] is True
+
+
+# -- the sparse containers against a dict-of-Fraction oracle -----------------
+#
+# A polynomial is a dict {(z exponents, zbar exponents): (re, im)} of
+# nonzero Fraction pairs and a form is {(dz legs, dzbar legs): polynomial};
+# every rule below is written out here, independently of chartlocal.
+
+PM = 2     # two coordinates keep the examples small
+ZERO = (Fraction(0), Fraction(0))
+
+
+def _o_clean(d):
+    return {k: v for k, v in d.items() if v and v != ZERO}
+
+
+def _o_cadd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _o_cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _o_padd(f, g, sign=1):
+    out = dict(f)
+    for k, v in g.items():
+        out[k] = _o_cadd(out.get(k, ZERO), (sign * v[0], sign * v[1]))
+    return _o_clean(out)
+
+
+def _o_pmul(f, g):
+    out = {}
+    for (a1, b1), c1 in f.items():
+        for (a2, b2), c2 in g.items():
+            k = (tuple(x + y for x, y in zip(a1, a2)),
+                 tuple(x + y for x, y in zip(b1, b2)))
+            out[k] = _o_cadd(out.get(k, ZERO), _o_cmul(c1, c2))
+    return _o_clean(out)
+
+
+def _o_pscale(f, c):
+    return _o_clean({k: _o_cmul(v, c) for k, v in f.items()})
+
+
+def _o_pdiff(f, k, anti):
+    out = {}
+    for (a, b), c in f.items():
+        e = list(b if anti else a)
+        if e[k]:
+            factor = e[k]
+            e[k] -= 1
+            key = (a, tuple(e)) if anti else (tuple(e), b)
+            out[key] = (c[0] * factor, c[1] * factor)
+    return out
+
+
+def _o_pconj(f):
+    return {(b, a): (c[0], -c[1]) for (a, b), c in f.items()}
+
+
+def _o_sort(legs):
+    """(sign, sorted legs) by counting inversions; (0, None) on a repeat."""
+    if len(set(legs)) < len(legs):
+        return 0, None
+    inv = sum(1 for i in range(len(legs)) for j in range(i + 1, len(legs))
+              if legs[i] > legs[j])
+    return (-1) ** inv, tuple(sorted(legs))
+
+
+def _o_facc(out, key, poly, sign):
+    out[key] = _o_padd(out.get(key, {}), poly, sign)
+
+
+def _o_fadd(x, y, sign=1):
+    out = dict(x)
+    for k, v in y.items():
+        _o_facc(out, k, v, sign)
+    return {k: v for k, v in out.items() if v}
+
+
+def _o_dbar(x, p):
+    # dbar(c dz^h ^ dw^a) = sum_k dc/dw_k dw_k ^ dz^h ^ dw^a
+    out = {}
+    for (h, a), c in x.items():
+        for k in range(PM):
+            sign, legs = _o_sort((k + 1,) + a)
+            if sign:
+                _o_facc(out, (h, legs), _o_pdiff(c, k, True),
+                        sign * (-1) ** p)
+    return {k: v for k, v in out.items() if v}
+
+
+def _o_wedge(x, y):
+    # (dz^h1 dw^a1) ^ (dz^h2 dw^a2): dz^h2 passes dw^a1, then both sort
+    out = {}
+    for (h1, a1), c1 in x.items():
+        for (h2, a2), c2 in y.items():
+            sh, hh = _o_sort(h1 + h2)
+            sa, aa = _o_sort(a1 + a2)
+            if sh and sa:
+                _o_facc(out, (hh, aa), _o_pmul(c1, c2),
+                        sh * sa * (-1) ** (len(a1) * len(h2)))
+    return {k: v for k, v in out.items() if v}
+
+
+def _o_fconj(x):
+    # conj(c dz^h ^ dw^a) = conj(c) dw^h ^ dz^a = (-1)^{pq} conj(c) dz^a dw^h
+    return {(a, h): _o_pscale(_o_pconj(c), ((-1) ** (len(h) * len(a)), 0))
+            for (h, a), c in x.items()}
+
+
+def _poly_of(d):
+    return cl.Poly.build(PM, {k: GaussRat.of(*v) for k, v in d.items()})
+
+
+def _form_of(d, p, q):
+    return cl.ChartForm.build(PM, p, q, {k: _poly_of(v) for k, v in d.items()})
+
+
+def _seen_poly(f):
+    assert all(f.terms.values()), "a zero coefficient was stored"
+    return {k: (v.re, v.im) for k, v in f.terms.items()}
+
+
+def _seen_form(x):
+    assert all(x.terms.values()), "a zero coefficient form was stored"
+    return {k: _seen_poly(v) for k, v in x.terms.items()}
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+coeffs = st.tuples(small, small)
+exps = st.tuples(*[st.integers(0, 2)] * PM)
+poly_dicts = st.dictionaries(st.tuples(exps, exps), coeffs,
+                             max_size=4).map(_o_clean)
+
+
+def _legs(k):
+    return st.sampled_from(list(itertools.combinations(range(1, PM + 1), k)))
+
+
+@st.composite
+def form_dicts(draw, p, q):
+    keys = st.tuples(_legs(p), _legs(q))
+    raw = draw(st.dictionaries(keys, poly_dicts, max_size=3))
+    return {k: v for k, v in raw.items() if v}
+
+
+@given(poly_dicts, poly_dicts, coeffs, st.integers(0, PM - 1))
+@settings(max_examples=100, deadline=None)
+def test_poly_arithmetic_matches_oracle(f, g, c, k):
+    F, G = _poly_of(f), _poly_of(g)
+    assert _seen_poly(F + G) == _o_padd(f, g)
+    assert _seen_poly(F - G) == _o_padd(f, g, -1)
+    assert _seen_poly(-F) == _o_pscale(f, (-1, 0))
+    assert _seen_poly(F * G) == _o_pmul(f, g)
+    assert _seen_poly(F.scale(GaussRat.of(*c))) == _o_pscale(f, c)
+    assert _seen_poly(F.diff_z(k)) == _o_pdiff(f, k, False)
+    assert _seen_poly(F.diff_zbar(k)) == _o_pdiff(f, k, True)
+    assert _seen_poly(F.conjugate()) == _o_pconj(f)
+    assert bool(F) is bool(f)
+    assert (F - F) == cl.Poly.zero(PM) and not (F - F)
+
+
+@given(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+       st.integers(0, 1), st.data())
+@settings(max_examples=80, deadline=None)
+def test_chart_form_arithmetic_matches_oracle(p, q, p2, q2, data):
+    x = data.draw(form_dicts(p, q))
+    y = data.draw(form_dicts(p, q))
+    z = data.draw(form_dicts(p2, q2))
+    f = data.draw(poly_dicts)
+    c = data.draw(coeffs)
+    X, Y, Z = _form_of(x, p, q), _form_of(y, p, q), _form_of(z, p2, q2)
+    assert _seen_form(X + Y) == _o_fadd(x, y)
+    assert _seen_form(X - Y) == _o_fadd(x, y, -1)
+    assert _seen_form(-X) == _o_fadd({}, x, -1)
+    assert _seen_form(X.scale(GaussRat.of(*c))) == {
+        k: v for k, v in ((k, _o_pscale(v, c)) for k, v in x.items()) if v}
+    assert _seen_form(X.scale_poly(_poly_of(f))) == {
+        k: v for k, v in ((k, _o_pmul(v, f)) for k, v in x.items()) if v}
+    assert _seen_form(cl.dbar_chart(X)) == _o_dbar(x, p)
+    assert _seen_form(X.wedge(Z)) == _o_wedge(x, z)
+    assert _seen_form(X.conjugate()) == _o_fconj(x)
+    assert (X.p, X.q) == (p, q) and (X.wedge(Z).p, X.wedge(Z).q) == (
+        p + p2, q + q2)
+
+
+@given(poly_dicts, st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_equality_hash_and_text_ignore_insertion_order(f, rng):
+    items = [(k, GaussRat.of(*v)) for k, v in f.items()]
+    shuffled = items[:]
+    rng.shuffle(shuffled)
+    F1, F2 = cl.Poly.build(PM, dict(items)), cl.Poly.build(PM, dict(shuffled))
+    assert F1 == F2 and hash(F1) == hash(F2) and str(F1) == str(F2)
+    # sums built in either order
+    G = _poly_of({((1, 0), (0, 1)): (1, 0)})
+    assert (F1 + G) == (G + F2) and str(F1 + G) == str(G + F2)
+    assert hash(F1 + G) == hash(G + F2)
+    legs = [(k,) for k in range(1, PM + 1)]
+    forms = [(k, F1) for k in itertools.product(legs, legs)]
+    rng.shuffle(forms)
+    X1 = cl.ChartForm.build(PM, 1, 1, dict(forms))
+    X2 = cl.ChartForm.build(PM, 1, 1, dict(reversed(forms)))
+    assert X1 == X2 and hash(X1) == hash(X2) and str(X1) == str(X2)
+
+
+def test_containers_are_immutable_and_validated():
+    f = zp(0)
+    with pytest.raises(AttributeError):
+        f.m = 4
+    with pytest.raises(TypeError):
+        f.terms[((0, 0, 0), (0, 0, 0))] = GR_ONE
+    with pytest.raises(cl.FormError):
+        cl.Poly.build(MC, {((1, 0), (0, 0)): GR_ONE})
+    with pytest.raises(cl.FormError):
+        cl.ChartForm.build(MC, 1, 0, {((1, 2), ()): cp(1)})
+    with pytest.raises(cl.FormError):
+        cl.ChartForm.build(MC, 2, 0, {((2, 1), ()): cp(1)})
+    assert cl.Poly.build(MC, {((0,) * 3, (0,) * 3): GR_ZERO}) == cl.Poly(MC)
+    assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
+    x = cl.ChartForm.monomial(MC, (2,), (1,), f)
+    assert pickle.loads(pickle.dumps(x)) == x
+
+
+# -- the identity check fails when it should, and names where ----------------
+
+
+def _perturbed(t):
+    # add zbar_1 to tau_12: dbar tau_12 changes by dzbar_1, so the
+    # torsion-potential equation and the conjugation identity both break
+    tau = [list(row) for row in t.tau]
+    tau[0][1] = tau[0][1] + zbp(0)
+    return dataclasses.replace(t, tau=tuple(tuple(row) for row in tau))
+
+
+def test_perturbed_potential_breaks_the_identity(iwasawa):
+    t = cl.build_trivialization(iwasawa)
+    bad = _perturbed(t)
+    assert cl.potential_residuals(bad) == {"gauge_potential": True,
+                                           "torsion_potential": False}
+    sections = cl.monomial_sections(bad, 1)
+    residuals = [cl.trivialization_residual(bad, s) for s in sections]
+    assert any(residuals)
+    # phi picks up tau_12 w^2, so the section d/dz^2 is where it shows:
+    # D gives nothing new there, phi^{-1} dbar phi gives dbar(zbar_1) dz^1
+    k = next(i for i, r in enumerate(residuals) if r)
+    assert sections[k].w == {1: cl.ChartForm.func(cp(1))}
+    assert residuals[k].labelled() == {"e1:dz^1": "[(-1)1] dw1"}
+    ident = cl.operator_identity_report(bad, 1)
+    assert ident["failures"] == sum(1 for r in residuals if r) > 0
+    assert ident["passed"] is False
+    assert ident["first_failure"] == {"slot": "e3:d/dz^2",
+                                      "monomial": "(1)1",
+                                      "residual": {"e1:dz^1": "[(-1)1] dw1"}}
+    # the unperturbed pair passes and its report carries no witness
+    assert cl.operator_identity_report(t, 1) == {
+        "sections_checked": len(sections), "failures": 0, "passed": True}
+
+
+def test_report_counts_failures_of_a_perturbed_pair(iwasawa, monkeypatch):
+    build = cl.build_trivialization
+
+    def perturbed_first(m, alpha0=None, shift=0):
+        t = build(m, alpha0, shift)
+        return _perturbed(t) if shift == 0 else t
+
+    monkeypatch.setattr(cl, "build_trivialization", perturbed_first)
+    rep = cl.trivialization_report(iwasawa, degree=1)
+    assert rep["potentials"]["torsion_potential"] is False
+    assert rep["operator_identity"]["failures"] > 0
+    assert rep["operator_identity"]["first_failure"]["slot"] == "e3:d/dz^2"
