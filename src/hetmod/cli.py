@@ -74,7 +74,9 @@ def _run_cohomology(args) -> int:
         m, _parse_alpha(args.alpha_prime),
         symbol_limit=args.samples, diagonal=args.diagonal_dbar)
     _emit(report, args.out)
-    return 0 if report["symbol"]["injective"] else 1
+    ok = (report["checks"]["passed"] and report["serre"]
+          and report["symbol"]["injective"])
+    return 0 if ok else 1
 
 
 def _run_serre(args) -> int:

@@ -595,16 +595,19 @@ def check_heterotic_system(m: HomogeneousModel,
 
     f1 = exterior_derivative(holomorphic_volume(m), m)
     f2 = anomaly_residual(m, alpha)
-    w2 = w.wedge(w)
+    # omega^{n-1}; omega^0 is the constant function 1
+    wn = w if n > 1 else InvariantForm.monomial(n, [], [], S_ONE)
+    for _ in range(n - 2):
+        wn = wn.wedge(w)
     d1_grid = []
     for i in range(m.rank):
         d1_grid.append(tuple(
-            m.curvature_F.entry(i, j).wedge(w2) for j in range(m.rank)
+            m.curvature_F.entry(i, j).wedge(wn) for j in range(m.rank)
         ))
-    d1 = EndForm(n, m.rank, 3, 3, tuple(d1_grid))
+    d1 = EndForm(n, m.rank, n, n, tuple(d1_grid))
     # |Omega|_omega is constant on invariant data, so the conformally
-    # balanced condition reduces to d(omega^2) = 0
-    d2 = exterior_derivative(w2, m)
+    # balanced condition reduces to d(omega^{n-1}) = 0
+    d2 = exterior_derivative(wn, m)
     conds = (
         ConditionResult("F1", not f1, _mixed_str(f1)),
         ConditionResult("F2", not f2, str(f2)),

@@ -167,3 +167,45 @@ def test_reports_are_byte_stable(capsys):
     # sorted keys throughout
     assert json.dumps(json.loads(runs[0]), indent=2, sort_keys=True) + "\n" \
         == runs[0]
+
+
+@pytest.mark.parametrize("model, extra, want", [
+    ("iwasawa", [], 0),
+    ("iwasawa", ["--diagonal-dbar"], 0),
+    ("torus", [], 0),
+    ("calabi-eckmann", [], 1),
+])
+def test_cohomology_exit_code_covers_every_check(capsys, model, extra, want):
+    # exit 0 only when the system checks, Serre duality and the symbol scan
+    # all pass; calabi-eckmann has an injective symbol but fails F1, D2 and
+    # Serre symmetry
+    code, out, _ = run(capsys, "cohomology", model, "--samples", "12", *extra)
+    rep = json.loads(out)
+    assert rep["symbol"]["injective"] is True
+    assert (rep["checks"]["passed"] and rep["serre"]) is (want == 0)
+    assert code == want
+
+
+def test_trivialize_failure_names_its_witness(capsys):
+    # at a' = 0 the torsion-potential equation dbar tau_21 = T_12 has no
+    # solution: T_12 = 1/2 dw3 - 1/2 w1 dw2 is not dbar-closed.  The radial
+    # primitive tau_21 = 1/2 w3 - 1/4 w1 w2 misses by T_12 - dbar tau_21 =
+    # 1/4 w2 dw1 - 1/4 w1 dw2, and that is the residual on the constant
+    # section d/dz^1, in the dz^2 covector slot (w_k prints zbar_k)
+    code, out, _ = run(capsys, "trivialize", "iwasawa", "--degree", "1",
+                       "--alpha-prime", "0")
+    assert code == 1
+    ident = json.loads(out)["operator_identity"]
+    assert ident["failures"] > 0 and ident["passed"] is False
+    assert ident["first_failure"] == {
+        "slot": "e3:d/dz^1",
+        "monomial": "(1)1",
+        "residual": {"e1:dz^2": "[(1/4)w2] dw1 + [(-1/4)w1] dw2"},
+    }
+
+
+def test_passing_trivialize_report_has_no_witness(capsys):
+    code, out, _ = run(capsys, "trivialize", "iwasawa", "--degree", "1")
+    assert code == 0
+    assert set(json.loads(out)["operator_identity"]) == {
+        "sections_checked", "failures", "passed"}

@@ -4,11 +4,13 @@ Reference values for the nilmanifold model (torsion, gauge trace, anomaly
 balance) are hard-coded below and act as oracles for the derived machinery.
 """
 
+import json
+
 import pytest
 
 from hetmod import geometry as geo
 from hetmod.exterior import EndForm, InvariantForm, MixedForm
-from hetmod.models import builtin_model
+from hetmod.models import builtin_model, parse_model_text
 from hetmod.scalars import GR_ZERO, GaussRat, S_A, S_I, Scalar
 
 
@@ -138,3 +140,32 @@ def test_dolbeault_split_types(iwasawa):
     assert (hol.p, hol.q) == (2, 1)
     assert (anti.p, anti.q) == (1, 2)
     assert anti == hol.conjugate().scale(-Scalar.of(1)) or anti == hol.conjugate()
+
+
+def _flat_2_torus(F):
+    return parse_model_text(json.dumps({
+        "name": "flat-2-torus", "n": 2, "coframe": ["a1", "a2"], "d": {},
+        "metric": [["1/2", "0"], ["0", "1/2"]], "omega_coeff": "1",
+        "bundle": {"rank": 2, "F": F}, "alpha_prime": "1"}))
+
+
+def test_d1_is_f_wedge_omega_to_the_n_minus_1():
+    # n = 2: D1 is F ^ omega.  With F = diag(1, -1) a1^ab1 and
+    # omega = i/2 (a1^ab1 + a2^ab2), F_11 ^ omega = i/2 a1^ab1^a2^ab2
+    # = -i/2 a1^a2^ab1^ab2: not Hermitian-Yang-Mills.  (F ^ omega^2, the
+    # n = 3 form, is a 6-form and vanishes identically here.)
+    rep = geo.check_heterotic_system(
+        _flat_2_torus({"a1^ab1": [["1", "0"], ["0", "-1"]]}))
+    conds = {c.name: c for c in rep.conditions}
+    assert conds["D1"].passed is False
+    assert conds["D1"].residual == ("[1,1]: (-1/2 i) a^1^a^2^ab^1^ab^2; "
+                                    "[2,2]: (1/2 i) a^1^a^2^ab^1^ab^2")
+    assert all(conds[k].passed for k in ("F1", "F2", "D2"))
+    assert not rep.all_passed
+    # diag(1, -1) (a1^ab1 - a2^ab2) is primitive, so it passes D1 (its
+    # tr F^F is nonzero, so F2 fails at this coupling)
+    rep = geo.check_heterotic_system(_flat_2_torus({
+        "a1^ab1": [["1", "0"], ["0", "-1"]],
+        "a2^ab2": [["-1", "0"], ["0", "1"]]}))
+    assert rep.condition("D1").passed is True
+    assert rep.condition("D1").residual == "0"
