@@ -3,7 +3,8 @@
 
 Writes one file per (model, subcommand) into the output directory, using the
 same code path as the ``hetmod`` CLI so the files are byte-for-byte
-reproducible.
+reproducible.  ``tests/golden`` holds the files this script wrote, and
+``tests/test_golden.py`` rebuilds them through ``reports`` and compares.
 
 Usage:
     python3 scripts/generate_reports.py [--out-dir reports] [--samples N]
@@ -19,10 +20,23 @@ from hetmod.models import BUILTIN_NAMES, builtin_model
 from hetmod.scalars import GaussRat
 
 
-def write(path: pathlib.Path, report: dict) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    print(f"wrote {path}")
+def render(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def reports(samples=None):
+    """Yield (file name, report) for every built-in model."""
+    for name in BUILTIN_NAMES:
+        m = builtin_model(name)
+        alpha = None if m.alpha_prime is not None else GaussRat.of(1)
+        slug = name.replace("-", "_")
+        yield f"{slug}_check.json", cohomology.system_report(m, alpha)
+        yield f"{slug}_cohomology.json", cohomology.cohomology_report(
+            m, alpha, symbol_limit=samples)
+        yield f"{slug}_serre.json", cohomology.serre_report(m, alpha)
+        if m.chart is not None:
+            yield (f"{slug}_trivialization.json",
+                   chartlocal.trivialization_report(m, degree=3))
 
 
 def main() -> int:
@@ -33,20 +47,10 @@ def main() -> int:
     args = ap.parse_args()
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name in BUILTIN_NAMES:
-        m = builtin_model(name)
-        alpha = None if m.alpha_prime is not None else GaussRat.of(1)
-        slug = name.replace("-", "_")
-        write(out / f"{slug}_check.json",
-              cohomology.system_report(m, alpha))
-        write(out / f"{slug}_cohomology.json",
-              cohomology.cohomology_report(m, alpha,
-                                           symbol_limit=args.samples))
-        write(out / f"{slug}_serre.json",
-              cohomology.serre_report(m, alpha))
-        if m.chart is not None:
-            write(out / f"{slug}_trivialization.json",
-                  chartlocal.trivialization_report(m, degree=3))
+    for fname, report in reports(args.samples):
+        path = out / fname
+        path.write_text(render(report), encoding="utf-8")
+        print(f"wrote {path}")
     return 0
 
 

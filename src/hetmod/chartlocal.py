@@ -44,6 +44,7 @@ from .geometry import (
     chern_connection,
     torsion,
 )
+from .linalg import det
 from .scalars import GR_ONE, GaussRat, parse_gauss
 
 Exp = Tuple[int, ...]
@@ -595,22 +596,8 @@ def _poly_matrix_inverse(P, m_coords: int):
     """Exact inverse of a polynomial matrix whose determinant is a nonzero
     constant (adjugate divided by the constant determinant)."""
     k = len(P)
-
-    def det(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        total = Poly.zero(m_coords)
-        for j in range(len(rows)):
-            c = rows[0][j]
-            if not c:
-                continue
-            minor = [[r[t] for t in range(len(rows)) if t != j]
-                     for r in rows[1:]]
-            term = c * det(minor)
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
-    dd = det([list(r) for r in P])
+    one = Poly.const(m_coords, GR_ONE)
+    dd = det([list(r) for r in P], one)
     const = dict(dd.terms)
     zkey = ((0,) * m_coords, (0,) * m_coords)
     if set(const) - {zkey} or zkey not in const:
@@ -621,7 +608,7 @@ def _poly_matrix_inverse(P, m_coords: int):
         for j in range(k):
             minor = [[P[r][c] for c in range(k) if c != i]
                      for r in range(k) if r != j]
-            cof = det(minor) if minor else Poly.const(m_coords, GR_ONE)
+            cof = det(minor, one)
             s = dinv if (i + j) % 2 == 0 else -dinv
             out[i][j] = cof.scale(s)
     return tuple(tuple(r) for r in out)

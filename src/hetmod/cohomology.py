@@ -408,12 +408,6 @@ def system_report(m: HomogeneousModel,
     return _system_report_dict(check_heterotic_system(m, alpha0))
 
 
-def _alpha_label(m: HomogeneousModel, alpha0: Optional[GaussRat]) -> str:
-    if alpha0 is None and m.alpha_prime is None:
-        return "arbitrary"
-    return str(_resolve_alpha(m, alpha0))
-
-
 def cohomology_report(m: HomogeneousModel,
                       alpha0: Optional[GaussRat] = None,
                       symbol_limit: Optional[int] = None,
@@ -423,11 +417,10 @@ def cohomology_report(m: HomogeneousModel,
     a0 = _resolve_alpha(m, alpha0)
     data = cohomology_data(m, alpha0, diagonal)
     scan = injectivity_scan(m, a0, limit=symbol_limit)
-    label = _alpha_label(m, alpha0)
     return {
         "model": m.name,
-        "alpha_prime": label,
-        "degenerate": a0 == GR_ZERO or not a0,
+        "alpha_prime": str(a0),
+        "degenerate": not a0,
         "dims": {
             "basis": "invariant",
             "h": data.h,

@@ -12,10 +12,12 @@ convention cannot drift between operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import add, sub
 from typing import Dict, Iterable, Tuple
 
-from .scalars import GaussRat, S_ONE, S_ZERO, Scalar
+from .linalg import det
+from .scalars import S_ONE, S_ZERO, Scalar
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
@@ -197,7 +199,8 @@ class InvariantForm:
         total = S_ZERO
         for (h, a), c in self.terms:
             slots = [i - 1 for i in h] + [self.n + i - 1 for i in a]
-            total = total + c * _det([[v[s] for s in slots] for v in vectors])
+            total = total + c * det([[v[s] for s in slots] for v in vectors],
+                                    S_ONE)
         return total
 
     def __str__(self) -> str:
@@ -211,189 +214,143 @@ class InvariantForm:
         return " + ".join(bits)
 
 
-def _det(rows) -> Scalar:
-    """Determinant of a small matrix of Scalars by expansion."""
-    m = len(rows)
-    if m == 0:
-        return S_ONE
-    if m == 1:
-        return rows[0][0]
-    total = S_ZERO
-    for j in range(m):
-        c = rows[0][j]
-        if not c:
-            continue
-        minor = [[r[k] for k in range(m) if k != j] for r in rows[1:]]
-        term = c * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def _check_same(comps, n, p, q):
     for f in comps:
         if (f.n, f.p, f.q) != (n, p, q):
             raise FormError("component bidegree mismatch in tagged form")
 
 
+class Valued:
+    """Componentwise + - neg scale and bool over a tuple of components.
+
+    The components are ``comps`` unless a subclass's ``_vals`` says
+    otherwise; each supports the same operations (an invariant form, or a
+    Valued itself), and a subclass rebuilds results through ``_like``.
+    """
+
+    __slots__ = ()
+
+    def _vals(self) -> tuple:
+        return self.comps
+
+    def _like(self, vals: tuple):
+        raise NotImplementedError
+
+    def __add__(self, o):
+        return self._like(tuple(map(add, self._vals(), o._vals())))
+
+    def __sub__(self, o):
+        return self._like(tuple(map(sub, self._vals(), o._vals())))
+
+    def __neg__(self):
+        return self._like(tuple(-x for x in self._vals()))
+
+    def scale(self, s: Scalar):
+        return self._like(tuple(x.scale(s) for x in self._vals()))
+
+    def __bool__(self) -> bool:
+        return any(self._vals())
+
+
 @dataclass(frozen=True)
-class VectorForm:
+class LegForm(Valued):
+    """An n-component value leg tensored with invariant (p,q)-forms."""
+
+    n: int
+    p: int
+    q: int
+    comps: Tuple[InvariantForm, ...]
+
+    @classmethod
+    def build(cls, n, p, q, comps):
+        comps = tuple(comps)
+        if len(comps) != n:
+            raise FormError(f"{cls.__name__} needs n components")
+        _check_same(comps, n, p, q)
+        return cls(n, p, q, comps)
+
+    @classmethod
+    def zero(cls, n, p, q):
+        return cls(n, p, q, (InvariantForm.zero(n, p, q),) * n)
+
+    def _like(self, comps):
+        return type(self)(self.n, self.p, self.q, comps)
+
+
+class VectorForm(LegForm):
     """T^{1,0}-valued invariant (p,q)-form: comps[j-1] multiplies V_j."""
 
-    n: int
-    p: int
-    q: int
-    comps: Tuple[InvariantForm, ...]
 
-    @staticmethod
-    def build(n, p, q, comps) -> "VectorForm":
-        comps = tuple(comps)
-        if len(comps) != n:
-            raise FormError("vector-valued form needs n components")
-        _check_same(comps, n, p, q)
-        return VectorForm(n, p, q, comps)
-
-    @staticmethod
-    def zero(n, p, q) -> "VectorForm":
-        z = InvariantForm.zero(n, p, q)
-        return VectorForm(n, p, q, tuple(z for _ in range(n)))
-
-    def __add__(self, o):
-        return VectorForm(self.n, self.p, self.q,
-                          tuple(x + y for x, y in zip(self.comps, o.comps)))
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __neg__(self):
-        return VectorForm(self.n, self.p, self.q,
-                          tuple(-x for x in self.comps))
-
-    def scale(self, s: Scalar):
-        return VectorForm(self.n, self.p, self.q,
-                          tuple(x.scale(s) for x in self.comps))
-
-    def __bool__(self):
-        return any(self.comps)
-
-
-@dataclass(frozen=True)
-class CovectorForm:
+class CovectorForm(LegForm):
     """(T^{1,0})*-valued invariant (p,q)-form: comps[j-1] multiplies alpha^j."""
 
-    n: int
-    p: int
-    q: int
-    comps: Tuple[InvariantForm, ...]
-
-    @staticmethod
-    def build(n, p, q, comps) -> "CovectorForm":
-        comps = tuple(comps)
-        if len(comps) != n:
-            raise FormError("covector-valued form needs n components")
-        _check_same(comps, n, p, q)
-        return CovectorForm(n, p, q, comps)
-
-    @staticmethod
-    def zero(n, p, q) -> "CovectorForm":
-        z = InvariantForm.zero(n, p, q)
-        return CovectorForm(n, p, q, tuple(z for _ in range(n)))
-
-    def __add__(self, o):
-        return CovectorForm(self.n, self.p, self.q,
-                            tuple(x + y for x, y in zip(self.comps, o.comps)))
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __neg__(self):
-        return CovectorForm(self.n, self.p, self.q,
-                            tuple(-x for x in self.comps))
-
-    def scale(self, s: Scalar):
-        return CovectorForm(self.n, self.p, self.q,
-                            tuple(x.scale(s) for x in self.comps))
-
-    def __bool__(self):
-        return any(self.comps)
-
 
 @dataclass(frozen=True)
-class EndForm:
-    """Endomorphism-valued invariant (p,q)-form; comps is an r x r grid."""
+class EndForm(Valued):
+    """Endomorphism-valued invariant (p,q)-form: ``flat`` holds the r x r
+    grid row by row, and ``entry(i, j)`` reads it."""
 
     n: int
     r: int
     p: int
     q: int
-    comps: Tuple[Tuple[InvariantForm, ...], ...]
+    flat: Tuple[InvariantForm, ...]
 
     @staticmethod
     def build(n, r, p, q, comps) -> "EndForm":
-        grid = tuple(tuple(row) for row in comps)
+        grid = [tuple(row) for row in comps]
         if len(grid) != r or any(len(row) != r for row in grid):
             raise FormError("endomorphism-valued form needs an r x r grid")
-        for row in grid:
-            _check_same(row, n, p, q)
-        return EndForm(n, r, p, q, grid)
+        flat = tuple(f for row in grid for f in row)
+        _check_same(flat, n, p, q)
+        return EndForm(n, r, p, q, flat)
 
     @staticmethod
     def zero(n, r, p, q) -> "EndForm":
-        z = InvariantForm.zero(n, p, q)
-        return EndForm(n, r, p, q, tuple(tuple(z for _ in range(r))
-                                         for _ in range(r)))
+        return EndForm(n, r, p, q, (InvariantForm.zero(n, p, q),) * (r * r))
+
+    @property
+    def comps(self) -> Tuple[Tuple[InvariantForm, ...], ...]:
+        """The grid as a tuple of rows, for readers that walk it by rows."""
+        r = self.r
+        return tuple(self.flat[i * r:(i + 1) * r] for i in range(r))
 
     def entry(self, i, j) -> InvariantForm:
-        return self.comps[i][j]
+        return self.flat[i * self.r + j]
 
-    def __add__(self, o):
-        return EndForm(self.n, self.r, self.p, self.q,
-                       tuple(tuple(x + y for x, y in zip(r1, r2))
-                             for r1, r2 in zip(self.comps, o.comps)))
+    def _vals(self):
+        return self.flat
 
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __neg__(self):
-        return EndForm(self.n, self.r, self.p, self.q,
-                       tuple(tuple(-x for x in row) for row in self.comps))
-
-    def scale(self, s: Scalar):
-        return EndForm(self.n, self.r, self.p, self.q,
-                       tuple(tuple(x.scale(s) for x in row)
-                             for row in self.comps))
-
-    def __bool__(self):
-        return any(any(row) for row in self.comps)
+    def _like(self, flat):
+        return EndForm(self.n, self.r, self.p, self.q, flat)
 
     def mat_wedge(self, o: "EndForm") -> "EndForm":
         """Matrix product with entrywise wedge: (A ^ B)^i_j = A^i_k ^ B^k_j."""
         if self.r != o.r or self.n != o.n:
             raise FormError("shape mismatch in matrix wedge")
-        p, q = self.p + o.p, self.q + o.q
+        r = self.r
         out = []
-        for i in range(self.r):
-            row = []
-            for j in range(self.r):
-                acc = InvariantForm.zero(self.n, p, q)
-                for k in range(self.r):
-                    acc = acc + self.comps[i][k].wedge(o.comps[k][j])
-                row.append(acc)
-            out.append(tuple(row))
-        return EndForm(self.n, self.r, p, q, tuple(out))
+        for i in range(r):
+            for j in range(r):
+                acc = InvariantForm.zero(self.n, self.p + o.p, self.q + o.q)
+                for k in range(r):
+                    acc = acc + self.entry(i, k).wedge(o.entry(k, j))
+                out.append(acc)
+        return EndForm(self.n, r, self.p + o.p, self.q + o.q, tuple(out))
 
     def trace(self) -> InvariantForm:
         acc = InvariantForm.zero(self.n, self.p, self.q)
         for i in range(self.r):
-            acc = acc + self.comps[i][i]
+            acc = acc + self.entry(i, i)
         return acc
 
     def is_trace_free(self) -> bool:
         return not self.trace()
 
 
-def contract(v: VectorForm, k: CovectorForm) -> InvariantForm:
-    """Pair the vector leg against the covector leg and wedge the form parts
-    in the order (vector form part, covector form part)."""
+def contract(v: LegForm, k: LegForm) -> InvariantForm:
+    """Pair a vector leg against a covector leg (either may come first) and
+    wedge the form parts in argument order."""
     if v.n != k.n:
         raise FormError("contract over different coframes")
     acc = InvariantForm.zero(v.n, v.p + k.p, v.q + k.q)

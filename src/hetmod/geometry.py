@@ -27,7 +27,9 @@ from .exterior import (
     MixedForm,
     normalize_key,
 )
-from .scalars import GR_ONE, GR_ZERO, GaussRat, S_A, S_I, S_ONE, S_ZERO, Scalar
+from .scalars import (
+    GR_I, GR_ONE, GR_ZERO, GaussRat, S_A, S_I, S_ONE, S_ZERO, Scalar,
+)
 
 
 class ModelError(ValueError):
@@ -174,13 +176,22 @@ def metric_inverse(m: HomogeneousModel):
 
 def complexified_metric(m: HomogeneousModel):
     """Bilinear extension of g on the complexified frame basis."""
-    n = m.n
-    G = linalg.zeros(2 * n, 2 * n)
-    for a in range(n):
-        for b in range(n):
-            G[a][n + b] = m.metric[a][b]
-            G[n + a][b] = m.metric[b][a]
-    return G
+    def build():
+        n = m.n
+        G = linalg.zeros(2 * n, 2 * n)
+        for a in range(n):
+            for b in range(n):
+                G[a][n + b] = m.metric[a][b]
+                G[n + a][b] = m.metric[b][a]
+        return G
+    return m.cached("metric_c", build)
+
+
+def _g_pair(m, vec, x):
+    """g(vec, e_x) for a vector given by its complexified frame components."""
+    G = complexified_metric(m)
+    return sum((vec[y] * G[y][x] for y in range(2 * m.n) if vec[y]),
+               start=GR_ZERO)
 
 
 @dataclass(frozen=True)
@@ -195,21 +206,15 @@ def levi_civita(m: HomogeneousModel) -> LeviCivitaData:
     def build():
         n = m.n
         br = bracket_table(m)
-        G = complexified_metric(m)
-        Ginv = linalg.inverse(G)
-
-        def g_of(vec, x):
-            return sum((vec[y] * G[y][x] for y in range(2 * n) if vec[y]),
-                       start=GR_ZERO)
-
+        Ginv = linalg.inverse(complexified_metric(m))
         table = []
         for u in range(2 * n):
             row = []
             for w in range(2 * n):
                 half = GaussRat.of("1/2")
                 k = [
-                    half * (g_of(br[u][w], x) - g_of(br[w][x], u)
-                            + g_of(br[x][u], w))
+                    half * (_g_pair(m, br[u][w], x) - _g_pair(m, br[w][x], u)
+                            + _g_pair(m, br[x][u], w))
                     for x in range(2 * n)
                 ]
                 coeffs = tuple(
@@ -274,7 +279,9 @@ def chern_connection(m: HomogeneousModel) -> ConnectionData:
             tuple(tuple(tuple(r) for r in g) for g in gamma),
             tuple(tuple(tuple(r) for r in g) for g in mu),
         )
-        other = _chern_via_levi_civita(m)
+        other = _via_levi_civita(m, "chern",
+                                 exterior_derivative(omega_form(m), m),
+                                 (GR_I, -GR_I))
         if conn.gamma != other.gamma or conn.mu != other.mu:
             raise ModelError(
                 "Chern connection routes disagree (convention bug)"
@@ -289,59 +296,38 @@ def _dc_omega(m: HomogeneousModel) -> MixedForm:
     return (MixedForm.of(anti) - MixedForm.of(hol)).scale(S_I)
 
 
-def _g_pair(m, vec, x):
-    G = complexified_metric(m)
-    return sum((vec[y] * G[y][x] for y in range(2 * m.n) if vec[y]),
-               start=GR_ZERO)
+def _via_levi_civita(m: HomogeneousModel, kind: str, three_form: MixedForm,
+                     factors) -> ConnectionData:
+    """A Hermitian connection from the Levi-Civita connection and a 3-form:
 
+        h(nabla_X V_b, V_c) = g(nabla^g_X V_b, Vbar_c)
+                              - 1/2 f three_form(X, V_b, Vbar_c),
 
-def _solve_gamma_rows(m, pairings):
-    """Given values sum_d x[d] h[d][c] = pairings[c], return x."""
-    hinv = metric_inverse(m)
-    n = m.n
-    return [
-        sum((pairings[c] * hinv[c][d] for c in range(n)), start=GR_ZERO)
-        for d in range(n)
-    ]
-
-
-def _chern_via_levi_civita(m: HomogeneousModel) -> ConnectionData:
-    """g(nabla_X Y, Z) = g(nabla^g_X Y, Z) - 1/2 d omega(JX, Y, Z)."""
+    with f = factors[0] for X = V_a and f = factors[1] for X = Vbar_a.  The
+    Chern connection takes d omega with factors (i, -i), because
+    J V_a = i V_a; the Bismut connection takes d^c omega with factors
+    (1, 1).  Returns the (gamma, mu) blocks of the module docstring."""
     n = m.n
     lc = levi_civita(m)
-    dw = exterior_derivative(omega_form(m), m)
+    hinv = metric_inverse(m)
     basis = [_basis_vector(n, i) for i in range(2 * n)]
     half = GaussRat.of("1/2")
-    i_gr = GaussRat.of(0, 1)
-    gamma = []
-    mu = []
-    for a in range(n):
-        grow = [[GR_ZERO] * n for _ in range(n)]
-        mrow = [[GR_ZERO] * n for _ in range(n)]
-        for b in range(n):
-            # (1,0) direction V_a: J V_a = i V_a
-            pair_h = []
-            pair_a = []
-            for c in range(n):
-                lc_term = _g_pair(m, lc.table[a][b], n + c)
-                dval = _as_gauss(
-                    dw.evaluate([basis[a], basis[b], basis[n + c]]), "d omega"
-                )
-                pair_h.append(lc_term - half * (i_gr * dval))
-                lc_term2 = _g_pair(m, lc.table[n + a][b], n + c)
-                dval2 = _as_gauss(
-                    dw.evaluate([basis[n + a], basis[b], basis[n + c]]),
-                    "d omega",
-                )
-                pair_a.append(lc_term2 - half * (-i_gr * dval2))
-            xs = _solve_gamma_rows(m, pair_h)
-            ys = _solve_gamma_rows(m, pair_a)
-            for d in range(n):
-                grow[d][b] = xs[d]
-                mrow[d][b] = ys[d]
-        gamma.append(tuple(tuple(r) for r in grow))
-        mu.append(tuple(tuple(r) for r in mrow))
-    return ConnectionData("chern", n, tuple(gamma), tuple(mu))
+    blocks = []
+    for off, f in zip((0, n), factors):
+        block = [[[GR_ZERO] * n for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                pair = [_g_pair(m, lc.table[off + a][b], n + c)
+                        - half * (f * _as_gauss(three_form.evaluate(
+                            [basis[off + a], basis[b], basis[n + c]]),
+                            f"the {kind} 3-form"))
+                        for c in range(n)]
+                for d in range(n):
+                    block[a][d][b] = sum(
+                        (pair[c] * hinv[c][d] for c in range(n)),
+                        start=GR_ZERO)
+        blocks.append(tuple(tuple(tuple(r) for r in g) for g in block))
+    return ConnectionData(kind, n, blocks[0], blocks[1])
 
 
 def torsion_lower(m: HomogeneousModel):
@@ -394,42 +380,10 @@ def bismut(m: HomogeneousModel) -> ConnectionData:
             )
             for a in range(n)
         )
-        # second route from the Levi-Civita connection
-        lc = levi_civita(m)
-        dcw = _dc_omega(m)
-        basis = [_basis_vector(n, i) for i in range(2 * n)]
-        half = GaussRat.of("1/2")
-        gamma2 = []
-        mu2 = []
-        for a in range(n):
-            grow = [[GR_ZERO] * n for _ in range(n)]
-            mrow = [[GR_ZERO] * n for _ in range(n)]
-            for b in range(n):
-                pair_h = []
-                pair_a = []
-                for c in range(n):
-                    lc_term = _g_pair(m, lc.table[a][b], n + c)
-                    dval = _as_gauss(
-                        dcw.evaluate([basis[a], basis[b], basis[n + c]]),
-                        "d^c omega",
-                    )
-                    pair_h.append(lc_term - half * dval)
-                    lc_term2 = _g_pair(m, lc.table[n + a][b], n + c)
-                    dval2 = _as_gauss(
-                        dcw.evaluate([basis[n + a], basis[b], basis[n + c]]),
-                        "d^c omega",
-                    )
-                    pair_a.append(lc_term2 - half * dval2)
-                xs = _solve_gamma_rows(m, pair_h)
-                ys = _solve_gamma_rows(m, pair_a)
-                for d in range(n):
-                    grow[d][b] = xs[d]
-                    mrow[d][b] = ys[d]
-            gamma2.append(tuple(tuple(r) for r in grow))
-            mu2.append(tuple(tuple(r) for r in mrow))
-        if tuple(gamma2) != gamma:
+        other = _via_levi_civita(m, "bismut", _dc_omega(m), (GR_ONE, GR_ONE))
+        if other.gamma != gamma:
             raise ModelError("Bismut connection routes disagree")
-        return ConnectionData("bismut", n, gamma, tuple(mu2))
+        return ConnectionData("bismut", n, gamma, other.mu)
     return m.cached("bismut", build)
 
 
@@ -482,18 +436,16 @@ def curvature(conn: ConnectionData, m: HomogeneousModel) -> EndForm:
     where flatness is a model fact, not a convention)."""
     n = m.n
     mixed = curvature_mixed(conn, m)
-    grid = []
+    flat = []
     for b in range(n):
-        row = []
         for c in range(n):
             for (p, q), f in mixed[b][c].parts:
                 if (p, q) != (1, 1) and f:
                     raise ModelError(
                         f"curvature of kind={conn.kind} has a ({p},{q}) part"
                     )
-            row.append(mixed[b][c].part(1, 1))
-        grid.append(tuple(row))
-    return EndForm(n, n, 1, 1, tuple(grid))
+            flat.append(mixed[b][c].part(1, 1))
+    return EndForm(n, n, 1, 1, tuple(flat))
 
 
 def chern_curvature(m: HomogeneousModel) -> EndForm:
@@ -559,8 +511,8 @@ def _end_str(x: EndForm) -> str:
     bits = []
     for i in range(x.r):
         for j in range(x.r):
-            if x.comps[i][j]:
-                bits.append(f"[{i + 1},{j + 1}]: {x.comps[i][j]}")
+            if x.entry(i, j):
+                bits.append(f"[{i + 1},{j + 1}]: {x.entry(i, j)}")
     return "; ".join(bits)
 
 
@@ -599,12 +551,8 @@ def check_heterotic_system(m: HomogeneousModel,
     wn = w if n > 1 else InvariantForm.monomial(n, [], [], S_ONE)
     for _ in range(n - 2):
         wn = wn.wedge(w)
-    d1_grid = []
-    for i in range(m.rank):
-        d1_grid.append(tuple(
-            m.curvature_F.entry(i, j).wedge(wn) for j in range(m.rank)
-        ))
-    d1 = EndForm(n, m.rank, n, n, tuple(d1_grid))
+    d1 = EndForm(n, m.rank, n, n,
+                 tuple(f.wedge(wn) for f in m.curvature_F.flat))
     # |Omega|_omega is constant on invariant data, so the conformally
     # balanced condition reduces to d(omega^{n-1}) = 0
     d2 = exterior_derivative(wn, m)
@@ -684,7 +632,7 @@ def validate_model(m: HomogeneousModel) -> List[str]:
                     break
         # leading principal minors must be positive rationals
         for k in range(1, n + 1):
-            minor = _det_gauss([row[:k] for row in m.metric[:k]])
+            minor = linalg.det([row[:k] for row in m.metric[:k]], GR_ONE)
             if minor.b or minor.a <= 0:
                 errors.append(
                     f"metric leading minor {k} is not positive ({minor})"
@@ -700,20 +648,3 @@ def validate_model(m: HomogeneousModel) -> List[str]:
     if not m.omega_coeff:
         errors.append("omega_coeff must be nonzero")
     return errors
-
-
-def _det_gauss(rows) -> GaussRat:
-    k = len(rows)
-    if k == 0:
-        return GR_ONE
-    if k == 1:
-        return rows[0][0]
-    total = GR_ZERO
-    for j in range(k):
-        c = rows[0][j]
-        if not c:
-            continue
-        minor = [[r[t] for t in range(k) if t != j] for r in rows[1:]]
-        term = c * _det_gauss(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total

@@ -1,13 +1,15 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Two engines:
+Two engines and a determinant:
 
-* ``rref`` / ``kernel_basis`` / ``solve``: plain Gaussian elimination on
+* ``rref`` / ``kernel_basis`` / ``inverse``: plain Gaussian elimination on
   GaussRat entries (exact), used wherever an explicit basis is needed.
 * ``rank``: fraction-free Bareiss elimination on Gaussian integers after
   clearing denominators (``gauss_int_rank`` is the integer entry point).
   ``certified_rank`` puts a rank certificate modulo a prime in front of it
   for matrices that are already Gaussian-integer.
+* ``det``: cofactor expansion over any ring whose unit is passed in
+  (GaussRat, Scalar and chart Poly entries alike), for small matrices.
 """
 
 from __future__ import annotations
@@ -54,13 +56,6 @@ def mat_vec(a: Matrix, v: Sequence[GaussRat]) -> List[GaussRat]:
                 start=GR_ZERO) for row in a]
 
 
-def conj_transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [[a[i][j].conjugate() for i in range(len(a))]
-            for j in range(len(a[0]))]
-
-
 def transpose(a: Matrix) -> Matrix:
     if not a:
         return []
@@ -84,7 +79,7 @@ def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
         for i in range(rows):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -121,17 +116,24 @@ def inverse(a: Matrix) -> Matrix:
     return [row[k:] for row in red]
 
 
-def solve(a: Matrix, b: Sequence[GaussRat]):
-    """One solution of a x = b, or None if inconsistent."""
-    cols = len(a[0]) if a else 0
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [GR_ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+def det(rows, one):
+    """Determinant by cofactor expansion along the first row.
+
+    ``one`` is the unit of the entries' ring, the determinant of the empty
+    matrix.  A first row of zeros gives its own first entry, a zero of the
+    ring.
+    """
+    if len(rows) <= 1:
+        return rows[0][0] if rows else one
+    total = None
+    for j, c in enumerate(rows[0]):
+        if c:
+            term = c * det([r[:j] + r[j + 1:] for r in rows[1:]], one)
+            if total is None:
+                total = -term if j % 2 else term
+            else:
+                total = total - term if j % 2 else total + term
+    return rows[0][0] if total is None else total
 
 
 def gauss_ints(xs: Sequence[GaussRat]) -> Tuple[int, List[Tuple[int, int]]]:

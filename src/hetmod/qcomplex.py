@@ -12,13 +12,14 @@ and a vector) tensored with invariant (0,p)-forms.  This module builds:
 
 Convention: every operator that creates a new antiholomorphic leg prepends it
 (left of the existing legs) before normalization.  All sign bookkeeping flows
-from that single choice plus the exterior-algebra normalizer.
+from that single choice (``_prepend``) plus the exterior-algebra normalizer.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
@@ -27,6 +28,7 @@ from .exterior import (
     EndForm,
     FormError,
     InvariantForm,
+    Valued,
     VectorForm,
     contract,
     end_pair_trace,
@@ -34,7 +36,6 @@ from .exterior import (
 from .geometry import (
     HomogeneousModel,
     ModelError,
-    _det_gauss,
     anomaly_residual,
     bismut,
     chern_connection,
@@ -48,15 +49,17 @@ from .scalars import GR_ONE, GR_ZERO, GaussRat, S_A, S_ONE, S_ZERO, Scalar
 
 
 @dataclass(frozen=True)
-class QSection:
-    """A Q-valued invariant (0,p)-form: (kappa, gamma, w)."""
+class QSection(Valued):
+    """A Q-valued invariant (0,p)-form: comps = (kappa, gamma, w)."""
 
     n: int
     r: int
     p: int
-    kappa: CovectorForm
-    gamma: EndForm
-    w: VectorForm
+    comps: Tuple[CovectorForm, EndForm, VectorForm]
+
+    kappa = property(lambda self: self.comps[0])
+    gamma = property(lambda self: self.comps[1])
+    w = property(lambda self: self.comps[2])
 
     @staticmethod
     def build(kappa: CovectorForm, gamma: EndForm, w: VectorForm) -> "QSection":
@@ -67,30 +70,16 @@ class QSection:
             raise FormError("Q-section legs disagree in n or degree")
         if not gamma.is_trace_free():
             raise FormError("gauge leg of a Q-section must be trace-free")
-        return QSection(n, gamma.r, p, kappa, gamma, w)
+        return QSection(n, gamma.r, p, (kappa, gamma, w))
 
     @staticmethod
     def zero(n: int, r: int, p: int) -> "QSection":
-        return QSection(n, r, p, CovectorForm.zero(n, 0, p),
-                        EndForm.zero(n, r, 0, p), VectorForm.zero(n, 0, p))
+        return QSection(n, r, p, (CovectorForm.zero(n, 0, p),
+                                  EndForm.zero(n, r, 0, p),
+                                  VectorForm.zero(n, 0, p)))
 
-    def __add__(self, o: "QSection") -> "QSection":
-        return QSection(self.n, self.r, self.p, self.kappa + o.kappa,
-                        self.gamma + o.gamma, self.w + o.w)
-
-    def __sub__(self, o: "QSection") -> "QSection":
-        return self + (-o)
-
-    def __neg__(self) -> "QSection":
-        return QSection(self.n, self.r, self.p, -self.kappa, -self.gamma,
-                        -self.w)
-
-    def scale(self, s: Scalar) -> "QSection":
-        return QSection(self.n, self.r, self.p, self.kappa.scale(s),
-                        self.gamma.scale(s), self.w.scale(s))
-
-    def __bool__(self) -> bool:
-        return bool(self.kappa) or bool(self.gamma) or bool(self.w)
+    def _like(self, comps) -> "QSection":
+        return QSection(self.n, self.r, self.p, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -122,58 +111,107 @@ def _t_array(m: HomogeneousModel):
     return m.cached("torsion_ljk", build)
 
 
-def _anti_monomial(n: int, k: int) -> InvariantForm:
-    return InvariantForm.monomial(n, [], [k])
+# ---------------------------------------------------------------------------
+# the coupling sum
+#
+# Every coupling of Dbar, and of its index-formula adjoint, has the form
+#
+#     out[j] += c * leg(k, src[i])
+#
+# over a table of nonzero model constants (j, k, i, c).  On the Dbar side
+# leg(k, f) prepends ab^{k+1} to f; on the adjoint side it is the metric
+# contraction _interior that removes it.  A leg returns its (key, coefficient)
+# terms; the sum adds them up per output and builds each form once.
 
 
-def _prepend_anti(k: int, f: InvariantForm) -> InvariantForm:
-    """ab^{k} ^ f (the new-leg-first convention)."""
-    return _anti_monomial(f.n, k).wedge(f)
+def _table(m: HomogeneousModel, key, nout: int, entries):
+    """The coupling `key` of the model, built once: (nout, ((j, k, i, c)..))
+    with the constants of equal (j, k, i) summed and zeros dropped.
+    `entries()` yields ((j, k, i), c) with c a GaussRat."""
+    def build():
+        acc: Dict[Tuple[int, int, int], GaussRat] = {}
+        for idx, c in entries():
+            if c:
+                acc[idx] = acc[idx] + c if idx in acc else c
+        return nout, tuple((j, k, i, Scalar.const(c))
+                           for (j, k, i), c in acc.items() if c)
+    return m.cached(("coupling", key), build)
+
+
+def _couple(table, srcs: Sequence[InvariantForm], q: int, leg
+            ) -> List[InvariantForm]:
+    """out[j] = sum of c * leg(k, srcs[i]) over the table, as (0,q)-forms."""
+    nout, entries = table
+    acc: List[Dict] = [{} for _ in range(nout)]
+    legs = {}
+    for j, k, i, c in entries:
+        f = srcs[i]
+        if not f:
+            continue
+        terms = legs.get((k, i))
+        if terms is None:
+            terms = legs[(k, i)] = leg(k, f)
+        d = acc[j]
+        for key, v in terms:
+            d[key] = d[key] + v * c if key in d else v * c
+    n = srcs[0].n
+    return [InvariantForm.build(n, 0, q, d) for d in acc]
+
+
+def _prepend(k: int, f: InvariantForm):
+    """The terms of ab^{k+1} ^ f (the new-leg-first convention)."""
+    t = k + 1
+    out = []
+    for (holo, anti), c in f.terms:
+        if t in anti:
+            continue
+        pos = sum(1 for x in anti if x < t)
+        key = (holo, anti[:pos] + (t,) + anti[pos:])
+        out.append((key, -c if (len(holo) + pos) % 2 else c))
+    return out
+
+
+def _interior(m: HomogeneousModel, k: int, f: InvariantForm):
+    """The terms of the metric contraction of the leg ab^{k+1} out of an
+    anti-leg form."""
+    A = metric_inverse(m)
+    out = []
+    for (_, anti), coeff in f.terms:
+        for pos, l in enumerate(anti):
+            v = A[k][l - 1].conjugate()
+            if v:
+                c = coeff * Scalar.const(v)
+                out.append((((), anti[:pos] + anti[pos + 1:]),
+                            -c if pos % 2 else c))
+    return out
+
+
+def _cube(n: int, k: int):
+    return itertools.product(range(n), repeat=k)
 
 
 # ---------------------------------------------------------------------------
 # the three leg derivatives (the Dolbeault operator on each value type)
 
 
-def dbar_covector(x: CovectorForm, m: HomogeneousModel) -> CovectorForm:
+def dbar_leg(x, m: HomogeneousModel):
+    """The Dolbeault operator on a vector or covector leg form: dbar of each
+    component plus the (0,1) Chern connection, which acts on a covector leg
+    through minus its transpose."""
     mu = chern_connection(m).mu
-    n = m.n
-    out = []
-    for c in range(n):
-        acc = dbar_form(x.comps[c], m)
-        for a in range(n):
-            for j in range(n):
-                v = mu[a][j][c]
-                if v:
-                    acc = acc - _prepend_anti(a + 1, x.comps[j]).scale(
-                        Scalar.const(v))
-        out.append(acc)
-    return CovectorForm.build(n, 0, x.q + 1, out)
-
-
-def dbar_vector(x: VectorForm, m: HomogeneousModel) -> VectorForm:
-    mu = chern_connection(m).mu
-    n = m.n
-    out = []
-    for b in range(n):
-        acc = dbar_form(x.comps[b], m)
-        for a in range(n):
-            for j in range(n):
-                v = mu[a][b][j]
-                if v:
-                    acc = acc + _prepend_anti(a + 1, x.comps[j]).scale(
-                        Scalar.const(v))
-        out.append(acc)
-    return VectorForm.build(n, 0, x.q + 1, out)
+    dual = isinstance(x, CovectorForm)
+    table = _table(m, ("mu", dual), m.n, lambda: (
+        ((b, a, j), -mu[a][j][b] if dual else mu[a][b][j])
+        for a, b, j in _cube(m.n, 3)))
+    cs = _couple(table, x.comps, x.q + 1, _prepend)
+    return x.build(m.n, 0, x.q + 1,
+                   [dbar_form(f, m) + c for f, c in zip(x.comps, cs)])
 
 
 def dbar_end(x: EndForm, m: HomogeneousModel) -> EndForm:
     """Coefficient-wise in the declared holomorphic gauge frame."""
-    return EndForm.build(
-        x.n, x.r, 0, x.q + 1,
-        [[dbar_form(x.comps[i][j], m) for j in range(x.r)]
-         for i in range(x.r)],
-    )
+    return EndForm(x.n, x.r, 0, x.q + 1,
+                   tuple(dbar_form(f, m) for f in x.flat))
 
 
 # ---------------------------------------------------------------------------
@@ -185,49 +223,29 @@ def op_script_F(x, m: HomogeneousModel):
     gauge leg, with the new antiholomorphic index prepended."""
     n, r = m.n, m.rank
     F = _f_array(m)
+    q = x.q + 1
     if isinstance(x, EndForm):
-        comps = []
-        for j in range(n):
-            acc = InvariantForm.zero(n, 0, x.q + 1)
-            for k in range(n):
-                for u in range(r):
-                    for v in range(r):
-                        c = F[j][k][u][v]
-                        if c:
-                            acc = acc + _prepend_anti(
-                                k + 1, x.comps[v][u]).scale(Scalar.const(c))
-            comps.append(acc)
-        return CovectorForm.build(n, 0, x.q + 1, comps)
+        table = _table(m, "F.gamma", n, lambda: (
+            ((j, k, v * r + u), F[j][k][u][v])
+            for j, k, u, v in itertools.product(range(n), range(n),
+                                                range(r), range(r))))
+        return CovectorForm.build(n, 0, q, _couple(table, x.flat, q, _prepend))
     if isinstance(x, VectorForm):
-        grid = [[InvariantForm.zero(n, 0, x.q + 1) for _ in range(r)]
-                for _ in range(r)]
-        for u in range(r):
-            for v in range(r):
-                for j in range(n):
-                    for k in range(n):
-                        c = F[j][k][u][v]
-                        if c:
-                            grid[u][v] = grid[u][v] + _prepend_anti(
-                                k + 1, x.comps[j]).scale(Scalar.const(c))
-        return EndForm.build(n, r, 0, x.q + 1, grid)
+        table = _table(m, "F.w", r * r, lambda: (
+            ((u * r + v, k, j), F[j][k][u][v])
+            for j, k, u, v in itertools.product(range(n), range(n),
+                                                range(r), range(r))))
+        return EndForm(n, r, 0, q, tuple(_couple(table, x.comps, q, _prepend)))
     raise FormError("curvature coupling acts on gauge or vector legs only")
 
 
 def op_script_T(x: VectorForm, m: HomogeneousModel) -> CovectorForm:
     """Torsion coupling T_{l j kbar} W^l on the vector leg."""
-    n = m.n
     arrT = _t_array(m)
-    comps = []
-    for j in range(n):
-        acc = InvariantForm.zero(n, 0, x.q + 1)
-        for l in range(n):
-            for k in range(n):
-                c = arrT[l][j][k]
-                if c:
-                    acc = acc + _prepend_anti(k + 1, x.comps[l]).scale(
-                        Scalar.const(c))
-        comps.append(acc)
-    return CovectorForm.build(n, 0, x.q + 1, comps)
+    table = _table(m, "T", m.n, lambda: (
+        ((j, k, l), arrT[l][j][k]) for l, j, k in _cube(m.n, 3)))
+    return CovectorForm.build(m.n, 0, x.q + 1,
+                              _couple(table, x.comps, x.q + 1, _prepend))
 
 
 def _chern_deriv_anti(f: InvariantForm, l: int, m: HomogeneousModel
@@ -271,39 +289,25 @@ def op_R_nabla_plus(x: VectorForm, m: HomogeneousModel) -> CovectorForm:
     """Chern curvature contracted with the torsion-shifted derivative."""
     n = m.n
     R = curvature_array(m)
-    comps = []
-    deriv = [nabla_plus_direction(x, l, m) for l in range(n)]
-    for j in range(n):
-        acc = InvariantForm.zero(n, 0, x.q + 1)
-        for k in range(n):
-            for l in range(n):
-                for mm in range(n):
-                    c = R[k][j][l][mm]
-                    if c:
-                        acc = acc + _prepend_anti(
-                            k + 1, deriv[l].comps[mm]).scale(Scalar.const(c))
-        comps.append(acc)
-    return CovectorForm.build(n, 0, x.q + 1, comps)
+    table = _table(m, "R", n, lambda: (
+        ((j, k, l * n + mm), R[k][j][l][mm]) for k, j, l, mm in _cube(n, 4)))
+    deriv = [f for l in range(n) for f in nabla_plus_direction(x, l, m).comps]
+    return CovectorForm.build(n, 0, x.q + 1,
+                              _couple(table, deriv, x.q + 1, _prepend))
 
 
 def apply_Dbar(s: QSection, m: HomogeneousModel,
                diagonal: bool = False) -> QSection:
     """One application of the deformation operator; the coupling slot in the
     first row carries the formal variable a, so results stay symbolic."""
-    kappa = dbar_covector(s.kappa, m)
+    kappa = dbar_leg(s.kappa, m)
     gamma = dbar_end(s.gamma, m)
-    w = dbar_vector(s.w, m)
+    w = dbar_leg(s.w, m)
     if not diagonal:
-        kappa = (kappa
-                 + _scale_cov(op_script_F(s.gamma, m), S_A)
-                 + op_script_T(s.w, m)
-                 + _scale_cov(op_R_nabla_plus(s.w, m), S_A))
+        kappa = (kappa + op_script_F(s.gamma, m).scale(S_A)
+                 + op_script_T(s.w, m) + op_R_nabla_plus(s.w, m).scale(S_A))
         gamma = gamma + op_script_F(s.w, m)
     return QSection.build(kappa, gamma, w)
-
-
-def _scale_cov(x: CovectorForm, s: Scalar) -> CovectorForm:
-    return x.scale(s)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +415,7 @@ def q_coordinates(s: QSection) -> List[Scalar]:
             coords.append(s.kappa.comps[j].coeff((), K))
     entry_coords = {}
     for K in combos:
-        entries = [[s.gamma.comps[i][j].coeff((), K) for j in range(r)]
+        entries = [[s.gamma.entry(i, j).coeff((), K) for j in range(r)]
                    for i in range(r)]
         entry_coords[K] = endo_coordinates(entries)
     for t in range(r * r - 1):
@@ -504,7 +508,7 @@ def _leg_gram(m: HomogeneousModel, p: int):
             row = []
             for L in combos:
                 rows = [[A[k - 1][l - 1] for l in L] for k in K]
-                row.append(_det_gauss(rows))
+                row.append(linalg.det(rows, GR_ONE))
             out.append(row)
         return out
     return m.cached(("leg_gram", p), build)
@@ -514,44 +518,31 @@ def gram(m: HomogeneousModel, p: int) -> List[List[GaussRat]]:
     """Hermitian positive Gram matrix of the q_basis, block diagonal in the
     three value legs."""
     def build():
-        n, r = m.n, m.rank
+        n = m.n
         A = metric_inverse(m)
         L = _leg_gram(m, p)
-        nk = len(_combos(n, p))
-        ebasis = trace_free_basis(r)
-        ne = len(ebasis)
-        dim = (2 * n + ne) * nk
+        nk = len(L)
+        ebasis = [mat for _, mat in trace_free_basis(m.rank)]
+        # the value Grams of the covector, gauge and vector legs
+        values = [
+            [[A[jp][j] for jp in range(n)] for j in range(n)],
+            [[sum((v * e2[key].conjugate() for key, v in e1.items()
+                   if key in e2), start=GR_ZERO) for e2 in ebasis]
+             for e1 in ebasis],
+            m.metric,
+        ]
+        dim = sum(len(V) for V in values) * nk
         G = linalg.zeros(dim, dim)
-
-        def eg(b1, b2):
-            acc = GR_ZERO
-            for key, v in b1[1].items():
-                if key in b2[1]:
-                    acc = acc + v * b2[1][key].conjugate()
-            return acc
-
-        for j in range(n):
-            for jp in range(n):
-                v = A[jp][j]
-                for a in range(nk):
-                    for b in range(nk):
-                        G[j * nk + a][jp * nk + b] = v * L[a][b]
-        off = n * nk
-        for s in range(ne):
-            for t in range(ne):
-                v = eg(ebasis[s], ebasis[t])
-                if not v:
-                    continue
-                for a in range(nk):
-                    for b in range(nk):
-                        G[off + s * nk + a][off + t * nk + b] = v * L[a][b]
-        off = (n + ne) * nk
-        for j in range(n):
-            for jp in range(n):
-                v = m.metric[j][jp]
-                for a in range(nk):
-                    for b in range(nk):
-                        G[off + j * nk + a][off + jp * nk + b] = v * L[a][b]
+        off = 0
+        for V in values:
+            for s, row in enumerate(V):
+                for t, v in enumerate(row):
+                    if v:
+                        for a in range(nk):
+                            for b in range(nk):
+                                G[off + s * nk + a][off + t * nk + b] = (
+                                    v * L[a][b])
+            off += len(V) * nk
         return G
     return m.cached(("gram", p), build)
 
@@ -616,42 +607,18 @@ def assemble_Dstar(m: HomogeneousModel, p: int) -> QOperatorMatrix:
 # closed-formula adjoint pieces
 
 
-def _interior(m: HomogeneousModel, k: int, f: InvariantForm) -> InvariantForm:
-    """Metric contraction of the leg ab^{k+1} out of an anti-leg form."""
-    A = metric_inverse(m)
-    n = m.n
-    acc = InvariantForm.zero(n, 0, f.q - 1)
-    for (_, anti), coeff in f.terms:
-        for pos, l in enumerate(anti):
-            v = A[k][l - 1].conjugate()
-            if not v:
-                continue
-            rest = anti[:pos] + anti[pos + 1:]
-            sgn = S_ONE if pos % 2 == 0 else -S_ONE
-            acc = acc + InvariantForm.monomial(
-                n, [], list(rest), coeff * Scalar.const(v) * sgn)
-    return acc
-
-
 def op_F_star_kappa(kap: CovectorForm, m: HomogeneousModel) -> EndForm:
     """Adjoint of the gauge->covector coupling."""
     n, r = m.n, m.rank
     A = metric_inverse(m)
     F = _f_array(m)
-    grid = [[InvariantForm.zero(n, 0, kap.q - 1) for _ in range(r)]
-            for _ in range(r)]
-    for v in range(r):
-        for u in range(r):
-            for j in range(n):
-                for jp in range(n):
-                    if not A[jp][j]:
-                        continue
-                    for k in range(n):
-                        c = (A[jp][j] * F[j][k][u][v]).conjugate()
-                        if c:
-                            grid[v][u] = grid[v][u] + _interior(
-                                m, k, kap.comps[jp]).scale(Scalar.const(c))
-    return EndForm.build(n, r, 0, kap.q - 1, grid)
+    table = _table(m, "F*.kappa", r * r, lambda: (
+        ((v * r + u, k, jp), (A[jp][j] * F[j][k][u][v]).conjugate())
+        for v, u, jp, j, k in itertools.product(
+            range(r), range(r), range(n), range(n), range(n))))
+    q = kap.q - 1
+    return EndForm(n, r, 0, q, tuple(
+        _couple(table, kap.comps, q, partial(_interior, m))))
 
 
 def _vector_from_paired(m: HomogeneousModel, C: List[InvariantForm],
@@ -673,35 +640,25 @@ def op_F_star_gamma(g: EndForm, m: HomogeneousModel) -> VectorForm:
     """Adjoint of the vector->gauge coupling."""
     n, r = m.n, m.rank
     F = _f_array(m)
-    C = [InvariantForm.zero(n, 0, g.q - 1) for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            for u in range(r):
-                for v in range(r):
-                    c = F[j][k][u][v].conjugate()
-                    if c:
-                        C[j] = C[j] + _interior(m, k, g.comps[u][v]).scale(
-                            Scalar.const(c))
-    return _vector_from_paired(m, C, g.q - 1)
+    table = _table(m, "F*.gamma", n, lambda: (
+        ((j, k, u * r + v), F[j][k][u][v].conjugate())
+        for j, k, u, v in itertools.product(range(n), range(n),
+                                            range(r), range(r))))
+    q = g.q - 1
+    return _vector_from_paired(
+        m, _couple(table, g.flat, q, partial(_interior, m)), q)
 
 
 def op_T_star(kap: CovectorForm, m: HomogeneousModel) -> VectorForm:
     """Adjoint of the torsion coupling."""
-    n = m.n
     A = metric_inverse(m)
     arrT = _t_array(m)
-    C = [InvariantForm.zero(n, 0, kap.q - 1) for _ in range(n)]
-    for l in range(n):
-        for j in range(n):
-            for jp in range(n):
-                if not A[jp][j]:
-                    continue
-                for k in range(n):
-                    c = (A[jp][j] * arrT[l][j][k]).conjugate()
-                    if c:
-                        C[l] = C[l] + _interior(m, k, kap.comps[jp]).scale(
-                            Scalar.const(c))
-    return _vector_from_paired(m, C, kap.q - 1)
+    table = _table(m, "T*", m.n, lambda: (
+        ((l, k, jp), (A[jp][j] * arrT[l][j][k]).conjugate())
+        for l, j, jp, k in _cube(m.n, 4)))
+    q = kap.q - 1
+    return _vector_from_paired(
+        m, _couple(table, kap.comps, q, partial(_interior, m)), q)
 
 
 def _leg_derivative_adjoint(m: HomogeneousModel, l: int, q: int):
@@ -753,30 +710,20 @@ def op_R_nabla_plus_star(kap: CovectorForm, m: HomogeneousModel) -> VectorForm:
     R = curvature_array(m)
     gp = bismut(m).gamma
     q = kap.q - 1
-    u_forms = {}
-    for l in range(n):
-        for mm in range(n):
-            acc = InvariantForm.zero(n, 0, q)
-            for j in range(n):
-                for jp in range(n):
-                    if not A[jp][j]:
-                        continue
-                    for k in range(n):
-                        c = (A[jp][j] * R[k][j][l][mm]).conjugate()
-                        if c:
-                            acc = acc + _interior(
-                                m, k, kap.comps[jp]).scale(Scalar.const(c))
-            u_forms[(l, mm)] = acc
+    table = _table(m, "R*", n * n, lambda: (
+        ((l * n + mm, k, jp), (A[jp][j] * R[k][j][l][mm]).conjugate())
+        for l, mm, jp, j, k in _cube(n, 5)))
+    u = _couple(table, kap.comps, q, partial(_interior, m))
     C = [InvariantForm.zero(n, 0, q) for _ in range(n)]
     for c in range(n):
         for l in range(n):
             for mm in range(n):
                 v = gp[l][mm][c].conjugate()
-                if v and u_forms[(l, mm)]:
-                    C[c] = C[c] + u_forms[(l, mm)].scale(Scalar.const(v))
-            if u_forms[(l, c)]:
+                if v and u[l * n + mm]:
+                    C[c] = C[c] + u[l * n + mm].scale(Scalar.const(v))
+            if u[l * n + c]:
                 mat = _leg_derivative_adjoint(m, l, q)
-                C[c] = C[c] + _apply_leg_matrix(m, mat, u_forms[(l, c)])
+                C[c] = C[c] + _apply_leg_matrix(m, mat, u[l * n + c])
     return _vector_from_paired(m, C, q)
 
 
@@ -788,36 +735,22 @@ def assemble_Dstar_formula(m: HomogeneousModel, p: int) -> QOperatorMatrix:
         raise ModelError("the adjoint lowers degree; need p >= 1")
     src = q_basis(m, p)
     tgt = q_basis(m, p - 1)
-    n, r = m.n, m.rank
     # the leg Dolbeault adjoints: Gram adjoint of the decoupled operator,
     # which is block diagonal because the Gram matrix is
     diag = gram_adjoint(m, assemble_Dbar(m, p - 1, diagonal=True))
     out = [list(row) for row in diag.entries]
     for s_idx, sec in enumerate(src.sections):
-        kap, g, w = sec.kappa, sec.gamma, sec.w
-        col = [S_ZERO] * tgt.dim
+        kap, g = sec.kappa, sec.gamma
+        img = _section(m, p - 1)
         if kap:
-            fs = op_F_star_kappa(kap, m)
-            ts = op_T_star(kap, m)
-            rs = op_R_nabla_plus_star(kap, m)
-            img = QSection.build(CovectorForm.zero(n, 0, p - 1), fs,
-                                 VectorForm.zero(n, 0, p - 1))
-            for i, v in enumerate(q_coordinates(img)):
-                col[i] = col[i] + v * S_A
-            img = QSection.build(CovectorForm.zero(n, 0, p - 1),
-                                 EndForm.zero(n, r, 0, p - 1),
-                                 ts + rs.scale(S_A))
-            for i, v in enumerate(q_coordinates(img)):
-                col[i] = col[i] + v
+            img = img + _section(
+                m, p - 1, gamma=op_F_star_kappa(kap, m).scale(S_A),
+                w=op_T_star(kap, m) + op_R_nabla_plus_star(kap, m).scale(S_A))
         if g:
-            fv = op_F_star_gamma(g, m)
-            img = QSection.build(CovectorForm.zero(n, 0, p - 1),
-                                 EndForm.zero(n, r, 0, p - 1), fv)
-            for i, v in enumerate(q_coordinates(img)):
-                col[i] = col[i] + v
-        for i in range(tgt.dim):
-            if col[i]:
-                out[i][s_idx] = out[i][s_idx] + col[i]
+            img = img + _section(m, p - 1, w=op_F_star_gamma(g, m))
+        for i, v in enumerate(q_coordinates(img)):
+            if v:
+                out[i][s_idx] = out[i][s_idx] + v
     return QOperatorMatrix(p, p - 1, src.labels, tgt.labels,
                            tuple(tuple(row) for row in out))
 
@@ -826,149 +759,92 @@ def assemble_Dstar_formula(m: HomogeneousModel, p: int) -> QOperatorMatrix:
 # sub-operators
 
 
-def _q1_basis(m: HomogeneousModel, p: int):
-    """(labels, (gamma, w) pairs) for the End + T subbundle."""
-    basis = q_basis(m, p)
-    n = m.n
-    nk = len(_combos(n, p))
-    start = n * nk
-    labels = basis.labels[start:]
-    pairs = [(s.gamma, s.w) for s in basis.sections[start:]]
-    return labels, pairs
-
-
-def _q1star_basis(m: HomogeneousModel, p: int):
-    """(labels, (kappa, gamma) pairs) for the T* + End subbundle."""
-    basis = q_basis(m, p)
-    n = m.n
-    nk = len(_combos(n, p))
-    ne = (m.rank * m.rank - 1) * nk
-    end = n * nk + ne
-    labels = basis.labels[:end]
-    pairs = [(s.kappa, s.gamma) for s in basis.sections[:end]]
-    return labels, pairs
-
-
-def _coords_end_w(m, p, gamma, w):
-    s = QSection.build(CovectorForm.zero(m.n, 0, p), gamma, w)
+def _leg_bounds(m: HomogeneousModel, p: int) -> List[int]:
+    """Where the kappa, gamma and w coordinates start and end in q_basis."""
     nk = len(_combos(m.n, p))
-    return q_coordinates(s)[m.n * nk:]
+    ne = m.rank * m.rank - 1
+    return [0, m.n * nk, (m.n + ne) * nk, (2 * m.n + ne) * nk]
 
 
-def _coords_kappa_end(m, p, kappa, gamma):
-    s = QSection.build(kappa, gamma, VectorForm.zero(m.n, 0, p))
-    nk = len(_combos(m.n, p))
-    ne = (m.rank * m.rank - 1) * nk
-    return q_coordinates(s)[:m.n * nk + ne]
+def _section(m: HomogeneousModel, p: int, kappa=None, gamma=None, w=None
+             ) -> QSection:
+    """The Q-section with the legs given and zero elsewhere."""
+    return QSection.build(kappa or CovectorForm.zero(m.n, 0, p),
+                          gamma or EndForm.zero(m.n, m.rank, 0, p),
+                          w or VectorForm.zero(m.n, 0, p))
 
 
-def _coords_covector(m, p, kappa):
-    nk = len(_combos(m.n, p))
-    s = QSection.build(kappa, EndForm.zero(m.n, m.rank, 0, p),
-                       VectorForm.zero(m.n, 0, p))
-    return q_coordinates(s)[:m.n * nk]
+def _block(m: HomogeneousModel, p: int, src_legs, tgt_legs, image
+           ) -> QOperatorMatrix:
+    """The block from the legs src_legs = (first, end) of degree p to the
+    legs tgt_legs of degree p + 1 (0 = kappa, 1 = gamma, 2 = w, 3 = end);
+    image(section) is the block applied to one basis section."""
+    src, tgt = q_basis(m, p), q_basis(m, p + 1)
+    lo, hi = (_leg_bounds(m, p)[t] for t in src_legs)
+    tlo, thi = (_leg_bounds(m, p + 1)[t] for t in tgt_legs)
+    images = [q_coordinates(image(s))[tlo:thi] for s in src.sections[lo:hi]]
+    return _matrix_from_images(p, p + 1, src.labels[lo:hi],
+                               tgt.labels[tlo:thi], images)
 
 
 def assemble_Dbar1(m: HomogeneousModel, p: int) -> QOperatorMatrix:
     """[dbar_E, F; 0, dbar] on the End + T subbundle."""
-    src_labels, src = _q1_basis(m, p)
-    tgt_labels, _ = _q1_basis(m, p + 1)
-    images = []
-    for g, w in src:
-        img_g = dbar_end(g, m) + op_script_F(w, m)
-        img_w = dbar_vector(w, m)
-        images.append(_coords_end_w(m, p + 1, img_g, img_w))
-    return _matrix_from_images(p, p + 1, src_labels, tgt_labels, images)
+    return _block(m, p, (1, 3), (1, 3), lambda s: _section(
+        m, p + 1, gamma=dbar_end(s.gamma, m) + op_script_F(s.w, m),
+        w=dbar_leg(s.w, m)))
 
 
 def assemble_Dbar2(m: HomogeneousModel, p: int) -> QOperatorMatrix:
     """[dbar, a F; 0, dbar_E] on the T* + End subbundle."""
-    src_labels, src = _q1star_basis(m, p)
-    tgt_labels, _ = _q1star_basis(m, p + 1)
-    images = []
-    for kap, g in src:
-        img_k = dbar_covector(kap, m) + op_script_F(g, m).scale(S_A)
-        img_g = dbar_end(g, m)
-        images.append(_coords_kappa_end(m, p + 1, img_k, img_g))
-    return _matrix_from_images(p, p + 1, src_labels, tgt_labels, images)
+    return _block(m, p, (0, 2), (0, 2), lambda s: _section(
+        m, p + 1,
+        kappa=dbar_leg(s.kappa, m) + op_script_F(s.gamma, m).scale(S_A),
+        gamma=dbar_end(s.gamma, m)))
 
 
 def assemble_H(m: HomogeneousModel, p: int) -> QOperatorMatrix:
     """The connecting operator End + T -> T*: a F gamma + T W + a R nabla+ W."""
-    src_labels, src = _q1_basis(m, p)
-    tgt = q_basis(m, p + 1)
-    nk = len(_combos(m.n, p + 1))
-    tgt_labels = tgt.labels[:m.n * nk]
-    images = []
-    for g, w in src:
-        img = (op_script_F(g, m).scale(S_A) + op_script_T(w, m)
-               + op_R_nabla_plus(w, m).scale(S_A))
-        images.append(_coords_covector(m, p + 1, img))
-    return _matrix_from_images(p, p + 1, src_labels, tgt_labels, images)
+    return _block(m, p, (1, 3), (0, 1), lambda s: _section(
+        m, p + 1, kappa=op_script_F(s.gamma, m).scale(S_A)
+        + op_script_T(s.w, m) + op_R_nabla_plus(s.w, m).scale(S_A)))
 
 
 def assemble_Hstar(m: HomogeneousModel, p: int) -> QOperatorMatrix:
     """The connecting operator T -> T* + End: (T W + a R nabla+ W, F W)."""
-    basis = q_basis(m, p)
-    nk = len(_combos(m.n, p))
-    start = (m.n + m.rank * m.rank - 1) * nk
-    src_labels = basis.labels[start:]
-    tgt_labels, _ = _q1star_basis(m, p + 1)
-    images = []
-    for s in basis.sections[start:]:
-        w = s.w
-        img_k = op_script_T(w, m) + op_R_nabla_plus(w, m).scale(S_A)
-        img_g = op_script_F(w, m)
-        images.append(_coords_kappa_end(m, p + 1, img_k, img_g))
-    return _matrix_from_images(p, p + 1, src_labels, tgt_labels, images)
+    return _block(m, p, (2, 3), (0, 2), lambda s: _section(
+        m, p + 1,
+        kappa=op_script_T(s.w, m) + op_R_nabla_plus(s.w, m).scale(S_A),
+        gamma=op_script_F(s.w, m)))
 
 
 def reassembly_residuals(m: HomogeneousModel, p: int) -> Dict[str, bool]:
     """Check that Dbar reassembles from (dbar, H; 0, D1) and from
     (D2, H*; 0, dbar); returns booleans per identity (True = exact)."""
     full = assemble_Dbar(m, p)
-    n = m.n
-    nk_src = len(_combos(n, p))
-    nk_tgt = len(_combos(n, p + 1))
-    ne = m.rank * m.rank - 1
-    c1 = n * nk_src               # end of e1 columns
-    r1 = n * nk_tgt
-    c2 = (n + ne) * nk_src        # end of e2 columns
-    r2 = (n + ne) * nk_tgt
+    _, c1, c2, _ = _leg_bounds(m, p)        # ends of the e1, e2 columns
+    _, r1, r2, _ = _leg_bounds(m, p + 1)
 
-    d1 = assemble_Dbar1(m, p)
-    h = assemble_H(m, p)
-    dbar_diag = assemble_Dbar(m, p, diagonal=True)
-    split_ok = True
-    for i in range(len(full.target_labels)):
-        for j in range(len(full.source_labels)):
-            if i < r1 and j < c1:
-                want = dbar_diag.entries[i][j]
-            elif i < r1:
-                want = h.entries[i][j - c1]
-            elif j < c1:
-                want = S_ZERO
-            else:
-                want = d1.entries[i - r1][j - c1]
-            if full.entries[i][j] != want:
-                split_ok = False
+    def reassembles(r0, c0, top_left, top_right, bottom_right):
+        """full = [[top_left, top_right], [0, bottom_right]], split after
+        row r0 and column c0; each block is read at full-matrix indices."""
+        return all(
+            full.entries[i][j] == (
+                (top_left if j < c0 else top_right)(i, j) if i < r0
+                else bottom_right(i, j) if j >= c0 else S_ZERO)
+            for i in range(len(full.target_labels))
+            for j in range(len(full.source_labels)))
 
-    d2 = assemble_Dbar2(m, p)
-    hs = assemble_Hstar(m, p)
-    dual_ok = True
-    for i in range(len(full.target_labels)):
-        for j in range(len(full.source_labels)):
-            if i < r2 and j < c2:
-                want = d2.entries[i][j]
-            elif i < r2:
-                want = hs.entries[i][j - c2]
-            elif j < c2:
-                want = S_ZERO
-            else:
-                want = dbar_diag.entries[i][j]
-            if full.entries[i][j] != want:
-                dual_ok = False
-    return {"split": split_ok, "dual": dual_ok}
+    diag = assemble_Dbar(m, p, diagonal=True).entries
+    d1, h = assemble_Dbar1(m, p).entries, assemble_H(m, p).entries
+    d2, hs = assemble_Dbar2(m, p).entries, assemble_Hstar(m, p).entries
+    return {
+        "split": reassembles(r1, c1, lambda i, j: diag[i][j],
+                             lambda i, j: h[i][j - c1],
+                             lambda i, j: d1[i - r1][j - c1]),
+        "dual": reassembles(r2, c2, lambda i, j: d2[i][j],
+                            lambda i, j: hs[i][j - c2],
+                            lambda i, j: diag[i][j]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -993,10 +869,7 @@ def pairing_q1(m: HomogeneousModel, beta: EndForm, v: VectorForm,
 def pairing_t(m: HomogeneousModel, x: CovectorForm, w: VectorForm) -> Scalar:
     """Covector-valued form applied to a vector-valued form (covector legs
     first), integrated against Omega."""
-    acc = InvariantForm.zero(m.n, x.p + w.p, x.q + w.q)
-    for j in range(m.n):
-        acc = acc + x.comps[j].wedge(w.comps[j])
-    return _top_coefficient(acc.wedge(holomorphic_volume(m)))
+    return _top_coefficient(contract(x, w).wedge(holomorphic_volume(m)))
 
 
 def duality_residual(m: HomogeneousModel, beta: EndForm, v: VectorForm,
@@ -1096,17 +969,10 @@ def commutation_residual(m: HomogeneousModel, w: VectorForm, l: int
     difference picks up leg-curvature terms."""
     n = m.n
     R = curvature_array(m)
-    lhs = dbar_vector(nabla_plus_direction(w, l, m), m)
-    rhs = nabla_plus_direction(dbar_vector(w, m), l, m)
-    comps = []
-    for k in range(n):
-        acc = InvariantForm.zero(n, 0, w.q + 1)
-        for kb in range(n):
-            for j in range(n):
-                c = R[kb][j][k][l]
-                if c:
-                    acc = acc + _prepend_anti(kb + 1, w.comps[j]).scale(
-                        Scalar.const(c))
-        comps.append(acc)
-    rterm = VectorForm.build(n, 0, w.q + 1, comps)
+    lhs = dbar_leg(nabla_plus_direction(w, l, m), m)
+    rhs = nabla_plus_direction(dbar_leg(w, m), l, m)
+    table = _table(m, ("R.comm", l), n, lambda: (
+        ((k, kb, j), R[kb][j][k][l]) for k, kb, j in _cube(n, 3)))
+    rterm = VectorForm.build(n, 0, w.q + 1,
+                             _couple(table, w.comps, w.q + 1, _prepend))
     return lhs - rterm - rhs

@@ -55,6 +55,19 @@ def test_cohomology_report(capsys):
     assert rep["symbol"]["samples"] == 12
 
 
+def test_cohomology_reports_the_coupling_it_used(capsys):
+    # calabi-eckmann declares no coupling; its dimensions are computed at
+    # a' = 1, and the top-level label says so.  The system check stays
+    # symbolic in a', so its own label is "arbitrary".
+    code, out, _ = run(capsys, "cohomology", "calabi-eckmann",
+                       "--samples", "4")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["alpha_prime"] == "1"
+    assert rep["degenerate"] is False
+    assert rep["checks"]["alpha_prime"] == "arbitrary"
+
+
 def test_cohomology_diagonal(capsys):
     code, out, _ = run(capsys, "cohomology", "iwasawa", "--diagonal-dbar",
                        "--samples", "5")

@@ -101,6 +101,25 @@ def test_contract_orders_vector_legs_first():
     assert contract(v, k) == mono([], [1, 2])
 
 
+def test_value_legs_share_arithmetic_but_stay_distinct():
+    z = InvariantForm.zero(N, 0, 1)
+    comps = [mono([], [1]), z, mono([], [2])]
+    v = VectorForm.build(N, 0, 1, comps)
+    k = CovectorForm.build(N, 0, 1, comps)
+    assert v != k and v.comps == k.comps
+    assert type(v + v) is VectorForm and type(-k) is CovectorForm
+    assert (v + v).comps == tuple(f.scale(Scalar.of(2)) for f in comps)
+    assert not v - v and bool(v)
+    assert k.scale(Scalar()) == CovectorForm.zero(N, 0, 1)
+    with pytest.raises(FormError):
+        VectorForm.build(N, 0, 1, comps[:2])
+    f, g, h = mono([1], [1]), mono([1], [2]), mono([2], [1])
+    F = EndForm.build(N, 2, 1, 1, [[f, g], [h, -f]])
+    assert F.flat == (f, g, h, -f) and F.comps == ((f, g), (h, -f))
+    assert F.entry(1, 0) == h
+    assert (F - F.scale(Scalar.of(2))).entry(0, 1) == -g
+
+
 def test_end_form_trace_and_pairing():
     f = mono([1], [1])
     g = mono([1], [2])

@@ -11,7 +11,7 @@ import pytest
 from hetmod import geometry as geo
 from hetmod.exterior import EndForm, InvariantForm, MixedForm
 from hetmod.models import builtin_model, parse_model_text
-from hetmod.scalars import GR_ZERO, GaussRat, S_A, S_I, Scalar
+from hetmod.scalars import GR_I, GR_ONE, GR_ZERO, GaussRat, S_A, S_I, Scalar
 
 
 def mono(holo, anti, coeff=None):
@@ -49,6 +49,23 @@ def test_torus_everything_flat(torus):
     assert not geo.chern_curvature(torus)
     b = geo.bismut(torus)
     assert all(not x for g in b.gamma for row in g for x in row)
+
+
+def test_levi_civita_helper_tells_the_connections_apart(iwasawa):
+    # one helper is the second route of both connections; it differs only
+    # in the 3-form and its factors.  iwasawa has nonzero torsion, so fed
+    # the data of one connection it must not produce the other.
+    m = iwasawa
+    ch, bi = geo.chern_connection(m), geo.bismut(m)
+    via_chern = geo._via_levi_civita(
+        m, "chern", geo.exterior_derivative(geo.omega_form(m), m),
+        (GR_I, -GR_I))
+    via_bismut = geo._via_levi_civita(m, "bismut", geo._dc_omega(m),
+                                      (GR_ONE, GR_ONE))
+    assert (via_chern.gamma, via_chern.mu) == (ch.gamma, ch.mu)
+    assert (via_bismut.gamma, via_bismut.mu) == (bi.gamma, bi.mu)
+    assert via_chern.gamma != bi.gamma
+    assert via_bismut.gamma != ch.gamma
 
 
 def test_bismut_differs_from_chern_by_raised_torsion(iwasawa):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetmod import linalg
-from hetmod.scalars import GR_ONE, GR_ZERO, GaussRat
+from hetmod.scalars import GR_ONE, GR_ZERO, GaussRat, Scalar
 
 
 def gmat(rows):
@@ -39,24 +39,30 @@ def test_kernel_of_empty_matrix():
     assert len(linalg.kernel_basis([], cols=4)) == 4
 
 
-def test_inverse_and_solve():
+def test_inverse():
     m = gmat([[(2, 0), (1, 0)], [(1, 1), (1, 0)]])
     inv = linalg.inverse(m)
     assert linalg.mat_mul(m, inv) == linalg.identity(2)
-    b = [GR_ONE, GaussRat.of(0, 1)]
-    x = linalg.solve(m, b)
-    assert linalg.mat_vec(m, x) == b
 
 
-def test_solve_inconsistent():
-    m = gmat([[(1, 0)], [(1, 0)]])
-    assert linalg.solve(m, [GR_ONE, GR_ZERO]) is None
+def test_det_on_gauss_rationals_and_scalars():
+    assert linalg.det([], GR_ONE) == GR_ONE
+    m = gmat([[(2, 0), (1, 0)], [(1, 1), (1, 0)]])
+    assert linalg.det(m, GR_ONE) == GaussRat.of(1, -1)
+    # the same routine over polynomials in a: det [[a, 1], [1, a]] = a^2 - 1
+    a, one = Scalar.var(), Scalar.of(1)
+    assert linalg.det([[a, one], [one, a]], one) == a * a - one
+    assert linalg.det([[a, one], [one, a]], one).degree == 2
 
 
-def test_conj_transpose():
-    m = gmat([[(0, 1), (1, 0)]])
-    ct = linalg.conj_transpose(m)
-    assert ct == gmat([[(0, -1)], [(1, 0)]])
+def test_det_is_multiplicative_and_detects_rank():
+    rng = random.Random(20261018)
+    for _ in range(30):
+        k = rng.randint(1, 4)
+        a, b = _random_matrix(rng, k, k), _random_matrix(rng, k, k)
+        da, db = linalg.det(a, GR_ONE), linalg.det(b, GR_ONE)
+        assert linalg.det(linalg.mat_mul(a, b), GR_ONE) == da * db
+        assert bool(da) == (linalg.rank(a) == k)
 
 
 def test_rank_small_cases():
