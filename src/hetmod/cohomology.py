@@ -37,6 +37,10 @@ def q_space_dimension(m: HomogeneousModel, p: int) -> int:
 def _resolve_alpha(m: HomogeneousModel, alpha0: Optional[GaussRat]
                    ) -> GaussRat:
     if alpha0 is not None:
+        if alpha0.im:
+            raise ModelError(
+                f"the coupling alpha' must be real, not {alpha0}: the "
+                "adjoint treats the coupling variable a as real")
         return alpha0
     if m.alpha_prime is not None:
         return m.alpha_prime

@@ -151,21 +151,26 @@ def _as_gauss(s: Scalar, what: str) -> GaussRat:
 
 def bracket_table(m: HomogeneousModel):
     """brackets[u][w]: components of [e_u, e_w] on the complexified frame,
-    via alpha^c([X,Y]) = -d(alpha^c)(X,Y)."""
+    via alpha^c([X,Y]) = -d(alpha^c)(X,Y).
+
+    A term v theta^s ^ theta^t of d(alpha^c), with s < t in the frame order
+    (a^1..a^n, ab^1..ab^n), is v on (e_s, e_t) and -v on (e_t, e_s), so the
+    constants are read off the terms of d(alpha^c) and of its conjugate.
+    """
     def build():
         n = m.n
-        basis = [_basis_vector(n, i) for i in range(2 * n)]
         d_all = [m.d_coframe[c] for c in range(n)] + [
             m.d_coframe[c].conjugate() for c in range(n)
         ]
-        table = [[None] * (2 * n) for _ in range(2 * n)]
-        for u in range(2 * n):
-            for w in range(2 * n):
-                comps = []
-                for c in range(2 * n):
-                    val = d_all[c].evaluate([basis[u], basis[w]])
-                    comps.append(-_as_gauss(val, "structure constant"))
-                table[u][w] = comps
+        table = [[[GR_ZERO] * (2 * n) for _ in range(2 * n)]
+                 for _ in range(2 * n)]
+        for c, dc in enumerate(d_all):
+            for _, f in dc.parts:
+                for (h, a), v in f.terms:
+                    s, t = [i - 1 for i in h] + [n + i - 1 for i in a]
+                    val = _as_gauss(v, "structure constant")
+                    table[s][t][c] = -val
+                    table[t][s][c] = val
         return table
     return m.cached("brackets", build)
 

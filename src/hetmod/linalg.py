@@ -4,6 +4,8 @@ Two engines and a determinant:
 
 * ``rref`` / ``kernel_basis`` / ``inverse``: plain Gaussian elimination on
   GaussRat entries (exact), used wherever an explicit basis is needed.
+  ``inverse`` only ever sees small matrices: the metric and the Kronecker
+  factors of the Gram matrices, never a Gram matrix itself.
 * ``rank``: fraction-free Bareiss elimination on Gaussian integers after
   clearing denominators (``gauss_int_rank`` is the integer entry point).
   ``certified_rank`` puts a rank certificate modulo a prime in front of it

@@ -6,8 +6,9 @@ and a vector) tensored with invariant (0,p)-forms.  This module builds:
 * the algebraic couplings F., T. and R-nabla+ between the legs,
 * the operator Dbar (upper triangular in the three legs, the coupling slots
   weighted by the formal variable a) and its sub-operators D1, D2, H, H*,
-* the Hermitian Gram matrix of the invariant section basis and the adjoint
-  Dbar*, computed both from the Gram matrix and from closed index formulas,
+* the Hermitian Gram matrix of the invariant section basis, a direct sum of
+  Kronecker products, and the adjoint Dbar*, computed both from the Gram
+  matrix's factors and from closed index formulas,
 * the volume-form pairings behind the duality identity for H and H*.
 
 Convention: every operator that creates a new antiholomorphic leg prepends it
@@ -514,35 +515,62 @@ def _leg_gram(m: HomogeneousModel, p: int):
     return m.cached(("leg_gram", p), build)
 
 
-def gram(m: HomogeneousModel, p: int) -> List[List[GaussRat]]:
-    """Hermitian positive Gram matrix of the q_basis, block diagonal in the
-    three value legs."""
+def _gram_factors(m: HomogeneousModel, p: int, inverse: bool = False):
+    """The factors of the Gram matrix G_p = (+)_b V_b (x) L_p of the q_basis.
+
+    V_b are the value Grams of the covector, gauge and vector legs (the
+    transposed inverse metric, the Gram of the trace-free basis and the
+    metric), and L_p is the leg Gram.  With ``inverse``, the factors of
+    G_p^{-1}, V_b^{-1} and L_p^{-1}, each inverted once per model.
+    """
     def build():
         n = m.n
         A = metric_inverse(m)
-        L = _leg_gram(m, p)
-        nk = len(L)
         ebasis = [mat for _, mat in trace_free_basis(m.rank)]
-        # the value Grams of the covector, gauge and vector legs
-        values = [
+        return [
             [[A[jp][j] for jp in range(n)] for j in range(n)],
             [[sum((v * e2[key].conjugate() for key, v in e1.items()
                    if key in e2), start=GR_ZERO) for e2 in ebasis]
              for e1 in ebasis],
             m.metric,
         ]
-        dim = sum(len(V) for V in values) * nk
-        G = linalg.zeros(dim, dim)
+    values = m.cached("value_grams", build)
+    if not inverse:
+        return values, _leg_gram(m, p)
+    return (m.cached("value_grams_inv",
+                     lambda: [linalg.inverse(V) for V in values]),
+            m.cached(("leg_gram_inv", p),
+                     lambda: linalg.inverse(_leg_gram(m, p))))
+
+
+def _gram_rows(m: HomogeneousModel, p: int, inverse: bool = False):
+    """The nonzero entries (column, value) of each row of G_p, or of
+    G_p^{-1} with ``inverse``, expanded from the Kronecker factors."""
+    def build():
+        values, L = _gram_factors(m, p, inverse)
+        nk = len(L)
+        rows = []
         off = 0
         for V in values:
-            for s, row in enumerate(V):
-                for t, v in enumerate(row):
-                    if v:
-                        for a in range(nk):
-                            for b in range(nk):
-                                G[off + s * nk + a][off + t * nk + b] = (
-                                    v * L[a][b])
+            for row in V:
+                for a in range(nk):
+                    rows.append([(off + t * nk + b, v * L[a][b])
+                                 for t, v in enumerate(row) if v
+                                 for b in range(nk) if L[a][b]])
             off += len(V) * nk
+        return rows
+    return m.cached(("gram_rows", p, inverse), build)
+
+
+def gram(m: HomogeneousModel, p: int) -> List[List[GaussRat]]:
+    """Hermitian positive Gram matrix of the q_basis, block diagonal in the
+    three value legs: G_p = (+)_b V_b (x) L_p (see ``_gram_factors``)."""
+    def build():
+        rows = _gram_rows(m, p)
+        G = linalg.zeros(len(rows), len(rows))
+        for i, row in enumerate(rows):
+            for j, v in row:
+                G[i][j] = v
         return G
     return m.cached(("gram", p), build)
 
@@ -561,34 +589,52 @@ def gram_pair(m: HomogeneousModel, p: int, x: Sequence[Scalar],
     return acc
 
 
+def _row_sum(terms) -> Dict[int, GaussRat]:
+    """The sparse row sum of x * row over the terms (x, row), where each row
+    is a sequence of (index, value) pairs."""
+    acc: Dict[int, GaussRat] = {}
+    for x, row in terms:
+        for j, v in row:
+            y = x * v
+            acc[j] = acc[j] + y if j in acc else y
+    return acc
+
+
 def gram_adjoint(m: HomogeneousModel, op: QOperatorMatrix) -> QOperatorMatrix:
     """The metric adjoint: maps degree target_p back to source_p.
 
     With <x,y> = x^T G conj(y) and M the operator matrix, the adjoint is
-    conj(G_src^{-1} M^T G_tgt), entrywise on polynomial entries (a is real).
+    conj(G_src^{-1} M^T G_tgt).  Each Gram is G_p = (+)_b V_b (x) L_p, so
+    G_src^{-1} comes from the inverted factors V_b^{-1} and L_p^{-1}, and
+    the products run over nonzero entries only.  The coupling a is assumed
+    real: conj leaves it alone, so M = sum_k a^k M_k is transformed one
+    sparse coefficient matrix M_k at a time.
     """
-    G_src = gram(m, op.source_p)
-    G_tgt = gram(m, op.target_p)
-    Ginv = linalg.inverse(G_src)
+    g_tgt = _gram_rows(m, op.target_p)
+    g_inv = _gram_rows(m, op.source_p, inverse=True)
     rows, cols = op.shape
-    # M^T G_tgt (Scalar x GaussRat)
-    mtg = [[S_ZERO] * rows for _ in range(cols)]
-    for i in range(cols):
-        for j in range(rows):
-            acc = S_ZERO
-            for k in range(rows):
-                e = op.entries[k][i]
-                if e and G_tgt[k][j]:
-                    acc = acc + e * Scalar.const(G_tgt[k][j])
-            mtg[i][j] = acc
+    # powers[k][c]: the nonzero (row, value) of column c of M_k
+    powers: List[List[List[Tuple[int, GaussRat]]]] = []
+    for r, row in enumerate(op.entries):
+        for c, e in enumerate(row):
+            for k, x in enumerate(e.coeffs):
+                if x:
+                    while len(powers) <= k:
+                        powers.append([[] for _ in range(cols)])
+                    powers[k][c].append((r, x))
+    coeffs: Dict[Tuple[int, int], List[GaussRat]] = {}
+    for k, mt in enumerate(powers):
+        # M_k^T G_tgt, one sparse row per source column
+        prod = [_row_sum((x, g_tgt[r]) for r, x in col).items()
+                for col in mt]
+        for i, grow in enumerate(g_inv):
+            for j, z in _row_sum((g, prod[c]) for c, g in grow).items():
+                if z:
+                    coeffs.setdefault((i, j), [GR_ZERO] * len(powers))[k] = (
+                        z.conjugate())
     out = [[S_ZERO] * rows for _ in range(cols)]
-    for i in range(cols):
-        for j in range(rows):
-            acc = S_ZERO
-            for k in range(cols):
-                if Ginv[i][k] and mtg[k][j]:
-                    acc = acc + Scalar.const(Ginv[i][k]) * mtg[k][j]
-            out[i][j] = acc.conjugate()
+    for (i, j), cs in coeffs.items():
+        out[i][j] = Scalar.make(cs)
     return QOperatorMatrix(op.target_p, op.source_p, op.target_labels,
                            op.source_labels,
                            tuple(tuple(row) for row in out))
@@ -678,7 +724,7 @@ def _leg_derivative_adjoint(m: HomogeneousModel, l: int, q: int):
                 if val.degree > 0:
                     raise ModelError("leg derivative is not constant in a")
                 D[rr][c] = val.coefficient(0)
-        Linv = linalg.inverse(L)
+        Linv = _gram_factors(m, q, inverse=True)[1]
         # adj = conj(L^{-1} D^T L)
         DT = linalg.transpose(D)
         return [[x.conjugate() for x in row]

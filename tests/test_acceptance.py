@@ -180,8 +180,8 @@ def test_06_ce_honest_invariant_counts(calabi_eckmann):
 
 # -- (7) exact adjointness at several couplings ------------------------------
 
-def test_07_adjoint_identity_all_models(builtins):
-    for m in builtins:
+def test_07_adjoint_identity_all_models(builtins, random_flat_models):
+    for m in builtins + random_flat_models:
         for p in range(3):
             D = qc.assemble_Dbar(m, p)
             Ds = qc.assemble_Dstar(m, p + 1)

@@ -213,3 +213,13 @@ def test_scan_reports_first_failure_in_sample_order(calabi_eckmann):
     rep = coh.injectivity_scan(calabi_eckmann, GaussRat.of(-4), limit=30)
     assert rep == {"samples": 30, "injective": False,
                    "first_failure": "(0, 0, i)"}
+
+
+def test_non_real_coupling_is_refused(torus):
+    # the adjoint treats the coupling variable as real, so a non-real
+    # coupling from the Python API has no answer; model files refuse one too
+    with pytest.raises(ModelError, match="must be real"):
+        coh.cohomology_data(torus, GaussRat.of(0, 1))
+    with pytest.raises(ModelError, match="must be real"):
+        coh.cohomology_report(torus, GaussRat.of(2, -1), symbol_limit=1)
+    assert coh.cohomology_data(torus, GaussRat.of("1/7")).h == [9, 27, 27, 9]

@@ -31,6 +31,46 @@ def test_d_squared_zero_on_coframe(builtins):
             assert not acc, f"d^2 {name} != 0 on {m.name}"
 
 
+def _brackets_by_evaluation(m):
+    """[e_u, e_w] from alpha^c([X,Y]) = -d(alpha^c)(X,Y), evaluating each
+    d(alpha^c) on pairs of frame vectors."""
+    n = m.n
+    basis = [[Scalar.of(1) if i == j else Scalar() for i in range(2 * n)]
+             for j in range(2 * n)]
+    d_all = list(m.d_coframe) + [d.conjugate() for d in m.d_coframe]
+    return [[[-d.evaluate([basis[u], basis[w]]).coefficient(0)
+              for d in d_all] for w in range(2 * n)] for u in range(2 * n)]
+
+
+def test_bracket_table_matches_evaluation(builtins):
+    # a coframe whose d has (2,0), (1,1) and (0,2) parts with complex
+    # coefficients and d^2 != 0: the table reads terms, not structure
+    n = 3
+    vals = [GaussRat.of(a, b)
+            for a, b in ((1, 0), (-2, 1), (0, 3), ("1/2", -1))]
+    d_coframe = []
+    for c in range(n):
+        parts = {}
+        for (p, q), legs in (((2, 0), ([1, 2], [])), ((1, 1), ([c + 1], [3])),
+                             ((0, 2), ([], [1, 3]))):
+            parts[(p, q)] = InvariantForm.monomial(
+                n, legs[0], legs[1], Scalar.const(vals[(c + p) % 4]))
+        d_coframe.append(MixedForm.build(n, 2, parts))
+    odd = geo.HomogeneousModel(
+        name="non-closed", n=n, coframe_names=["a1", "a2", "a3"],
+        d_coframe=d_coframe,
+        metric=[[GR_ONE if i == j else GR_ZERO for j in range(n)]
+                for i in range(n)],
+        omega_coeff=GR_ONE, rank=1, curvature_F=EndForm.zero(n, 1, 1, 1),
+        alpha_prime=None)
+    dd = MixedForm.zero(n, 3)
+    for _, part in d_coframe[0].parts:
+        dd = dd + geo.exterior_derivative(part, odd)
+    assert dd, "the test model should not satisfy d^2 = 0"
+    for m in builtins + [odd]:
+        assert geo.bracket_table(m) == _brackets_by_evaluation(m), m.name
+
+
 def test_iwasawa_torsion_value(iwasawa):
     # T = i * (2,1)-part of d omega = -1/2 a^1^a^2^ab^3
     expected = mono([1, 2], [3], Scalar.of("-1/2"))

@@ -50,8 +50,8 @@ def test_block_reassembly(iwasawa, calabi_eckmann):
             assert res == {"split": True, "dual": True}, (m.name, p)
 
 
-def test_adjoint_formula_matches_gram_route(builtins):
-    for m in builtins:
+def test_adjoint_formula_matches_gram_route(builtins, random_flat_models):
+    for m in builtins + random_flat_models:
         for p in (1, 2, 3):
             via_gram = qc.assemble_Dstar(m, p)
             via_formula = qc.assemble_Dstar_formula(m, p)
