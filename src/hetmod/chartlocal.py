@@ -17,14 +17,16 @@ provides:
 
 Representation.  ``Poly``, ``ChartForm`` and ``ChartSection`` are sparse:
 each holds read-only mappings of its nonzero terms only (monomial ->
-GaussRat, leg key -> Poly, slot -> (0,q)-form).  No zero is ever stored, so
-``bool`` is emptiness, ``==`` and ``hash`` compare the mappings whatever
-order the terms were inserted in, and terms are sorted only for printing.
-The public constructors and ``build`` validate what they are given; the
-arithmetic builds each result in one pass through the unchecked ``_poly``,
-``_form`` and ``_section`` and never sorts.  Sections are pushed through
-the operators along precomputed tables of the nonzero couplings, so zero
-slots and zero couplings cost nothing.
+GaussRat, leg key -> Poly, slot -> (0,q)-form).  ``ChartForm`` is an
+``exterior.Form`` with Poly coefficients, so its container, arithmetic and
+leg signs are those of the invariant forms.  No zero is ever stored, so
+``bool`` is emptiness, ``==`` and ``hash`` ignore insertion order, and
+terms are sorted only for printing.  The public constructors and ``build``
+validate what they are given; the arithmetic builds each result in one
+pass through the unchecked ``_poly``, ``exterior._form`` and ``_section``
+and never sorts.  Sections are pushed through the operators along
+precomputed tables of the nonzero couplings, so zero slots and zero
+couplings cost nothing.
 """
 
 from __future__ import annotations
@@ -33,10 +35,20 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .exterior import FormError, merge_with_sign, sort_with_sign
+from .exterior import (
+    _EMPTY,
+    Form,
+    FormError,
+    _acc,
+    _alloc,
+    _form,
+    _frozen,
+    _Immutable,
+    _sum_terms,
+    sort_with_sign,
+)
 from .geometry import (
     HomogeneousModel,
     ModelError,
@@ -51,53 +63,15 @@ Exp = Tuple[int, ...]
 PKey = Tuple[Exp, Exp]
 Legs = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
-_frozen = MappingProxyType
-_EMPTY: Mapping = _frozen({})
-_alloc = object.__new__
 # the caches below are keyed by exponents and leg tuples, so their size is
 # bounded by the polynomial degree and the chart dimension
 _int = lru_cache(maxsize=None)(GaussRat.of)      # small exact integers
-_merge = lru_cache(maxsize=None)(merge_with_sign)
 
 
 @lru_cache(maxsize=None)
 def _front(leg: int, legs: Tuple[int, ...]):
     """(sign, sorted legs) of d(leg) ^ d(legs); (0, ()) on a repeat."""
     return sort_with_sign((leg,) + legs)
-
-
-class _Immutable:
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-def _acc(acc: dict, key, v) -> None:
-    """acc[key] += v, leaving out zero summands and cancelled sums."""
-    if not v:
-        return
-    c = acc.get(key)
-    if c is None:
-        acc[key] = v
-    else:
-        c = c + v
-        if c:
-            acc[key] = c
-        else:
-            del acc[key]
-
-
-def _sum_terms(x: Mapping, y: Mapping, sign: int = 1) -> dict:
-    """x + sign * y term by term, for mappings of nonzero terms; the result
-    holds no zero either."""
-    acc = x.copy()
-    for k, v in y.items():
-        _acc(acc, k, v if sign == 1 else -v)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -249,81 +223,30 @@ def _poly(m: int, terms: dict) -> Poly:
 # polynomial-coefficient forms
 
 
-class ChartForm(_Immutable):
-    """A (p,q)-form on the chart with Poly coefficients.
+class ChartForm(Form):
+    """A (p,q)-form on the chart z_1..z_n with Poly coefficients: the legs
+    are dz_k and dzbar_k, and ``exterior.Form`` does the algebra."""
 
-    ``terms`` is a read-only mapping (dz legs, dzbar legs) -> Poly that never
-    holds a zero coefficient; legs are strictly increasing index tuples and
-    the dz legs stand to the left.  ``ChartForm(m, p, q, terms)`` and
-    ``ChartForm.build`` check the keys and drop zero coefficients;
-    ``monomial`` also sorts arbitrary legs, with their sign.
-    """
+    __slots__ = ()
 
-    __slots__ = ("m", "p", "q", "terms")
-
-    def __new__(cls, m: int, p: int, q: int,
-                terms: Mapping[Legs, Poly] = _EMPTY):
-        clean = {}
-        for (holo, anti), c in terms.items():
-            holo, anti = tuple(holo), tuple(anti)
-            if len(holo) != p or len(anti) != q:
-                raise FormError("chart form key has the wrong bidegree")
-            if (sort_with_sign(holo) != (1, holo)
-                    or sort_with_sign(anti) != (1, anti)):
-                raise FormError("chart form legs must strictly increase")
-            if c:
-                clean[(holo, anti)] = c
-        return _form(m, p, q, clean)
-
-    def __reduce__(self):
-        return ChartForm, (self.m, self.p, self.q, dict(self.terms))
-
-    @staticmethod
-    def build(m, p, q, terms) -> "ChartForm":
-        return ChartForm(m, p, q, terms)
-
-    @staticmethod
-    def zero(m, p, q) -> "ChartForm":
-        return _form(m, p, q, {})
-
-    @staticmethod
-    def monomial(m, holo, anti, coeff: Poly) -> "ChartForm":
-        sh, holo_s = sort_with_sign(holo)
-        sa, anti_s = sort_with_sign(anti)
-        p, q = len(tuple(holo)), len(tuple(anti))
-        if sh * sa == 0 or not coeff:
-            return _form(m, p, q, {})
-        c = coeff if sh * sa == 1 else -coeff
-        return _form(m, p, q, {(holo_s, anti_s): c})
+    def _zero_coeff(self) -> Poly:
+        return Poly.zero(self.n)
 
     @staticmethod
     def func(f: Poly) -> "ChartForm":
-        return _form(f.m, 0, 0, {((), ()): f} if f else {})
+        return _form(ChartForm, f.m, 0, 0, {((), ()): f} if f else {})
 
-    def coeff(self, holo, anti) -> Poly:
-        sh, holo_s = sort_with_sign(holo)
-        sa, anti_s = sort_with_sign(anti)
-        c = self.terms.get((holo_s, anti_s)) if sh * sa else None
-        if c is None:
-            return Poly.zero(self.m)
-        return c if sh * sa == 1 else -c
+    def scale_poly(self, f: Poly) -> "ChartForm":
+        return _form(ChartForm, self.n, self.p, self.q,
+                     {k: v * f for k, v in self.terms} if f.terms else {})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def scale(self, c: GaussRat) -> "ChartForm":
+        return _form(ChartForm, self.n, self.p, self.q,
+                     {k: v.scale(c) for k, v in self.terms} if c else {})
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ChartForm:
-            return NotImplemented
-        return ((self.m, self.p, self.q) == (other.m, other.p, other.q)
-                and self.terms == other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.p, self.q,
-                     frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        return (f"ChartForm({self.m}, {self.p}, {self.q}, "
-                f"{dict(sorted(self.terms.items()))!r})")
+    def is_holomorphic(self) -> bool:
+        return (self.q == 0
+                and all(c.is_holomorphic() for c in self.coeffs.values()))
 
     def __str__(self) -> str:
         """Terms in key order as ``[coefficient] legs``; the coefficient
@@ -331,86 +254,10 @@ class ChartForm(_Immutable):
         if not self.terms:
             return "0"
         bits = []
-        for h, a in sorted(self.terms):
+        for (h, a), c in sorted(self.terms):
             legs = "^".join([f"dz{k}" for k in h] + [f"dw{k}" for k in a])
-            c = self.terms[(h, a)]
             bits.append(f"[{c}] {legs}" if legs else f"[{c}]")
         return " + ".join(bits)
-
-    def _check_shape(self, o: "ChartForm") -> None:
-        if (self.m, self.p, self.q) != (o.m, o.p, o.q):
-            raise FormError("chart form shapes disagree")
-
-    def __add__(self, o: "ChartForm") -> "ChartForm":
-        self._check_shape(o)
-        if not self.terms:
-            return o
-        return _form(self.m, self.p, self.q, _sum_terms(self.terms, o.terms))
-
-    def __sub__(self, o: "ChartForm") -> "ChartForm":
-        self._check_shape(o)
-        return _form(self.m, self.p, self.q,
-                     _sum_terms(self.terms, o.terms, -1))
-
-    def __neg__(self) -> "ChartForm":
-        return _form(self.m, self.p, self.q,
-                     {k: -v for k, v in self.terms.items()})
-
-    def scale_poly(self, f: Poly) -> "ChartForm":
-        # Poly coefficients form an integral domain: no product vanishes
-        if not f.terms:
-            return _form(self.m, self.p, self.q, {})
-        return _form(self.m, self.p, self.q,
-                     {k: v * f for k, v in self.terms.items()})
-
-    def scale(self, c: GaussRat) -> "ChartForm":
-        if not c:
-            return _form(self.m, self.p, self.q, {})
-        return _form(self.m, self.p, self.q,
-                     {k: v.scale(c) for k, v in self.terms.items()})
-
-    def wedge(self, o: "ChartForm") -> "ChartForm":
-        acc: Dict[Legs, Poly] = {}
-        cross = -1 if (o.p % 2) and (self.q % 2) else 1
-        right = o.terms.items()
-        for (h1, a1), c1 in self.terms.items():
-            for (h2, a2), c2 in right:
-                sh, hh = _merge(h1, h2)
-                if sh == 0:
-                    continue
-                sa, aa = _merge(a1, a2)
-                if sa == 0:
-                    continue
-                v = c1 * c2
-                _acc(acc, (hh, aa), v if sh * sa * cross == 1 else -v)
-        return _form(self.m, self.p + o.p, self.q + o.q, acc)
-
-    def conjugate(self) -> "ChartForm":
-        odd = (self.p * self.q) % 2
-        return _form(self.m, self.q, self.p,
-                     {(a, h): -c.conjugate() if odd else c.conjugate()
-                      for (h, a), c in self.terms.items()})
-
-    def is_holomorphic(self) -> bool:
-        return (self.q == 0
-                and all(c.is_holomorphic() for c in self.terms.values()))
-
-
-_set_form_m = ChartForm.m.__set__
-_set_form_p = ChartForm.p.__set__
-_set_form_q = ChartForm.q.__set__
-_set_form_terms = ChartForm.terms.__set__
-
-
-def _form(m: int, p: int, q: int, terms: dict) -> ChartForm:
-    """A ChartForm from a dict of nonzero terms with sorted legs that no one
-    else holds."""
-    x = _alloc(ChartForm)
-    _set_form_m(x, m)
-    _set_form_p(x, p)
-    _set_form_q(x, q)
-    _set_form_terms(x, _frozen(terms))
-    return x
 
 
 def _derivative(x: ChartForm, anti: bool) -> ChartForm:
@@ -419,15 +266,15 @@ def _derivative(x: ChartForm, anti: bool) -> ChartForm:
     leg then passes the p dz legs."""
     acc: Dict[Legs, Poly] = {}
     flip = anti and x.p % 2
-    for (h, a), c in x.terms.items():
-        for k in range(x.m):
+    for (h, a), c in x.terms:
+        for k in range(x.n):
             sign, legs = _front(k + 1, a if anti else h)
             if not sign:
                 continue
             d = c.diff_zbar(k) if anti else c.diff_z(k)
             _acc(acc, (h, legs) if anti else (legs, a),
                  -d if (sign == -1) != flip else d)
-    return _form(x.m, x.p + (not anti), x.q + anti, acc)
+    return _form(ChartForm, x.n, x.p + (not anti), x.q + anti, acc)
 
 
 def partial_chart(x: ChartForm) -> ChartForm:
@@ -453,15 +300,15 @@ def dbar_homotopy(x: ChartForm) -> ChartForm:
         raise FormError("a primitive needs antiholomorphic degree >= 1")
     acc: Dict[Legs, Poly] = {}
     psign = -1 if x.p % 2 else 1
-    for (h, a), c in x.terms.items():
+    for (h, a), c in x.terms:
         for d, part in c.antiholomorphic_split().items():
             w = GaussRat.of(f"1/{d + x.q}")
             for v, leg in enumerate(a):
-                zbar = Poly.coord(x.m, leg - 1, anti=True)
+                zbar = Poly.coord(x.n, leg - 1, anti=True)
                 sign = psign if v % 2 == 0 else -psign
                 coeff = (part * zbar).scale(w if sign == 1 else -w)
                 _acc(acc, (h, a[:v] + a[v + 1:]), coeff)
-    return _form(x.m, x.p, x.q - 1, acc)
+    return _form(ChartForm, x.n, x.p, x.q - 1, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +466,9 @@ def invariant_to_chart(P, f) -> ChartForm:
     alpha^{i+1} = sum_a P[i][a] dz^{a+1}."""
     mc = len(P[0])
     acc = ChartForm.zero(mc, f.p, f.q)
-    pull = []
-    for row in P:
-        form = ChartForm.zero(mc, 1, 0)
-        for a in range(mc):
-            form = form + ChartForm.monomial(mc, (a + 1,), (), row[a])
-        pull.append(form)
+    pull = [ChartForm.build(mc, 1, 0, {((a + 1,), ()): c
+                                       for a, c in enumerate(row)})
+            for row in P]
     pull_bar = [x.conjugate() for x in pull]
     for (holo, anti), c in f.terms:
         if c.degree > 0:
@@ -704,7 +548,7 @@ def chart_data(m: HomogeneousModel) -> ChartData:
 
 def mat_wedge_chart(A, B):
     r = len(A)
-    mc = A[0][0].m
+    mc = A[0][0].n
     out = [[ChartForm.zero(mc, A[0][0].p + B[0][0].p,
                            A[0][0].q + B[0][0].q) for _ in range(r)]
            for _ in range(r)]
@@ -727,7 +571,7 @@ def chern_simons(A) -> Tuple[ChartForm, ChartForm]:
     """tr(A ^ dA + 2/3 A ^ A ^ A) for a matrix of (1,0)-form potentials,
     returned as its (3,0) and (2,1) parts."""
     r = len(A)
-    mc = A[0][0].m
+    mc = A[0][0].n
     dA = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(r):
@@ -753,7 +597,7 @@ def cs_transgression_residual(A, F) -> Tuple[ChartForm, ...]:
     d30 = d_chart(cs30)
     d21 = d_chart(cs21)
     r = len(F)
-    mc = F[0][0].m
+    mc = F[0][0].n
     trFF = ChartForm.zero(mc, 2, 2)
     for i in range(r):
         for j in range(r):
@@ -816,9 +660,9 @@ class Trivialization:
 def _torsion_components(mc: int, T_chart: ChartForm):
     """T_{lj} as (0,1)-forms: T = sum_{l<j} dz^l ^ dz^j ^ T_{lj}."""
     out = [[ChartForm.zero(mc, 0, 1) for _ in range(mc)] for _ in range(mc)]
-    for (h, a), c in T_chart.terms.items():
+    for (h, a), c in T_chart.terms:
         l, j = h
-        form = _form(mc, 0, 1, {((), a): c})
+        form = _form(ChartForm, mc, 0, 1, {((), a): c})
         out[l - 1][j - 1] = out[l - 1][j - 1] + form
         out[j - 1][l - 1] = out[j - 1][l - 1] - form
     return out
@@ -830,21 +674,20 @@ def _f_components(mc: int, r: int, F_chart):
            for _ in range(mc)]
     for u in range(r):
         for v in range(r):
-            for (h, a), c in F_chart[u][v].terms.items():
-                out[h[0] - 1][u][v] = (out[h[0] - 1][u][v]
-                                       + _form(mc, 0, 1, {((), a): c}))
+            for (h, a), c in F_chart[u][v].terms:
+                out[h[0] - 1][u][v] += _form(ChartForm, mc, 0, 1, {((), a): c})
     return out
 
 
 def _a_components(A):
     """A_a[u][v] as functions: A = sum_a dz^a A_a."""
     r = len(A)
-    mc = A[0][0].m
+    mc = A[0][0].n
     out = [[[Poly.zero(mc) for _ in range(r)] for _ in range(r)]
            for _ in range(mc)]
     for u in range(r):
         for v in range(r):
-            for (h, aa), c in A[u][v].terms.items():
+            for (h, aa), c in A[u][v].terms:
                 out[h[0] - 1][u][v] = out[h[0] - 1][u][v] + c
     return out
 
@@ -956,7 +799,7 @@ class ChartSection(_Immutable):
         x = _section(mc, rank, q, *parts)
         forms = itertools.chain(x.kappa.values(), x.gamma.values(),
                                 x.w.values())
-        if any((f.m, f.p, f.q) != (mc, 0, q) for f in forms):
+        if any((f.n, f.p, f.q) != (mc, 0, q) for f in forms):
             raise FormError(f"chart section entries must be (0,{q})-forms")
         return x
 
@@ -1025,8 +868,9 @@ def nabla_plus_chart(t: Trivialization, w: Mapping, c: int) -> Dict:
     the coordinate coefficients of the torsion-shifted connection."""
     out: Dict[int, ChartForm] = {}
     for b, x in w.items():
-        _acc(out, b, _form(x.m, 0, x.q, {k: d for k, v in x.terms.items()
-                                         if (d := v.diff_z(c)).terms}))
+        _acc(out, b, _form(ChartForm, x.n, 0, x.q,
+                           {k: d for k, v in x.terms
+                            if (d := v.diff_z(c)).terms}))
         for a, g in t.cd.GammaPlus_by_w.get((c, b), ()):
             _acc(out, a, x.scale_poly(g))
     return out

@@ -1,25 +1,33 @@
-"""Invariant (p,q)-form algebra over a fixed complex coframe.
+"""Exterior (p,q)-form algebra for the invariant and the chart layer.
 
 A term is indexed by a pair of strictly increasing tuples (holo, anti) of
-1-based coframe indices; the associated monomial is
+1-based leg indices; the associated monomial is
 
-    alpha^{h1} ^ ... ^ alpha^{hp} ^ abar^{a1} ^ ... ^ abar^{aq}
+    theta^{h1} ^ ... ^ theta^{hp} ^ thetabar^{a1} ^ ... ^ thetabar^{aq}
 
-with all holomorphic legs to the left of the antiholomorphic ones.  Every
-normalization sign is produced at this single point (``normalize_key``) so the
-convention cannot drift between operators.
+with all holomorphic legs to the left of the antiholomorphic ones.  One
+class, ``Form``, holds the terms and implements their algebra for both
+layers, which differ only in coefficients and printing: ``InvariantForm``
+(coframe legs alpha^k, ``Scalar`` coefficients) and ``chartlocal.ChartForm``
+(chart legs dz_k, dzbar_k, ``Poly`` coefficients).  Every normalization
+sign of both layers is produced here, from ``sort_with_sign`` and
+``merge_with_sign``, so the convention cannot drift between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, sub
-from typing import Dict, Iterable, Tuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, Tuple
 
 from .linalg import det
 from .scalars import S_ONE, S_ZERO, Scalar
 
-Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
+_frozen = MappingProxyType
+_EMPTY: Mapping = _frozen({})
+_alloc = object.__new__
 
 
 class FormError(ValueError):
@@ -65,6 +73,10 @@ def merge_with_sign(left: Tuple[int, ...], right: Tuple[int, ...]):
     return sign, tuple(out)
 
 
+# keyed by leg tuples, so its size is bounded by the dimension
+_merge = lru_cache(maxsize=None)(merge_with_sign)
+
+
 def normalize_key(holo: Iterable[int], anti: Iterable[int]):
     """Canonical (sign, key) for an arbitrarily ordered leg list."""
     sh, h = sort_with_sign(holo)
@@ -76,116 +88,201 @@ def normalize_key(holo: Iterable[int], anti: Iterable[int]):
     return sh * sa, (h, a)
 
 
-@dataclass(frozen=True)
-class InvariantForm:
-    """A scalar-valued invariant form of pure bidegree (p, q)."""
+class _Immutable:
+    __slots__ = ()
 
-    n: int
-    p: int
-    q: int
-    terms: Tuple[Tuple[Key, Scalar], ...] = ()
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def build(n: int, p: int, q: int, terms: Dict[Key, Scalar]) -> "InvariantForm":
-        clean = []
-        for key in sorted(terms):
-            holo, anti = key
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _acc(acc: dict, key, v) -> None:
+    """acc[key] += v, leaving out zero summands and cancelled sums."""
+    if not v:
+        return
+    c = acc.get(key)
+    if c is None:
+        acc[key] = v
+    else:
+        c = c + v
+        if c:
+            acc[key] = c
+        else:
+            del acc[key]
+
+
+def _sum_terms(x: Mapping, y: Mapping, sign: int = 1) -> dict:
+    """x + sign * y term by term, for mappings of nonzero terms; the result
+    holds no zero either."""
+    acc = x.copy()
+    for k, v in y.items():
+        _acc(acc, k, v if sign == 1 else -v)
+    return acc
+
+
+class Form(_Immutable):
+    """A form of pure bidegree (p, q) over n legs.
+
+    ``terms`` is a read-only view of the (key, coefficient) pairs of a dict
+    that never holds a zero, and ``coeffs`` the read-only mapping behind it,
+    so ``bool`` is emptiness and ``==``/``hash`` ignore insertion order.
+    ``cls(n, p, q, terms)`` and ``build`` check the keys and drop zeros;
+    ``monomial`` also sorts arbitrary legs, with their sign.  The arithmetic
+    builds each result through the unchecked ``_form``; the coefficients
+    form an integral domain, so no nonzero product vanishes.  A subclass
+    gives its zero coefficient (``_zero_coeff``) and prints itself.
+    """
+
+    __slots__ = ("n", "p", "q", "terms")
+
+    @property
+    def coeffs(self) -> Mapping:
+        return self.terms.mapping
+
+    def __new__(cls, n: int, p: int, q: int, terms: Mapping = _EMPTY):
+        clean = {}
+        for (holo, anti), c in terms.items():
+            key = holo, anti = tuple(holo), tuple(anti)
             if len(holo) != p or len(anti) != q:
                 raise FormError(f"key {key} has wrong bidegree for ({p},{q})")
-            if any(not 1 <= i <= n for i in holo + anti):
-                raise FormError(f"coframe index out of range in {key}")
-            c = terms[key]
+            # each leg tuple strictly increases within 1..n
+            if not all(0 < x < y for legs in key
+                       for x, y in zip(legs, legs[1:] + (n + 1,))):
+                raise FormError(
+                    f"legs of {key} must strictly increase within 1..{n}")
             if c:
-                clean.append((key, c))
-        return InvariantForm(n, p, q, tuple(clean))
+                clean[key] = c
+        return _form(cls, n, p, q, clean)
 
-    @staticmethod
-    def zero(n: int, p: int, q: int) -> "InvariantForm":
-        return InvariantForm(n, p, q)
+    def __reduce__(self):
+        return type(self), (self.n, self.p, self.q, dict(self.terms))
 
-    @staticmethod
-    def monomial(n, holo, anti, coeff: Scalar = S_ONE) -> "InvariantForm":
-        """Form coeff * alpha^holo ^ abar^anti with legs in any order."""
+    @classmethod
+    def build(cls, n: int, p: int, q: int, terms: Mapping):
+        return cls(n, p, q, terms)
+
+    @classmethod
+    def zero(cls, n: int, p: int, q: int):
+        return _form(cls, n, p, q, {})
+
+    @classmethod
+    def monomial(cls, n: int, holo, anti, coeff):
+        """coeff * theta^holo ^ thetabar^anti with legs in any order."""
+        holo, anti = tuple(holo), tuple(anti)
         sign, key = normalize_key(holo, anti)
-        p, q = len(tuple(holo)), len(tuple(anti))
         if sign == 0:
-            return InvariantForm.zero(n, p, q)
-        c = coeff if sign == 1 else -coeff
-        return InvariantForm.build(n, p, q, {key: c})
+            return _form(cls, n, len(holo), len(anti), {})
+        return cls(n, len(holo), len(anti),
+                   {key: coeff if sign == 1 else -coeff})
 
-    def coeff(self, holo, anti) -> Scalar:
+    def coeff(self, holo, anti):
         """Coefficient on an arbitrarily ordered leg list (sign included)."""
         sign, key = normalize_key(holo, anti)
-        if sign == 0:
-            return S_ZERO
-        for k, c in self.terms:
-            if k == key:
-                return c if sign == 1 else -c
-        return S_ZERO
-
-    def as_dict(self) -> Dict[Key, Scalar]:
-        return dict(self.terms)
+        c = self.coeffs.get(key) if sign else None
+        if c is None:
+            return self._zero_coeff()
+        return c if sign == 1 else -c
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def _same_shape(self, other: "InvariantForm"):
-        if (self.n, self.p, self.q) != (other.n, other.p, other.q):
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.n, self.p, self.q) == (other.n, other.p, other.q)
+                and self.terms == other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.p, self.q, frozenset(self.terms)))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({self.n}, {self.p}, {self.q}, "
+                f"{dict(sorted(self.terms))!r})")
+
+    def _check_shape(self, o: "Form") -> None:
+        if (type(o) is not type(self)
+                or (self.n, self.p, self.q) != (o.n, o.p, o.q)):
             raise FormError(
-                f"shape mismatch: ({self.p},{self.q}) vs ({other.p},{other.q})"
-            )
+                f"shape mismatch: ({self.p},{self.q}) vs ({o.p},{o.q})")
 
-    def __add__(self, other: "InvariantForm") -> "InvariantForm":
-        self._same_shape(other)
-        d = self.as_dict()
-        for k, c in other.terms:
-            d[k] = d.get(k, S_ZERO) + c
-        return InvariantForm.build(self.n, self.p, self.q, d)
+    def __add__(self, o: "Form") -> "Form":
+        self._check_shape(o)
+        if not self.terms:
+            return o
+        return _form(type(self), self.n, self.p, self.q,
+                     _sum_terms(self.terms.mapping, o.terms.mapping))
 
-    def __sub__(self, other: "InvariantForm") -> "InvariantForm":
-        return self + (-other)
+    def __sub__(self, o: "Form") -> "Form":
+        self._check_shape(o)
+        return _form(type(self), self.n, self.p, self.q,
+                     _sum_terms(self.terms.mapping, o.terms.mapping, -1))
 
-    def __neg__(self) -> "InvariantForm":
-        return InvariantForm(self.n, self.p, self.q,
-                             tuple((k, -c) for k, c in self.terms))
+    def __neg__(self) -> "Form":
+        return _form(type(self), self.n, self.p, self.q,
+                     {k: -v for k, v in self.terms})
 
-    def scale(self, s: Scalar) -> "InvariantForm":
-        if not s:
-            return InvariantForm.zero(self.n, self.p, self.q)
-        return InvariantForm(self.n, self.p, self.q,
-                             tuple((k, c * s) for k, c in self.terms))
+    def scale(self, s) -> "Form":
+        """Every coefficient times the coefficient-ring element s."""
+        return _form(type(self), self.n, self.p, self.q,
+                     {k: v * s for k, v in self.terms} if s else {})
 
-    def wedge(self, other: "InvariantForm") -> "InvariantForm":
-        if self.n != other.n:
+    def wedge(self, o: "Form") -> "Form":
+        if self.n != o.n:
             raise FormError("wedge of forms over different coframes")
-        p, q = self.p + other.p, self.q + other.q
-        out: Dict[Key, Scalar] = {}
-        # crossing sign: other's holo block passes self's anti block
-        cross = -1 if (other.p * self.q) % 2 else 1
+        acc: dict = {}
+        # crossing sign: o's holo block passes self's anti block
+        cross = -1 if (o.p * self.q) % 2 else 1
+        right = o.terms
         for (h1, a1), c1 in self.terms:
-            for (h2, a2), c2 in other.terms:
-                sh, h = merge_with_sign(h1, h2)
+            for (h2, a2), c2 in right:
+                sh, hh = _merge(h1, h2)
                 if sh == 0:
                     continue
-                sa, a = merge_with_sign(a1, a2)
+                sa, aa = _merge(a1, a2)
                 if sa == 0:
                     continue
-                s = sh * sa * cross
-                c = c1 * c2
-                key = (h, a)
-                out[key] = out.get(key, S_ZERO) + (c if s == 1 else -c)
-        return InvariantForm.build(self.n, p, q, out)
+                v = c1 * c2
+                _acc(acc, (hh, aa), v if sh * sa * cross == 1 else -v)
+        return _form(type(self), self.n, self.p + o.p, self.q + o.q, acc)
 
-    def conjugate(self) -> "InvariantForm":
-        """Complex conjugate; a (p,q) form becomes a (q,p) form."""
-        out: Dict[Key, Scalar] = {}
-        for (h, a), c in self.terms:
-            # conj(alpha^h ^ abar^a) = abar^h ^ alpha^a
-            #                        = (-1)^{|h||a|} alpha^a ^ abar^h
-            sign = -1 if (len(h) * len(a)) % 2 else 1
-            cc = c.conjugate()
-            out[(a, h)] = cc if sign == 1 else -cc
-        return InvariantForm.build(self.n, self.q, self.p, out)
+    def conjugate(self) -> "Form":
+        """Complex conjugate; a (p,q) form becomes a (q,p) form:
+        conj(theta^h ^ thetabar^a) = thetabar^h ^ theta^a
+                                   = (-1)^{pq} theta^a ^ thetabar^h."""
+        odd = (self.p * self.q) % 2
+        return _form(type(self), self.n, self.q, self.p,
+                     {(a, h): -c.conjugate() if odd else c.conjugate()
+                      for (h, a), c in self.terms})
+
+
+_set_n, _set_p, _set_q, _set_terms = (
+    getattr(Form, name).__set__ for name in Form.__slots__)
+
+
+def _form(cls, n: int, p: int, q: int, terms: dict):
+    """A ``cls`` form from a dict of nonzero terms with canonical keys that no
+    one else holds."""
+    x = _alloc(cls)
+    _set_n(x, n)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_terms(x, terms.items())
+    return x
+
+
+class InvariantForm(Form):
+    """A scalar-valued invariant form of pure bidegree (p, q)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, n: int, holo, anti, coeff: Scalar = S_ONE):
+        return super().monomial(n, holo, anti, coeff)
+
+    def _zero_coeff(self) -> Scalar:
+        return S_ZERO
 
     def evaluate(self, vectors) -> Scalar:
         """Evaluate on complexified frame vectors.
@@ -204,10 +301,12 @@ class InvariantForm:
         return total
 
     def __str__(self) -> str:
+        """Terms in key order as ``(coefficient) legs``, with legs a^k and
+        ab^k."""
         if not self.terms:
             return "0"
         bits = []
-        for (h, a), c in self.terms:
+        for (h, a), c in sorted(self.terms):
             legs = [f"a^{i}" for i in h] + [f"ab^{i}" for i in a]
             mono = "^".join(legs) if legs else "1"
             bits.append(f"({c}) {mono}")
@@ -401,16 +500,13 @@ class MixedForm:
                 return f
         return InvariantForm.zero(self.n, p, q)
 
-    def as_dict(self):
-        return dict(self.parts)
-
     def __bool__(self):
         return bool(self.parts)
 
     def __add__(self, other: "MixedForm") -> "MixedForm":
         if self.degree != other.degree:
             raise FormError("total degree mismatch")
-        d = self.as_dict()
+        d = dict(self.parts)
         for key, f in other.parts:
             d[key] = d[key] + f if key in d else f
         return MixedForm.build(self.n, self.degree, d)

@@ -352,7 +352,7 @@ def model_to_json(m: HomogeneousModel) -> dict:
     for a, mf in enumerate(m.d_coframe):
         terms = []
         for _, f in mf.parts:
-            for key, c in f.terms:
+            for key, c in sorted(f.terms):
                 terms.append({
                     "coeff": format_scalar(c),
                     "wedge": _mono_name(key, m.coframe_names).split("^"),

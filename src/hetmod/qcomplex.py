@@ -31,6 +31,8 @@ from .exterior import (
     InvariantForm,
     Valued,
     VectorForm,
+    _acc,
+    _form,
     contract,
     end_pair_trace,
 )
@@ -154,9 +156,9 @@ def _couple(table, srcs: Sequence[InvariantForm], q: int, leg
             terms = legs[(k, i)] = leg(k, f)
         d = acc[j]
         for key, v in terms:
-            d[key] = d[key] + v * c if key in d else v * c
+            _acc(d, key, v * c)
     n = srcs[0].n
-    return [InvariantForm.build(n, 0, q, d) for d in acc]
+    return [_form(InvariantForm, n, 0, q, d) for d in acc]
 
 
 def _prepend(k: int, f: InvariantForm):
@@ -407,25 +409,22 @@ def q_basis(m: HomogeneousModel, p: int) -> QBasis:
 
 
 def q_coordinates(s: QSection) -> List[Scalar]:
-    """Coordinates of a Q-section in the q_basis order (Scalars)."""
-    n, r, p = s.n, s.r, s.p
-    combos = _combos(n, p)
-    coords: List[Scalar] = []
-    for j in range(n):
-        for K in combos:
-            coords.append(s.kappa.comps[j].coeff((), K))
-    entry_coords = {}
-    for K in combos:
-        entries = [[s.gamma.entry(i, j).coeff((), K) for j in range(r)]
-                   for i in range(r)]
-        entry_coords[K] = endo_coordinates(entries)
-    for t in range(r * r - 1):
-        for K in combos:
-            coords.append(entry_coords[K][t])
-    for j in range(n):
-        for K in combos:
-            coords.append(s.w.comps[j].coeff((), K))
-    return coords
+    """Coordinates of a Q-section in the q_basis order (Scalars).  The basis
+    keys come increasing from _combos, so each is read with one lookup."""
+    r = s.r
+    keys = [((), K) for K in _combos(s.n, s.p)]
+
+    def read(f: InvariantForm) -> List[Scalar]:
+        get = f.coeffs.get
+        return [get(key, S_ZERO) for key in keys]
+
+    gauge = [read(f) for f in s.gamma.flat]
+    entry_coords = [endo_coordinates([[gauge[i * r + j][x] for j in range(r)]
+                                      for i in range(r)])
+                    for x in range(len(keys))]
+    return ([c for f in s.kappa.comps for c in read(f)]
+            + [ec[t] for t in range(r * r - 1) for ec in entry_coords]
+            + [c for f in s.w.comps for c in read(f)])
 
 
 def section_from_coordinates(m: HomogeneousModel, p: int,
@@ -720,7 +719,7 @@ def _leg_derivative_adjoint(m: HomogeneousModel, l: int, q: int):
             img = _chern_deriv_anti(
                 InvariantForm.monomial(m.n, [], list(K)), l, m)
             for rr, Kp in enumerate(combos):
-                val = img.coeff((), Kp)
+                val = img.coeffs.get(((), Kp), S_ZERO)
                 if val.degree > 0:
                     raise ModelError("leg derivative is not constant in a")
                 D[rr][c] = val.coefficient(0)
@@ -735,16 +734,15 @@ def _leg_derivative_adjoint(m: HomogeneousModel, l: int, q: int):
 def _apply_leg_matrix(m: HomogeneousModel, mat, f: InvariantForm
                       ) -> InvariantForm:
     combos = _combos(m.n, f.q)
-    acc = InvariantForm.zero(m.n, 0, f.q)
+    acc: Dict = {}
     for c, K in enumerate(combos):
-        v = f.coeff((), K)
-        if not v:
+        v = f.coeffs.get(((), K))
+        if v is None:
             continue
         for rr, Kp in enumerate(combos):
             if mat[rr][c]:
-                acc = acc + InvariantForm.monomial(
-                    m.n, [], list(Kp), v * Scalar.const(mat[rr][c]))
-    return acc
+                _acc(acc, ((), Kp), v * Scalar.const(mat[rr][c]))
+    return _form(InvariantForm, m.n, 0, f.q, acc)
 
 
 def op_R_nabla_plus_star(kap: CovectorForm, m: HomogeneousModel) -> VectorForm:
@@ -898,9 +896,8 @@ def reassembly_residuals(m: HomogeneousModel, p: int) -> Dict[str, bool]:
 
 
 def _top_coefficient(f: InvariantForm) -> Scalar:
-    n = f.n
-    full = tuple(range(1, n + 1))
-    return f.coeff(full, full)
+    full = tuple(range(1, f.n + 1))
+    return f.coeffs.get((full, full), S_ZERO)
 
 
 def pairing_q1(m: HomogeneousModel, beta: EndForm, v: VectorForm,

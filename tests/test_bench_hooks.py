@@ -1,24 +1,33 @@
 """The bench tracer (perfbench/tracer.py) wraps hetmod functions by name and
-reads operator entries row by row; these tests keep both hooks in place.
+reads operator entries row by row, and the traced pass (perfbench/child.py)
+times the form layer on the models' forms; these tests keep the hooks in
+place.
 
-The tracer module is only read here, never installed."""
+The bench modules are only read here: the tracer is never installed."""
 
 import importlib
 import importlib.util
 import pathlib
+import types
 
 from hetmod import qcomplex as qc
+from hetmod.models import BUILTIN_NAMES, builtin_model
 from hetmod.scalars import Scalar
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+CHILD = ROOT / "perfbench" / "child.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def _tracer_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.TARGETS
+    return _load("perfbench_tracer", TRACER).TARGETS
 
 
 def test_tracer_targets_resolve_to_callables():
@@ -37,3 +46,12 @@ def test_operator_entries_are_rows_of_scalars(iwasawa):
     for row in rows:
         assert len(row) == op.shape[1]
         assert all(isinstance(x, Scalar) for x in row)
+
+
+def test_micro_metrics_run_on_the_builtins():
+    child = _load("perfbench_child", CHILD)
+    tracer = types.SimpleNamespace(gauss_pool=[], scalar_pool=[])
+    loaded = [builtin_model(name) for name in BUILTIN_NAMES]
+    metrics = child.micro_metrics(tracer, loaded)
+    assert len(metrics) == 5
+    assert all(v > 0 for v in metrics.values()), metrics

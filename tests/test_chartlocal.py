@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetmod import chartlocal as cl
+from hetmod.exterior import InvariantForm
 from hetmod.geometry import ModelError
-from hetmod.scalars import GR_ONE, GR_ZERO, GaussRat
+from hetmod.scalars import GR_ONE, GR_ZERO, S_ONE, GaussRat, Scalar
 
 
 MC = 3
@@ -307,8 +308,30 @@ def _seen_poly(f):
 
 
 def _seen_form(x):
-    assert all(x.terms.values()), "a zero coefficient form was stored"
-    return {k: _seen_poly(v) for k, v in x.terms.items()}
+    terms = dict(x.terms)
+    assert all(terms.values()), "a zero coefficient form was stored"
+    return {k: _seen_poly(v) for k, v in terms.items()}
+
+
+# invariant forms with constant coefficients, seen as chart-form dicts whose
+# polynomials are constants, so the same oracle checks both form classes
+CONST = ((0,) * PM, (0,) * PM)
+
+
+def _constants(x):
+    return {k: {CONST: next(iter(v.values()))} for k, v in x.items()}
+
+
+def _inv_of(d, p, q):
+    return InvariantForm.build(PM, p, q, {
+        k: Scalar.const(GaussRat.of(*v[CONST])) for k, v in d.items()})
+
+
+def _seen_inv(x):
+    terms = dict(x.terms)
+    assert all(c.degree == 0 for c in terms.values()), "not a nonzero constant"
+    return {k: {CONST: (c.coefficient(0).re, c.coefficient(0).im)}
+            for k, c in terms.items()}
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -367,6 +390,13 @@ def test_chart_form_arithmetic_matches_oracle(p, q, p2, q2, data):
     assert _seen_form(X.conjugate()) == _o_fconj(x)
     assert (X.p, X.q) == (p, q) and (X.wedge(Z).p, X.wedge(Z).q) == (
         p + p2, q + q2)
+    x, y, z = _constants(x), _constants(y), _constants(z)
+    X, Y, Z = _inv_of(x, p, q), _inv_of(y, p, q), _inv_of(z, p2, q2)
+    assert _seen_inv(X + Y) == _o_fadd(x, y)
+    assert _seen_inv(X - Y) == _o_fadd(x, y, -1)
+    assert _seen_inv(-X) == _o_fadd({}, x, -1)
+    assert _seen_inv(X.wedge(Z)) == _o_wedge(x, z)
+    assert _seen_inv(X.conjugate()) == _o_fconj(x)
 
 
 @given(poly_dicts, st.randoms(use_true_random=False))
@@ -387,6 +417,15 @@ def test_equality_hash_and_text_ignore_insertion_order(f, rng):
     X1 = cl.ChartForm.build(PM, 1, 1, dict(forms))
     X2 = cl.ChartForm.build(PM, 1, 1, dict(reversed(forms)))
     assert X1 == X2 and hash(X1) == hash(X2) and str(X1) == str(X2)
+    # invariant forms: report text sorts the terms, whatever their order
+    coeffs = [Scalar.const(c) for _, c in items] or [S_ONE]
+    inv = [(k, coeffs[i % len(coeffs)]) for i, (k, _) in enumerate(forms)]
+    I1 = InvariantForm.build(PM, 1, 1, dict(inv))
+    I2 = InvariantForm.build(PM, 1, 1, dict(reversed(inv)))
+    assert I1 == I2 and hash(I1) == hash(I2) and str(I1) == str(I2)
+    J = InvariantForm.monomial(PM, [2], [1], S_ONE)
+    assert (I1 + J) == (J + I2) and str(I1 + J) == str(J + I2)
+    assert hash(I1 + J) == hash(J + I2)
 
 
 def test_containers_are_immutable_and_validated():
@@ -401,10 +440,21 @@ def test_containers_are_immutable_and_validated():
         cl.ChartForm.build(MC, 1, 0, {((1, 2), ()): cp(1)})
     with pytest.raises(cl.FormError):
         cl.ChartForm.build(MC, 2, 0, {((2, 1), ()): cp(1)})
+    with pytest.raises(cl.FormError):
+        cl.ChartForm.build(MC, 1, 0, {((5,), ()): cp(3)})
+    with pytest.raises(cl.FormError):
+        InvariantForm.build(MC, 2, 0, {((2, 1), ()): S_ONE})
     assert cl.Poly.build(MC, {((0,) * 3, (0,) * 3): GR_ZERO}) == cl.Poly(MC)
     assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
     x = cl.ChartForm.monomial(MC, (2,), (1,), f)
-    assert pickle.loads(pickle.dumps(x)) == x
+    g = InvariantForm.monomial(MC, (2,), (1,), Scalar.of(0, 3))
+    for form in (x, g):
+        with pytest.raises(AttributeError):
+            form.n = 4
+        with pytest.raises(TypeError):
+            form.coeffs[((1,), (1,))] = form.coeffs[((2,), (1,))]
+        assert copy.deepcopy(form) == form and copy.copy(form) == form
+        assert pickle.loads(pickle.dumps(form)) == form
 
 
 # -- the identity check fails when it should, and names where ----------------

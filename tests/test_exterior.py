@@ -44,6 +44,16 @@ def test_monomial_normalization():
     assert mono([1], [3, 2]) == -mono([1], [2, 3])
 
 
+def test_build_rejects_unsorted_legs():
+    # stored as given, the key would read 0 in either leg order, and adding
+    # the same monomial would print two terms
+    with pytest.raises(FormError):
+        InvariantForm.build(N, 2, 0, {((2, 1), ()): S_ONE})
+    f = InvariantForm.build(N, 2, 0, {((1, 2), ()): S_ONE})
+    g = f + mono([2, 1], []).scale(Scalar.of(3))
+    assert str(g) == "(-2) a^1^a^2"
+
+
 def test_coeff_arbitrary_order():
     f = mono([1, 2], [3], Scalar.of(5))
     assert f.coeff([2, 1], [3]) == Scalar.of(-5)

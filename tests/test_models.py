@@ -1,9 +1,11 @@
 """Built-in models and the JSON model description format."""
 
+import dataclasses
 import json
 
 import pytest
 
+from hetmod.exterior import EndForm, InvariantForm, MixedForm
 from hetmod.geometry import ModelError
 from hetmod.models import (
     BUILTIN_NAMES,
@@ -49,6 +51,29 @@ def test_json_round_trip(builtins):
         assert m2.chart == m.chart
         # and the serialization itself is a fixed point
         assert print_model(m2) == text
+
+
+def _reversed_terms(f):
+    return InvariantForm.build(f.n, f.p, f.q, dict(reversed(list(f.terms))))
+
+
+def test_printed_model_ignores_term_insertion_order(builtins):
+    reordered = 0
+    for m in builtins:
+        d = [MixedForm.build(mf.n, mf.degree,
+                             {k: _reversed_terms(f) for k, f in mf.parts})
+             for mf in m.d_coframe]
+        reordered += sum(list(_reversed_terms(f).terms) != list(f.terms)
+                         for mf in m.d_coframe for _, f in mf.parts)
+        F = m.curvature_F
+        grid = [[_reversed_terms(F.entry(i, j)) for j in range(F.r)]
+                for i in range(F.r)]
+        m2 = dataclasses.replace(
+            m, d_coframe=d, _cache={},
+            curvature_F=EndForm.build(F.n, F.r, F.p, F.q, grid))
+        assert m2.d_coframe == m.d_coframe
+        assert print_model(m2) == print_model(m)
+    assert reordered
 
 
 def test_parse_rejects_missing_keys(iwasawa):
