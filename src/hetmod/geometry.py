@@ -48,7 +48,8 @@ class HomogeneousModel:
     curvature_F: EndForm                # gauge curvature, (1,1), trace-free
     alpha_prime: Optional[GaussRat]
     chart: Optional[dict] = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def cached(self, key, builder):
         if key not in self._cache:

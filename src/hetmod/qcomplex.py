@@ -6,6 +6,9 @@ and a vector) tensored with invariant (0,p)-forms.  This module builds:
 * the algebraic couplings F., T. and R-nabla+ between the legs,
 * the operator Dbar (upper triangular in the three legs, the coupling slots
   weighted by the formal variable a) and its sub-operators D1, D2, H, H*,
+  by two routes: ``apply_Dbar`` and the block builders act on forms, and
+  ``assemble_Dbar`` fills the matrix from per-model tables (value-slot
+  couplings (x) maps on the legs ab^K); the form route is the oracle,
 * the Hermitian Gram matrix of the invariant section basis, a direct sum of
   Kronecker products, and the adjoint Dbar*, computed both from the Gram
   matrix's factors and from closed index formulas,
@@ -19,7 +22,7 @@ from that single choice (``_prepend``) plus the exterior-algebra normalizer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
@@ -197,15 +200,19 @@ def _cube(n: int, k: int):
 # the three leg derivatives (the Dolbeault operator on each value type)
 
 
-def dbar_leg(x, m: HomogeneousModel):
-    """The Dolbeault operator on a vector or covector leg form: dbar of each
-    component plus the (0,1) Chern connection, which acts on a covector leg
-    through minus its transpose."""
+def _mu_table(m: HomogeneousModel, dual: bool):
+    """The (0,1) Chern connection on a vector leg, or on a covector leg
+    (``dual``) through minus its transpose."""
     mu = chern_connection(m).mu
-    dual = isinstance(x, CovectorForm)
-    table = _table(m, ("mu", dual), m.n, lambda: (
+    return _table(m, ("mu", dual), m.n, lambda: (
         ((b, a, j), -mu[a][j][b] if dual else mu[a][b][j])
         for a, b, j in _cube(m.n, 3)))
+
+
+def dbar_leg(x, m: HomogeneousModel):
+    """The Dolbeault operator on a vector or covector leg form: dbar of each
+    component plus the (0,1) Chern connection."""
+    table = _mu_table(m, isinstance(x, CovectorForm))
     cs = _couple(table, x.comps, x.q + 1, _prepend)
     return x.build(m.n, 0, x.q + 1,
                    [dbar_form(f, m) + c for f, c in zip(x.comps, cs)])
@@ -221,34 +228,42 @@ def dbar_end(x: EndForm, m: HomogeneousModel) -> EndForm:
 # algebraic couplings
 
 
+def _f_table(m: HomogeneousModel, gauge: bool):
+    """The curvature coupling from the gauge grid (flat, read transposed) to
+    the covector leg, or (not ``gauge``) from the vector leg to the grid."""
+    n, r = m.n, m.rank
+    F = _f_array(m)
+    quad = itertools.product(range(n), range(n), range(r), range(r))
+    if gauge:
+        return _table(m, "F.gamma", n, lambda: (
+            ((j, k, v * r + u), F[j][k][u][v]) for j, k, u, v in quad))
+    return _table(m, "F.w", r * r, lambda: (
+        ((u * r + v, k, j), F[j][k][u][v]) for j, k, u, v in quad))
+
+
 def op_script_F(x, m: HomogeneousModel):
     """The curvature coupling: gauge leg -> covector leg, or vector leg ->
     gauge leg, with the new antiholomorphic index prepended."""
-    n, r = m.n, m.rank
-    F = _f_array(m)
-    q = x.q + 1
+    n, q = m.n, x.q + 1
     if isinstance(x, EndForm):
-        table = _table(m, "F.gamma", n, lambda: (
-            ((j, k, v * r + u), F[j][k][u][v])
-            for j, k, u, v in itertools.product(range(n), range(n),
-                                                range(r), range(r))))
-        return CovectorForm.build(n, 0, q, _couple(table, x.flat, q, _prepend))
+        return CovectorForm.build(
+            n, 0, q, _couple(_f_table(m, True), x.flat, q, _prepend))
     if isinstance(x, VectorForm):
-        table = _table(m, "F.w", r * r, lambda: (
-            ((u * r + v, k, j), F[j][k][u][v])
-            for j, k, u, v in itertools.product(range(n), range(n),
-                                                range(r), range(r))))
-        return EndForm(n, r, 0, q, tuple(_couple(table, x.comps, q, _prepend)))
+        return EndForm(n, m.rank, 0, q, tuple(
+            _couple(_f_table(m, False), x.comps, q, _prepend)))
     raise FormError("curvature coupling acts on gauge or vector legs only")
+
+
+def _t_table(m: HomogeneousModel):
+    arrT = _t_array(m)
+    return _table(m, "T", m.n, lambda: (
+        ((j, k, l), arrT[l][j][k]) for l, j, k in _cube(m.n, 3)))
 
 
 def op_script_T(x: VectorForm, m: HomogeneousModel) -> CovectorForm:
     """Torsion coupling T_{l j kbar} W^l on the vector leg."""
-    arrT = _t_array(m)
-    table = _table(m, "T", m.n, lambda: (
-        ((j, k, l), arrT[l][j][k]) for l, j, k in _cube(m.n, 3)))
     return CovectorForm.build(m.n, 0, x.q + 1,
-                              _couple(table, x.comps, x.q + 1, _prepend))
+                              _couple(_t_table(m), x.comps, x.q + 1, _prepend))
 
 
 def _chern_deriv_anti(f: InvariantForm, l: int, m: HomogeneousModel
@@ -288,13 +303,23 @@ def nabla_plus_direction(x: VectorForm, l: int, m: HomogeneousModel
     return VectorForm.build(n, 0, x.q, out)
 
 
-def op_R_nabla_plus(x: VectorForm, m: HomogeneousModel) -> CovectorForm:
-    """Chern curvature contracted with the torsion-shifted derivative."""
+def _r_table(m: HomogeneousModel):
+    """The curvature coupling on the derivatives: source l * n + mm is the
+    component mm of nabla+ in direction l."""
     n = m.n
     R = curvature_array(m)
-    table = _table(m, "R", n, lambda: (
+    return _table(m, "R", n, lambda: (
         ((j, k, l * n + mm), R[k][j][l][mm]) for k, j, l, mm in _cube(n, 4)))
-    deriv = [f for l in range(n) for f in nabla_plus_direction(x, l, m).comps]
+
+
+def op_R_nabla_plus(x: VectorForm, m: HomogeneousModel) -> CovectorForm:
+    """Chern curvature contracted with the torsion-shifted derivative, taken
+    only in the directions the curvature table reads."""
+    n = m.n
+    table = _r_table(m)
+    deriv = [InvariantForm.zero(n, 0, x.q)] * (n * n)
+    for l in sorted({i // n for _, _, i, _ in table[1]}):
+        deriv[l * n:(l + 1) * n] = nabla_plus_direction(x, l, m).comps
     return CovectorForm.build(n, 0, x.q + 1,
                               _couple(table, deriv, x.q + 1, _prepend))
 
@@ -369,42 +394,40 @@ class QBasis:
         return len(self.labels)
 
 
+def _basis_values(m: HomogeneousModel):
+    """The value parts of the q_basis sections in order, as (label,
+    {slot: coefficient}) over the value slots: the covector leg 0..n-1, the
+    gauge grid n..n+r^2-1 row by row, then the vector leg.  Each is
+    tensored with every leg ab^K."""
+    n, r = m.n, m.rank
+    return ([(f"e1:a^{j + 1}", {j: S_ONE}) for j in range(n)]
+            + [(f"e2:{name}", {n + (u - 1) * r + v - 1: Scalar.const(x)
+                               for (u, v), x in mat.items()})
+               for name, mat in trace_free_basis(r)]
+            + [(f"e3:V^{j + 1}", {n + r * r + j: S_ONE}) for j in range(n)])
+
+
+def q_labels(m: HomogeneousModel, p: int) -> Tuple[str, ...]:
+    """The labels of the q_basis, without building its sections."""
+    return m.cached(("q_labels", p), lambda: tuple(
+        f"{label}:{_leg_label(K)}" for label, _ in _basis_values(m)
+        for K in _combos(m.n, p)))
+
+
 def q_basis(m: HomogeneousModel, p: int) -> QBasis:
     def build():
         n, r = m.n, m.rank
-        combos = _combos(n, p)
-        labels: List[str] = []
-        sections: List[QSection] = []
-        for j in range(1, n + 1):
-            for K in combos:
-                comps = [InvariantForm.monomial(n, [], list(K))
-                         if t == j - 1 else InvariantForm.zero(n, 0, p)
-                         for t in range(n)]
-                labels.append(f"e1:a^{j}:{_leg_label(K)}")
+        sections = []
+        for _, value in _basis_values(m):
+            for K in _combos(n, p):
+                comps = [InvariantForm.monomial(n, [], K, value[i])
+                         if i in value else InvariantForm.zero(n, 0, p)
+                         for i in range(2 * n + r * r)]
                 sections.append(QSection.build(
-                    CovectorForm.build(n, 0, p, comps),
-                    EndForm.zero(n, r, 0, p), VectorForm.zero(n, 0, p)))
-        for name, mat in trace_free_basis(r):
-            for K in combos:
-                grid = [[InvariantForm.monomial(
-                    n, [], list(K), Scalar.const(mat[(i + 1, j + 1)]))
-                    if (i + 1, j + 1) in mat else InvariantForm.zero(n, 0, p)
-                    for j in range(r)] for i in range(r)]
-                labels.append(f"e2:{name}:{_leg_label(K)}")
-                sections.append(QSection.build(
-                    CovectorForm.zero(n, 0, p),
-                    EndForm.build(n, r, 0, p, grid),
-                    VectorForm.zero(n, 0, p)))
-        for j in range(1, n + 1):
-            for K in combos:
-                comps = [InvariantForm.monomial(n, [], list(K))
-                         if t == j - 1 else InvariantForm.zero(n, 0, p)
-                         for t in range(n)]
-                labels.append(f"e3:V^{j}:{_leg_label(K)}")
-                sections.append(QSection.build(
-                    CovectorForm.zero(n, 0, p), EndForm.zero(n, r, 0, p),
-                    VectorForm.build(n, 0, p, comps)))
-        return QBasis(n, r, p, tuple(labels), tuple(sections))
+                    CovectorForm.build(n, 0, p, comps[:n]),
+                    EndForm(n, r, 0, p, tuple(comps[n:n + r * r])),
+                    VectorForm.build(n, 0, p, comps[n + r * r:])))
+        return QBasis(n, r, p, q_labels(m, p), tuple(sections))
     return m.cached(("q_basis", p), build)
 
 
@@ -469,28 +492,111 @@ class QOperatorMatrix:
                 and self.entries == other.entries)
 
 
-def _matrix_from_images(source_p, target_p, source_labels, target_labels,
-                        images: List[List[Scalar]]) -> QOperatorMatrix:
-    rows = len(target_labels)
-    cols = len(source_labels)
-    grid = [[S_ZERO] * cols for _ in range(rows)]
-    for c, img in enumerate(images):
-        for rr in range(rows):
-            grid[rr][c] = img[rr]
-    return QOperatorMatrix(source_p, target_p, tuple(source_labels),
-                           tuple(target_labels),
-                           tuple(tuple(row) for row in grid))
+# The matrix of Dbar, read off per-model tables without building a form
+# (apply_Dbar is the form-level route it is checked against).  Value slots
+# are the covector leg 0..n-1, the gauge grid n..n+r^2-1 row by row and the
+# vector leg after it.  Each part of Dbar feeds a value slot i into a slot j
+# with a constant c and acts on the leg ab^K by a leg map: the leg dbar, or
+# the prepend of ab^{k+1}, after the Chern derivative in direction l for the
+# curvature term.  A column is that slot coupling (x) leg map.
+
+
+def _leg_map(m: HomogeneousModel, p: int, k=None, l=None):
+    """Row K holds the (index of K', coefficient) terms of a leg map on the
+    (0,p) monomial ab^K, K' over the (0,p+1) monomials: the leg dbar if k is
+    None, else the prepend of ab^{k+1}, after the Chern anti-leg derivative
+    in direction l unless l is None.  Built once per model by form code."""
+    def image(f):
+        if k is None:
+            return dbar_form(f, m).terms
+        return _prepend(k, f if l is None else _chern_deriv_anti(f, l, m))
+
+    def build():
+        index = {K: t for t, K in enumerate(_combos(m.n, p + 1))}
+        return [[(index[K], c) for (_, K), c in
+                 image(InvariantForm.monomial(m.n, [], K))]
+                for K in _combos(m.n, p)]
+    return m.cached(("leg_map", p, k, l), build)
+
+
+def _slot_couplings(m: HomogeneousModel, diagonal: bool):
+    """Per source slot i, the (j, k, l, c) of Dbar: slot i feeds slot j with
+    c times the leg map (k, l).  The decoupled operator keeps the leg dbar
+    and the (0,1) connection only."""
+    def build():
+        n, r = m.n, m.rank
+        g, w = n, n + r * r            # the first gauge and vector slots
+        parts = [(i, i, None, None, S_ONE) for i in range(w + n)]
+        parts += [(i, j, k, None, c) for j, k, i, c in _mu_table(m, True)[1]]
+        parts += [(w + i, w + j, k, None, c)
+                  for j, k, i, c in _mu_table(m, False)[1]]
+        if not diagonal:
+            parts += [(g + i, j, k, None, c * S_A)
+                      for j, k, i, c in _f_table(m, True)[1]]
+            parts += [(w + i, g + j, k, None, c)
+                      for j, k, i, c in _f_table(m, False)[1]]
+            parts += [(w + i, j, k, None, c) for j, k, i, c in _t_table(m)[1]]
+            R = _r_table(m)[1]
+            gp = bismut(m).gamma if R else ()
+            for j, k, i, c in R:
+                # component mm of nabla+_l w is the Chern derivative of w^mm
+                # plus gp[l][mm][b] w^b
+                l, mm = divmod(i, n)
+                parts.append((w + mm, j, k, l, c * S_A))
+                parts += [(w + b, j, k, None, c * S_A * Scalar.const(v))
+                          for b, v in enumerate(gp[l][mm]) if v]
+        out = [[] for _ in range(w + n)]
+        for i, *rest in parts:
+            out[i].append(rest)
+        return out
+    return m.cached(("slot_couplings", diagonal), build)
+
+
+def _column(acc: Dict, n: int, r: int, nt: int, rows: int) -> List[Scalar]:
+    """The q_basis coordinates of the section with value-slot coefficients
+    acc[(slot, K')]; the gauge grid of each K' goes through
+    endo_coordinates."""
+    col = [S_ZERO] * rows
+    grids: Dict[int, List[List[Scalar]]] = {}
+    for (j, K), v in acc.items():
+        if j < n:
+            col[j * nt + K] = v
+        elif j < n + r * r:
+            if K not in grids:
+                grids[K] = [[S_ZERO] * r for _ in range(r)]
+            u, t = divmod(j - n, r)
+            grids[K][u][t] = v
+        else:       # the r^2 gauge slots have r^2 - 1 coordinates
+            col[(j - 1) * nt + K] = v
+    for K, grid in grids.items():
+        for t, v in enumerate(endo_coordinates(grid)):
+            col[(n + t) * nt + K] = v
+    return col
 
 
 def assemble_Dbar(m: HomogeneousModel, p: int,
                   diagonal: bool = False) -> QOperatorMatrix:
+    """The matrix of Dbar from degree p over the q_basis, from the slot
+    couplings and the leg maps; ``apply_Dbar`` is the form-level route it is
+    tested against."""
     key = ("Dbar", p, diagonal)
     def build():
-        src = q_basis(m, p)
-        tgt = q_basis(m, p + 1)
-        images = [q_coordinates(apply_Dbar(s, m, diagonal))
-                  for s in src.sections]
-        return _matrix_from_images(p, p + 1, src.labels, tgt.labels, images)
+        n, r = m.n, m.rank
+        src, tgt = q_labels(m, p), q_labels(m, p + 1)
+        nk, nt = len(_combos(n, p)), len(_combos(n, p + 1))
+        couplings = [[(j, c, _leg_map(m, p, k, l)) for j, k, l, c in parts]
+                     for parts in _slot_couplings(m, diagonal)]
+        columns = []
+        for _, value in _basis_values(m):
+            for K in range(nk):
+                acc: Dict = {}
+                for i, x in value.items():
+                    for j, c, legs in couplings[i]:
+                        cx = c * x
+                        for Kt, v in legs[K]:
+                            _acc(acc, (j, Kt), v * cx)
+                columns.append(_column(acc, n, r, nt, len(tgt)))
+        return QOperatorMatrix(p, p + 1, src, tgt, tuple(zip(*columns)))
     return m.cached(key, build)
 
 
@@ -827,8 +933,8 @@ def _block(m: HomogeneousModel, p: int, src_legs, tgt_legs, image
     lo, hi = (_leg_bounds(m, p)[t] for t in src_legs)
     tlo, thi = (_leg_bounds(m, p + 1)[t] for t in tgt_legs)
     images = [q_coordinates(image(s))[tlo:thi] for s in src.sections[lo:hi]]
-    return _matrix_from_images(p, p + 1, src.labels[lo:hi],
-                               tgt.labels[tlo:thi], images)
+    return QOperatorMatrix(p, p + 1, src.labels[lo:hi], tgt.labels[tlo:thi],
+                           tuple(zip(*images)))
 
 
 def assemble_Dbar1(m: HomogeneousModel, p: int) -> QOperatorMatrix:
@@ -938,18 +1044,9 @@ def duality_residual(m: HomogeneousModel, beta: EndForm, v: VectorForm,
 def scale_gauge(m: HomogeneousModel, factor: GaussRat) -> HomogeneousModel:
     """Copy of the model with the gauge curvature scaled (breaks the anomaly
     balance unless factor is 1)."""
-    return HomogeneousModel(
-        name=m.name + f"[F*{factor}]",
-        n=m.n,
-        coframe_names=list(m.coframe_names),
-        d_coframe=list(m.d_coframe),
-        metric=[row[:] for row in m.metric],
-        omega_coeff=m.omega_coeff,
-        rank=m.rank,
-        curvature_F=m.curvature_F.scale(Scalar.const(factor)),
-        alpha_prime=m.alpha_prime,
-        chart=m.chart,
-    )
+    return replace(
+        m, name=m.name + f"[F*{factor}]",
+        curvature_F=m.curvature_F.scale(Scalar.const(factor)))
 
 
 def nilpotency_report(m: HomogeneousModel, p: int = 0) -> Dict:

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from hetmod.models import builtin_model
+from hetmod.scalars import GR_ONE, GR_ZERO, GaussRat
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +34,21 @@ def random_flat_models():
     from test_cohomology import _random_flat_model
     rng = random.Random(20261018)
     return [_random_flat_model(rng, idx) for idx in range(2)]
+
+
+@pytest.fixture(scope="session")
+def dense_metric_builtins(iwasawa, calabi_eckmann):
+    """iwasawa and calabi-eckmann with the dense, non-real Hermitian metric
+    I + A^dagger A, so that the curvature and the Bismut shift fill their
+    tables; ``dataclasses.replace`` gives each copy a cache of its own."""
+    out = []
+    for m in (iwasawa, calabi_eckmann):
+        n = m.n
+        A = [[GaussRat.of((i + 2 * j) % 3 - 1, (i * j + 1) % 3 - 1)
+              for j in range(n)] for i in range(n)]
+        metric = [[sum((A[k][i].conjugate() * A[k][j] for k in range(n)),
+                       start=GR_ONE if i == j else GR_ZERO)
+                   for j in range(n)] for i in range(n)]
+        out.append(dataclasses.replace(m, name=m.name + "-dense",
+                                       metric=metric))
+    return out

@@ -103,11 +103,11 @@ def test_cohomology_report_shape(iwasawa):
     assert rep["checks"]["passed"] is True
 
 
-def _random_flat_model(rng, idx):
+def _random_flat_model(rng, idx, n=3):
     """Closed coframe, random positive hermitian metric, random constant
     strictly-upper-triangular gauge curvature (so tr F^F = 0 and the
     operator is nilpotent for every coupling)."""
-    n, r = 3, 2
+    r = 2
     vals = [GaussRat.of(a, b) for a in (-1, 0, 1, 2) for b in (-1, 0, 1)]
     A = [[rng.choice(vals) for _ in range(n)] for _ in range(n)]
     metric = [[GR_ONE if i == j else GR_ZERO for j in range(n)]
@@ -127,7 +127,7 @@ def _random_flat_model(rng, idx):
     return HomogeneousModel(
         name=f"random-flat-{idx}",
         n=n,
-        coframe_names=["a1", "a2", "a3"],
+        coframe_names=[f"a{k + 1}" for k in range(n)],
         d_coframe=[MixedForm.zero(n, 2) for _ in range(n)],
         metric=metric,
         omega_coeff=GR_ONE,

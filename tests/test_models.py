@@ -6,7 +6,7 @@ import json
 import pytest
 
 from hetmod.exterior import EndForm, InvariantForm, MixedForm
-from hetmod.geometry import ModelError
+from hetmod.geometry import ModelError, metric_inverse
 from hetmod.models import (
     BUILTIN_NAMES,
     builtin_model,
@@ -14,6 +14,7 @@ from hetmod.models import (
     parse_model_text,
     print_model,
 )
+from hetmod.scalars import GR_ZERO, GaussRat
 
 
 def test_builtin_names_resolve():
@@ -69,11 +70,23 @@ def test_printed_model_ignores_term_insertion_order(builtins):
         grid = [[_reversed_terms(F.entry(i, j)) for j in range(F.r)]
                 for i in range(F.r)]
         m2 = dataclasses.replace(
-            m, d_coframe=d, _cache={},
+            m, d_coframe=d,
             curvature_F=EndForm.build(F.n, F.r, F.p, F.q, grid))
         assert m2.d_coframe == m.d_coframe
         assert print_model(m2) == print_model(m)
     assert reordered
+
+
+def test_replaced_model_has_its_own_cache():
+    m = builtin_model("iwasawa")
+    assert metric_inverse(m)[0][0] == GaussRat.of(2)     # metric 1/2 I
+    two = [[GaussRat.of(2) if i == j else GR_ZERO for j in range(m.n)]
+           for i in range(m.n)]
+    m2 = dataclasses.replace(m, metric=two)
+    assert metric_inverse(m2)[0][0] == GaussRat.of("1/2")
+    assert metric_inverse(m)[0][0] == GaussRat.of(2)
+    with pytest.raises(ValueError):
+        dataclasses.replace(m, _cache={})
 
 
 def test_parse_rejects_missing_keys(iwasawa):

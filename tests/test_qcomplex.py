@@ -1,16 +1,21 @@
 """The deformation operator on invariant Q-sections and its adjoint.
 
 Two independent routes exist for the adjoint (the Gram-matrix route and the
-closed index formulas), and two independent routes exist for the operator
-matrix itself (direct application versus the block split), so each pair acts
-as an oracle for the other.
+closed index formulas), and two for the operator matrix itself (the tables
+of assemble_Dbar versus the form code: apply_Dbar on every basis section,
+and the block split), so each pair acts as an oracle for the other.
 """
+
+import random
 
 import pytest
 
+from hetmod import cohomology as coh
 from hetmod import qcomplex as qc
 from hetmod.exterior import EndForm, InvariantForm, VectorForm
+from hetmod.geometry import bismut, validate_model
 from hetmod.scalars import GaussRat, S_ONE, Scalar
+from test_cohomology import _random_flat_model
 
 
 def test_q_basis_dimensions(iwasawa, calabi_eckmann):
@@ -32,15 +37,49 @@ def test_coordinates_round_trip(builtins):
             assert qc.section_from_coordinates(m, 1, coords) == s
 
 
-def test_matrix_matches_direct_application(iwasawa, calabi_eckmann):
-    for m in (iwasawa, calabi_eckmann):
-        for p in (0, 1):
-            op = qc.assemble_Dbar(m, p)
-            basis = qc.q_basis(m, p)
-            for j, s in enumerate(basis.sections):
-                col = qc.q_coordinates(qc.apply_Dbar(s, m))
-                for i in range(len(op.target_labels)):
-                    assert op.entries[i][j] == col[i]
+def _assert_tables_match_forms(m, p, diagonal):
+    """assemble_Dbar (slot couplings and leg maps) against apply_Dbar (form
+    code), column by column."""
+    op = qc.assemble_Dbar(m, p, diagonal)
+    basis = qc.q_basis(m, p)
+    assert op.source_labels == basis.labels
+    assert op.target_labels == qc.q_basis(m, p + 1).labels
+    for j, s in enumerate(basis.sections):
+        col = qc.q_coordinates(qc.apply_Dbar(s, m, diagonal))
+        assert [row[j] for row in op.entries] == col, (m.name, p, diagonal,
+                                                       basis.labels[j])
+
+
+def test_matrix_matches_direct_application(builtins, random_flat_models,
+                                           dense_metric_builtins):
+    for m in builtins + random_flat_models + dense_metric_builtins:
+        for p in range(m.n):
+            for diagonal in (False, True):
+                _assert_tables_match_forms(m, p, diagonal)
+
+
+def test_dense_metric_variants_reach_every_coupling(dense_metric_builtins):
+    # the Bismut shift acts on both variants, and on calabi-eckmann together
+    # with the curvature term (the built-in calabi-eckmann has no shift);
+    # iwasawa is holomorphically parallelizable, so its Chern curvature
+    # vanishes for every invariant metric
+    iw, ce = dense_metric_builtins
+    assert qc._r_table(ce)[1] and not qc._r_table(iw)[1]
+    for m in (iw, ce):
+        assert any(v for a in bismut(m).gamma for b in a for v in b), m.name
+
+
+def test_flat_model_at_n4():
+    # beyond the built-ins: n = 4, rank 2, a dense Hermitian metric and a
+    # nonzero strictly upper-triangular F
+    m = _random_flat_model(random.Random(4), 0, n=4)
+    assert validate_model(m) == [] and m.curvature_F
+    for p in range(m.n):
+        _assert_tables_match_forms(m, p, False)
+    data = coh.cohomology_data(m)
+    assert data.h == data.h[::-1], data.h
+    assert data.harmonic == data.h
+    assert data.euler == 0
 
 
 def test_block_reassembly(iwasawa, calabi_eckmann):
