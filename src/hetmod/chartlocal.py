@@ -15,18 +15,20 @@ provides:
 * transition sections phi_1 o phi_2^{-1} for different potential choices,
   with holomorphy and cocycle checks.
 
-Representation.  ``Poly``, ``ChartForm`` and ``ChartSection`` are sparse:
-each holds read-only mappings of its nonzero terms only (monomial ->
-GaussRat, leg key -> Poly, slot -> (0,q)-form).  ``ChartForm`` is an
-``exterior.Form`` with Poly coefficients, so its container, arithmetic and
-leg signs are those of the invariant forms.  No zero is ever stored, so
-``bool`` is emptiness, ``==`` and ``hash`` ignore insertion order, and
-terms are sorted only for printing.  The public constructors and ``build``
-validate what they are given; the arithmetic builds each result in one
-pass through the unchecked ``_poly``, ``exterior._form`` and ``_section``
-and never sorts.  Sections are pushed through the operators along
-precomputed tables of the nonzero couplings, so zero slots and zero
-couplings cost nothing.
+Representation.  ``Poly`` and ``ChartForm`` stay nested and sparse: each
+holds a read-only mapping of its nonzero terms only (monomial -> GaussRat,
+leg key -> Poly), and ``ChartForm`` is an ``exterior.Form`` with Poly
+coefficients, so its container, arithmetic and leg signs are those of the
+invariant forms.  A ``ChartSection`` is flat: one read-only term map
+(slot, dzbar legs, z exponents, zbar exponents) -> GaussRat.  No zero is
+ever stored, so ``bool`` is emptiness, ``==`` and ``hash`` ignore insertion
+order, and terms are sorted only for printing.  The public constructors and
+``build`` validate what they are given; the arithmetic builds each result
+in one pass through the unchecked ``_poly``, ``exterior._form`` and
+``_section`` and never sorts.  The operators on sections are a monomial
+dbar and shifts of exponents along flat tables of the nonzero couplings,
+split into monomial terms and scaled once when the tables are made, so
+zero slots and zero couplings cost nothing.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .exterior import (
     _form,
     _frozen,
     _Immutable,
+    _merge,
     _sum_terms,
     sort_with_sign,
 )
@@ -361,14 +364,26 @@ def _parse_one_form(m_coords: int, text: str) -> List[Tuple[Poly, int]]:
     return out
 
 
-def _links(entries) -> Dict:
-    """Group nonzero couplings (source slot, target slot, coefficient) by
-    source slot: {source: ((target, coefficient), ...)}."""
-    out: Dict = {}
-    for src, dst, val in entries:
-        if val:
-            out.setdefault(src, []).append((dst, val))
-    return {k: tuple(v) for k, v in out.items()}
+def _offsets(mc: int, r: int) -> Tuple[int, int, int]:
+    """The first gauge, vector and nabla slot of a term map: covector a is
+    slot a, gauge entry (u, v) is g0 + u r + v, vector a is w0 + a, and the
+    derivative (nabla_c w)_b of the vector part is n0 + c mc + b."""
+    return mc, mc + r * r, 2 * mc + r * r
+
+
+def _flat_table(entries) -> Dict:
+    """Couplings ``(source slot, target slot, coefficient, factor)`` as
+    {source: ((target, legs, z, zbar, c), ...)}: the coefficient, a function
+    (Poly) or a (0,1)-form, is split into its monomial terms, each times
+    the factor; terms that meet on the same target are added."""
+    acc: Dict = {}
+    for src, dst, f, k in entries:
+        forms = f.terms if isinstance(f, ChartForm) else ((((), ()), f),)
+        for (_, legs), poly in forms:
+            for (z, zb), c in poly.terms.items():
+                _acc(acc.setdefault(src, {}), (dst, legs, z, zb), c * k)
+    return {src: tuple(key + (c,) for key, c in t.items())
+            for src, t in acc.items() if t}
 
 
 def _derived(obj, **values) -> None:
@@ -380,11 +395,11 @@ def _derived(obj, **values) -> None:
 class ChartData:
     """Everything the trivialization needs, in chart coordinates.
 
-    The component arrays and the coupling tables are derived from the
-    torsion, curvature and Christoffel data when the object is made.  A
-    table maps a source slot to the ``(target slot, coefficient)`` pairs of
-    its nonzero couplings; ``nabla`` below is the torsion-shifted
-    derivative, ``(nabla_c w)_b`` keyed by ``(c, b)``.
+    The component arrays are derived from the torsion, curvature and
+    Christoffel data when the object is made, and so is ``nabla_table``,
+    the flat table (see ``_flat_table``) of the torsion-shifted derivative
+    (nabla_c w)_a += GammaPlus_c[a][b] w_b in the directions ``nabla_dirs``
+    that the R and Gamma couplings read.
     """
 
     m_coords: int
@@ -400,43 +415,25 @@ class ChartData:
     Tcomp: List = field(init=False, repr=False, compare=False)
     Fcomp: List = field(init=False, repr=False, compare=False)
     Rcomp: List = field(init=False, repr=False, compare=False)
-    # gauge (v, u) -> kappa j:  kappa_j += alpha' F_j[u][v] ^ gamma_vu
-    F_by_gamma: Dict = field(init=False, repr=False, compare=False)
-    # vector l -> gauge (u, v):  gamma_uv += F_l[u][v] ^ w_l
-    F_by_w: Dict = field(init=False, repr=False, compare=False)
-    # vector l -> kappa j:  kappa_j += T_lj ^ w_l
-    T_by_w: Dict = field(init=False, repr=False, compare=False)
-    # nabla (c, b) -> kappa j:  kappa_j += alpha' R_j[b][c] ^ (nabla_c w)_b
-    R_by_nabla: Dict = field(init=False, repr=False, compare=False)
-    # nabla (c, b) -> kappa a:  kappa_a += s alpha' Gamma_a[c][b] (nabla_c w)_b
-    # in phi (s = 1) and phi^{-1} (s = -1)
-    Gamma_by_nabla: Dict = field(init=False, repr=False, compare=False)
-    # (c, vector b) -> vector a:  (nabla_c w)_a += GammaPlus_c[a][b] w_b
-    GammaPlus_by_w: Dict = field(init=False, repr=False, compare=False)
     nabla_dirs: Tuple[int, ...] = field(init=False, repr=False,
                                         compare=False)
+    nabla_table: Dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mc, r = self.m_coords, self.rank
-        ms, rs = range(mc), range(r)
-        T = _torsion_components(mc, self.T_chart)
-        F = _f_components(mc, r, self.F_chart)
+        ms = range(mc)
         R = _gamma_r_components(mc, self.Gamma)
-        G, GP = self.Gamma, self.GammaPlus
         trip = list(itertools.product(ms, repeat=3))
-        gauge = [(j, u, v) for j in ms for u in rs for v in rs]
-        R_by_nabla = _links(((c, b), j, R[j][b][c]) for j, b, c in trip)
-        Gamma_by_nabla = _links(((c, b), a, G[a][c][b]) for a, c, b in trip)
+        dirs = tuple(sorted({c for j, b, c in trip if R[j][b][c]}
+                            | {c for a, c, b in trip if self.Gamma[a][c][b]}))
+        _, w0, n0 = _offsets(mc, r)
         _derived(
-            self, Tcomp=T, Fcomp=F, Rcomp=R,
-            F_by_gamma=_links(((v, u), j, F[j][u][v]) for j, u, v in gauge),
-            F_by_w=_links((j, (u, v), F[j][u][v]) for j, u, v in gauge),
-            T_by_w=_links((l, j, T[l][j]) for l in ms for j in ms),
-            R_by_nabla=R_by_nabla, Gamma_by_nabla=Gamma_by_nabla,
-            GammaPlus_by_w=_links(((c, b), a, GP[c][a][b])
-                                  for c, a, b in trip),
-            nabla_dirs=tuple(sorted({c for c, _ in R_by_nabla}
-                                    | {c for c, _ in Gamma_by_nabla})))
+            self, Tcomp=_torsion_components(mc, self.T_chart),
+            Fcomp=_f_components(mc, r, self.F_chart), Rcomp=R,
+            nabla_dirs=dirs,
+            nabla_table=_flat_table(
+                (w0 + b, n0 + c * mc + a, self.GammaPlus[c][a][b], GR_ONE)
+                for c in dirs for a in ms for b in ms))
 
 
 def _poly_matrix_inverse(P, m_coords: int):
@@ -572,17 +569,11 @@ def chern_simons(A) -> Tuple[ChartForm, ChartForm]:
     returned as its (3,0) and (2,1) parts."""
     r = len(A)
     mc = A[0][0].n
-    dA = [[None] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            p1, q1 = d_chart(A[i][j])
-            # combine the two parts into one mixed wedge via separate sums
-            dA[i][j] = (p1, q1)
     acc = ChartForm.zero(mc, 3, 0)
     acc01 = ChartForm.zero(mc, 2, 1)
     for i in range(r):
         for j in range(r):
-            p1, q1 = dA[j][i]
+            p1, q1 = d_chart(A[j][i])
             acc = acc + A[i][j].wedge(p1)
             acc01 = acc01 + A[i][j].wedge(q1)
     AAA = mat_wedge_chart(mat_wedge_chart(A, A), A)
@@ -616,9 +607,10 @@ def cs_transgression_residual(A, F) -> Tuple[ChartForm, ...]:
 class Trivialization:
     """A potential pair (A, tau) together with the chart data and coupling.
 
-    The A components, the products tr(A_a A_d) and the coupling tables are
-    derived from A and tau when the object is made, so a copy made with
-    ``dataclasses.replace`` stays consistent.
+    The A components and the flat coupling tables (see ``_flat_table``) of
+    the operators on sections are derived from A, tau, alpha and the chart
+    data when the object is made, so a copy made with ``dataclasses.replace``
+    stays consistent.  The coefficients already carry alpha' and the sign.
     """
 
     model_name: str
@@ -627,34 +619,48 @@ class Trivialization:
     A: Tuple[Tuple[ChartForm, ...], ...]      # (1,0)-form gauge potential
     tau: Tuple[Tuple[Poly, ...], ...]         # tau[a][b] functions
     Acomp: List = field(init=False, repr=False, compare=False)
-    trAA: Tuple = field(init=False, repr=False, compare=False)
-    # tables read by phi (s = 1) and phi^{-1} (s = -1):
-    # vector a -> gauge (u, v):  gamma_uv -= s A_a[u][v] w_a
-    A_by_w: Dict = field(init=False, repr=False, compare=False)
-    # gauge (v, u) -> kappa a:  kappa_a -= s alpha' A_a[u][v] gamma_vu
-    A_by_gamma: Dict = field(init=False, repr=False, compare=False)
-    # vector b -> kappa a:  kappa_a += s tau_ab w_b
-    tau_by_w: Dict = field(init=False, repr=False, compare=False)
-    # vector d -> kappa a:  kappa_a += alpha' tr(A_a A_d) w_d  (phi^{-1} only)
-    trAA_by_w: Dict = field(init=False, repr=False, compare=False)
+    # the couplings of D: kappa_j += alpha' F_j[u][v] ^ gamma_vu,
+    # gamma_uv += F_l[u][v] ^ w_l, kappa_j += T_lj ^ w_l and
+    # kappa_j += alpha' R_j[b][c] ^ (nabla_c w)_b
+    D_table: Dict = field(init=False, repr=False, compare=False)
+    # phi (s = 1) and phi^{-1} (s = -1) are the identity plus
+    # gamma_uv -= s A_a[u][v] w_a, kappa_a -= s alpha' A_a[u][v] gamma_vu,
+    # kappa_a += s tau_ab w_b, kappa_a += s alpha' Gamma_a[c][b] (nabla_c w)_b
+    # and, in phi^{-1} only, kappa_a += alpha' tr(A_a A_d) w_d
+    phi_table: Dict = field(init=False, repr=False, compare=False)
+    phi_inv_table: Dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mc, r = self.cd.m_coords, self.cd.rank
+        cd, al = self.cd, self.alpha
+        mc, r = cd.m_coords, cd.rank
         ms, rs = range(mc), range(r)
+        g0, w0, n0 = _offsets(mc, r)
         A = _a_components(self.A)
-        trAA = [[Poly.zero(mc) for _ in ms] for _ in ms]
-        for a in ms:
-            for d in ms:
-                for u in rs:
-                    for v in rs:
-                        trAA[a][d] = trAA[a][d] + A[a][u][v] * A[d][v][u]
+        F, G = cd.Fcomp, cd.Gamma
         gauge = [(a, u, v) for a in ms for u in rs for v in rs]
-        _derived(
-            self, Acomp=A, trAA=tuple(tuple(row) for row in trAA),
-            A_by_w=_links((a, (u, v), A[a][u][v]) for a, u, v in gauge),
-            A_by_gamma=_links(((v, u), a, A[a][u][v]) for a, u, v in gauge),
-            tau_by_w=_links((b, a, self.tau[a][b]) for a in ms for b in ms),
-            trAA_by_w=_links((d, a, trAA[a][d]) for a in ms for d in ms))
+        trip = list(itertools.product(ms, repeat=3))
+        D = _flat_table(itertools.chain(
+            ((g0 + v * r + u, j, F[j][u][v], al) for j, u, v in gauge),
+            ((w0 + j, g0 + u * r + v, F[j][u][v], GR_ONE)
+             for j, u, v in gauge),
+            ((w0 + l, j, cd.Tcomp[l][j], GR_ONE) for l in ms for j in ms),
+            ((n0 + c * mc + b, j, cd.Rcomp[j][b][c], al)
+             for j, b, c in trip)))
+
+        def phi(s: GaussRat):
+            return _flat_table(itertools.chain(
+                ((w0 + a, g0 + u * r + v, A[a][u][v], -s)
+                 for a, u, v in gauge),
+                ((g0 + v * r + u, a, A[a][u][v], -(al * s))
+                 for a, u, v in gauge),
+                ((w0 + b, a, self.tau[a][b], s) for a in ms for b in ms),
+                ((n0 + c * mc + b, a, G[a][c][b], al * s)
+                 for a, c, b in trip),
+                ((w0 + d, a, A[a][u][v] * A[d][v][u], al)
+                 for a, u, v in gauge for d in ms if s != GR_ONE)))
+
+        _derived(self, Acomp=A, D_table=D, phi_table=phi(GR_ONE),
+                 phi_inv_table=phi(-GR_ONE))
 
 
 def _torsion_components(mc: int, T_chart: ChartForm):
@@ -781,69 +787,94 @@ def potential_residuals(t: Trivialization) -> Dict[str, bool]:
 class ChartSection(_Immutable):
     """A Q-valued chart section of form degree (0,q).
 
-    ``kappa`` (covector part, dz^{a+1} -> a), ``gamma`` (gauge part, matrix
-    entry (u, v), 0-based) and ``w`` (vector part, d/dz^{a+1} -> a) are
-    read-only mappings from slot to nonzero (0,q)-form; an absent slot is
-    zero.  ``ChartSection(mc, rank, q, kappa, gamma, w)`` checks the
-    bidegrees and drops zero forms.
+    ``terms`` is a read-only term map (slot, dzbar legs, z exponents, zbar
+    exponents) -> nonzero GaussRat, with the slots numbered as in
+    ``_offsets``: covector dz^{a+1}, then gauge matrix entry (u, v), then
+    vector d/dz^{a+1}, all 0-based.  ``ChartSection(mc, rank, q, kappa,
+    gamma, w)`` takes slot -> (0,q)-form mappings, checks the slots and the
+    bidegrees, and flattens them; ``kappa``, ``gamma`` and ``w`` are
+    read-only views that regroup the terms into such mappings.
     """
 
-    __slots__ = ("mc", "rank", "q", "kappa", "gamma", "w")
+    __slots__ = ("mc", "rank", "q", "terms")
 
     def __new__(cls, mc: int, rank: int, q: int,
                 kappa: Mapping[int, ChartForm] = _EMPTY,
                 gamma: Mapping[Tuple[int, int], ChartForm] = _EMPTY,
                 w: Mapping[int, ChartForm] = _EMPTY):
-        parts = ({k: x for k, x in part.items() if x}
-                 for part in (kappa, gamma, w))
-        x = _section(mc, rank, q, *parts)
-        forms = itertools.chain(x.kappa.values(), x.gamma.values(),
-                                x.w.values())
-        if any((f.n, f.p, f.q) != (mc, 0, q) for f in forms):
-            raise FormError(f"chart section entries must be (0,{q})-forms")
-        return x
+        g0, w0, _ = _offsets(mc, rank)
 
-    @staticmethod
-    def zero(mc, rank, q) -> "ChartSection":
-        return _section(mc, rank, q, {}, {}, {})
+        def slot(what, k, bound):
+            if not 0 <= k < bound:
+                raise FormError(f"{what} {k} outside 0..{bound - 1}")
+            return k
+
+        slots = itertools.chain(
+            ((slot("covector", a, mc), x) for a, x in kappa.items()),
+            ((g0 + slot("gauge", u, rank) * rank + slot("gauge", v, rank), x)
+             for (u, v), x in gamma.items()),
+            ((w0 + slot("vector", a, mc), x) for a, x in w.items()))
+        terms = {}
+        for k, x in slots:
+            if x and (x.n, x.p, x.q) != (mc, 0, q):
+                raise FormError(f"chart section entries must be (0,{q})-forms")
+            for (_, legs), f in x.terms:
+                for (z, zb), c in f.terms.items():
+                    terms[(k, legs, z, zb)] = c
+        return _section(mc, rank, q, terms)
+
+    def _parts(self) -> Tuple[Mapping, Mapping, Mapping]:
+        """The terms regrouped as the kappa, gamma and w mappings."""
+        g0, w0, _ = _offsets(self.mc, self.rank)
+        groups: Dict = {}
+        for (k, legs, z, zb), c in self.terms.items():
+            groups.setdefault(k, {}).setdefault(legs, {})[(z, zb)] = c
+        parts: Tuple[dict, dict, dict] = ({}, {}, {})
+        for k, by_legs in groups.items():
+            part, key = ((0, k) if k < g0 else (2, k - w0) if k >= w0
+                         else (1, divmod(k - g0, self.rank)))
+            parts[part][key] = _form(ChartForm, self.mc, 0, self.q,
+                                     {((), legs): _poly(self.mc, t)
+                                      for legs, t in by_legs.items()})
+        return tuple(map(_frozen, parts))
+
+    kappa = property(lambda self: self._parts()[0])
+    gamma = property(lambda self: self._parts()[1])
+    w = property(lambda self: self._parts()[2])
 
     def __bool__(self) -> bool:
-        return bool(self.kappa or self.gamma or self.w)
+        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not ChartSection:
             return NotImplemented
-        return all(getattr(self, k) == getattr(other, k)
-                   for k in self.__slots__)
+        return ((self.mc, self.rank, self.q, self.terms)
+                == (other.mc, other.rank, other.q, other.terms))
 
     def __hash__(self) -> int:
         return hash((self.mc, self.rank, self.q,
-                     *(frozenset(part.items())
-                       for part in (self.kappa, self.gamma, self.w))))
+                     frozenset(self.terms.items())))
 
     def __add__(self, o: "ChartSection") -> "ChartSection":
         return _section(self.mc, self.rank, self.q,
-                        _sum_terms(self.kappa, o.kappa),
-                        _sum_terms(self.gamma, o.gamma),
-                        _sum_terms(self.w, o.w))
+                        _sum_terms(self.terms, o.terms))
 
     def __sub__(self, o: "ChartSection") -> "ChartSection":
         return _section(self.mc, self.rank, self.q,
-                        _sum_terms(self.kappa, o.kappa, -1),
-                        _sum_terms(self.gamma, o.gamma, -1),
-                        _sum_terms(self.w, o.w, -1))
+                        _sum_terms(self.terms, o.terms, -1))
 
     def labelled(self) -> Dict[str, str]:
         """The nonzero slots in slot order, as {label: printed form}:
         e1:dz^a (covector), e2:E(u,v) (gauge matrix unit), e3:d/dz^a
         (vector), 1-based."""
+        kappa, gamma, w = self._parts()
         out = {}
-        for a in sorted(self.kappa):
-            out[f"e1:dz^{a + 1}"] = str(self.kappa[a])
-        for u, v in sorted(self.gamma):
-            out[f"e2:E({u + 1},{v + 1})"] = str(self.gamma[(u, v)])
-        for a in sorted(self.w):
-            out[f"e3:d/dz^{a + 1}"] = str(self.w[a])
+        for a in sorted(kappa):
+            out[f"e1:dz^{a + 1}"] = str(kappa[a])
+        for u, v in sorted(gamma):
+            out[f"e2:E({u + 1},{v + 1})"] = str(gamma[(u, v)])
+        for a in sorted(w):
+            out[f"e3:d/dz^{a + 1}"] = str(w[a])
         return out
 
 
@@ -851,35 +882,68 @@ _set_section = [getattr(ChartSection, name).__set__
                 for name in ChartSection.__slots__]
 
 
-def _section(mc: int, rank: int, q: int, kappa: dict, gamma: dict,
-             w: dict) -> ChartSection:
-    """A ChartSection from dicts of nonzero (0,q)-forms that no one else
-    holds."""
+def _section(mc: int, rank: int, q: int, terms: dict) -> ChartSection:
+    """A ChartSection from a term map of nonzero coefficients that no one
+    else holds."""
     x = _alloc(ChartSection)
-    for put, value in zip(_set_section, (mc, rank, q, _frozen(kappa),
-                                         _frozen(gamma), _frozen(w))):
+    for put, value in zip(_set_section, (mc, rank, q, _frozen(terms))):
         put(x, value)
     return x
 
 
-def nabla_plus_chart(t: Trivialization, w: Mapping, c: int) -> Dict:
-    """The nonzero components {a: (nabla_c w)_a} of the (1,0)-covariant
-    derivative of a vector part ``w`` (slot -> form) in direction c, with
-    the coordinate coefficients of the torsion-shifted connection."""
-    out: Dict[int, ChartForm] = {}
-    for b, x in w.items():
-        _acc(out, b, _form(ChartForm, x.n, 0, x.q,
-                           {k: d for k, v in x.terms
-                            if (d := v.diff_z(c)).terms}))
-        for a, g in t.cd.GammaPlus_by_w.get((c, b), ()):
-            _acc(out, a, x.scale_poly(g))
-    return out
+@lru_cache(maxsize=None)
+def _dbar_monomial(legs: Tuple[int, ...], zb: Exp):
+    """dbar of zbar^zb dzbar^legs as ((legs', zb', coefficient), ...)."""
+    out = []
+    for k, e in enumerate(zb):
+        sign, new = _front(k + 1, legs) if e else (0, ())
+        if sign:
+            out.append((new, zb[:k] + (e - 1,) + zb[k + 1:], _int(sign * e)))
+    return tuple(out)
 
 
-def _nabla_dirs(t: Trivialization, w: Mapping) -> Dict:
-    """{c: nabla_plus_chart(t, w, c)} for the directions the couplings
-    read."""
-    return {c: nabla_plus_chart(t, w, c) for c in t.cd.nabla_dirs}
+def _dbar_terms(acc: dict, terms: Mapping) -> dict:
+    """acc += dbar of a term map, slot by slot."""
+    for (k, legs, z, zb), c in terms.items():
+        for new, zb2, f in _dbar_monomial(legs, zb):
+            _acc(acc, (k, new, z, zb2), c * f)
+    return acc
+
+
+def _couple(acc: dict, table: Dict, terms: Mapping) -> dict:
+    """acc += every coupling of a flat table applied to a term map: the
+    exponents add, and a (0,1) coefficient leg goes in front of the legs."""
+    get = table.get
+    for (k, legs, z, zb), c in terms.items():
+        for dst, front, fz, fzb, fc in get(k, ()):
+            sign, new = _merge(front, legs)
+            if sign:
+                v = c * fc
+                _acc(acc, (dst, new, tuple(map(add, z, fz)),
+                           tuple(map(add, zb, fzb))),
+                     v if sign == 1 else -v)
+    return acc
+
+
+def nabla_plus_chart(t: Trivialization, s: ChartSection) -> Dict:
+    """The (1,0)-covariant derivative of the vector part of ``s``, with the
+    coordinate coefficients of the torsion-shifted connection, in the
+    directions the couplings read: a term map keyed by the nabla slot
+    n0 + c mc + b of (nabla_c w)_b (see ``_offsets``)."""
+    mc = s.mc
+    _, w0, n0 = _offsets(mc, s.rank)
+    dirs = t.cd.nabla_dirs
+    out: Dict = {}
+    for (k, legs, z, zb), c in s.terms.items():
+        if k < w0:
+            continue
+        for d in dirs:
+            e = z[d]
+            if e:
+                _acc(out, (n0 + d * mc + k - w0, legs,
+                           z[:d] + (e - 1,) + z[d + 1:], zb),
+                     c if e == 1 else c * _int(e))
+    return _couple(out, t.cd.nabla_table, s.terms)
 
 
 def apply_Dbar_chart(t: Trivialization, s: ChartSection,
@@ -887,84 +951,32 @@ def apply_Dbar_chart(t: Trivialization, s: ChartSection,
     """The deformation operator in chart coordinates: coordinate frames are
     holomorphic, so the diagonal is the plain dbar and the couplings use the
     chart components of F, T and R.  ``nabla`` may pass in
-    ``_nabla_dirs(t, s.w)`` when the caller has it already."""
-    cd = t.cd
-    al = t.alpha
+    ``nabla_plus_chart(t, s)`` when the caller has it already."""
     if nabla is None:
-        nabla = _nabla_dirs(t, s.w)
-    kappa: Dict = {}
-    gamma: Dict = {}
-    w: Dict = {}
-    for a, x in s.kappa.items():
-        _acc(kappa, a, dbar_chart(x))
-    for vu, x in s.gamma.items():
-        _acc(gamma, vu, dbar_chart(x))
-        for j, f in cd.F_by_gamma.get(vu, ()):
-            _acc(kappa, j, f.wedge(x).scale(al))
-    for l, x in s.w.items():
-        _acc(w, l, dbar_chart(x))
-        for j, f in cd.T_by_w.get(l, ()):
-            _acc(kappa, j, f.wedge(x))
-        for uv, f in cd.F_by_w.get(l, ()):
-            _acc(gamma, uv, f.wedge(x))
-    for c, comps in nabla.items():
-        for b, y in comps.items():
-            for j, f in cd.R_by_nabla.get((c, b), ()):
-                _acc(kappa, j, f.wedge(y).scale(al))
-    return _section(s.mc, s.rank, s.q + 1, kappa, gamma, w)
+        nabla = nabla_plus_chart(t, s)
+    acc = _couple(_dbar_terms({}, s.terms), t.D_table, s.terms)
+    return _section(s.mc, s.rank, s.q + 1, _couple(acc, t.D_table, nabla))
 
 
-def _phi_action(t: Trivialization, s: ChartSection, inverse: bool,
-                nabla: Optional[Dict] = None) -> ChartSection:
-    cd = t.cd
-    al = t.alpha
-    sgn = GaussRat.of(-1) if inverse else GR_ONE
-    if nabla is None:
-        nabla = _nabla_dirs(t, s.w)
-    # gauge part: gamma - sgn A W (the potential enters with a minus sign so
-    # that dbar of the component matrices produces +F in the conjugation)
-    gamma = s.gamma.copy()
-    for a, x in s.w.items():
-        for uv, f in t.A_by_w.get(a, ()):
-            _acc(gamma, uv, x.scale_poly(f.scale(-sgn)))
-    # covector part: -alpha' A acting on the gauge part, -alpha' tr(A_a gamma)
-    kappa = s.kappa.copy()
-    for vu, x in s.gamma.items():
-        for a, f in t.A_by_gamma.get(vu, ()):
-            _acc(kappa, a, x.scale_poly(f.scale(-(al * sgn))))
-    # tau + alpha' Gamma . nabla+ acting on W (sign flips when inverted)
-    for b, x in s.w.items():
-        for a, f in t.tau_by_w.get(b, ()):
-            _acc(kappa, a, x.scale_poly(f.scale(sgn)))
-    for c, comps in nabla.items():
-        for b, y in comps.items():
-            for a, f in cd.Gamma_by_nabla.get((c, b), ()):
-                _acc(kappa, a, y.scale_poly(f.scale(al * sgn)))
-    if inverse:
-        # + alpha' (A.A) W = alpha' tr(A_a A_d) W^d
-        for d, x in s.w.items():
-            for a, f in t.trAA_by_w.get(d, ()):
-                _acc(kappa, a, x.scale_poly(f.scale(al)))
-    return _section(s.mc, s.rank, s.q, kappa, gamma, s.w.copy())
+def _phi_action(table: Dict, s: ChartSection, nabla: Dict) -> ChartSection:
+    acc = _couple(s.terms.copy(), table, s.terms)
+    return _section(s.mc, s.rank, s.q, _couple(acc, table, nabla))
 
 
 def apply_phi(t: Trivialization, s: ChartSection,
               nabla: Optional[Dict] = None) -> ChartSection:
     """phi s; ``nabla`` as for apply_Dbar_chart."""
-    return _phi_action(t, s, inverse=False, nabla=nabla)
+    if nabla is None:
+        nabla = nabla_plus_chart(t, s)
+    return _phi_action(t.phi_table, s, nabla)
 
 
 def apply_phi_inverse(t: Trivialization, s: ChartSection) -> ChartSection:
-    return _phi_action(t, s, inverse=True)
-
-
-def _dbar_slots(part: Mapping) -> dict:
-    return {k: d for k, x in part.items() if (d := dbar_chart(x)).terms}
+    return _phi_action(t.phi_inv_table, s, nabla_plus_chart(t, s))
 
 
 def dbar_section(s: ChartSection) -> ChartSection:
-    return _section(s.mc, s.rank, s.q + 1, _dbar_slots(s.kappa),
-                    _dbar_slots(s.gamma), _dbar_slots(s.w))
+    return _section(s.mc, s.rank, s.q + 1, _dbar_terms({}, s.terms))
 
 
 def trivialization_residual(t: Trivialization,
@@ -974,7 +986,7 @@ def trivialization_residual(t: Trivialization,
     The two sides are built independently; they share only the
     torsion-shifted derivative of the vector part of ``s``, which both read.
     """
-    nabla = _nabla_dirs(t, s.w)
+    nabla = nabla_plus_chart(t, s)
     lhs = apply_Dbar_chart(t, s, nabla)
     rhs = apply_phi_inverse(t, dbar_section(apply_phi(t, s, nabla)))
     return lhs - rhs
@@ -986,29 +998,24 @@ def _labelled_sections(t: Trivialization, degree: int):
     covector, trace-free gauge and vector slot."""
     cd = t.cd
     mc, r = cd.m_coords, cd.rank
-    monos = []
+    g0, w0, _ = _offsets(mc, r)
+    from .qcomplex import trace_free_basis
+    slots = ([(f"e1:dz^{a + 1}", [(a, GR_ONE)]) for a in range(mc)]
+             + [(f"e2:{name}", [(g0 + (i - 1) * r + j - 1, c)
+                                for (i, j), c in mat.items()])
+                for name, mat in trace_free_basis(r)]
+             + [(f"e3:d/dz^{a + 1}", [(w0 + a, GR_ONE)]) for a in range(mc)])
     for total in range(degree + 1):
         for za in itertools.combinations_with_replacement(range(2 * mc),
                                                           total):
-            a = [0] * mc
-            b = [0] * mc
+            e = [0] * (2 * mc)
             for x in za:
-                if x < mc:
-                    a[x] += 1
-                else:
-                    b[x - mc] += 1
-            monos.append(_poly(mc, {(tuple(a), tuple(b)): GR_ONE}))
-    from .qcomplex import trace_free_basis
-    for f in monos:
-        form = ChartForm.func(f)
-        for a in range(mc):
-            yield f"e1:dz^{a + 1}", f, _section(mc, r, 0, {a: form}, {}, {})
-        for name, mat in trace_free_basis(r):
-            gamma = {(i - 1, j - 1): form.scale(c)
-                     for (i, j), c in mat.items()}
-            yield f"e2:{name}", f, _section(mc, r, 0, {}, gamma, {})
-        for a in range(mc):
-            yield f"e3:d/dz^{a + 1}", f, _section(mc, r, 0, {}, {}, {a: form})
+                e[x] += 1
+            z, zb = tuple(e[:mc]), tuple(e[mc:])
+            mono = _poly(mc, {(z, zb): GR_ONE})
+            for label, entries in slots:
+                yield label, mono, _section(mc, r, 0, {(k, (), z, zb): c
+                                                       for k, c in entries})
 
 
 def monomial_sections(t: Trivialization, degree: int):
@@ -1070,10 +1077,7 @@ def transition_cocycle_residual(t1: Trivialization, t2: Trivialization,
         for v in range(r):
             if p12.a_diff[u][v] + p23.a_diff[u][v] - p13.a_diff[u][v]:
                 return False
-    D12 = _a_components([[p12.a_diff[u][v] for v in range(r)]
-                         for u in range(r)])
-    D23 = _a_components([[p23.a_diff[u][v] for v in range(r)]
-                         for u in range(r)])
+    D12, D23 = _a_components(p12.a_diff), _a_components(p23.a_diff)
     for a in range(mc):
         for d in range(mc):
             acc = p12.top[a][d] + p23.top[a][d] - p13.top[a][d]
@@ -1114,12 +1118,7 @@ def trivialization_report(m: HomogeneousModel, degree: int = 3,
                           alpha0: Optional[GaussRat] = None) -> Dict:
     t0 = build_trivialization(m, alpha0, shift=0)
     pots = potential_residuals(t0)
-    res = cs_transgression_residual([[t0.A[u][v] for v in range(t0.cd.rank)]
-                                     for u in range(t0.cd.rank)],
-                                    [[t0.cd.F_chart[u][v]
-                                      for v in range(t0.cd.rank)]
-                                     for u in range(t0.cd.rank)])
-    cs_ok = not any(res)
+    cs_ok = not any(cs_transgression_residual(t0.A, t0.cd.F_chart))
     ident = operator_identity_report(t0, degree)
     t1 = build_trivialization(m, alpha0, shift=1)
     t2 = build_trivialization(m, alpha0, shift=2)

@@ -10,6 +10,7 @@ import importlib.util
 import pathlib
 import types
 
+from hetmod import chartlocal as cl
 from hetmod import qcomplex as qc
 from hetmod.models import BUILTIN_NAMES, builtin_model
 from hetmod.scalars import Scalar
@@ -55,3 +56,24 @@ def test_micro_metrics_run_on_the_builtins():
     metrics = child.micro_metrics(tracer, loaded)
     assert len(metrics) == 5
     assert all(v > 0 for v in metrics.values()), metrics
+
+
+def test_chart_identity_calls_the_traced_residual_once_per_section(
+        iwasawa, monkeypatch):
+    # the tracer counts chartlocal.sections as calls of
+    # trivialization_residual, so the report must make exactly one per
+    # section it checks: 1890 on the chart workload's degree 4
+    t = cl.build_trivialization(iwasawa)
+    calls = []
+    residual = cl.trivialization_residual
+
+    def counted(*args):
+        calls.append(args[1])
+        return residual(*args)
+
+    monkeypatch.setattr(cl, "trivialization_residual", counted)
+    for degree, want in ((1, 63), (4, 1890)):
+        calls.clear()
+        rep = cl.operator_identity_report(t, degree)
+        assert rep["sections_checked"] == len(calls) == want
+        assert calls == cl.monomial_sections(t, degree)

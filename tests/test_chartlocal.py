@@ -504,3 +504,157 @@ def test_report_counts_failures_of_a_perturbed_pair(iwasawa, monkeypatch):
     assert rep["potentials"]["torsion_potential"] is False
     assert rep["operator_identity"]["failures"] > 0
     assert rep["operator_identity"]["first_failure"]["slot"] == "e3:d/dz^2"
+
+
+# -- the flat section operators against a ChartForm-level reference ---------
+#
+# The reference pushes the kappa/gamma/w views through dbar_chart, wedge and
+# scale_poly, reading the couplings from the component arrays (not from the
+# flat tables) in every direction; it returns a section built by the
+# validating constructor.
+
+
+def _put(acc, key, form):
+    acc[key] = acc[key] + form if key in acc else form
+
+
+def _ref_nabla(t, w, c):
+    """{b: (nabla_c w)_b} = d/dz_c w_b + GammaPlus_c[b][a] w_a."""
+    mc = t.cd.m_coords
+    out = {}
+    for a, x in w.items():
+        _put(out, a, cl.ChartForm.build(mc, 0, x.q, {
+            k: v.diff_z(c) for k, v in x.terms}))
+        for b in range(mc):
+            _put(out, b, x.scale_poly(t.cd.GammaPlus[c][b][a]))
+    return out
+
+
+def _ref_Dbar(t, s, with_R=True):
+    cd, al = t.cd, t.alpha
+    mc, r = cd.m_coords, cd.rank
+    kappa, gamma, w = {}, {}, {}
+    for a, x in s.kappa.items():
+        _put(kappa, a, cl.dbar_chart(x))
+    for (v, u), x in s.gamma.items():
+        _put(gamma, (v, u), cl.dbar_chart(x))
+        for j in range(mc):
+            _put(kappa, j, cd.Fcomp[j][u][v].wedge(x).scale(al))
+    for l, x in s.w.items():
+        _put(w, l, cl.dbar_chart(x))
+        for j in range(mc):
+            _put(kappa, j, cd.Tcomp[l][j].wedge(x))
+        for u, v in itertools.product(range(r), repeat=2):
+            _put(gamma, (u, v), cd.Fcomp[l][u][v].wedge(x))
+    for c in range(mc) if with_R else ():
+        for b, y in _ref_nabla(t, s.w, c).items():
+            for j in range(mc):
+                _put(kappa, j, cd.Rcomp[j][b][c].wedge(y).scale(al))
+    return cl.ChartSection(mc, r, s.q + 1, kappa, gamma, w)
+
+
+def _ref_phi(t, s, inverse=False):
+    cd, al, A = t.cd, t.alpha, t.Acomp
+    mc, r = cd.m_coords, cd.rank
+    sgn = GaussRat.of(-1 if inverse else 1)
+    gauge = list(itertools.product(range(r), repeat=2))
+    gamma, kappa = dict(s.gamma), dict(s.kappa)
+    for a, x in s.w.items():
+        for u, v in gauge:
+            _put(gamma, (u, v), x.scale_poly(A[a][u][v].scale(-sgn)))
+    for (v, u), x in s.gamma.items():
+        for a in range(mc):
+            _put(kappa, a, x.scale_poly(A[a][u][v].scale(-(al * sgn))))
+    for b, x in s.w.items():
+        for a in range(mc):
+            _put(kappa, a, x.scale_poly(t.tau[a][b].scale(sgn)))
+            if inverse:
+                trAA = cl.Poly.zero(mc)
+                for u, v in gauge:
+                    trAA = trAA + A[a][u][v] * A[b][v][u]
+                _put(kappa, a, x.scale_poly(trAA.scale(al)))
+    for c in range(mc):
+        for b, y in _ref_nabla(t, s.w, c).items():
+            for a in range(mc):
+                _put(kappa, a, y.scale_poly(cd.Gamma[a][c][b].scale(al * sgn)))
+    return cl.ChartSection(mc, r, s.q, kappa, gamma, dict(s.w))
+
+
+def _ref_dbar(s):
+    return cl.ChartSection(s.mc, s.rank, s.q + 1,
+                           *({k: cl.dbar_chart(x) for k, x in part.items()}
+                             for part in (s.kappa, s.gamma, s.w)))
+
+
+def _ref_residual(t, s):
+    return _ref_Dbar(t, s) - _ref_phi(t, _ref_dbar(_ref_phi(t, s)), True)
+
+
+def _compare_with_reference(t, degree):
+    """Every flat operator equals the reference on every monomial section
+    up to ``degree`` and on the (0,1)-sections dbar(phi s); returns the
+    number of nonzero residuals."""
+    failures = 0
+    for s in cl.monomial_sections(t, degree):
+        one = cl.dbar_section(cl.apply_phi(t, s))
+        assert one == _ref_dbar(_ref_phi(t, s))
+        for x in (s, one):
+            assert cl.apply_Dbar_chart(t, x) == _ref_Dbar(t, x)
+            assert cl.apply_phi(t, x) == _ref_phi(t, x)
+            assert cl.apply_phi_inverse(t, x) == _ref_phi(t, x, True)
+        res, ref = cl.trivialization_residual(t, s), _ref_residual(t, s)
+        assert res == ref and hash(res) == hash(ref) and res.q == 1
+        failures += bool(res)
+    return failures
+
+
+def test_flat_operators_match_the_chart_form_reference(
+        iwasawa, dense_metric_builtins):
+    t = cl.build_trivialization(iwasawa)
+    assert _compare_with_reference(t, 2) == 0
+    assert _compare_with_reference(_perturbed(t), 2) > 0
+    dense = cl.build_trivialization(dense_metric_builtins[0])
+    assert dense.cd.T_chart != t.cd.T_chart     # the metric bends T only
+    assert _compare_with_reference(dense, 2) > 0
+
+
+def test_curvature_coupling_R_nabla_plus(iwasawa):
+    """No chart model has R = dbar Gamma nonzero, so one Christoffel entry
+    is made non-holomorphic here; the operators must follow the reference,
+    and the reference without its R term must not match."""
+    t = cl.build_trivialization(iwasawa)
+    G = [[list(row) for row in g] for g in t.cd.Gamma]
+    G[0][2][1] = G[0][2][1] + zbp(1) * zp(0)
+    cd = dataclasses.replace(t.cd, Gamma=tuple(
+        tuple(tuple(row) for row in g) for g in G))
+    assert any(f for g in cd.Rcomp for row in g for f in row)
+    bent = dataclasses.replace(t, cd=cd)
+    assert _compare_with_reference(bent, 2) > 0
+    sections = cl.monomial_sections(bent, 2)
+    assert any(cl.apply_Dbar_chart(bent, s) != _ref_Dbar(bent, s, False)
+               for s in sections)
+
+
+def test_section_views_round_trip_and_slots_are_checked():
+    f = cl.ChartForm.func(zp(0) * zbp(2) + cp(2))
+    g = cl.ChartForm.monomial(MC, (), (2,), zbp(0))
+    s = cl.ChartSection(MC, 2, 0, {2: f}, {(1, 0): f, (0, 1): -f}, {0: f})
+    assert (dict(s.kappa), dict(s.gamma), dict(s.w)) == (
+        {2: f}, {(1, 0): f, (0, 1): -f}, {0: f})
+    assert list(s.labelled()) == ["e1:dz^3", "e2:E(1,2)", "e2:E(2,1)",
+                                  "e3:d/dz^1"]
+    assert s - s == cl.ChartSection(MC, 2, 0) and not (s - s)
+    assert s + s == cl.ChartSection(MC, 2, 0, {2: f + f},
+                                    {(1, 0): f + f, (0, 1): -f - f},
+                                    {0: f + f})
+    with pytest.raises(TypeError):
+        s.kappa[0] = f
+    with pytest.raises(cl.FormError):
+        cl.ChartSection(MC, 2, 0, {0: g})
+    # slots outside the chart or the gauge matrix are refused
+    for kappa, gamma, w in [({7: f}, {(5, -1): f}, {}), ({3: f}, {}, {}),
+                            ({-1: f}, {}, {}), ({}, {(0, 2): f}, {}),
+                            ({}, {(2, 0): f}, {}), ({}, {(-1, 0): f}, {}),
+                            ({}, {}, {3: f}), ({}, {}, {-1: f})]:
+        with pytest.raises(cl.FormError):
+            cl.ChartSection(MC, 2, 0, kappa, gamma, w)
