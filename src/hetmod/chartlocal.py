@@ -985,10 +985,14 @@ def trivialization_residual(t: Trivialization,
 
     The two sides are built independently; they share only the
     torsion-shifted derivative of the vector part of ``s``, which both read.
+    Equal sides, every section of a valid pair, cost one term-map
+    comparison.
     """
     nabla = nabla_plus_chart(t, s)
     lhs = apply_Dbar_chart(t, s, nabla)
     rhs = apply_phi_inverse(t, dbar_section(apply_phi(t, s, nabla)))
+    if lhs.terms == rhs.terms:
+        return _section(lhs.mc, lhs.rank, lhs.q, {})
     return lhs - rhs
 
 

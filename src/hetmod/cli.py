@@ -89,9 +89,7 @@ def _run_serre(args) -> int:
 
 def _run_symbol(args) -> int:
     m = _load_model(args.model)
-    a0 = _parse_alpha(args.alpha_prime)
-    if a0 is None:
-        a0 = m.alpha_prime if m.alpha_prime is not None else GaussRat.of(1)
+    a0 = cohomology.resolve_alpha(m, _parse_alpha(args.alpha_prime))
     report = {"model": m.name, "alpha_prime": str(a0)}
     report.update(cohomology.injectivity_scan(m, a0, limit=args.samples))
     _emit(report, args.out)

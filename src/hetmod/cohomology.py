@@ -1,8 +1,9 @@
 """Cohomology of the deformation operator on the invariant complex.
 
 All dimensions are exact and refer to the finite-dimensional invariant
-subcomplex: kernels and ranks are computed over the Gaussian rationals after
-specializing the coupling constant.  The module also implements the principal
+subcomplex: each kernel dimension is a dimension minus a rank, computed over
+the Gaussian rationals after specializing the coupling constant, so no
+kernel vector is built.  The module also implements the principal
 symbol of Dbar + Dbar* and an injectivity scan over a lattice of nonzero
 cotangent samples, which is the effective content of ellipticity here.
 """
@@ -34,8 +35,10 @@ def q_space_dimension(m: HomogeneousModel, p: int) -> int:
     return q_value_dimension(m) * comb(m.n, p)
 
 
-def _resolve_alpha(m: HomogeneousModel, alpha0: Optional[GaussRat]
-                   ) -> GaussRat:
+def resolve_alpha(m: HomogeneousModel, alpha0: Optional[GaussRat]
+                  ) -> GaussRat:
+    """The coupling a report uses: ``alpha0`` if given (it must be real),
+    else the model's alpha', else 1."""
     if alpha0 is not None:
         if alpha0.im:
             raise ModelError(
@@ -114,7 +117,7 @@ def cohomology_data(m: HomogeneousModel, alpha0: Optional[GaussRat] = None,
     Refuses (with the anomaly residual in the message) when the operator does
     not square to zero at the chosen coupling.
     """
-    a0 = _resolve_alpha(m, alpha0)
+    a0 = resolve_alpha(m, alpha0)
     n = m.n
     chain = _operator_chain(m, a0, diagonal)
     if not diagonal:
@@ -126,11 +129,8 @@ def cohomology_data(m: HomogeneousModel, alpha0: Optional[GaussRat] = None,
     prev_rank = 0
     for p in range(n + 1):
         dim = q_space_dimension(m, p)
-        if p < n:
-            ker = len(linalg.kernel_basis(chain[p], cols=dim))
-        else:
-            ker = dim
-        rank = dim - ker
+        rank = linalg.rank(chain[p]) if p < n else 0
+        ker = dim - rank
         h = ker - prev_rank
         # harmonic space: ker of Dbar stacked over ker of the adjoint
         stacked: List[List[GaussRat]] = []
@@ -138,7 +138,7 @@ def cohomology_data(m: HomogeneousModel, alpha0: Optional[GaussRat] = None,
             stacked.extend(chain[p])
         if p > 0:
             stacked.extend(adjoints[p - 1])
-        harm = len(linalg.kernel_basis(stacked, cols=dim)) if stacked else dim
+        harm = dim - linalg.rank(stacked)
         degrees.append(DegreeData(p, dim, ker, rank, h, harm))
         prev_rank = rank
     return CohomologyData(m.name, a0, tuple(degrees))
@@ -264,23 +264,15 @@ def symbol_matrix(m: HomogeneousModel, xi: List[GaussRat],
     return M
 
 
-def symbol_samples(n: int, extras: Optional[List[List[GaussRat]]] = None):
-    """All cotangent samples with components in {0, +-1, +-i, 1+-i},
-    excluding zero, plus caller extras."""
-    alphabet = [
-        GR_ZERO,
-        GaussRat.of(1),
-        GaussRat.of(-1),
-        GaussRat.of(0, 1),
-        GaussRat.of(0, -1),
-        GaussRat.of(1, 1),
-        GaussRat.of(1, -1),
-    ]
-    out = [list(xi) for xi in itertools.product(alphabet, repeat=n)
-           if any(xi)]
-    if extras:
-        out.extend([list(x) for x in extras])
-    return out
+_ALPHABET = (GR_ZERO, GaussRat.of(1), GaussRat.of(-1), GaussRat.of(0, 1),
+             GaussRat.of(0, -1), GaussRat.of(1, 1), GaussRat.of(1, -1))
+
+
+def symbol_samples(n: int):
+    """Iterator over the 7^n - 1 cotangent samples with components in
+    {0, +-1, +-i, 1+-i}, excluding zero; each is made when it is reached."""
+    return (list(xi) for xi in itertools.product(_ALPHABET, repeat=n)
+            if any(xi))
 
 
 def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat):
@@ -356,34 +348,37 @@ def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat):
 def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
                      samples: Optional[List[List[GaussRat]]] = None,
                      limit: Optional[int] = None) -> Dict:
-    """Decide injectivity of the symbol at every sample, in order; reports
-    the count and the first failing sample if any.
+    """Decide injectivity of the symbol at every sample, in order, up to
+    the first failure; reports the number of samples asked for (the first
+    ``limit`` of ``samples``, which defaults to ``symbol_samples``) and the
+    first failing sample if any.
 
     The symbol is injective at xi iff both blocks of ``symbol_blocks`` have
     full column rank: B (when r > 1) and C.  Each block is built from
     Gaussian integers, one sample at a time, and reduced mod the prime
     ``linalg.CERT_P``; full column rank there proves it over Q(i).  Only a
-    block that falls short mod p goes to exact Bareiss elimination, which
+    block that falls short mod p goes to exact elimination over Q(i), which
     decides.  An empty scan is refused.
     """
     if samples is None:
-        samples = symbol_samples(m.n)
-    if limit is not None:
-        samples = samples[:max(limit, 0)]
-    if not samples:
+        total, samples = len(_ALPHABET) ** m.n - 1, symbol_samples(m.n)
+    else:
+        total = len(samples)
+    count = total if limit is None else min(max(limit, 0), total)
+    if not count:
         raise ModelError("the symbol scan needs at least one sample")
     n = m.n
     gauge = m.rank * m.rank > 1
     build = symbol_blocks(m, alpha0)
     first_failure = None
-    for xi in samples:
+    for xi in itertools.islice(samples, count):
         B, C = build(xi)
         if ((gauge and linalg.certified_rank(B) < n)
                 or linalg.certified_rank(C) < 2 * n * n):
             first_failure = "(" + ", ".join(str(x) for x in xi) + ")"
             break
     return {
-        "samples": len(samples),
+        "samples": count,
         "injective": first_failure is None,
         **({"first_failure": first_failure} if first_failure else {}),
     }
@@ -418,7 +413,7 @@ def cohomology_report(m: HomogeneousModel,
                       diagonal: bool = False) -> Dict:
     """Full JSON-ready report: dimensions, Serre symmetry, Euler number,
     symbol scan and the coupled-system check."""
-    a0 = _resolve_alpha(m, alpha0)
+    a0 = resolve_alpha(m, alpha0)
     data = cohomology_data(m, alpha0, diagonal)
     scan = injectivity_scan(m, a0, limit=symbol_limit)
     return {

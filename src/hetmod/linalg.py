@@ -1,15 +1,16 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Two engines and a determinant:
+One sparse elimination engine and a determinant:
 
-* ``rref`` / ``kernel_basis`` / ``inverse``: plain Gaussian elimination on
-  GaussRat entries (exact), used wherever an explicit basis is needed.
-  ``inverse`` only ever sees small matrices: the metric and the Kronecker
-  factors of the Gram matrices, never a Gram matrix itself.
-* ``rank``: fraction-free Bareiss elimination on Gaussian integers after
-  clearing denominators (``gauss_int_rank`` is the integer entry point).
-  ``certified_rank`` puts a rank certificate modulo a prime in front of it
-  for matrices that are already Gaussian-integer.
+* ``_echelon`` row-reduces sparse rows ``{col: value}`` and keeps one pivot
+  row, scaled to a leading 1, per leading column.  The field is fixed by an
+  inverse function and an optional prime modulus: Q(i) on GaussRat entries,
+  or F_CERT_P on ints.  ``rank`` counts its pivots over Q(i);
+  ``kernel_basis`` and ``inverse`` ask for the reduced form and read their
+  answer off it.  ``inverse`` only ever sees small matrices: the metric and
+  the Kronecker factors of the Gram matrices, never a Gram matrix itself.
+* ``certified_rank`` puts a rank certificate modulo a prime in front of
+  ``rank`` for matrices that are already Gaussian-integer.
 * ``det``: cofactor expansion over any ring whose unit is passed in
   (GaussRat, Scalar and chart Poly entries alike), for small matrices.
 """
@@ -17,7 +18,7 @@ Two engines and a determinant:
 from __future__ import annotations
 
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .scalars import GR_ONE, GR_ZERO, GaussRat
 
@@ -64,58 +65,85 @@ def transpose(a: Matrix) -> Matrix:
     return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
-def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form (copy) and the list of pivot columns."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+def _sparse(a: Matrix) -> List[Dict[int, GaussRat]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def _echelon(rows, inv: Callable, p: Optional[int] = None,
+             reduced: bool = False) -> Dict[int, Dict]:
+    """Pivot rows by leading column, each scaled to a leading 1.
+
+    ``rows`` are sparse ``{col: value}`` dicts with no zero values; they are
+    consumed.  ``inv`` inverts a nonzero value; with ``p``, values are ints
+    taken mod p.  Each row is reduced on its leading column until that
+    column has no pivot, then becomes the pivot there.  ``reduced``
+    back-substitutes, so every pivot column is zero outside its pivot row.
+    """
+    pivots: Dict[int, Dict] = {}
+
+    def eliminate(row, c):
+        # row -= row[c] * pivots[c], which clears column c
+        f = row[c]
+        for j, y in pivots[c].items():
+            v = row[j] - f * y if j in row else -f * y
+            if p:
+                v %= p
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+    for row in rows:
+        while row and (c := min(row)) in pivots:
+            eliminate(row, c)
+        if row:
+            s = inv(row[c])
+            pivots[c] = {j: x * s % p if p else x * s for j, x in row.items()}
+    if reduced:
+        for c in sorted(pivots, reverse=True):
+            row = pivots[c]
+            for j in [j for j in row if j != c and j in pivots]:
+                eliminate(row, j)
+    return pivots
+
+
+def _gr_inv(x: GaussRat) -> GaussRat:
+    return GR_ONE / x
+
+
+def rank(a: Matrix) -> int:
+    """Rank of a GaussRat matrix over Q(i)."""
+    return len(_echelon(_sparse(a), _gr_inv))
 
 
 def kernel_basis(a: Matrix, cols: int = None) -> List[List[GaussRat]]:
     """Basis of the right null space, one vector per free column."""
     if cols is None:
         cols = len(a[0]) if a else 0
-    if not a:
-        return [[GR_ONE if i == j else GR_ZERO for i in range(cols)]
-                for j in range(cols)]
-    red, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
+    pivots = _echelon(_sparse(a), _gr_inv, reduced=True)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [GR_ZERO] * cols
         v[fc] = GR_ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for pc, row in pivots.items():
+            if fc in row:
+                v[pc] = -row[fc]
         basis.append(v)
     return basis
 
 
 def inverse(a: Matrix) -> Matrix:
     k = len(a)
-    aug = [row[:] + identity(k)[i] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots != list(range(k)):
+    aug = _sparse(a)
+    for i, row in enumerate(aug):
+        row[k + i] = GR_ONE
+    pivots = _echelon(aug, _gr_inv, reduced=True)
+    if any(c not in pivots for c in range(k)):
         raise ValueError("matrix is singular")
-    return [row[k:] for row in red]
+    return [[pivots[i].get(k + j, GR_ZERO) for j in range(k)]
+            for i in range(k)]
 
 
 def det(rows, one):
@@ -145,59 +173,6 @@ def gauss_ints(xs: Sequence[GaussRat]) -> Tuple[int, List[Tuple[int, int]]]:
     return den, [(x.a * (den // x.d), x.b * (den // x.d)) for x in xs]
 
 
-def _to_gauss_int(a: Matrix) -> IntMatrix:
-    """Scale a GaussRat matrix to Gaussian integers, as (re, im) int pairs."""
-    cols = len(a[0]) if a else 0
-    _, flat = gauss_ints([x for row in a for x in row])
-    return [flat[i * cols:(i + 1) * cols] for i in range(len(a))]
-
-
-def rank(a: Matrix) -> int:
-    """Rank of a GaussRat matrix: clear denominators, then Bareiss."""
-    return gauss_int_rank(_to_gauss_int(a))
-
-
-def gauss_int_rank(a: IntMatrix) -> int:
-    """Rank via fraction-free Bareiss elimination over Gaussian integers.
-
-    Entries are (re, im) int pairs; the argument is not modified.
-    """
-    if not a or not a[0]:
-        return 0
-    m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
-    rk = 0
-    prev_re, prev_im = 1, 0  # previous pivot (starts at 1)
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != (0, 0)), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pre, pim = m[r][c]
-        # Bareiss step: new = (pivot*old - rowval*pivcolval) / prev_pivot
-        pn = prev_re * prev_re + prev_im * prev_im
-        for i in range(r + 1, rows):
-            fre, fim = m[i][c]
-            mi = m[i]
-            mr = m[r]
-            for j in range(c, cols):
-                xre, xim = mi[j]
-                yre, yim = mr[j]
-                nre = pre * xre - pim * xim - (fre * yre - fim * yim)
-                nim = pre * xim + pim * xre - (fre * yim + fim * yre)
-                # exact division by previous pivot (conjugate trick)
-                dre = (nre * prev_re + nim * prev_im) // pn
-                dim = (nim * prev_re - nre * prev_im) // pn
-                mi[j] = (dre, dim)
-        prev_re, prev_im = pre, pim
-        rk += 1
-        r += 1
-        if r == rows:
-            break
-    return rk
-
-
 # Reduction Z[i] -> F_p, re + im*i -> re + CERT_I*im mod CERT_P, is a ring
 # homomorphism because CERT_P = 1 (mod 4) and CERT_I^2 = -1 (mod CERT_P).
 # A minor that is nonzero mod p is nonzero over Q(i), so the rank mod p is
@@ -209,30 +184,19 @@ CERT_I = 430_477_711
 def rank_mod_p(a: IntMatrix) -> int:
     """Rank of the image of a Gaussian-integer matrix in F_CERT_P."""
     p, i_p = CERT_P, CERT_I
-    m = [[(re + i_p * im) % p for re, im in row] for row in a]
-    rk = 0
-    # eliminate on the first column, then drop it, until none is left
-    while m and m[0]:
-        k = next((k for k, row in enumerate(m) if row[0]), None)
-        if k is None:
-            m = [row[1:] for row in m]
-            continue
-        pivot = m.pop(k)
-        neg_inv = p - pow(pivot[0], p - 2, p)
-        tail = pivot[1:]
-        m = [[(x + f * y) % p for x, y in zip(row[1:], tail)]
-             if (f := row[0] * neg_inv % p) else row[1:] for row in m]
-        rk += 1
-    return rk
+    rows = [{j: v for j, (re, im) in enumerate(row)
+             if (v := (re + i_p * im) % p)} for row in a]
+    return len(_echelon(rows, lambda x: pow(x, -1, p), p))
 
 
 def certified_rank(a: IntMatrix) -> int:
     """Exact rank of a Gaussian-integer matrix.
 
     Full rank mod CERT_P proves full rank over Q(i); only when the
-    certificate falls short does exact Bareiss elimination decide.
+    certificate falls short does exact elimination over Q(i) decide.
     """
-    rows = len(a)
-    full = min(rows, len(a[0])) if rows else 0
+    full = min(len(a), len(a[0])) if a else 0
     rk = rank_mod_p(a)
-    return rk if rk == full else gauss_int_rank(a)
+    if rk == full:
+        return rk
+    return rank([[GaussRat(re, im) for re, im in row] for row in a])

@@ -1,13 +1,16 @@
 """Exact linear algebra over the Gaussian rationals.
 
-The rank routine (fraction-free elimination over Gaussian integers) and the
-reduced-echelon routine are independent implementations, so they serve as
-oracles for each other on random input.
+The elimination engine behind ``rank``, ``kernel_basis``, ``inverse`` and
+the mod-p certificate is checked against cofactor determinants, an
+independent route: the rank of a matrix is the size of its largest nonzero
+minor.
 """
 
 import random
+from itertools import combinations
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,12 +22,35 @@ def gmat(rows):
     return [[GaussRat.of(*e) for e in row] for row in rows]
 
 
-def test_rref_pivots():
+def _gauss(ints):
+    """A Gaussian-integer matrix of (re, im) pairs as GaussRat entries."""
+    return [[GaussRat(re, im) for re, im in row] for row in ints]
+
+
+def _to_ints(m):
+    """m scaled to Gaussian integers, as (re, im) int pairs."""
+    cols = len(m[0])
+    _, flat = linalg.gauss_ints([x for row in m for x in row])
+    return [flat[i * cols:(i + 1) * cols] for i in range(len(m))]
+
+
+def _minor_rank(m):
+    """The size of the largest nonzero minor, by cofactor expansion."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                if linalg.det([[m[i][j] for j in cs] for i in rs], GR_ONE):
+                    return k
+    return 0
+
+
+def test_reduced_form_is_read_off_the_kernel():
+    # reduced row echelon form [[1, 2], [0, 0]]: pivot column 0, free
+    # column 1, so the kernel is spanned by (-2, 1)
     m = gmat([[(1, 0), (2, 0)], [(2, 0), (4, 0)]])
-    red, pivots = linalg.rref(m)
-    assert pivots == [0]
-    assert red[0] == [GR_ONE, GaussRat.of(2)]
-    assert red[1] == [GR_ZERO, GR_ZERO]
+    assert linalg.rank(m) == 1
+    assert linalg.kernel_basis(m) == [[GaussRat.of(-2), GR_ONE]]
 
 
 def test_kernel_basis_spans_null_space():
@@ -74,20 +100,74 @@ def test_rank_small_cases():
     assert linalg.rank(m) == 1
 
 
+_VALUES = [GR_ZERO, GR_ONE, -GR_ONE, GaussRat.of(0, 1), GaussRat.of("1/2"),
+           GaussRat.of(2, -1)]
+
+
 def _random_matrix(rng, rows, cols):
-    vals = [GR_ZERO, GR_ONE, -GR_ONE, GaussRat.of(0, 1), GaussRat.of("1/2"),
-            GaussRat.of(2, -1)]
-    return [[rng.choice(vals) for _ in range(cols)] for _ in range(rows)]
+    return [[rng.choice(_VALUES) for _ in range(cols)] for _ in range(rows)]
 
 
-def test_rank_agrees_with_rref_on_random_matrices():
-    rng = random.Random(20260823)
-    for _ in range(40):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = _random_matrix(rng, rows, cols)
-        _, pivots = linalg.rref(m)
-        assert linalg.rank(m) == len(pivots)
+def _planted_matrix(rng, rows, cols):
+    """A random matrix with some zero rows, rows that combine two earlier
+    rows, and sometimes a zero column."""
+    m = _random_matrix(rng, rows, cols)
+    for i in range(rows):
+        roll = rng.random()
+        if roll < 0.15:
+            m[i] = [GR_ZERO] * cols
+        elif roll < 0.5 and i >= 2:
+            j, k = rng.sample(range(i), 2)
+            a, b = rng.choice(_VALUES), rng.choice(_VALUES)
+            m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    if rng.random() < 0.3:
+        c = rng.randrange(cols)
+        for row in m:
+            row[c] = GR_ZERO
+    return m
+
+
+def _planted_matrices(seed, count=60):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield _planted_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+
+
+def test_rank_is_the_largest_nonzero_minor():
+    drops = 0
+    for m in _planted_matrices(20261018):
+        rk = _minor_rank(m)
+        assert linalg.rank(m) == rk, m
+        drops += rk < min(len(m), len(m[0]))
+    assert drops >= 10   # the planted rows and columns do lower the rank
+
+
+def test_kernel_basis_against_minors():
+    for m in _planted_matrices(20261019):
+        cols = len(m[0])
+        basis = linalg.kernel_basis(m, cols=cols)
+        assert len(basis) == cols - _minor_rank(m)
+        for v in basis:
+            assert all(not x for x in linalg.mat_vec(m, v))
+        if basis:
+            assert _minor_rank(basis) == len(basis)
+
+
+def test_inverse_against_det():
+    rng = random.Random(20261020)
+    singular = 0
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        a = _planted_matrix(rng, k, k)
+        if not linalg.det(a, GR_ONE):
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                linalg.inverse(a)
+            continue
+        inv = linalg.inverse(a)
+        assert linalg.mat_mul(inv, a) == linalg.identity(k)
+        assert linalg.mat_mul(a, inv) == linalg.identity(k)
+    assert 10 <= singular <= 50
 
 
 @given(st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
@@ -113,20 +193,17 @@ def test_certified_rank_falls_back_when_singular_mod_p():
               [[(1, 0), (0, 0)], [(0, 0), (0, p)], [(0, 0), (2 * p, 0)]]):
         full = len(m[0])
         assert linalg.rank_mod_p(m) < full
-        assert linalg.gauss_int_rank(m) == full
+        assert linalg.rank(_gauss(m)) == _minor_rank(_gauss(m)) == full
         assert linalg.certified_rank(m) == full
 
 
-def test_certified_rank_agrees_with_rref_on_random_matrices():
-    rng = random.Random(20261017)
-    for _ in range(40):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        m = _random_matrix(rng, rows, cols)
-        _, pivots = linalg.rref(m)
-        ints = linalg._to_gauss_int(m)
-        assert linalg.certified_rank(ints) == len(pivots)
-        assert linalg.gauss_int_rank(ints) == len(pivots)
+def test_certified_rank_agrees_with_minors_on_random_matrices():
+    for m in _planted_matrices(20261017):
+        ints = _to_ints(m)
+        rk = _minor_rank(m)
+        assert linalg.certified_rank(ints) == rk
+        assert linalg.rank(_gauss(ints)) == rk
+        assert linalg.rank_mod_p(ints) <= rk
 
 
 def test_gauss_ints_clears_mixed_denominators():
