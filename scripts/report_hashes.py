@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Hash the output of a fixed list of hetmod commands.
+
+Runs each command in this process through ``hetmod.cli.main`` and prints one
+line per command: the argv, the exit code, and the sha256 of stdout and of
+stderr.  Two trees whose reports are byte-identical print identical lines,
+so diffing this script's output between two versions checks that a change
+left every report, message and exit code as it was.
+
+The list: ``check``, ``serre``, ``cohomology`` and ``symbol`` on the
+built-ins at the default alpha' and at 0, 1, -4 and 1/7;
+``cohomology torus --diagonal-dbar``; ``trivialize iwasawa --degree 0..4``;
+and ``serre`` and ``cohomology --samples 50`` on each model file given.
+
+Usage:
+    PYTHONPATH=src python3 scripts/report_hashes.py [model.json ...]
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+
+from hetmod import cli
+from hetmod.models import BUILTIN_NAMES
+
+ALPHAS = (None, "0", "1", "-4", "1/7")
+
+
+def commands(files):
+    for name in BUILTIN_NAMES:
+        for sub in ("check", "serre", "cohomology", "symbol"):
+            for alpha in ALPHAS:
+                yield [sub, name] + ([] if alpha is None
+                                     else ["--alpha-prime", alpha])
+    yield ["cohomology", "torus", "--diagonal-dbar"]
+    for degree in range(5):
+        yield ["trivialize", "iwasawa", "--degree", str(degree)]
+    for path in files:
+        yield ["serre", path]
+        yield ["cohomology", path, "--samples", "50"]
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main(files) -> int:
+    for argv in commands(files):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        print(" ".join(argv), code, digest(out.getvalue()),
+              digest(err.getvalue()), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

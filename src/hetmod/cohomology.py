@@ -6,6 +6,10 @@ the Gaussian rationals after specializing the coupling constant, so no
 kernel vector is built.  The module also implements the principal
 symbol of Dbar + Dbar* and an injectivity scan over a lattice of nonzero
 cotangent samples, which is the effective content of ellipticity here.
+The scan's two symbol blocks are linear in xi and xibar, so they are held
+as one per-model template of terms (col, k, c), c times xi_k or
+conj(xi_{k-n}), whose coefficients are reduced mod a prime once; each
+sample then only forms sparse rows mod p for the elimination.
 """
 
 from __future__ import annotations
@@ -60,15 +64,22 @@ def _operator_chain(m: HomogeneousModel, alpha0: GaussRat,
 
 
 def _require_nilpotent(m: HomogeneousModel, chain, alpha0: GaussRat) -> None:
+    """Refuses unless D_{p+1} D_p = 0 for every p.  Each product is formed
+    on sparse rows, one row at a time, and the first nonzero row ends the
+    check."""
+    sparse = [linalg.sparse_rows(d) for d in chain]
     for p in range(len(chain) - 1):
-        prod = linalg.mat_mul(chain[p + 1], chain[p])
-        if any(x for row in prod for x in row):
-            res = anomaly_residual(m, alpha0)
-            raise ModelError(
-                "cohomology is undefined: the operator does not square to "
-                f"zero at coupling {alpha0} (failure first seen on degree "
-                f"{p}); the anomaly residual is {res}"
-            )
+        right = sparse[p]
+        for row in sparse[p + 1]:
+            prod = linalg.row_sum((c, right[k].items())
+                                  for k, c in row.items())
+            if any(prod.values()):
+                res = anomaly_residual(m, alpha0)
+                raise ModelError(
+                    "cohomology is undefined: the operator does not square "
+                    f"to zero at coupling {alpha0} (failure first seen on "
+                    f"degree {p}); the anomaly residual is {res}"
+                )
 
 
 @dataclass(frozen=True)
@@ -198,24 +209,25 @@ def symbol_matrix(m: HomogeneousModel, xi: List[GaussRat],
 
     ap = alpha0
     # covector slots 0..n-1, gauge slots n..n+ne-1 (coordinates in the
-    # trace-free basis; the symbol acts diagonally on them), vector slots
-    # n+ne..2n+ne-1
-    for j in range(n):
-        # wedge part: xi_kbar kappa_{j lbar} on dzbar^{k,l}
+    # trace-free basis), vector slots n+ne..2n+ne-1; the flat symbol acts
+    # diagonally on every slot
+    for slot in range(vals):
+        # wedge part: xi_kbar kappa_{slot lbar} on dzbar^{k,l}
         for l in range(n):
             for k in range(n):
                 if k == l or not xib[k]:
                     continue
                 sgn = GaussRat.of(1) if k < l else GaussRat.of(-1)
-                add(wedge_row(j, k, l), col(j, l), sgn * xib[k])
+                add(wedge_row(slot, k, l), col(slot, l), sgn * xib[k])
         # contraction part pairs against the conjugate of the wedge
-        # covector: xi_k kappa_{j kbar}
+        # covector: xi_k kappa_{slot kbar}
         for k in range(n):
             if xi[k]:
-                add(scal_row(j), col(j, k), xi[k])
-        # coupling into the covector wedge rows from the vector slots:
-        # alpha' R_{kbar j}{}^m{}_n xi_m W^n_{lbar}
-        if ap:
+                add(scal_row(slot), col(slot, k), xi[k])
+    # coupling into the covector wedge rows from the vector slots:
+    # alpha' R_{kbar j}{}^m{}_n xi_m W^n_{lbar}
+    if ap:
+        for j in range(n):
             for k in range(n):
                 for l in range(n):
                     if k == l:
@@ -229,28 +241,6 @@ def symbol_matrix(m: HomogeneousModel, xi: List[GaussRat],
                             if v:
                                 add(wedge_row(j, k, l), col(n + ne + nn, l),
                                     sgn * v)
-    for s in range(ne):
-        slot = n + s
-        for l in range(n):
-            for k in range(n):
-                if k == l or not xib[k]:
-                    continue
-                sgn = GaussRat.of(1) if k < l else GaussRat.of(-1)
-                add(wedge_row(slot, k, l), col(slot, l), sgn * xib[k])
-        for k in range(n):
-            if xi[k]:
-                add(scal_row(slot), col(slot, k), xi[k])
-    for j in range(n):
-        slot = n + ne + j
-        for l in range(n):
-            for k in range(n):
-                if k == l or not xib[k]:
-                    continue
-                sgn = GaussRat.of(1) if k < l else GaussRat.of(-1)
-                add(wedge_row(slot, k, l), col(slot, l), sgn * xib[k])
-        for k in range(n):
-            if xi[k]:
-                add(scal_row(slot), col(slot, k), xi[k])
     # coupling into the vector contraction rows from the covector slots:
     # - alpha' R_{lbar j}{}^m{}_n xi_m kappa_{j lbar}
     if ap:
@@ -275,9 +265,65 @@ def symbol_samples(n: int):
             if any(xi))
 
 
-def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat):
-    """Per-model set-up for the integer blocks of the symbol; returns
-    ``build(xi) -> (B, C)`` with (re, im) int pair entries.
+@dataclass(frozen=True)
+class SymbolBlocks:
+    """B and C of ``symbol_blocks`` as one per-model template.
+
+    ``rows[b]`` holds block b's rows, each a tuple of (col, ((k, c), ...)):
+    the entry at col is the sum of c * y_k, with y = (xi_1..xi_n,
+    conj xi_1..conj xi_n) after xi is scaled by the common denominator of
+    its components, and c a Gaussian integer as an (re, im) int pair.
+    ``residues`` holds the same terms with each c reduced mod CERT_P.
+    """
+
+    n: int
+    cols: Tuple[int, int]
+    rows: tuple
+    residues: tuple
+
+    def _y(self, xi: List[GaussRat]):
+        if len(xi) != self.n:
+            raise ModelError("cotangent sample has the wrong length")
+        x = linalg.gauss_ints(xi)[1]
+        return x + [(re, -im) for re, im in x]
+
+    def __call__(self, xi: List[GaussRat]):
+        """(B, C) at xi over Z[i], with (re, im) int pair entries."""
+        y = self._y(xi)
+        blocks = []
+        for template, cols in zip(self.rows, self.cols):
+            block = [[(0, 0)] * cols for _ in template]
+            for row, entries in zip(block, template):
+                for col, terms in entries:
+                    row[col] = (sum(a * y[k][0] - b * y[k][1]
+                                    for k, (a, b) in terms),
+                                sum(a * y[k][1] + b * y[k][0]
+                                    for k, (a, b) in terms))
+            blocks.append(block)
+        return tuple(blocks)
+
+    def mod_p(self, xi: List[GaussRat]):
+        """(B, C) at xi mod CERT_P: per block, an iterator over its sparse
+        rows {col: nonzero residue}, each made when it is reached."""
+        y = [linalg.residue(re, im) for re, im in self._y(xi)]
+        return tuple(_rows_mod_p(template, y) for template in self.residues)
+
+
+def _rows_mod_p(template, y):
+    p = linalg.CERT_P
+    for entries in template:
+        row = {}
+        for col, terms in entries:
+            v = 0
+            for k, c in terms:
+                v += c * y[k]
+            if v := v % p:
+                row[col] = v
+        yield row
+
+
+def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat) -> SymbolBlocks:
+    """The two integer blocks of the symbol, as a per-model template.
 
     The gauge slots of ``symbol_matrix`` are ``r^2 - 1`` copies of the flat
     Dolbeault block B (rows: the (0,2) legs, then the contraction; columns:
@@ -288,7 +334,8 @@ def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat):
 
     Each block is a positive integer multiple of its part of
     ``symbol_matrix``, which leaves its rank unchanged: B is scaled by the
-    common denominator of xi, C by that times the one of alpha' R.
+    common denominator of xi, C by that times the one of alpha' R.  Both
+    are linear in xi and xibar, so their terms are built here once.
     """
     n = m.n
     pairs = list(itertools.combinations(range(n), 2))
@@ -300,49 +347,39 @@ def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat):
     quads = list(itertools.product(range(n), repeat=4))
     den_R, aR = linalg.gauss_ints([alpha0 * R[k][j][mm][nn]
                                    for k, j, nn, mm in quads])
-    # coupling[(k, j, nn)]: the nonzero (mm, den_R alpha' R[k][j][mm][nn])
-    coupling: Dict[Tuple[int, int, int], list] = {}
-    for (k, j, nn, mm), v in zip(quads, aR):
-        if v != (0, 0):
-            coupling.setdefault((k, j, nn), []).append((mm, v))
-    zero = (0, 0)
+    # C: slot s < n is covector s, slot n + nn is vector nn; column
+    # s * n + leg; wedge rows s * npair + pair, contraction rows after
+    slots = 2 * n
+    scal = slots * npair
+    B = [{} for _ in range(npair + 1)]
+    C = [{} for _ in range(scal + slots)]
 
-    def build(xi: List[GaussRat]):
-        if len(xi) != n:
-            raise ModelError("cotangent sample has the wrong length")
-        _, x = linalg.gauss_ints(xi)
-        B = [[zero] * n for _ in range(npair)] + [list(x)]
-        for k, l, row, sgn in wedge:
-            re, im = x[k]
-            B[row][l] = (sgn * re, -sgn * im)
-        # C: slot s < n is covector s, slot n + nn is vector nn; column
-        # s * n + leg; wedge rows s * npair + pair, contraction rows after
-        slots = 2 * n
-        scal = slots * npair
-        xs = [(den_R * re, den_R * im) for re, im in x]
-        C = [[zero] * (slots * n) for _ in range(scal + slots)]
+    def add(block, row, col, k, c):
+        block[row].setdefault(col, []).append((k, c))
+    for k, l, row, sgn in wedge:
+        add(B, row, l, n + k, (sgn, 0))
         for s in range(slots):
-            for k, l, row, sgn in wedge:
-                re, im = xs[k]
-                C[s * npair + row][s * n + l] = (sgn * re, -sgn * im)
-            C[scal + s][s * n:s * n + n] = xs
-        for (k, j, nn), terms in coupling.items():
-            re = im = 0
-            for mm, (a, b) in terms:
-                c, d = x[mm]
-                re += a * c - b * d
-                im += a * d + b * c
-            # alpha' R_{kbar j}^m_n xi_m W^n_{lbar} on the covector wedge
-            # rows, and - alpha' R_{kbar j}^m_n xi_m kappa_{j kbar} on the
-            # vector contraction rows
-            for k2, l, row, sgn in wedge:
-                if k2 == k:
-                    C[j * npair + row][(n + nn) * n + l] = (sgn * re,
-                                                            sgn * im)
-            C[scal + n + nn][j * n + k] = (-re, -im)
-        return B, C
-
-    return build
+            add(C, s * npair + row, s * n + l, n + k, (sgn * den_R, 0))
+    for k in range(n):
+        add(B, npair, k, k, (1, 0))
+        for s in range(slots):
+            add(C, scal + s, s * n + k, k, (den_R, 0))
+    for (k, j, nn, mm), (a, b) in zip(quads, aR):
+        # alpha' R_{kbar j}^m_n xi_m W^n_{lbar} on the covector wedge rows,
+        # and - alpha' R_{kbar j}^m_n xi_m kappa_{j kbar} on the vector
+        # contraction rows
+        if a or b:
+            for l, row, sgn in [w[1:] for w in wedge if w[0] == k]:
+                add(C, j * npair + row, (n + nn) * n + l, mm,
+                    (sgn * a, sgn * b))
+            add(C, scal + n + nn, j * n + k, mm, (-a, -b))
+    rows = tuple(tuple(tuple((col, tuple(terms)) for col, terms in r.items())
+                       for r in block) for block in (B, C))
+    residues = tuple(tuple(tuple((col, tuple((k, linalg.residue(*c))
+                                             for k, c in terms))
+                                 for col, terms in r) for r in block)
+                     for block in rows)
+    return SymbolBlocks(n, (n, slots * n), rows, residues)
 
 
 def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
@@ -354,10 +391,11 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
     first failing sample if any.
 
     The symbol is injective at xi iff both blocks of ``symbol_blocks`` have
-    full column rank: B (when r > 1) and C.  Each block is built from
-    Gaussian integers, one sample at a time, and reduced mod the prime
-    ``linalg.CERT_P``; full column rank there proves it over Q(i).  Only a
-    block that falls short mod p goes to exact elimination over Q(i), which
+    full column rank: B (when r > 1) and C.  The blocks' template is
+    reduced mod the prime ``linalg.CERT_P`` once; each sample then gives
+    their sparse rows mod p, and full column rank there proves it over
+    Q(i).  Only a block that falls short mod p is evaluated over Z[i] and
+    handed to ``linalg.certified_rank``, where exact elimination over Q(i)
     decides.  An empty scan is refused.
     """
     if samples is None:
@@ -368,13 +406,15 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
     if not count:
         raise ModelError("the symbol scan needs at least one sample")
     n = m.n
-    gauge = m.rank * m.rank > 1
-    build = symbol_blocks(m, alpha0)
+    blocks = symbol_blocks(m, alpha0)
+    # (block, its column count), B only when there are gauge slots
+    checks = ([(0, n)] if m.rank * m.rank > 1 else []) + [(1, 2 * n * n)]
     first_failure = None
     for xi in itertools.islice(samples, count):
-        B, C = build(xi)
-        if ((gauge and linalg.certified_rank(B) < n)
-                or linalg.certified_rank(C) < 2 * n * n):
+        rows = blocks.mod_p(xi)
+        if any(linalg.rank_mod_p(rows[b]) < full
+               and linalg.certified_rank(blocks(xi)[b]) < full
+               for b, full in checks):
             first_failure = "(" + ", ".join(str(x) for x in xi) + ")"
             break
     return {

@@ -16,20 +16,13 @@ Conventions fixed here once and used everywhere downstream:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import linalg
-from .exterior import (
-    EndForm,
-    FormError,
-    InvariantForm,
-    MixedForm,
-    normalize_key,
-)
-from .scalars import (
-    GR_I, GR_ONE, GR_ZERO, GaussRat, S_A, S_I, S_ONE, S_ZERO, Scalar,
-)
+from .exterior import EndForm, InvariantForm, MixedForm, sort_with_sign
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRat, S_A, S_I, S_ONE, Scalar
 
 
 class ModelError(ValueError):
@@ -139,11 +132,6 @@ def holomorphic_volume(m: HomogeneousModel) -> InvariantForm:
 # frame, brackets, metric helpers
 
 
-def _basis_vector(n: int, idx: int):
-    """Unit vector in the complexified frame basis (V_1..V_n, Vbar_1..Vbar_n)."""
-    return [S_ONE if i == idx else S_ZERO for i in range(2 * n)]
-
-
 def _as_gauss(s: Scalar, what: str) -> GaussRat:
     if s.degree > 0:
         raise ModelError(f"{what} is not constant in a")
@@ -180,57 +168,45 @@ def metric_inverse(m: HomogeneousModel):
     return m.cached("hinv", lambda: linalg.inverse(m.metric))
 
 
-def complexified_metric(m: HomogeneousModel):
-    """Bilinear extension of g on the complexified frame basis."""
-    def build():
-        n = m.n
-        G = linalg.zeros(2 * n, 2 * n)
-        for a in range(n):
-            for b in range(n):
-                G[a][n + b] = m.metric[a][b]
-                G[n + a][b] = m.metric[b][a]
-        return G
-    return m.cached("metric_c", build)
-
-
-def _g_pair(m, vec, x):
-    """g(vec, e_x) for a vector given by its complexified frame components."""
-    G = complexified_metric(m)
-    return sum((vec[y] * G[y][x] for y in range(2 * m.n) if vec[y]),
-               start=GR_ZERO)
-
-
 @dataclass(frozen=True)
 class LeviCivitaData:
-    """Full complexified connection table: nabla_{e_u} e_w = C[u][w][y] e_y."""
+    """Lowered complexified connection table on the frame (V_1..V_n,
+    Vbar_1..Vbar_n): table[u][w][x] = g(nabla_{e_u} e_w, e_x)."""
 
     n: int
     table: tuple
 
 
 def levi_civita(m: HomogeneousModel) -> LeviCivitaData:
+    """The Koszul formula on the invariant frame, where g is constant, with
+    each bracket lowered once, bl[u][w][x] = g([e_u, e_w], e_x):
+
+        g(nabla_{e_u} e_w, e_x) = 1/2 (bl[u][w][x] - bl[w][x][u]
+                                       + bl[x][u][w]).
+
+    The table stays lowered, so no inverse metric enters."""
     def build():
-        n = m.n
-        br = bracket_table(m)
-        Ginv = linalg.inverse(complexified_metric(m))
-        table = []
-        for u in range(2 * n):
-            row = []
-            for w in range(2 * n):
-                half = GaussRat.of("1/2")
-                k = [
-                    half * (_g_pair(m, br[u][w], x) - _g_pair(m, br[w][x], u)
-                            + _g_pair(m, br[x][u], w))
-                    for x in range(2 * n)
-                ]
-                coeffs = tuple(
-                    sum((k[x] * Ginv[x][y] for x in range(2 * n) if k[x]),
-                        start=GR_ZERO)
-                    for y in range(2 * n)
-                )
-                row.append(coeffs)
-            table.append(tuple(row))
-        return LeviCivitaData(n, tuple(table))
+        n, size, h = m.n, 2 * m.n, m.metric
+        # g on the complexified frame: g(V_a, Vbar_b) = h[a][b]
+        G = [[h[y][x - n] if y < n <= x else h[x][y - n] if x < n <= y
+              else GR_ZERO for x in range(size)] for y in range(size)]
+        bl = [[[GR_ZERO] * size for _ in range(size)] for _ in range(size)]
+        for u, row in enumerate(bracket_table(m)):
+            for w, vec in enumerate(row):
+                for y, c in enumerate(vec):
+                    if c:
+                        for x, g in enumerate(G[y]):
+                            if g:
+                                bl[u][w][x] = bl[u][w][x] + c * g
+        half = GaussRat.of("1/2")
+
+        def koszul(u, w, x):
+            a, b, c = bl[u][w][x], bl[w][x][u], bl[x][u][w]
+            return half * (a - b + c) if a or b or c else GR_ZERO
+        return LeviCivitaData(n, tuple(
+            tuple(tuple(koszul(u, w, x) for x in range(size))
+                  for w in range(size))
+            for u in range(size)))
     return m.cached("levi_civita", build)
 
 
@@ -302,6 +278,24 @@ def _dc_omega(m: HomogeneousModel) -> MixedForm:
     return (MixedForm.of(anti) - MixedForm.of(hol)).scale(S_I)
 
 
+def _triple_values(form: MixedForm, what: str):
+    """Values of a 3-form on ordered triples of complexified frame vectors,
+    keyed by 0-based frame indices (V_1..V_n, then Vbar_1..Vbar_n).
+
+    A term c theta^s ^ theta^t ^ theta^u, with s < t < u in frame order, is
+    c times the sign of the permutation on every reordering of (s, t, u);
+    every other triple is 0 and absent."""
+    n = form.n
+    values = {}
+    for _, f in form.parts:
+        for (h, a), c in f.terms:
+            val = _as_gauss(c, what)
+            slots = [i - 1 for i in h] + [n + i - 1 for i in a]
+            for perm in itertools.permutations(slots):
+                values[perm] = val if sort_with_sign(perm)[0] > 0 else -val
+    return values
+
+
 def _via_levi_civita(m: HomogeneousModel, kind: str, three_form: MixedForm,
                      factors) -> ConnectionData:
     """A Hermitian connection from the Levi-Civita connection and a 3-form:
@@ -312,21 +306,21 @@ def _via_levi_civita(m: HomogeneousModel, kind: str, three_form: MixedForm,
     with f = factors[0] for X = V_a and f = factors[1] for X = Vbar_a.  The
     Chern connection takes d omega with factors (i, -i), because
     J V_a = i V_a; the Bismut connection takes d^c omega with factors
-    (1, 1).  Returns the (gamma, mu) blocks of the module docstring."""
+    (1, 1).  The first term is read off the lowered table of
+    ``levi_civita``, the second off the terms of the 3-form, and h^{-1}
+    raises the result to the (gamma, mu) blocks of the module docstring."""
     n = m.n
-    lc = levi_civita(m)
+    lc = levi_civita(m).table
+    values = _triple_values(three_form, f"the {kind} 3-form")
     hinv = metric_inverse(m)
-    basis = [_basis_vector(n, i) for i in range(2 * n)]
     half = GaussRat.of("1/2")
     blocks = []
     for off, f in zip((0, n), factors):
         block = [[[GR_ZERO] * n for _ in range(n)] for _ in range(n)]
         for a in range(n):
             for b in range(n):
-                pair = [_g_pair(m, lc.table[off + a][b], n + c)
-                        - half * (f * _as_gauss(three_form.evaluate(
-                            [basis[off + a], basis[b], basis[n + c]]),
-                            f"the {kind} 3-form"))
+                pair = [lc[off + a][b][n + c] - half * (f * values.get(
+                            (off + a, b, n + c), GR_ZERO))
                         for c in range(n)]
                 for d in range(n):
                     block[a][d][b] = sum(

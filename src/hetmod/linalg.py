@@ -9,8 +9,9 @@ One sparse elimination engine and a determinant:
   ``kernel_basis`` and ``inverse`` ask for the reduced form and read their
   answer off it.  ``inverse`` only ever sees small matrices: the metric and
   the Kronecker factors of the Gram matrices, never a Gram matrix itself.
-* ``certified_rank`` puts a rank certificate modulo a prime in front of
-  ``rank`` for matrices that are already Gaussian-integer.
+* ``rank_mod_p`` runs it over F_CERT_P on sparse rows of ``residue``s;
+  ``certified_rank`` puts that certificate in front of ``rank`` for
+  matrices that are already Gaussian-integer.
 * ``det``: cofactor expansion over any ring whose unit is passed in
   (GaussRat, Scalar and chart Poly entries alike), for small matrices.
 """
@@ -54,19 +55,25 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Sequence[GaussRat]) -> List[GaussRat]:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]),
-                start=GR_ZERO) for row in a]
-
-
 def transpose(a: Matrix) -> Matrix:
     if not a:
         return []
     return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
-def _sparse(a: Matrix) -> List[Dict[int, GaussRat]]:
+def sparse_rows(a: Matrix) -> List[Dict[int, GaussRat]]:
     return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def row_sum(terms) -> Dict[int, GaussRat]:
+    """The sparse row sum of x * row over the terms (x, row), where each row
+    is a sequence of (index, value) pairs."""
+    acc: Dict[int, GaussRat] = {}
+    for x, row in terms:
+        for j, v in row:
+            y = x * v
+            acc[j] = acc[j] + y if j in acc else y
+    return acc
 
 
 def _echelon(rows, inv: Callable, p: Optional[int] = None,
@@ -113,14 +120,14 @@ def _gr_inv(x: GaussRat) -> GaussRat:
 
 def rank(a: Matrix) -> int:
     """Rank of a GaussRat matrix over Q(i)."""
-    return len(_echelon(_sparse(a), _gr_inv))
+    return len(_echelon(sparse_rows(a), _gr_inv))
 
 
 def kernel_basis(a: Matrix, cols: int = None) -> List[List[GaussRat]]:
     """Basis of the right null space, one vector per free column."""
     if cols is None:
         cols = len(a[0]) if a else 0
-    pivots = _echelon(_sparse(a), _gr_inv, reduced=True)
+    pivots = _echelon(sparse_rows(a), _gr_inv, reduced=True)
     basis = []
     for fc in range(cols):
         if fc in pivots:
@@ -136,7 +143,7 @@ def kernel_basis(a: Matrix, cols: int = None) -> List[List[GaussRat]]:
 
 def inverse(a: Matrix) -> Matrix:
     k = len(a)
-    aug = _sparse(a)
+    aug = sparse_rows(a)
     for i, row in enumerate(aug):
         row[k + i] = GR_ONE
     pivots = _echelon(aug, _gr_inv, reduced=True)
@@ -181,11 +188,15 @@ CERT_P = 1_000_000_009
 CERT_I = 430_477_711
 
 
-def rank_mod_p(a: IntMatrix) -> int:
-    """Rank of the image of a Gaussian-integer matrix in F_CERT_P."""
-    p, i_p = CERT_P, CERT_I
-    rows = [{j: v for j, (re, im) in enumerate(row)
-             if (v := (re + i_p * im) % p)} for row in a]
+def residue(re: int, im: int) -> int:
+    """The image of the Gaussian integer re + im*i in F_CERT_P."""
+    return (re + CERT_I * im) % CERT_P
+
+
+def rank_mod_p(rows) -> int:
+    """Rank over F_CERT_P of sparse rows {col: nonzero residue}; the rows
+    are consumed."""
+    p = CERT_P
     return len(_echelon(rows, lambda x: pow(x, -1, p), p))
 
 
@@ -196,7 +207,8 @@ def certified_rank(a: IntMatrix) -> int:
     certificate falls short does exact elimination over Q(i) decide.
     """
     full = min(len(a), len(a[0])) if a else 0
-    rk = rank_mod_p(a)
+    rk = rank_mod_p([{j: v for j, (re, im) in enumerate(row)
+                      if (v := residue(re, im))} for row in a])
     if rk == full:
         return rk
     return rank([[GaussRat(re, im) for re, im in row] for row in a])

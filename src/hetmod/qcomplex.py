@@ -450,18 +450,6 @@ def q_coordinates(s: QSection) -> List[Scalar]:
             + [c for f in s.w.comps for c in read(f)])
 
 
-def section_from_coordinates(m: HomogeneousModel, p: int,
-                             coords: Sequence[Scalar]) -> QSection:
-    basis = q_basis(m, p)
-    if len(coords) != basis.dim:
-        raise FormError("coordinate vector has the wrong length")
-    acc = QSection.zero(m.n, m.rank, p)
-    for c, b in zip(coords, basis.sections):
-        if c:
-            acc = acc + b.scale(c)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # operator matrices
 
@@ -680,31 +668,6 @@ def gram(m: HomogeneousModel, p: int) -> List[List[GaussRat]]:
     return m.cached(("gram", p), build)
 
 
-def gram_pair(m: HomogeneousModel, p: int, x: Sequence[Scalar],
-              y: Sequence[Scalar]) -> Scalar:
-    """<x, y> with the second slot conjugated (a treated as real)."""
-    G = gram(m, p)
-    acc = S_ZERO
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if yj and G[i][j]:
-                acc = acc + xi * Scalar.const(G[i][j]) * yj.conjugate()
-    return acc
-
-
-def _row_sum(terms) -> Dict[int, GaussRat]:
-    """The sparse row sum of x * row over the terms (x, row), where each row
-    is a sequence of (index, value) pairs."""
-    acc: Dict[int, GaussRat] = {}
-    for x, row in terms:
-        for j, v in row:
-            y = x * v
-            acc[j] = acc[j] + y if j in acc else y
-    return acc
-
-
 def gram_adjoint(m: HomogeneousModel, op: QOperatorMatrix) -> QOperatorMatrix:
     """The metric adjoint: maps degree target_p back to source_p.
 
@@ -730,10 +693,10 @@ def gram_adjoint(m: HomogeneousModel, op: QOperatorMatrix) -> QOperatorMatrix:
     coeffs: Dict[Tuple[int, int], List[GaussRat]] = {}
     for k, mt in enumerate(powers):
         # M_k^T G_tgt, one sparse row per source column
-        prod = [_row_sum((x, g_tgt[r]) for r, x in col).items()
+        prod = [linalg.row_sum((x, g_tgt[r]) for r, x in col).items()
                 for col in mt]
         for i, grow in enumerate(g_inv):
-            for j, z in _row_sum((g, prod[c]) for c, g in grow).items():
+            for j, z in linalg.row_sum((g, prod[c]) for c, g in grow).items():
                 if z:
                     coeffs.setdefault((i, j), [GR_ZERO] * len(powers))[k] = (
                         z.conjugate())

@@ -23,6 +23,8 @@ from hetmod.geometry import ModelError
 from hetmod.models import builtin_model
 from hetmod.scalars import GR_ZERO, GaussRat, Scalar
 
+from helpers import mat_vec, section_from_coordinates
+
 ALPHAS = [GaussRat.of(-4), GaussRat.of(1), GaussRat.of("1/7")]
 
 
@@ -175,7 +177,7 @@ def test_06_ce_honest_invariant_counts(calabi_eckmann):
     for i in gauge_ab1:
         vec = [GR_ZERO] * 42
         vec[i] = GaussRat.of(1)
-        assert all(not x for x in linalg.mat_vec(M, vec))
+        assert all(not x for x in mat_vec(M, vec))
 
 
 # -- (7) exact adjointness at several couplings ------------------------------
@@ -214,7 +216,7 @@ def _closed_pairs(m, a0, count, rng):
             vec = [x + c * y for x, y in zip(vec, b)]
         coords = [Scalar() for _ in range(n * 3)]
         coords += [Scalar.const(x) for x in vec]
-        u = qc.section_from_coordinates(m, 2, coords)
+        u = section_from_coordinates(m, 2, coords)
         wv = [GR_ZERO] * n
         for b in ker_w:
             c = rng.choice(vals)

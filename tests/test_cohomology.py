@@ -59,6 +59,16 @@ def test_refuses_without_nilpotency(iwasawa):
     assert coh.cohomology_data(bad, diagonal=True).h == [9, 18, 18, 9]
 
 
+def test_nilpotency_check_reads_every_product(iwasawa):
+    # D_1 D_0 = 0 but D_2 D_1 != 0, in its second column only: the refusal
+    # must come from the last product and name its degree
+    one = GR_ONE
+    chain = [[[one], [GR_ZERO]], [[GR_ZERO, one]], [[one]]]
+    coh._require_nilpotent(iwasawa, chain[:2], GaussRat.of(1))
+    with pytest.raises(ModelError, match="first seen on degree 1"):
+        coh._require_nilpotent(iwasawa, chain, GaussRat.of(1))
+
+
 def test_serre_report_shape(iwasawa):
     rep = coh.serre_report(iwasawa)
     assert rep["h"] == [6, 11, 11, 6]
@@ -221,6 +231,37 @@ def test_symbol_blocks_see_the_rank_drop(calabi_eckmann):
     assert (len(B), len(B[0])) == (4, 3)
     assert linalg.certified_rank(C) == 17
     assert linalg.certified_rank(B) == 3
+
+
+def test_scan_rows_are_the_exact_blocks_mod_p(builtins,
+                                              dense_metric_builtins):
+    # the sparse rows the scan eliminates mod p are the entrywise reduction
+    # of the blocks over Z[i], which are checked against symbol_matrix above
+    for m in builtins + dense_metric_builtins:
+        for a0 in (coh.resolve_alpha(m, None), GaussRat.of(-4),
+                   GaussRat.of("1/7")):
+            blocks = coh.symbol_blocks(m, a0)
+            for xi in itertools.islice(coh.symbol_samples(m.n), 40):
+                for exact, rows in zip(blocks(xi), blocks.mod_p(xi)):
+                    want = [{j: v for j, (re, im) in enumerate(row)
+                             if (v := linalg.residue(re, im))}
+                            for row in exact]
+                    assert list(rows) == want, (m.name, str(a0), xi)
+
+
+def test_scan_decides_blocks_that_vanish_mod_p_exactly(builtins):
+    # xi = (p, 0, 0) makes every entry of both blocks a multiple of p, so
+    # only the exact fallback over Q(i) sees that the symbol is injective
+    xi = [GaussRat.of(linalg.CERT_P), GR_ZERO, GR_ZERO]
+    for m in builtins:
+        a0 = coh.resolve_alpha(m, None)
+        blocks = coh.symbol_blocks(m, a0)
+        assert all(not row for rows in blocks.mod_p(xi) for row in rows)
+        B, C = blocks(xi)
+        assert linalg.rank(_gauss(B)) == 3
+        assert linalg.rank(_gauss(C)) == 18
+        assert coh.injectivity_scan(m, a0, samples=[xi]) == {
+            "samples": 1, "injective": True}, m.name
 
 
 def test_scan_refuses_empty(iwasawa):

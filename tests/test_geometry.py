@@ -4,6 +4,7 @@ Reference values for the nilmanifold model (torsion, gauge trace, anomaly
 balance) are hard-coded below and act as oracles for the derived machinery.
 """
 
+import itertools
 import json
 
 import pytest
@@ -106,6 +107,62 @@ def test_levi_civita_helper_tells_the_connections_apart(iwasawa):
     assert (via_bismut.gamma, via_bismut.mu) == (bi.gamma, bi.mu)
     assert via_chern.gamma != bi.gamma
     assert via_bismut.gamma != ch.gamma
+
+
+def _metric_pairing(m):
+    """g(v, e_x) on complexified frame components, built from the Hermitian
+    matrix: g(V_a, Vbar_b) = h[a][b] and g(Vbar_a, V_b) = h[b][a]."""
+    n = m.n
+
+    def g(v, x):
+        if x < n:
+            return sum((v[n + a] * m.metric[x][a] for a in range(n)),
+                       start=GR_ZERO)
+        return sum((v[a] * m.metric[a][x - n] for a in range(n)),
+                   start=GR_ZERO)
+    return g
+
+
+def test_lowered_levi_civita_is_metric_and_torsion_free(
+        builtins, dense_metric_builtins, random_flat_models):
+    # the two identities that determine the Levi-Civita connection, on the
+    # invariant frame where g is constant:
+    #   metric:        g(nabla_u e_w, e_x) + g(e_w, nabla_u e_x) = 0
+    #   torsion-free:  nabla_u e_w - nabla_w e_u = [e_u, e_w]
+    # with the brackets evaluated from d(alpha^c), not read off the table
+    seen_bracket = False
+    for m in builtins + dense_metric_builtins + random_flat_models:
+        L = geo.levi_civita(m).table
+        br = _brackets_by_evaluation(m)
+        g = _metric_pairing(m)
+        size = 2 * m.n
+        for u in range(size):
+            for w in range(size):
+                for x in range(size):
+                    label = (m.name, u, w, x)
+                    assert not L[u][w][x] + L[u][x][w], label
+                    lowered = g(br[u][w], x)
+                    assert L[u][w][x] - L[w][u][x] == lowered, label
+                    seen_bracket = seen_bracket or bool(lowered)
+    assert seen_bracket
+
+
+def test_triple_table_matches_form_evaluation(builtins,
+                                              dense_metric_builtins):
+    # the 3-forms of both Levi-Civita routes, read off their terms, against
+    # the determinant evaluation of the form on every basis triple
+    for m in builtins + dense_metric_builtins:
+        size = 2 * m.n
+        basis = [[Scalar.of(1) if i == j else Scalar() for i in range(size)]
+                 for j in range(size)]
+        forms = (geo.exterior_derivative(geo.omega_form(m), m),
+                 geo._dc_omega(m))
+        for form in forms:
+            values = geo._triple_values(form, "test 3-form")
+            for t in itertools.product(range(size), repeat=3):
+                want = form.evaluate([basis[i] for i in t]).coefficient(0)
+                assert values.get(t, GR_ZERO) == want, (m.name, t)
+    assert any(geo._triple_values(geo._dc_omega(m), "") for m in builtins)
 
 
 def test_bismut_differs_from_chern_by_raised_torsion(iwasawa):

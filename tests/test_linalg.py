@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from hetmod import linalg
 from hetmod.scalars import GR_ONE, GR_ZERO, GaussRat, Scalar
 
+from helpers import mat_vec
+
 
 def gmat(rows):
     return [[GaussRat.of(*e) for e in row] for row in rows]
@@ -32,6 +34,13 @@ def _to_ints(m):
     cols = len(m[0])
     _, flat = linalg.gauss_ints([x for row in m for x in row])
     return [flat[i * cols:(i + 1) * cols] for i in range(len(m))]
+
+
+def _residue_rows(ints):
+    """A Gaussian-integer matrix mod CERT_P, as the sparse rows that
+    ``rank_mod_p`` takes."""
+    return [{j: v for j, (re, im) in enumerate(row)
+             if (v := linalg.residue(re, im))} for row in ints]
 
 
 def _minor_rank(m):
@@ -58,7 +67,7 @@ def test_kernel_basis_spans_null_space():
     basis = linalg.kernel_basis(m, cols=3)
     assert len(basis) == 2
     for v in basis:
-        assert all(not x for x in linalg.mat_vec(m, v))
+        assert all(not x for x in mat_vec(m, v))
 
 
 def test_kernel_of_empty_matrix():
@@ -148,7 +157,7 @@ def test_kernel_basis_against_minors():
         basis = linalg.kernel_basis(m, cols=cols)
         assert len(basis) == cols - _minor_rank(m)
         for v in basis:
-            assert all(not x for x in linalg.mat_vec(m, v))
+            assert all(not x for x in mat_vec(m, v))
         if basis:
             assert _minor_rank(basis) == len(basis)
 
@@ -192,7 +201,7 @@ def test_certified_rank_falls_back_when_singular_mod_p():
               [[(1, 0), (0, 1)], [(i_p, 0), (-1, 0)]],
               [[(1, 0), (0, 0)], [(0, 0), (0, p)], [(0, 0), (2 * p, 0)]]):
         full = len(m[0])
-        assert linalg.rank_mod_p(m) < full
+        assert linalg.rank_mod_p(_residue_rows(m)) < full
         assert linalg.rank(_gauss(m)) == _minor_rank(_gauss(m)) == full
         assert linalg.certified_rank(m) == full
 
@@ -203,7 +212,7 @@ def test_certified_rank_agrees_with_minors_on_random_matrices():
         rk = _minor_rank(m)
         assert linalg.certified_rank(ints) == rk
         assert linalg.rank(_gauss(ints)) == rk
-        assert linalg.rank_mod_p(ints) <= rk
+        assert linalg.rank_mod_p(_residue_rows(ints)) <= rk
 
 
 def test_gauss_ints_clears_mixed_denominators():
@@ -216,3 +225,16 @@ def test_gauss_ints_clears_mixed_denominators():
     assert den == 180
     assert linalg.gauss_ints(xs) == (
         den, [(int(x.re * den), int(x.im * den)) for x in xs])
+
+
+def test_residue_is_a_ring_homomorphism():
+    # Z[i] -> F_CERT_P: sums and products of Gaussian integers map to sums
+    # and products of residues, and i maps to CERT_I
+    p = linalg.CERT_P
+    rng = random.Random(20261019)
+    assert linalg.residue(0, 1) == linalg.CERT_I
+    for _ in range(200):
+        a, b, c, d = (rng.randint(-10 ** 12, 10 ** 12) for _ in range(4))
+        ra, rb = linalg.residue(a, b), linalg.residue(c, d)
+        assert linalg.residue(a + c, b + d) == (ra + rb) % p
+        assert linalg.residue(a * c - b * d, a * d + b * c) == ra * rb % p

@@ -15,6 +15,7 @@ from hetmod import qcomplex as qc
 from hetmod.exterior import EndForm, InvariantForm, VectorForm
 from hetmod.geometry import bismut, validate_model
 from hetmod.scalars import GaussRat, S_ONE, Scalar
+from helpers import gram_pair, section_from_coordinates
 from test_cohomology import _random_flat_model
 
 
@@ -34,7 +35,7 @@ def test_coordinates_round_trip(builtins):
             coords = qc.q_coordinates(s)
             assert coords[i] == S_ONE
             assert sum(1 for c in coords if c) == 1
-            assert qc.section_from_coordinates(m, 1, coords) == s
+            assert section_from_coordinates(m, 1, coords) == s
 
 
 def _assert_tables_match_forms(m, p, diagonal):
@@ -112,8 +113,8 @@ def test_adjoint_identity_symbolic(iwasawa):
             y = [Scalar() for _ in range(tgt.dim)]
             y[j] = S_ONE
             Dsy = [Ds.entries[k][j] for k in range(src.dim)]
-            lhs = qc.gram_pair(iwasawa, p + 1, Dx, y)
-            rhs = qc.gram_pair(iwasawa, p, x, Dsy)
+            lhs = gram_pair(iwasawa, p + 1, Dx, y)
+            rhs = gram_pair(iwasawa, p, x, Dsy)
             assert lhs == rhs
 
 
