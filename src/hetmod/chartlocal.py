@@ -41,6 +41,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .exterior import (
     _EMPTY,
+    EndForm,
     Form,
     FormError,
     _acc,
@@ -50,6 +51,7 @@ from .exterior import (
     _Immutable,
     _merge,
     _sum_terms,
+    end_pair_trace,
     sort_with_sign,
 )
 from .geometry import (
@@ -543,42 +545,22 @@ def chart_data(m: HomogeneousModel) -> ChartData:
 # Chern-Simons form
 
 
-def mat_wedge_chart(A, B):
-    r = len(A)
-    mc = A[0][0].n
-    out = [[ChartForm.zero(mc, A[0][0].p + B[0][0].p,
-                           A[0][0].q + B[0][0].q) for _ in range(r)]
-           for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                if A[i][k] and B[k][j]:
-                    out[i][j] = out[i][j] + A[i][k].wedge(B[k][j])
-    return out
-
-
-def mat_trace_chart(A):
-    acc = A[0][0]
-    for i in range(1, len(A)):
-        acc = acc + A[i][i]
-    return acc
+def _end(grid) -> EndForm:
+    """A nested r x r list of chart forms as an ``EndForm``."""
+    f = grid[0][0]
+    return EndForm.build(f.n, len(grid), f.p, f.q, grid)
 
 
 def chern_simons(A) -> Tuple[ChartForm, ChartForm]:
     """tr(A ^ dA + 2/3 A ^ A ^ A) for a matrix of (1,0)-form potentials,
-    returned as its (3,0) and (2,1) parts."""
-    r = len(A)
-    mc = A[0][0].n
-    acc = ChartForm.zero(mc, 3, 0)
-    acc01 = ChartForm.zero(mc, 2, 1)
-    for i in range(r):
-        for j in range(r):
-            p1, q1 = d_chart(A[j][i])
-            acc = acc + A[i][j].wedge(p1)
-            acc01 = acc01 + A[i][j].wedge(q1)
-    AAA = mat_wedge_chart(mat_wedge_chart(A, A), A)
-    cubic = mat_trace_chart(AAA)
-    return acc + cubic.scale(GaussRat.of("2/3")), acc01
+    returned as its (3,0) part tr(A ^ del A) + 2/3 tr(A ^ A ^ A) and its
+    (2,1) part tr(A ^ dbar A)."""
+    dA = _end([[partial_chart(f) for f in row] for row in A])
+    dbarA = _end([[dbar_chart(f) for f in row] for row in A])
+    A = _end(A)
+    cubic = A.mat_wedge(A).mat_wedge(A).trace()
+    return (end_pair_trace(A, dA) + cubic.scale(GaussRat.of("2/3")),
+            end_pair_trace(A, dbarA))
 
 
 def cs_transgression_residual(A, F) -> Tuple[ChartForm, ...]:
@@ -587,13 +569,8 @@ def cs_transgression_residual(A, F) -> Tuple[ChartForm, ...]:
     cs30, cs21 = chern_simons(A)
     d30 = d_chart(cs30)
     d21 = d_chart(cs21)
-    r = len(F)
-    mc = F[0][0].n
-    trFF = ChartForm.zero(mc, 2, 2)
-    for i in range(r):
-        for j in range(r):
-            trFF = trFF + F[i][j].wedge(F[j][i])
-    res22 = d21[1] - trFF
+    F = _end(F)
+    res22 = d21[1] - end_pair_trace(F, F)
     res31 = d30[1] + d21[0]
     res40 = d30[0]
     return res40, res31, res22

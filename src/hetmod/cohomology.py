@@ -288,17 +288,17 @@ class SymbolBlocks:
         return x + [(re, -im) for re, im in x]
 
     def __call__(self, xi: List[GaussRat]):
-        """(B, C) at xi over Z[i], with (re, im) int pair entries."""
+        """(B, C) at xi over Z[i], as dense rows of GaussRat."""
         y = self._y(xi)
         blocks = []
         for template, cols in zip(self.rows, self.cols):
-            block = [[(0, 0)] * cols for _ in template]
+            block = [[GR_ZERO] * cols for _ in template]
             for row, entries in zip(block, template):
                 for col, terms in entries:
-                    row[col] = (sum(a * y[k][0] - b * y[k][1]
-                                    for k, (a, b) in terms),
-                                sum(a * y[k][1] + b * y[k][0]
-                                    for k, (a, b) in terms))
+                    row[col] = GaussRat(sum(a * y[k][0] - b * y[k][1]
+                                            for k, (a, b) in terms),
+                                        sum(a * y[k][1] + b * y[k][0]
+                                            for k, (a, b) in terms))
             blocks.append(block)
         return tuple(blocks)
 
@@ -394,9 +394,9 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
     full column rank: B (when r > 1) and C.  The blocks' template is
     reduced mod the prime ``linalg.CERT_P`` once; each sample then gives
     their sparse rows mod p, and full column rank there proves it over
-    Q(i).  Only a block that falls short mod p is evaluated over Z[i] and
-    handed to ``linalg.certified_rank``, where exact elimination over Q(i)
-    decides.  An empty scan is refused.
+    Q(i).  Only a block that falls short mod p is evaluated over Z[i], and
+    ``linalg.rank`` decides it over Q(i); a rank drop is never reported on
+    the strength of the prime alone.  An empty scan is refused.
     """
     if samples is None:
         total, samples = len(_ALPHABET) ** m.n - 1, symbol_samples(m.n)
@@ -413,7 +413,7 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
     for xi in itertools.islice(samples, count):
         rows = blocks.mod_p(xi)
         if any(linalg.rank_mod_p(rows[b]) < full
-               and linalg.certified_rank(blocks(xi)[b]) < full
+               and linalg.rank(blocks(xi)[b]) < full
                for b, full in checks):
             first_failure = "(" + ", ".join(str(x) for x in xi) + ")"
             break

@@ -386,14 +386,16 @@ class CovectorForm(LegForm):
 
 @dataclass(frozen=True)
 class EndForm(Valued):
-    """Endomorphism-valued invariant (p,q)-form: ``flat`` holds the r x r
-    grid row by row, and ``entry(i, j)`` reads it."""
+    """An r x r matrix of (p,q)-forms of either layer (invariant forms, or
+    chart forms): ``flat`` holds the grid row by row, and ``entry(i, j)``
+    reads it.  The products and the trace take their zero from the
+    entries' class; ``zero`` builds the invariant zero."""
 
     n: int
     r: int
     p: int
     q: int
-    flat: Tuple[InvariantForm, ...]
+    flat: Tuple[Form, ...]
 
     @staticmethod
     def build(n, r, p, q, comps) -> "EndForm":
@@ -409,12 +411,12 @@ class EndForm(Valued):
         return EndForm(n, r, p, q, (InvariantForm.zero(n, p, q),) * (r * r))
 
     @property
-    def comps(self) -> Tuple[Tuple[InvariantForm, ...], ...]:
+    def comps(self) -> Tuple[Tuple[Form, ...], ...]:
         """The grid as a tuple of rows, for readers that walk it by rows."""
         r = self.r
         return tuple(self.flat[i * r:(i + 1) * r] for i in range(r))
 
-    def entry(self, i, j) -> InvariantForm:
+    def entry(self, i, j) -> Form:
         return self.flat[i * self.r + j]
 
     def _vals(self):
@@ -423,25 +425,22 @@ class EndForm(Valued):
     def _like(self, flat):
         return EndForm(self.n, self.r, self.p, self.q, flat)
 
+    def _zero(self, p: int, q: int) -> Form:
+        return type(self.flat[0]).zero(self.n, p, q)
+
     def mat_wedge(self, o: "EndForm") -> "EndForm":
         """Matrix product with entrywise wedge: (A ^ B)^i_j = A^i_k ^ B^k_j."""
         if self.r != o.r or self.n != o.n:
             raise FormError("shape mismatch in matrix wedge")
-        r = self.r
-        out = []
-        for i in range(r):
-            for j in range(r):
-                acc = InvariantForm.zero(self.n, self.p + o.p, self.q + o.q)
-                for k in range(r):
-                    acc = acc + self.entry(i, k).wedge(o.entry(k, j))
-                out.append(acc)
-        return EndForm(self.n, r, self.p + o.p, self.q + o.q, tuple(out))
+        r, p, q = self.r, self.p + o.p, self.q + o.q
+        return EndForm(self.n, r, p, q, tuple(
+            sum((self.entry(i, k).wedge(o.entry(k, j)) for k in range(r)),
+                self._zero(p, q))
+            for i in range(r) for j in range(r)))
 
-    def trace(self) -> InvariantForm:
-        acc = InvariantForm.zero(self.n, self.p, self.q)
-        for i in range(self.r):
-            acc = acc + self.entry(i, i)
-        return acc
+    def trace(self) -> Form:
+        return sum((self.entry(i, i) for i in range(self.r)),
+                   self._zero(self.p, self.q))
 
     def is_trace_free(self) -> bool:
         return not self.trace()
@@ -458,7 +457,7 @@ def contract(v: LegForm, k: LegForm) -> InvariantForm:
     return acc
 
 
-def end_pair_trace(a: EndForm, b: EndForm) -> InvariantForm:
+def end_pair_trace(a: EndForm, b: EndForm) -> Form:
     """tr(a ^ b) with entrywise wedge."""
     return a.mat_wedge(b).trace()
 

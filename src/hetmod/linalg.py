@@ -9,9 +9,9 @@ One sparse elimination engine and a determinant:
   ``kernel_basis`` and ``inverse`` ask for the reduced form and read their
   answer off it.  ``inverse`` only ever sees small matrices: the metric and
   the Kronecker factors of the Gram matrices, never a Gram matrix itself.
-* ``rank_mod_p`` runs it over F_CERT_P on sparse rows of ``residue``s;
-  ``certified_rank`` puts that certificate in front of ``rank`` for
-  matrices that are already Gaussian-integer.
+* ``rank_mod_p`` runs it over F_CERT_P on sparse rows of ``residue``s.
+  Full rank there proves full rank over Q(i); a rank that falls short
+  proves nothing, and ``rank`` decides.
 * ``det``: cofactor expansion over any ring whose unit is passed in
   (GaussRat, Scalar and chart Poly entries alike), for small matrices.
 """
@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .scalars import GR_ONE, GR_ZERO, GaussRat
 
 Matrix = List[List[GaussRat]]
-IntMatrix = List[List[Tuple[int, int]]]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -199,16 +198,3 @@ def rank_mod_p(rows) -> int:
     p = CERT_P
     return len(_echelon(rows, lambda x: pow(x, -1, p), p))
 
-
-def certified_rank(a: IntMatrix) -> int:
-    """Exact rank of a Gaussian-integer matrix.
-
-    Full rank mod CERT_P proves full rank over Q(i); only when the
-    certificate falls short does exact elimination over Q(i) decide.
-    """
-    full = min(len(a), len(a[0])) if a else 0
-    rk = rank_mod_p([{j: v for j, (re, im) in enumerate(row)
-                      if (v := residue(re, im))} for row in a])
-    if rk == full:
-        return rk
-    return rank([[GaussRat(re, im) for re, im in row] for row in a])

@@ -16,8 +16,7 @@ conjugate name ("ab1").
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from . import linalg
 from .exterior import EndForm, FormError, InvariantForm, MixedForm
@@ -26,7 +25,6 @@ from .scalars import (
     GR_ONE,
     GR_ZERO,
     GaussRat,
-    S_ONE,
     Scalar,
     ScalarError,
     format_scalar,
@@ -93,14 +91,7 @@ def build_iwasawa() -> HomogeneousModel:
 # -- Calabi-Eckmann: complex coframe from the real structure constants -------
 
 # d(e_i) for two copies of su(2): de1 = e2^e3 (cyclic), de4 = e5^e6 (cyclic).
-_SU2X2_D = {
-    1: ((2, 3),),
-    2: ((3, 1),),
-    3: ((1, 2),),
-    4: ((5, 6),),
-    5: ((6, 4),),
-    6: ((4, 5),),
-}
+_SU2X2_D = {1: (2, 3), 2: (3, 1), 3: (1, 2), 4: (5, 6), 5: (6, 4), 6: (4, 5)}
 
 # complex coframe: a1 = e1 + i e4, a2 = e2 + i e3, a3 = e5 + i e6
 _CE_COFRAME = (
@@ -110,51 +101,27 @@ _CE_COFRAME = (
 )
 
 
-def _ce_basis_change(n: int):
-    """M with (a^1..a^n, ab^1..ab^n) = M e, and its inverse."""
-    M = linalg.zeros(2 * n, 2 * n)
+def _ce_d_coframe(n: int) -> List[MixedForm]:
+    """d a^c = sum of c * e_j ^ e_k over the real legs e_i of a^c, with
+    de_i = e_j ^ e_k and each e_i a 1-form on the complex coframe."""
+    M = linalg.zeros(2 * n, 2 * n)    # (a^1..a^n, ab^1..ab^n) = M e
     for a, combo in enumerate(_CE_COFRAME):
         for i, c in combo:
             M[a][i - 1] = c
             M[n + a][i - 1] = c.conjugate()
-    return M, linalg.inverse(M)
-
-
-def _real_leg_as_complex(i: int, minv, n: int) -> List[GaussRat]:
-    """e_i expanded on the complex basis (a^1..a^n, ab^1..ab^n)."""
-    return [minv[i - 1][t] for t in range(2 * n)]
-
-
-def _ce_d_coframe(n: int) -> List[MixedForm]:
-    _, minv = _ce_basis_change(n)
+    e = [MixedForm.build(n, 1, {
+        (1, 0): InvariantForm(n, 1, 0, {((t + 1,), ()): Scalar.const(row[t])
+                                        for t in range(n)}),
+        (0, 1): InvariantForm(n, 0, 1, {((), (t + 1,)):
+                                        Scalar.const(row[n + t])
+                                        for t in range(n)})})
+        for row in linalg.inverse(M)]
     out = []
     for combo in _CE_COFRAME:
         acc = MixedForm.zero(n, 2)
         for i, c in combo:
-            for (j, k) in _SU2X2_D[i]:
-                vj = _real_leg_as_complex(j, minv, n)
-                vk = _real_leg_as_complex(k, minv, n)
-                for t in range(2 * n):
-                    if not vj[t]:
-                        continue
-                    for u in range(2 * n):
-                        if not vk[u]:
-                            continue
-                        cc = c * vj[t] * vk[u]
-                        if t < n and u < n:
-                            holo, anti = [t + 1, u + 1], []
-                        elif t < n <= u:
-                            holo, anti = [t + 1], [u - n + 1]
-                        elif u < n <= t:
-                            # put the holomorphic leg first; one transposition
-                            holo, anti = [u + 1], [t - n + 1]
-                            cc = -cc
-                        else:
-                            holo, anti = [], [t - n + 1, u - n + 1]
-                        mono = InvariantForm.monomial(n, holo, anti,
-                                                      Scalar.const(cc))
-                        if mono:
-                            acc = acc + MixedForm.of(mono)
+            j, k = _SU2X2_D[i]
+            acc = acc + e[j - 1].wedge(e[k - 1]).scale(Scalar.const(c))
         out.append(acc)
     return out
 

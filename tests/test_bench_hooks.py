@@ -3,11 +3,15 @@ reads operator entries row by row, and the traced pass (perfbench/child.py)
 times the form layer on the models' forms; these tests keep the hooks in
 place.
 
-The bench modules are only read here: the tracer is never installed."""
+The bench modules are only read here: the tracer is installed only in the
+child process that the last test starts."""
 
 import importlib
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 import types
 
 from hetmod import chartlocal as cl
@@ -18,6 +22,7 @@ from hetmod.scalars import Scalar
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 CHILD = ROOT / "perfbench" / "child.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def _load(name, path):
@@ -77,3 +82,33 @@ def test_chart_identity_calls_the_traced_residual_once_per_section(
         rep = cl.operator_identity_report(t, degree)
         assert rep["sections_checked"] == len(calls) == want
         assert calls == cl.monomial_sections(t, degree)
+
+
+def test_traced_pass_reports_every_layer(tmp_path):
+    # one traced pass of the bench child, as perfbench/run.py starts it: the
+    # tracer reads the arguments of the linalg functions as dense rows of
+    # GaussRat and the operator entries as rows of Scalar, and micro_metrics
+    # does arithmetic on what it read, so a changed argument type shows here
+    # and not in the hook tests above
+    job = {
+        "commands": [["check", "torus"], ["serre", "iwasawa"],
+                     ["symbol", "calabi-eckmann", "--samples", "5"],
+                     ["trivialize", "iwasawa", "--degree", "1"]],
+        "load": [["builtin", name] for name in BUILTIN_NAMES],
+        "trace": True,
+        "spans": str(tmp_path / "spans.jsonl"),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-S", str(CHILD), json.dumps(job)], cwd=ROOT,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "ready"
+    res = json.loads(lines[-1])
+    assert [c["exit"] for c in res["commands"]] == [0, 0, 0, 0], res
+    # run.py adds these two from outside the child
+    added = {"trace.overhead_frac", "host.calib_s"}
+    bench = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    names = {m["name"] for m in bench["per_layer"]}
+    missing = names - added - set(res["layers"])
+    assert added <= names and not missing, missing

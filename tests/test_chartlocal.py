@@ -3,7 +3,9 @@ construction and the conjugation identity for the deformation operator."""
 
 import copy
 import dataclasses
+import functools
 import itertools
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -149,6 +151,51 @@ def test_chern_simons_transgression(iwasawa):
     F = [[t.cd.F_chart[u][v] for v in range(2)] for u in range(2)]
     res = cl.cs_transgression_residual(A, F)
     assert not any(res)
+
+
+def _wedge_trace(X, Y):
+    """tr(X ^ Y) = sum_{i,k} X[i][k] ^ Y[k][i], by the test's own loop."""
+    r = len(X)
+    return functools.reduce(operator.add, [X[i][k].wedge(Y[k][i])
+                                           for i in range(r)
+                                           for k in range(r)])
+
+
+def _matrix_wedge(X, Y):
+    r = len(X)
+    return [[functools.reduce(operator.add, [X[i][k].wedge(Y[k][j])
+                                             for k in range(r)])
+             for j in range(r)] for i in range(r)]
+
+
+def test_chern_simons_on_a_non_abelian_potential(iwasawa):
+    # Chern & Simons (Ann. of Math. 99, 1974): for any matrix A of 1-forms,
+    # d tr(A ^ dA + 2/3 A ^ A ^ A) = tr(F_A ^ F_A) with F_A = dA + A ^ A.
+    # A is a polynomial (1,0) potential on iwasawa's chart whose cubic term
+    # tr(A ^ A ^ A) is nonzero and not dbar-closed, so the identity checks
+    # the cubic coefficient in the (3,1) part; F_A has the (2,0) part
+    # del A + A ^ A and the (1,1) part dbar A.
+    mc = cl.chart_data(iwasawa).m_coords
+
+    def one(*terms):
+        return functools.reduce(operator.add, [
+            cl.ChartForm.monomial(mc, (leg,), (), f) for leg, f in terms])
+
+    x = one((1, zbp(1)), (3, zp(0)))
+    A = [[x, one((2, zp(0) * zbp(2)), (1, cp(1)))],
+         [one((3, zbp(0)), (2, zp(1))), -x]]
+    cubic = _wedge_trace(_matrix_wedge(A, A), A)
+    assert cubic and cl.dbar_chart(cubic)
+    d20 = [[cl.partial_chart(f) for f in row] for row in A]
+    F20 = [[f + g for f, g in zip(r1, r2)]
+           for r1, r2 in zip(d20, _matrix_wedge(A, A))]
+    F11 = [[cl.dbar_chart(f) for f in row] for row in A]
+    cs30, cs21 = cl.chern_simons(A)
+    d30, d21 = cl.d_chart(cs30), cl.d_chart(cs21)
+    assert d30[0] == _wedge_trace(F20, F20)
+    assert d30[1] + d21[0] == _wedge_trace(F20, F11) + _wedge_trace(F11, F20)
+    assert d21[1] == _wedge_trace(F11, F11)
+    assert d30[1] + d21[0] and d21[1]
 
 
 def test_operator_identity_low_degree(iwasawa):

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, report files, determinism."""
 
 import json
+import pathlib
 
 import pytest
 
 from hetmod import cli
-from hetmod.models import builtin_model, print_model
+from hetmod.models import builtin_model, parse_model_text, print_model
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -222,3 +225,18 @@ def test_passing_trivialize_report_has_no_witness(capsys):
     assert code == 0
     assert set(json.loads(out)["operator_identity"]) == {
         "sections_checked", "failures", "passed"}
+
+
+def test_readme_model_example_checks(tmp_path, capsys, iwasawa):
+    # the model-file example in README.md is iwasawa's data without its
+    # chart, and `hetmod check` passes on it
+    text = README.read_text(encoding="utf-8")
+    example = text.split("```json\n", 1)[1].split("```", 1)[0]
+    m = parse_model_text(example)
+    assert (m.d_coframe, m.metric, m.curvature_F, m.alpha_prime) == (
+        iwasawa.d_coframe, iwasawa.metric, iwasawa.curvature_F,
+        iwasawa.alpha_prime)
+    path = tmp_path / "example.json"
+    path.write_text(example, encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True

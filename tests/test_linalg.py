@@ -193,7 +193,7 @@ def test_certificate_constants():
     assert all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
-def test_certified_rank_falls_back_when_singular_mod_p():
+def test_exact_rank_where_the_rank_mod_p_falls_short():
     p, i_p = linalg.CERT_P, linalg.CERT_I
     # full rank over Q(i), singular mod p: an entry equal to p, and a
     # determinant -1 - i*I that vanishes once i is sent to I
@@ -203,14 +203,12 @@ def test_certified_rank_falls_back_when_singular_mod_p():
         full = len(m[0])
         assert linalg.rank_mod_p(_residue_rows(m)) < full
         assert linalg.rank(_gauss(m)) == _minor_rank(_gauss(m)) == full
-        assert linalg.certified_rank(m) == full
 
 
-def test_certified_rank_agrees_with_minors_on_random_matrices():
+def test_ranks_agree_with_minors_on_random_matrices():
     for m in _planted_matrices(20261017):
         ints = _to_ints(m)
         rk = _minor_rank(m)
-        assert linalg.certified_rank(ints) == rk
         assert linalg.rank(_gauss(ints)) == rk
         assert linalg.rank_mod_p(_residue_rows(ints)) <= rk
 

@@ -14,7 +14,7 @@ from hetmod.models import (
     parse_model_text,
     print_model,
 )
-from hetmod.scalars import GR_ZERO, GaussRat
+from hetmod.scalars import GR_ZERO, GaussRat, Scalar
 
 
 def test_builtin_names_resolve():
@@ -115,3 +115,30 @@ def test_parse_rejects_variable_coefficient(iwasawa):
     data["metric"][0][0] = "a"
     with pytest.raises(ModelError):
         parse_model_text(json.dumps(data))
+
+
+def test_calabi_eckmann_structure_equations(calabi_eckmann):
+    # Calabi & Eckmann (Ann. of Math. 58, 1953) on su(2) + su(2):
+    # de1 = e2^e3, de2 = e3^e1, de3 = e1^e2 and de4 = e5^e6, de5 = e6^e4,
+    # de6 = e4^e5, with a1 = e1 + i e4, a2 = e2 + i e3, a3 = e5 + i e6, so
+    # e1 = (a1 + ab1)/2, e4 = (a1 - ab1)/(2i) and likewise for the others.
+    # By hand:
+    #   e2^e3 = (a2 + ab2)/2 ^ (a2 - ab2)/(2i) = (i/2) a2^ab2, and
+    #   e5^e6 = (i/2) a3^ab3, so
+    #   d a1 = e2^e3 + i e5^e6 = (i/2) a2^ab2 - 1/2 a3^ab3;
+    #   d a2 = e3^e1 + i e1^e2 = i e1^a2 = (i/2) (a1 + ab1)^a2
+    #        = (i/2) a1^a2 - (i/2) a2^ab1;
+    #   d a3 = e6^e4 + i e4^e5 = i e4^a3 = 1/2 (a1 - ab1)^a3
+    #        = 1/2 a1^a3 + 1/2 a3^ab1.
+    n = 3
+    half, half_i = Scalar.of("1/2"), Scalar.of(0, "1/2")
+
+    def mono(holo, anti, c):
+        return MixedForm.of(InvariantForm.monomial(n, holo, anti, c))
+
+    want = [
+        mono([2], [2], half_i) + mono([3], [3], -half),
+        mono([1, 2], [], half_i) + mono([2], [1], -half_i),
+        mono([1, 3], [], half) + mono([3], [1], half),
+    ]
+    assert calabi_eckmann.d_coframe == want
