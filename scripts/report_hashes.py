@@ -10,7 +10,8 @@ left every report, message and exit code as it was.
 The list: ``check``, ``serre``, ``cohomology`` and ``symbol`` on the
 built-ins at the default alpha' and at 0, 1, -4 and 1/7;
 ``cohomology torus --diagonal-dbar``; ``trivialize iwasawa --degree 0..4``;
-and ``serre`` and ``cohomology --samples 50`` on each model file given.
+and ``serre``, ``serre --alpha-prime 0`` and ``cohomology --samples 50``
+on each model file given (``scripts/scale_models.py`` writes larger ones).
 
 Usage:
     PYTHONPATH=src python3 scripts/report_hashes.py [model.json ...]
@@ -38,6 +39,7 @@ def commands(files):
         yield ["trivialize", "iwasawa", "--degree", str(degree)]
     for path in files:
         yield ["serre", path]
+        yield ["serre", path, "--alpha-prime", "0"]
         yield ["cohomology", path, "--samples", "50"]
 
 

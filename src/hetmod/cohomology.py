@@ -3,13 +3,15 @@
 All dimensions are exact and refer to the finite-dimensional invariant
 subcomplex: each kernel dimension is a dimension minus a rank, computed over
 the Gaussian rationals after specializing the coupling constant, so no
-kernel vector is built.  The module also implements the principal
-symbol of Dbar + Dbar* and an injectivity scan over a lattice of nonzero
-cotangent samples, which is the effective content of ellipticity here.
-The scan's two symbol blocks are linear in xi and xibar, so they are held
-as one per-model template of terms (col, k, c), c times xi_k or
-conj(xi_{k-n}), whose coefficients are reduced mod a prime once; each
-sample then only forms sparse rows mod p for the elimination.
+kernel vector is built.  ``serre`` reads only the ranks of the D_p; the
+Gram adjoints and the harmonic counts are built for ``cohomology`` alone.
+The module also implements the principal symbol of Dbar + Dbar* and an
+injectivity scan over a lattice of nonzero cotangent samples, which is the
+effective content of ellipticity here.  The scan's two symbol blocks are
+linear in xi and xibar, so they are held as one per-model template of terms
+(col, k, c), c times xi_k or conj(xi_{k-n}), whose coefficients are reduced
+mod a prime once; each sample then only forms sparse rows mod p for the
+elimination.
 """
 
 from __future__ import annotations
@@ -82,6 +84,30 @@ def _require_nilpotent(m: HomogeneousModel, chain, alpha0: GaussRat) -> None:
                 )
 
 
+def _counts(m: HomogeneousModel, alpha0: Optional[GaussRat],
+            diagonal: bool = False):
+    """The count step: the coupling, the specialized chain D_p, the ranks
+    (0, rank D_0, .., rank D_{n-1}, 0) and h_p = dim_p - rank D_p -
+    rank D_{p-1}.  Refuses (with the anomaly residual in the message) when
+    the operator does not square to zero at the chosen coupling."""
+    a0 = resolve_alpha(m, alpha0)
+    chain = _operator_chain(m, a0, diagonal)
+    if not diagonal:
+        _require_nilpotent(m, chain, a0)
+    ranks = [0] + [linalg.rank(d) for d in chain] + [0]
+    return a0, chain, ranks, [q_space_dimension(m, p) - ranks[p + 1]
+                              - ranks[p] for p in range(m.n + 1)]
+
+
+def _serre_pairs(h: List[int]) -> List[list]:
+    """[p, n - p, h^p == h^{n-p}] for p = 0..n."""
+    return [[p, len(h) - 1 - p, x == h[-1 - p]] for p, x in enumerate(h)]
+
+
+def _euler(h: List[int]) -> int:
+    return sum((-1) ** p * x for p, x in enumerate(h))
+
+
 @dataclass(frozen=True)
 class DegreeData:
     p: int
@@ -108,41 +134,25 @@ class CohomologyData:
 
     @property
     def euler(self) -> int:
-        return sum((-1) ** d.p * d.h for d in self.degrees)
-
-    @property
-    def serre_pairs(self) -> List[Tuple[int, int, bool]]:
-        n = len(self.degrees) - 1
-        return [(p, n - p, self.degrees[p].h == self.degrees[n - p].h)
-                for p in range(n + 1)]
+        return _euler(self.h)
 
     @property
     def serre(self) -> bool:
-        return all(ok for _, _, ok in self.serre_pairs)
+        return all(ok for *_, ok in _serre_pairs(self.h))
 
 
 def cohomology_data(m: HomogeneousModel, alpha0: Optional[GaussRat] = None,
                     diagonal: bool = False) -> CohomologyData:
-    """Exact h^{0,p} and harmonic dimensions for p = 0..n.
-
-    Refuses (with the anomaly residual in the message) when the operator does
-    not square to zero at the chosen coupling.
-    """
-    a0 = resolve_alpha(m, alpha0)
+    """Exact h^{0,p} (from ``_counts``, which may refuse) and harmonic
+    dimensions, from the Gram adjoints, for p = 0..n."""
+    a0, chain, ranks, h = _counts(m, alpha0, diagonal)
     n = m.n
-    chain = _operator_chain(m, a0, diagonal)
-    if not diagonal:
-        _require_nilpotent(m, chain, a0)
     adjoints = [qcomplex.gram_adjoint(
         m, qcomplex.assemble_Dbar(m, p, diagonal)).specialize(a0)
         for p in range(n)]
     degrees = []
-    prev_rank = 0
     for p in range(n + 1):
         dim = q_space_dimension(m, p)
-        rank = linalg.rank(chain[p]) if p < n else 0
-        ker = dim - rank
-        h = ker - prev_rank
         # harmonic space: ker of Dbar stacked over ker of the adjoint
         stacked: List[List[GaussRat]] = []
         if p < n:
@@ -150,20 +160,19 @@ def cohomology_data(m: HomogeneousModel, alpha0: Optional[GaussRat] = None,
         if p > 0:
             stacked.extend(adjoints[p - 1])
         harm = dim - linalg.rank(stacked)
-        degrees.append(DegreeData(p, dim, ker, rank, h, harm))
-        prev_rank = rank
+        degrees.append(DegreeData(p, dim, dim - ranks[p + 1], ranks[p + 1],
+                                  h[p], harm))
     return CohomologyData(m.name, a0, tuple(degrees))
 
 
 def serre_report(m: HomogeneousModel,
                  alpha0: Optional[GaussRat] = None) -> Dict:
-    data = cohomology_data(m, alpha0)
-    return {
-        "h": data.h,
-        "pairs": [[p, q, ok] for p, q, ok in data.serre_pairs],
-        "symmetric": data.serre,
-        "euler": data.euler,
-    }
+    """h^p against h^{n-p} and the Euler number, from the ranks of the D_p
+    alone: no Gram adjoint and no harmonic count is built."""
+    h = _counts(m, alpha0)[3]
+    pairs = _serre_pairs(h)
+    return {"h": h, "pairs": pairs, "symmetric": all(ok for *_, ok in pairs),
+            "euler": _euler(h)}
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,55 @@ def test_serre_report_shape(iwasawa):
     assert [p for p, _, _ in rep["pairs"]] == [0, 1, 2, 3]
 
 
+def _serre_or_refusal(fn, m, alpha0):
+    try:
+        return fn(m, alpha0)
+    except ModelError as exc:
+        return str(exc)
+
+
+def test_serre_report_agrees_with_cohomology_data(builtins,
+                                                  random_flat_models):
+    # serre counts from the ranks of D_p alone; cohomology_data is the
+    # full route, with the harmonic step on top of the same counts
+    cases = [(m, None if a is None else GaussRat.of(a)) for m in builtins
+             for a in (None, "0", "1", "-4", "1/7")]
+    cases += [(m, GaussRat.of(a)) for m in random_flat_models
+              for a in (1, 0)]
+    cases.append((_random_flat_model(random.Random(4), 0, n=4), None))
+    refused, asymmetric = [], []
+    for m, a in cases:
+        label = (m.name, str(a))
+        rep = _serre_or_refusal(coh.serre_report, m, a)
+        data = _serre_or_refusal(coh.cohomology_data, m, a)
+        if isinstance(data, str):
+            assert rep == data, label
+            refused.append(label)
+            continue
+        assert rep == {"h": data.h, "symmetric": data.serre,
+                       "euler": data.euler,
+                       "pairs": [[p, m.n - p, data.h[p] == data.h[m.n - p]]
+                                 for p in range(m.n + 1)]}, label
+        if not rep["symmetric"]:
+            asymmetric.append((label, rep["h"]))
+    assert ("iwasawa", "1") in refused
+    assert len(refused) < len(cases) // 2, refused
+    # h drops its symmetry at alpha' = 0 on both random flat models, and
+    # calabi-eckmann's low-degree counts are never symmetric
+    assert [x for x in asymmetric if x[0][0] != "calabi-eckmann"] == [
+        ((m.name, "0"), [6, 21, 23, 8]) for m in random_flat_models]
+
+
+def test_serre_builds_no_gram_adjoint(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("serre must not build a Gram adjoint")
+    monkeypatch.setattr(qc, "gram_adjoint", refuse)
+    m = builtin_model("iwasawa")
+    assert coh.serre_report(m)["h"] == [6, 11, 11, 6]
+    names = {k[0] if isinstance(k, tuple) else k for k in m._cache}
+    assert not names & {"gram_rows", "value_grams", "leg_gram"}, names
+
+
 def test_symbol_sample_count():
     assert sum(1 for _ in coh.symbol_samples(3)) == 7 ** 3 - 1
 
