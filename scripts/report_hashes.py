@@ -9,9 +9,12 @@ left every report, message and exit code as it was.
 
 The list: ``check``, ``serre``, ``cohomology`` and ``symbol`` on the
 built-ins at the default alpha' and at 0, 1, -4 and 1/7;
-``cohomology torus --diagonal-dbar``; ``trivialize iwasawa --degree 0..4``;
-and ``serre``, ``serre --alpha-prime 0`` and ``cohomology --samples 50``
-on each model file given (``scripts/scale_models.py`` writes larger ones).
+``cohomology torus --diagonal-dbar``; ``trivialize iwasawa --degree`` 0..4
+and 6; ``trivialize iwasawa --degree 3`` at alpha' = 0, 1 and 1/7, where the
+anomaly does not balance, so the chart identity fails (exit 1) and the
+report names its first failing section; and ``serre``,
+``serre --alpha-prime 0`` and ``cohomology --samples 50`` on each model
+file given (``scripts/scale_models.py`` writes larger ones).
 
 Usage:
     PYTHONPATH=src python3 scripts/report_hashes.py [model.json ...]
@@ -35,8 +38,11 @@ def commands(files):
                 yield [sub, name] + ([] if alpha is None
                                      else ["--alpha-prime", alpha])
     yield ["cohomology", "torus", "--diagonal-dbar"]
-    for degree in range(5):
+    for degree in (0, 1, 2, 3, 4, 6):
         yield ["trivialize", "iwasawa", "--degree", str(degree)]
+    for alpha in ("0", "1", "1/7"):
+        yield ["trivialize", "iwasawa", "--degree", "3",
+               "--alpha-prime", alpha]
     for path in files:
         yield ["serre", path]
         yield ["serre", path, "--alpha-prime", "0"]

@@ -25,10 +25,19 @@ ever stored, so ``bool`` is emptiness, ``==`` and ``hash`` ignore insertion
 order, and terms are sorted only for printing.  The public constructors and
 ``build`` validate what they are given; the arithmetic builds each result
 in one pass through the unchecked ``_poly``, ``exterior._form`` and
-``_section`` and never sorts.  The operators on sections are a monomial
-dbar and shifts of exponents along flat tables of the nonzero couplings,
-split into monomial terms and scaled once when the tables are made, so
-zero slots and zero couplings cost nothing.
+``_section`` and never sorts.
+
+Operators on sections.  On a monomial section e_k z^x zbar^y dzbar^L, a
+coupling multiplies by a fixed monomial, which shifts (x, y), and dbar or
+the nabla^+ derivative brings down a factor y_j + eps_j or x_d + delta_d,
+where eps and delta are the shifts of the steps before.  So D, phi,
+phi^{-1}, dbar and the residual D - phi^{-1} dbar phi are, for each slot
+and legs (k, L), finite tables of (target slot, legs, z shift, zbar shift,
+Poly in (x, y)): a Poly's z and zbar exponents stand for x and y.  Each is
+made once per ``Trivialization`` by running the flat coupling tables on the
+generic term map {(k, L, 0, 0): 1}, and is evaluated at the exponents of
+every section it meets; ``sections_checked`` counts the sections at which
+the exact residual was so evaluated.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 from operator import add
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -62,7 +72,7 @@ from .geometry import (
     torsion,
 )
 from .linalg import det
-from .scalars import GR_ONE, GaussRat, parse_gauss
+from .scalars import GR_ONE, GR_ZERO, GaussRat, parse_gauss
 
 Exp = Tuple[int, ...]
 PKey = Tuple[Exp, Exp]
@@ -188,6 +198,11 @@ class Poly(_Immutable):
                 out[(a, b[:k] + (e - 1,) + b[k + 1:])] = (
                     c if e == 1 else c * _int(e))
         return _poly(self.m, out)
+
+    def evaluate(self, x: Exp, y: Exp) -> GaussRat:
+        """The value at the integer point z = x, zbar = y."""
+        return sum((c * _int(prod(v ** e for v, e in zip(x + y, a + b)))
+                    for (a, b), c in self.terms.items()), GR_ZERO)
 
     def is_holomorphic(self) -> bool:
         return not any(any(b) for _, b in self.terms)
@@ -443,21 +458,17 @@ def _poly_matrix_inverse(P, m_coords: int):
     constant (adjugate divided by the constant determinant)."""
     k = len(P)
     one = Poly.const(m_coords, GR_ONE)
-    dd = det([list(r) for r in P], one)
-    const = dict(dd.terms)
+    const = det([list(r) for r in P], one).terms
     zkey = ((0,) * m_coords, (0,) * m_coords)
-    if set(const) - {zkey} or zkey not in const:
+    if set(const) != {zkey}:
         raise ModelError("chart coframe determinant is not a nonzero constant")
     dinv = GR_ONE / const[zkey]
-    out = [[Poly.zero(m_coords)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            minor = [[P[r][c] for c in range(k) if c != i]
-                     for r in range(k) if r != j]
-            cof = det(minor, one)
-            s = dinv if (i + j) % 2 == 0 else -dinv
-            out[i][j] = cof.scale(s)
-    return tuple(tuple(r) for r in out)
+
+    def cofactor(i, j):
+        minor = [[P[r][c] for c in range(k) if c != i]
+                 for r in range(k) if r != j]
+        return det(minor, one).scale(dinv if (i + j) % 2 == 0 else -dinv)
+    return tuple(tuple(cofactor(i, j) for j in range(k)) for i in range(k))
 
 
 def invariant_to_chart(P, f) -> ChartForm:
@@ -586,8 +597,9 @@ class Trivialization:
 
     The A components and the flat coupling tables (see ``_flat_table``) of
     the operators on sections are derived from A, tau, alpha and the chart
-    data when the object is made, so a copy made with ``dataclasses.replace``
-    stays consistent.  The coefficients already carry alpha' and the sign.
+    data when the object is made, and the exponent tables start empty, so a
+    copy made with ``dataclasses.replace`` stays consistent.  The
+    coefficients already carry alpha' and the sign.
     """
 
     model_name: str
@@ -606,6 +618,8 @@ class Trivialization:
     # and, in phi^{-1} only, kappa_a += alpha' tr(A_a A_d) w_d
     phi_table: Dict = field(init=False, repr=False, compare=False)
     phi_inv_table: Dict = field(init=False, repr=False, compare=False)
+    # the section operators' exponent tables (see ``_evaluate``)
+    op_tables: Dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cd, al = self.cd, self.alpha
@@ -637,7 +651,7 @@ class Trivialization:
                  for a, u, v in gauge for d in ms if s != GR_ONE)))
 
         _derived(self, Acomp=A, D_table=D, phi_table=phi(GR_ONE),
-                 phi_inv_table=phi(-GR_ONE))
+                 phi_inv_table=phi(-GR_ONE), op_tables={})
 
 
 def _torsion_components(mc: int, T_chart: ChartForm):
@@ -723,37 +737,26 @@ def _tau_rhs(cd: ChartData, Acomp, alpha: GaussRat, a: int,
              b: int) -> ChartForm:
     """The right-hand side of dbar tau_{ab} = T_{ba} - alpha tr(A_a F_b)
     + alpha tr(Gamma_a R_b), a (0,1)-form."""
-    mc, r = cd.m_coords, cd.rank
-    Fcomp, Rcomp = cd.Fcomp, cd.Rcomp
+    F, R, G = cd.Fcomp[b], cd.Rcomp[b], cd.Gamma[a]
     rhs = cd.Tcomp[b][a]
-    for u in range(r):
-        for v in range(r):
-            if Acomp[a][u][v] and Fcomp[b][v][u]:
-                rhs = rhs - Fcomp[b][v][u].scale_poly(
-                    Acomp[a][u][v]).scale(alpha)
-    for c in range(mc):
-        for bb in range(mc):
-            if cd.Gamma[a][c][bb] and Rcomp[b][bb][c]:
-                rhs = rhs + Rcomp[b][bb][c].scale_poly(
-                    cd.Gamma[a][c][bb]).scale(alpha)
+    for u, v in itertools.product(range(cd.rank), repeat=2):
+        if Acomp[a][u][v] and F[v][u]:
+            rhs = rhs - F[v][u].scale_poly(Acomp[a][u][v]).scale(alpha)
+    for c, bb in itertools.product(range(cd.m_coords), repeat=2):
+        if G[c][bb] and R[bb][c]:
+            rhs = rhs + R[bb][c].scale_poly(G[c][bb]).scale(alpha)
     return rhs
 
 
 def potential_residuals(t: Trivialization) -> Dict[str, bool]:
     """dbar A = F and the torsion-potential equation, checked exactly."""
     cd = t.cd
-    mc, r = cd.m_coords, cd.rank
-    ok_A = True
-    for u in range(r):
-        for v in range(r):
-            if dbar_chart(t.A[u][v]) - cd.F_chart[u][v]:
-                ok_A = False
-    ok_tau = True
-    for a in range(mc):
-        for b in range(mc):
-            lhs = dbar_chart(ChartForm.func(t.tau[a][b]))
-            if lhs - _tau_rhs(cd, t.Acomp, t.alpha, a, b):
-                ok_tau = False
+    ms, rs = range(cd.m_coords), range(cd.rank)
+    ok_A = not any(dbar_chart(t.A[u][v]) - cd.F_chart[u][v]
+                   for u in rs for v in rs)
+    ok_tau = not any(dbar_chart(ChartForm.func(t.tau[a][b]))
+                     - _tau_rhs(cd, t.Acomp, t.alpha, a, b)
+                     for a in ms for b in ms)
     return {"gauge_potential": ok_A, "torsion_potential": ok_tau}
 
 
@@ -868,109 +871,132 @@ def _section(mc: int, rank: int, q: int, terms: dict) -> ChartSection:
     return x
 
 
-@lru_cache(maxsize=None)
-def _dbar_monomial(legs: Tuple[int, ...], zb: Exp):
-    """dbar of zbar^zb dzbar^legs as ((legs', zb', coefficient), ...)."""
-    out = []
-    for k, e in enumerate(zb):
-        sign, new = _front(k + 1, legs) if e else (0, ())
-        if sign:
-            out.append((new, zb[:k] + (e - 1,) + zb[k + 1:], _int(sign * e)))
-    return tuple(out)
+def _bring_down(e: Exp, j: int, anti: bool) -> Tuple[Poly, Exp]:
+    """What d/dz_j (anti=False) or d/dzbar_j does to a monomial whose z or
+    zbar exponent is shifted by e: the factor x_j + e_j or y_j + e_j, and
+    the shift lowered at j."""
+    f = Poly.coord(len(e), j, anti)
+    return ((f + Poly.const(len(e), _int(e[j])) if e[j] else f),
+            e[:j] + (e[j] - 1,) + e[j + 1:])
 
 
-def _dbar_terms(acc: dict, terms: Mapping) -> dict:
-    """acc += dbar of a term map, slot by slot."""
-    for (k, legs, z, zb), c in terms.items():
-        for new, zb2, f in _dbar_monomial(legs, zb):
-            _acc(acc, (k, new, z, zb2), c * f)
+def _dbar(t: Optional[Trivialization], terms: Mapping) -> dict:
+    """dbar of a generic term map, slot by slot (``t`` is not read)."""
+    acc: Dict = {}
+    for (k, legs, sx, sy), f in terms.items():
+        for j in range(f.m):
+            sign, new = _front(j + 1, legs)
+            if sign:
+                g, low = _bring_down(sy, j, True)
+                _acc(acc, (k, new, sx, low), f * g if sign == 1 else -f * g)
     return acc
 
 
 def _couple(acc: dict, table: Dict, terms: Mapping) -> dict:
-    """acc += every coupling of a flat table applied to a term map: the
-    exponents add, and a (0,1) coefficient leg goes in front of the legs."""
+    """acc += every coupling of a flat table applied to a generic term map:
+    the shifts add, and a (0,1) coefficient leg goes in front of the legs."""
     get = table.get
-    for (k, legs, z, zb), c in terms.items():
+    for (k, legs, sx, sy), f in terms.items():
         for dst, front, fz, fzb, fc in get(k, ()):
             sign, new = _merge(front, legs)
             if sign:
-                v = c * fc
-                _acc(acc, (dst, new, tuple(map(add, z, fz)),
-                           tuple(map(add, zb, fzb))),
-                     v if sign == 1 else -v)
+                _acc(acc, (dst, new, tuple(map(add, sx, fz)),
+                           tuple(map(add, sy, fzb))),
+                     f.scale(fc if sign == 1 else -fc))
     return acc
 
 
-def nabla_plus_chart(t: Trivialization, s: ChartSection) -> Dict:
-    """The (1,0)-covariant derivative of the vector part of ``s``, with the
-    coordinate coefficients of the torsion-shifted connection, in the
-    directions the couplings read: a term map keyed by the nabla slot
-    n0 + c mc + b of (nabla_c w)_b (see ``_offsets``)."""
-    mc = s.mc
-    _, w0, n0 = _offsets(mc, s.rank)
-    dirs = t.cd.nabla_dirs
-    out: Dict = {}
-    for (k, legs, z, zb), c in s.terms.items():
-        if k < w0:
-            continue
-        for d in dirs:
-            e = z[d]
-            if e:
-                _acc(out, (n0 + d * mc + k - w0, legs,
-                           z[:d] + (e - 1,) + z[d + 1:], zb),
-                     c if e == 1 else c * _int(e))
-    return _couple(out, t.cd.nabla_table, s.terms)
+def _coupled(acc: dict, table: Dict, t: Trivialization,
+             terms: Mapping) -> dict:
+    """acc += the couplings of ``table`` on ``terms`` and on nabla^+ of
+    their vector part in the directions the couplings read, keyed by the
+    nabla slot n0 + c mc + b of (nabla_c w)_b (see ``_offsets``)."""
+    mc = t.cd.m_coords
+    _, w0, n0 = _offsets(mc, t.cd.rank)
+    nabla: Dict = {}
+    for (k, legs, sx, sy), f in terms.items():
+        if k >= w0:
+            for d in t.cd.nabla_dirs:
+                g, low = _bring_down(sx, d, False)
+                _acc(nabla, (n0 + d * mc + k - w0, legs, low, sy), f * g)
+    nabla = _couple(nabla, t.cd.nabla_table, terms)
+    return _couple(_couple(acc, table, terms), table, nabla)
 
 
-def apply_Dbar_chart(t: Trivialization, s: ChartSection,
-                     nabla: Optional[Dict] = None) -> ChartSection:
+def _D(t: Trivialization, terms: Mapping) -> dict:
+    return _coupled(_dbar(t, terms), t.D_table, t, terms)
+
+
+def _phi(t: Trivialization, terms: Mapping) -> dict:
+    return _coupled(dict(terms), t.phi_table, t, terms)
+
+
+def _phi_inv(t: Trivialization, terms: Mapping) -> dict:
+    return _coupled(dict(terms), t.phi_inv_table, t, terms)
+
+
+def _residual(t: Trivialization, terms: Mapping) -> dict:
+    rhs = _phi_inv(t, _dbar(t, _phi(t, terms)))
+    return _sum_terms(_D(t, terms), rhs, -1)
+
+
+_DBAR_TABLES: Dict = {}    # dbar depends on no trivialization
+
+
+def _evaluate(t: Optional[Trivialization], op, s: ChartSection,
+              q: int) -> ChartSection:
+    """Each term c z^x zbar^y of ``s`` through the table of ``op`` for its
+    (k, L), made on first use, evaluated at (x, y).  An entry whose shifted
+    exponent is negative must vanish there: a derivative brought down the
+    zero exponent."""
+    tables = _DBAR_TABLES if t is None else t.op_tables
+    z = (0,) * s.mc
+    acc: Dict = {}
+    for (k, legs, x, y), c in s.terms.items():
+        table = tables.get((op, s.mc, k, legs))
+        if table is None:
+            g = op(t, {(k, legs, z, z): Poly.const(s.mc, GR_ONE)})
+            table = tables[(op, s.mc, k, legs)] = tuple(
+                key + (f,) for key, f in g.items())
+        for dst, new, sx, sy, f in table:
+            v = f.evaluate(x, y)
+            if v:
+                x2, y2 = tuple(map(add, x, sx)), tuple(map(add, y, sy))
+                if min(x2) < 0 or min(y2) < 0:
+                    raise FormError(f"operator table gives a negative "
+                                    f"exponent {x2}, {y2} a nonzero value")
+                _acc(acc, (dst, new, x2, y2), c * v)
+    return _section(s.mc, s.rank, q, acc)
+
+
+def apply_Dbar_chart(t: Trivialization, s: ChartSection) -> ChartSection:
     """The deformation operator in chart coordinates: coordinate frames are
     holomorphic, so the diagonal is the plain dbar and the couplings use the
-    chart components of F, T and R.  ``nabla`` may pass in
-    ``nabla_plus_chart(t, s)`` when the caller has it already."""
-    if nabla is None:
-        nabla = nabla_plus_chart(t, s)
-    acc = _couple(_dbar_terms({}, s.terms), t.D_table, s.terms)
-    return _section(s.mc, s.rank, s.q + 1, _couple(acc, t.D_table, nabla))
+    chart components of F, T and R."""
+    return _evaluate(t, _D, s, s.q + 1)
 
 
-def _phi_action(table: Dict, s: ChartSection, nabla: Dict) -> ChartSection:
-    acc = _couple(s.terms.copy(), table, s.terms)
-    return _section(s.mc, s.rank, s.q, _couple(acc, table, nabla))
-
-
-def apply_phi(t: Trivialization, s: ChartSection,
-              nabla: Optional[Dict] = None) -> ChartSection:
-    """phi s; ``nabla`` as for apply_Dbar_chart."""
-    if nabla is None:
-        nabla = nabla_plus_chart(t, s)
-    return _phi_action(t.phi_table, s, nabla)
+def apply_phi(t: Trivialization, s: ChartSection) -> ChartSection:
+    return _evaluate(t, _phi, s, s.q)
 
 
 def apply_phi_inverse(t: Trivialization, s: ChartSection) -> ChartSection:
-    return _phi_action(t.phi_inv_table, s, nabla_plus_chart(t, s))
+    return _evaluate(t, _phi_inv, s, s.q)
 
 
 def dbar_section(s: ChartSection) -> ChartSection:
-    return _section(s.mc, s.rank, s.q + 1, _dbar_terms({}, s.terms))
+    return _evaluate(None, _dbar, s, s.q + 1)
 
 
 def trivialization_residual(t: Trivialization,
                             s: ChartSection) -> ChartSection:
     """D s - phi^{-1} dbar (phi s); identically zero for a valid pair.
 
-    The two sides are built independently; they share only the
-    torsion-shifted derivative of the vector part of ``s``, which both read.
-    Equal sides, every section of a valid pair, cost one term-map
-    comparison.
+    The residual's table is D's minus that of phi^{-1} dbar phi, both run
+    on the generic term map, so on a valid pair it is empty and every
+    section evaluates to zero at the cost of a lookup.
     """
-    nabla = nabla_plus_chart(t, s)
-    lhs = apply_Dbar_chart(t, s, nabla)
-    rhs = apply_phi_inverse(t, dbar_section(apply_phi(t, s, nabla)))
-    if lhs.terms == rhs.terms:
-        return _section(lhs.mc, lhs.rank, lhs.q, {})
-    return lhs - rhs
+    return _evaluate(t, _residual, s, s.q + 1)
 
 
 def _labelled_sections(t: Trivialization, degree: int):
@@ -1054,10 +1080,9 @@ def transition_cocycle_residual(t1: Trivialization, t2: Trivialization,
     p23 = transition(t2, t3)
     p13 = transition(t1, t3)
     mc, r = p12.mc, p12.rank
-    for u in range(r):
-        for v in range(r):
-            if p12.a_diff[u][v] + p23.a_diff[u][v] - p13.a_diff[u][v]:
-                return False
+    if any(x + y - z for rows in zip(p12.a_diff, p23.a_diff, p13.a_diff)
+           for x, y, z in zip(*rows)):
+        return False
     D12, D23 = _a_components(p12.a_diff), _a_components(p23.a_diff)
     for a in range(mc):
         for d in range(mc):

@@ -153,13 +153,13 @@ def cohomology_data(m: HomogeneousModel, alpha0: Optional[GaussRat] = None,
     degrees = []
     for p in range(n + 1):
         dim = q_space_dimension(m, p)
-        # harmonic space: ker of Dbar stacked over ker of the adjoint
-        stacked: List[List[GaussRat]] = []
-        if p < n:
-            stacked.extend(chain[p])
-        if p > 0:
-            stacked.extend(adjoints[p - 1])
-        harm = dim - linalg.rank(stacked)
+        # harmonic space: ker of Dbar stacked over ker of the adjoint; at
+        # p = 0 there is no adjoint, and the count step has ranked D_0
+        if p == 0:
+            harm = dim - ranks[1]
+        else:
+            harm = dim - linalg.rank(
+                (chain[p] if p < n else []) + adjoints[p - 1])
         degrees.append(DegreeData(p, dim, dim - ranks[p + 1], ranks[p + 1],
                                   h[p], harm))
     return CohomologyData(m.name, a0, tuple(degrees))

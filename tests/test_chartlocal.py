@@ -665,17 +665,21 @@ def test_flat_operators_match_the_chart_form_reference(
     assert _compare_with_reference(dense, 2) > 0
 
 
-def test_curvature_coupling_R_nabla_plus(iwasawa):
-    """No chart model has R = dbar Gamma nonzero, so one Christoffel entry
-    is made non-holomorphic here; the operators must follow the reference,
-    and the reference without its R term must not match."""
-    t = cl.build_trivialization(iwasawa)
+def _bent(t):
+    """``t`` with one Christoffel entry made non-holomorphic, so that
+    R = dbar Gamma, which no chart model has, is nonzero."""
     G = [[list(row) for row in g] for g in t.cd.Gamma]
     G[0][2][1] = G[0][2][1] + zbp(1) * zp(0)
     cd = dataclasses.replace(t.cd, Gamma=tuple(
         tuple(tuple(row) for row in g) for g in G))
     assert any(f for g in cd.Rcomp for row in g for f in row)
-    bent = dataclasses.replace(t, cd=cd)
+    return dataclasses.replace(t, cd=cd)
+
+
+def test_curvature_coupling_R_nabla_plus(iwasawa):
+    """The operators must follow the reference on a bent Gamma, and the
+    reference without its R term must not match."""
+    bent = _bent(cl.build_trivialization(iwasawa))
     assert _compare_with_reference(bent, 2) > 0
     sections = cl.monomial_sections(bent, 2)
     assert any(cl.apply_Dbar_chart(bent, s) != _ref_Dbar(bent, s, False)
@@ -705,3 +709,35 @@ def test_section_views_round_trip_and_slots_are_checked():
                             ({}, {}, {3: f}), ({}, {}, {-1: f})]:
         with pytest.raises(cl.FormError):
             cl.ChartSection(MC, 2, 0, kappa, gamma, w)
+
+
+def test_residual_matches_the_reference_at_higher_exponents(iwasawa):
+    # the exponent tables carry factors y_j + eps_j and x_d + delta_d whose
+    # offsets only show on monomials of higher degree: compare the residual
+    # on every vector-slot section of total degree 3 and 4, where the R,
+    # Gamma and tau couplings all act
+    t = cl.build_trivialization(iwasawa)
+    _, w0, _ = cl._offsets(MC, 2)
+    sections = [s for s in cl.monomial_sections(t, 4)
+                if all(k >= w0 and sum(z) + sum(zb) >= 3
+                       for k, _, z, zb in s.terms)]
+    assert len(sections) == 3 * (56 + 126)
+    for bad in (_perturbed(t), _bent(t)):
+        failures = 0
+        for s in sections:
+            res = cl.trivialization_residual(bad, s)
+            assert res == _ref_residual(bad, s)
+            failures += bool(res)
+        assert failures > 0
+
+
+def test_a_negative_exponent_with_a_nonzero_value_is_refused(iwasawa):
+    t = cl.build_trivialization(iwasawa)
+    s = cl.monomial_sections(t, 0)[0]
+    (k, legs, z, zb), = s.terms
+    assert cl.apply_phi(t, s) == s
+    # a table entry that lowers z_1 with a constant coefficient, as a lost
+    # derivative factor would give, must not be dropped at z_1 = 0
+    t.op_tables[(cl._phi, MC, k, legs)] = ((k, legs, (-1, 0, 0), zb, cp(1)),)
+    with pytest.raises(cl.FormError, match="negative exponent"):
+        cl.apply_phi(t, s)

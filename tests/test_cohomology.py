@@ -126,6 +126,25 @@ def test_serre_builds_no_gram_adjoint(monkeypatch):
     assert not names & {"gram_rows", "value_grams", "leg_gram"}, names
 
 
+def test_cohomology_data_ranks_each_matrix_once(monkeypatch):
+    # the count step ranks D_0..D_{n-1}; the harmonic step ranks D_p over
+    # the adjoint of D_{p-1} for p = 1..n, and reads harm_0 = dim_0 -
+    # rank D_0 from the count step, so 2n ranks in all
+    calls = []
+    rank = linalg.rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rank(rows)
+    monkeypatch.setattr(linalg, "rank", counted)
+    for name in ("iwasawa", "torus"):
+        calls.clear()
+        m = builtin_model(name)
+        data = coh.cohomology_data(m)
+        assert len(calls) == 2 * m.n
+        assert data.harmonic == data.h
+
+
 def test_symbol_sample_count():
     assert sum(1 for _ in coh.symbol_samples(3)) == 7 ** 3 - 1
 
