@@ -12,8 +12,10 @@ provides:
   coordinate connection potential Gamma and a potential tau for the torsion,
   with the conjugation identity  D = phi^{-1} o dbar o phi  checkable on
   polynomial sections,
-* transition sections phi_1 o phi_2^{-1} for different potential choices,
-  with holomorphy and cocycle checks.
+* transitions phi_1 o phi_2^{-1} between potential choices, run through
+  the same phi and phi^{-1} ops as the identity, with a holomorphy check
+  and a cocycle check, phi_1 phi_2^{-1} phi_2 phi_3^{-1} = phi_1 phi_3^{-1},
+  that holds only where each phi^{-1} table inverts its phi.
 
 Representation.  ``Poly`` and ``ChartForm`` stay nested and sparse: each
 holds a read-only mapping of its nonzero terms only (monomial -> GaussRat,
@@ -1035,63 +1037,38 @@ def monomial_sections(t: Trivialization, degree: int):
 # transitions
 
 
-@dataclass(frozen=True)
-class Transition:
-    """phi_1 o phi_2^{-1} for two potential pairs: unipotent with algebraic
-    entries (the differential parts cancel)."""
-
-    mc: int
-    rank: int
-    alpha: GaussRat
-    a_diff: Tuple[Tuple[ChartForm, ...], ...]   # A_1 - A_2, (1,0)-forms
-    top: Tuple[Tuple[Poly, ...], ...]           # covector <- vector block
+def _slot_maps(t: Trivialization):
+    """The generic term map {(k, (), 0, 0): 1} of each value slot k."""
+    mc = t.cd.m_coords
+    z, one = (0,) * mc, Poly.const(mc, GR_ONE)
+    return [{(k, (), z, z): one} for k in range(2 * mc + t.cd.rank ** 2)]
 
 
-def transition(t1: Trivialization, t2: Trivialization) -> Transition:
+def transition(t1: Trivialization, t2: Trivialization) -> List[dict]:
+    """phi_1 o phi_2^{-1} as a table: per value slot k, the term map that
+    the phi ops make of the generic term of k, with Polys in its exponents
+    (x, y).  The differential parts cancel, so a valid pair gives
+    constants."""
     if t1.alpha != t2.alpha:
         raise ModelError("transition between different couplings")
-    cd = t1.cd
-    mc, r = cd.m_coords, cd.rank
-    a_diff = tuple(tuple(t1.A[u][v] - t2.A[u][v] for v in range(r))
-                   for u in range(r))
-    A1, A2 = t1.Acomp, t2.Acomp
-    top = [[Poly.zero(mc) for _ in range(mc)] for _ in range(mc)]
-    for a in range(mc):
-        for d in range(mc):
-            acc = t1.tau[a][d] - t2.tau[a][d]
-            for u in range(r):
-                for v in range(r):
-                    acc = acc + (A2[a][u][v] * A2[d][v][u]
-                                 - A1[a][u][v] * A2[d][v][u]).scale(t1.alpha)
-            top[a][d] = acc
-    return Transition(mc, r, t1.alpha, a_diff,
-                      tuple(tuple(row) for row in top))
+    return [_phi(t1, _phi_inv(t2, g)) for g in _slot_maps(t2)]
 
 
-def transition_holomorphic(tr: Transition) -> bool:
-    return (all(f.is_holomorphic() for row in tr.a_diff for f in row)
-            and all(p.is_holomorphic() for row in tr.top for p in row))
+def transition_holomorphic(tr: List[dict]) -> bool:
+    """Every entry a constant, with no zbar shift and no new leg."""
+    return all(not legs and not any(sy)
+               and not any(any(a + b) for a, b in f.terms)
+               for terms in tr for (_, legs, _, sy), f in terms.items())
 
 
 def transition_cocycle_residual(t1: Trivialization, t2: Trivialization,
                                 t3: Trivialization) -> bool:
-    """psi_12 o psi_23 == psi_13 (True when exact)."""
-    p12 = transition(t1, t2)
-    p23 = transition(t2, t3)
-    p13 = transition(t1, t3)
-    mc, r = p12.mc, p12.rank
-    if any(x + y - z for rows in zip(p12.a_diff, p23.a_diff, p13.a_diff)
-           for x, y, z in zip(*rows)):
-        return False
-    D12, D23 = _a_components(p12.a_diff), _a_components(p23.a_diff)
-    for a in range(mc):
-        for d in range(mc):
-            acc = p12.top[a][d] + p23.top[a][d] - p13.top[a][d]
-            for u in range(r):
-                for v in range(r):
-                    acc = acc + (D12[a][u][v] * D23[d][v][u]).scale(p12.alpha)
-            if acc:
-                return False
+    """phi_1 phi_2^{-1} phi_2 phi_3^{-1} == phi_1 phi_3^{-1} on every slot
+    (True when exact): each phi^{-1} table must invert its phi."""
+    for g in _slot_maps(t1):
+        x = _phi_inv(t3, g)
+        if _phi(t1, _phi_inv(t2, _phi(t2, x))) != _phi(t1, x):
+            return False
     return True
 
 

@@ -392,12 +392,10 @@ def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat) -> SymbolBlocks:
 
 
 def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
-                     samples: Optional[List[List[GaussRat]]] = None,
                      limit: Optional[int] = None) -> Dict:
     """Decide injectivity of the symbol at every sample, in order, up to
     the first failure; reports the number of samples asked for (the first
-    ``limit`` of ``samples``, which defaults to ``symbol_samples``) and the
-    first failing sample if any.
+    ``limit`` of ``symbol_samples``) and the first failing sample if any.
 
     The symbol is injective at xi iff both blocks of ``symbol_blocks`` have
     full column rank: B (when r > 1) and C.  The blocks' template is
@@ -407,10 +405,7 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
     ``linalg.rank`` decides it over Q(i); a rank drop is never reported on
     the strength of the prime alone.  An empty scan is refused.
     """
-    if samples is None:
-        total, samples = len(_ALPHABET) ** m.n - 1, symbol_samples(m.n)
-    else:
-        total = len(samples)
+    total = len(_ALPHABET) ** m.n - 1
     count = total if limit is None else min(max(limit, 0), total)
     if not count:
         raise ModelError("the symbol scan needs at least one sample")
@@ -419,7 +414,7 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
     # (block, its column count), B only when there are gauge slots
     checks = ([(0, n)] if m.rank * m.rank > 1 else []) + [(1, 2 * n * n)]
     first_failure = None
-    for xi in itertools.islice(samples, count):
+    for xi in itertools.islice(symbol_samples(m.n), count):
         rows = blocks.mod_p(xi)
         if any(linalg.rank_mod_p(rows[b]) < full
                and linalg.rank(blocks(xi)[b]) < full

@@ -168,21 +168,13 @@ def metric_inverse(m: HomogeneousModel):
     return m.cached("hinv", lambda: linalg.inverse(m.metric))
 
 
-@dataclass(frozen=True)
-class LeviCivitaData:
-    """Lowered complexified connection table on the frame (V_1..V_n,
-    Vbar_1..Vbar_n): table[u][w][x] = g(nabla_{e_u} e_w, e_x)."""
+def levi_civita(m: HomogeneousModel) -> tuple:
+    """The lowered complexified connection table on the frame (V_1..V_n,
+    Vbar_1..Vbar_n), L[u][w][x] = g(nabla_{e_u} e_w, e_x), by the Koszul
+    formula on the invariant frame, where g is constant, with each bracket
+    lowered once, bl[u][w][x] = g([e_u, e_w], e_x):
 
-    n: int
-    table: tuple
-
-
-def levi_civita(m: HomogeneousModel) -> LeviCivitaData:
-    """The Koszul formula on the invariant frame, where g is constant, with
-    each bracket lowered once, bl[u][w][x] = g([e_u, e_w], e_x):
-
-        g(nabla_{e_u} e_w, e_x) = 1/2 (bl[u][w][x] - bl[w][x][u]
-                                       + bl[x][u][w]).
+        L[u][w][x] = 1/2 (bl[u][w][x] - bl[w][x][u] + bl[x][u][w]).
 
     The table stays lowered, so no inverse metric enters."""
     def build():
@@ -203,10 +195,8 @@ def levi_civita(m: HomogeneousModel) -> LeviCivitaData:
         def koszul(u, w, x):
             a, b, c = bl[u][w][x], bl[w][x][u], bl[x][u][w]
             return half * (a - b + c) if a or b or c else GR_ZERO
-        return LeviCivitaData(n, tuple(
-            tuple(tuple(koszul(u, w, x) for x in range(size))
-                  for w in range(size))
-            for u in range(size)))
+        return tuple(tuple(tuple(koszul(u, w, x) for x in range(size))
+                           for w in range(size)) for u in range(size))
     return m.cached("levi_civita", build)
 
 
@@ -310,7 +300,7 @@ def _via_levi_civita(m: HomogeneousModel, kind: str, three_form: MixedForm,
     ``levi_civita``, the second off the terms of the 3-form, and h^{-1}
     raises the result to the (gamma, mu) blocks of the module docstring."""
     n = m.n
-    lc = levi_civita(m).table
+    lc = levi_civita(m)
     values = _triple_values(three_form, f"the {kind} 3-form")
     hinv = metric_inverse(m)
     half = GaussRat.of("1/2")

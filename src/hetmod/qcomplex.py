@@ -5,10 +5,10 @@ and a vector) tensored with invariant (0,p)-forms.  This module builds:
 
 * the algebraic couplings F., T. and R-nabla+ between the legs,
 * the operator Dbar (upper triangular in the three legs, the coupling slots
-  weighted by the formal variable a) and its sub-operators D1, D2, H, H*,
-  by two routes: ``apply_Dbar`` and the block builders act on forms, and
-  ``assemble_Dbar`` fills the matrix from per-model tables (value-slot
-  couplings (x) maps on the legs ab^K); the form route is the oracle,
+  weighted by the formal variable a) by two routes: ``apply_Dbar`` acts on
+  forms, and ``assemble_Dbar`` fills the matrix from per-model tables
+  (value-slot couplings (x) maps on the legs ab^K); the form route is the
+  oracle.  Its sub-operators D1, D2, H, H* are slices of that matrix,
 * the Hermitian Gram matrix of the invariant section basis, a direct sum of
   Kronecker products, and the adjoint Dbar*, computed both from the Gram
   matrix's factors and from closed index formulas,
@@ -432,22 +432,15 @@ def q_basis(m: HomogeneousModel, p: int) -> QBasis:
 
 
 def q_coordinates(s: QSection) -> List[Scalar]:
-    """Coordinates of a Q-section in the q_basis order (Scalars).  The basis
-    keys come increasing from _combos, so each is read with one lookup."""
-    r = s.r
-    keys = [((), K) for K in _combos(s.n, s.p)]
-
-    def read(f: InvariantForm) -> List[Scalar]:
-        get = f.coeffs.get
-        return [get(key, S_ZERO) for key in keys]
-
-    gauge = [read(f) for f in s.gamma.flat]
-    entry_coords = [endo_coordinates([[gauge[i * r + j][x] for j in range(r)]
-                                      for i in range(r)])
-                    for x in range(len(keys))]
-    return ([c for f in s.kappa.comps for c in read(f)]
-            + [ec[t] for t in range(r * r - 1) for ec in entry_coords]
-            + [c for f in s.w.comps for c in read(f)])
+    """Coordinates of a Q-section in the q_basis order (Scalars): its value
+    slots read as the coefficients ``_column`` takes."""
+    combos = _combos(s.n, s.p)
+    index = {K: t for t, K in enumerate(combos)}
+    slots = itertools.chain(s.kappa.comps, s.gamma.flat, s.w.comps)
+    acc = {(j, index[K]): v for j, f in enumerate(slots)
+           for (_, K), v in f.terms}
+    nt = len(combos)
+    return _column(acc, s.n, s.r, nt, (2 * s.n + s.r * s.r - 1) * nt)
 
 
 # ---------------------------------------------------------------------------
@@ -887,76 +880,57 @@ def _section(m: HomogeneousModel, p: int, kappa=None, gamma=None, w=None
                           w or VectorForm.zero(m.n, 0, p))
 
 
-def _block(m: HomogeneousModel, p: int, src_legs, tgt_legs, image
+def _slice(m: HomogeneousModel, p: int, src_legs, tgt_legs
            ) -> QOperatorMatrix:
-    """The block from the legs src_legs = (first, end) of degree p to the
-    legs tgt_legs of degree p + 1 (0 = kappa, 1 = gamma, 2 = w, 3 = end);
-    image(section) is the block applied to one basis section."""
-    src, tgt = q_basis(m, p), q_basis(m, p + 1)
+    """The block of Dbar from the legs src_legs = (first, end) of degree p
+    to the legs tgt_legs of degree p + 1 (0 = kappa, 1 = gamma, 2 = w,
+    3 = end), cut out of ``assemble_Dbar``."""
+    full = assemble_Dbar(m, p)
     lo, hi = (_leg_bounds(m, p)[t] for t in src_legs)
     tlo, thi = (_leg_bounds(m, p + 1)[t] for t in tgt_legs)
-    images = [q_coordinates(image(s))[tlo:thi] for s in src.sections[lo:hi]]
-    return QOperatorMatrix(p, p + 1, src.labels[lo:hi], tgt.labels[tlo:thi],
-                           tuple(zip(*images)))
+    return QOperatorMatrix(p, p + 1, full.source_labels[lo:hi],
+                           full.target_labels[tlo:thi],
+                           tuple(row[lo:hi] for row in full.entries[tlo:thi]))
 
 
 def assemble_Dbar1(m: HomogeneousModel, p: int) -> QOperatorMatrix:
     """[dbar_E, F; 0, dbar] on the End + T subbundle."""
-    return _block(m, p, (1, 3), (1, 3), lambda s: _section(
-        m, p + 1, gamma=dbar_end(s.gamma, m) + op_script_F(s.w, m),
-        w=dbar_leg(s.w, m)))
+    return _slice(m, p, (1, 3), (1, 3))
 
 
 def assemble_Dbar2(m: HomogeneousModel, p: int) -> QOperatorMatrix:
     """[dbar, a F; 0, dbar_E] on the T* + End subbundle."""
-    return _block(m, p, (0, 2), (0, 2), lambda s: _section(
-        m, p + 1,
-        kappa=dbar_leg(s.kappa, m) + op_script_F(s.gamma, m).scale(S_A),
-        gamma=dbar_end(s.gamma, m)))
+    return _slice(m, p, (0, 2), (0, 2))
 
 
 def assemble_H(m: HomogeneousModel, p: int) -> QOperatorMatrix:
     """The connecting operator End + T -> T*: a F gamma + T W + a R nabla+ W."""
-    return _block(m, p, (1, 3), (0, 1), lambda s: _section(
-        m, p + 1, kappa=op_script_F(s.gamma, m).scale(S_A)
-        + op_script_T(s.w, m) + op_R_nabla_plus(s.w, m).scale(S_A)))
+    return _slice(m, p, (1, 3), (0, 1))
 
 
 def assemble_Hstar(m: HomogeneousModel, p: int) -> QOperatorMatrix:
     """The connecting operator T -> T* + End: (T W + a R nabla+ W, F W)."""
-    return _block(m, p, (2, 3), (0, 2), lambda s: _section(
-        m, p + 1,
-        kappa=op_script_T(s.w, m) + op_R_nabla_plus(s.w, m).scale(S_A),
-        gamma=op_script_F(s.w, m)))
+    return _slice(m, p, (2, 3), (0, 2))
 
 
 def reassembly_residuals(m: HomogeneousModel, p: int) -> Dict[str, bool]:
-    """Check that Dbar reassembles from (dbar, H; 0, D1) and from
-    (D2, H*; 0, dbar); returns booleans per identity (True = exact)."""
-    full = assemble_Dbar(m, p)
+    """Check what Dbar = (dbar, H; 0, D1) and Dbar = (D2, H*; 0, dbar) add
+    to the slices: below the split nothing comes from the columns before
+    it, and the T* -> T* ("split") or T -> T ("dual") block is the decoupled
+    operator's.  Returns booleans per identity (True = exact)."""
+    full = assemble_Dbar(m, p).entries
+    diag = assemble_Dbar(m, p, diagonal=True).entries
     _, c1, c2, _ = _leg_bounds(m, p)        # ends of the e1, e2 columns
     _, r1, r2, _ = _leg_bounds(m, p + 1)
 
-    def reassembles(r0, c0, top_left, top_right, bottom_right):
-        """full = [[top_left, top_right], [0, bottom_right]], split after
-        row r0 and column c0; each block is read at full-matrix indices."""
-        return all(
-            full.entries[i][j] == (
-                (top_left if j < c0 else top_right)(i, j) if i < r0
-                else bottom_right(i, j) if j >= c0 else S_ZERO)
-            for i in range(len(full.target_labels))
-            for j in range(len(full.source_labels)))
+    def below(r0, c0):
+        return not any(any(row[:c0]) for row in full[r0:])
 
-    diag = assemble_Dbar(m, p, diagonal=True).entries
-    d1, h = assemble_Dbar1(m, p).entries, assemble_H(m, p).entries
-    d2, hs = assemble_Dbar2(m, p).entries, assemble_Hstar(m, p).entries
     return {
-        "split": reassembles(r1, c1, lambda i, j: diag[i][j],
-                             lambda i, j: h[i][j - c1],
-                             lambda i, j: d1[i - r1][j - c1]),
-        "dual": reassembles(r2, c2, lambda i, j: d2[i][j],
-                            lambda i, j: hs[i][j - c2],
-                            lambda i, j: diag[i][j]),
+        "split": below(r1, c1) and all(
+            f[:c1] == d[:c1] for f, d in zip(full[:r1], diag)),
+        "dual": below(r2, c2) and all(
+            f[c2:] == d[c2:] for f, d in zip(full[r2:], diag[r2:])),
     }
 
 

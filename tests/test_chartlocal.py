@@ -213,10 +213,41 @@ def test_transitions(iwasawa):
     for a, b in [(t0, t1), (t0, t2), (t1, t2)]:
         assert cl.transition_holomorphic(cl.transition(a, b))
     assert cl.transition_cocycle_residual(t0, t1, t2)
-    # a transition with itself is trivial
-    tr = cl.transition(t0, t0)
-    assert not any(f for row in tr.a_diff for f in row)
-    assert not any(p for row in tr.top for p in row)
+    # a transition with itself is the identity table
+    z = (0,) * MC
+    slots = range(2 * MC + t0.cd.rank ** 2)
+    assert cl.transition(t0, t0) == [{(k, (), z, z): cp(1)} for k in slots]
+
+
+def _zbar_in_A(t):
+    """``t`` with zbar_3 dz^1 added to A_11 and taken from A_22."""
+    mod = cl.ChartForm.monomial(MC, (1,), (), zbp(2))
+    A = [list(row) for row in t.A]
+    A[0][0], A[1][1] = A[0][0] + mod, A[1][1] - mod
+    return dataclasses.replace(t, A=tuple(tuple(row) for row in A))
+
+
+def test_a_zbar_term_makes_a_transition_non_holomorphic(iwasawa):
+    t0 = cl.build_trivialization(iwasawa, shift=0)
+    t1 = cl.build_trivialization(iwasawa, shift=1)
+    assert cl.transition_holomorphic(cl.transition(t0, t1))
+    for bad in (_perturbed(t0), _zbar_in_A(t0)):
+        assert not cl.transition_holomorphic(cl.transition(bad, t1))
+        assert not cl.transition_holomorphic(cl.transition(t1, bad))
+
+
+def test_cocycle_needs_each_phi_inverse_to_invert_its_phi(iwasawa):
+    t0, t1, t2 = (cl.build_trivialization(iwasawa, shift=s)
+                  for s in (0, 1, 2))
+    # phi^{-1} without its alpha' tr(A_a A_d) entry is phi with every
+    # coefficient negated, since all other entries are linear in s
+    bad = dataclasses.replace(t1)
+    object.__setattr__(bad, "phi_inv_table", {
+        src: tuple(e[:-1] + (-e[-1],) for e in row)
+        for src, row in t1.phi_table.items()})
+    assert bad.phi_inv_table != t1.phi_inv_table
+    assert cl.transition_cocycle_residual(t0, t1, t2)
+    assert not cl.transition_cocycle_residual(t0, bad, t2)
 
 
 def test_trivialization_report_shape(iwasawa):

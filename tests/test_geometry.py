@@ -132,7 +132,7 @@ def test_lowered_levi_civita_is_metric_and_torsion_free(
     # with the brackets evaluated from d(alpha^c), not read off the table
     seen_bracket = False
     for m in builtins + dense_metric_builtins + random_flat_models:
-        L = geo.levi_civita(m).table
+        L = geo.levi_civita(m)
         br = _brackets_by_evaluation(m)
         g = _metric_pairing(m)
         size = 2 * m.n

@@ -2,8 +2,10 @@
 
 Two independent routes exist for the adjoint (the Gram-matrix route and the
 closed index formulas), and two for the operator matrix itself (the tables
-of assemble_Dbar versus the form code: apply_Dbar on every basis section,
-and the block split), so each pair acts as an oracle for the other.
+of assemble_Dbar versus the form code, apply_Dbar on every basis section),
+so each pair acts as an oracle for the other.  The blocks D1, D2, H, H* are
+slices of the matrix; reassembly checks the triangular structure they rest
+on.
 """
 
 import random
@@ -83,11 +85,31 @@ def test_flat_model_at_n4():
     assert data.euler == 0
 
 
-def test_block_reassembly(iwasawa, calabi_eckmann):
-    for m in (iwasawa, calabi_eckmann):
-        for p in (0, 1, 2):
+def test_block_reassembly(builtins, random_flat_models,
+                          dense_metric_builtins):
+    # each block is Dbar on its source and target legs, found here by the
+    # labels e1 (T*), e2 (End) and e3 (T)
+    legs = {qc.assemble_Dbar1: (("e2", "e3"), ("e2", "e3")),
+            qc.assemble_Dbar2: (("e1", "e2"), ("e1", "e2")),
+            qc.assemble_H: (("e2", "e3"), ("e1",)),
+            qc.assemble_Hstar: (("e3",), ("e1", "e2"))}
+    for m in builtins + random_flat_models + dense_metric_builtins:
+        for p in range(m.n):
             res = qc.reassembly_residuals(m, p)
             assert res == {"split": True, "dual": True}, (m.name, p)
+            full = qc.assemble_Dbar(m, p)
+            for block, (src, tgt) in legs.items():
+                op = block(m, p)
+                cols = [j for j, label in enumerate(full.source_labels)
+                        if label[:2] in src]
+                rows = [i for i, label in enumerate(full.target_labels)
+                        if label[:2] in tgt]
+                assert op.source_labels == tuple(
+                    full.source_labels[j] for j in cols)
+                assert op.target_labels == tuple(
+                    full.target_labels[i] for i in rows)
+                assert op.entries == tuple(
+                    tuple(full.entries[i][j] for j in cols) for i in rows)
 
 
 def test_adjoint_formula_matches_gram_route(builtins, random_flat_models):
