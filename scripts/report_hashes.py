@@ -14,7 +14,10 @@ and 6; ``trivialize iwasawa --degree 3`` at alpha' = 0, 1 and 1/7, where the
 anomaly does not balance, so the chart identity fails (exit 1) and the
 report names its first failing section; and ``serre``,
 ``serre --alpha-prime 0`` and ``cohomology --samples 50`` on each model
-file given (``scripts/scale_models.py`` writes larger ones).
+file given (``scripts/scale_models.py`` writes larger ones).  Then one line
+``print_model SPEC sha256`` for each built-in and each model file: no report
+shows how a model prints, and its text depends on the order of the parts
+and terms that the model's forms hold.
 
 Usage:
     PYTHONPATH=src python3 scripts/report_hashes.py [model.json ...]
@@ -26,7 +29,12 @@ import io
 import sys
 
 from hetmod import cli
-from hetmod.models import BUILTIN_NAMES
+from hetmod.models import (
+    BUILTIN_NAMES,
+    builtin_model,
+    parse_model_file,
+    print_model,
+)
 
 ALPHAS = (None, "0", "1", "-4", "1/7")
 
@@ -60,6 +68,11 @@ def main(files) -> int:
             code = cli.main(argv)
         print(" ".join(argv), code, digest(out.getvalue()),
               digest(err.getvalue()), flush=True)
+    for name in BUILTIN_NAMES:
+        print("print_model", name, digest(print_model(builtin_model(name))))
+    for path in files:
+        print("print_model", path, digest(print_model(parse_model_file(path))),
+              flush=True)
     return 0
 
 

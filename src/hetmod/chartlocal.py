@@ -17,17 +17,18 @@ provides:
   and a cocycle check, phi_1 phi_2^{-1} phi_2 phi_3^{-1} = phi_1 phi_3^{-1},
   that holds only where each phi^{-1} table inverts its phi.
 
-Representation.  ``Poly`` and ``ChartForm`` stay nested and sparse: each
-holds a read-only mapping of its nonzero terms only (monomial -> GaussRat,
-leg key -> Poly), and ``ChartForm`` is an ``exterior.Form`` with Poly
-coefficients, so its container, arithmetic and leg signs are those of the
-invariant forms.  A ``ChartSection`` is flat: one read-only term map
-(slot, dzbar legs, z exponents, zbar exponents) -> GaussRat.  No zero is
-ever stored, so ``bool`` is emptiness, ``==`` and ``hash`` ignore insertion
-order, and terms are sorted only for printing.  The public constructors and
-``build`` validate what they are given; the arithmetic builds each result
-in one pass through the unchecked ``_poly``, ``exterior._form`` and
-``_section`` and never sorts.
+Representation.  ``Poly``, ``ChartForm`` and ``ChartSection`` are
+``exterior.Sparse`` term maps, so they share one container with the
+invariant forms: no zero is ever stored, ``terms`` is a read-only view of
+the (key, value) pairs and ``coeffs`` the mapping behind it, ``bool`` is
+emptiness, ``==`` and ``hash`` ignore insertion order, ``+ - neg scale``,
+copy and pickle are the base's, and terms are sorted only for printing.
+``Poly`` and ``ChartForm`` nest (monomial -> GaussRat, leg key -> Poly),
+and ``ChartForm`` is an ``exterior.Form``, so its leg signs are those of
+the invariant forms.  A ``ChartSection`` is flat: (slot, dzbar legs, z
+exponents, zbar exponents) -> GaussRat.  The public constructors and
+``build`` validate what they are given; everything else builds each result
+in one pass through the unchecked ``exterior._make`` and never sorts.
 
 Operators on sections.  On a monomial section e_k z^x zbar^y dzbar^L, a
 coupling multiplies by a fixed monomial, which shifts (x, y), and dbar or
@@ -49,18 +50,18 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 from operator import add
+from types import MappingProxyType as _frozen
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from .cohomology import resolve_alpha
 from .exterior import (
-    _EMPTY,
     EndForm,
     Form,
     FormError,
+    Sparse,
     _acc,
-    _alloc,
-    _form,
-    _frozen,
-    _Immutable,
+    _legs,
+    _make,
     _merge,
     _sum_terms,
     end_pair_trace,
@@ -80,6 +81,8 @@ Exp = Tuple[int, ...]
 PKey = Tuple[Exp, Exp]
 Legs = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
+_EMPTY: Mapping = _frozen({})
+
 # the caches below are keyed by exponents and leg tuples, so their size is
 # bounded by the polynomial degree and the chart dimension
 _int = lru_cache(maxsize=None)(GaussRat.of)      # small exact integers
@@ -95,42 +98,27 @@ def _front(leg: int, legs: Tuple[int, ...]):
 # polynomials in z and zbar
 
 
-class Poly(_Immutable):
+class Poly(Sparse):
     """Polynomial in z_1..z_m, zbar_1..zbar_m with Gaussian rational
-    coefficients.
-
-    ``terms`` is a read-only mapping (z exponents, zbar exponents) ->
-    GaussRat that never holds a zero coefficient; the zero polynomial has
-    no terms.  ``Poly(m, terms)`` and ``Poly.build`` check the exponent
-    tuples and drop zero coefficients.
+    coefficients: an ``exterior.Sparse`` term map (z exponents, zbar
+    exponents) -> GaussRat, so the zero polynomial has no terms.
     """
 
-    __slots__ = ("m", "terms")
-
-    def __new__(cls, m: int, terms: Mapping[PKey, GaussRat] = _EMPTY):
-        clean = {}
-        for (a, b), c in terms.items():
-            if len(a) != m or len(b) != m:
-                raise FormError("polynomial exponent tuple of wrong length")
-            if c:
-                clean[(tuple(a), tuple(b))] = c
-        return _poly(m, clean)
-
-    def __reduce__(self):
-        return Poly, (self.m, dict(self.terms))
+    __slots__ = ()
+    _fields = ("m",)
 
     @staticmethod
-    def build(m: int, terms: Mapping[PKey, GaussRat]) -> "Poly":
-        return Poly(m, terms)
-
-    @staticmethod
-    def zero(m: int) -> "Poly":
-        return _poly(m, {})
+    def _key(shape, key, value):
+        (m,) = shape
+        a, b = key
+        if len(a) != m or len(b) != m:
+            raise FormError("polynomial exponent tuple of wrong length")
+        return tuple(a), tuple(b)
 
     @staticmethod
     def const(m: int, c: GaussRat) -> "Poly":
         z = (0,) * m
-        return _poly(m, {(z, z): c} if c else {})
+        return _make(Poly, (m,), {(z, z): c} if c else {})
 
     @staticmethod
     def coord(m: int, k: int, anti: bool = False) -> "Poly":
@@ -138,107 +126,65 @@ class Poly(_Immutable):
         z[k] = 1
         zero = (0,) * m
         key = (zero, tuple(z)) if anti else (tuple(z), zero)
-        return _poly(m, {key: GR_ONE})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Poly:
-            return NotImplemented
-        return self.m == other.m and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.m, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        return f"Poly({self.m}, {dict(sorted(self.terms.items()))!r})"
-
-    def __add__(self, o: "Poly") -> "Poly":
-        if not self.terms:
-            return o
-        return _poly(self.m, _sum_terms(self.terms, o.terms))
-
-    def __sub__(self, o: "Poly") -> "Poly":
-        return _poly(self.m, _sum_terms(self.terms, o.terms, -1))
-
-    def __neg__(self) -> "Poly":
-        return _poly(self.m, {k: -v for k, v in self.terms.items()})
+        return _make(Poly, (m,), {key: GR_ONE})
 
     def __mul__(self, o: "Poly") -> "Poly":
         acc: Dict[PKey, GaussRat] = {}
-        right = o.terms.items()
-        for (a1, b1), c1 in self.terms.items():
+        right = o.terms
+        for (a1, b1), c1 in self.terms:
             for (a2, b2), c2 in right:
                 _acc(acc, (tuple(map(add, a1, a2)), tuple(map(add, b1, b2))),
                      c1 * c2)
-        return _poly(self.m, acc)
-
-    def scale(self, c: GaussRat) -> "Poly":
-        if not c:
-            return _poly(self.m, {})
-        return _poly(self.m, {k: v * c for k, v in self.terms.items()})
+        return _make(Poly, self.shape, acc)
 
     def conjugate(self) -> "Poly":
-        return _poly(self.m, {(b, a): c.conjugate()
-                              for (a, b), c in self.terms.items()})
+        return _make(Poly, self.shape, {(b, a): c.conjugate()
+                                        for (a, b), c in self.terms})
 
     def diff_z(self, k: int) -> "Poly":
         out = {}
-        for (a, b), c in self.terms.items():
+        for (a, b), c in self.terms:
             e = a[k]
             if e:
                 out[(a[:k] + (e - 1,) + a[k + 1:], b)] = (
                     c if e == 1 else c * _int(e))
-        return _poly(self.m, out)
+        return _make(Poly, self.shape, out)
 
     def diff_zbar(self, k: int) -> "Poly":
         out = {}
-        for (a, b), c in self.terms.items():
+        for (a, b), c in self.terms:
             e = b[k]
             if e:
                 out[(a, b[:k] + (e - 1,) + b[k + 1:])] = (
                     c if e == 1 else c * _int(e))
-        return _poly(self.m, out)
+        return _make(Poly, self.shape, out)
 
     def evaluate(self, x: Exp, y: Exp) -> GaussRat:
         """The value at the integer point z = x, zbar = y."""
         return sum((c * _int(prod(v ** e for v, e in zip(x + y, a + b)))
-                    for (a, b), c in self.terms.items()), GR_ZERO)
+                    for (a, b), c in self.terms), GR_ZERO)
 
     def is_holomorphic(self) -> bool:
-        return not any(any(b) for _, b in self.terms)
+        return not any(any(b) for (_, b), _ in self.terms)
 
     def antiholomorphic_split(self):
         """Group terms by total zbar-degree: {degree: Poly}."""
         parts: Dict[int, Dict[PKey, GaussRat]] = {}
-        for (a, b), c in self.terms.items():
+        for (a, b), c in self.terms:
             parts.setdefault(sum(b), {})[(a, b)] = c
-        return {d: _poly(self.m, t) for d, t in parts.items()}
+        return {d: _make(Poly, self.shape, t) for d, t in parts.items()}
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         bits = []
-        for a, b in sorted(self.terms):
+        for (a, b), c in sorted(self.terms):
             mono = "".join(f"z{k + 1}^{e}" if e > 1 else f"z{k + 1}"
                            for k, e in enumerate(a) if e)
             mono += "".join(f"w{k + 1}^{e}" if e > 1 else f"w{k + 1}"
                             for k, e in enumerate(b) if e)
-            bits.append(f"({self.terms[(a, b)]}){mono or '1'}")
+            bits.append(f"({c}){mono or '1'}")
         return " + ".join(bits)
-
-
-_set_poly_m = Poly.m.__set__
-_set_poly_terms = Poly.terms.__set__
-
-
-def _poly(m: int, terms: dict) -> Poly:
-    """A Poly from a dict of nonzero terms that no one else holds."""
-    x = _alloc(Poly)
-    _set_poly_m(x, m)
-    _set_poly_terms(x, _frozen(terms))
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +202,14 @@ class ChartForm(Form):
 
     @staticmethod
     def func(f: Poly) -> "ChartForm":
-        return _form(ChartForm, f.m, 0, 0, {((), ()): f} if f else {})
+        return _make(ChartForm, (f.m, 0, 0), {((), ()): f} if f else {})
 
     def scale_poly(self, f: Poly) -> "ChartForm":
-        return _form(ChartForm, self.n, self.p, self.q,
-                     {k: v * f for k, v in self.terms} if f.terms else {})
+        return _make(ChartForm, self.shape,
+                     {k: v * f for k, v in self.terms} if f else {})
 
     def scale(self, c: GaussRat) -> "ChartForm":
-        return _form(ChartForm, self.n, self.p, self.q,
+        return _make(ChartForm, self.shape,
                      {k: v.scale(c) for k, v in self.terms} if c else {})
 
     def is_holomorphic(self) -> bool:
@@ -296,7 +242,7 @@ def _derivative(x: ChartForm, anti: bool) -> ChartForm:
             d = c.diff_zbar(k) if anti else c.diff_z(k)
             _acc(acc, (h, legs) if anti else (legs, a),
                  -d if (sign == -1) != flip else d)
-    return _form(ChartForm, x.n, x.p + (not anti), x.q + anti, acc)
+    return _make(ChartForm, (x.n, x.p + (not anti), x.q + anti), acc)
 
 
 def partial_chart(x: ChartForm) -> ChartForm:
@@ -330,7 +276,7 @@ def dbar_homotopy(x: ChartForm) -> ChartForm:
                 sign = psign if v % 2 == 0 else -psign
                 coeff = (part * zbar).scale(w if sign == 1 else -w)
                 _acc(acc, (h, a[:v] + a[v + 1:]), coeff)
-    return _form(ChartForm, x.n, x.p, x.q - 1, acc)
+    return _make(ChartForm, (x.n, x.p, x.q - 1), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +345,7 @@ def _flat_table(entries) -> Dict:
     for src, dst, f, k in entries:
         forms = f.terms if isinstance(f, ChartForm) else ((((), ()), f),)
         for (_, legs), poly in forms:
-            for (z, zb), c in poly.terms.items():
+            for (z, zb), c in poly.terms:
                 _acc(acc.setdefault(src, {}), (dst, legs, z, zb), c * k)
     return {src: tuple(key + (c,) for key, c in t.items())
             for src, t in acc.items() if t}
@@ -460,7 +406,7 @@ def _poly_matrix_inverse(P, m_coords: int):
     constant (adjugate divided by the constant determinant)."""
     k = len(P)
     one = Poly.const(m_coords, GR_ONE)
-    const = det([list(r) for r in P], one).terms
+    const = det([list(r) for r in P], one).coeffs
     zkey = ((0,) * m_coords, (0,) * m_coords)
     if set(const) != {zkey}:
         raise ModelError("chart coframe determinant is not a nonzero constant")
@@ -661,7 +607,7 @@ def _torsion_components(mc: int, T_chart: ChartForm):
     out = [[ChartForm.zero(mc, 0, 1) for _ in range(mc)] for _ in range(mc)]
     for (h, a), c in T_chart.terms:
         l, j = h
-        form = _form(ChartForm, mc, 0, 1, {((), a): c})
+        form = _make(ChartForm, (mc, 0, 1), {((), a): c})
         out[l - 1][j - 1] = out[l - 1][j - 1] + form
         out[j - 1][l - 1] = out[j - 1][l - 1] - form
     return out
@@ -674,7 +620,8 @@ def _f_components(mc: int, r: int, F_chart):
     for u in range(r):
         for v in range(r):
             for (h, a), c in F_chart[u][v].terms:
-                out[h[0] - 1][u][v] += _form(ChartForm, mc, 0, 1, {((), a): c})
+                out[h[0] - 1][u][v] += _make(ChartForm, (mc, 0, 1),
+                                             {((), a): c})
     return out
 
 
@@ -705,9 +652,7 @@ def build_trivialization(m: HomogeneousModel,
     by the radial homotopy; `shift` adds a holomorphic modification to both,
     producing a genuinely different potential pair for transition checks."""
     cd = chart_data(m)
-    a0 = alpha0 if alpha0 is not None else m.alpha_prime
-    if a0 is None:
-        a0 = GaussRat.of(1)
+    a0 = resolve_alpha(m, alpha0)
     mc, r = cd.m_coords, cd.rank
     A = [[dbar_homotopy(cd.F_chart[u][v]) if cd.F_chart[u][v]
           else ChartForm.zero(mc, 1, 0) for v in range(r)] for u in range(r)]
@@ -766,19 +711,21 @@ def potential_residuals(t: Trivialization) -> Dict[str, bool]:
 # chart sections and the operator identity
 
 
-class ChartSection(_Immutable):
+class ChartSection(Sparse):
     """A Q-valued chart section of form degree (0,q).
 
-    ``terms`` is a read-only term map (slot, dzbar legs, z exponents, zbar
-    exponents) -> nonzero GaussRat, with the slots numbered as in
-    ``_offsets``: covector dz^{a+1}, then gauge matrix entry (u, v), then
-    vector d/dz^{a+1}, all 0-based.  ``ChartSection(mc, rank, q, kappa,
-    gamma, w)`` takes slot -> (0,q)-form mappings, checks the slots and the
-    bidegrees, and flattens them; ``kappa``, ``gamma`` and ``w`` are
-    read-only views that regroup the terms into such mappings.
+    An ``exterior.Sparse`` term map (slot, dzbar legs, z exponents, zbar
+    exponents) -> GaussRat, with the slots numbered as in ``_offsets``:
+    covector dz^{a+1}, then gauge matrix entry (u, v), then vector
+    d/dz^{a+1}, all 0-based; ``build(mc, rank, q, terms)`` checks such keys.
+    ``ChartSection(mc, rank, q, kappa, gamma, w)`` takes slot -> (0,q)-form
+    mappings instead, checks the slots and the bidegrees, and flattens
+    them; ``kappa``, ``gamma`` and ``w`` are read-only views that regroup
+    the terms into such mappings.
     """
 
-    __slots__ = ("mc", "rank", "q", "terms")
+    __slots__ = ()
+    _fields = ("mc", "rank", "q")
 
     def __new__(cls, mc: int, rank: int, q: int,
                 kappa: Mapping[int, ChartForm] = _EMPTY,
@@ -801,49 +748,37 @@ class ChartSection(_Immutable):
             if x and (x.n, x.p, x.q) != (mc, 0, q):
                 raise FormError(f"chart section entries must be (0,{q})-forms")
             for (_, legs), f in x.terms:
-                for (z, zb), c in f.terms.items():
+                for (z, zb), c in f.terms:
                     terms[(k, legs, z, zb)] = c
-        return _section(mc, rank, q, terms)
+        return cls.build(mc, rank, q, terms)
+
+    @staticmethod
+    def _key(shape, key, value):
+        mc, rank, q = shape
+        k, legs, z, zb = key
+        if not 0 <= k < 2 * mc + rank * rank:
+            raise FormError(f"slot {k} outside 0..{2 * mc + rank * rank - 1}")
+        return (k, _legs(legs, q, mc, key)) + Poly._key((mc,), (z, zb), value)
 
     def _parts(self) -> Tuple[Mapping, Mapping, Mapping]:
         """The terms regrouped as the kappa, gamma and w mappings."""
-        g0, w0, _ = _offsets(self.mc, self.rank)
+        mc, rank, q = self.shape
+        g0, w0, _ = _offsets(mc, rank)
         groups: Dict = {}
-        for (k, legs, z, zb), c in self.terms.items():
+        for (k, legs, z, zb), c in self.terms:
             groups.setdefault(k, {}).setdefault(legs, {})[(z, zb)] = c
         parts: Tuple[dict, dict, dict] = ({}, {}, {})
         for k, by_legs in groups.items():
             part, key = ((0, k) if k < g0 else (2, k - w0) if k >= w0
-                         else (1, divmod(k - g0, self.rank)))
-            parts[part][key] = _form(ChartForm, self.mc, 0, self.q,
-                                     {((), legs): _poly(self.mc, t)
+                         else (1, divmod(k - g0, rank)))
+            parts[part][key] = _make(ChartForm, (mc, 0, q),
+                                     {((), legs): _make(Poly, (mc,), t)
                                       for legs, t in by_legs.items()})
         return tuple(map(_frozen, parts))
 
     kappa = property(lambda self: self._parts()[0])
     gamma = property(lambda self: self._parts()[1])
     w = property(lambda self: self._parts()[2])
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ChartSection:
-            return NotImplemented
-        return ((self.mc, self.rank, self.q, self.terms)
-                == (other.mc, other.rank, other.q, other.terms))
-
-    def __hash__(self) -> int:
-        return hash((self.mc, self.rank, self.q,
-                     frozenset(self.terms.items())))
-
-    def __add__(self, o: "ChartSection") -> "ChartSection":
-        return _section(self.mc, self.rank, self.q,
-                        _sum_terms(self.terms, o.terms))
-
-    def __sub__(self, o: "ChartSection") -> "ChartSection":
-        return _section(self.mc, self.rank, self.q,
-                        _sum_terms(self.terms, o.terms, -1))
 
     def labelled(self) -> Dict[str, str]:
         """The nonzero slots in slot order, as {label: printed form}:
@@ -858,19 +793,6 @@ class ChartSection(_Immutable):
         for a in sorted(w):
             out[f"e3:d/dz^{a + 1}"] = str(w[a])
         return out
-
-
-_set_section = [getattr(ChartSection, name).__set__
-                for name in ChartSection.__slots__]
-
-
-def _section(mc: int, rank: int, q: int, terms: dict) -> ChartSection:
-    """A ChartSection from a term map of nonzero coefficients that no one
-    else holds."""
-    x = _alloc(ChartSection)
-    for put, value in zip(_set_section, (mc, rank, q, _frozen(terms))):
-        put(x, value)
-    return x
 
 
 def _bring_down(e: Exp, j: int, anti: bool) -> Tuple[Poly, Exp]:
@@ -939,7 +861,7 @@ def _phi_inv(t: Trivialization, terms: Mapping) -> dict:
 
 def _residual(t: Trivialization, terms: Mapping) -> dict:
     rhs = _phi_inv(t, _dbar(t, _phi(t, terms)))
-    return _sum_terms(_D(t, terms), rhs, -1)
+    return _sum_terms(_D(t, terms), rhs.items(), -1)
 
 
 _DBAR_TABLES: Dict = {}    # dbar depends on no trivialization
@@ -952,13 +874,14 @@ def _evaluate(t: Optional[Trivialization], op, s: ChartSection,
     exponent is negative must vanish there: a derivative brought down the
     zero exponent."""
     tables = _DBAR_TABLES if t is None else t.op_tables
-    z = (0,) * s.mc
+    mc, rank, _ = s.shape
+    z = (0,) * mc
     acc: Dict = {}
-    for (k, legs, x, y), c in s.terms.items():
-        table = tables.get((op, s.mc, k, legs))
+    for (k, legs, x, y), c in s.terms:
+        table = tables.get((op, mc, k, legs))
         if table is None:
-            g = op(t, {(k, legs, z, z): Poly.const(s.mc, GR_ONE)})
-            table = tables[(op, s.mc, k, legs)] = tuple(
+            g = op(t, {(k, legs, z, z): Poly.const(mc, GR_ONE)})
+            table = tables[(op, mc, k, legs)] = tuple(
                 key + (f,) for key, f in g.items())
         for dst, new, sx, sy, f in table:
             v = f.evaluate(x, y)
@@ -968,7 +891,7 @@ def _evaluate(t: Optional[Trivialization], op, s: ChartSection,
                     raise FormError(f"operator table gives a negative "
                                     f"exponent {x2}, {y2} a nonzero value")
                 _acc(acc, (dst, new, x2, y2), c * v)
-    return _section(s.mc, s.rank, q, acc)
+    return _make(ChartSection, (mc, rank, q), acc)
 
 
 def apply_Dbar_chart(t: Trivialization, s: ChartSection) -> ChartSection:
@@ -1021,10 +944,11 @@ def _labelled_sections(t: Trivialization, degree: int):
             for x in za:
                 e[x] += 1
             z, zb = tuple(e[:mc]), tuple(e[mc:])
-            mono = _poly(mc, {(z, zb): GR_ONE})
+            mono = _make(Poly, (mc,), {(z, zb): GR_ONE})
             for label, entries in slots:
-                yield label, mono, _section(mc, r, 0, {(k, (), z, zb): c
-                                                       for k, c in entries})
+                yield label, mono, _make(ChartSection, (mc, r, 0),
+                                         {(k, (), z, zb): c
+                                          for k, c in entries})
 
 
 def monomial_sections(t: Trivialization, degree: int):
@@ -1057,19 +981,16 @@ def transition(t1: Trivialization, t2: Trivialization) -> List[dict]:
 def transition_holomorphic(tr: List[dict]) -> bool:
     """Every entry a constant, with no zbar shift and no new leg."""
     return all(not legs and not any(sy)
-               and not any(any(a + b) for a, b in f.terms)
+               and not any(any(a + b) for (a, b), _ in f.terms)
                for terms in tr for (_, legs, _, sy), f in terms.items())
 
 
 def transition_cocycle_residual(t1: Trivialization, t2: Trivialization,
-                                t3: Trivialization) -> bool:
-    """phi_1 phi_2^{-1} phi_2 phi_3^{-1} == phi_1 phi_3^{-1} on every slot
-    (True when exact): each phi^{-1} table must invert its phi."""
-    for g in _slot_maps(t1):
-        x = _phi_inv(t3, g)
-        if _phi(t1, _phi_inv(t2, _phi(t2, x))) != _phi(t1, x):
-            return False
-    return True
+                                tr23: List[dict], tr13: List[dict]) -> bool:
+    """phi_1 phi_2^{-1} applied to the transition ``tr23`` = phi_2
+    phi_3^{-1} equals ``tr13`` = phi_1 phi_3^{-1} on every slot (True when
+    exact): each phi^{-1} table must invert its phi."""
+    return all(_phi(t1, _phi_inv(t2, x)) == y for x, y in zip(tr23, tr13))
 
 
 # ---------------------------------------------------------------------------
@@ -1106,8 +1027,9 @@ def trivialization_report(m: HomogeneousModel, degree: int = 3,
     t1 = build_trivialization(m, alpha0, shift=1)
     t2 = build_trivialization(m, alpha0, shift=2)
     pairs = [(t0, t1), (t0, t2), (t1, t2)]
-    holo = all(transition_holomorphic(transition(x, y)) for x, y in pairs)
-    cocycle = transition_cocycle_residual(t0, t1, t2)
+    _, tr02, tr12 = trs = [transition(x, y) for x, y in pairs]
+    holo = all(map(transition_holomorphic, trs))
+    cocycle = transition_cocycle_residual(t0, t1, tr12, tr02)
     return {
         "model": m.name,
         "alpha_prime": str(t0.alpha),

@@ -6,12 +6,20 @@ A term is indexed by a pair of strictly increasing tuples (holo, anti) of
     theta^{h1} ^ ... ^ theta^{hp} ^ thetabar^{a1} ^ ... ^ thetabar^{aq}
 
 with all holomorphic legs to the left of the antiholomorphic ones.  One
-class, ``Form``, holds the terms and implements their algebra for both
-layers, which differ only in coefficients and printing: ``InvariantForm``
-(coframe legs alpha^k, ``Scalar`` coefficients) and ``chartlocal.ChartForm``
-(chart legs dz_k, dzbar_k, ``Poly`` coefficients).  Every normalization
-sign of both layers is produced here, from ``sort_with_sign`` and
-``merge_with_sign``, so the convention cannot drift between them.
+class, ``Form``, implements their algebra for both layers, which differ
+only in coefficients and printing: ``InvariantForm`` (coframe legs alpha^k,
+``Scalar`` coefficients) and ``chartlocal.ChartForm`` (chart legs dz_k,
+dzbar_k, ``Poly`` coefficients).  Every normalization sign of both layers
+is produced here, from ``sort_with_sign`` and ``merge_with_sign``, so the
+convention cannot drift between them.
+
+``Sparse`` is the package's one sparse term container: a shape and a map of
+nonzero values, with equality, hashing, copying, ``+ - neg scale`` and the
+validating ``build``/``zero`` written once.  ``Form`` and ``MixedForm``
+(parts of several bidegrees, keyed by (p, q)) derive from it here, and
+``chartlocal.Poly`` and ``chartlocal.ChartSection`` in the chart layer.
+The value legs (``LegForm``, ``EndForm``) are fixed-length tuples of forms
+with componentwise arithmetic (``Valued``).
 """
 
 from __future__ import annotations
@@ -19,14 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
-from types import MappingProxyType
 from typing import Iterable, Mapping, Tuple
 
 from .linalg import det
 from .scalars import S_ONE, S_ZERO, Scalar
 
-_frozen = MappingProxyType
-_EMPTY: Mapping = _frozen({})
 _alloc = object.__new__
 
 
@@ -88,16 +93,6 @@ def normalize_key(holo: Iterable[int], anti: Iterable[int]):
     return sh * sa, (h, a)
 
 
-class _Immutable:
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-
 def _acc(acc: dict, key, v) -> None:
     """acc[key] += v, leaving out zero summands and cancelled sums."""
     if not v:
@@ -113,59 +108,151 @@ def _acc(acc: dict, key, v) -> None:
             del acc[key]
 
 
-def _sum_terms(x: Mapping, y: Mapping, sign: int = 1) -> dict:
-    """x + sign * y term by term, for mappings of nonzero terms; the result
-    holds no zero either."""
+def _sum_terms(x: Mapping, y, sign: int = 1) -> dict:
+    """x + sign * y term by term, for a mapping and (key, value) pairs of
+    nonzero terms; the result holds no zero either."""
     acc = x.copy()
-    for k, v in y.items():
+    for k, v in y:
         _acc(acc, k, v if sign == 1 else -v)
     return acc
 
 
-class Form(_Immutable):
-    """A form of pure bidegree (p, q) over n legs.
+def _legs(legs, count: int, n: int, key) -> Tuple[int, ...]:
+    """``legs`` as a tuple, checked to be ``count`` strictly increasing legs
+    within 1..n; ``key`` names the term in the error."""
+    legs = tuple(legs)
+    if len(legs) != count or not all(
+            0 < x < y for x, y in zip(legs, legs[1:] + (n + 1,))):
+        raise FormError(f"key {key} needs {count} strictly increasing legs "
+                        f"within 1..{n}")
+    return legs
 
-    ``terms`` is a read-only view of the (key, coefficient) pairs of a dict
-    that never holds a zero, and ``coeffs`` the read-only mapping behind it,
-    so ``bool`` is emptiness and ``==``/``hash`` ignore insertion order.
-    ``cls(n, p, q, terms)`` and ``build`` check the keys and drop zeros;
-    ``monomial`` also sorts arbitrary legs, with their sign.  The arithmetic
-    builds each result through the unchecked ``_form``; the coefficients
-    form an integral domain, so no nonzero product vanishes.  A subclass
-    gives its zero coefficient (``_zero_coeff``) and prints itself.
+
+class Sparse:
+    """A shape and a sparse term map: the one container behind forms,
+    polynomials, chart sections and mixed-degree forms.
+
+    ``shape`` is a tuple of sizes, which a subclass names in ``_fields``
+    and reads back as properties of those names.  ``terms`` is a read-only
+    view of the (key, value) pairs of a dict that never holds a zero value,
+    and ``coeffs`` the read-only mapping behind it, so ``bool`` is emptiness
+    and ``==``/``hash`` ignore insertion order.  ``cls(*shape, terms)`` and
+    ``build`` check each key with the subclass's ``_key`` and drop zero
+    values; copy and pickle rebuild through ``build``.  Everything else
+    builds its result through the unchecked ``_make``: the values form an
+    integral domain (or are such containers), so no nonzero product
+    vanishes and only a cancelled sum needs dropping.  A subclass gives its
+    shape, its key check, its products and derivatives, and its printing.
     """
 
-    __slots__ = ("n", "p", "q", "terms")
+    __slots__ = ("shape", "terms")
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls.__dict__.get("_fields", ())):
+            setattr(cls, name, property(lambda self, i=i: self.shape[i]))
+
+    def __new__(cls, *args):
+        return cls.build(*args)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def build(cls, *args):
+        """``cls.build(*shape, terms)``, or ``cls.build(*shape)`` for zero."""
+        k = len(cls._fields)
+        if len(args) not in (k, k + 1):
+            raise TypeError(f"{cls.__name__} takes {', '.join(cls._fields)} "
+                            "and a term mapping")
+        shape = args[:k]
+        clean = {}
+        for key, v in (args[k].items() if len(args) > k else ()):
+            key = cls._key(shape, key, v)
+            if v:
+                clean[key] = v
+        return _make(cls, shape, clean)
+
+    @classmethod
+    def zero(cls, *shape):
+        return _make(cls, shape, {})
 
     @property
     def coeffs(self) -> Mapping:
         return self.terms.mapping
 
-    def __new__(cls, n: int, p: int, q: int, terms: Mapping = _EMPTY):
-        clean = {}
-        for (holo, anti), c in terms.items():
-            key = holo, anti = tuple(holo), tuple(anti)
-            if len(holo) != p or len(anti) != q:
-                raise FormError(f"key {key} has wrong bidegree for ({p},{q})")
-            # each leg tuple strictly increases within 1..n
-            if not all(0 < x < y for legs in key
-                       for x, y in zip(legs, legs[1:] + (n + 1,))):
-                raise FormError(
-                    f"legs of {key} must strictly increase within 1..{n}")
-            if c:
-                clean[key] = c
-        return _form(cls, n, p, q, clean)
-
     def __reduce__(self):
-        return type(self), (self.n, self.p, self.q, dict(self.terms))
+        return type(self).build, self.shape + (dict(self.terms),)
 
-    @classmethod
-    def build(cls, n: int, p: int, q: int, terms: Mapping):
-        return cls(n, p, q, terms)
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
-    @classmethod
-    def zero(cls, n: int, p: int, q: int):
-        return _form(cls, n, p, q, {})
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.shape, frozenset(self.terms)))
+
+    def __repr__(self) -> str:
+        args = self.shape + (dict(sorted(self.terms)),)
+        return f"{type(self).__name__}{args!r}"
+
+    def __add__(self, o):
+        if type(o) is not type(self) or o.shape != self.shape:
+            raise FormError(f"{type(self).__name__} shape mismatch")
+        if not self.terms:
+            return o
+        return _make(type(self), self.shape,
+                     _sum_terms(self.terms.mapping, o.terms))
+
+    def __sub__(self, o):
+        if type(o) is not type(self) or o.shape != self.shape:
+            raise FormError(f"{type(self).__name__} shape mismatch")
+        return _make(type(self), self.shape,
+                     _sum_terms(self.terms.mapping, o.terms, -1))
+
+    def __neg__(self):
+        return _make(type(self), self.shape, {k: -v for k, v in self.terms})
+
+    def scale(self, s):
+        """Every value times the coefficient s."""
+        return _make(type(self), self.shape,
+                     {k: v * s for k, v in self.terms} if s else {})
+
+
+_set_shape, _set_terms = Sparse.shape.__set__, Sparse.terms.__set__
+
+
+def _make(cls, shape: tuple, terms: dict):
+    """A ``cls`` of ``shape`` from a dict of nonzero values with canonical
+    keys that no one else holds."""
+    x = _alloc(cls)
+    _set_shape(x, shape)
+    _set_terms(x, terms.items())
+    return x
+
+
+class Form(Sparse):
+    """A form of pure bidegree (p, q) over n legs, keyed by (holo, anti)
+    leg tuples.
+
+    ``monomial`` also sorts arbitrary legs, with their sign.  A subclass
+    gives its zero coefficient (``_zero_coeff``) and prints itself.
+    """
+
+    __slots__ = ()
+    _fields = ("n", "p", "q")
+
+    @staticmethod
+    def _key(shape, key, value):
+        n, p, q = shape
+        holo, anti = key
+        return _legs(holo, p, n, key), _legs(anti, q, n, key)
 
     @classmethod
     def monomial(cls, n: int, holo, anti, coeff):
@@ -173,7 +260,7 @@ class Form(_Immutable):
         holo, anti = tuple(holo), tuple(anti)
         sign, key = normalize_key(holo, anti)
         if sign == 0:
-            return _form(cls, n, len(holo), len(anti), {})
+            return cls.zero(n, len(holo), len(anti))
         return cls(n, len(holo), len(anti),
                    {key: coeff if sign == 1 else -coeff})
 
@@ -185,55 +272,13 @@ class Form(_Immutable):
             return self._zero_coeff()
         return c if sign == 1 else -c
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.n, self.p, self.q) == (other.n, other.p, other.q)
-                and self.terms == other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.p, self.q, frozenset(self.terms)))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}({self.n}, {self.p}, {self.q}, "
-                f"{dict(sorted(self.terms))!r})")
-
-    def _check_shape(self, o: "Form") -> None:
-        if (type(o) is not type(self)
-                or (self.n, self.p, self.q) != (o.n, o.p, o.q)):
-            raise FormError(
-                f"shape mismatch: ({self.p},{self.q}) vs ({o.p},{o.q})")
-
-    def __add__(self, o: "Form") -> "Form":
-        self._check_shape(o)
-        if not self.terms:
-            return o
-        return _form(type(self), self.n, self.p, self.q,
-                     _sum_terms(self.terms.mapping, o.terms.mapping))
-
-    def __sub__(self, o: "Form") -> "Form":
-        self._check_shape(o)
-        return _form(type(self), self.n, self.p, self.q,
-                     _sum_terms(self.terms.mapping, o.terms.mapping, -1))
-
-    def __neg__(self) -> "Form":
-        return _form(type(self), self.n, self.p, self.q,
-                     {k: -v for k, v in self.terms})
-
-    def scale(self, s) -> "Form":
-        """Every coefficient times the coefficient-ring element s."""
-        return _form(type(self), self.n, self.p, self.q,
-                     {k: v * s for k, v in self.terms} if s else {})
-
     def wedge(self, o: "Form") -> "Form":
-        if self.n != o.n:
+        n, p, q = self.shape
+        if n != o.n:
             raise FormError("wedge of forms over different coframes")
         acc: dict = {}
         # crossing sign: o's holo block passes self's anti block
-        cross = -1 if (o.p * self.q) % 2 else 1
+        cross = -1 if (o.p * q) % 2 else 1
         right = o.terms
         for (h1, a1), c1 in self.terms:
             for (h2, a2), c2 in right:
@@ -245,31 +290,17 @@ class Form(_Immutable):
                     continue
                 v = c1 * c2
                 _acc(acc, (hh, aa), v if sh * sa * cross == 1 else -v)
-        return _form(type(self), self.n, self.p + o.p, self.q + o.q, acc)
+        return _make(type(self), (n, p + o.p, q + o.q), acc)
 
     def conjugate(self) -> "Form":
         """Complex conjugate; a (p,q) form becomes a (q,p) form:
         conj(theta^h ^ thetabar^a) = thetabar^h ^ theta^a
                                    = (-1)^{pq} theta^a ^ thetabar^h."""
-        odd = (self.p * self.q) % 2
-        return _form(type(self), self.n, self.q, self.p,
+        n, p, q = self.shape
+        odd = (p * q) % 2
+        return _make(type(self), (n, q, p),
                      {(a, h): -c.conjugate() if odd else c.conjugate()
                       for (h, a), c in self.terms})
-
-
-_set_n, _set_p, _set_q, _set_terms = (
-    getattr(Form, name).__set__ for name in Form.__slots__)
-
-
-def _form(cls, n: int, p: int, q: int, terms: dict):
-    """A ``cls`` form from a dict of nonzero terms with canonical keys that no
-    one else holds."""
-    x = _alloc(cls)
-    _set_n(x, n)
-    _set_p(x, p)
-    _set_q(x, q)
-    _set_terms(x, terms.items())
-    return x
 
 
 class InvariantForm(Form):
@@ -462,81 +493,54 @@ def end_pair_trace(a: EndForm, b: EndForm) -> Form:
     return a.mat_wedge(b).trace()
 
 
-@dataclass(frozen=True)
-class MixedForm:
-    """A form of fixed total degree with components of several bidegrees.
+class MixedForm(Sparse):
+    """A form of fixed total degree with parts of several bidegrees: a term
+    map (p, q) -> nonzero invariant (p,q)-form, whose pairs ``parts`` also
+    names.  The parts keep insertion order, so printing sorts them.
 
     Exterior derivatives of pure forms live here: d maps (p,q) into
     (p+1,q) + (p,q+1), and on non-complex data a (p-1,q+2) or (p+2,q-1)
     part can appear too.
     """
 
-    n: int
-    degree: int
-    parts: Tuple[Tuple[Tuple[int, int], InvariantForm], ...] = ()
+    __slots__ = ()
+    _fields = ("n", "degree")
+    parts = property(lambda self: self.terms)
 
     @staticmethod
-    def build(n: int, degree: int, parts) -> "MixedForm":
-        clean = {}
-        for (p, q), f in dict(parts).items():
-            if p + q != degree:
-                raise FormError(f"part ({p},{q}) has wrong total degree")
-            if f:
-                clean[(p, q)] = f
-        return MixedForm(n, degree, tuple(sorted(clean.items())))
+    def _key(shape, key, f):
+        n, degree = shape
+        p, q = key
+        if p + q != degree or (f.n, f.p, f.q) != (n, p, q):
+            raise FormError(f"part ({p},{q}) does not fit degree {degree} "
+                            f"over {n} legs")
+        return p, q
 
     @staticmethod
     def of(f: InvariantForm) -> "MixedForm":
-        return MixedForm.build(f.n, f.p + f.q, {(f.p, f.q): f})
-
-    @staticmethod
-    def zero(n: int, degree: int) -> "MixedForm":
-        return MixedForm(n, degree)
+        return _make(MixedForm, (f.n, f.p + f.q), {(f.p, f.q): f} if f else {})
 
     def part(self, p: int, q: int) -> InvariantForm:
-        for key, f in self.parts:
-            if key == (p, q):
-                return f
-        return InvariantForm.zero(self.n, p, q)
-
-    def __bool__(self):
-        return bool(self.parts)
-
-    def __add__(self, other: "MixedForm") -> "MixedForm":
-        if self.degree != other.degree:
-            raise FormError("total degree mismatch")
-        d = dict(self.parts)
-        for key, f in other.parts:
-            d[key] = d[key] + f if key in d else f
-        return MixedForm.build(self.n, self.degree, d)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MixedForm(self.n, self.degree,
-                         tuple((k, -f) for k, f in self.parts))
+        f = self.coeffs.get((p, q))
+        return InvariantForm.zero(self.n, p, q) if f is None else f
 
     def scale(self, s: Scalar) -> "MixedForm":
-        return MixedForm.build(self.n, self.degree,
-                               {k: f.scale(s) for k, f in self.parts})
+        return _make(MixedForm, self.shape,
+                     {k: f.scale(s) for k, f in self.terms} if s else {})
 
     def wedge(self, other: "MixedForm") -> "MixedForm":
-        out = {}
-        for (p1, q1), f1 in self.parts:
-            for (p2, q2), f2 in other.parts:
-                key = (p1 + p2, q1 + q2)
-                w = f1.wedge(f2)
-                out[key] = out[key] + w if key in out else w
-        return MixedForm.build(self.n, self.degree + other.degree, out)
+        out: dict = {}
+        for (p1, q1), f1 in self.terms:
+            for (p2, q2), f2 in other.terms:
+                _acc(out, (p1 + p2, q1 + q2), f1.wedge(f2))
+        return _make(MixedForm, (self.n, self.degree + other.degree), out)
 
     def conjugate(self) -> "MixedForm":
-        return MixedForm.build(
-            self.n, self.degree,
-            {(q, p): f.conjugate() for (p, q), f in self.parts})
+        return _make(MixedForm, self.shape,
+                     {(q, p): f.conjugate() for (p, q), f in self.terms})
 
     def evaluate(self, vectors) -> Scalar:
         total = S_ZERO
-        for _, f in self.parts:
+        for _, f in self.terms:
             total = total + f.evaluate(vectors)
         return total

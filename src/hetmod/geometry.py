@@ -492,7 +492,7 @@ class SystemReport:
 def _mixed_str(x: MixedForm) -> str:
     if not x:
         return "0"
-    return " + ".join(str(f) for _, f in x.parts)
+    return " + ".join(str(f) for _, f in sorted(x.parts))
 
 
 def _end_str(x: EndForm) -> str:

@@ -318,7 +318,7 @@ def model_to_json(m: HomogeneousModel) -> dict:
     d = {}
     for a, mf in enumerate(m.d_coframe):
         terms = []
-        for _, f in mf.parts:
+        for _, f in sorted(mf.parts):
             for key, c in sorted(f.terms):
                 terms.append({
                     "coeff": format_scalar(c),

@@ -35,7 +35,7 @@ from .exterior import (
     Valued,
     VectorForm,
     _acc,
-    _form,
+    _make,
     contract,
     end_pair_trace,
 )
@@ -161,7 +161,7 @@ def _couple(table, srcs: Sequence[InvariantForm], q: int, leg
         for key, v in terms:
             _acc(d, key, v * c)
     n = srcs[0].n
-    return [_form(InvariantForm, n, 0, q, d) for d in acc]
+    return [_make(InvariantForm, (n, 0, q), d) for d in acc]
 
 
 def _prepend(k: int, f: InvariantForm):
@@ -804,7 +804,7 @@ def _apply_leg_matrix(m: HomogeneousModel, mat, f: InvariantForm
         for rr, Kp in enumerate(combos):
             if mat[rr][c]:
                 _acc(acc, ((), Kp), v * Scalar.const(mat[rr][c]))
-    return _form(InvariantForm, m.n, 0, f.q, acc)
+    return _make(InvariantForm, (m.n, 0, f.q), acc)
 
 
 def op_R_nabla_plus_star(kap: CovectorForm, m: HomogeneousModel) -> VectorForm:

@@ -20,13 +20,22 @@ class ScalarError(ValueError):
     pass
 
 
+def _fraction(text: str) -> Fraction:
+    """Rational text such as "-3/4" as a Fraction; a zero denominator is bad
+    input, not arithmetic, so it raises ScalarError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ScalarError(f"zero denominator in {text!r}") from None
+
+
 def _ratio(x) -> Tuple[int, int]:
     """Numerator and positive denominator, in lowest terms, of an exact
     rational given as an int, a Fraction or text such as "-3/4"."""
     if isinstance(x, int):
         return x, 1
     if isinstance(x, str):
-        x = Fraction(x)
+        x = _fraction(x)
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     raise ScalarError(f"cannot build an exact rational from {x!r}")
@@ -329,7 +338,7 @@ def _tokenize(text: str):
             break
         pos = m.end()
         if m.group("rat") is not None:
-            out.append(("rat", Fraction(m.group("rat"))))
+            out.append(("rat", _fraction(m.group("rat"))))
         elif m.group("num") is not None:
             out.append(("rat", Fraction(m.group("num"))))
         else:

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetmod import chartlocal as cl
-from hetmod.exterior import InvariantForm
-from hetmod.geometry import ModelError
+from hetmod.exterior import InvariantForm, MixedForm
+from hetmod.geometry import ModelError, _mixed_str
 from hetmod.scalars import GR_ONE, GR_ZERO, S_ONE, GaussRat, Scalar
 
 
@@ -206,13 +206,19 @@ def test_operator_identity_low_degree(iwasawa):
         assert not cl.trivialization_residual(t, s)
 
 
+def _cocycle(t1, t2, t3):
+    """The cocycle check on phi_1 phi_2^{-1} and the transitions it reads."""
+    return cl.transition_cocycle_residual(t1, t2, cl.transition(t2, t3),
+                                          cl.transition(t1, t3))
+
+
 def test_transitions(iwasawa):
     t0 = cl.build_trivialization(iwasawa, shift=0)
     t1 = cl.build_trivialization(iwasawa, shift=1)
     t2 = cl.build_trivialization(iwasawa, shift=2)
     for a, b in [(t0, t1), (t0, t2), (t1, t2)]:
         assert cl.transition_holomorphic(cl.transition(a, b))
-    assert cl.transition_cocycle_residual(t0, t1, t2)
+    assert _cocycle(t0, t1, t2)
     # a transition with itself is the identity table
     z = (0,) * MC
     slots = range(2 * MC + t0.cd.rank ** 2)
@@ -246,8 +252,8 @@ def test_cocycle_needs_each_phi_inverse_to_invert_its_phi(iwasawa):
         src: tuple(e[:-1] + (-e[-1],) for e in row)
         for src, row in t1.phi_table.items()})
     assert bad.phi_inv_table != t1.phi_inv_table
-    assert cl.transition_cocycle_residual(t0, t1, t2)
-    assert not cl.transition_cocycle_residual(t0, bad, t2)
+    assert _cocycle(t0, t1, t2)
+    assert not _cocycle(t0, bad, t2)
 
 
 def test_trivialization_report_shape(iwasawa):
@@ -381,8 +387,8 @@ def _form_of(d, p, q):
 
 
 def _seen_poly(f):
-    assert all(f.terms.values()), "a zero coefficient was stored"
-    return {k: (v.re, v.im) for k, v in f.terms.items()}
+    assert all(f.coeffs.values()), "a zero coefficient was stored"
+    return {k: (v.re, v.im) for k, v in f.terms}
 
 
 def _seen_form(x):
@@ -504,6 +510,25 @@ def test_equality_hash_and_text_ignore_insertion_order(f, rng):
     J = InvariantForm.monomial(PM, [2], [1], S_ONE)
     assert (I1 + J) == (J + I2) and str(I1 + J) == str(J + I2)
     assert hash(I1 + J) == hash(J + I2)
+    # chart sections: the same terms in two orders, and sums either way
+    sec = [((k, (1,), z, zb), c) for (z, zb), c in items for k in (0, 4, 7)]
+    rng.shuffle(sec)
+    S1 = cl.ChartSection.build(PM, 2, 1, dict(sec))
+    S2 = cl.ChartSection.build(PM, 2, 1, dict(reversed(sec)))
+    assert S1 == S2 and hash(S1) == hash(S2)
+    assert S1.labelled() == S2.labelled()
+    T = cl.ChartSection.build(PM, 2, 1, {(3, (2,), (1, 0), (0, 0)): GR_ONE})
+    assert (S1 + T) == (T + S2) and hash(S1 + T) == hash(T + S2)
+    assert (S1 + T).labelled() == (T + S2).labelled()
+    # mixed forms: parts inserted in either order, terms in either order
+    K = InvariantForm.monomial(PM, [1, 2], [], S_ONE)
+    M1 = MixedForm.build(PM, 2, {(1, 1): I1, (2, 0): K})
+    M2 = MixedForm.build(PM, 2, {(2, 0): K, (1, 1): I2})
+    assert list(M1.parts) != list(M2.parts)
+    assert M1 == M2 and hash(M1) == hash(M2)
+    assert _mixed_str(M1) == _mixed_str(M2)
+    N = MixedForm.of(J)
+    assert (M1 + N) == (N + M2) and _mixed_str(M1 + N) == _mixed_str(N + M2)
 
 
 def test_containers_are_immutable_and_validated():
@@ -526,13 +551,32 @@ def test_containers_are_immutable_and_validated():
     assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
     x = cl.ChartForm.monomial(MC, (2,), (1,), f)
     g = InvariantForm.monomial(MC, (2,), (1,), Scalar.of(0, 3))
-    for form in (x, g):
-        with pytest.raises(AttributeError):
-            form.n = 4
+    y = cl.ChartForm.monomial(MC, (), (2,), f)
+    s = cl.ChartSection(MC, 2, 1, {0: y}, {(1, 0): y}, {2: y})
+    mf = MixedForm.of(g) + MixedForm.of(InvariantForm.monomial(MC, (1, 3), ()))
+    for obj in (f, x, g, s, mf):
+        for name in obj._fields + ("shape", "terms"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+        key, value = next(iter(obj.terms))
         with pytest.raises(TypeError):
-            form.coeffs[((1,), (1,))] = form.coeffs[((2,), (1,))]
-        assert copy.deepcopy(form) == form and copy.copy(form) == form
-        assert pickle.loads(pickle.dumps(form)) == form
+            obj.coeffs[key] = value
+        assert copy.deepcopy(obj) == obj and copy.copy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert type(obj).build(*obj.shape, dict(obj.terms)) == obj
+    # keys that do not fit the shape are refused
+    z, good = (0,) * MC, (0, (1,), (0,) * MC, (0,) * MC)
+    assert cl.ChartSection.build(MC, 2, 1, {good: GR_ONE})
+    for key in [(10, (1,), z, z), (-1, (1,), z, z), (0, (), z, z),
+                (0, (4,), z, z), (0, (2, 1), z, z), (0, (1,), (0, 0), z),
+                (0, (1,), z, (0,) * 4)]:
+        with pytest.raises(cl.FormError):
+            cl.ChartSection.build(MC, 2, 1, {key: GR_ONE})
+    for key, part in [((1, 0), g), ((2, 0), g), ((0, 2), g)]:
+        with pytest.raises(cl.FormError):
+            MixedForm.build(MC, 2, {key: part})
+    with pytest.raises(cl.FormError):
+        MixedForm.build(MC + 1, 2, {(1, 1): g})
 
 
 # -- the identity check fails when it should, and names where ----------------
@@ -751,7 +795,7 @@ def test_residual_matches_the_reference_at_higher_exponents(iwasawa):
     _, w0, _ = cl._offsets(MC, 2)
     sections = [s for s in cl.monomial_sections(t, 4)
                 if all(k >= w0 and sum(z) + sum(zb) >= 3
-                       for k, _, z, zb in s.terms)]
+                       for (k, _, z, zb), _ in s.terms)]
     assert len(sections) == 3 * (56 + 126)
     for bad in (_perturbed(t), _bent(t)):
         failures = 0
@@ -765,7 +809,7 @@ def test_residual_matches_the_reference_at_higher_exponents(iwasawa):
 def test_a_negative_exponent_with_a_nonzero_value_is_refused(iwasawa):
     t = cl.build_trivialization(iwasawa)
     s = cl.monomial_sections(t, 0)[0]
-    (k, legs, z, zb), = s.terms
+    ((k, legs, z, zb), _), = s.terms
     assert cl.apply_phi(t, s) == s
     # a table entry that lowers z_1 with a constant coefficient, as a lost
     # derivative factor would give, must not be dropped at z_1 = 0

@@ -149,6 +149,24 @@ def test_boolean_sizes_refused(tmp_path, capsys, n, rank, message):
     assert run(capsys, "check", str(model_file))[0] == 0
 
 
+@pytest.mark.parametrize("command", ["check", "serre", "trivialize"])
+def test_zero_denominator_alpha_refused(capsys, command):
+    code, out, err = run(capsys, command, "iwasawa", "--alpha-prime", "1/0")
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and "zero denominator" in err
+
+
+def test_zero_denominator_in_model_file_refused(tmp_path, capsys):
+    model_file = tmp_path / "line.json"
+    model_file.write_text(json.dumps(dict(_line_model(1, 1),
+                                          metric=[["1/0"]])))
+    code, out, err = run(capsys, "check", str(model_file))
+    assert code == 2
+    assert not out
+    assert err.startswith("error: metric[0][0]: zero denominator")
+
+
 def test_trivialize(capsys):
     code, out, _ = run(capsys, "trivialize", "iwasawa", "--degree", "1")
     assert code == 0

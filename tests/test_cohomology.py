@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from hetmod import chartlocal
 from hetmod import cohomology as coh
 from hetmod import linalg
 from hetmod import qcomplex as qc
@@ -347,11 +348,13 @@ def test_scan_reports_first_failure_in_sample_order(calabi_eckmann):
                    "first_failure": "(0, 0, i)"}
 
 
-def test_non_real_coupling_is_refused(torus):
+def test_non_real_coupling_is_refused(torus, iwasawa):
     # the adjoint treats the coupling variable as real, so a non-real
     # coupling from the Python API has no answer; model files refuse one too
     with pytest.raises(ModelError, match="must be real"):
         coh.cohomology_data(torus, GaussRat.of(0, 1))
     with pytest.raises(ModelError, match="must be real"):
         coh.cohomology_report(torus, GaussRat.of(2, -1), symbol_limit=1)
+    with pytest.raises(ModelError, match="must be real"):
+        chartlocal.build_trivialization(iwasawa, GaussRat.of(0, 1))
     assert coh.cohomology_data(torus, GaussRat.of("1/7")).h == [9, 27, 27, 9]

@@ -59,13 +59,16 @@ def _reversed_terms(f):
 
 
 def test_printed_model_ignores_term_insertion_order(builtins):
-    reordered = 0
+    reordered = parts_reordered = 0
     for m in builtins:
-        d = [MixedForm.build(mf.n, mf.degree,
-                             {k: _reversed_terms(f) for k, f in mf.parts})
+        # the parts, and the terms of each part, in reverse order
+        d = [MixedForm.build(mf.n, mf.degree, {
+            k: _reversed_terms(f) for k, f in reversed(list(mf.parts))})
              for mf in m.d_coframe]
         reordered += sum(list(_reversed_terms(f).terms) != list(f.terms)
                          for mf in m.d_coframe for _, f in mf.parts)
+        parts_reordered += sum(list(x.parts) != list(mf.parts)
+                               for x, mf in zip(d, m.d_coframe))
         F = m.curvature_F
         grid = [[_reversed_terms(F.entry(i, j)) for j in range(F.r)]
                 for i in range(F.r)]
@@ -74,7 +77,7 @@ def test_printed_model_ignores_term_insertion_order(builtins):
             curvature_F=EndForm.build(F.n, F.r, F.p, F.q, grid))
         assert m2.d_coframe == m.d_coframe
         assert print_model(m2) == print_model(m)
-    assert reordered
+    assert reordered and parts_reordered
 
 
 def test_replaced_model_has_its_own_cache():
