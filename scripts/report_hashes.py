@@ -8,16 +8,17 @@ so diffing this script's output between two versions checks that a change
 left every report, message and exit code as it was.
 
 The list: ``check``, ``serre``, ``cohomology`` and ``symbol`` on the
-built-ins at the default alpha' and at 0, 1, -4 and 1/7;
-``cohomology torus --diagonal-dbar``; ``trivialize iwasawa --degree`` 0..4
+built-ins at the default alpha' and at 0, 1, -4 and 1/7; ``cohomology NAME
+--diagonal-dbar`` on each built-in; ``trivialize iwasawa --degree`` 0..4
 and 6; ``trivialize iwasawa --degree 3`` at alpha' = 0, 1 and 1/7, where the
 anomaly does not balance, so the chart identity fails (exit 1) and the
-report names its first failing section; and ``serre``,
-``serre --alpha-prime 0`` and ``cohomology --samples 50`` on each model
-file given (``scripts/scale_models.py`` writes larger ones).  Then one line
-``print_model SPEC sha256`` for each built-in and each model file: no report
-shows how a model prints, and its text depends on the order of the parts
-and terms that the model's forms hold.
+report names its first failing section; and ``serre``, ``serre
+--alpha-prime 0``, ``cohomology --samples 50`` and ``cohomology --samples
+50 --diagonal-dbar`` on each model file given (``scripts/scale_models.py``
+writes larger ones).  Then one line ``print_model SPEC sha256`` for each
+built-in and each model file: no report shows how a model prints, and its
+text depends on the order of the parts and terms that the model's forms
+hold.
 
 Usage:
     PYTHONPATH=src python3 scripts/report_hashes.py [model.json ...]
@@ -45,7 +46,8 @@ def commands(files):
             for alpha in ALPHAS:
                 yield [sub, name] + ([] if alpha is None
                                      else ["--alpha-prime", alpha])
-    yield ["cohomology", "torus", "--diagonal-dbar"]
+    for name in BUILTIN_NAMES:
+        yield ["cohomology", name, "--diagonal-dbar"]
     for degree in (0, 1, 2, 3, 4, 6):
         yield ["trivialize", "iwasawa", "--degree", str(degree)]
     for alpha in ("0", "1", "1/7"):
@@ -55,6 +57,7 @@ def commands(files):
         yield ["serre", path]
         yield ["serre", path, "--alpha-prime", "0"]
         yield ["cohomology", path, "--samples", "50"]
+        yield ["cohomology", path, "--samples", "50", "--diagonal-dbar"]
 
 
 def digest(text: str) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional
 
@@ -157,10 +158,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv):
+    """``--alpha-prime -1/7`` as ``--alpha-prime=-1/7``.  argparse takes a
+    token that starts with '-' for an option unless it is a plain negative
+    number such as -4, so a negative fraction given after a space would
+    lose its option."""
+    out = []
+    for tok in argv:
+        if (out and len(out[-1]) > 2 and "--alpha-prime".startswith(out[-1])
+                and re.match(r"-[0-9.]", tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -3,8 +3,11 @@
 All dimensions are exact and refer to the finite-dimensional invariant
 subcomplex: each kernel dimension is a dimension minus a rank, computed over
 the Gaussian rationals after specializing the coupling constant, so no
-kernel vector is built.  ``serre`` reads only the ranks of the D_p; the
-Gram adjoints and the harmonic counts are built for ``cohomology`` alone.
+kernel vector is built.  Each D_p is specialized once, from its pencil
+D_0 + a D_1 to sparse rows, and the nilpotency check, the ranks and the
+harmonic stacks all read those rows.  ``serre`` reads only the ranks of the
+D_p; the harmonic counts, for ``cohomology`` alone, rank each D_p over the
+lowered adjoint conj(D_{p-1}^T G_p), which needs no inverse Gram matrix.
 The module also implements the principal symbol of Dbar + Dbar* and an
 injectivity scan over a lattice of nonzero cotangent samples, which is the
 effective content of ellipticity here.  The scan's two symbol blocks are
@@ -60,19 +63,19 @@ def resolve_alpha(m: HomogeneousModel, alpha0: Optional[GaussRat]
 
 def _operator_chain(m: HomogeneousModel, alpha0: GaussRat,
                     diagonal: bool = False):
-    """Specialized matrices D_p: degree p -> p+1 for p = 0..n-1."""
-    return [qcomplex.assemble_Dbar(m, p, diagonal).specialize(alpha0)
+    """The D_p: degree p -> p+1 for p = 0..n-1, each specialized once from
+    its pencil to sparse rows {col: nonzero value}."""
+    return [qcomplex.assemble_Dbar(m, p, diagonal).rows(alpha0)
             for p in range(m.n)]
 
 
 def _require_nilpotent(m: HomogeneousModel, chain, alpha0: GaussRat) -> None:
-    """Refuses unless D_{p+1} D_p = 0 for every p.  Each product is formed
-    on sparse rows, one row at a time, and the first nonzero row ends the
-    check."""
-    sparse = [linalg.sparse_rows(d) for d in chain]
+    """Refuses unless D_{p+1} D_p = 0 for every p, with the D_p as sparse
+    rows.  Each product is formed one row at a time, and the first nonzero
+    row ends the check."""
     for p in range(len(chain) - 1):
-        right = sparse[p]
-        for row in sparse[p + 1]:
+        right = chain[p]
+        for row in chain[p + 1]:
             prod = linalg.row_sum((c, right[k].items())
                                   for k, c in row.items())
             if any(prod.values()):
@@ -86,15 +89,16 @@ def _require_nilpotent(m: HomogeneousModel, chain, alpha0: GaussRat) -> None:
 
 def _counts(m: HomogeneousModel, alpha0: Optional[GaussRat],
             diagonal: bool = False):
-    """The count step: the coupling, the specialized chain D_p, the ranks
-    (0, rank D_0, .., rank D_{n-1}, 0) and h_p = dim_p - rank D_p -
-    rank D_{p-1}.  Refuses (with the anomaly residual in the message) when
-    the operator does not square to zero at the chosen coupling."""
+    """The count step: the coupling, the specialized chain D_p as sparse
+    rows, the ranks (0, rank D_0, .., rank D_{n-1}, 0) and h_p = dim_p -
+    rank D_p - rank D_{p-1}.  Refuses (with the anomaly residual in the
+    message) when the operator does not square to zero at the chosen
+    coupling."""
     a0 = resolve_alpha(m, alpha0)
     chain = _operator_chain(m, a0, diagonal)
     if not diagonal:
         _require_nilpotent(m, chain, a0)
-    ranks = [0] + [linalg.rank(d) for d in chain] + [0]
+    ranks = [0] + [linalg.rank_rows(d) for d in chain] + [0]
     return a0, chain, ranks, [q_space_dimension(m, p) - ranks[p + 1]
                               - ranks[p] for p in range(m.n + 1)]
 
@@ -144,22 +148,29 @@ class CohomologyData:
 def cohomology_data(m: HomogeneousModel, alpha0: Optional[GaussRat] = None,
                     diagonal: bool = False) -> CohomologyData:
     """Exact h^{0,p} (from ``_counts``, which may refuse) and harmonic
-    dimensions, from the Gram adjoints, for p = 0..n."""
+    dimensions, for p = 0..n.
+
+    The harmonic space in degree p is the intersection of ker D_p and
+    ker D*_{p-1}, so its dimension is dim_p - rank [D_p ; D*_{p-1}].  The
+    Gram adjoint is D*_{p-1} = conj(G_{p-1})^{-1} conj(D_{p-1}^T G_p) at a
+    real coupling, and G_{p-1} is Hermitian positive definite, so
+    conj(G_{p-1})^{-1} is invertible: multiplying the lower block by it
+    leaves the stacked rank unchanged.  So the stack ranked here is
+    [D_p ; conj(D_{p-1}^T G_p)] (``qcomplex.gram_lowered``), read off the
+    count step's sparse rows, and no Gram factor is inverted.  At p = 0
+    there is no adjoint, and the count step has ranked D_0.
+    """
     a0, chain, ranks, h = _counts(m, alpha0, diagonal)
     n = m.n
-    adjoints = [qcomplex.gram_adjoint(
-        m, qcomplex.assemble_Dbar(m, p, diagonal)).specialize(a0)
-        for p in range(n)]
     degrees = []
     for p in range(n + 1):
         dim = q_space_dimension(m, p)
-        # harmonic space: ker of Dbar stacked over ker of the adjoint; at
-        # p = 0 there is no adjoint, and the count step has ranked D_0
         if p == 0:
             harm = dim - ranks[1]
         else:
-            harm = dim - linalg.rank(
-                (chain[p] if p < n else []) + adjoints[p - 1])
+            harm = dim - linalg.rank_rows(
+                (chain[p] if p < n else [])
+                + qcomplex.gram_lowered(m, p, chain[p - 1]))
         degrees.append(DegreeData(p, dim, dim - ranks[p + 1], ranks[p + 1],
                                   h[p], harm))
     return CohomologyData(m.name, a0, tuple(degrees))

@@ -5,7 +5,8 @@ One sparse elimination engine and a determinant:
 * ``_echelon`` row-reduces sparse rows ``{col: value}`` and keeps one pivot
   row, scaled to a leading 1, per leading column.  The field is fixed by an
   inverse function and an optional prime modulus: Q(i) on GaussRat entries,
-  or F_CERT_P on ints.  ``rank`` counts its pivots over Q(i);
+  or F_CERT_P on ints.  ``rank_rows`` counts its pivots over Q(i) on
+  sparse rows, and ``rank`` is the same on a dense matrix;
   ``kernel_basis`` and ``inverse`` ask for the reduced form and read their
   answer off it.  ``inverse`` only ever sees small matrices: the metric and
   the Kronecker factors of the Gram matrices, never a Gram matrix itself.
@@ -117,9 +118,15 @@ def _gr_inv(x: GaussRat) -> GaussRat:
     return GR_ONE / x
 
 
+def rank_rows(rows) -> int:
+    """Rank over Q(i) of sparse rows {col: nonzero GaussRat}; the rows are
+    copied, not consumed."""
+    return len(_echelon([dict(row) for row in rows], _gr_inv))
+
+
 def rank(a: Matrix) -> int:
-    """Rank of a GaussRat matrix over Q(i)."""
-    return len(_echelon(sparse_rows(a), _gr_inv))
+    """Rank of a dense GaussRat matrix over Q(i)."""
+    return rank_rows(sparse_rows(a))
 
 
 def kernel_basis(a: Matrix, cols: int = None) -> List[List[GaussRat]]:

@@ -275,10 +275,20 @@ def parse_model_text(text: str) -> HomogeneousModel:
         if (not isinstance(chart, dict) or "coords" not in chart
                 or "coframe_pullback" not in chart):
             raise ModelError("chart needs coords and coframe_pullback")
-        missing = [nm for nm in coframe
-                   if nm not in chart["coframe_pullback"]]
+        coords, pullback = chart["coords"], chart["coframe_pullback"]
+        if not isinstance(coords, int) or isinstance(coords, bool):
+            raise ModelError(f"chart.coords must be an integer, not "
+                             f"{coords!r}")
+        if not isinstance(pullback, dict):
+            raise ModelError("chart.coframe_pullback must map coframe names "
+                             "to one-forms")
+        missing = [nm for nm in coframe if nm not in pullback]
         if missing:
             raise ModelError(f"chart.coframe_pullback missing {missing}")
+        for nm, text in pullback.items():
+            if not isinstance(text, str):
+                raise ModelError(f"chart.coframe_pullback.{nm} must be a "
+                                 f"string such as 'dz1', not {text!r}")
 
     try:
         model = HomogeneousModel(

@@ -8,9 +8,11 @@ and a vector) tensored with invariant (0,p)-forms.  This module builds:
   weighted by the formal variable a) by two routes: ``apply_Dbar`` acts on
   forms, and ``assemble_Dbar`` fills the matrix from per-model tables
   (value-slot couplings (x) maps on the legs ab^K); the form route is the
-  oracle.  Its sub-operators D1, D2, H, H* are slices of that matrix,
+  oracle.  The matrix is a pencil D_0 + a D_1 of sparse GaussRat rows
+  (``QOperatorMatrix``).  Its sub-operators D1, D2, H, H* are slices of it,
 * the Hermitian Gram matrix of the invariant section basis, a direct sum of
-  Kronecker products, and the adjoint Dbar*, computed both from the Gram
+  Kronecker products; the lowered adjoint conj(D^T G_tgt), which the
+  harmonic counts rank; and the adjoint Dbar*, computed both from the Gram
   matrix's factors and from closed index formulas,
 * the volume-form pairings behind the duality identity for H and H*.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
@@ -359,22 +361,6 @@ def trace_free_basis(r: int):
     return basis
 
 
-def endo_coordinates(entries) -> List:
-    """Coordinates of a trace-free matrix of values in the trace_free_basis
-    order; entries[i][j] may be Scalars or GaussRats."""
-    r = len(entries)
-    coords = []
-    acc = None
-    for k in range(r - 1):
-        acc = entries[k][k] if acc is None else acc + entries[k][k]
-        coords.append(acc)
-    for l in range(r):
-        for mm in range(r):
-            if l != mm:
-                coords.append(entries[l][mm])
-    return coords
-
-
 def _leg_label(K) -> str:
     return "abar{" + "".join(str(k) for k in K) + "}"
 
@@ -433,44 +419,113 @@ def q_basis(m: HomogeneousModel, p: int) -> QBasis:
 
 def q_coordinates(s: QSection) -> List[Scalar]:
     """Coordinates of a Q-section in the q_basis order (Scalars): its value
-    slots read as the coefficients ``_column`` takes."""
+    slots read as the coefficients ``_coordinates`` takes."""
     combos = _combos(s.n, s.p)
     index = {K: t for t, K in enumerate(combos)}
     slots = itertools.chain(s.kappa.comps, s.gamma.flat, s.w.comps)
     acc = {(j, index[K]): v for j, f in enumerate(slots)
            for (_, K), v in f.terms}
     nt = len(combos)
-    return _column(acc, s.n, s.r, nt, (2 * s.n + s.r * s.r - 1) * nt)
+    out = [S_ZERO] * ((2 * s.n + s.r * s.r - 1) * nt)
+    for t, v in _coordinates(acc, s.n, s.r, nt).items():
+        out[t] = v
+    return out
+
+
+def _coordinates(acc: Dict, n: int, r: int, nt: int) -> Dict:
+    """The nonzero q_basis coordinates {index: value} of the section with
+    value-slot coefficients acc[(slot, K')] (GaussRats or Scalars).  On the
+    gauge grid of each K', the coordinate of D(k) is the sum of the first
+    k + 1 diagonal entries, and E(u, t) is read off its entry."""
+    out = {}
+    diags: Dict[int, Dict] = {}
+    for (j, K), v in acc.items():
+        if j < n:
+            out[j * nt + K] = v
+        elif j < n + r * r:
+            u, t = divmod(j - n, r)
+            if u == t:
+                diags.setdefault(K, {})[u] = v
+            else:   # after the r - 1 D(k), the E(u, t) row by row
+                out[(n + r - 1 + u * (r - 1) + t - (t > u)) * nt + K] = v
+        else:       # the r^2 gauge slots have r^2 - 1 coordinates
+            out[(j - 1) * nt + K] = v
+    for K, diag in diags.items():
+        total = None
+        for k in range(r - 1):
+            if k in diag:
+                total = diag[k] if total is None else total + diag[k]
+            if total:
+                out[(n + k) * nt + K] = total
+    return out
 
 
 # ---------------------------------------------------------------------------
 # operator matrices
 
 
+Rows = Tuple[Dict[int, GaussRat], ...]
+
+
+def _refuse_degree(e: int, what: str) -> None:
+    if e > 1:
+        raise ModelError(f"{what} has an entry of degree {e} in the "
+                         "coupling a; operators are linear in a")
+
+
 @dataclass(frozen=True)
 class QOperatorMatrix:
-    """A linear operator between invariant Q-section spaces, with entries
-    polynomial in the formal coupling variable a."""
+    """A linear operator between invariant Q-section spaces, linear in the
+    formal coupling variable a: the pencil M = M_0 + a M_1.
+
+    ``pencil`` holds M_0 and M_1 as sparse rows, one per target basis
+    element, {source column: nonzero GaussRat}.  ``rows(a0)`` specializes
+    the pencil over its nonzeros; ``entries``, the dense rows of Scalar, is
+    derived from the pencil on first read and serves the tests and
+    ``reassembly_residuals``.
+    """
 
     source_p: int
     target_p: int
     source_labels: Tuple[str, ...]
     target_labels: Tuple[str, ...]
-    entries: Tuple[Tuple[Scalar, ...], ...]  # rows: target, cols: source
+    pencil: Tuple[Rows, Rows]
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (len(self.target_labels), len(self.source_labels))
 
-    def specialize(self, a0: GaussRat) -> List[List[GaussRat]]:
-        return [[e.evaluate(a0) for e in row] for row in self.entries]
+    @cached_property
+    def entries(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        """Dense rows of Scalar: rows are targets, columns sources."""
+        out = []
+        for r0, r1 in zip(*self.pencil):
+            row = [S_ZERO] * len(self.source_labels)
+            for c in r0.keys() | r1.keys():
+                row[c] = Scalar.make([r0.get(c, GR_ZERO),
+                                      r1.get(c, GR_ZERO)])
+            out.append(tuple(row))
+        return tuple(out)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QOperatorMatrix):
-            return NotImplemented
-        return (self.source_p == other.source_p
-                and self.target_p == other.target_p
-                and self.entries == other.entries)
+    def rows(self, a0: GaussRat) -> List[Dict[int, GaussRat]]:
+        """M_0 + a0 M_1 as new sparse rows, cancelled entries dropped."""
+        out = []
+        for r0, r1 in zip(*self.pencil):
+            row = dict(r0)
+            if a0:
+                for c, x in r1.items():
+                    v = row[c] + a0 * x if c in row else a0 * x
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+            out.append(row)
+        return out
+
+    def specialize(self, a0: GaussRat) -> List[List[GaussRat]]:
+        """M_0 + a0 M_1 as dense rows."""
+        return [[row.get(c, GR_ZERO) for c in range(len(self.source_labels))]
+                for row in self.rows(a0)]
 
 
 # The matrix of Dbar, read off per-model tables without building a form
@@ -483,7 +538,7 @@ class QOperatorMatrix:
 
 
 def _leg_map(m: HomogeneousModel, p: int, k=None, l=None):
-    """Row K holds the (index of K', coefficient) terms of a leg map on the
+    """Row K holds the (index of K', GaussRat) terms of a leg map on the
     (0,p) monomial ab^K, K' over the (0,p+1) monomials: the leg dbar if k is
     None, else the prepend of ab^{k+1}, after the Chern anti-leg derivative
     in direction l unless l is None.  Built once per model by form code."""
@@ -494,90 +549,88 @@ def _leg_map(m: HomogeneousModel, p: int, k=None, l=None):
 
     def build():
         index = {K: t for t, K in enumerate(_combos(m.n, p + 1))}
-        return [[(index[K], c) for (_, K), c in
-                 image(InvariantForm.monomial(m.n, [], K))]
-                for K in _combos(m.n, p)]
+        out = []
+        for K in _combos(m.n, p):
+            terms = image(InvariantForm.monomial(m.n, [], K))
+            if any(c.degree > 0 for _, c in terms):
+                raise ModelError("a leg map is not constant in a")
+            out.append([(index[Kt], c.coefficient(0))
+                        for (_, Kt), c in terms])
+        return out
     return m.cached(("leg_map", p, k, l), build)
 
 
 def _slot_couplings(m: HomogeneousModel, diagonal: bool):
-    """Per source slot i, the (j, k, l, c) of Dbar: slot i feeds slot j with
-    c times the leg map (k, l).  The decoupled operator keeps the leg dbar
-    and the (0,1) connection only."""
+    """Per source slot i, the (j, k, l, e, c) of Dbar: slot i feeds slot j
+    with c a^e times the leg map (k, l), c a GaussRat read off the model's
+    constant tables.  The decoupled operator keeps the leg dbar and the
+    (0,1) connection only."""
     def build():
         n, r = m.n, m.rank
         g, w = n, n + r * r            # the first gauge and vector slots
-        parts = [(i, i, None, None, S_ONE) for i in range(w + n)]
-        parts += [(i, j, k, None, c) for j, k, i, c in _mu_table(m, True)[1]]
-        parts += [(w + i, w + j, k, None, c)
+        parts = [(i, i, None, None, 0, S_ONE) for i in range(w + n)]
+        parts += [(i, j, k, None, 0, c)
+                  for j, k, i, c in _mu_table(m, True)[1]]
+        parts += [(w + i, w + j, k, None, 0, c)
                   for j, k, i, c in _mu_table(m, False)[1]]
         if not diagonal:
-            parts += [(g + i, j, k, None, c * S_A)
+            parts += [(g + i, j, k, None, 1, c)
                       for j, k, i, c in _f_table(m, True)[1]]
-            parts += [(w + i, g + j, k, None, c)
+            parts += [(w + i, g + j, k, None, 0, c)
                       for j, k, i, c in _f_table(m, False)[1]]
-            parts += [(w + i, j, k, None, c) for j, k, i, c in _t_table(m)[1]]
+            parts += [(w + i, j, k, None, 0, c)
+                      for j, k, i, c in _t_table(m)[1]]
             R = _r_table(m)[1]
             gp = bismut(m).gamma if R else ()
             for j, k, i, c in R:
                 # component mm of nabla+_l w is the Chern derivative of w^mm
                 # plus gp[l][mm][b] w^b
                 l, mm = divmod(i, n)
-                parts.append((w + mm, j, k, l, c * S_A))
-                parts += [(w + b, j, k, None, c * S_A * Scalar.const(v))
+                parts.append((w + mm, j, k, l, 1, c))
+                parts += [(w + b, j, k, None, 1, c * Scalar.const(v))
                           for b, v in enumerate(gp[l][mm]) if v]
         out = [[] for _ in range(w + n)]
-        for i, *rest in parts:
-            out[i].append(rest)
+        for i, j, k, l, e, c in parts:
+            out[i].append((j, k, l, e, c.coefficient(0)))
         return out
     return m.cached(("slot_couplings", diagonal), build)
-
-
-def _column(acc: Dict, n: int, r: int, nt: int, rows: int) -> List[Scalar]:
-    """The q_basis coordinates of the section with value-slot coefficients
-    acc[(slot, K')]; the gauge grid of each K' goes through
-    endo_coordinates."""
-    col = [S_ZERO] * rows
-    grids: Dict[int, List[List[Scalar]]] = {}
-    for (j, K), v in acc.items():
-        if j < n:
-            col[j * nt + K] = v
-        elif j < n + r * r:
-            if K not in grids:
-                grids[K] = [[S_ZERO] * r for _ in range(r)]
-            u, t = divmod(j - n, r)
-            grids[K][u][t] = v
-        else:       # the r^2 gauge slots have r^2 - 1 coordinates
-            col[(j - 1) * nt + K] = v
-    for K, grid in grids.items():
-        for t, v in enumerate(endo_coordinates(grid)):
-            col[(n + t) * nt + K] = v
-    return col
 
 
 def assemble_Dbar(m: HomogeneousModel, p: int,
                   diagonal: bool = False) -> QOperatorMatrix:
     """The matrix of Dbar from degree p over the q_basis, from the slot
-    couplings and the leg maps; ``apply_Dbar`` is the form-level route it is
-    tested against."""
+    couplings and the leg maps, as the pencil of its coefficients of 1 and
+    of a; ``apply_Dbar`` is the form-level route it is tested against.
+    Each source column is accumulated per power of a and value slot, then
+    read into q_basis coordinates; only nonzero entries are stored."""
     key = ("Dbar", p, diagonal)
     def build():
         n, r = m.n, m.rank
         src, tgt = q_labels(m, p), q_labels(m, p + 1)
         nk, nt = len(_combos(n, p)), len(_combos(n, p + 1))
-        couplings = [[(j, c, _leg_map(m, p, k, l)) for j, k, l, c in parts]
+        couplings = [[(e, j, c, _leg_map(m, p, k, l))
+                      for j, k, l, e, c in parts]
                      for parts in _slot_couplings(m, diagonal)]
-        columns = []
+        for parts in couplings:
+            for e, *_ in parts:
+                _refuse_degree(e, "Dbar")
+        pencil = tuple([{} for _ in tgt] for _ in range(2))
+        col = 0
         for _, value in _basis_values(m):
             for K in range(nk):
-                acc: Dict = {}
+                accs: Tuple[Dict, Dict] = ({}, {})
                 for i, x in value.items():
-                    for j, c, legs in couplings[i]:
+                    x = x.coefficient(0)      # basis values are constants
+                    for e, j, c, legs in couplings[i]:
                         cx = c * x
                         for Kt, v in legs[K]:
-                            _acc(acc, (j, Kt), v * cx)
-                columns.append(_column(acc, n, r, nt, len(tgt)))
-        return QOperatorMatrix(p, p + 1, src, tgt, tuple(zip(*columns)))
+                            _acc(accs[e], (j, Kt), v * cx)
+                for mk, acc in zip(pencil, accs):
+                    for t, v in _coordinates(acc, n, r, nt).items():
+                        mk[t][col] = v
+                col += 1
+        return QOperatorMatrix(p, p + 1, src, tgt,
+                               tuple(tuple(mk) for mk in pencil))
     return m.cached(key, build)
 
 
@@ -661,44 +714,50 @@ def gram(m: HomogeneousModel, p: int) -> List[List[GaussRat]]:
     return m.cached(("gram", p), build)
 
 
+def gram_lowered(m: HomogeneousModel, target_p: int, rows
+                 ) -> List[Dict[int, GaussRat]]:
+    """conj(M^T G_tgt) as sparse rows, one per source column of M, where M
+    maps degree target_p - 1 into degree target_p and is given by its
+    sparse rows.
+
+    This is the adjoint with its source Gram left on: conj(G_src^{-1}) times
+    it is the Gram adjoint of M, and no Gram factor is inverted here.
+    """
+    g_tgt = _gram_rows(m, target_p)
+    columns: List[List] = [[] for _ in q_labels(m, target_p - 1)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            columns[c].append((x, g_tgt[r]))
+    out = []
+    for terms in columns:
+        out.append({j: z.conjugate()
+                    for j, z in linalg.row_sum(terms).items() if z})
+    return out
+
+
 def gram_adjoint(m: HomogeneousModel, op: QOperatorMatrix) -> QOperatorMatrix:
-    """The metric adjoint: maps degree target_p back to source_p.
+    """The metric adjoint of an operator from degree p to p + 1: maps
+    degree target_p back to source_p.
 
     With <x,y> = x^T G conj(y) and M the operator matrix, the adjoint is
-    conj(G_src^{-1} M^T G_tgt).  Each Gram is G_p = (+)_b V_b (x) L_p, so
-    G_src^{-1} comes from the inverted factors V_b^{-1} and L_p^{-1}, and
-    the products run over nonzero entries only.  The coupling a is assumed
-    real: conj leaves it alone, so M = sum_k a^k M_k is transformed one
-    sparse coefficient matrix M_k at a time.
+    conj(G_src^{-1} M^T G_tgt) = conj(G_src^{-1}) conj(M^T G_tgt), the
+    second factor from ``gram_lowered``.  Each Gram is
+    G_p = (+)_b V_b (x) L_p, so G_src^{-1} comes from the inverted factors
+    V_b^{-1} and L_p^{-1}, and the products run over nonzero entries only.
+    The coupling a is assumed real: conj leaves it alone, so the pencil
+    M_0 + a M_1 is transformed one coefficient matrix at a time.
     """
-    g_tgt = _gram_rows(m, op.target_p)
     g_inv = _gram_rows(m, op.source_p, inverse=True)
-    rows, cols = op.shape
-    # powers[k][c]: the nonzero (row, value) of column c of M_k
-    powers: List[List[List[Tuple[int, GaussRat]]]] = []
-    for r, row in enumerate(op.entries):
-        for c, e in enumerate(row):
-            for k, x in enumerate(e.coeffs):
-                if x:
-                    while len(powers) <= k:
-                        powers.append([[] for _ in range(cols)])
-                    powers[k][c].append((r, x))
-    coeffs: Dict[Tuple[int, int], List[GaussRat]] = {}
-    for k, mt in enumerate(powers):
-        # M_k^T G_tgt, one sparse row per source column
-        prod = [linalg.row_sum((x, g_tgt[r]) for r, x in col).items()
-                for col in mt]
-        for i, grow in enumerate(g_inv):
-            for j, z in linalg.row_sum((g, prod[c]) for c, g in grow).items():
-                if z:
-                    coeffs.setdefault((i, j), [GR_ZERO] * len(powers))[k] = (
-                        z.conjugate())
-    out = [[S_ZERO] * rows for _ in range(cols)]
-    for (i, j), cs in coeffs.items():
-        out[i][j] = Scalar.make(cs)
+    pencil = []
+    for mk in op.pencil:
+        low = gram_lowered(m, op.target_p, mk)
+        pencil.append(tuple(
+            {j: z for j, z in linalg.row_sum(
+                (g.conjugate(), low[c].items()) for c, g in grow).items()
+             if z}
+            for grow in g_inv))
     return QOperatorMatrix(op.target_p, op.source_p, op.target_labels,
-                           op.source_labels,
-                           tuple(tuple(row) for row in out))
+                           op.source_labels, tuple(pencil))
 
 
 def assemble_Dstar(m: HomogeneousModel, p: int) -> QOperatorMatrix:
@@ -844,7 +903,7 @@ def assemble_Dstar_formula(m: HomogeneousModel, p: int) -> QOperatorMatrix:
     # the leg Dolbeault adjoints: Gram adjoint of the decoupled operator,
     # which is block diagonal because the Gram matrix is
     diag = gram_adjoint(m, assemble_Dbar(m, p - 1, diagonal=True))
-    out = [list(row) for row in diag.entries]
+    pencil = tuple([dict(row) for row in mk] for mk in diag.pencil)
     for s_idx, sec in enumerate(src.sections):
         kap, g = sec.kappa, sec.gamma
         img = _section(m, p - 1)
@@ -855,10 +914,11 @@ def assemble_Dstar_formula(m: HomogeneousModel, p: int) -> QOperatorMatrix:
         if g:
             img = img + _section(m, p - 1, w=op_F_star_gamma(g, m))
         for i, v in enumerate(q_coordinates(img)):
-            if v:
-                out[i][s_idx] = out[i][s_idx] + v
+            _refuse_degree(v.degree, "the formula adjoint")
+            for mk, x in zip(pencil, v.coeffs):
+                _acc(mk[i], s_idx, x)
     return QOperatorMatrix(p, p - 1, src.labels, tgt.labels,
-                           tuple(tuple(row) for row in out))
+                           tuple(tuple(mk) for mk in pencil))
 
 
 # ---------------------------------------------------------------------------
@@ -889,8 +949,10 @@ def _slice(m: HomogeneousModel, p: int, src_legs, tgt_legs
     lo, hi = (_leg_bounds(m, p)[t] for t in src_legs)
     tlo, thi = (_leg_bounds(m, p + 1)[t] for t in tgt_legs)
     return QOperatorMatrix(p, p + 1, full.source_labels[lo:hi],
-                           full.target_labels[tlo:thi],
-                           tuple(row[lo:hi] for row in full.entries[tlo:thi]))
+                           full.target_labels[tlo:thi], tuple(
+                               tuple({c - lo: x for c, x in row.items()
+                                      if lo <= c < hi} for row in mk[tlo:thi])
+                               for mk in full.pencil))
 
 
 def assemble_Dbar1(m: HomogeneousModel, p: int) -> QOperatorMatrix:

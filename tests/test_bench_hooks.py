@@ -89,11 +89,13 @@ def test_traced_pass_reports_every_layer(tmp_path):
     # tracer reads the arguments of the linalg functions as dense rows of
     # GaussRat and the operator entries as rows of Scalar, and micro_metrics
     # does arithmetic on what it read, so a changed argument type shows here
-    # and not in the hook tests above
+    # and not in the hook tests above; cohomology runs the harmonic step
+    # under the tracer's observers
     job = {
         "commands": [["check", "torus"], ["serre", "iwasawa"],
                      ["symbol", "calabi-eckmann", "--samples", "5"],
-                     ["trivialize", "iwasawa", "--degree", "1"]],
+                     ["trivialize", "iwasawa", "--degree", "1"],
+                     ["cohomology", "iwasawa", "--samples", "3"]],
         "load": [["builtin", name] for name in BUILTIN_NAMES],
         "trace": True,
         "spans": str(tmp_path / "spans.jsonl"),
@@ -105,7 +107,7 @@ def test_traced_pass_reports_every_layer(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "ready"
     res = json.loads(lines[-1])
-    assert [c["exit"] for c in res["commands"]] == [0, 0, 0, 0], res
+    assert [c["exit"] for c in res["commands"]] == [0, 0, 0, 0, 0], res
     # run.py adds these two from outside the child
     added = {"trace.overhead_frac", "host.calib_s"}
     bench = json.loads(BENCHMARK.read_text(encoding="utf-8"))

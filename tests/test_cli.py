@@ -167,6 +167,48 @@ def test_zero_denominator_in_model_file_refused(tmp_path, capsys):
     assert err.startswith("error: metric[0][0]: zero denominator")
 
 
+@pytest.mark.parametrize("value", ["-1/7", "-4"])
+def test_negative_alpha_spaced_and_joined(capsys, value):
+    # argparse reads "-4" after a space as a value but took "-1/7" for an
+    # option; both spellings must give the same report and exit code
+    spaced = run(capsys, "check", "iwasawa", "--alpha-prime", value)
+    joined = run(capsys, "check", "iwasawa", f"--alpha-prime={value}")
+    assert spaced == joined
+    code, out, err = spaced
+    assert code in (0, 1) and not err
+    assert json.loads(out)["alpha_prime"] == value
+
+
+def _edit_chart(tmp_path, edit):
+    """Iwasawa's model file with ``edit`` applied to its chart."""
+    data = json.loads(print_model(builtin_model("iwasawa")))
+    edit(data["chart"])
+    model_file = tmp_path / "iwasawa-edited.json"
+    model_file.write_text(json.dumps(data))
+    return str(model_file)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.update(coords=[3]), "chart.coords must be an integer"),
+    (lambda c: c.update(coords=True), "chart.coords must be an integer"),
+    (lambda c: c["coframe_pullback"].update(a1=5),
+     "chart.coframe_pullback.a1 must be a string"),
+    (lambda c: c.update(coframe_pullback=["dz1", "dz2", "dz3"]),
+     "chart.coframe_pullback must map coframe names"),
+])
+@pytest.mark.parametrize("command", ["check", "trivialize"])
+def test_chart_entry_types_refused(tmp_path, capsys, edit, message,
+                                   command):
+    code, out, err = run(capsys, command, _edit_chart(tmp_path, edit))
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and message in err, err
+    # the unedited file is accepted
+    code = run(capsys, "trivialize", _edit_chart(tmp_path, lambda c: None),
+               "--degree", "0")[0]
+    assert code == 0
+
+
 def test_trivialize(capsys):
     code, out, _ = run(capsys, "trivialize", "iwasawa", "--degree", "1")
     assert code == 0

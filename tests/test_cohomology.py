@@ -62,9 +62,10 @@ def test_refuses_without_nilpotency(iwasawa):
 
 def test_nilpotency_check_reads_every_product(iwasawa):
     # D_1 D_0 = 0 but D_2 D_1 != 0, in its second column only: the refusal
-    # must come from the last product and name its degree
+    # must come from the last product and name its degree; the D_p are
+    # sparse rows {col: value}, as the count step specializes them
     one = GR_ONE
-    chain = [[[one], [GR_ZERO]], [[GR_ZERO, one]], [[one]]]
+    chain = [[{0: one}, {}], [{1: one}], [{0: one}]]
     coh._require_nilpotent(iwasawa, chain[:2], GaussRat.of(1))
     with pytest.raises(ModelError, match="first seen on degree 1"):
         coh._require_nilpotent(iwasawa, chain, GaussRat.of(1))
@@ -129,21 +130,87 @@ def test_serre_builds_no_gram_adjoint(monkeypatch):
 
 def test_cohomology_data_ranks_each_matrix_once(monkeypatch):
     # the count step ranks D_0..D_{n-1}; the harmonic step ranks D_p over
-    # the adjoint of D_{p-1} for p = 1..n, and reads harm_0 = dim_0 -
-    # rank D_0 from the count step, so 2n ranks in all
+    # the lowered adjoint of D_{p-1} for p = 1..n, and reads harm_0 = dim_0
+    # - rank D_0 from the count step, so 2n ranks in all, each through the
+    # sparse rank entry
     calls = []
-    rank = linalg.rank
+    rank_rows = linalg.rank_rows
 
     def counted(rows):
         calls.append(len(rows))
-        return rank(rows)
-    monkeypatch.setattr(linalg, "rank", counted)
+        return rank_rows(rows)
+    monkeypatch.setattr(linalg, "rank_rows", counted)
     for name in ("iwasawa", "torus"):
         calls.clear()
         m = builtin_model(name)
         data = coh.cohomology_data(m)
         assert len(calls) == 2 * m.n
         assert data.harmonic == data.h
+
+
+def _harmonic_via_gram_adjoint(m, a0, diagonal):
+    """The harmonic counts by the Gram-adjoint route: dim_p minus the rank
+    of D_p stacked over the specialized Gram adjoint of D_{p-1}, on dense
+    rows."""
+    out = []
+    for p in range(m.n + 1):
+        stack = (qc.assemble_Dbar(m, p, diagonal).specialize(a0)
+                 if p < m.n else [])
+        if p:
+            stack = stack + qc.gram_adjoint(
+                m, qc.assemble_Dbar(m, p - 1, diagonal)).specialize(a0)
+        out.append(coh.q_space_dimension(m, p) - linalg.rank(stack))
+    return out
+
+
+def test_harmonic_counts_agree_with_the_gram_adjoint_route(
+        builtins, random_flat_models):
+    # cohomology_data ranks D_p over conj(D_{p-1}^T G_p), with no inverse
+    # Gram; the stack over the Gram adjoint itself is the oracle
+    cases = [(m, None if a is None else GaussRat.of(a)) for m in builtins
+             for a in (None, "0", "1", "-4", "1/7")]
+    cases += [(m, GaussRat.of(a)) for m in random_flat_models
+              for a in (0, 1)]
+    checked = 0
+    for m, a in cases:
+        for diagonal in (False, True):
+            try:
+                data = coh.cohomology_data(m, a, diagonal)
+            except ModelError:
+                assert not diagonal, (m.name, str(a))
+                continue
+            assert data.harmonic == _harmonic_via_gram_adjoint(
+                m, data.alpha0, diagonal), (m.name, str(a), diagonal)
+            checked += 1
+    assert checked > 3 * len(cases) // 2, checked
+
+
+def _dense(row, cols):
+    out = [GR_ZERO] * cols
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+def test_lowered_adjoint_is_the_conjugate_source_gram_times_the_adjoint(
+        builtins, random_flat_models, dense_metric_builtins):
+    # conj(D_{p-1}^T G_p) = conj(G_{p-1}) D*_{p-1}, entry by entry, against
+    # both adjoint routes; the counts alone cannot see a misplaced conj,
+    # since any positive definite Gram gives the Hodge count
+    for m in builtins + random_flat_models + dense_metric_builtins:
+        for a0 in (coh.resolve_alpha(m, None), GaussRat.of("1/7")):
+            for p in range(1, m.n + 1):
+                D = qc.assemble_Dbar(m, p - 1)
+                dim = coh.q_space_dimension(m, p)
+                low = qc.gram_lowered(m, p, D.rows(a0))
+                assert all(all(row.values()) for row in low)
+                conj_gram = [[x.conjugate() for x in row]
+                             for row in qc.gram(m, p - 1)]
+                for adjoint in (qc.gram_adjoint(m, D),
+                                qc.assemble_Dstar_formula(m, p)):
+                    want = linalg.mat_mul(conj_gram, adjoint.specialize(a0))
+                    assert [_dense(row, dim) for row in low] == want, (
+                        m.name, str(a0), p)
 
 
 def test_symbol_sample_count():

@@ -8,6 +8,7 @@ slices of the matrix; reassembly checks the triangular structure they rest
 on.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from hetmod import cohomology as coh
 from hetmod import qcomplex as qc
 from hetmod.exterior import EndForm, InvariantForm, VectorForm
-from hetmod.geometry import bismut, validate_model
+from hetmod.geometry import ModelError, bismut, validate_model
 from hetmod.scalars import GaussRat, S_ONE, Scalar
 from helpers import gram_pair, section_from_coordinates
 from test_cohomology import _random_flat_model
@@ -83,6 +84,40 @@ def test_flat_model_at_n4():
     assert data.h == data.h[::-1], data.h
     assert data.harmonic == data.h
     assert data.euler == 0
+
+
+def test_pencil_rows_are_the_dense_view_specialized(builtins,
+                                                    random_flat_models):
+    # rows(a0) is M_0 + a0 M_1 over the nonzeros, with the entries that
+    # vanish at a0 dropped: at a0 = 0 every a-weighted entry goes
+    for m in builtins + random_flat_models:
+        for p in range(m.n):
+            for diagonal in (False, True):
+                op = qc.assemble_Dbar(m, p, diagonal)
+                for a0 in (GaussRat.of(0), GaussRat.of(1)):
+                    want = [{c: x.evaluate(a0) for c, x in enumerate(row)
+                             if x.evaluate(a0)} for row in op.entries]
+                    assert op.rows(a0) == want, (m.name, p, diagonal, a0)
+                    assert op.specialize(a0) == [
+                        [x.evaluate(a0) for x in row] for row in op.entries]
+    # an entry 1 - a cancels at a0 = 1 and must not be left as a zero
+    one = GaussRat.of(1)
+    op = qc.QOperatorMatrix(0, 1, ("x", "y"), ("z",),
+                            (({0: one, 1: one},), ({0: -one},)))
+    assert op.rows(one) == [{1: one}]
+    assert op.entries == ((S_ONE - Scalar.var(), S_ONE),)
+
+
+def test_pencil_refuses_a_squared(iwasawa):
+    # an a^2 slot coupling reaches the assembly: refused, not truncated
+    m = dataclasses.replace(iwasawa, name="iwasawa-a2")
+    parts = [list(x) for x in qc._slot_couplings(m, False)]
+    parts[0].append((0, 0, None, 2, GaussRat.of(1)))   # a^2 ab^1 ^ .
+    m._cache[("slot_couplings", False)] = parts
+    with pytest.raises(ModelError, match="degree 2 in the coupling"):
+        qc.assemble_Dbar(m, 0)
+    with pytest.raises(ModelError, match="degree 2 in the coupling"):
+        coh.cohomology_data(m)
 
 
 def test_block_reassembly(builtins, random_flat_models,
