@@ -15,10 +15,15 @@ anomaly does not balance, so the chart identity fails (exit 1) and the
 report names its first failing section; and ``serre``, ``serre
 --alpha-prime 0``, ``cohomology --samples 50`` and ``cohomology --samples
 50 --diagonal-dbar`` on each model file given (``scripts/scale_models.py``
-writes larger ones).  Then one line ``print_model SPEC sha256`` for each
-built-in and each model file: no report shows how a model prints, and its
-text depends on the order of the parts and terms that the model's forms
-hold.
+writes larger ones).  Then ``check`` on each model file of ``REFUSALS``,
+a built-in's file with one field malformed or ambiguous, written to a
+temporary directory; these lines read ``check refusal:LABEL``, and a
+refusal exits 2 with an ``error:`` line.  An exception that escapes
+``cli.main`` is printed as its type and message, with exit code 1, as an
+uncaught error would exit.  Last, one line ``print_model SPEC sha256`` for
+each built-in and each model file: no report shows how a model prints, and
+its text depends on the order of the parts and terms that the model's
+forms hold.
 
 Usage:
     PYTHONPATH=src python3 scripts/report_hashes.py [model.json ...]
@@ -27,17 +32,43 @@ Usage:
 import contextlib
 import hashlib
 import io
+import json
+import os
 import sys
+import tempfile
 
 from hetmod import cli
 from hetmod.models import (
     BUILTIN_NAMES,
     builtin_model,
+    model_to_json,
     parse_model_file,
     print_model,
 )
 
 ALPHAS = (None, "0", "1", "-4", "1/7")
+
+# (label, built-in, edit of its model file)
+REFUSALS = (
+    ("bundle-F-list", "torus", lambda d: d["bundle"].update(F=[])),
+    ("F-row-not-a-list", "torus",
+     lambda d: d["bundle"]["F"].update({"a1^ab1": [5, ["0", "0"]]})),
+    ("wedge-entry-list", "iwasawa",
+     lambda d: d["d"]["a3"][0].update(wedge=[["a1"], "a2"])),
+    ("wedge-string", "iwasawa",
+     lambda d: d["d"]["a3"][0].update(wedge="a1a2")),
+    ("coframe-entry-list", "torus",
+     lambda d: d.update(coframe=[["a"], "b", "c"])),
+    ("name-null", "torus", lambda d: d.update(name=None)),
+    ("coframe-conjugate-name", "torus",
+     lambda d: d.update(coframe=["a1", "a2", "ab1"])),
+    ("pullback-stray-name", "iwasawa",
+     lambda d: d["chart"]["coframe_pullback"].update(b7="dz1")),
+    ("metric-not-hermitian", "torus",
+     lambda d: d["metric"][0].__setitem__(1, "1")),
+    ("coefficient-with-a", "torus",
+     lambda d: d["metric"][0].__setitem__(0, "a")),
+)
 
 
 def commands(files):
@@ -64,13 +95,30 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def run(argv):
+    """The exit code and the digests of stdout and stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 1
+    return code, digest(out.getvalue()), digest(err.getvalue())
+
+
 def main(files) -> int:
     for argv in commands(files):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        print(" ".join(argv), code, digest(out.getvalue()),
-              digest(err.getvalue()), flush=True)
+        print(" ".join(argv), *run(argv), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, name, edit in REFUSALS:
+            data = model_to_json(builtin_model(name))
+            edit(data)
+            path = os.path.join(tmp, label + ".json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            print("check", "refusal:" + label, *run(["check", path]),
+                  flush=True)
     for name in BUILTIN_NAMES:
         print("print_model", name, digest(print_model(builtin_model(name))))
     for path in files:

@@ -75,6 +75,7 @@ from .geometry import (
     torsion,
 )
 from .linalg import det
+from .qcomplex import fibre_basis
 from .scalars import GR_ONE, GR_ZERO, GaussRat, parse_gauss
 
 Exp = Tuple[int, ...]
@@ -141,21 +142,15 @@ class Poly(Sparse):
         return _make(Poly, self.shape, {(b, a): c.conjugate()
                                         for (a, b), c in self.terms})
 
-    def diff_z(self, k: int) -> "Poly":
+    def diff(self, k: int, anti: bool = False) -> "Poly":
+        """d/dz_k, or d/dzbar_k with ``anti``."""
         out = {}
-        for (a, b), c in self.terms:
-            e = a[k]
+        for key, c in self.terms:
+            x = key[anti]
+            e = x[k]
             if e:
-                out[(a[:k] + (e - 1,) + a[k + 1:], b)] = (
-                    c if e == 1 else c * _int(e))
-        return _make(Poly, self.shape, out)
-
-    def diff_zbar(self, k: int) -> "Poly":
-        out = {}
-        for (a, b), c in self.terms:
-            e = b[k]
-            if e:
-                out[(a, b[:k] + (e - 1,) + b[k + 1:])] = (
+                x = x[:k] + (e - 1,) + x[k + 1:]
+                out[(key[0], x) if anti else (x, key[1])] = (
                     c if e == 1 else c * _int(e))
         return _make(Poly, self.shape, out)
 
@@ -239,7 +234,7 @@ def _derivative(x: ChartForm, anti: bool) -> ChartForm:
             sign, legs = _front(k + 1, a if anti else h)
             if not sign:
                 continue
-            d = c.diff_zbar(k) if anti else c.diff_z(k)
+            d = c.diff(k, anti)
             _acc(acc, (h, legs) if anti else (legs, a),
                  -d if (sign == -1) != flip else d)
     return _make(ChartForm, (x.n, x.p + (not anti), x.q + anti), acc)
@@ -290,9 +285,8 @@ def _parse_one_form(m_coords: int, text: str) -> List[Tuple[Poly, int]]:
     # split into signed terms
     terms = []
     cur = ""
-    depth = 0
     for ch in text:
-        if ch in "+-" and depth == 0 and cur.strip():
+        if ch in "+-" and cur.strip():
             terms.append(cur)
             cur = ch
         else:
@@ -392,9 +386,11 @@ class ChartData:
         dirs = tuple(sorted({c for j, b, c in trip if R[j][b][c]}
                             | {c for a, c, b in trip if self.Gamma[a][c][b]}))
         _, w0, n0 = _offsets(mc, r)
+        # T = sum_{l<j} dz^l ^ dz^j ^ T_{lj}, antisymmetric in l, j
+        T = [_split_front(x) for x in _split_front(self.T_chart)]
         _derived(
-            self, Tcomp=_torsion_components(mc, self.T_chart),
-            Fcomp=_f_components(mc, r, self.F_chart), Rcomp=R,
+            self, Tcomp=[[T[l][j] - T[j][l] for j in ms] for l in ms],
+            Fcomp=_split_front(self.F_chart), Rcomp=R,
             nabla_dirs=dirs,
             nabla_table=_flat_table(
                 (w0 + b, n0 + c * mc + a, self.GammaPlus[c][a][b], GR_ONE)
@@ -475,7 +471,7 @@ def chart_data(m: HomogeneousModel) -> ChartData:
                 for b in range(mc):
                     vcomp = [Poly.zero(mc) for _ in range(m.n)]
                     for k in range(m.n):
-                        vcomp[k] = vcomp[k] + Pt[k][b].diff_z(c)
+                        vcomp[k] = vcomp[k] + Pt[k][b].diff(c)
                     for j in range(m.n):
                         for i in range(m.n):
                             if not Pt[j][c] or not Pt[i][b]:
@@ -602,40 +598,22 @@ class Trivialization:
                  phi_inv_table=phi(-GR_ONE), op_tables={})
 
 
-def _torsion_components(mc: int, T_chart: ChartForm):
-    """T_{lj} as (0,1)-forms: T = sum_{l<j} dz^l ^ dz^j ^ T_{lj}."""
-    out = [[ChartForm.zero(mc, 0, 1) for _ in range(mc)] for _ in range(mc)]
-    for (h, a), c in T_chart.terms:
-        l, j = h
-        form = _make(ChartForm, (mc, 0, 1), {((), a): c})
-        out[l - 1][j - 1] = out[l - 1][j - 1] + form
-        out[j - 1][l - 1] = out[j - 1][l - 1] - form
-    return out
-
-
-def _f_components(mc: int, r: int, F_chart):
-    """F_a[u][v] as (0,1)-forms: F = sum_a dz^a ^ F_a."""
-    out = [[[ChartForm.zero(mc, 0, 1) for _ in range(r)] for _ in range(r)]
-           for _ in range(mc)]
-    for u in range(r):
-        for v in range(r):
-            for (h, a), c in F_chart[u][v].terms:
-                out[h[0] - 1][u][v] += _make(ChartForm, (mc, 0, 1),
-                                             {((), a): c})
-    return out
+def _split_front(x):
+    """The x_a of x = sum_a dz^a ^ x_a, as [x_1, .., x_mc]: for a chart
+    form, its terms grouped by their first dz leg with that leg taken off;
+    for a (nested) list of chart forms, entry by entry, with a first."""
+    if isinstance(x, ChartForm):
+        parts: List[Dict] = [{} for _ in range(x.n)]
+        for (h, a), c in x.terms:
+            parts[h[0] - 1][(h[1:], a)] = c
+        return [_make(ChartForm, (x.n, x.p - 1, x.q), t) for t in parts]
+    return list(zip(*map(_split_front, x)))
 
 
 def _a_components(A):
     """A_a[u][v] as functions: A = sum_a dz^a A_a."""
-    r = len(A)
-    mc = A[0][0].n
-    out = [[[Poly.zero(mc) for _ in range(r)] for _ in range(r)]
-           for _ in range(mc)]
-    for u in range(r):
-        for v in range(r):
-            for (h, aa), c in A[u][v].terms:
-                out[h[0] - 1][u][v] = out[h[0] - 1][u][v] + c
-    return out
+    return [[[f.coeff((), ()) for f in row] for row in Aa]
+            for Aa in _split_front(A)]
 
 
 def _gamma_r_components(mc: int, Gamma):
@@ -928,15 +906,8 @@ def _labelled_sections(t: Trivialization, degree: int):
     """Yield (slot label, monomial, section) for every section with a single
     monomial slot entry of total degree up to the bound, covering every
     covector, trace-free gauge and vector slot."""
-    cd = t.cd
-    mc, r = cd.m_coords, cd.rank
-    g0, w0, _ = _offsets(mc, r)
-    from .qcomplex import trace_free_basis
-    slots = ([(f"e1:dz^{a + 1}", [(a, GR_ONE)]) for a in range(mc)]
-             + [(f"e2:{name}", [(g0 + (i - 1) * r + j - 1, c)
-                                for (i, j), c in mat.items()])
-                for name, mat in trace_free_basis(r)]
-             + [(f"e3:d/dz^{a + 1}", [(w0 + a, GR_ONE)]) for a in range(mc)])
+    mc, r = t.cd.m_coords, t.cd.rank
+    slots = fibre_basis(mc, r, "dz^", "d/dz^")
     for total in range(degree + 1):
         for za in itertools.combinations_with_replacement(range(2 * mc),
                                                           total):
@@ -945,10 +916,10 @@ def _labelled_sections(t: Trivialization, degree: int):
                 e[x] += 1
             z, zb = tuple(e[:mc]), tuple(e[mc:])
             mono = _make(Poly, (mc,), {(z, zb): GR_ONE})
-            for label, entries in slots:
+            for label, value in slots:
                 yield label, mono, _make(ChartSection, (mc, r, 0),
                                          {(k, (), z, zb): c
-                                          for k, c in entries})
+                                          for k, c in value.items()})
 
 
 def monomial_sections(t: Trivialization, degree: int):

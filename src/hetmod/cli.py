@@ -62,52 +62,28 @@ def _emit(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _run_check(args) -> int:
+def _symbol_report(m: HomogeneousModel, alpha: Optional[GaussRat],
+                   args) -> dict:
+    a0 = cohomology.resolve_alpha(m, alpha)
+    return {"model": m.name, "alpha_prime": str(a0),
+            **cohomology.injectivity_scan(m, a0, limit=args.samples)}
+
+
+def _trivialize_passed(report: dict) -> bool:
+    return (all(report["potentials"].values())
+            and report["chern_simons_transgression"]
+            and report["operator_identity"]["passed"]
+            and report["transitions"]["holomorphic"]
+            and report["transitions"]["cocycle"])
+
+
+def _run(args) -> int:
+    """Load the model, build the subcommand's report (``args.build``), emit
+    it and judge it (``args.verdict``)."""
     m = _load_model(args.model)
-    report = cohomology.system_report(m, _parse_alpha(args.alpha_prime))
+    report = args.build(m, _parse_alpha(args.alpha_prime), args)
     _emit(report, args.out)
-    return 0 if report["passed"] else 1
-
-
-def _run_cohomology(args) -> int:
-    m = _load_model(args.model)
-    report = cohomology.cohomology_report(
-        m, _parse_alpha(args.alpha_prime),
-        symbol_limit=args.samples, diagonal=args.diagonal_dbar)
-    _emit(report, args.out)
-    ok = (report["checks"]["passed"] and report["serre"]
-          and report["symbol"]["injective"])
-    return 0 if ok else 1
-
-
-def _run_serre(args) -> int:
-    m = _load_model(args.model)
-    report = {"model": m.name}
-    report.update(cohomology.serre_report(m, _parse_alpha(args.alpha_prime)))
-    _emit(report, args.out)
-    return 0 if report["symmetric"] else 1
-
-
-def _run_symbol(args) -> int:
-    m = _load_model(args.model)
-    a0 = cohomology.resolve_alpha(m, _parse_alpha(args.alpha_prime))
-    report = {"model": m.name, "alpha_prime": str(a0)}
-    report.update(cohomology.injectivity_scan(m, a0, limit=args.samples))
-    _emit(report, args.out)
-    return 0 if report["injective"] else 1
-
-
-def _run_trivialize(args) -> int:
-    m = _load_model(args.model)
-    report = chartlocal.trivialization_report(
-        m, degree=args.degree, alpha0=_parse_alpha(args.alpha_prime))
-    _emit(report, args.out)
-    ok = (all(report["potentials"].values())
-          and report["chern_simons_transgression"]
-          and report["operator_identity"]["passed"]
-          and report["transitions"]["holomorphic"]
-          and report["transitions"]["cocycle"])
-    return 0 if ok else 1
+    return 0 if args.verdict(report) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "operator of coupled metric-bundle systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, samples=False, degree=False,
+    def add(name, help_text, build, verdict, samples=False, degree=False,
             diagonal=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model",
@@ -141,20 +117,27 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--diagonal-dbar", action="store_true",
                            help="drop the couplings and use the diagonal "
                                 "Dolbeault operator")
-        p.set_defaults(func=func)
-        return p
+        p.set_defaults(build=build, verdict=verdict)
 
-    add("check", _run_check,
-        "verify the coupled torsion and anomaly conditions")
-    add("cohomology", _run_cohomology,
-        "invariant cohomology and harmonic dimensions", samples=True,
-        diagonal=True)
-    add("serre", _run_serre, "duality symmetry of the dimensions")
-    add("symbol", _run_symbol, "principal symbol injectivity scan",
-        samples=True)
-    add("trivialize", _run_trivialize,
-        "local triangular trivialization on a polynomial chart",
-        degree=True)
+    add("check", "verify the coupled torsion and anomaly conditions",
+        lambda m, alpha, _: cohomology.system_report(m, alpha),
+        lambda report: report["passed"])
+    add("cohomology", "invariant cohomology and harmonic dimensions",
+        lambda m, alpha, args: cohomology.cohomology_report(
+            m, alpha, symbol_limit=args.samples, diagonal=args.diagonal_dbar),
+        lambda report: (report["checks"]["passed"] and report["serre"]
+                        and report["symbol"]["injective"]),
+        samples=True, diagonal=True)
+    add("serre", "duality symmetry of the dimensions",
+        lambda m, alpha, _: {"model": m.name,
+                             **cohomology.serre_report(m, alpha)},
+        lambda report: report["symmetric"])
+    add("symbol", "principal symbol injectivity scan", _symbol_report,
+        lambda report: report["injective"], samples=True)
+    add("trivialize", "local triangular trivialization on a polynomial chart",
+        lambda m, alpha, args: chartlocal.trivialization_report(
+            m, degree=args.degree, alpha0=alpha),
+        _trivialize_passed, degree=True)
     return parser
 
 
@@ -181,7 +164,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.func(args)
+        return _run(args)
     except (ModelError, ScalarError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

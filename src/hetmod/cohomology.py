@@ -36,12 +36,11 @@ from .scalars import GR_ZERO, GaussRat
 
 
 def q_value_dimension(m: HomogeneousModel) -> int:
-    return 2 * m.n + m.rank * m.rank - 1
+    return q_space_dimension(m, 0)
 
 
 def q_space_dimension(m: HomogeneousModel, p: int) -> int:
-    from math import comb
-    return q_value_dimension(m) * comb(m.n, p)
+    return len(qcomplex.q_labels(m, p))
 
 
 def resolve_alpha(m: HomogeneousModel, alpha0: Optional[GaussRat]

@@ -615,11 +615,13 @@ def validate_model(m: HomogeneousModel) -> List[str]:
     if len(m.metric) != n or any(len(r) != n for r in m.metric):
         errors.append("metric has wrong shape")
     else:
-        for a in range(n):
-            for b in range(n):
-                if m.metric[a][b] != m.metric[b][a].conjugate():
-                    errors.append("metric is not Hermitian")
-                    break
+        bad = next(((a, b) for a in range(n) for b in range(n)
+                    if m.metric[a][b] != m.metric[b][a].conjugate()), None)
+        if bad is not None:
+            a, b = bad
+            errors.append(f"metric is not Hermitian: metric[{a}][{b}] = "
+                          f"{m.metric[a][b]} but conj(metric[{b}][{a}]) = "
+                          f"{m.metric[b][a].conjugate()}")
         # leading principal minors must be positive rationals
         for k in range(1, n + 1):
             minor = linalg.det([row[:k] for row in m.metric[:k]], GR_ONE)

@@ -28,7 +28,7 @@ from .scalars import (
     Scalar,
     ScalarError,
     format_scalar,
-    parse_scalar,
+    parse_gauss,
 )
 
 BUILTIN_NAMES = ("iwasawa", "calabi-eckmann", "torus")
@@ -163,6 +163,10 @@ def _conj_name(name: str) -> str:
 
 
 def _parse_wedge(legs, names: Dict[str, int], where: str):
+    if not isinstance(legs, list) or not all(isinstance(x, str)
+                                             for x in legs):
+        raise ModelError(f"{where}: wedge must be a list of coframe names, "
+                         f"not {json.dumps(legs)}")
     holo, anti = [], []
     conj = {_conj_name(nm): idx for nm, idx in names.items()}
     for leg in legs:
@@ -177,12 +181,9 @@ def _parse_wedge(legs, names: Dict[str, int], where: str):
 
 def _parse_const(text, where: str) -> GaussRat:
     try:
-        s = parse_scalar(str(text))
+        return parse_gauss(str(text))
     except ScalarError as exc:
         raise ModelError(f"{where}: {exc}") from exc
-    if s.degree > 0:
-        raise ModelError(f"{where}: coefficient must not involve a")
-    return s.coefficient(0)
 
 
 def parse_model_text(text: str) -> HomogeneousModel:
@@ -200,11 +201,19 @@ def parse_model_text(text: str) -> HomogeneousModel:
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ModelError("n must be a positive integer")
+    if not isinstance(data["name"], str):
+        raise ModelError(f"name must be a string, not "
+                         f"{json.dumps(data['name'])}")
     coframe = data["coframe"]
     if (not isinstance(coframe, list) or len(coframe) != n
+            or not all(isinstance(nm, str) for nm in coframe)
             or len(set(coframe)) != n):
         raise ModelError("coframe must list n distinct names")
     names = {nm: idx + 1 for idx, nm in enumerate(coframe)}
+    for nm in coframe:
+        if _conj_name(nm) in names:
+            raise ModelError(f"coframe: {_conj_name(nm)!r} is both a name "
+                             f"and the conjugate of {nm!r}")
 
     d_coframe = []
     dmap = data["d"]
@@ -247,14 +256,19 @@ def parse_model_text(text: str) -> HomogeneousModel:
         raise ModelError("bundle.rank must be a positive integer")
     fgrid = [[InvariantForm.zero(n, 1, 1) for _ in range(rank)]
              for _ in range(rank)]
-    for mono_name, rows in bundle.get("F", {}).items():
+    fmap = bundle.get("F", {})
+    if not isinstance(fmap, dict):
+        raise ModelError("bundle.F must map wedge names such as 'a1^ab1' "
+                         f"to rank x rank arrays, not {json.dumps(fmap)}")
+    for mono_name, rows in fmap.items():
         where = f"bundle.F[{mono_name!r}]"
         legs = mono_name.split("^")
         holo, anti = _parse_wedge(legs, names, where)
         if len(holo) != 1 or len(anti) != 1:
             raise ModelError(f"{where}: key must name one a and one ab leg")
         if (not isinstance(rows, list) or len(rows) != rank
-                or any(len(r) != rank for r in rows)):
+                or any(not isinstance(r, list) or len(r) != rank
+                       for r in rows)):
             raise ModelError(f"{where}: expected a rank x rank array")
         for i in range(rank):
             for j in range(rank):
@@ -286,13 +300,16 @@ def parse_model_text(text: str) -> HomogeneousModel:
         if missing:
             raise ModelError(f"chart.coframe_pullback missing {missing}")
         for nm, text in pullback.items():
+            if nm not in names:
+                raise ModelError(f"chart.coframe_pullback.{nm}: not a "
+                                 "coframe name")
             if not isinstance(text, str):
                 raise ModelError(f"chart.coframe_pullback.{nm} must be a "
                                  f"string such as 'dz1', not {text!r}")
 
     try:
         model = HomogeneousModel(
-            name=str(data["name"]),
+            name=data["name"],
             n=n,
             coframe_names=list(coframe),
             d_coframe=d_coframe,

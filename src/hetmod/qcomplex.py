@@ -109,16 +109,6 @@ def _f_array(m: HomogeneousModel):
     return m.cached("gauge_F_array", build)
 
 
-def _t_array(m: HomogeneousModel):
-    """arrT[l][j][k] = T_{l j kbar} (both holomorphic legs explicit)."""
-    def build():
-        n = m.n
-        low = torsion_lower(m)
-        return [[[low[k][l][j] for k in range(n)] for j in range(n)]
-                for l in range(n)]
-    return m.cached("torsion_ljk", build)
-
-
 # ---------------------------------------------------------------------------
 # the coupling sum
 #
@@ -257,9 +247,10 @@ def op_script_F(x, m: HomogeneousModel):
 
 
 def _t_table(m: HomogeneousModel):
-    arrT = _t_array(m)
+    """The torsion coupling T_{l j kbar} = torsion_lower[k][l][j]."""
+    T = torsion_lower(m)
     return _table(m, "T", m.n, lambda: (
-        ((j, k, l), arrT[l][j][k]) for l, j, k in _cube(m.n, 3)))
+        ((j, k, l), T[k][l][j]) for l, j, k in _cube(m.n, 3)))
 
 
 def op_script_T(x: VectorForm, m: HomogeneousModel) -> CovectorForm:
@@ -348,19 +339,6 @@ def _combos(n: int, p: int):
     return list(itertools.combinations(range(1, n + 1), p))
 
 
-def trace_free_basis(r: int):
-    """Ordered basis of trace-free r x r matrices: diagonal differences
-    D(k) = E(k,k) - E(k+1,k+1), then off-diagonal units E(l,m)."""
-    basis = []
-    for k in range(1, r):
-        basis.append((f"D({k})", {(k, k): GR_ONE, (k + 1, k + 1): -GR_ONE}))
-    for l in range(1, r + 1):
-        for mm in range(1, r + 1):
-            if l != mm:
-                basis.append((f"E({l},{mm})", {(l, mm): GR_ONE}))
-    return basis
-
-
 def _leg_label(K) -> str:
     return "abar{" + "".join(str(k) for k in K) + "}"
 
@@ -380,23 +358,27 @@ class QBasis:
         return len(self.labels)
 
 
-def _basis_values(m: HomogeneousModel):
-    """The value parts of the q_basis sections in order, as (label,
-    {slot: coefficient}) over the value slots: the covector leg 0..n-1, the
-    gauge grid n..n+r^2-1 row by row, then the vector leg.  Each is
-    tensored with every leg ab^K."""
-    n, r = m.n, m.rank
-    return ([(f"e1:a^{j + 1}", {j: S_ONE}) for j in range(n)]
-            + [(f"e2:{name}", {n + (u - 1) * r + v - 1: Scalar.const(x)
-                               for (u, v), x in mat.items()})
-               for name, mat in trace_free_basis(r)]
-            + [(f"e3:V^{j + 1}", {n + r * r + j: S_ONE}) for j in range(n)])
+def fibre_basis(n: int, r: int, covector: str = "a^", vector: str = "V^"):
+    """The basis of Q's fibre in order, as (label, {slot: GaussRat}) over
+    the value slots: the covector leg 0..n-1 (labels ``covector`` + index),
+    the gauge grid n..n+r^2-1 row by row, where the trace-free basis is the
+    diagonal differences D(k) = E(k,k) - E(k+1,k+1), then the off-diagonal
+    units E(u,v), and the vector leg (``vector`` + index).  Indices in
+    labels are 1-based."""
+    g, w = n, n + r * r          # the first gauge and vector slots
+    return ([(f"e1:{covector}{j + 1}", {j: GR_ONE}) for j in range(n)]
+            + [(f"e2:D({k})", {g + (k - 1) * (r + 1): GR_ONE,
+                               g + k * (r + 1): -GR_ONE})
+               for k in range(1, r)]
+            + [(f"e2:E({u},{v})", {g + (u - 1) * r + v - 1: GR_ONE})
+               for u in range(1, r + 1) for v in range(1, r + 1) if u != v]
+            + [(f"e3:{vector}{j + 1}", {w + j: GR_ONE}) for j in range(n)])
 
 
 def q_labels(m: HomogeneousModel, p: int) -> Tuple[str, ...]:
     """The labels of the q_basis, without building its sections."""
     return m.cached(("q_labels", p), lambda: tuple(
-        f"{label}:{_leg_label(K)}" for label, _ in _basis_values(m)
+        f"{label}:{_leg_label(K)}" for label, _ in fibre_basis(m.n, m.rank)
         for K in _combos(m.n, p)))
 
 
@@ -404,9 +386,10 @@ def q_basis(m: HomogeneousModel, p: int) -> QBasis:
     def build():
         n, r = m.n, m.rank
         sections = []
-        for _, value in _basis_values(m):
+        for _, value in fibre_basis(n, r):
             for K in _combos(n, p):
-                comps = [InvariantForm.monomial(n, [], K, value[i])
+                comps = [InvariantForm.monomial(n, [], K,
+                                                Scalar.const(value[i]))
                          if i in value else InvariantForm.zero(n, 0, p)
                          for i in range(2 * n + r * r)]
                 sections.append(QSection.build(
@@ -616,11 +599,10 @@ def assemble_Dbar(m: HomogeneousModel, p: int,
                 _refuse_degree(e, "Dbar")
         pencil = tuple([{} for _ in tgt] for _ in range(2))
         col = 0
-        for _, value in _basis_values(m):
+        for _, value in fibre_basis(n, r):
             for K in range(nk):
                 accs: Tuple[Dict, Dict] = ({}, {})
                 for i, x in value.items():
-                    x = x.coefficient(0)      # basis values are constants
                     for e, j, c, legs in couplings[i]:
                         cx = c * x
                         for Kt, v in legs[K]:
@@ -665,7 +647,7 @@ def _gram_factors(m: HomogeneousModel, p: int, inverse: bool = False):
     def build():
         n = m.n
         A = metric_inverse(m)
-        ebasis = [mat for _, mat in trace_free_basis(m.rank)]
+        ebasis = [v for _, v in fibre_basis(n, m.rank)[n:-n]]
         return [
             [[A[jp][j] for jp in range(n)] for j in range(n)],
             [[sum((v * e2[key].conjugate() for key, v in e1.items()
@@ -818,9 +800,9 @@ def op_F_star_gamma(g: EndForm, m: HomogeneousModel) -> VectorForm:
 def op_T_star(kap: CovectorForm, m: HomogeneousModel) -> VectorForm:
     """Adjoint of the torsion coupling."""
     A = metric_inverse(m)
-    arrT = _t_array(m)
+    T = torsion_lower(m)
     table = _table(m, "T*", m.n, lambda: (
-        ((l, k, jp), (A[jp][j] * arrT[l][j][k]).conjugate())
+        ((l, k, jp), (A[jp][j] * T[k][l][j]).conjugate())
         for l, j, jp, k in _cube(m.n, 4)))
     q = kap.q - 1
     return _vector_from_paired(

@@ -39,9 +39,9 @@ def test_poly_algebra():
     f = zp(0) * zbp(1) + cp(2)
     g = zp(0) - zbp(1)
     assert f * g == g * f
-    assert f.diff_z(0) == zbp(1)
-    assert f.diff_zbar(1) == zp(0)
-    assert f.diff_zbar(0) == cl.Poly.zero(MC)
+    assert f.diff(0) == zbp(1)
+    assert f.diff(1, anti=True) == zp(0)
+    assert f.diff(0, anti=True) == cl.Poly.zero(MC)
     assert f.conjugate() == zbp(0) * zp(1) + cp(2)
     assert not f.is_holomorphic()
     assert (zp(0) * zp(2) + cp(1)).is_holomorphic()
@@ -445,8 +445,8 @@ def test_poly_arithmetic_matches_oracle(f, g, c, k):
     assert _seen_poly(-F) == _o_pscale(f, (-1, 0))
     assert _seen_poly(F * G) == _o_pmul(f, g)
     assert _seen_poly(F.scale(GaussRat.of(*c))) == _o_pscale(f, c)
-    assert _seen_poly(F.diff_z(k)) == _o_pdiff(f, k, False)
-    assert _seen_poly(F.diff_zbar(k)) == _o_pdiff(f, k, True)
+    assert _seen_poly(F.diff(k)) == _o_pdiff(f, k, False)
+    assert _seen_poly(F.diff(k, anti=True)) == _o_pdiff(f, k, True)
     assert _seen_poly(F.conjugate()) == _o_pconj(f)
     assert bool(F) is bool(f)
     assert (F - F) == cl.Poly.zero(PM) and not (F - F)
@@ -646,7 +646,7 @@ def _ref_nabla(t, w, c):
     out = {}
     for a, x in w.items():
         _put(out, a, cl.ChartForm.build(mc, 0, x.q, {
-            k: v.diff_z(c) for k, v in x.terms}))
+            k: v.diff(c) for k, v in x.terms}))
         for b in range(mc):
             _put(out, b, x.scale_poly(t.cd.GammaPlus[c][b][a]))
     return out

@@ -179,13 +179,19 @@ def test_negative_alpha_spaced_and_joined(capsys, value):
     assert json.loads(out)["alpha_prime"] == value
 
 
-def _edit_chart(tmp_path, edit):
-    """Iwasawa's model file with ``edit`` applied to its chart."""
-    data = json.loads(print_model(builtin_model("iwasawa")))
-    edit(data["chart"])
-    model_file = tmp_path / "iwasawa-edited.json"
+def _builtin_file(tmp_path, name, edit):
+    """The built-in model ``name`` as a model file, with ``edit`` applied
+    to its JSON data."""
+    data = json.loads(print_model(builtin_model(name)))
+    edit(data)
+    model_file = tmp_path / f"{name}-edited.json"
     model_file.write_text(json.dumps(data))
     return str(model_file)
+
+
+def _edit_chart(tmp_path, edit):
+    """Iwasawa's model file with ``edit`` applied to its chart."""
+    return _builtin_file(tmp_path, "iwasawa", lambda d: edit(d["chart"]))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -195,6 +201,8 @@ def _edit_chart(tmp_path, edit):
      "chart.coframe_pullback.a1 must be a string"),
     (lambda c: c.update(coframe_pullback=["dz1", "dz2", "dz3"]),
      "chart.coframe_pullback must map coframe names"),
+    (lambda c: c["coframe_pullback"].update(b7="dz1"),
+     "chart.coframe_pullback.b7: not a coframe name"),
 ])
 @pytest.mark.parametrize("command", ["check", "trivialize"])
 def test_chart_entry_types_refused(tmp_path, capsys, edit, message,
@@ -300,3 +308,37 @@ def test_readme_model_example_checks(tmp_path, capsys, iwasawa):
     path.write_text(example, encoding="utf-8")
     assert cli.main(["check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("torus", lambda d: d["bundle"].update(F=[]),
+     "bundle.F must map wedge names such as 'a1^ab1' to rank x rank "
+     "arrays, not []"),
+    ("torus", lambda d: d["bundle"]["F"].update({"a1^ab1": [5, ["0", "0"]]}),
+     "bundle.F['a1^ab1']: expected a rank x rank array"),
+    ("iwasawa", lambda d: d["d"]["a3"][0].update(wedge=[["a1"], "a2"]),
+     'd.a3[0]: wedge must be a list of coframe names, not [["a1"], "a2"]'),
+    ("iwasawa", lambda d: d["d"]["a3"][0].update(wedge="a1a2"),
+     'd.a3[0]: wedge must be a list of coframe names, not "a1a2"'),
+    ("torus", lambda d: d.update(coframe=[["a"], "b", "c"]),
+     "coframe must list n distinct names"),
+    ("torus", lambda d: d.update(name=None),
+     "name must be a string, not null"),
+    # ab1 is the conjugate of a1: as a coframe name it would be read as a
+    # holomorphic leg, and conj(a1) could not be written at all
+    ("torus", lambda d: d.update(coframe=["a1", "a2", "ab1"]),
+     "coframe: 'ab1' is both a name and the conjugate of 'a1'"),
+    # both (0, 1) and (1, 0) break h = h^dagger; one message, first pair
+    ("torus", lambda d: d["metric"][0].__setitem__(1, "1"),
+     "metric is not Hermitian: metric[0][1] = 1 but conj(metric[1][0]) = 0"),
+    ("torus", lambda d: d["metric"][0].__setitem__(0, "2 a"),
+     "metric[0][0]: expected a constant, got '2 a'"),
+], ids=["F-list", "F-row-int", "wedge-entry-list", "wedge-string",
+        "coframe-entry-list", "name-null", "coframe-conjugate-name",
+        "metric-not-hermitian", "constant-with-a"])
+def test_refused_model_file_exits_2(tmp_path, capsys, name, edit, message):
+    # a malformed or ambiguous field is a usage error: one error line that
+    # names the field, no report, exit 2 (not 1, "a check failed")
+    code, out, err = run(capsys, "check", _builtin_file(tmp_path, name, edit))
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -2,6 +2,7 @@
 and the report layer."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -21,6 +22,31 @@ def test_space_dimensions(iwasawa, calabi_eckmann):
     assert [coh.q_space_dimension(iwasawa, p) for p in range(4)] == \
         [9, 27, 27, 9]
     assert coh.q_value_dimension(calabi_eckmann) == 14
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_space_dimensions_by_formula(n, r):
+    # Q = T* + End_0(E) + T has fibre dimension n + (r^2 - 1) + n, and the
+    # invariant (0,p)-forms add a factor C(n, p); the basis sections have
+    # the unit coordinate vectors, so they are a basis of that size
+    m = HomogeneousModel(
+        name=f"flat{n}r{r}", n=n,
+        coframe_names=[f"a{k + 1}" for k in range(n)],
+        d_coframe=[MixedForm.zero(n, 2) for _ in range(n)],
+        metric=[[GR_ONE if i == j else GR_ZERO for j in range(n)]
+                for i in range(n)],
+        omega_coeff=GR_ONE, rank=r, curvature_F=EndForm.zero(n, r, 1, 1),
+        alpha_prime=None)
+    for p in range(n + 1):
+        want = (2 * n + r * r - 1) * math.comb(n, p)
+        assert coh.q_space_dimension(m, p) == want
+        basis = qc.q_basis(m, p)
+        assert len(basis.labels) == len(basis.sections) == want
+        for i, s in enumerate(basis.sections):
+            coords = qc.q_coordinates(s)
+            assert coords[i] == Scalar.of(1)
+            assert not any(coords[:i]) and not any(coords[i + 1:])
 
 
 def test_iwasawa_dimensions(iwasawa):
