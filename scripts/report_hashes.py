@@ -13,12 +13,14 @@ built-ins at the default alpha' and at 0, 1, -4 and 1/7; ``cohomology NAME
 and 6; ``trivialize iwasawa --degree 3`` at alpha' = 0, 1 and 1/7, where the
 anomaly does not balance, so the chart identity fails (exit 1) and the
 report names its first failing section; and ``serre``, ``serre
---alpha-prime 0``, ``cohomology --samples 50`` and ``cohomology --samples
-50 --diagonal-dbar`` on each model file given (``scripts/scale_models.py``
-writes larger ones).  Then ``check`` on each model file of ``REFUSALS``,
-a built-in's file with one field malformed or ambiguous, written to a
-temporary directory; these lines read ``check refusal:LABEL``, and a
-refusal exits 2 with an ``error:`` line.  An exception that escapes
+--alpha-prime 0``, ``cohomology --samples 50``, ``cohomology --samples
+50 --diagonal-dbar``, ``symbol`` and ``symbol --alpha-prime 2 --samples
+400`` on each model file given (``scripts/scale_models.py`` writes larger
+ones, and ``kt-t1``, whose scan fails; ``symbol`` scans all 7^n - 1
+samples, so give files with small n).  Then ``check`` on each model file
+of ``REFUSALS``, a built-in's file with one field malformed or ambiguous,
+written to a temporary directory; these lines read ``check
+refusal:LABEL``, and a refusal exits 2 with an ``error:`` line.  An exception that escapes
 ``cli.main`` is printed as its type and message, with exit code 1, as an
 uncaught error would exit.  Last, one line ``print_model SPEC sha256`` for
 each built-in and each model file: no report shows how a model prints, and
@@ -89,6 +91,8 @@ def commands(files):
         yield ["serre", path, "--alpha-prime", "0"]
         yield ["cohomology", path, "--samples", "50"]
         yield ["cohomology", path, "--samples", "50", "--diagonal-dbar"]
+        yield ["symbol", path]
+        yield ["symbol", path, "--alpha-prime", "2", "--samples", "400"]
 
 
 def digest(text: str) -> str:

@@ -12,9 +12,10 @@ The module also implements the principal symbol of Dbar + Dbar* and an
 injectivity scan over a lattice of nonzero cotangent samples, which is the
 effective content of ellipticity here.  The scan's two symbol blocks are
 linear in xi and xibar, so they are held as one per-model template of terms
-(col, k, c), c times xi_k or conj(xi_{k-n}), whose coefficients are reduced
-mod a prime once; each sample then only forms sparse rows mod p for the
-elimination.
+(col, k, c), c times xi_k or conj(xi_{k-n}).  A sample is decided mod p
+from an n x n Schur complement N when s = |xi|^2 and delta, the
+denominator of alpha' R, are nonzero mod p; else, or when N falls short,
+by exact ranks over Q(i).
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ from .geometry import (
     curvature_array,
 )
 from .scalars import GR_ZERO, GaussRat
-
-
-def q_value_dimension(m: HomogeneousModel) -> int:
-    return q_space_dimension(m, 0)
 
 
 def q_space_dimension(m: HomogeneousModel, p: int) -> int:
@@ -292,13 +289,16 @@ class SymbolBlocks:
     the entry at col is the sum of c * y_k, with y = (xi_1..xi_n,
     conj xi_1..conj xi_n) after xi is scaled by the common denominator of
     its components, and c a Gaussian integer as an (re, im) int pair.
-    ``residues`` holds the same terms with each c reduced mod CERT_P.
+    ``coupling`` holds the terms A_{kjt} = sum_m c * xi_m mod CERT_P, as
+    (j, k, ((t, [(m, c), ...]), ...)) for each (j, k) that has any, and
+    ``delta`` is den_R mod CERT_P.
     """
 
     n: int
     cols: Tuple[int, int]
     rows: tuple
-    residues: tuple
+    coupling: tuple
+    delta: int
 
     def _y(self, xi: List[GaussRat]):
         if len(xi) != self.n:
@@ -321,24 +321,33 @@ class SymbolBlocks:
             blocks.append(block)
         return tuple(blocks)
 
-    def mod_p(self, xi: List[GaussRat]):
-        """(B, C) at xi mod CERT_P: per block, an iterator over its sparse
-        rows {col: nonzero residue}, each made when it is reached."""
+    def schur_mod_p(self, xi: List[GaussRat]):
+        """N = delta^2 s^2 I - s G + sum_j a_j b_j^T at xi mod CERT_P, as
+        sparse rows {t: nonzero residue}; None when s or delta is 0 mod p."""
+        p, n = linalg.CERT_P, self.n
         y = [linalg.residue(re, im) for re, im in self._y(xi)]
-        return tuple(_rows_mod_p(template, y) for template in self.residues)
-
-
-def _rows_mod_p(template, y):
-    p = linalg.CERT_P
-    for entries in template:
-        row = {}
-        for col, terms in entries:
-            v = 0
-            for k, c in terms:
-                v += c * y[k]
-            if v := v % p:
-                row[col] = v
-        yield row
+        s = sum(y[k] * y[n + k] for k in range(n)) % p
+        if not s or not self.delta:
+            return None
+        d = self.delta * s
+        N = [[d * d if t == u else 0 for u in range(n)] for t in range(n)]
+        ab = {}
+        for j, k, entries in self.coupling:
+            v = [(t, x) for t, terms in entries
+                 if (x := sum(c * y[m] for m, c in terms) % p)]
+            aj, bj = ab.setdefault(j, ([0] * n, [0] * n))
+            for t, x in v:
+                aj[t] += y[n + k] * x
+                bj[t] += y[k] * x
+                for u, z in v:
+                    N[t][u] -= s * x * z
+        for aj, bj in ab.values():
+            for t, x in enumerate(aj):
+                if x:
+                    for u, z in enumerate(bj):
+                        N[t][u] += x * z
+        return [{u: r for u, x in enumerate(row) if (r := x % p)}
+                for row in N]
 
 
 def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat) -> SymbolBlocks:
@@ -353,8 +362,16 @@ def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat) -> SymbolBlocks:
 
     Each block is a positive integer multiple of its part of
     ``symbol_matrix``, which leaves its rank unchanged: B is scaled by the
-    common denominator of xi, C by that times the one of alpha' R.  Both
-    are linear in xi and xibar, so their terms are built here once.
+    common denominator of xi, C by that times delta = den_R, the one of
+    alpha' R.  Both are linear in xi and xibar, so their terms are built
+    here once, and so are C's coupling terms
+    A_{kjt} = sum_m delta alpha' R_{kbar j}^m_t xi_m, mod CERT_P.
+
+    With s = sum_k xi_k xibar_k, G = sum_{j,k} A_{kj.} A_{kj.}^T,
+    a_j = sum_k xibar_k A_{kj.} and b_j = sum_k xi_k A_{kj.}: where s and
+    delta are nonzero, B has full rank and dim ker C = dim ker N for
+    N = delta^2 s^2 I - s G + sum_j a_j b_j^T (C's vector wedge rows give
+    w_t = c_t xibar, its covector rows then fix u_j, and N c = 0 is left).
     """
     n = m.n
     pairs = list(itertools.combinations(range(n), 2))
@@ -394,11 +411,13 @@ def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat) -> SymbolBlocks:
             add(C, scal + n + nn, j * n + k, mm, (-a, -b))
     rows = tuple(tuple(tuple((col, tuple(terms)) for col, terms in r.items())
                        for r in block) for block in (B, C))
-    residues = tuple(tuple(tuple((col, tuple((k, linalg.residue(*c))
-                                             for k, c in terms))
-                                 for col, terms in r) for r in block)
-                     for block in rows)
-    return SymbolBlocks(n, (n, slots * n), rows, residues)
+    coupling = {}
+    for (k, j, nn, mm), c in zip(quads, aR):
+        if c := linalg.residue(*c):
+            coupling.setdefault((j, k), {}).setdefault(nn, []).append((mm, c))
+    return SymbolBlocks(n, (n, slots * n), rows, tuple(
+        (j, k, tuple(e.items())) for (j, k), e in coupling.items()),
+        den_R % linalg.CERT_P)
 
 
 def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
@@ -408,12 +427,12 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
     ``limit`` of ``symbol_samples``) and the first failing sample if any.
 
     The symbol is injective at xi iff both blocks of ``symbol_blocks`` have
-    full column rank: B (when r > 1) and C.  The blocks' template is
-    reduced mod the prime ``linalg.CERT_P`` once; each sample then gives
-    their sparse rows mod p, and full column rank there proves it over
-    Q(i).  Only a block that falls short mod p is evaluated over Z[i], and
-    ``linalg.rank`` decides it over Q(i); a rank drop is never reported on
-    the strength of the prime alone.  An empty scan is refused.
+    full column rank: B (when r > 1) and C.  When s and delta are nonzero
+    mod the prime ``linalg.CERT_P``, both have full rank over Q(i) if the
+    n x n matrix N of ``symbol_blocks`` has full rank mod p.  Otherwise B
+    and C are evaluated over Z[i] and ``linalg.rank`` decides them over
+    Q(i); a rank drop is never reported on the strength of the prime or
+    of the reduction.  An empty scan is refused.
     """
     total = len(_ALPHABET) ** m.n - 1
     count = total if limit is None else min(max(limit, 0), total)
@@ -425,10 +444,11 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
     checks = ([(0, n)] if m.rank * m.rank > 1 else []) + [(1, 2 * n * n)]
     first_failure = None
     for xi in itertools.islice(symbol_samples(m.n), count):
-        rows = blocks.mod_p(xi)
-        if any(linalg.rank_mod_p(rows[b]) < full
-               and linalg.rank(blocks(xi)[b]) < full
-               for b, full in checks):
+        rows = blocks.schur_mod_p(xi)
+        if rows is not None and linalg.rank_mod_p(rows) == n:
+            continue
+        exact = blocks(xi)
+        if any(linalg.rank(exact[b]) < full for b, full in checks):
             first_failure = "(" + ", ".join(str(x) for x in xi) + ")"
             break
     return {

@@ -1,9 +1,10 @@
 import dataclasses
+import json
 import random
 
 import pytest
 
-from hetmod.models import builtin_model
+from hetmod.models import builtin_model, parse_model_text
 from hetmod.scalars import GR_ONE, GR_ZERO, GaussRat
 
 
@@ -51,4 +52,21 @@ def dense_metric_builtins(iwasawa, calabi_eckmann):
                    for j in range(n)] for i in range(n)]
         out.append(dataclasses.replace(m, name=m.name + "-dense",
                                        metric=metric))
+    return out
+
+
+@pytest.fixture(scope="session")
+def kt_models():
+    """Kodaira-Thurston type models for n = 2 and 3: d a2 = a1 ^ ab1, the
+    other legs closed, unit metric, a line bundle with F = 0, so the
+    symbol has no gauge block and alpha' R couples the rest."""
+    out = []
+    for n in (2, 3):
+        out.append(parse_model_text(json.dumps({
+            "name": f"kt{n}", "n": n,
+            "coframe": [f"a{k + 1}" for k in range(n)],
+            "d": {"a2": [{"coeff": "1", "wedge": ["a1", "ab1"]}]},
+            "metric": [["1" if i == j else "0" for j in range(n)]
+                       for i in range(n)],
+            "omega_coeff": "1", "bundle": {"rank": 1, "F": {}}})))
     return out

@@ -5,7 +5,7 @@ from typing import List, Sequence
 
 from hetmod.exterior import FormError
 from hetmod.geometry import HomogeneousModel
-from hetmod.linalg import Matrix
+from hetmod.linalg import Matrix, gauss_ints
 from hetmod.qcomplex import QSection, gram, q_basis
 from hetmod.scalars import GR_ZERO, S_ZERO, GaussRat, Scalar
 
@@ -39,3 +39,35 @@ def gram_pair(m: HomogeneousModel, p: int, x: Sequence[Scalar],
 def mat_vec(a: Matrix, v: Sequence[GaussRat]) -> List[GaussRat]:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]),
                 start=GR_ZERO) for row in a]
+
+
+def schur_complement(R, alpha0: GaussRat, xi: Sequence[GaussRat]) -> Matrix:
+    """N = delta^2 s^2 I - s G + sum_j a_j b_j^T over Q(i), straight from
+    the curvature table R[k][j][m][t] and its formula: delta clears the
+    denominators of alpha' R, A_{kjt} = sum_m delta alpha' R[k][j][m][t]
+    xi_m, s = sum_k xi_k conj(xi_k), G_{tu} = sum_{j,k} A_{kjt} A_{kju},
+    a_{jt} = sum_k conj(xi_k) A_{kjt} and b_{jt} = sum_k xi_k A_{kjt}."""
+    n = len(xi)
+    idx = range(n)
+    delta = GaussRat.of(gauss_ints([alpha0 * R[k][j][m][t] for k in idx
+                                    for j in idx for m in idx
+                                    for t in idx])[0])
+    xib = [x.conjugate() for x in xi]
+    A = [[[sum((delta * alpha0 * R[k][j][m][t] * xi[m] for m in idx),
+               start=GR_ZERO) for t in idx] for j in idx] for k in idx]
+    s = sum((x * y for x, y in zip(xi, xib)), start=GR_ZERO)
+    a = [[sum((xib[k] * A[k][j][t] for k in idx), start=GR_ZERO)
+          for t in idx] for j in idx]
+    b = [[sum((xi[k] * A[k][j][t] for k in idx), start=GR_ZERO)
+          for t in idx] for j in idx]
+    N = []
+    for t in idx:
+        row = []
+        for u in idx:
+            G = sum((A[k][j][t] * A[k][j][u] for j in idx for k in idx),
+                    start=GR_ZERO)
+            ab = sum((a[j][t] * b[j][u] for j in idx), start=GR_ZERO)
+            x = ab - s * G
+            row.append(x + delta * delta * s * s if t == u else x)
+        N.append(row)
+    return N

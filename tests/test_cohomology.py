@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetmod import chartlocal
 from hetmod import cohomology as coh
@@ -16,12 +18,14 @@ from hetmod.geometry import HomogeneousModel, ModelError
 from hetmod.models import builtin_model
 from hetmod.scalars import GR_ONE, GR_ZERO, GaussRat, Scalar
 
+from helpers import schur_complement
+
 
 def test_space_dimensions(iwasawa, calabi_eckmann):
-    assert coh.q_value_dimension(iwasawa) == 9
+    assert coh.q_space_dimension(iwasawa, 0) == 9
     assert [coh.q_space_dimension(iwasawa, p) for p in range(4)] == \
         [9, 27, 27, 9]
-    assert coh.q_value_dimension(calabi_eckmann) == 14
+    assert coh.q_space_dimension(calabi_eckmann, 0) == 14
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -252,7 +256,7 @@ def test_symbol_samples_are_made_lazily(calabi_eckmann):
     a0 = GaussRat.of(-4)
     # a limited scan decides the first samples in order, as the rank of
     # symbol_matrix decides them one by one
-    full = coh.q_value_dimension(calabi_eckmann) * calabi_eckmann.n
+    full = coh.q_space_dimension(calabi_eckmann, 0) * calabi_eckmann.n
     drops = [xi for xi in head if linalg.rank(
         coh.symbol_matrix(calabi_eckmann, xi, a0)) < full]
     for limit in (1, 2, 30):
@@ -272,7 +276,7 @@ def test_symbol_injective_at_null_covector(iwasawa):
     # the bilinear one; regression guard for the symbol rows
     xi = [GR_ZERO, GR_ONE, GaussRat.of(0, 1)]
     M = coh.symbol_matrix(iwasawa, xi, GaussRat.of(-4))
-    assert linalg.rank(M) == coh.q_value_dimension(iwasawa) * iwasawa.n
+    assert linalg.rank(M) == coh.q_space_dimension(iwasawa, 0) * iwasawa.n
 
 
 def test_symbol_scan_limited(builtins):
@@ -395,38 +399,189 @@ def test_symbol_blocks_see_the_rank_drop(calabi_eckmann):
     assert linalg.rank(B) == 3
 
 
-def test_scan_rows_are_the_exact_blocks_mod_p(builtins,
-                                              dense_metric_builtins):
-    # the sparse rows the scan eliminates mod p are the entrywise reduction
-    # of the blocks over Z[i], which are checked against symbol_matrix above
+def _residue_rows(N):
+    """Gaussian-integer rows mod CERT_P, as ``schur_mod_p`` gives them."""
+    assert all(x.d == 1 for row in N for x in row)
+    return [{j: v for j, x in enumerate(row)
+             if (v := linalg.residue(x.a, x.b))} for row in N]
+
+
+def _record_ranks(monkeypatch):
+    """Wrap ``linalg.rank``; the list it returns collects every matrix that
+    is ranked over Q(i) from then on."""
+    ranked = []
+    rank = linalg.rank
+
+    def recording(a):
+        ranked.append(a)
+        return rank(a)
+    monkeypatch.setattr(linalg, "rank", recording)
+    return ranked
+
+
+def _assert_schur_reduction(m, alpha0, samples):
+    """At each sample, the scan's rows mod p are the exact N mod p, and N
+    has the kernel of the coupled block: dim ker N = 2n^2 - rank C over
+    Q(i).  Returns the number of samples where C loses rank."""
+    n = m.n
+    blocks = coh.symbol_blocks(m, alpha0)
+    R = coh.curvature_array(m)
+    drops = 0
+    for xi in samples:
+        label = (m.name, str(alpha0), [str(x) for x in xi])
+        N = schur_complement(R, alpha0, xi)
+        assert blocks.schur_mod_p(xi) == _residue_rows(N), label
+        kernel = 2 * n * n - linalg.rank(blocks(xi)[1])
+        assert n - linalg.rank(N) == kernel, label
+        drops += kernel > 0
+    return drops
+
+
+def test_scan_schur_rows_are_the_exact_reduction_mod_p(builtins,
+                                                       dense_metric_builtins):
+    # the n x n rows the scan ranks mod p are the entrywise reduction of
+    # N over Z[i], built from the curvature table by its formula
     for m in builtins + dense_metric_builtins:
+        R = coh.curvature_array(m)
         for a0 in (coh.resolve_alpha(m, None), GaussRat.of(-4),
                    GaussRat.of("1/7")):
             blocks = coh.symbol_blocks(m, a0)
             for xi in itertools.islice(coh.symbol_samples(m.n), 40):
-                for exact, rows in zip(blocks(xi), blocks.mod_p(xi)):
-                    assert all(x.d == 1 for row in exact for x in row)
-                    want = [{j: v for j, x in enumerate(row)
-                             if (v := linalg.residue(x.a, x.b))}
-                            for row in exact]
-                    assert list(rows) == want, (m.name, str(a0), xi)
+                assert blocks.schur_mod_p(xi) == _residue_rows(
+                    schur_complement(R, a0, xi)), (m.name, str(a0), xi)
+
+
+@pytest.mark.parametrize("alpha, drops", [("1", 0), ("-4", 4), ("4", 4)])
+def test_schur_complement_has_the_kernel_of_the_coupled_block(
+        calabi_eckmann, alpha, drops):
+    samples = itertools.islice(coh.symbol_samples(3), 120)
+    assert _assert_schur_reduction(calabi_eckmann, GaussRat.of(alpha),
+                                   samples) == drops
+
+
+def test_schur_complement_kernel_dense_metrics(dense_metric_builtins):
+    for m in dense_metric_builtins:
+        for a0 in (coh.resolve_alpha(m, None), GaussRat.of(-4)):
+            _assert_schur_reduction(
+                m, a0, itertools.islice(coh.symbol_samples(m.n), 40))
+
+
+def test_schur_complement_kernel_kt_models(kt_models):
+    # the coupling alone makes C lose rank here, so a wrong N shows
+    drops = 0
+    for m in kt_models:
+        for a0 in [GaussRat.of(x) for x in ("1", "-1", "2", "1/2")]:
+            drops += _assert_schur_reduction(
+                m, a0, itertools.islice(coh.symbol_samples(m.n), 120))
+    assert drops > 0
+
+
+_GAUSS_INTS = [GaussRat.of(a, b) for a in (-2, -1, 0, 1, 2)
+               for b in (-1, 0, 1) if a or b]
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4),
+                       st.sampled_from(_GAUSS_INTS), min_size=1, max_size=6))
+@settings(max_examples=12, deadline=None)
+def test_schur_complement_kernel_random_curvature(table):
+    # any curvature table, not only one that a model gives: the reduction
+    # is linear algebra on the blocks' shape
+    m = builtin_model("torus")
+    R = [[[[table.get((k, j, l, t), GR_ZERO) for t in range(3)]
+           for l in range(3)] for j in range(3)] for k in range(3)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coh, "curvature_array", lambda _: R)
+        for a0 in [GaussRat.of(x) for x in ("1", "-1", "1/2")]:
+            _assert_schur_reduction(
+                m, a0, itertools.islice(coh.symbol_samples(3), 60))
+
+
+def test_every_rank_drop_reaches_the_exact_rank(calabi_eckmann, kt_models,
+                                                monkeypatch):
+    # every sample where B or C loses rank is decided by linalg.rank on
+    # that exact block, and the scan reports it
+    cases = [(calabi_eckmann, GaussRat.of(-4))] + [
+        (m, GaussRat.of(x)) for m in kt_models for x in ("1", "-1", "2")]
+    drops = []
+    for m, a0 in cases:
+        n = m.n
+        checks = ([(0, n)] if m.rank > 1 else []) + [(1, 2 * n * n)]
+        blocks = coh.symbol_blocks(m, a0)
+        for xi in itertools.islice(coh.symbol_samples(n), 120):
+            exact = blocks(xi)
+            short = [exact[b] for b, full in checks
+                     if linalg.rank(exact[b]) < full]
+            if short:
+                drops.append((m, a0, xi, short[0]))
+    assert len(drops) >= 10
+    scanned = []
+    monkeypatch.setattr(coh, "symbol_samples", lambda n: iter(scanned))
+    ranked = _record_ranks(monkeypatch)
+    for m, a0, xi, block in drops:
+        scanned[:] = [xi]
+        ranked.clear()
+        assert coh.injectivity_scan(m, a0, limit=1) == {
+            "samples": 1, "injective": False,
+            "first_failure": "(" + ", ".join(map(str, xi)) + ")"}
+        assert block in ranked, (m.name, str(a0), xi)
 
 
 def test_scan_decides_blocks_that_vanish_mod_p_exactly(builtins,
                                                       monkeypatch):
-    # xi = (p, 0, 0) makes every entry of both blocks a multiple of p, so
-    # only the exact fallback over Q(i) sees that the symbol is injective
+    # xi = (p, 0, 0) makes every entry of both blocks a multiple of p, and
+    # s = p^2, so the scan takes the exact route, where linalg.rank over
+    # Q(i) sees that both blocks have full rank
     xi = [GaussRat.of(linalg.CERT_P), GR_ZERO, GR_ZERO]
+    monkeypatch.setattr(coh, "symbol_samples", lambda n: iter([xi]))
     for m in builtins:
         a0 = coh.resolve_alpha(m, None)
         blocks = coh.symbol_blocks(m, a0)
-        assert all(not row for rows in blocks.mod_p(xi) for row in rows)
         B, C = blocks(xi)
+        assert all(not linalg.residue(x.a, x.b)
+                   for block in (B, C) for row in block for x in row)
+        assert blocks.schur_mod_p(xi) is None
         assert linalg.rank(B) == 3
         assert linalg.rank(C) == 18
-        monkeypatch.setattr(coh, "symbol_samples", lambda n: iter([xi]))
-        assert coh.injectivity_scan(m, a0, limit=1) == {
-            "samples": 1, "injective": True}, m.name
+        with monkeypatch.context() as mp:
+            ranked = _record_ranks(mp)
+            assert coh.injectivity_scan(m, a0, limit=1) == {
+                "samples": 1, "injective": True}, m.name
+        assert ranked == [B, C], m.name
+
+
+def test_scan_takes_the_exact_route_when_delta_vanishes_mod_p(
+        calabi_eckmann, monkeypatch):
+    # alpha' = 1/p puts p into the denominator delta of alpha' R, so no
+    # sample has an N mod p; the verdict comes from linalg.rank alone and
+    # agrees with the full symbol
+    a0 = GaussRat.of(f"1/{linalg.CERT_P}")
+    blocks = coh.symbol_blocks(calabi_eckmann, a0)
+    assert blocks.delta == 0
+    assert all(blocks.schur_mod_p(xi) is None
+               for xi in coh.symbol_samples(3))
+    full = coh.q_space_dimension(calabi_eckmann, 0) * 3
+    samples = list(_oracle_slice(3))
+    oracle = [linalg.rank(coh.symbol_matrix(calabi_eckmann, xi, a0)) == full
+              for xi in samples]
+    assert all(oracle)
+    ranked = _record_ranks(monkeypatch)
+    monkeypatch.setattr(coh, "symbol_samples", lambda n: iter(samples))
+    assert coh.injectivity_scan(calabi_eckmann, a0, limit=len(samples)) == {
+        "samples": len(samples), "injective": True}
+    assert ranked == [b for xi in samples for b in blocks(xi)]
+
+
+@pytest.mark.parametrize("alpha", ["1", "-1", "2", "1/2"])
+def test_scan_matches_the_full_symbol_on_kt_models(kt_models, alpha):
+    a0 = GaussRat.of(alpha)
+    for m in kt_models:
+        full = coh.q_space_dimension(m, 0) * m.n
+        first = next((xi for xi in coh.symbol_samples(m.n) if linalg.rank(
+            coh.symbol_matrix(m, xi, a0)) < full), None)
+        want = {"samples": 7 ** m.n - 1, "injective": first is None}
+        if first:
+            want["first_failure"] = "(" + ", ".join(map(str, first)) + ")"
+        assert coh.injectivity_scan(m, a0) == want, (m.name, alpha)
 
 
 def test_scan_refuses_empty(iwasawa):
