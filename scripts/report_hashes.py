@@ -25,7 +25,11 @@ refusal:LABEL``, and a refusal exits 2 with an ``error:`` line.  An exception th
 uncaught error would exit.  Last, one line ``print_model SPEC sha256`` for
 each built-in and each model file: no report shows how a model prints, and
 its text depends on the order of the parts and terms that the model's
-forms hold.
+forms hold.  Last of all, the commands on the built-ins run again in
+reverse order in this process, and one line ``repeat: identical``, or
+``repeat:`` with the first argv whose line differs from its first run,
+checks that nothing kept from one command (a cache, the parser) changes
+another's output.
 
 Usage:
     PYTHONPATH=src python3 scripts/report_hashes.py [model.json ...]
@@ -112,8 +116,10 @@ def run(argv):
 
 
 def main(files) -> int:
+    first = {}
     for argv in commands(files):
-        print(" ".join(argv), *run(argv), flush=True)
+        first[tuple(argv)] = run(argv)
+        print(" ".join(argv), *first[tuple(argv)], flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for label, name, edit in REFUSALS:
             data = model_to_json(builtin_model(name))
@@ -128,6 +134,9 @@ def main(files) -> int:
     for path in files:
         print("print_model", path, digest(print_model(parse_model_file(path))),
               flush=True)
+    differ = next((argv for argv in reversed(list(commands(())))
+                   if run(argv) != first[tuple(argv)]), None)
+    print("repeat:", "identical" if differ is None else " ".join(differ))
     return 0
 
 

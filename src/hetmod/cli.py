@@ -9,6 +9,7 @@ unknown models or malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -86,7 +87,10 @@ def _run(args) -> int:
     return 0 if args.verdict(report) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one
+    in the process; argparse keeps no state between ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="hetmod",
         description="Exact invariant computations for the deformation "

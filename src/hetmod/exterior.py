@@ -292,6 +292,36 @@ class Form(Sparse):
                 _acc(acc, (hh, aa), v if sh * sa * cross == 1 else -v)
         return _make(type(self), (n, p + o.p, q + o.q), acc)
 
+    def derivation(self, d_holo, d_anti) -> "MixedForm":
+        """The degree-one derivation D that sends theta^k to the 2-form
+        whose ((holo, anti), value) terms are d_holo[k-1], and thetabar^k
+        to d_anti[k-1], by the Leibniz rule on the legs l_1..l_{p+q}:
+
+            D(l_1 ^ ... ^ l_k) = sum_i (-1)^(i-1) D(l_i) ^ (the other legs),
+
+        with the even D(l_i) moved to the front.  Each term is merged with
+        the other legs, crossing sign (-1)^{|anti(D l_i)| |holo(rest)|}
+        included, straight into the parts of the result."""
+        n, p, q = self.shape
+        parts: dict = {}
+        for (holo, anti), c in self.terms:
+            legs = holo + anti
+            for i, leg in enumerate(legs):
+                rest, k = legs[:i] + legs[i + 1:], p - (i < p)
+                rh, ra = rest[:k], rest[k:]
+                for (h2, a2), v in (d_holo if i < p else d_anti)[leg - 1]:
+                    sh, hh = _merge(h2, rh)
+                    if sh == 0:
+                        continue
+                    sa, aa = _merge(a2, ra)
+                    if sa == 0:
+                        continue
+                    odd = (i + len(a2) * len(rh)) % 2
+                    _acc(parts.setdefault((len(hh), len(aa)), {}), (hh, aa),
+                         c * v if (sh * sa == 1) != odd else -(c * v))
+        return _make(MixedForm, (n, p + q + 1), {
+            k: _make(type(self), (n,) + k, t) for k, t in parts.items() if t})
+
     def conjugate(self) -> "Form":
         """Complex conjugate; a (p,q) form becomes a (q,p) form:
         conj(theta^h ^ thetabar^a) = thetabar^h ^ theta^a

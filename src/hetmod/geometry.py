@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .exterior import EndForm, InvariantForm, MixedForm, sort_with_sign
+from .exterior import EndForm, InvariantForm, MixedForm, _acc, sort_with_sign
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRat, S_A, S_I, S_ONE, Scalar
 
 
@@ -56,26 +56,15 @@ class HomogeneousModel:
 
 def exterior_derivative(x: InvariantForm, m: HomogeneousModel) -> MixedForm:
     """Leibniz extension of the coframe differentials (coefficients are
-    constant on invariant forms)."""
-    n = m.n
-    total = MixedForm.zero(n, x.p + x.q + 1)
-    for (holo, anti), c in x.terms:
-        legs = [("h", i) for i in holo] + [("a", i) for i in anti]
-        for pos, (kind, idx) in enumerate(legs):
-            dleg = m.d_coframe[idx - 1]
-            if kind == "a":
-                dleg = dleg.conjugate()
-            rest = legs[:pos] + legs[pos + 1:]
-            rest_form = InvariantForm.monomial(
-                n,
-                [i for k, i in rest if k == "h"],
-                [i for k, i in rest if k == "a"],
-            )
-            # sign: d of the leg at `pos` commutes to the front past pos legs
-            piece = dleg.wedge(MixedForm.of(rest_form))
-            coeff = c if pos % 2 == 0 else -c
-            total = total + piece.scale(coeff)
-    return total
+    constant on invariant forms): ``Form.derivation`` with a per-model
+    table of the terms of d alpha^k and of its conjugate for each leg."""
+    def build():
+        def legs(ds):
+            return tuple(tuple(t for _, f in d.parts for t in f.terms)
+                         for d in ds)
+        return (legs(m.d_coframe),
+                legs(d.conjugate() for d in m.d_coframe))
+    return x.derivation(*m.cached("d_legs", build))
 
 
 def dolbeault_split(x: InvariantForm, m: HomogeneousModel):
@@ -168,35 +157,40 @@ def metric_inverse(m: HomogeneousModel):
     return m.cached("hinv", lambda: linalg.inverse(m.metric))
 
 
-def levi_civita(m: HomogeneousModel) -> tuple:
+def levi_civita(m: HomogeneousModel) -> dict:
     """The lowered complexified connection table on the frame (V_1..V_n,
-    Vbar_1..Vbar_n), L[u][w][x] = g(nabla_{e_u} e_w, e_x), by the Koszul
+    Vbar_1..Vbar_n), L[u, w, x] = g(nabla_{e_u} e_w, e_x), by the Koszul
     formula on the invariant frame, where g is constant, with each bracket
     lowered once, bl[u][w][x] = g([e_u, e_w], e_x):
 
         L[u][w][x] = 1/2 (bl[u][w][x] - bl[w][x][u] + bl[x][u][w]).
 
-    The table stays lowered, so no inverse metric enters."""
+    It is scattered from the nonzero bl[i][j][k], each adding +1/2 to
+    L[i, j, k], -1/2 to L[k, i, j] and +1/2 to L[j, k, i], and kept as a
+    dict of the nonzero entries keyed by (u, w, x).  The table stays
+    lowered, so no inverse metric enters."""
     def build():
-        n, size, h = m.n, 2 * m.n, m.metric
-        # g on the complexified frame: g(V_a, Vbar_b) = h[a][b]
-        G = [[h[y][x - n] if y < n <= x else h[x][y - n] if x < n <= y
-              else GR_ZERO for x in range(size)] for y in range(size)]
-        bl = [[[GR_ZERO] * size for _ in range(size)] for _ in range(size)]
+        n, h = m.n, m.metric
+        # the nonzero (x, g(e_y, e_x)): g(V_a, Vbar_b) = h[a][b]
+        G = ([[(n + b, h[a][b]) for b in range(n) if h[a][b]]
+              for a in range(n)]
+             + [[(a, h[a][b]) for a in range(n) if h[a][b]]
+                for b in range(n)])
+        bl: dict = {}
         for u, row in enumerate(bracket_table(m)):
             for w, vec in enumerate(row):
                 for y, c in enumerate(vec):
                     if c:
-                        for x, g in enumerate(G[y]):
-                            if g:
-                                bl[u][w][x] = bl[u][w][x] + c * g
+                        for x, g in G[y]:
+                            _acc(bl, (u, w, x), c * g)
         half = GaussRat.of("1/2")
-
-        def koszul(u, w, x):
-            a, b, c = bl[u][w][x], bl[w][x][u], bl[x][u][w]
-            return half * (a - b + c) if a or b or c else GR_ZERO
-        return tuple(tuple(tuple(koszul(u, w, x) for x in range(size))
-                           for w in range(size)) for u in range(size))
+        L: dict = {}
+        for (i, j, k), v in bl.items():
+            v = half * v
+            _acc(L, (i, j, k), v)
+            _acc(L, (k, i, j), -v)
+            _acc(L, (j, k, i), v)
+        return L
     return m.cached("levi_civita", build)
 
 
@@ -296,28 +290,31 @@ def _via_levi_civita(m: HomogeneousModel, kind: str, three_form: MixedForm,
     with f = factors[0] for X = V_a and f = factors[1] for X = Vbar_a.  The
     Chern connection takes d omega with factors (i, -i), because
     J V_a = i V_a; the Bismut connection takes d^c omega with factors
-    (1, 1).  The first term is read off the lowered table of
-    ``levi_civita``, the second off the terms of the 3-form, and h^{-1}
-    raises the result to the (gamma, mu) blocks of the module docstring."""
+    (1, 1).  The first term is read off the nonzero entries of the lowered
+    table of ``levi_civita``, the second off the terms of the 3-form, both
+    at (X, V_b, Vbar_c); h^{-1} raises the nonzero pair entries, against
+    its nonzero entries, to the (gamma, mu) blocks of the module
+    docstring."""
     n = m.n
-    lc = levi_civita(m)
     values = _triple_values(three_form, f"the {kind} 3-form")
-    hinv = metric_inverse(m)
+    hinv = [[(d, v) for d, v in enumerate(row) if v]
+            for row in metric_inverse(m)]
     half = GaussRat.of("1/2")
-    blocks = []
-    for off, f in zip((0, n), factors):
-        block = [[[GR_ZERO] * n for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                pair = [lc[off + a][b][n + c] - half * (f * values.get(
-                            (off + a, b, n + c), GR_ZERO))
-                        for c in range(n)]
-                for d in range(n):
-                    block[a][d][b] = sum(
-                        (pair[c] * hinv[c][d] for c in range(n)),
-                        start=GR_ZERO)
-        blocks.append(tuple(tuple(tuple(r) for r in g) for g in block))
-    return ConnectionData(kind, n, blocks[0], blocks[1])
+    pairs: dict = {}
+    for (u, b, x), v in levi_civita(m).items():
+        if b < n <= x:
+            _acc(pairs, (u, b, x - n), v)
+    for (u, b, x), v in values.items():
+        if b < n <= x:
+            _acc(pairs, (u, b, x - n), -half * factors[u // n] * v)
+    blocks = [[[[GR_ZERO] * n for _ in range(n)] for _ in range(n)]
+              for _ in factors]
+    for (u, b, c), v in pairs.items():
+        block = blocks[u // n][u % n]
+        for d, w in hinv[c]:
+            block[d][b] = block[d][b] + v * w
+    return ConnectionData(kind, n, *(
+        tuple(tuple(tuple(r) for r in g) for g in block) for block in blocks))
 
 
 def torsion_lower(m: HomogeneousModel):

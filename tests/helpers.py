@@ -3,7 +3,7 @@ makes test inputs or is an oracle with its own route to the answer."""
 
 from typing import List, Sequence
 
-from hetmod.exterior import FormError
+from hetmod.exterior import FormError, InvariantForm, MixedForm
 from hetmod.geometry import HomogeneousModel
 from hetmod.linalg import Matrix, gauss_ints
 from hetmod.qcomplex import QSection, gram, q_basis
@@ -34,6 +34,30 @@ def gram_pair(m: HomogeneousModel, p: int, x: Sequence[Scalar],
             if yj and G[i][j]:
                 acc = acc + xi * Scalar.const(G[i][j]) * yj.conjugate()
     return acc
+
+
+def exterior_derivative_by_wedge(x: InvariantForm,
+                                 m: HomogeneousModel) -> MixedForm:
+    """d x by the Leibniz rule with one wedge per leg: d of the leg at
+    position pos, as a MixedForm (conjugated for an antiholomorphic leg),
+    wedged with the monomial of the other legs, signed (-1)^pos."""
+    n = m.n
+    total = MixedForm.zero(n, x.p + x.q + 1)
+    for (holo, anti), c in x.terms:
+        legs = [("h", i) for i in holo] + [("a", i) for i in anti]
+        for pos, (kind, idx) in enumerate(legs):
+            dleg = m.d_coframe[idx - 1]
+            if kind == "a":
+                dleg = dleg.conjugate()
+            rest = legs[:pos] + legs[pos + 1:]
+            rest_form = InvariantForm.monomial(
+                n,
+                [i for k, i in rest if k == "h"],
+                [i for k, i in rest if k == "a"],
+            )
+            piece = dleg.wedge(MixedForm.of(rest_form))
+            total = total + piece.scale(c if pos % 2 == 0 else -c)
+    return total
 
 
 def mat_vec(a: Matrix, v: Sequence[GaussRat]) -> List[GaussRat]:

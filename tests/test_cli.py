@@ -342,3 +342,26 @@ def test_refused_model_file_exits_2(tmp_path, capsys, name, edit, message):
     # names the field, no report, exit 2 (not 1, "a check failed")
     code, out, err = run(capsys, "check", _builtin_file(tmp_path, name, edit))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    # each call, made after the others on one parser, prints what it
+    # prints as the first call on a freshly built parser
+    calls = [
+        ["cohomology", "iwasawa", "--samples", "3", "--diagonal-dbar"],
+        ["cohomology", "iwasawa", "--samples", "3"],
+        ["symbol", "torus", "--samples", "5", "--alpha-prime", "1/7"],
+        ["symbol", "torus", "--samples", "5"],
+        ["check"],
+        ["check", "iwasawa"],
+        ["--help"],
+    ]
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 0, 0]
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    assert [run(capsys, *argv) for argv in calls] == first
+    assert cli.build_parser() is parser

@@ -6,13 +6,17 @@ balance) are hard-coded below and act as oracles for the derived machinery.
 
 import itertools
 import json
+import re
 
 import pytest
 
+from hetmod import cli
 from hetmod import geometry as geo
 from hetmod.exterior import EndForm, InvariantForm, MixedForm
 from hetmod.models import builtin_model, parse_model_text
 from hetmod.scalars import GR_I, GR_ONE, GR_ZERO, GaussRat, S_A, S_I, Scalar
+
+from helpers import exterior_derivative_by_wedge
 
 
 def mono(holo, anti, coeff=None):
@@ -43,9 +47,9 @@ def _brackets_by_evaluation(m):
               for d in d_all] for w in range(2 * n)] for u in range(2 * n)]
 
 
-def test_bracket_table_matches_evaluation(builtins):
-    # a coframe whose d has (2,0), (1,1) and (0,2) parts with complex
-    # coefficients and d^2 != 0: the table reads terms, not structure
+def _non_closed_model():
+    """A coframe whose d has (2,0), (1,1) and (0,2) parts with complex
+    coefficients and d^2 != 0."""
     n = 3
     vals = [GaussRat.of(a, b)
             for a, b in ((1, 0), (-2, 1), (0, 3), ("1/2", -1))]
@@ -68,8 +72,28 @@ def test_bracket_table_matches_evaluation(builtins):
     for _, part in d_coframe[0].parts:
         dd = dd + geo.exterior_derivative(part, odd)
     assert dd, "the test model should not satisfy d^2 = 0"
-    for m in builtins + [odd]:
+    return odd
+
+
+def test_bracket_table_matches_evaluation(builtins):
+    # the non-closed coframe: the table reads terms, not structure
+    for m in builtins + [_non_closed_model()]:
         assert geo.bracket_table(m) == _brackets_by_evaluation(m), m.name
+
+
+def test_exterior_derivative_matches_the_wedge_route(
+        builtins, dense_metric_builtins, random_flat_models):
+    # d of every monomial of every bidegree, with a coefficient that is
+    # neither real nor constant, against one wedge per leg
+    coeff = S_A + Scalar.of("2/3", -1)
+    for m in (builtins + dense_metric_builtins + random_flat_models
+              + [_non_closed_model()]):
+        legs = [c for k in range(m.n + 1)
+                for c in itertools.combinations(range(1, m.n + 1), k)]
+        for holo, anti in itertools.product(legs, repeat=2):
+            x = InvariantForm.monomial(m.n, holo, anti, coeff)
+            want = exterior_derivative_by_wedge(x, m)
+            assert geo.exterior_derivative(x, m) == want, (m.name, holo, anti)
 
 
 def test_iwasawa_torsion_value(iwasawa):
@@ -109,6 +133,77 @@ def test_levi_civita_helper_tells_the_connections_apart(iwasawa):
     assert via_bismut.gamma != ch.gamma
 
 
+def _tamper_levi_civita(monkeypatch, kind, edit):
+    """Make the ``kind`` route of ``_via_levi_civita`` read the lowered
+    Levi-Civita table with ``edit(table, n)`` applied; the other route,
+    and the cached table itself, stay as they are."""
+    real_table, real_route = geo.levi_civita, geo._via_levi_civita
+
+    def route(m, k, *args):
+        if k != kind:
+            return real_route(m, k, *args)
+        table = dict(real_table(m))
+        edit(table, m.n)
+        monkeypatch.setattr(geo, "levi_civita", lambda _: table)
+        try:
+            return real_route(m, k, *args)
+        finally:
+            monkeypatch.setattr(geo, "levi_civita", real_table)
+    monkeypatch.setattr(geo, "_via_levi_civita", route)
+
+
+def _read_keys(table, n, block):
+    """The (X, V_b, Vbar_c) keys of the route, X = V_a in block 0 and
+    X = Vbar_a in block 1, that are nonzero in ``table`` and zero."""
+    keys = [(u, b, n + c) for u in range(block * n, (block + 1) * n)
+            for b in range(n) for c in range(n)]
+    return ([k for k in keys if k in table],
+            [k for k in keys if k not in table])
+
+
+def _change_read_entry(block):
+    def edit(table, n):
+        key = _read_keys(table, n, block)[0][0]
+        table[key] = table[key] + GR_ONE
+    return edit
+
+
+def _fill_read_zero(block):
+    def edit(table, n):
+        table[_read_keys(table, n, block)[1][0]] = GaussRat.of(2, -1)
+    return edit
+
+
+# (kind, route block, the connection, a command that builds it, and the
+# message): the Bismut route is compared on its (1,0) block only, and
+# calabi-eckmann's operator needs the Bismut connection, iwasawa's not
+CROSS_CHECKS = [
+    ("chern", 0, geo.chern_connection, ["check", "iwasawa"],
+     "Chern connection routes disagree (convention bug)"),
+    ("chern", 1, geo.chern_connection, ["check", "iwasawa"],
+     "Chern connection routes disagree (convention bug)"),
+    ("bismut", 0, geo.bismut, ["serre", "calabi-eckmann"],
+     "Bismut connection routes disagree"),
+]
+
+
+@pytest.mark.parametrize("make_edit", [_change_read_entry, _fill_read_zero])
+@pytest.mark.parametrize("kind,block,connection,argv,message", CROSS_CHECKS)
+def test_levi_civita_cross_check_bites(monkeypatch, capsys, make_edit, kind,
+                                       block, connection, argv, message):
+    # a changed nonzero entry and a zero entry made nonzero, both at an
+    # index the route reads, make the routes disagree
+    m = builtin_model(argv[1])
+    nonzero, zero = _read_keys(geo.levi_civita(m), m.n, block)
+    assert nonzero and zero
+    _tamper_levi_civita(monkeypatch, kind, make_edit(block))
+    with pytest.raises(geo.ModelError, match=re.escape(message)):
+        connection(builtin_model(argv[1]))
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
 def _metric_pairing(m):
     """g(v, e_x) on complexified frame components, built from the Hermitian
     matrix: g(V_a, Vbar_b) = h[a][b] and g(Vbar_a, V_b) = h[b][a]."""
@@ -132,7 +227,10 @@ def test_lowered_levi_civita_is_metric_and_torsion_free(
     # with the brackets evaluated from d(alpha^c), not read off the table
     seen_bracket = False
     for m in builtins + dense_metric_builtins + random_flat_models:
-        L = geo.levi_civita(m)
+        lc = geo.levi_civita(m)
+        assert all(lc.values()), m.name
+        L = [[[lc.get((u, w, x), GR_ZERO) for x in range(2 * m.n)]
+              for w in range(2 * m.n)] for u in range(2 * m.n)]
         br = _brackets_by_evaluation(m)
         g = _metric_pairing(m)
         size = 2 * m.n
