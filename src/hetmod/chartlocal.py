@@ -76,7 +76,7 @@ from .geometry import (
 )
 from .linalg import det
 from .qcomplex import fibre_basis
-from .scalars import GR_ONE, GR_ZERO, GaussRat, parse_gauss
+from .scalars import GR_ONE, GR_ZERO, GaussRat, ScalarError, parse_gauss
 
 Exp = Tuple[int, ...]
 PKey = Tuple[Exp, Exp]
@@ -278,8 +278,25 @@ def dbar_homotopy(x: ChartForm) -> ChartForm:
 # chart data derived from a model
 
 
-def _parse_one_form(m_coords: int, text: str) -> List[Tuple[Poly, int]]:
-    """Parse '-dz3 + z1 dz2' into (polynomial coefficient, leg) pairs."""
+def _parse_one_form(m_coords: int, name: str,
+                    text: str) -> List[Tuple[Poly, int]]:
+    """Parse the pullback of coframe leg ``name``, such as '-dz3 + z1 dz2',
+    into (polynomial coefficient, leg) pairs."""
+    def refuse(term, why):
+        return ModelError(
+            f"chart.coframe_pullback.{name}: {why} in term {term!r}; a term "
+            f"is [coefficient] [z<k> ...] dz<k> with 1 <= k <= {m_coords}, "
+            "and zb<k> is not read yet")
+
+    def index(term, f, prefix):
+        try:
+            k = int(f[len(prefix):])
+        except ValueError:
+            raise refuse(term, f"cannot read {f!r}") from None
+        if not 1 <= k <= m_coords:
+            raise refuse(term, f"{f!r} is out of range")
+        return k
+
     text = text.strip()
     out = []
     # split into signed terms
@@ -300,25 +317,22 @@ def _parse_one_form(m_coords: int, text: str) -> List[Tuple[Poly, int]]:
             if term[0] == "-":
                 sign = -sign
             term = term[1:].strip()
-        factors = term.split()
         coeff = Poly.const(m_coords, sign)
         leg = None
-        for f in factors:
+        for f in term.split():
             if f.startswith("dz"):
                 if leg is not None:
-                    raise ModelError(f"two coframe legs in term {term!r}")
-                leg = int(f[2:])
-                if not 1 <= leg <= m_coords:
-                    raise ModelError(f"chart leg out of range in {term!r}")
+                    raise refuse(term, "two coframe legs")
+                leg = index(term, f, "dz")
             elif f.startswith("z"):
-                k = int(f[1:])
-                if not 1 <= k <= m_coords:
-                    raise ModelError(f"coordinate out of range in {term!r}")
-                coeff = coeff * Poly.coord(m_coords, k - 1)
+                coeff = coeff * Poly.coord(m_coords, index(term, f, "z") - 1)
             else:
-                coeff = coeff.scale(parse_gauss(f))
+                try:
+                    coeff = coeff.scale(parse_gauss(f))
+                except ScalarError:
+                    raise refuse(term, f"cannot read {f!r}") from None
         if leg is None:
-            raise ModelError(f"term {term!r} has no coframe leg")
+            raise refuse(term, "no coframe leg")
         out.append((coeff, leg))
     return out
 
@@ -449,7 +463,7 @@ def chart_data(m: HomogeneousModel) -> ChartData:
         for i, name in enumerate(m.coframe_names):
             if name not in pullback:
                 raise ModelError(f"chart pullback missing for {name}")
-            for coeff, leg in _parse_one_form(mc, pullback[name]):
+            for coeff, leg in _parse_one_form(mc, name, pullback[name]):
                 P[i][leg - 1] = P[i][leg - 1] + coeff
                 if not coeff.is_holomorphic():
                     raise ModelError("chart pullback must be holomorphic")

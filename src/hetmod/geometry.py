@@ -206,16 +206,14 @@ class ConnectionData:
 
 def frame_dbar_matrix(m: HomogeneousModel):
     """mu[a][b][c]: the (0,1)-block of the Chern connection, read off from
-    the (1,1) structure constants (the holomorphic structure of T^{1,0})."""
+    the (1,1) structure constants (the holomorphic structure of T^{1,0}):
+    alpha^c([Vbar_a, V_b]) is the coefficient of alpha^b ^ abar^a in
+    d alpha^c, scattered from the terms of its (1,1) part."""
     n = m.n
     mu = [[[GR_ZERO] * n for _ in range(n)] for _ in range(n)]
     for c in range(n):
-        part = m.d_coframe[c].part(1, 1)
-        for b in range(n):
-            for a in range(n):
-                # alpha^c([Vbar_a, V_b]) = coeff of alpha^b ^ abar^a in d alpha^c
-                val = part.coeff((b + 1,), (a + 1,))
-                mu[a][c][b] = _as_gauss(val, "structure constant")
+        for ((b,), (a,)), v in m.d_coframe[c].part(1, 1).terms:
+            mu[a - 1][c][b - 1] = _as_gauss(v, "structure constant")
     return mu
 
 
@@ -227,19 +225,22 @@ def chern_connection(m: HomogeneousModel) -> ConnectionData:
         mu = frame_dbar_matrix(m)
         hinv = metric_inverse(m)
         # h-compatibility: sum_d gamma[a][d][b] h[d][c]
-        #                  = - sum_e conj(mu[a][e][c]) h[b][e]
+        #                  = - sum_e conj(mu[a][e][c]) h[b][e],
+        # summed over the nonzero entries of mu, h and h^{-1} only
+        h_col = [[(b, m.metric[b][e]) for b in range(n) if m.metric[b][e]]
+                 for e in range(n)]
+        rhs: dict = {}
+        for a, block in enumerate(mu):
+            for e, row in enumerate(block):
+                for c, v in enumerate(row):
+                    if v:
+                        for b, h in h_col[e]:
+                            _acc(rhs, (a, b, c), -v.conjugate() * h)
         gamma = [[[GR_ZERO] * n for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                rhs = [
-                    -sum((mu[a][e][c].conjugate() * m.metric[b][e]
-                          for e in range(n)), start=GR_ZERO)
-                    for c in range(n)
-                ]
-                for d in range(n):
-                    gamma[a][d][b] = sum(
-                        (rhs[c] * hinv[c][d] for c in range(n)), start=GR_ZERO
-                    )
+        for (a, b, c), v in rhs.items():
+            for d, w in enumerate(hinv[c]):
+                if w:
+                    gamma[a][d][b] = gamma[a][d][b] + v * w
         conn = ConnectionData(
             "chern", n,
             tuple(tuple(tuple(r) for r in g) for g in gamma),
@@ -319,18 +320,16 @@ def _via_levi_civita(m: HomogeneousModel, kind: str, three_form: MixedForm,
 
 def torsion_lower(m: HomogeneousModel):
     """T[mm][k][l] with the antiholomorphic leg first and the holomorphic pair
-    antisymmetrized from the stored (2,1) form (0-based)."""
+    antisymmetrized from the stored (2,1) form (0-based): a term
+    v alpha^k ^ alpha^l ^ abar^mm, k < l, is v at (mm, k, l) and -v at
+    (mm, l, k)."""
     def build():
         n = m.n
-        T = torsion(m)
         arr = [[[GR_ZERO] * n for _ in range(n)] for _ in range(n)]
-        for mm in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if k == l:
-                        continue
-                    val = T.coeff((k + 1, l + 1), (mm + 1,))
-                    arr[mm][k][l] = _as_gauss(val, "torsion")
+        for ((k, l), (mm,)), v in torsion(m).terms:
+            val = _as_gauss(v, "torsion")
+            arr[mm - 1][k - 1][l - 1] = val
+            arr[mm - 1][l - 1][k - 1] = -val
         return arr
     return m.cached("torsion_lower", build)
 

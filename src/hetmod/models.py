@@ -1,11 +1,15 @@
 """Built-in homogeneous models and JSON model files.
 
-Three built-ins:
+The three built-ins are model texts, the data ``print_model`` prints for
+each, and ``builtin_model`` parses and validates them the way a model file
+is, through ``parse_model_text`` and ``validate_model``:
 
 * ``iwasawa``: nilmanifold with d(a3) = a1^a2, diagonal metric, a rank-2
-  diagonal gauge field, and coupling -4.
-* ``calabi-eckmann``: S^3 x S^3 with the product round metric; the complex
-  coframe is assembled here from the real su(2)+su(2) structure constants.
+  diagonal gauge field, coupling -4 and a polynomial chart.
+* ``calabi-eckmann``: S^3 x S^3 with the product round metric; its six d
+  terms are those of the real su(2)+su(2) structure constants on the
+  complex coframe a1 = e1 + i e4, a2 = e2 + i e3, a3 = e5 + i e6 (the
+  tests derive them from the constants).
 * ``torus``: abelian baseline, every structure constant zero.
 
 The JSON schema (see ``model_to_json``) mirrors the model fields; holomorphic
@@ -16,14 +20,11 @@ conjugate name ("ab1").
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict
 
-from . import linalg
 from .exterior import EndForm, FormError, InvariantForm, MixedForm
 from .geometry import HomogeneousModel, ModelError, validate_model
 from .scalars import (
-    GR_ONE,
-    GR_ZERO,
     GaussRat,
     Scalar,
     ScalarError,
@@ -31,127 +32,54 @@ from .scalars import (
     parse_gauss,
 )
 
-BUILTIN_NAMES = ("iwasawa", "calabi-eckmann", "torus")
+# The built-ins as model texts: the data ``print_model`` prints for each.
+_BUILTIN_TEXTS = {
+    "iwasawa": """{
+  "name": "iwasawa", "n": 3, "coframe": ["a1", "a2", "a3"],
+  "d": {"a3": [{"coeff": "1", "wedge": ["a1", "a2"]}]},
+  "metric": [["1/2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1/2"]],
+  "omega_coeff": "1",
+  "bundle": {"rank": 2, "F": {"a1^ab1": [["1/4 i", "0"], ["0", "-1/4 i"]],
+                              "a2^ab2": [["-1/4 i", "0"], ["0", "1/4 i"]]}},
+  "alpha_prime": "-4",
+  "chart": {"coords": 3, "coframe_pullback": {
+    "a1": "dz1", "a2": "dz2", "a3": "-dz3 + z1 dz2"}}
+}""",
+    "calabi-eckmann": """{
+  "name": "calabi-eckmann", "n": 3, "coframe": ["a1", "a2", "a3"],
+  "d": {
+    "a1": [{"coeff": "1/2 i", "wedge": ["a2", "ab2"]},
+           {"coeff": "-1/2", "wedge": ["a3", "ab3"]}],
+    "a2": [{"coeff": "-1/2 i", "wedge": ["a2", "ab1"]},
+           {"coeff": "1/2 i", "wedge": ["a1", "a2"]}],
+    "a3": [{"coeff": "1/2", "wedge": ["a3", "ab1"]},
+           {"coeff": "1/2", "wedge": ["a1", "a3"]}]},
+  "metric": [["1/2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1/2"]],
+  "omega_coeff": "1",
+  "bundle": {"rank": 3, "F": {}},
+  "alpha_prime": null
+}""",
+    "torus": """{
+  "name": "torus", "n": 3, "coframe": ["a1", "a2", "a3"],
+  "d": {},
+  "metric": [["1/2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1/2"]],
+  "omega_coeff": "1",
+  "bundle": {"rank": 2, "F": {}},
+  "alpha_prime": null
+}""",
+}
 
-
-def _half_identity(n: int) -> List[List[GaussRat]]:
-    half = GaussRat.of("1/2")
-    return [[half if a == b else GR_ZERO for b in range(n)] for a in range(n)]
-
-
-def _closed_coframe(n: int) -> List[MixedForm]:
-    return [MixedForm.zero(n, 2) for _ in range(n)]
-
-
-def build_torus() -> HomogeneousModel:
-    n = 3
-    return HomogeneousModel(
-        name="torus",
-        n=n,
-        coframe_names=["a1", "a2", "a3"],
-        d_coframe=_closed_coframe(n),
-        metric=_half_identity(n),
-        omega_coeff=GR_ONE,
-        rank=2,
-        curvature_F=EndForm.zero(n, 2, 1, 1),
-        alpha_prime=None,
-    )
-
-
-def build_iwasawa() -> HomogeneousModel:
-    n = 3
-    d = _closed_coframe(n)
-    d[2] = MixedForm.of(InvariantForm.monomial(n, [1, 2], []))
-    quarter_i = Scalar.of(0, "1/4")
-    f11 = InvariantForm.monomial(n, [1], [1], quarter_i) + \
-        InvariantForm.monomial(n, [2], [2], -quarter_i)
-    z = InvariantForm.zero(n, 1, 1)
-    F = EndForm.build(n, 2, 1, 1, [[f11, z], [z, -f11]])
-    return HomogeneousModel(
-        name="iwasawa",
-        n=n,
-        coframe_names=["a1", "a2", "a3"],
-        d_coframe=d,
-        metric=_half_identity(n),
-        omega_coeff=GR_ONE,
-        rank=2,
-        curvature_F=F,
-        alpha_prime=GaussRat.of(-4),
-        chart={
-            "coords": 3,
-            "coframe_pullback": {
-                "a1": "dz1",
-                "a2": "dz2",
-                "a3": "-dz3 + z1 dz2",
-            },
-        },
-    )
-
-
-# -- Calabi-Eckmann: complex coframe from the real structure constants -------
-
-# d(e_i) for two copies of su(2): de1 = e2^e3 (cyclic), de4 = e5^e6 (cyclic).
-_SU2X2_D = {1: (2, 3), 2: (3, 1), 3: (1, 2), 4: (5, 6), 5: (6, 4), 6: (4, 5)}
-
-# complex coframe: a1 = e1 + i e4, a2 = e2 + i e3, a3 = e5 + i e6
-_CE_COFRAME = (
-    ((1, GR_ONE), (4, GaussRat.of(0, 1))),
-    ((2, GR_ONE), (3, GaussRat.of(0, 1))),
-    ((5, GR_ONE), (6, GaussRat.of(0, 1))),
-)
-
-
-def _ce_d_coframe(n: int) -> List[MixedForm]:
-    """d a^c = sum of c * e_j ^ e_k over the real legs e_i of a^c, with
-    de_i = e_j ^ e_k and each e_i a 1-form on the complex coframe."""
-    M = linalg.zeros(2 * n, 2 * n)    # (a^1..a^n, ab^1..ab^n) = M e
-    for a, combo in enumerate(_CE_COFRAME):
-        for i, c in combo:
-            M[a][i - 1] = c
-            M[n + a][i - 1] = c.conjugate()
-    e = [MixedForm.build(n, 1, {
-        (1, 0): InvariantForm(n, 1, 0, {((t + 1,), ()): Scalar.const(row[t])
-                                        for t in range(n)}),
-        (0, 1): InvariantForm(n, 0, 1, {((), (t + 1,)):
-                                        Scalar.const(row[n + t])
-                                        for t in range(n)})})
-        for row in linalg.inverse(M)]
-    out = []
-    for combo in _CE_COFRAME:
-        acc = MixedForm.zero(n, 2)
-        for i, c in combo:
-            j, k = _SU2X2_D[i]
-            acc = acc + e[j - 1].wedge(e[k - 1]).scale(Scalar.const(c))
-        out.append(acc)
-    return out
-
-
-def build_calabi_eckmann() -> HomogeneousModel:
-    n = 3
-    return HomogeneousModel(
-        name="calabi-eckmann",
-        n=n,
-        coframe_names=["a1", "a2", "a3"],
-        d_coframe=_ce_d_coframe(n),
-        metric=_half_identity(n),
-        omega_coeff=GR_ONE,
-        rank=3,
-        curvature_F=EndForm.zero(n, 3, 1, 1),
-        alpha_prime=None,
-    )
+BUILTIN_NAMES = tuple(_BUILTIN_TEXTS)
 
 
 def builtin_model(name: str) -> HomogeneousModel:
-    builders = {
-        "iwasawa": build_iwasawa,
-        "calabi-eckmann": build_calabi_eckmann,
-        "torus": build_torus,
-    }
-    if name not in builders:
+    """A new model parsed and validated from the built-in's text, sharing
+    no state with any other call."""
+    if name not in _BUILTIN_TEXTS:
         raise ModelError(
             f"unknown built-in model {name!r}; choose from {BUILTIN_NAMES}"
         )
-    return builders[name]()
+    return parse_model_text(_BUILTIN_TEXTS[name])
 
 
 # ---------------------------------------------------------------------------

@@ -505,11 +505,6 @@ class QOperatorMatrix:
             out.append(row)
         return out
 
-    def specialize(self, a0: GaussRat) -> List[List[GaussRat]]:
-        """M_0 + a0 M_1 as dense rows."""
-        return [[row.get(c, GR_ZERO) for c in range(len(self.source_labels))]
-                for row in self.rows(a0)]
-
 
 # The matrix of Dbar, read off per-model tables without building a form
 # (apply_Dbar is the form-level route it is checked against).  Value slots

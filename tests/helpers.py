@@ -60,6 +60,11 @@ def exterior_derivative_by_wedge(x: InvariantForm,
     return total
 
 
+def dense(rows, cols: int) -> Matrix:
+    """Sparse rows {column: value} as dense rows of ``cols`` entries."""
+    return [[row.get(c, GR_ZERO) for c in range(cols)] for row in rows]
+
+
 def mat_vec(a: Matrix, v: Sequence[GaussRat]) -> List[GaussRat]:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]),
                 start=GR_ZERO) for row in a]

@@ -23,7 +23,7 @@ from hetmod.geometry import ModelError
 from hetmod.models import builtin_model
 from hetmod.scalars import GR_ZERO, GaussRat, Scalar
 
-from helpers import mat_vec, section_from_coordinates
+from helpers import dense, mat_vec, section_from_coordinates
 
 ALPHAS = [GaussRat.of(-4), GaussRat.of(1), GaussRat.of("1/7")]
 
@@ -43,7 +43,7 @@ def test_01_iwasawa_degree_one_count():
 # -- (2) kernel count in degree one ------------------------------------------
 
 def test_02_iwasawa_degree_one_kernel(iwasawa):
-    M = qc.assemble_Dbar(iwasawa, 1).specialize(GaussRat.of(-4))
+    M = dense(qc.assemble_Dbar(iwasawa, 1).rows(GaussRat.of(-4)), 27)
     assert len(linalg.kernel_basis(M, cols=27)) == 14
 
 
@@ -165,11 +165,11 @@ def test_06_ce_honest_invariant_counts(calabi_eckmann):
     assert data.h == [8, 8, 0, 0]
     assert data.harmonic == [8, 8, 0, 0]
     assert data.degrees[2].harmonic == 0
-    M = qc.assemble_Dbar(calabi_eckmann, 1).specialize(GaussRat.of(1))
+    M = dense(qc.assemble_Dbar(calabi_eckmann, 1).rows(GaussRat.of(1)), 42)
     ker = linalg.kernel_basis(M, cols=42)
     labels = qc.q_basis(calabi_eckmann, 1).labels
-    Mprev = qc.assemble_Dbar(calabi_eckmann, 0).specialize(GaussRat.of(1))
-    rank_prev = linalg.rank(Mprev)
+    rank_prev = linalg.rank_rows(
+        qc.assemble_Dbar(calabi_eckmann, 0).rows(GaussRat.of(1)))
     assert len(ker) - rank_prev == 8
     gauge_ab1 = {i for i, lab in enumerate(labels)
                  if lab.startswith("e2:") and lab.endswith("abar{1}")}
@@ -190,8 +190,8 @@ def test_07_adjoint_identity_all_models(builtins, random_flat_models):
             G_src = qc.gram(m, p)
             G_tgt = qc.gram(m, p + 1)
             for a0 in ALPHAS:
-                Ma = D.specialize(a0)
-                Sa = Ds.specialize(a0)
+                Ma = dense(D.rows(a0), D.shape[1])
+                Sa = dense(Ds.rows(a0), Ds.shape[1])
                 lhs = linalg.mat_mul(linalg.transpose(Ma), G_tgt)
                 conj_S = [[x.conjugate() for x in row] for row in Sa]
                 rhs = linalg.mat_mul(G_src, conj_S)
@@ -202,10 +202,12 @@ def test_07_adjoint_identity_all_models(builtins, random_flat_models):
 
 def _closed_pairs(m, a0, count, rng):
     n, r = m.n, m.rank
-    D1 = qc.assemble_Dbar1(m, 2).specialize(a0)
+    op = qc.assemble_Dbar1(m, 2)
+    D1 = dense(op.rows(a0), op.shape[1])
     ker_u = linalg.kernel_basis(D1, cols=len(D1[0]))
     block = (n + r * r - 1)
-    Dd = qc.assemble_Dbar(m, 0, diagonal=True).specialize(a0)
+    op = qc.assemble_Dbar(m, 0, diagonal=True)
+    Dd = dense(op.rows(a0), op.shape[1])
     rows_e3 = [row[block:] for row in Dd[block * 3:]]
     ker_w = linalg.kernel_basis(rows_e3, cols=n)
     vals = [GaussRat.of(a, b) for a in (-2, -1, 0, 1, 2) for b in (-1, 0, 1)]

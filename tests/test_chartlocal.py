@@ -93,14 +93,14 @@ def test_homotopy_rejects_functions():
 
 
 def test_one_form_parser():
-    parsed = cl._parse_one_form(3, "-dz3 + z1 dz2")
+    parsed = cl._parse_one_form(3, "a3", "-dz3 + z1 dz2")
     assert parsed == [(cp(-1), 3), (zp(0), 2)]
-    parsed = cl._parse_one_form(3, "1/2 z1 z2 dz1")
+    parsed = cl._parse_one_form(3, "a1", "1/2 z1 z2 dz1")
     assert parsed == [(zp(0) * zp(1) * cp("1/2"), 1)]
     with pytest.raises(ModelError):
-        cl._parse_one_form(3, "z1 z2")
+        cl._parse_one_form(3, "a1", "z1 z2")
     with pytest.raises(ModelError):
-        cl._parse_one_form(3, "dz9")
+        cl._parse_one_form(3, "a1", "dz9")
 
 
 def test_chart_data_iwasawa(iwasawa):

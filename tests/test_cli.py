@@ -217,6 +217,26 @@ def test_chart_entry_types_refused(tmp_path, capsys, edit, message,
     assert code == 0
 
 
+_PULLBACK_RULE = ("a term is [coefficient] [z<k> ...] dz<k> with 1 <= k <= 3, "
+                  "and zb<k> is not read yet")
+
+
+@pytest.mark.parametrize("a2, why", [
+    # a conjugate coordinate, as a Kodaira-Thurston-type chart needs
+    ("dz2 - zb1 dz1", "cannot read 'zb1' in term 'zb1 dz1'"),
+    ("dzx", "cannot read 'dzx' in term 'dzx'"),
+    ("dz2 + q dz1", "cannot read 'q' in term 'q dz1'"),
+    ("dz7", "'dz7' is out of range in term 'dz7'"),
+], ids=["zbar", "leg-not-a-number", "bad-coefficient", "leg-out-of-range"])
+def test_chart_pullback_syntax_refused(tmp_path, capsys, a2, why):
+    # a pullback the chart parser cannot read names its field and the rule
+    path = _edit_chart(tmp_path,
+                       lambda c: c["coframe_pullback"].update(a2=a2))
+    code, out, err = run(capsys, "trivialize", path, "--degree", "0")
+    assert (code, out, err) == (
+        2, "", f"error: chart.coframe_pullback.a2: {why}; {_PULLBACK_RULE}\n")
+
+
 def test_trivialize(capsys):
     code, out, _ = run(capsys, "trivialize", "iwasawa", "--degree", "1")
     assert code == 0

@@ -18,7 +18,7 @@ from hetmod.geometry import HomogeneousModel, ModelError
 from hetmod.models import builtin_model
 from hetmod.scalars import GR_ONE, GR_ZERO, GaussRat, Scalar
 
-from helpers import schur_complement
+from helpers import dense, schur_complement
 
 
 def test_space_dimensions(iwasawa, calabi_eckmann):
@@ -180,16 +180,15 @@ def test_cohomology_data_ranks_each_matrix_once(monkeypatch):
 
 def _harmonic_via_gram_adjoint(m, a0, diagonal):
     """The harmonic counts by the Gram-adjoint route: dim_p minus the rank
-    of D_p stacked over the specialized Gram adjoint of D_{p-1}, on dense
-    rows."""
+    of D_p stacked over the specialized Gram adjoint of D_{p-1}."""
     out = []
     for p in range(m.n + 1):
-        stack = (qc.assemble_Dbar(m, p, diagonal).specialize(a0)
+        stack = (qc.assemble_Dbar(m, p, diagonal).rows(a0)
                  if p < m.n else [])
         if p:
             stack = stack + qc.gram_adjoint(
-                m, qc.assemble_Dbar(m, p - 1, diagonal)).specialize(a0)
-        out.append(coh.q_space_dimension(m, p) - linalg.rank(stack))
+                m, qc.assemble_Dbar(m, p - 1, diagonal)).rows(a0)
+        out.append(coh.q_space_dimension(m, p) - linalg.rank_rows(stack))
     return out
 
 
@@ -215,13 +214,6 @@ def test_harmonic_counts_agree_with_the_gram_adjoint_route(
     assert checked > 3 * len(cases) // 2, checked
 
 
-def _dense(row, cols):
-    out = [GR_ZERO] * cols
-    for c, x in row.items():
-        out[c] = x
-    return out
-
-
 def test_lowered_adjoint_is_the_conjugate_source_gram_times_the_adjoint(
         builtins, random_flat_models, dense_metric_builtins):
     # conj(D_{p-1}^T G_p) = conj(G_{p-1}) D*_{p-1}, entry by entry, against
@@ -238,8 +230,9 @@ def test_lowered_adjoint_is_the_conjugate_source_gram_times_the_adjoint(
                              for row in qc.gram(m, p - 1)]
                 for adjoint in (qc.gram_adjoint(m, D),
                                 qc.assemble_Dstar_formula(m, p)):
-                    want = linalg.mat_mul(conj_gram, adjoint.specialize(a0))
-                    assert [_dense(row, dim) for row in low] == want, (
+                    want = linalg.mat_mul(conj_gram,
+                                          dense(adjoint.rows(a0), dim))
+                    assert dense(low, dim) == want, (
                         m.name, str(a0), p)
 
 

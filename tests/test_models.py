@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from hetmod import linalg, models
 from hetmod.exterior import EndForm, InvariantForm, MixedForm
 from hetmod.geometry import ModelError, metric_inverse
 from hetmod.models import (
@@ -14,7 +15,7 @@ from hetmod.models import (
     parse_model_text,
     print_model,
 )
-from hetmod.scalars import GR_ZERO, GaussRat, Scalar
+from hetmod.scalars import GR_ONE, GR_ZERO, GaussRat, Scalar
 
 
 def test_builtin_names_resolve():
@@ -24,6 +25,30 @@ def test_builtin_names_resolve():
         assert m.n == 3
     with pytest.raises(ModelError):
         builtin_model("nope")
+
+
+def test_builtins_are_validated_on_load(monkeypatch):
+    # a built-in goes through validate_model as a model file does
+    monkeypatch.setattr(models, "validate_model",
+                        lambda m: [f"planted problem in {m.name}"])
+    for name in BUILTIN_NAMES:
+        with pytest.raises(ModelError, match=f"planted problem in {name}"):
+            builtin_model(name)
+
+
+def test_builtin_loads_share_no_state():
+    m = builtin_model("iwasawa")
+    printed = print_model(m)
+    assert metric_inverse(m)[0][0] == GaussRat.of(2)
+    m.chart["coords"] = 7
+    m.chart["coframe_pullback"]["a3"] = "dz3"
+    m._cache["hinv"] = [[GaussRat.of(9)] * 3] * 3
+    m.metric[0][0] = GaussRat.of(5)
+    m.d_coframe.clear()
+    m2 = builtin_model("iwasawa")
+    assert m2.chart is not m.chart and m2._cache is not m._cache
+    assert print_model(m2) == printed
+    assert metric_inverse(m2)[0][0] == GaussRat.of(2)
 
 
 def test_iwasawa_shape(iwasawa):
@@ -145,3 +170,46 @@ def test_calabi_eckmann_structure_equations(calabi_eckmann):
         mono([1, 3], [], half) + mono([3], [1], half),
     ]
     assert calabi_eckmann.d_coframe == want
+
+
+# d(e_i) for two copies of su(2): de1 = e2^e3 (cyclic), de4 = e5^e6 (cyclic)
+_SU2X2_D = {1: (2, 3), 2: (3, 1), 3: (1, 2), 4: (5, 6), 5: (6, 4), 6: (4, 5)}
+
+# the complex coframe a1 = e1 + i e4, a2 = e2 + i e3, a3 = e5 + i e6
+_CE_COFRAME = (
+    ((1, GR_ONE), (4, GaussRat.of(0, 1))),
+    ((2, GR_ONE), (3, GaussRat.of(0, 1))),
+    ((5, GR_ONE), (6, GaussRat.of(0, 1))),
+)
+
+
+def _su2_pair_d_coframe(n=3):
+    """d a^c = sum of c * e_j ^ e_k over the real legs c e_i of a^c, with
+    de_i = e_j ^ e_k and each e_i a 1-form on the complex coframe, read off
+    the inverse of (a^1..a^n, ab^1..ab^n) = M e."""
+    M = linalg.zeros(2 * n, 2 * n)
+    for a, combo in enumerate(_CE_COFRAME):
+        for i, c in combo:
+            M[a][i - 1] = c
+            M[n + a][i - 1] = c.conjugate()
+    e = [MixedForm.build(n, 1, {
+        (1, 0): InvariantForm(n, 1, 0, {((t + 1,), ()): Scalar.const(row[t])
+                                        for t in range(n)}),
+        (0, 1): InvariantForm(n, 0, 1, {((), (t + 1,)):
+                                        Scalar.const(row[n + t])
+                                        for t in range(n)})})
+        for row in linalg.inverse(M)]
+    out = []
+    for combo in _CE_COFRAME:
+        acc = MixedForm.zero(n, 2)
+        for i, c in combo:
+            j, k = _SU2X2_D[i]
+            acc = acc + e[j - 1].wedge(e[k - 1]).scale(Scalar.const(c))
+        out.append(acc)
+    return out
+
+
+def test_calabi_eckmann_data_is_the_su2_pair_derivation():
+    # the six d terms of the built-in's text, against the real su(2)+su(2)
+    # structure constants pushed through the complex coframe
+    assert builtin_model("calabi-eckmann").d_coframe == _su2_pair_d_coframe()
