@@ -9,7 +9,10 @@ left every report, message and exit code as it was.
 
 The list: ``check``, ``serre``, ``cohomology`` and ``symbol`` on the
 built-ins at the default alpha' and at 0, 1, -4 and 1/7; ``cohomology NAME
---diagonal-dbar`` on each built-in; ``trivialize iwasawa --degree`` 0..4
+--diagonal-dbar`` and ``symbol NAME --alpha-prime 1/1000000009`` on each
+built-in (the prime is ``linalg.CERT_P``: where alpha' R is nonzero, as on
+calabi-eckmann, it divides the denominator of alpha' R, so every sample is
+decided by the exact rank over Q(i)); ``trivialize iwasawa --degree`` 0..4
 and 6; ``trivialize iwasawa --degree 3`` at alpha' = 0, 1 and 1/7, where the
 anomaly does not balance, so the chart identity fails (exit 1) and the
 report names its first failing section; and ``serre``, ``serre
@@ -44,6 +47,7 @@ import sys
 import tempfile
 
 from hetmod import cli
+from hetmod.linalg import CERT_P
 from hetmod.models import (
     BUILTIN_NAMES,
     builtin_model,
@@ -85,6 +89,7 @@ def commands(files):
                                      else ["--alpha-prime", alpha])
     for name in BUILTIN_NAMES:
         yield ["cohomology", name, "--diagonal-dbar"]
+        yield ["symbol", name, "--alpha-prime", f"1/{CERT_P}"]
     for degree in (0, 1, 2, 3, 4, 6):
         yield ["trivialize", "iwasawa", "--degree", str(degree)]
     for alpha in ("0", "1", "1/7"):

@@ -416,10 +416,13 @@ def _poly_matrix_inverse(P, m_coords: int):
     constant (adjugate divided by the constant determinant)."""
     k = len(P)
     one = Poly.const(m_coords, GR_ONE)
-    const = det([list(r) for r in P], one).coeffs
+    det_P = det([list(r) for r in P], one)
+    const = det_P.coeffs
     zkey = ((0,) * m_coords, (0,) * m_coords)
     if set(const) != {zkey}:
-        raise ModelError("chart coframe determinant is not a nonzero constant")
+        raise ModelError(
+            f"chart.coframe_pullback: det P = {det_P} is not a nonzero "
+            "constant, so the pullbacks are not a coframe")
     dinv = GR_ONE / const[zkey]
 
     def cofactor(i, j):
@@ -469,6 +472,17 @@ def chart_data(m: HomogeneousModel) -> ChartData:
                     raise ModelError("chart pullback must be holomorphic")
         Pt = tuple(tuple(r) for r in P)
         Q = _poly_matrix_inverse(Pt, mc)
+        # d of each pulled-back a_k is the pullback of d a_k, part by part
+        for name, row, d in zip(m.coframe_names, Pt, m.d_coframe):
+            pull = ChartForm.build(mc, 1, 0, {((a + 1,), ()): c
+                                              for a, c in enumerate(row)})
+            for part, deriv in (((2, 0), partial_chart), ((1, 1), dbar_chart)):
+                res = deriv(pull) - invariant_to_chart(Pt, d.part(*part))
+                if res:
+                    raise ModelError(
+                        f"chart.coframe_pullback.{name} breaks the structure "
+                        f"equations: d of the pullback minus the pullback of "
+                        f"d {name} has ({part[0]},{part[1]}) part {res}")
         T_chart = invariant_to_chart(Pt, torsion(m))
         F_chart = tuple(
             tuple(invariant_to_chart(Pt, m.curvature_F.entry(i, j))

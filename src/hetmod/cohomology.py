@@ -10,12 +10,8 @@ D_p; the harmonic counts, for ``cohomology`` alone, rank each D_p over the
 lowered adjoint conj(D_{p-1}^T G_p), which needs no inverse Gram matrix.
 The module also implements the principal symbol of Dbar + Dbar* and an
 injectivity scan over a lattice of nonzero cotangent samples, which is the
-effective content of ellipticity here.  The scan's two symbol blocks are
-linear in xi and xibar, so they are held as one per-model template of terms
-(col, k, c), c times xi_k or conj(xi_{k-n}).  A sample is decided mod p
-from an n x n Schur complement N when s = |xi|^2 and delta, the
-denominator of alpha' R, are nonzero mod p; else, or when N falls short,
-by exact ranks over Q(i).
+effective content of ellipticity here: one n x n Schur complement N decides
+each sample, mod p where it can and else by its rank over Q(i).
 """
 
 from __future__ import annotations
@@ -281,61 +277,48 @@ def symbol_samples(n: int):
             if any(xi))
 
 
+# per route: the image of re + im*i, the zero and the modulus (0 for Z[i])
+_ROUTES = ((GaussRat, GR_ZERO, 0), (linalg.residue, 0, linalg.CERT_P))
+
+
 @dataclass(frozen=True)
 class SymbolBlocks:
-    """B and C of ``symbol_blocks`` as one per-model template.
-
-    ``rows[b]`` holds block b's rows, each a tuple of (col, ((k, c), ...)):
-    the entry at col is the sum of c * y_k, with y = (xi_1..xi_n,
-    conj xi_1..conj xi_n) after xi is scaled by the common denominator of
-    its components, and c a Gaussian integer as an (re, im) int pair.
-    ``coupling`` holds the terms A_{kjt} = sum_m c * xi_m mod CERT_P, as
-    (j, k, ((t, [(m, c), ...]), ...)) for each (j, k) that has any, and
-    ``delta`` is den_R mod CERT_P.
-    """
+    """The coupling terms of ``symbol_blocks`` on each route of _ROUTES:
+    ``coupling[route]`` holds A_{kjt} = sum_m c * xi_m as
+    (j, k, ((t, ((m, c), ...)), ...)) for each (j, k) that has any, with c
+    the image of a Gaussian integer, and ``delta[route]`` that of den_R."""
 
     n: int
-    cols: Tuple[int, int]
-    rows: tuple
-    coupling: tuple
-    delta: int
+    coupling: Tuple[tuple, tuple]
+    delta: Tuple[GaussRat, int]
 
-    def _y(self, xi: List[GaussRat]):
+    def _schur(self, xi: List[GaussRat], route: int):
+        """N = delta^2 s^2 I - s G + sum_j a_j b_j^T at xi as dense rows in
+        the route's ring, after xi is scaled by the common denominator of
+        its components; None when s or delta is zero there."""
         if len(xi) != self.n:
             raise ModelError("cotangent sample has the wrong length")
-        x = linalg.gauss_ints(xi)[1]
-        return x + [(re, -im) for re, im in x]
-
-    def __call__(self, xi: List[GaussRat]):
-        """(B, C) at xi over Z[i], as dense rows of GaussRat."""
-        y = self._y(xi)
-        blocks = []
-        for template, cols in zip(self.rows, self.cols):
-            block = [[GR_ZERO] * cols for _ in template]
-            for row, entries in zip(block, template):
-                for col, terms in entries:
-                    row[col] = GaussRat(sum(a * y[k][0] - b * y[k][1]
-                                            for k, (a, b) in terms),
-                                        sum(a * y[k][1] + b * y[k][0]
-                                            for k, (a, b) in terms))
-            blocks.append(block)
-        return tuple(blocks)
-
-    def schur_mod_p(self, xi: List[GaussRat]):
-        """N = delta^2 s^2 I - s G + sum_j a_j b_j^T at xi mod CERT_P, as
-        sparse rows {t: nonzero residue}; None when s or delta is 0 mod p."""
-        p, n = linalg.CERT_P, self.n
-        y = [linalg.residue(re, im) for re, im in self._y(xi)]
-        s = sum(y[k] * y[n + k] for k in range(n)) % p
-        if not s or not self.delta:
+        of, zero, p = _ROUTES[route]
+        n, delta = self.n, self.delta[route]
+        g = linalg.gauss_ints(xi)[1]
+        y = [of(re, im) for re, im in g + [(re, -im) for re, im in g]]
+        s = sum((y[k] * y[n + k] for k in range(n)), zero)
+        if p:
+            s %= p
+        if not s or not delta:
             return None
-        d = self.delta * s
-        N = [[d * d if t == u else 0 for u in range(n)] for t in range(n)]
+        d = delta * s
+        N = [[d * d if t == u else zero for u in range(n)] for t in range(n)]
         ab = {}
-        for j, k, entries in self.coupling:
-            v = [(t, x) for t, terms in entries
-                 if (x := sum(c * y[m] for m, c in terms) % p)]
-            aj, bj = ab.setdefault(j, ([0] * n, [0] * n))
+        for j, k, entries in self.coupling[route]:
+            v = []
+            for t, terms in entries:
+                x = sum((c * y[m] for m, c in terms), zero)
+                if p:
+                    x %= p
+                if x:
+                    v.append((t, x))
+            aj, bj = ab.setdefault(j, ([zero] * n, [zero] * n))
             for t, x in v:
                 aj[t] += y[n + k] * x
                 bj[t] += y[k] * x
@@ -346,78 +329,53 @@ class SymbolBlocks:
                 if x:
                     for u, z in enumerate(bj):
                         N[t][u] += x * z
-        return [{u: r for u, x in enumerate(row) if (r := x % p)}
-                for row in N]
+        return N
+
+    def schur(self, xi: List[GaussRat]) -> List[List[GaussRat]]:
+        """N at xi over Z[i]; there s > 0 and delta >= 1."""
+        return self._schur(xi, 0)
+
+    def schur_mod_p(self, xi: List[GaussRat]):
+        """N at xi mod CERT_P as sparse rows {t: nonzero residue}; None when
+        s or delta is 0 mod p."""
+        p, N = linalg.CERT_P, self._schur(xi, 1)
+        return None if N is None else [
+            {u: r for u, x in enumerate(row) if (r := x % p)} for row in N]
 
 
 def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat) -> SymbolBlocks:
-    """The two integer blocks of the symbol, as a per-model template.
+    """The per-model coupling terms of N, the n x n Schur complement that
+    decides the symbol at each sample.
 
-    The gauge slots of ``symbol_matrix`` are ``r^2 - 1`` copies of the flat
-    Dolbeault block B (rows: the (0,2) legs, then the contraction; columns:
-    the (0,1) legs) and touch no other slot.  C is the covector (+) vector
-    block, which carries the alpha' R coupling.  So
-
-        rank symbol_matrix = (r^2 - 1) rank B + rank C.
-
-    Each block is a positive integer multiple of its part of
-    ``symbol_matrix``, which leaves its rank unchanged: B is scaled by the
-    common denominator of xi, C by that times delta = den_R, the one of
-    alpha' R.  Both are linear in xi and xibar, so their terms are built
-    here once, and so are C's coupling terms
-    A_{kjt} = sum_m delta alpha' R_{kbar j}^m_t xi_m, mod CERT_P.
-
-    With s = sum_k xi_k xibar_k, G = sum_{j,k} A_{kj.} A_{kj.}^T,
-    a_j = sum_k xibar_k A_{kj.} and b_j = sum_k xi_k A_{kj.}: where s and
-    delta are nonzero, B has full rank and dim ker C = dim ker N for
-    N = delta^2 s^2 I - s G + sum_j a_j b_j^T (C's vector wedge rows give
-    w_t = c_t xibar, its covector rows then fix u_j, and N c = 0 is left).
+    ``symbol_matrix`` splits into r^2 - 1 copies of the flat Dolbeault
+    block B (the gauge slots) and the covector (+) vector block C, which
+    carries the alpha' R coupling.  B is injective at every xi != 0:
+    xibar ^ v = 0 forces v = c xibar, and then xi . v = c s with
+    s = sum_k xi_k xibar_k > 0.  So dim ker symbol_matrix = dim ker C.
+    Scaled by delta = den_R, the common denominator of alpha' R, C keeps
+    its kernel and has the coupling terms
+    A_{kjt} = sum_m delta alpha' R_{kbar j}^m_t xi_m, linear in xi.  With
+    G = sum_{j,k} A_{kj.} A_{kj.}^T, a_j = sum_k xibar_k A_{kj.} and
+    b_j = sum_k xi_k A_{kj.}: where s and delta are nonzero,
+    dim ker C = dim ker N for N = delta^2 s^2 I - s G + sum_j a_j b_j^T
+    (C's vector wedge rows give w_t = c_t xibar, its covector rows then fix
+    u_j, and N c = 0 is left).  Over Q(i) that holds at every sample, so
+    n - rank N = dim ker symbol_matrix.
     """
     n = m.n
-    pairs = list(itertools.combinations(range(n), 2))
-    npair = len(pairs)
-    # xi_kbar on leg l lands on the (0,2) row of {k, l}, with this sign
-    wedge = [(k, l, pairs.index((min(k, l), max(k, l))), 1 if k < l else -1)
-             for l in range(n) for k in range(n) if k != l]
     R = curvature_array(m)
     quads = list(itertools.product(range(n), repeat=4))
     den_R, aR = linalg.gauss_ints([alpha0 * R[k][j][mm][nn]
                                    for k, j, nn, mm in quads])
-    # C: slot s < n is covector s, slot n + nn is vector nn; column
-    # s * n + leg; wedge rows s * npair + pair, contraction rows after
-    slots = 2 * n
-    scal = slots * npair
-    B = [{} for _ in range(npair + 1)]
-    C = [{} for _ in range(scal + slots)]
-
-    def add(block, row, col, k, c):
-        block[row].setdefault(col, []).append((k, c))
-    for k, l, row, sgn in wedge:
-        add(B, row, l, n + k, (sgn, 0))
-        for s in range(slots):
-            add(C, s * npair + row, s * n + l, n + k, (sgn * den_R, 0))
-    for k in range(n):
-        add(B, npair, k, k, (1, 0))
-        for s in range(slots):
-            add(C, scal + s, s * n + k, k, (den_R, 0))
-    for (k, j, nn, mm), (a, b) in zip(quads, aR):
-        # alpha' R_{kbar j}^m_n xi_m W^n_{lbar} on the covector wedge rows,
-        # and - alpha' R_{kbar j}^m_n xi_m kappa_{j kbar} on the vector
-        # contraction rows
-        if a or b:
-            for l, row, sgn in [w[1:] for w in wedge if w[0] == k]:
-                add(C, j * npair + row, (n + nn) * n + l, mm,
-                    (sgn * a, sgn * b))
-            add(C, scal + n + nn, j * n + k, mm, (-a, -b))
-    rows = tuple(tuple(tuple((col, tuple(terms)) for col, terms in r.items())
-                       for r in block) for block in (B, C))
-    coupling = {}
+    terms = {}
     for (k, j, nn, mm), c in zip(quads, aR):
-        if c := linalg.residue(*c):
-            coupling.setdefault((j, k), {}).setdefault(nn, []).append((mm, c))
-    return SymbolBlocks(n, (n, slots * n), rows, tuple(
-        (j, k, tuple(e.items())) for (j, k), e in coupling.items()),
-        den_R % linalg.CERT_P)
+        if any(c):
+            terms.setdefault((j, k), {}).setdefault(nn, []).append((mm, c))
+    return SymbolBlocks(n, tuple(
+        tuple((j, k, tuple((t, tuple((mm, of(*c)) for mm, c in v))
+                           for t, v in e.items()))
+              for (j, k), e in terms.items()) for of, _, _ in _ROUTES),
+        tuple(of(den_R, 0) for of, _, _ in _ROUTES))
 
 
 def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
@@ -426,13 +384,12 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
     the first failure; reports the number of samples asked for (the first
     ``limit`` of ``symbol_samples``) and the first failing sample if any.
 
-    The symbol is injective at xi iff both blocks of ``symbol_blocks`` have
-    full column rank: B (when r > 1) and C.  When s and delta are nonzero
-    mod the prime ``linalg.CERT_P``, both have full rank over Q(i) if the
-    n x n matrix N of ``symbol_blocks`` has full rank mod p.  Otherwise B
-    and C are evaluated over Z[i] and ``linalg.rank`` decides them over
-    Q(i); a rank drop is never reported on the strength of the prime or
-    of the reduction.  An empty scan is refused.
+    The symbol is injective at xi iff the n x n matrix N of
+    ``symbol_blocks`` has full rank over Q(i).  When s and delta are
+    nonzero mod the prime ``linalg.CERT_P`` and N has full rank mod p, so
+    has N over Q(i).  Otherwise N is evaluated over Z[i] and
+    ``linalg.rank`` decides it over Q(i); a rank drop is never reported on
+    the strength of the prime.  An empty scan is refused.
     """
     total = len(_ALPHABET) ** m.n - 1
     count = total if limit is None else min(max(limit, 0), total)
@@ -440,15 +397,12 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
         raise ModelError("the symbol scan needs at least one sample")
     n = m.n
     blocks = symbol_blocks(m, alpha0)
-    # (block, its column count), B only when there are gauge slots
-    checks = ([(0, n)] if m.rank * m.rank > 1 else []) + [(1, 2 * n * n)]
     first_failure = None
-    for xi in itertools.islice(symbol_samples(m.n), count):
+    for xi in itertools.islice(symbol_samples(n), count):
         rows = blocks.schur_mod_p(xi)
         if rows is not None and linalg.rank_mod_p(rows) == n:
             continue
-        exact = blocks(xi)
-        if any(linalg.rank(exact[b]) < full for b, full in checks):
+        if linalg.rank(blocks.schur(xi)) < n:
             first_failure = "(" + ", ".join(str(x) for x in xi) + ")"
             break
     return {

@@ -12,7 +12,7 @@ One sparse elimination engine and a determinant:
   the Kronecker factors of the Gram matrices, never a Gram matrix itself.
 * ``rank_mod_p`` runs it over F_CERT_P on sparse rows of ``residue``s.
   Full rank there proves full rank over Q(i); a rank that falls short
-  proves nothing, and ``rank`` decides.
+  proves nothing, and ``rank`` of the same matrix over Z[i] decides.
 * ``det``: cofactor expansion over any ring whose unit is passed in
   (GaussRat, Scalar and chart Poly entries alike), for small matrices.
 """

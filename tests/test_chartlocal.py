@@ -126,6 +126,20 @@ def test_chartless_models_refuse(torus, calabi_eckmann):
             cl.chart_data(m)
 
 
+def test_chart_breaking_a_mixed_structure_equation_refused(calabi_eckmann):
+    # d a1 on calabi-eckmann is all (1,1), and a holomorphic chart cannot
+    # pull it back: the (1,1) comparison names the leg and the residual
+    m = dataclasses.replace(calabi_eckmann, chart={
+        "coords": 3,
+        "coframe_pullback": {"a1": "dz1", "a2": "dz2", "a3": "dz3"}})
+    with pytest.raises(ModelError) as exc:
+        cl.chart_data(m)
+    assert str(exc.value) == (
+        "chart.coframe_pullback.a1 breaks the structure equations: d of the "
+        "pullback minus the pullback of d a1 has (1,1) part "
+        "[(-1/2 i)1] dz2^dw2 + [(1/2)1] dz3^dw3")
+
+
 def test_gauge_potential_value(iwasawa):
     t = cl.build_trivialization(iwasawa)
     i4 = GaussRat.of(0, "1/4")

@@ -237,6 +237,31 @@ def test_chart_pullback_syntax_refused(tmp_path, capsys, a2, why):
         2, "", f"error: chart.coframe_pullback.a2: {why}; {_PULLBACK_RULE}\n")
 
 
+_NOT_A_COFRAME = ("error: chart.coframe_pullback: det P = {} is not a "
+                  "nonzero constant, so the pullbacks are not a coframe\n")
+_BREAKS_D_A3 = ("error: chart.coframe_pullback.a3 breaks the structure "
+                "equations: d of the pullback minus the pullback of d a3 has "
+                "(2,0) part [({})1] dz1^dz2\n")
+
+
+@pytest.mark.parametrize("leg, text, err", [
+    ("a2", "dz1", _NOT_A_COFRAME.format("0")),
+    ("a2", "", _NOT_A_COFRAME.format("0")),
+    ("a2", "z1 dz2", _NOT_A_COFRAME.format("(-1)z1")),
+    ("a3", "-dz3 + 5 z1 dz2", _BREAKS_D_A3.format("4")),
+    ("a3", "dz3", _BREAKS_D_A3.format("-1")),
+], ids=["a2-dz1", "a2-empty", "a2-z1dz2", "a3-5z1dz2", "a3-dz3"])
+def test_chart_that_is_not_the_model_refused(tmp_path, capsys, leg, text,
+                                             err):
+    # dependent pullbacks are refused with det P, and pullbacks that break
+    # d a3 = a1 ^ a2 with the leg and the residual; before these checks the
+    # a3 edits ran and exited 1 on a failed torsion potential
+    path = _edit_chart(tmp_path,
+                       lambda c: c["coframe_pullback"].update({leg: text}))
+    code, out, got = run(capsys, "trivialize", path, "--degree", "2")
+    assert (code, out, got) == (2, "", err)
+
+
 def test_trivialize(capsys):
     code, out, _ = run(capsys, "trivialize", "iwasawa", "--degree", "1")
     assert code == 0

@@ -355,22 +355,25 @@ def _oracle_slice(n):
     return itertools.islice(coh.symbol_samples(n), 2, None, 38)
 
 
-def _assert_blocks_match_oracle(m, alpha0):
-    gauge = m.rank * m.rank - 1
-    build = coh.symbol_blocks(m, alpha0)
+def _symbol_kernel(m, xi, alpha0):
+    """dim ker symbol_matrix over Q(i): the oracle for n - rank N."""
+    M = coh.symbol_matrix(m, xi, alpha0)
+    return len(M[0]) - linalg.rank(M)
+
+
+def _assert_kernel_matches_oracle(m, alpha0):
+    blocks = coh.symbol_blocks(m, alpha0)
     for xi in _oracle_slice(m.n):
-        oracle = linalg.rank(coh.symbol_matrix(m, xi, alpha0))
-        B, C = build(xi)
-        exact = gauge * linalg.rank(B) + linalg.rank(C)
         label = (m.name, str(alpha0), [str(x) for x in xi])
-        assert exact == oracle, label
+        assert m.n - linalg.rank(blocks.schur(xi)) == _symbol_kernel(
+            m, xi, alpha0), label
 
 
 @pytest.mark.parametrize("name", ["iwasawa", "torus", "calabi-eckmann"])
 def test_symbol_blocks_match_full_symbol(name):
     m = builtin_model(name)
     for a0 in ORACLE_ALPHAS:
-        _assert_blocks_match_oracle(m, a0)
+        _assert_kernel_matches_oracle(m, a0)
 
 
 def test_symbol_blocks_match_full_symbol_random_metrics():
@@ -378,18 +381,21 @@ def test_symbol_blocks_match_full_symbol_random_metrics():
     for idx in range(2):
         m = _random_flat_model(rng, idx)
         for a0 in (GaussRat.of(1), GaussRat.of("-2/3")):
-            _assert_blocks_match_oracle(m, a0)
+            _assert_kernel_matches_oracle(m, a0)
 
 
 def test_symbol_blocks_see_the_rank_drop(calabi_eckmann):
-    # (0, 0, i) at alpha' = -4: the coupled block C loses one rank, the
-    # gauge block B does not
+    # (0, 0, i) at alpha' = -4: N loses one rank, mod p and over Q(i), and
+    # the full symbol has a one-dimensional kernel, so the gauge slots add
+    # none
+    a0 = GaussRat.of(-4)
     xi = [GR_ZERO, GR_ZERO, GaussRat.of(0, 1)]
-    B, C = coh.symbol_blocks(calabi_eckmann, GaussRat.of(-4))(xi)
-    assert (len(C), len(C[0])) == (24, 18)
-    assert (len(B), len(B[0])) == (4, 3)
-    assert linalg.rank(C) == 17
-    assert linalg.rank(B) == 3
+    blocks = coh.symbol_blocks(calabi_eckmann, a0)
+    N = blocks.schur(xi)
+    assert (len(N), len(N[0])) == (3, 3)
+    assert linalg.rank(N) == 2
+    assert linalg.rank_mod_p(blocks.schur_mod_p(xi)) == 2
+    assert _symbol_kernel(calabi_eckmann, xi, a0) == 1
 
 
 def _residue_rows(N):
@@ -413,35 +419,39 @@ def _record_ranks(monkeypatch):
 
 
 def _assert_schur_reduction(m, alpha0, samples):
-    """At each sample, the scan's rows mod p are the exact N mod p, and N
-    has the kernel of the coupled block: dim ker N = 2n^2 - rank C over
-    Q(i).  Returns the number of samples where C loses rank."""
-    n = m.n
+    """At each sample, the template's N over Z[i] is the formula's N entry
+    for entry, the scan's rows mod p are its reduction, and N has the
+    kernel of the full symbol: n - rank N = dim ker symbol_matrix over
+    Q(i).  Returns the number of samples where the symbol loses rank."""
     blocks = coh.symbol_blocks(m, alpha0)
     R = coh.curvature_array(m)
     drops = 0
     for xi in samples:
         label = (m.name, str(alpha0), [str(x) for x in xi])
         N = schur_complement(R, alpha0, xi)
+        assert blocks.schur(xi) == N, label
         assert blocks.schur_mod_p(xi) == _residue_rows(N), label
-        kernel = 2 * n * n - linalg.rank(blocks(xi)[1])
-        assert n - linalg.rank(N) == kernel, label
+        kernel = _symbol_kernel(m, xi, alpha0)
+        assert m.n - linalg.rank(N) == kernel, label
         drops += kernel > 0
     return drops
 
 
 def test_scan_schur_rows_are_the_exact_reduction_mod_p(builtins,
                                                        dense_metric_builtins):
-    # the n x n rows the scan ranks mod p are the entrywise reduction of
-    # N over Z[i], built from the curvature table by its formula
+    # the template's N over Z[i] is N built from the curvature table by its
+    # formula, entry for entry, and the n x n rows the scan ranks mod p are
+    # its entrywise reduction
     for m in builtins + dense_metric_builtins:
         R = coh.curvature_array(m)
         for a0 in (coh.resolve_alpha(m, None), GaussRat.of(-4),
                    GaussRat.of("1/7")):
             blocks = coh.symbol_blocks(m, a0)
             for xi in itertools.islice(coh.symbol_samples(m.n), 40):
-                assert blocks.schur_mod_p(xi) == _residue_rows(
-                    schur_complement(R, a0, xi)), (m.name, str(a0), xi)
+                N = schur_complement(R, a0, xi)
+                assert blocks.schur(xi) == N, (m.name, str(a0), xi)
+                assert blocks.schur_mod_p(xi) == _residue_rows(N), (
+                    m.name, str(a0), xi)
 
 
 @pytest.mark.parametrize("alpha, drops", [("1", 0), ("-4", 4), ("4", 4)])
@@ -460,7 +470,8 @@ def test_schur_complement_kernel_dense_metrics(dense_metric_builtins):
 
 
 def test_schur_complement_kernel_kt_models(kt_models):
-    # the coupling alone makes C lose rank here, so a wrong N shows
+    # the coupling alone makes the symbol lose rank here, so a wrong N
+    # shows
     drops = 0
     for m in kt_models:
         for a0 in [GaussRat.of(x) for x in ("1", "-1", "2", "1/2")]:
@@ -478,7 +489,7 @@ _GAUSS_INTS = [GaussRat.of(a, b) for a in (-2, -1, 0, 1, 2)
 @settings(max_examples=12, deadline=None)
 def test_schur_complement_kernel_random_curvature(table):
     # any curvature table, not only one that a model gives: the reduction
-    # is linear algebra on the blocks' shape
+    # is linear algebra on the symbol's shape
     m = builtin_model("torus")
     R = [[[[table.get((k, j, l, t), GR_ZERO) for t in range(3)]
            for l in range(3)] for j in range(3)] for k in range(3)]
@@ -491,55 +502,72 @@ def test_schur_complement_kernel_random_curvature(table):
 
 def test_every_rank_drop_reaches_the_exact_rank(calabi_eckmann, kt_models,
                                                 monkeypatch):
-    # every sample where B or C loses rank is decided by linalg.rank on
-    # that exact block, and the scan reports it
+    # every sample where the full symbol loses rank is decided by
+    # linalg.rank on the exact N there, and the scan reports it
     cases = [(calabi_eckmann, GaussRat.of(-4))] + [
         (m, GaussRat.of(x)) for m in kt_models for x in ("1", "-1", "2")]
     drops = []
     for m, a0 in cases:
-        n = m.n
-        checks = ([(0, n)] if m.rank > 1 else []) + [(1, 2 * n * n)]
-        blocks = coh.symbol_blocks(m, a0)
-        for xi in itertools.islice(coh.symbol_samples(n), 120):
-            exact = blocks(xi)
-            short = [exact[b] for b, full in checks
-                     if linalg.rank(exact[b]) < full]
-            if short:
-                drops.append((m, a0, xi, short[0]))
+        R = coh.curvature_array(m)
+        for xi in itertools.islice(coh.symbol_samples(m.n), 120):
+            if _symbol_kernel(m, xi, a0):
+                drops.append((m, a0, xi, schur_complement(R, a0, xi)))
     assert len(drops) >= 10
     scanned = []
     monkeypatch.setattr(coh, "symbol_samples", lambda n: iter(scanned))
     ranked = _record_ranks(monkeypatch)
-    for m, a0, xi, block in drops:
+    for m, a0, xi, N in drops:
         scanned[:] = [xi]
         ranked.clear()
         assert coh.injectivity_scan(m, a0, limit=1) == {
             "samples": 1, "injective": False,
             "first_failure": "(" + ", ".join(map(str, xi)) + ")"}
-        assert block in ranked, (m.name, str(a0), xi)
+        assert ranked == [N], (m.name, str(a0), xi)
 
 
 def test_scan_decides_blocks_that_vanish_mod_p_exactly(builtins,
                                                       monkeypatch):
-    # xi = (p, 0, 0) makes every entry of both blocks a multiple of p, and
-    # s = p^2, so the scan takes the exact route, where linalg.rank over
-    # Q(i) sees that both blocks have full rank
+    # xi = (p, 0, 0) makes s = p^2 and every entry of N a multiple of p,
+    # so the scan takes the exact route, where linalg.rank over Q(i) sees
+    # that N has full rank, as the full symbol's kernel says
     xi = [GaussRat.of(linalg.CERT_P), GR_ZERO, GR_ZERO]
     monkeypatch.setattr(coh, "symbol_samples", lambda n: iter([xi]))
     for m in builtins:
         a0 = coh.resolve_alpha(m, None)
         blocks = coh.symbol_blocks(m, a0)
-        B, C = blocks(xi)
-        assert all(not linalg.residue(x.a, x.b)
-                   for block in (B, C) for row in block for x in row)
+        N = blocks.schur(xi)
+        assert N == schur_complement(coh.curvature_array(m), a0, xi)
+        assert all(not linalg.residue(x.a, x.b) for row in N for x in row)
         assert blocks.schur_mod_p(xi) is None
-        assert linalg.rank(B) == 3
-        assert linalg.rank(C) == 18
+        assert linalg.rank(N) == 3
+        assert _symbol_kernel(m, xi, a0) == 0
         with monkeypatch.context() as mp:
             ranked = _record_ranks(mp)
             assert coh.injectivity_scan(m, a0, limit=1) == {
                 "samples": 1, "injective": True}, m.name
-        assert ranked == [B, C], m.name
+        assert ranked == [N], m.name
+
+
+def test_scan_takes_the_exact_route_when_s_vanishes_mod_p(builtins,
+                                                         monkeypatch):
+    # xi = (1, I, 0) with I^2 = -1 mod p has s = 1 + I^2 = 0 mod p while
+    # its residues are not 0, so N mod p proves nothing there; the scan
+    # ranks the exact N, and the full symbol agrees with its verdict
+    xi = [GR_ONE, GaussRat.of(linalg.CERT_I), GR_ZERO]
+    monkeypatch.setattr(coh, "symbol_samples", lambda n: iter([xi]))
+    for m in builtins:
+        a0 = coh.resolve_alpha(m, None)
+        blocks = coh.symbol_blocks(m, a0)
+        assert blocks.schur_mod_p(xi) is None
+        N = blocks.schur(xi)
+        assert N == schur_complement(coh.curvature_array(m), a0, xi)
+        assert linalg.rank(N) == 3
+        assert _symbol_kernel(m, xi, a0) == 0
+        with monkeypatch.context() as mp:
+            ranked = _record_ranks(mp)
+            assert coh.injectivity_scan(m, a0, limit=1) == {
+                "samples": 1, "injective": True}, m.name
+        assert ranked == [N], m.name
 
 
 def test_scan_takes_the_exact_route_when_delta_vanishes_mod_p(
@@ -549,7 +577,7 @@ def test_scan_takes_the_exact_route_when_delta_vanishes_mod_p(
     # agrees with the full symbol
     a0 = GaussRat.of(f"1/{linalg.CERT_P}")
     blocks = coh.symbol_blocks(calabi_eckmann, a0)
-    assert blocks.delta == 0
+    assert blocks.delta[1] == 0
     assert all(blocks.schur_mod_p(xi) is None
                for xi in coh.symbol_samples(3))
     full = coh.q_space_dimension(calabi_eckmann, 0) * 3
@@ -561,7 +589,8 @@ def test_scan_takes_the_exact_route_when_delta_vanishes_mod_p(
     monkeypatch.setattr(coh, "symbol_samples", lambda n: iter(samples))
     assert coh.injectivity_scan(calabi_eckmann, a0, limit=len(samples)) == {
         "samples": len(samples), "injective": True}
-    assert ranked == [b for xi in samples for b in blocks(xi)]
+    R = coh.curvature_array(calabi_eckmann)
+    assert ranked == [schur_complement(R, a0, xi) for xi in samples]
 
 
 @pytest.mark.parametrize("alpha", ["1", "-1", "2", "1/2"])

@@ -145,6 +145,28 @@ def test_block_reassembly(builtins, random_flat_models,
                     tuple(full.entries[i][j] for j in cols) for i in rows)
 
 
+def test_block_reassembly_sees_a_broken_pencil(builtins, random_flat_models):
+    # one stray entry below the split in the cached pencil breaks "split",
+    # and one changed T -> T entry breaks "dual"
+    for base in builtins + random_flat_models:
+        for p in range(base.n):
+            _, c1, c2, _ = qc._leg_bounds(base, p)
+            _, r1, r2, _ = qc._leg_bounds(base, p + 1)
+            for broken, row, col in (("split", r1, c1 - 1), ("dual", r2, c2)):
+                m = dataclasses.replace(base, name=f"{base.name}-{broken}")
+                op = qc.assemble_Dbar(m, p)
+                rows = [dict(r) for r in op.pencil[0]]
+                v = rows[row].get(col, GaussRat.of(0)) + GaussRat.of(1)
+                if v:
+                    rows[row][col] = v
+                else:
+                    del rows[row][col]
+                m._cache[("Dbar", p, False)] = dataclasses.replace(
+                    op, pencil=(tuple(rows), op.pencil[1]))
+                res = qc.reassembly_residuals(m, p)
+                assert res[broken] is False, (m.name, p, res)
+
+
 def test_adjoint_formula_matches_gram_route(builtins, random_flat_models):
     for m in builtins + random_flat_models:
         for p in (1, 2, 3):
