@@ -11,7 +11,8 @@ lowered adjoint conj(D_{p-1}^T G_p), which needs no inverse Gram matrix.
 The module also implements the principal symbol of Dbar + Dbar* and an
 injectivity scan over a lattice of nonzero cotangent samples, which is the
 effective content of ellipticity here: one n x n Schur complement N decides
-each sample, mod p where it can and else by its rank over Q(i).
+each sample, by a division-free dense rank mod p where it can (by delta s
+alone when the model has no coupling terms) and else by its rank over Q(i).
 """
 
 from __future__ import annotations
@@ -284,51 +285,59 @@ _ROUTES = ((GaussRat, GR_ZERO, 0), (linalg.residue, 0, linalg.CERT_P))
 @dataclass(frozen=True)
 class SymbolBlocks:
     """The coupling terms of ``symbol_blocks`` on each route of _ROUTES:
-    ``coupling[route]`` holds A_{kjt} = sum_m c * xi_m as
-    (j, k, ((t, ((m, c), ...)), ...)) for each (j, k) that has any, with c
-    the image of a Gaussian integer, and ``delta[route]`` that of den_R."""
+    ``coupling[route]`` holds A_{kjt} = sum_m c * xi_m, with c the image
+    of a Gaussian integer, as (j, ((k, ((t, ((m, c), ...)), ...)), ...))
+    where any, and ``delta[route]`` the image of den_R."""
 
     n: int
     coupling: Tuple[tuple, tuple]
     delta: Tuple[GaussRat, int]
 
-    def _schur(self, xi: List[GaussRat], route: int):
-        """N = delta^2 s^2 I - s G + sum_j a_j b_j^T at xi as dense rows in
-        the route's ring, after xi is scaled by the common denominator of
-        its components; None when s or delta is zero there."""
+    def _scaled(self, xi: List[GaussRat], route: int):
+        """xi scaled by the common denominator of its components, then it
+        and its conjugate as y in the route's ring, and s = xi . conj(xi)
+        there, reduced mod p on the prime route."""
         if len(xi) != self.n:
             raise ModelError("cotangent sample has the wrong length")
         of, zero, p = _ROUTES[route]
-        n, delta = self.n, self.delta[route]
-        g = linalg.gauss_ints(xi)[1]
-        y = [of(re, im) for re, im in g + [(re, -im) for re, im in g]]
-        s = sum((y[k] * y[n + k] for k in range(n)), zero)
-        if p:
-            s %= p
-        if not s or not delta:
+        g = ([(x.a, x.b) for x in xi] if all(x.d == 1 for x in xi)
+             else linalg.gauss_ints(xi)[1])
+        y = [of(re, im) for re, im in g] + [of(re, -im) for re, im in g]
+        s = sum([a * b for a, b in zip(y, y[self.n:])], zero)
+        return y, s % p if p else s
+
+    def _schur(self, xi: List[GaussRat], route: int):
+        """N = delta^2 s^2 I - s G + sum_j a_j b_j^T at xi, scaled as in
+        ``_scaled``, as dense rows in the route's ring (on the prime route,
+        unreduced ints); None when s or delta is zero there."""
+        y, s = self._scaled(xi, route)
+        if not (d := self.delta[route] * s):
             return None
-        d = delta * s
+        zero, n = _ROUTES[route][1], self.n
         N = [[d * d if t == u else zero for u in range(n)] for t in range(n)]
-        ab = {}
-        for j, k, entries in self.coupling[route]:
-            v = []
-            for t, terms in entries:
-                x = sum((c * y[m] for m, c in terms), zero)
-                if p:
-                    x %= p
-                if x:
-                    v.append((t, x))
-            aj, bj = ab.setdefault(j, ([zero] * n, [zero] * n))
-            for t, x in v:
-                aj[t] += y[n + k] * x
-                bj[t] += y[k] * x
-                for u, z in v:
-                    N[t][u] -= s * x * z
-        for aj, bj in ab.values():
+        for j, legs in self.coupling[route]:
+            aj, bj = [zero] * n, [zero] * n
+            for k, entries in legs:
+                yk, ykb = y[k], y[n + k]
+                v = []
+                for t, terms in entries:
+                    x = zero
+                    for m, c in terms:
+                        x += c * y[m]
+                    if x:
+                        v.append((t, x))
+                        aj[t] += ykb * x
+                        bj[t] += yk * x
+                for t, x in v:
+                    Nt, sx = N[t], s * x
+                    for u, z in v:
+                        Nt[u] -= sx * z
             for t, x in enumerate(aj):
                 if x:
+                    Nt = N[t]
                     for u, z in enumerate(bj):
-                        N[t][u] += x * z
+                        if z:
+                            Nt[u] += x * z
         return N
 
     def schur(self, xi: List[GaussRat]) -> List[List[GaussRat]]:
@@ -336,11 +345,18 @@ class SymbolBlocks:
         return self._schur(xi, 0)
 
     def schur_mod_p(self, xi: List[GaussRat]):
-        """N at xi mod CERT_P as sparse rows {t: nonzero residue}; None when
-        s or delta is 0 mod p."""
-        p, N = linalg.CERT_P, self._schur(xi, 1)
-        return None if N is None else [
-            {u: r for u, x in enumerate(row) if (r := x % p)} for row in N]
+        """N at xi mod CERT_P as dense int rows, congruent to its residues
+        and not reduced; None when s or delta is 0 mod p."""
+        return self._schur(xi, 1)
+
+    def full_rank_mod_p(self, xi: List[GaussRat]) -> bool:
+        """Whether N at xi has full rank mod CERT_P, which proves that it
+        has full rank over Q(i).  With no coupling terms N is
+        (delta s)^2 I, so delta s != 0 mod p decides and N is not built."""
+        if not self.coupling[1]:
+            return bool(self.delta[1] * self._scaled(xi, 1)[1])
+        N = self.schur_mod_p(xi)
+        return N is not None and linalg.rank_mod_p(N) == self.n
 
 
 def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat) -> SymbolBlocks:
@@ -370,11 +386,13 @@ def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat) -> SymbolBlocks:
     terms = {}
     for (k, j, nn, mm), c in zip(quads, aR):
         if any(c):
-            terms.setdefault((j, k), {}).setdefault(nn, []).append((mm, c))
+            terms.setdefault(j, {}).setdefault(k, {}).setdefault(
+                nn, []).append((mm, c))
     return SymbolBlocks(n, tuple(
-        tuple((j, k, tuple((t, tuple((mm, of(*c)) for mm, c in v))
-                           for t, v in e.items()))
-              for (j, k), e in terms.items()) for of, _, _ in _ROUTES),
+        tuple((j, tuple((k, tuple((t, tuple((mm, of(*c)) for mm, c in v))
+                                  for t, v in e.items()))
+                        for k, e in legs.items()))
+              for j, legs in terms.items()) for of, _, _ in _ROUTES),
         tuple(of(den_R, 0) for of, _, _ in _ROUTES))
 
 
@@ -385,11 +403,11 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
     ``limit`` of ``symbol_samples``) and the first failing sample if any.
 
     The symbol is injective at xi iff the n x n matrix N of
-    ``symbol_blocks`` has full rank over Q(i).  When s and delta are
-    nonzero mod the prime ``linalg.CERT_P`` and N has full rank mod p, so
-    has N over Q(i).  Otherwise N is evaluated over Z[i] and
-    ``linalg.rank`` decides it over Q(i); a rank drop is never reported on
-    the strength of the prime.  An empty scan is refused.
+    ``symbol_blocks`` has full rank over Q(i).  When N has full rank mod
+    the prime ``linalg.CERT_P`` (``SymbolBlocks.full_rank_mod_p``), so has
+    N over Q(i).  Otherwise N is evaluated over Z[i] and ``linalg.rank``
+    decides it over Q(i); a rank drop is never reported on the strength of
+    the prime.  An empty scan is refused.
     """
     total = len(_ALPHABET) ** m.n - 1
     count = total if limit is None else min(max(limit, 0), total)
@@ -399,10 +417,8 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
     blocks = symbol_blocks(m, alpha0)
     first_failure = None
     for xi in itertools.islice(symbol_samples(n), count):
-        rows = blocks.schur_mod_p(xi)
-        if rows is not None and linalg.rank_mod_p(rows) == n:
-            continue
-        if linalg.rank(blocks.schur(xi)) < n:
+        if not (blocks.full_rank_mod_p(xi)
+                or linalg.rank(blocks.schur(xi)) == n):
             first_failure = "(" + ", ".join(str(x) for x in xi) + ")"
             break
     return {

@@ -1,18 +1,17 @@
 """Exact linear algebra over the Gaussian rationals.
 
-One sparse elimination engine and a determinant:
+One sparse elimination engine, a dense rank test mod p and a determinant:
 
-* ``_echelon`` row-reduces sparse rows ``{col: value}`` and keeps one pivot
-  row, scaled to a leading 1, per leading column.  The field is fixed by an
-  inverse function and an optional prime modulus: Q(i) on GaussRat entries,
-  or F_CERT_P on ints.  ``rank_rows`` counts its pivots over Q(i) on
-  sparse rows, and ``rank`` is the same on a dense matrix;
-  ``kernel_basis`` and ``inverse`` ask for the reduced form and read their
-  answer off it.  ``inverse`` only ever sees small matrices: the metric and
-  the Kronecker factors of the Gram matrices, never a Gram matrix itself.
-* ``rank_mod_p`` runs it over F_CERT_P on sparse rows of ``residue``s.
-  Full rank there proves full rank over Q(i); a rank that falls short
-  proves nothing, and ``rank`` of the same matrix over Z[i] decides.
+* ``_echelon`` row-reduces sparse rows ``{col: GaussRat}`` over Q(i) and
+  keeps one pivot row, scaled to a leading 1, per leading column.
+  ``rank_rows`` counts its pivots on sparse rows, and ``rank`` is the same
+  on a dense matrix; ``kernel_basis`` and ``inverse`` ask for the reduced
+  form and read their answer off it.  ``inverse`` only ever sees small
+  matrices: the metric and the Kronecker factors of the Gram matrices,
+  never a Gram matrix itself.
+* ``rank_mod_p`` ranks small dense int rows over F_CERT_P, division-free.
+  Full rank there proves full rank over Q(i) of the Gaussian integer
+  matrix they reduce; a shortfall proves nothing, and ``rank`` decides.
 * ``det``: cofactor expansion over any ring whose unit is passed in
   (GaussRat, Scalar and chart Poly entries alike), for small matrices.
 """
@@ -20,7 +19,7 @@ One sparse elimination engine and a determinant:
 from __future__ import annotations
 
 from math import lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .scalars import GR_ONE, GR_ZERO, GaussRat
 
@@ -76,13 +75,11 @@ def row_sum(terms) -> Dict[int, GaussRat]:
     return acc
 
 
-def _echelon(rows, inv: Callable, p: Optional[int] = None,
-             reduced: bool = False) -> Dict[int, Dict]:
+def _echelon(rows, reduced: bool = False) -> Dict[int, Dict]:
     """Pivot rows by leading column, each scaled to a leading 1.
 
-    ``rows`` are sparse ``{col: value}`` dicts with no zero values; they are
-    consumed.  ``inv`` inverts a nonzero value; with ``p``, values are ints
-    taken mod p.  Each row is reduced on its leading column until that
+    ``rows`` are sparse ``{col: GaussRat}`` dicts with no zero values; they
+    are consumed.  Each row is reduced on its leading column until that
     column has no pivot, then becomes the pivot there.  ``reduced``
     back-substitutes, so every pivot column is zero outside its pivot row.
     """
@@ -93,8 +90,6 @@ def _echelon(rows, inv: Callable, p: Optional[int] = None,
         f = row[c]
         for j, y in pivots[c].items():
             v = row[j] - f * y if j in row else -f * y
-            if p:
-                v %= p
             if v:
                 row[j] = v
             else:
@@ -104,8 +99,8 @@ def _echelon(rows, inv: Callable, p: Optional[int] = None,
         while row and (c := min(row)) in pivots:
             eliminate(row, c)
         if row:
-            s = inv(row[c])
-            pivots[c] = {j: x * s % p if p else x * s for j, x in row.items()}
+            s = GR_ONE / row[c]
+            pivots[c] = {j: x * s for j, x in row.items()}
     if reduced:
         for c in sorted(pivots, reverse=True):
             row = pivots[c]
@@ -114,14 +109,10 @@ def _echelon(rows, inv: Callable, p: Optional[int] = None,
     return pivots
 
 
-def _gr_inv(x: GaussRat) -> GaussRat:
-    return GR_ONE / x
-
-
 def rank_rows(rows) -> int:
     """Rank over Q(i) of sparse rows {col: nonzero GaussRat}; the rows are
     copied, not consumed."""
-    return len(_echelon([dict(row) for row in rows], _gr_inv))
+    return len(_echelon([dict(row) for row in rows]))
 
 
 def rank(a: Matrix) -> int:
@@ -133,7 +124,7 @@ def kernel_basis(a: Matrix, cols: int = None) -> List[List[GaussRat]]:
     """Basis of the right null space, one vector per free column."""
     if cols is None:
         cols = len(a[0]) if a else 0
-    pivots = _echelon(sparse_rows(a), _gr_inv, reduced=True)
+    pivots = _echelon(sparse_rows(a), reduced=True)
     basis = []
     for fc in range(cols):
         if fc in pivots:
@@ -152,7 +143,7 @@ def inverse(a: Matrix) -> Matrix:
     aug = sparse_rows(a)
     for i, row in enumerate(aug):
         row[k + i] = GR_ONE
-    pivots = _echelon(aug, _gr_inv, reduced=True)
+    pivots = _echelon(aug, reduced=True)
     if any(c not in pivots for c in range(k)):
         raise ValueError("matrix is singular")
     return [[pivots[i].get(k + j, GR_ZERO) for j in range(k)]
@@ -200,8 +191,21 @@ def residue(re: int, im: int) -> int:
 
 
 def rank_mod_p(rows) -> int:
-    """Rank over F_CERT_P of sparse rows {col: nonzero residue}; the rows
-    are consumed."""
-    p = CERT_P
-    return len(_echelon(rows, lambda x: pow(x, -1, p), p))
-
+    """Rank over F_CERT_P of dense int rows, read mod CERT_P and not
+    changed.  Division-free: below a pivot a, a row with f in its column
+    becomes a * row - f * pivot, so no inverse mod p is taken."""
+    p, rank = CERT_P, 0
+    rows = [[x % p for x in row] for row in rows]
+    for c in range(len(rows[0]) if rows else 0):
+        for i in range(rank, len(rows)):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        pivot, rows[i] = rows[i], rows[rank]
+        a, rank = pivot[c], rank + 1
+        for i in range(rank, len(rows)):
+            if f := rows[i][c]:
+                rows[i] = [(a * x - f * y) % p
+                           for x, y in zip(rows[i], pivot)]
+    return rank

@@ -2,6 +2,7 @@
 and the report layer."""
 
 import itertools
+import json
 import math
 import random
 
@@ -15,7 +16,7 @@ from hetmod import linalg
 from hetmod import qcomplex as qc
 from hetmod.exterior import EndForm, InvariantForm, MixedForm
 from hetmod.geometry import HomogeneousModel, ModelError
-from hetmod.models import builtin_model
+from hetmod.models import builtin_model, model_to_json, parse_model_text
 from hetmod.scalars import GR_ONE, GR_ZERO, GaussRat, Scalar
 
 from helpers import dense, schur_complement
@@ -399,22 +400,26 @@ def test_symbol_blocks_see_the_rank_drop(calabi_eckmann):
 
 
 def _residue_rows(N):
-    """Gaussian-integer rows mod CERT_P, as ``schur_mod_p`` gives them."""
+    """Gaussian-integer rows mod CERT_P, as dense rows of residues."""
     assert all(x.d == 1 for row in N for x in row)
-    return [{j: v for j, x in enumerate(row)
-             if (v := linalg.residue(x.a, x.b))} for row in N]
+    return [[linalg.residue(x.a, x.b) for x in row] for row in N]
 
 
-def _record_ranks(monkeypatch):
-    """Wrap ``linalg.rank``; the list it returns collects every matrix that
-    is ranked over Q(i) from then on."""
+def _reduced(rows):
+    """``schur_mod_p``'s int rows reduced mod CERT_P."""
+    return [[x % linalg.CERT_P for x in row] for row in rows]
+
+
+def _record_ranks(monkeypatch, name="rank"):
+    """Wrap ``linalg.rank`` (or the rank function ``name``); the list it
+    returns collects every matrix that it ranks from then on."""
     ranked = []
-    rank = linalg.rank
+    rank = getattr(linalg, name)
 
     def recording(a):
         ranked.append(a)
         return rank(a)
-    monkeypatch.setattr(linalg, "rank", recording)
+    monkeypatch.setattr(linalg, name, recording)
     return ranked
 
 
@@ -430,7 +435,7 @@ def _assert_schur_reduction(m, alpha0, samples):
         label = (m.name, str(alpha0), [str(x) for x in xi])
         N = schur_complement(R, alpha0, xi)
         assert blocks.schur(xi) == N, label
-        assert blocks.schur_mod_p(xi) == _residue_rows(N), label
+        assert _reduced(blocks.schur_mod_p(xi)) == _residue_rows(N), label
         kernel = _symbol_kernel(m, xi, alpha0)
         assert m.n - linalg.rank(N) == kernel, label
         drops += kernel > 0
@@ -450,7 +455,7 @@ def test_scan_schur_rows_are_the_exact_reduction_mod_p(builtins,
             for xi in itertools.islice(coh.symbol_samples(m.n), 40):
                 N = schur_complement(R, a0, xi)
                 assert blocks.schur(xi) == N, (m.name, str(a0), xi)
-                assert blocks.schur_mod_p(xi) == _residue_rows(N), (
+                assert _reduced(blocks.schur_mod_p(xi)) == _residue_rows(N), (
                     m.name, str(a0), xi)
 
 
@@ -604,6 +609,82 @@ def test_scan_matches_the_full_symbol_on_kt_models(kt_models, alpha):
         if first:
             want["first_failure"] = "(" + ", ".join(map(str, first)) + ")"
         assert coh.injectivity_scan(m, a0) == want, (m.name, alpha)
+
+
+def _iwasawa_t2():
+    """iwasawa x T^2 (n = 5): iwasawa's data with two more closed coframe
+    legs, metric 1/2 I and no chart, as ``scripts/scale_models.py`` writes
+    it."""
+    data = model_to_json(builtin_model("iwasawa"))
+    del data["chart"]
+    data.update(name="iwasawa-t2", n=5, coframe=[f"a{k}" for k in range(1, 6)],
+                metric=[["1/2" if i == j else "0" for j in range(5)]
+                        for i in range(5)])
+    return parse_model_text(json.dumps(data))
+
+
+def test_prime_route_decides_every_sample_it_can(builtins, monkeypatch):
+    # on the built-ins N mod p falls short only where N itself does: the
+    # whole scan makes no exact rank call except at calabi-eckmann's rank
+    # drop (0, 0, i) at alpha' = -4, where it stops.  With no coupling
+    # terms (iwasawa, torus, iwasawa x T^2) delta s alone decides each
+    # sample mod p, so N is not even ranked mod p there
+    rank_mod_p = linalg.rank_mod_p
+    ranked = _record_ranks(monkeypatch)
+    ranked_mod_p = _record_ranks(monkeypatch, "rank_mod_p")
+    drop = [GR_ZERO, GR_ZERO, GaussRat.of(0, 1)]
+    for m in builtins:
+        for a in (None, "0", "1", "-4", "1/7"):
+            a0 = coh.resolve_alpha(m, a and GaussRat.of(a))
+            blocks = coh.symbol_blocks(m, a0)
+            ranked.clear()
+            ranked_mod_p.clear()
+            rep = coh.injectivity_scan(m, a0)
+            if (m.name, a) == ("calabi-eckmann", "-4"):
+                assert rep == {"samples": 342, "injective": False,
+                               "first_failure": "(0, 0, i)"}
+                assert ranked == [blocks.schur(drop)]
+            else:
+                assert rep == {"samples": 342, "injective": True}, (m.name, a)
+                assert ranked == [], (m.name, a)
+            uncoupled = m.name != "calabi-eckmann" or a == "0"
+            assert (blocks.coupling == ((), ())) == uncoupled
+            assert (ranked_mod_p == []) == uncoupled, (m.name, a)
+    m = _iwasawa_t2()
+    a0 = coh.resolve_alpha(m, None)
+    blocks = coh.symbol_blocks(m, a0)
+    assert blocks.coupling == ((), ())
+    ranked.clear()
+    ranked_mod_p.clear()
+    assert coh.injectivity_scan(m, a0, limit=500) == {
+        "samples": 500, "injective": True}
+    assert ranked == [] and ranked_mod_p == []
+    # the shortcut says what ranking N = (delta s)^2 I mod p would say
+    for xi in itertools.islice(coh.symbol_samples(5), 0, None, 97):
+        N = blocks.schur_mod_p(xi)
+        assert N is not None and N == [[N[0][0] if t == u else 0
+                                        for u in range(5)] for t in range(5)]
+        assert blocks.full_rank_mod_p(xi) == (rank_mod_p(N) == 5)
+
+
+def test_samples_with_denominators_are_scaled(calabi_eckmann, kt_models):
+    # off the lattice, xi is scaled by the common denominator of its
+    # components, which keeps the rank: N is the formula's N at that
+    # multiple, on both routes, and has the kernel of the full symbol
+    samples = [[GaussRat.of("1/2"), GaussRat.of(0, "1/3"), GR_ZERO],
+               [GaussRat.of("2/5", "-1/5"), GR_ONE, GaussRat.of(0, "-3/4")]]
+    for m, a0 in [(calabi_eckmann, GaussRat.of(1)),
+                  (calabi_eckmann, GaussRat.of(-4)),
+                  (kt_models[1], GaussRat.of("1/2"))]:
+        blocks = coh.symbol_blocks(m, a0)
+        R = coh.curvature_array(m)
+        for xi in samples:
+            den = linalg.gauss_ints(xi)[0]
+            assert den > 1
+            N = schur_complement(R, a0, [x * GaussRat.of(den) for x in xi])
+            assert blocks.schur(xi) == N
+            assert _reduced(blocks.schur_mod_p(xi)) == _residue_rows(N)
+            assert m.n - linalg.rank(N) == _symbol_kernel(m, xi, a0)
 
 
 def test_scan_refuses_empty(iwasawa):

@@ -1,9 +1,10 @@
 """Exact linear algebra over the Gaussian rationals.
 
-The elimination engine behind ``rank``, ``kernel_basis``, ``inverse`` and
-the mod-p certificate is checked against cofactor determinants, an
-independent route: the rank of a matrix is the size of its largest nonzero
-minor.
+The elimination engine behind ``rank``, ``kernel_basis`` and ``inverse``
+is checked against cofactor determinants, an independent route: the rank
+of a matrix is the size of its largest nonzero minor.  The dense rank mod
+p is checked against ``rank``: equal where the entries are small enough
+that no nonzero minor vanishes mod p, and never above it.
 """
 
 import random
@@ -37,10 +38,9 @@ def _to_ints(m):
 
 
 def _residue_rows(ints):
-    """A Gaussian-integer matrix mod CERT_P, as the sparse rows that
-    ``rank_mod_p`` takes."""
-    return [{j: v for j, (re, im) in enumerate(row)
-             if (v := linalg.residue(re, im))} for row in ints]
+    """A Gaussian-integer matrix mod CERT_P, as the dense rows of residues
+    that ``rank_mod_p`` takes."""
+    return [[linalg.residue(re, im) for re, im in row] for row in ints]
 
 
 def _minor_rank(m):
@@ -211,6 +211,75 @@ def test_ranks_agree_with_minors_on_random_matrices():
         rk = _minor_rank(m)
         assert linalg.rank(_gauss(ints)) == rk
         assert linalg.rank_mod_p(_residue_rows(ints)) <= rk
+
+
+def _gauss_int_matrix(rng, rows, cols):
+    """Gaussian integers (re, im) with parts in {-1, 0, 1}; the last row is
+    sometimes the sum or difference of two others, the leading entry
+    sometimes 0 and sometimes a whole column."""
+    m = [[(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(cols)]
+         for _ in range(rows)]
+    if rows >= 3 and rng.random() < 0.5:
+        j, k = rng.sample(range(rows - 1), 2)
+        sgn = rng.choice((-1, 1))
+        m[-1] = [(a + sgn * c, b + sgn * d)
+                 for (a, b), (c, d) in zip(m[j], m[k])]
+    if rng.random() < 0.5:
+        m[0][0] = (0, 0)
+    if rng.random() < 0.3:
+        c = rng.randrange(cols)
+        for row in m:
+            row[c] = (0, 0)
+    return m
+
+
+def test_rank_mod_p_against_the_exact_rank():
+    # every part is at most 1 (2 in the planted row), so by Hadamard's
+    # bound a nonzero minor of size <= 6 has |det| < sqrt(p), a norm below
+    # p, and a nonzero residue: the rank mod p is the rank over Q(i).  The
+    # rows are the unreduced images re + CERT_I * im plus a multiple of p,
+    # so entries are negative and >= p
+    p, i_p = linalg.CERT_P, linalg.CERT_I
+    rng = random.Random(20261020)
+    drops = swaps = negative = large = 0
+    for _ in range(300):
+        m = _gauss_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        rows = [[re + i_p * im + p * rng.randint(-2, 2) for re, im in row]
+                for row in m]
+        copy = [list(row) for row in rows]
+        rk = linalg.rank(_gauss(m))
+        assert linalg.rank_mod_p(rows) == rk, m
+        assert rows == copy
+        drops += rk < min(len(m), len(m[0]))
+        swaps += m[0][0] == (0, 0) and any(row[0] != (0, 0) for row in m)
+        negative += any(x < 0 for row in rows for x in row)
+        large += any(x >= p for row in rows for x in row)
+    assert min(drops, swaps, negative, large) >= 30
+    # by hand: a zero pivot that needs a swap, a zero column, a planted
+    # combination, and unreduced entries
+    assert linalg.rank_mod_p([[0, 1], [1, 0]]) == 2
+    assert linalg.rank_mod_p([[0, 1, 2], [0, 2, 5]]) == 2
+    assert linalg.rank_mod_p([[1, 2, 3], [4, 5, 6], [9, 12, 15]]) == 2
+    assert linalg.rank_mod_p([[p + 1, -1], [-p - 2, 2 * p + 2]]) == 1
+    assert linalg.rank_mod_p([[p + 1, -1], [-p - 2, 3]]) == 2
+    assert linalg.rank_mod_p([[0, 0], [p, -p]]) == 0
+    assert linalg.rank_mod_p([]) == 0
+
+
+def test_rank_mod_p_never_exceeds_the_exact_rank():
+    p, i_p = linalg.CERT_P, linalg.CERT_I
+    rng, big = random.Random(20261021), 10 ** 12
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[(rng.randint(-big, big), rng.randint(-big, big))
+              for _ in range(cols)] for _ in range(rows)]
+        if rows >= 2:
+            m[-1] = m[0]
+        assert linalg.rank_mod_p([[re + i_p * im for re, im in row]
+                                  for row in m]) <= linalg.rank(_gauss(m))
+    # and falls short where p divides a minor that is not 0
+    assert linalg.rank_mod_p([[p, 0], [0, 1]]) == 1
+    assert linalg.rank(_gauss([[(p, 0), (0, 0)], [(0, 0), (1, 0)]])) == 2
 
 
 def test_gauss_ints_clears_mixed_denominators():
