@@ -322,9 +322,10 @@ def format_scalar(s: Scalar) -> str:
     return out
 
 
+_RAT = r"-?\d+(?:/\d+)?"
 _TOKEN = re.compile(
-    r"\s*(?:(?P<rat>-?\d+(?:/\d+)?)|(?P<sym>[ia+\-^()])|(?P<num>\d+))"
-)
+    rf"\s*(?:(?P<rat>{_RAT})|(?P<sym>[ia+\-^()])|(?P<num>\d+))")
+_PLAIN = re.compile(_RAT)    # a whole text that is one "rat" token
 
 
 def _tokenize(text: str):
@@ -424,6 +425,11 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def parse_gauss(text: str) -> GaussRat:
+    """A constant in the scalar syntax.  Plain integers and p/q, which are
+    most of a model file's entries, are read without the general parser;
+    the value and any error are the same."""
+    if _PLAIN.fullmatch(text):
+        return GaussRat(_fraction(text) if "/" in text else int(text))
     s = parse_scalar(text)
     if s.degree > 0:
         raise ScalarError(f"expected a constant, got {text!r}")

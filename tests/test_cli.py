@@ -1,14 +1,18 @@
 """Command-line interface: exit codes, report files, determinism."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from hetmod import cli
 from hetmod.models import builtin_model, parse_model_text, print_model
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -169,14 +173,113 @@ def test_zero_denominator_in_model_file_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["-1/7", "-4"])
 def test_negative_alpha_spaced_and_joined(capsys, value):
-    # argparse reads "-4" after a space as a value but took "-1/7" for an
-    # option; both spellings must give the same report and exit code
+    # a value after a space may start with '-', as "-4" and "-1/7" do;
+    # both spellings must give the same report and exit code
     spaced = run(capsys, "check", "iwasawa", "--alpha-prime", value)
     joined = run(capsys, "check", "iwasawa", f"--alpha-prime={value}")
     assert spaced == joined
     code, out, err = spaced
     assert code in (0, 1) and not err
     assert json.loads(out)["alpha_prime"] == value
+
+
+# (argv, the spelling it must print the same report as, exit code); "{out}"
+# is a report file, and such a run prints nothing on stdout
+_SPELLINGS = [
+    (["check", "iwasawa", "--alpha", "1"],
+     ["check", "iwasawa", "--alpha-prime", "1"], 1),
+    (["symbol", "torus", "--samp=3"],
+     ["symbol", "torus", "--samples", "3"], 0),
+    (["cohomology", "iwasawa", "--d"],
+     ["cohomology", "iwasawa", "--diagonal-dbar"], 0),
+    (["trivialize", "iwasawa", "--d", "1"],
+     ["trivialize", "iwasawa", "--degree", "1"], 0),
+    (["check", "iwasawa", "--alpha-prime=-1/7"],
+     ["check", "iwasawa", "--alpha-prime", "-1/7"], 1),
+    (["check", "--alpha-prime", "1", "iwasawa"],
+     ["check", "iwasawa", "--alpha-prime", "1"], 1),
+    (["check", "--", "iwasawa"], ["check", "iwasawa"], 0),
+    (["symbol", "torus", "--samples", "3", "--samples", "5"],
+     ["symbol", "torus", "--samples", "5"], 0),
+    (["serre", "torus", "--out={out}"], ["serre", "torus"], 0),
+    (["serre", "torus", "--out", "{out}"], ["serre", "torus"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, same_as, want", _SPELLINGS,
+                         ids=[" ".join(a) for a, _, _ in _SPELLINGS])
+def test_argument_spellings(tmp_path, capsys, argv, same_as, want):
+    # abbreviations, --opt=value, options before the model, "--" and a
+    # repeated option (the last wins) print the report of the plain spelling
+    out_file = tmp_path / "report.json"
+    argv = [a.replace("{out}", str(out_file)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    if out_file.exists():
+        assert out == ""
+        out = out_file.read_text(encoding="utf-8")
+    assert (code, out, err) == (want, *run(capsys, *same_as)[1:])
+    assert out
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["symbol", "torus", "--samples"], "--samples"),
+    (["trivialize", "iwasawa", "--degree"], "--degree"),
+    (["check", "iwasawa", "--alpha-prime"], "--alpha-prime"),
+    (["check", "iwasawa", "--alpha-prime", "--out"], "--alpha-prime"),
+    (["check"], "model"),
+    ([], "command"),
+    (["check", "iwasawa", "extra"], "extra"),
+    (["bogus", "iwasawa"], "bogus"),
+    (["check", "iwasawa", "--samples", "5"], "--samples"),
+    (["symbol", "torus", "--d"], "--d"),
+    (["check", "iwasawa", "-x"], "-x"),
+    (["cohomology", "iwasawa", "--diagonal-dbar=1"], "--diagonal-dbar"),
+    (["symbol", "torus", "--samples", "0"], "--samples"),
+    (["symbol", "torus", "--samples", "x"], "--samples"),
+    (["trivialize", "iwasawa", "--degree", "-1"], "--degree"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_usage_errors(capsys, argv, named):
+    # exit 2, no report, and an error line that names the argument
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0], err
+
+
+_COMMAND_NAMES = ["check", "cohomology", "serre", "symbol", "trivialize"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--help"], _COMMAND_NAMES),
+    (["-h"], _COMMAND_NAMES),
+    (["symbol", "--help"],
+     ["model", "--alpha-prime", "--samples", "--out", "--help"]),
+    (["cohomology", "iwasawa", "-h"],
+     ["model", "--alpha-prime", "--samples", "--out", "--diagonal-dbar"]),
+    (["trivialize", "--he"], ["model", "--alpha-prime", "--out", "--degree"]),
+], ids=["--help", "-h", "symbol --help", "cohomology iwasawa -h",
+        "trivialize --he"])
+def test_help(capsys, argv, named):
+    # help is usage on stdout, exit 0, naming every subcommand or option
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: hetmod")
+    assert all(name in out for name in named), out
+
+
+def test_command_loads_no_argument_parser_modules():
+    # argparse and what it imports on first use (shutil, with zlib, bz2 and
+    # lzma; gettext and locale) cost a cold command about 7 ms
+    probe = ("import contextlib, io, sys\n"
+             "from hetmod import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(['check', 'iwasawa'])\n"
+             "print(code, sorted({'argparse', 'shutil', 'gettext', 'locale'}"
+             " & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0 []\n"), done.stderr
 
 
 def _builtin_file(tmp_path, name, edit):
@@ -390,8 +493,8 @@ def test_refused_model_file_exits_2(tmp_path, capsys, name, edit, message):
 
 
 def test_reused_parser_leaks_no_state(capsys):
-    # each call, made after the others on one parser, prints what it
-    # prints as the first call on a freshly built parser
+    # each call, made again after all the others in one process, prints
+    # what it printed the first time: the argument reader keeps no state
     calls = [
         ["cohomology", "iwasawa", "--samples", "3", "--diagonal-dbar"],
         ["cohomology", "iwasawa", "--samples", "3"],
@@ -401,12 +504,6 @@ def test_reused_parser_leaks_no_state(capsys):
         ["check", "iwasawa"],
         ["--help"],
     ]
-    first = []
-    for argv in calls:
-        cli.build_parser.cache_clear()
-        first.append(run(capsys, *argv))
+    first = [run(capsys, *argv) for argv in calls]
     assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 0, 0]
-    cli.build_parser.cache_clear()
-    parser = cli.build_parser()
     assert [run(capsys, *argv) for argv in calls] == first
-    assert cli.build_parser() is parser

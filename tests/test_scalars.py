@@ -171,3 +171,29 @@ def test_parse_examples():
         parse_gauss("a")
     with pytest.raises(ScalarError):
         parse_scalar("1 +")
+
+
+def _gauss_via_scalar(text):
+    """parse_gauss through the general scalar parser alone: the reference
+    for its direct path on plain numbers."""
+    s = parse_scalar(text)
+    if s.degree > 0:
+        raise ScalarError(f"expected a constant, got {text!r}")
+    return s.coefficient(0)
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-0", "7", "-12", "3/6", "-3/4", "0/5", "03", "1/0", "-5/0", " 3",
+    "+3", "- 3", "3/4 i", "(1 + i)", "a",
+])
+def test_parse_gauss_agrees_with_parse_scalar(text):
+    # plain integers and p/q are read directly; the value, and the message
+    # of a refusal, are those of the general parser
+    def outcome(parse):
+        try:
+            x = parse(text)
+        except ScalarError as exc:
+            return str(exc)
+        return type(x), (x.a, x.b, x.d)
+
+    assert outcome(parse_gauss) == outcome(_gauss_via_scalar)
