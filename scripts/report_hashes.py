@@ -9,10 +9,14 @@ left every report, message and exit code as it was.
 
 The list: ``check``, ``serre``, ``cohomology`` and ``symbol`` on the
 built-ins at the default alpha' and at 0, 1, -4 and 1/7; ``cohomology NAME
---diagonal-dbar`` and ``symbol NAME --alpha-prime 1/1000000009`` on each
-built-in (the prime is ``linalg.CERT_P``: where alpha' R is nonzero, as on
-calabi-eckmann, it divides the denominator of alpha' R, so every sample is
-decided by the exact rank over Q(i)); ``trivialize iwasawa --degree`` 0..4
+--diagonal-dbar``, at the default alpha' and at 1/7 (the decoupled view's
+dims carry no alpha', the rest of the report does), and ``symbol NAME
+--alpha-prime 1/1000000009`` on each built-in (the prime is
+``linalg.CERT_P``: where alpha' R is nonzero, as on calabi-eckmann, it
+divides the denominator of alpha' R, so every sample is decided by the
+exact rank over Q(i)); ``check iwasawa --alpha-prime=VALUE`` for values
+that a model file refuses as a constant or that are not real (each exits
+2 with an ``error:`` line); ``trivialize iwasawa --degree`` 0..4
 and 6; ``trivialize iwasawa --degree 3`` at alpha' = 0, 1 and 1/7, where the
 anomaly does not balance, so the chart identity fails (exit 1) and the
 report names its first failing section; and ``serre``, ``serre
@@ -59,6 +63,10 @@ from hetmod.models import (
 
 ALPHAS = (None, "0", "1", "-4", "1/7")
 
+# --alpha-prime values outside the constant syntax of model files, or not
+# real
+BAD_ALPHAS = ("-4_0", "-4.0", "-4e0", "i", "1 + i")
+
 # (label, built-in, edit of its model file)
 REFUSALS = (
     ("bundle-F-list", "torus", lambda d: d["bundle"].update(F=[])),
@@ -90,7 +98,10 @@ def commands(files):
                                      else ["--alpha-prime", alpha])
     for name in BUILTIN_NAMES:
         yield ["cohomology", name, "--diagonal-dbar"]
+        yield ["cohomology", name, "--diagonal-dbar", "--alpha-prime", "1/7"]
         yield ["symbol", name, "--alpha-prime", f"1/{CERT_P}"]
+    for alpha in BAD_ALPHAS:
+        yield ["check", "iwasawa", f"--alpha-prime={alpha}"]
     for degree in (0, 1, 2, 3, 4, 6):
         yield ["trivialize", "iwasawa", "--degree", str(degree)]
     for alpha in ("0", "1", "1/7"):

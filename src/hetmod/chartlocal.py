@@ -170,15 +170,17 @@ class Poly(Sparse):
         return {d: _make(Poly, self.shape, t) for d, t in parts.items()}
 
     def __str__(self) -> str:
+        """``(coefficient)monomial`` terms in key order, z_k and zbar_k
+        written z<k> and zb<k> as in model files."""
         if not self.terms:
             return "0"
         bits = []
         for (a, b), c in sorted(self.terms):
             mono = "".join(f"z{k + 1}^{e}" if e > 1 else f"z{k + 1}"
                            for k, e in enumerate(a) if e)
-            mono += "".join(f"w{k + 1}^{e}" if e > 1 else f"w{k + 1}"
+            mono += "".join(f"zb{k + 1}^{e}" if e > 1 else f"zb{k + 1}"
                             for k, e in enumerate(b) if e)
-            bits.append(f"({c}){mono or '1'}")
+            bits.append(f"({c}){mono}")
         return " + ".join(bits)
 
 
@@ -212,13 +214,13 @@ class ChartForm(Form):
                 and all(c.is_holomorphic() for c in self.coeffs.values()))
 
     def __str__(self) -> str:
-        """Terms in key order as ``[coefficient] legs``; the coefficient
-        prints zbar_k as w_k, and the legs print dzbar_k as dw_k."""
+        """Terms in key order as ``[coefficient] legs``; the legs print
+        dzbar_k as dzb<k>, as model files write it."""
         if not self.terms:
             return "0"
         bits = []
         for (h, a), c in sorted(self.terms):
-            legs = "^".join([f"dz{k}" for k in h] + [f"dw{k}" for k in a])
+            legs = "^".join([f"dz{k}" for k in h] + [f"dzb{k}" for k in a])
             bits.append(f"[{c}] {legs}" if legs else f"[{c}]")
         return " + ".join(bits)
 

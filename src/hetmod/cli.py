@@ -26,7 +26,7 @@ from typing import Optional
 from . import chartlocal, cohomology
 from .geometry import HomogeneousModel, ModelError
 from .models import BUILTIN_NAMES, builtin_model, parse_model_file
-from .scalars import GaussRat, ScalarError
+from .scalars import GaussRat, ScalarError, parse_gauss
 
 _DESCRIPTION = ("Exact invariant computations for the deformation operator "
                 "of coupled\nmetric-bundle systems.")
@@ -43,12 +43,16 @@ def _load_model(spec: str) -> HomogeneousModel:
 
 
 def _parse_alpha(text: Optional[str]) -> Optional[GaussRat]:
+    """The coupling, read as model files read a constant; it must be real."""
     if text is None:
         return None
     try:
-        return GaussRat.of(text)
-    except (ScalarError, ValueError) as exc:
+        value = parse_gauss(text)
+        if value.im:
+            raise ScalarError("the coupling alpha' must be real")
+    except ScalarError as exc:
         raise ModelError(f"bad --alpha-prime value {text!r}: {exc}")
+    return value
 
 
 def _int_at_least(least: int, why: str):

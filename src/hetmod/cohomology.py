@@ -57,9 +57,11 @@ def resolve_alpha(m: HomogeneousModel, alpha0: Optional[GaussRat]
 def _operator_chain(m: HomogeneousModel, alpha0: GaussRat,
                     diagonal: bool = False):
     """The D_p: degree p -> p+1 for p = 0..n-1, each specialized once from
-    its pencil to sparse rows {col: nonzero value}."""
-    return [qcomplex.assemble_Dbar(m, p, diagonal).rows(alpha0)
-            for p in range(m.n)]
+    its pencil to sparse rows {col: nonzero value}; with ``diagonal``, the
+    decoupled view of each D_p."""
+    ops = (qcomplex.assemble_Dbar(m, p) for p in range(m.n))
+    return [(qcomplex.decoupled(m, op) if diagonal else op).rows(alpha0)
+            for op in ops]
 
 
 def _require_nilpotent(m: HomogeneousModel, chain, alpha0: GaussRat) -> None:

@@ -418,8 +418,8 @@ def curvature_mixed(conn: ConnectionData, m: HomogeneousModel):
 
 def curvature(conn: ConnectionData, m: HomogeneousModel) -> EndForm:
     """Curvature as an End(T)-valued (1,1) form; raises if any other
-    bidegree appears (always pure (1,1) for Chern; used for Bismut too,
-    where flatness is a model fact, not a convention)."""
+    bidegree appears.  Only ``chern_curvature`` calls it, and the Chern
+    curvature is always pure (1,1)."""
     n = m.n
     mixed = curvature_mixed(conn, m)
     flat = []

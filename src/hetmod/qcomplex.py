@@ -9,7 +9,10 @@ and a vector) tensored with invariant (0,p)-forms.  This module builds:
   forms, and ``assemble_Dbar`` fills the matrix from per-model tables
   (value-slot couplings (x) maps on the legs ab^K); the form route is the
   oracle.  The matrix is a pencil D_0 + a D_1 of sparse GaussRat rows
-  (``QOperatorMatrix``).  Its sub-operators D1, D2, H, H* are slices of it,
+  (``QOperatorMatrix``), assembled once per degree.  Every part of it is
+  read from that one assembly by leg range: the paper's D1, D2, H, H* are
+  blocks of it (``leg_block``), and the decoupled operator is its diagonal
+  blocks (``decoupled``), the associated graded of T* in T* + End in Q,
 * the Hermitian Gram matrix of the invariant section basis, a direct sum of
   Kronecker products; the lowered adjoint conj(D^T G_tgt), which the
   harmonic counts rank; and the adjoint Dbar*, computed both from the Gram
@@ -320,7 +323,9 @@ def op_R_nabla_plus(x: VectorForm, m: HomogeneousModel) -> CovectorForm:
 def apply_Dbar(s: QSection, m: HomogeneousModel,
                diagonal: bool = False) -> QSection:
     """One application of the deformation operator; the coupling slot in the
-    first row carries the formal variable a, so results stay symbolic."""
+    first row carries the formal variable a, so results stay symbolic.
+    With ``diagonal``, the leg Dolbeault operators alone, computed here and
+    not from the coupled result: the oracle for ``decoupled``."""
     kappa = dbar_leg(s.kappa, m)
     gamma = dbar_end(s.gamma, m)
     w = dbar_leg(s.w, m)
@@ -538,11 +543,10 @@ def _leg_map(m: HomogeneousModel, p: int, k=None, l=None):
     return m.cached(("leg_map", p, k, l), build)
 
 
-def _slot_couplings(m: HomogeneousModel, diagonal: bool):
+def _slot_couplings(m: HomogeneousModel):
     """Per source slot i, the (j, k, l, e, c) of Dbar: slot i feeds slot j
     with c a^e times the leg map (k, l), c a GaussRat read off the model's
-    constant tables.  The decoupled operator keeps the leg dbar and the
-    (0,1) connection only."""
+    constant tables."""
     def build():
         n, r = m.n, m.rank
         g, w = n, n + r * r            # the first gauge and vector slots
@@ -551,44 +555,41 @@ def _slot_couplings(m: HomogeneousModel, diagonal: bool):
                   for j, k, i, c in _mu_table(m, True)[1]]
         parts += [(w + i, w + j, k, None, 0, c)
                   for j, k, i, c in _mu_table(m, False)[1]]
-        if not diagonal:
-            parts += [(g + i, j, k, None, 1, c)
-                      for j, k, i, c in _f_table(m, True)[1]]
-            parts += [(w + i, g + j, k, None, 0, c)
-                      for j, k, i, c in _f_table(m, False)[1]]
-            parts += [(w + i, j, k, None, 0, c)
-                      for j, k, i, c in _t_table(m)[1]]
-            R = _r_table(m)[1]
-            gp = bismut(m).gamma if R else ()
-            for j, k, i, c in R:
-                # component mm of nabla+_l w is the Chern derivative of w^mm
-                # plus gp[l][mm][b] w^b
-                l, mm = divmod(i, n)
-                parts.append((w + mm, j, k, l, 1, c))
-                parts += [(w + b, j, k, None, 1, c * Scalar.const(v))
-                          for b, v in enumerate(gp[l][mm]) if v]
+        parts += [(g + i, j, k, None, 1, c)
+                  for j, k, i, c in _f_table(m, True)[1]]
+        parts += [(w + i, g + j, k, None, 0, c)
+                  for j, k, i, c in _f_table(m, False)[1]]
+        parts += [(w + i, j, k, None, 0, c)
+                  for j, k, i, c in _t_table(m)[1]]
+        R = _r_table(m)[1]
+        gp = bismut(m).gamma if R else ()
+        for j, k, i, c in R:
+            # component mm of nabla+_l w is the Chern derivative of w^mm
+            # plus gp[l][mm][b] w^b
+            l, mm = divmod(i, n)
+            parts.append((w + mm, j, k, l, 1, c))
+            parts += [(w + b, j, k, None, 1, c * Scalar.const(v))
+                      for b, v in enumerate(gp[l][mm]) if v]
         out = [[] for _ in range(w + n)]
         for i, j, k, l, e, c in parts:
             out[i].append((j, k, l, e, c.coefficient(0)))
         return out
-    return m.cached(("slot_couplings", diagonal), build)
+    return m.cached("slot_couplings", build)
 
 
-def assemble_Dbar(m: HomogeneousModel, p: int,
-                  diagonal: bool = False) -> QOperatorMatrix:
+def assemble_Dbar(m: HomogeneousModel, p: int) -> QOperatorMatrix:
     """The matrix of Dbar from degree p over the q_basis, from the slot
     couplings and the leg maps, as the pencil of its coefficients of 1 and
     of a; ``apply_Dbar`` is the form-level route it is tested against.
     Each source column is accumulated per power of a and value slot, then
     read into q_basis coordinates; only nonzero entries are stored."""
-    key = ("Dbar", p, diagonal)
     def build():
         n, r = m.n, m.rank
         src, tgt = q_labels(m, p), q_labels(m, p + 1)
         nk, nt = len(_combos(n, p)), len(_combos(n, p + 1))
         couplings = [[(e, j, c, _leg_map(m, p, k, l))
                       for j, k, l, e, c in parts]
-                     for parts in _slot_couplings(m, diagonal)]
+                     for parts in _slot_couplings(m)]
         for parts in couplings:
             for e, *_ in parts:
                 _refuse_degree(e, "Dbar")
@@ -608,7 +609,54 @@ def assemble_Dbar(m: HomogeneousModel, p: int,
                 col += 1
         return QOperatorMatrix(p, p + 1, src, tgt,
                                tuple(tuple(mk) for mk in pencil))
-    return m.cached(key, build)
+    return m.cached(("Dbar", p), build)
+
+
+# ---------------------------------------------------------------------------
+# leg blocks
+
+
+def _leg_bounds(m: HomogeneousModel, p: int) -> List[int]:
+    """Where the kappa, gamma and w coordinates start and end in q_basis."""
+    nk = len(_combos(m.n, p))
+    ne = m.rank * m.rank - 1
+    return [0, m.n * nk, (m.n + ne) * nk, (2 * m.n + ne) * nk]
+
+
+def leg_block(m: HomogeneousModel, op: QOperatorMatrix, src_legs, tgt_legs
+              ) -> QOperatorMatrix:
+    """The block of ``op`` from the source legs src_legs = (first, end) to
+    the target legs tgt_legs (``_leg_bounds`` indices: 0 = T*, 1 = End,
+    2 = T, 3 = end), its columns renumbered from 0.  On Dbar, D1 is
+    (1, 3) -> (1, 3), D2 (0, 2) -> (0, 2), H (1, 3) -> (0, 1), and H*
+    (2, 3) -> (0, 2)."""
+    lo, hi = (_leg_bounds(m, op.source_p)[t] for t in src_legs)
+    tlo, thi = (_leg_bounds(m, op.target_p)[t] for t in tgt_legs)
+    return QOperatorMatrix(op.source_p, op.target_p,
+                           op.source_labels[lo:hi], op.target_labels[tlo:thi],
+                           tuple(tuple({c - lo: x for c, x in row.items()
+                                        if lo <= c < hi} for row in mk[tlo:thi])
+                                 for mk in op.pencil))
+
+
+def decoupled(m: HomogeneousModel, op: QOperatorMatrix) -> QOperatorMatrix:
+    """``op`` in its own shape with only the diagonal leg blocks (T* -> T*,
+    End -> End, T -> T) kept.  On Dbar, which is upper triangular in the
+    legs, this is the associated graded of T* in T* + End in Q."""
+    src, tgt = _leg_bounds(m, op.source_p), _leg_bounds(m, op.target_p)
+    return replace(op, pencil=tuple(
+        tuple({c: x for c, x in row.items() if src[t] <= c < src[t + 1]}
+              for t in range(3) for row in mk[tgt[t]:tgt[t + 1]])
+        for mk in op.pencil))
+
+
+def upper_triangular(m: HomogeneousModel, p: int) -> bool:
+    """Whether Dbar from degree p maps no leg into an earlier one of
+    (T*, End, T), in either coefficient of the coupling a."""
+    src, tgt = _leg_bounds(m, p), _leg_bounds(m, p + 1)
+    return not any(c < src[t] for mk in assemble_Dbar(m, p).pencil
+                   for t in range(3) for row in mk[tgt[t]:tgt[t + 1]]
+                   for c in row)
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +917,14 @@ def op_R_nabla_plus_star(kap: CovectorForm, m: HomogeneousModel) -> VectorForm:
     return _vector_from_paired(m, C, q)
 
 
+def _section(m: HomogeneousModel, p: int, kappa=None, gamma=None, w=None
+             ) -> QSection:
+    """The Q-section with the legs given and zero elsewhere."""
+    return QSection.build(kappa or CovectorForm.zero(m.n, 0, p),
+                          gamma or EndForm.zero(m.n, m.rank, 0, p),
+                          w or VectorForm.zero(m.n, 0, p))
+
+
 def assemble_Dstar_formula(m: HomogeneousModel, p: int) -> QOperatorMatrix:
     """The adjoint assembled from the closed formulas: diagonal blocks are
     the Gram adjoints of the leg Dolbeault operators, coupling blocks come
@@ -879,7 +935,7 @@ def assemble_Dstar_formula(m: HomogeneousModel, p: int) -> QOperatorMatrix:
     tgt = q_basis(m, p - 1)
     # the leg Dolbeault adjoints: Gram adjoint of the decoupled operator,
     # which is block diagonal because the Gram matrix is
-    diag = gram_adjoint(m, assemble_Dbar(m, p - 1, diagonal=True))
+    diag = gram_adjoint(m, decoupled(m, assemble_Dbar(m, p - 1)))
     pencil = tuple([dict(row) for row in mk] for mk in diag.pencil)
     for s_idx, sec in enumerate(src.sections):
         kap, g = sec.kappa, sec.gamma
@@ -896,90 +952,6 @@ def assemble_Dstar_formula(m: HomogeneousModel, p: int) -> QOperatorMatrix:
                 _acc(mk[i], s_idx, x)
     return QOperatorMatrix(p, p - 1, src.labels, tgt.labels,
                            tuple(tuple(mk) for mk in pencil))
-
-
-# ---------------------------------------------------------------------------
-# sub-operators
-
-
-def _leg_bounds(m: HomogeneousModel, p: int) -> List[int]:
-    """Where the kappa, gamma and w coordinates start and end in q_basis."""
-    nk = len(_combos(m.n, p))
-    ne = m.rank * m.rank - 1
-    return [0, m.n * nk, (m.n + ne) * nk, (2 * m.n + ne) * nk]
-
-
-def _section(m: HomogeneousModel, p: int, kappa=None, gamma=None, w=None
-             ) -> QSection:
-    """The Q-section with the legs given and zero elsewhere."""
-    return QSection.build(kappa or CovectorForm.zero(m.n, 0, p),
-                          gamma or EndForm.zero(m.n, m.rank, 0, p),
-                          w or VectorForm.zero(m.n, 0, p))
-
-
-def _slice(m: HomogeneousModel, p: int, src_legs, tgt_legs
-           ) -> QOperatorMatrix:
-    """The block of Dbar from the legs src_legs = (first, end) of degree p
-    to the legs tgt_legs of degree p + 1 (0 = kappa, 1 = gamma, 2 = w,
-    3 = end), cut out of ``assemble_Dbar``."""
-    full = assemble_Dbar(m, p)
-    lo, hi = (_leg_bounds(m, p)[t] for t in src_legs)
-    tlo, thi = (_leg_bounds(m, p + 1)[t] for t in tgt_legs)
-    return QOperatorMatrix(p, p + 1, full.source_labels[lo:hi],
-                           full.target_labels[tlo:thi], tuple(
-                               tuple({c - lo: x for c, x in row.items()
-                                      if lo <= c < hi} for row in mk[tlo:thi])
-                               for mk in full.pencil))
-
-
-def assemble_Dbar1(m: HomogeneousModel, p: int) -> QOperatorMatrix:
-    """[dbar_E, F; 0, dbar] on the End + T subbundle."""
-    return _slice(m, p, (1, 3), (1, 3))
-
-
-def assemble_Dbar2(m: HomogeneousModel, p: int) -> QOperatorMatrix:
-    """[dbar, a F; 0, dbar_E] on the T* + End subbundle."""
-    return _slice(m, p, (0, 2), (0, 2))
-
-
-def assemble_H(m: HomogeneousModel, p: int) -> QOperatorMatrix:
-    """The connecting operator End + T -> T*: a F gamma + T W + a R nabla+ W."""
-    return _slice(m, p, (1, 3), (0, 1))
-
-
-def assemble_Hstar(m: HomogeneousModel, p: int) -> QOperatorMatrix:
-    """The connecting operator T -> T* + End: (T W + a R nabla+ W, F W)."""
-    return _slice(m, p, (2, 3), (0, 2))
-
-
-def reassembly_residuals(m: HomogeneousModel, p: int) -> Dict[str, bool]:
-    """Check what Dbar = (dbar, H; 0, D1) and Dbar = (D2, H*; 0, dbar) add
-    to the slices: below the split nothing comes from the columns before
-    it, and the T* -> T* ("split") or T -> T ("dual") block is the decoupled
-    operator's.  Both are read off the sparse rows of the two pencils, each
-    coefficient of the coupling a on its own.  Returns booleans per
-    identity (True = exact)."""
-    full = assemble_Dbar(m, p).pencil
-    diag = assemble_Dbar(m, p, diagonal=True).pencil
-    _, c1, c2, _ = _leg_bounds(m, p)        # ends of the e1, e2 columns
-    _, r1, r2, _ = _leg_bounds(m, p + 1)
-
-    def below(r0, c0):
-        return not any(c < c0 for rows in full for row in rows[r0:]
-                       for c in row)
-
-    def same(rows, keep):
-        # the full and decoupled pencils agree on these rows, in the
-        # columns that ``keep`` selects
-        return all({c: x for c, x in f.items() if keep(c)}
-                   == {c: x for c, x in d.items() if keep(c)}
-                   for F, D in zip(full, diag)
-                   for f, d in zip(F[rows], D[rows]))
-
-    return {
-        "split": below(r1, c1) and same(slice(r1), lambda c: c < c1),
-        "dual": below(r2, c2) and same(slice(r2, None), lambda c: c >= c2),
-    }
 
 
 # ---------------------------------------------------------------------------

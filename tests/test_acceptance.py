@@ -201,14 +201,13 @@ def test_07_adjoint_identity_all_models(builtins, random_flat_models):
 # -- (8) the volume-form duality pairing -------------------------------------
 
 def _closed_pairs(m, a0, count, rng):
-    n, r = m.n, m.rank
-    op = qc.assemble_Dbar1(m, 2)
+    n = m.n
+    # u in ker D1 (End + T, degree 2), w in ker of the T -> T block of D_0
+    op = qc.leg_block(m, qc.assemble_Dbar(m, 2), (1, 3), (1, 3))
     D1 = dense(op.rows(a0), op.shape[1])
     ker_u = linalg.kernel_basis(D1, cols=len(D1[0]))
-    block = (n + r * r - 1)
-    op = qc.assemble_Dbar(m, 0, diagonal=True)
-    Dd = dense(op.rows(a0), op.shape[1])
-    rows_e3 = [row[block:] for row in Dd[block * 3:]]
+    op = qc.leg_block(m, qc.assemble_Dbar(m, 0), (2, 3), (2, 3))
+    rows_e3 = dense(op.rows(a0), op.shape[1])
     ker_w = linalg.kernel_basis(rows_e3, cols=n)
     vals = [GaussRat.of(a, b) for a in (-2, -1, 0, 1, 2) for b in (-1, 0, 1)]
     for _ in range(count):

@@ -137,7 +137,7 @@ def test_chart_breaking_a_mixed_structure_equation_refused(calabi_eckmann):
     assert str(exc.value) == (
         "chart.coframe_pullback.a1 breaks the structure equations: d of the "
         "pullback minus the pullback of d a1 has (1,1) part "
-        "[(-1/2 i)1] dz2^dw2 + [(1/2)1] dz3^dw3")
+        "[(-1/2 i)] dz2^dzb2 + [(1/2)] dz3^dzb3")
 
 
 def test_gauge_potential_value(iwasawa):
@@ -616,13 +616,13 @@ def test_perturbed_potential_breaks_the_identity(iwasawa):
     # D gives nothing new there, phi^{-1} dbar phi gives dbar(zbar_1) dz^1
     k = next(i for i, r in enumerate(residuals) if r)
     assert sections[k].w == {1: cl.ChartForm.func(cp(1))}
-    assert residuals[k].labelled() == {"e1:dz^1": "[(-1)1] dw1"}
+    assert residuals[k].labelled() == {"e1:dz^1": "[(-1)] dzb1"}
     ident = cl.operator_identity_report(bad, 1)
     assert ident["failures"] == sum(1 for r in residuals if r) > 0
     assert ident["passed"] is False
     assert ident["first_failure"] == {"slot": "e3:d/dz^2",
-                                      "monomial": "(1)1",
-                                      "residual": {"e1:dz^1": "[(-1)1] dw1"}}
+                                      "monomial": "(1)",
+                                      "residual": {"e1:dz^1": "[(-1)] dzb1"}}
     # the unperturbed pair passes and its report carries no witness
     assert cl.operator_identity_report(t, 1) == {
         "sections_checked": len(sections), "failures": 0, "passed": True}

@@ -183,6 +183,28 @@ def test_negative_alpha_spaced_and_joined(capsys, value):
     assert json.loads(out)["alpha_prime"] == value
 
 
+@pytest.mark.parametrize("value", ["-4_0", "-4.0", "-4e0", "1 + i", "i"])
+def test_alpha_prime_outside_the_model_file_syntax_refused(capsys, value):
+    # --alpha-prime is read as a model file reads a constant, so "-4_0",
+    # "-4.0" and "-4e0" are refused as model files refuse them; a non-real
+    # value is refused in the same place, since check never resolves the
+    # coupling that the count path refuses it in
+    code, out, err = run(capsys, "check", "iwasawa", f"--alpha-prime={value}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad --alpha-prime value ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value, alpha, want", [
+    ("-4", "-4", 0), ("-1/7", "-1/7", 1), (" -4 ", "-4", 0)])
+def test_alpha_prime_in_the_model_file_syntax(capsys, value, alpha, want):
+    code, out, err = run(capsys, "check", "iwasawa", f"--alpha-prime={value}")
+    assert (code, err) == (want, "")
+    assert json.loads(out)["alpha_prime"] == alpha
+    assert run(capsys, "check", "iwasawa", "--alpha-prime", alpha) == (
+        code, out, err)
+
+
 # (argv, the spelling it must print the same report as, exit code); "{out}"
 # is a report file, and such a run prints nothing on stdout
 _SPELLINGS = [
@@ -344,7 +366,7 @@ _NOT_A_COFRAME = ("error: chart.coframe_pullback: det P = {} is not a "
                   "nonzero constant, so the pullbacks are not a coframe\n")
 _BREAKS_D_A3 = ("error: chart.coframe_pullback.a3 breaks the structure "
                 "equations: d of the pullback minus the pullback of d a3 has "
-                "(2,0) part [({})1] dz1^dz2\n")
+                "(2,0) part [({})] dz1^dz2\n")
 
 
 @pytest.mark.parametrize("leg, text, err", [
@@ -420,10 +442,10 @@ def test_cohomology_exit_code_covers_every_check(capsys, model, extra, want):
 
 def test_trivialize_failure_names_its_witness(capsys):
     # at a' = 0 the torsion-potential equation dbar tau_21 = T_12 has no
-    # solution: T_12 = 1/2 dw3 - 1/2 w1 dw2 is not dbar-closed.  The radial
-    # primitive tau_21 = 1/2 w3 - 1/4 w1 w2 misses by T_12 - dbar tau_21 =
-    # 1/4 w2 dw1 - 1/4 w1 dw2, and that is the residual on the constant
-    # section d/dz^1, in the dz^2 covector slot (w_k prints zbar_k)
+    # solution: T_12 = 1/2 dzb3 - 1/2 zb1 dzb2 is not dbar-closed.  The
+    # radial primitive tau_21 = 1/2 zb3 - 1/4 zb1 zb2 misses by T_12 -
+    # dbar tau_21 = 1/4 zb2 dzb1 - 1/4 zb1 dzb2, and that is the residual on
+    # the constant section d/dz^1, in the dz^2 covector slot
     code, out, _ = run(capsys, "trivialize", "iwasawa", "--degree", "1",
                        "--alpha-prime", "0")
     assert code == 1
@@ -431,8 +453,8 @@ def test_trivialize_failure_names_its_witness(capsys):
     assert ident["failures"] > 0 and ident["passed"] is False
     assert ident["first_failure"] == {
         "slot": "e3:d/dz^1",
-        "monomial": "(1)1",
-        "residual": {"e1:dz^2": "[(1/4)w2] dw1 + [(-1/4)w1] dw2"},
+        "monomial": "(1)",
+        "residual": {"e1:dz^2": "[(1/4)zb2] dzb1 + [(-1/4)zb1] dzb2"},
     }
 
 

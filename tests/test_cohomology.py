@@ -15,11 +15,11 @@ from hetmod import cohomology as coh
 from hetmod import linalg
 from hetmod import qcomplex as qc
 from hetmod.exterior import EndForm, InvariantForm, MixedForm
-from hetmod.geometry import HomogeneousModel, ModelError
+from hetmod.geometry import HomogeneousModel, ModelError, frame_dbar_matrix
 from hetmod.models import builtin_model, model_to_json, parse_model_text
 from hetmod.scalars import GR_ONE, GR_ZERO, GaussRat, Scalar
 
-from helpers import dense, schur_complement
+from helpers import dense, exterior_derivative_by_wedge, schur_complement
 
 
 def test_space_dimensions(iwasawa, calabi_eckmann):
@@ -182,13 +182,15 @@ def test_cohomology_data_ranks_each_matrix_once(monkeypatch):
 def _harmonic_via_gram_adjoint(m, a0, diagonal):
     """The harmonic counts by the Gram-adjoint route: dim_p minus the rank
     of D_p stacked over the specialized Gram adjoint of D_{p-1}."""
+    def op(p):
+        full = qc.assemble_Dbar(m, p)
+        return qc.decoupled(m, full) if diagonal else full
+
     out = []
     for p in range(m.n + 1):
-        stack = (qc.assemble_Dbar(m, p, diagonal).rows(a0)
-                 if p < m.n else [])
+        stack = op(p).rows(a0) if p < m.n else []
         if p:
-            stack = stack + qc.gram_adjoint(
-                m, qc.assemble_Dbar(m, p - 1, diagonal)).rows(a0)
+            stack = stack + qc.gram_adjoint(m, op(p - 1)).rows(a0)
         out.append(coh.q_space_dimension(m, p) - linalg.rank_rows(stack))
     return out
 
@@ -621,6 +623,59 @@ def _iwasawa_t2():
                 metric=[["1/2" if i == j else "0" for j in range(5)]
                         for i in range(5)])
     return parse_model_text(json.dumps(data))
+
+
+def _h0q_from_structure_constants(m):
+    """h^{0,q} of the invariant forms, q = 0..n, from the structure
+    constants alone: d of each (0,q) monomial ab^K by the Leibniz rule of
+    ``exterior_derivative_by_wedge``, ranked by ``linalg.rank_rows``.  The
+    model must be complex-parallelizable, so that d of a (0,q) form is a
+    (0,q+1) form, and that is checked on every monomial."""
+    n = m.n
+    ranks = [0]
+    for q in range(n):
+        index = {L: t for t, L in enumerate(
+            itertools.combinations(range(1, n + 1), q + 1))}
+        rows = []
+        for K in itertools.combinations(range(1, n + 1), q):
+            dx = exterior_derivative_by_wedge(
+                InvariantForm.monomial(n, [], list(K)), m)
+            assert all(bideg == (0, q + 1) for bideg, _ in dx.parts), K
+            rows.append({index[L]: c.coefficient(0)
+                         for (_, L), c in dx.part(0, q + 1).terms})
+        ranks.append(linalg.rank_rows(rows))
+    ranks.append(0)
+    return [math.comb(n, q) - ranks[q] - ranks[q + 1] for q in range(n + 1)]
+
+
+def test_decoupled_counts_by_the_structure_constants(iwasawa, torus,
+                                                     random_flat_models):
+    # On a complex-parallelizable model every d a_k is of type (2,0), so
+    # the (1,1) structure constants vanish, and frame_dbar_matrix's mu,
+    # read off them, is 0.  The (0,1) Chern connection of dbar_leg on the
+    # vector and covector legs is built from mu alone, so it drops out and
+    # dbar_leg is dbar on each of the n components; dbar_end is dbar on
+    # each gauge entry, so on the r^2 - 1 trace-free coordinates.  The
+    # decoupled operator is then 2n + r^2 - 1 copies of dbar on invariant
+    # (0,q)-forms.  There d ab^k = conj(d a_k) is of type (0,2), so d of a
+    # (0,q) form is its dbar, and h = (2n + r^2 - 1) h^{0,q}.
+    cases = [(iwasawa, [1, 2, 2, 1]), (torus, [1, 3, 3, 1]),
+             (_iwasawa_t2(), [1, 4, 7, 7, 4, 1])]
+    cases += [(m, [1, 3, 3, 1]) for m in random_flat_models]
+    for m, want in cases:
+        assert all(bideg == (2, 0) for d in m.d_coframe
+                   for bideg, _ in d.parts), m.name
+        assert not any(v for a in frame_dbar_matrix(m) for b in a
+                       for v in b), m.name
+        h0q = _h0q_from_structure_constants(m)
+        assert h0q == want, m.name
+        copies = 2 * m.n + m.rank ** 2 - 1
+        data = coh.cohomology_data(m, diagonal=True)
+        assert data.h == [copies * x for x in h0q], m.name
+        # the diagonal blocks carry no a: the view's a-coefficient is empty
+        for p in range(m.n):
+            graded = qc.decoupled(m, qc.assemble_Dbar(m, p))
+            assert not any(graded.pencil[1]), (m.name, p)
 
 
 def test_prime_route_decides_every_sample_it_can(builtins, monkeypatch):

@@ -3,9 +3,11 @@
 Two independent routes exist for the adjoint (the Gram-matrix route and the
 closed index formulas), and two for the operator matrix itself (the tables
 of assemble_Dbar versus the form code, apply_Dbar on every basis section),
-so each pair acts as an oracle for the other.  The blocks D1, D2, H, H* are
-slices of the matrix; reassembly checks the triangular structure they rest
-on.
+so each pair acts as an oracle for the other.  The blocks D1, D2, H, H* and
+the decoupled view are cut from the one assembled matrix by leg range; the
+tests find the same blocks by the q_basis labels, check that the matrix is
+upper triangular in the legs, and check the decoupled view against
+apply_Dbar's own decoupled mode.
 """
 
 import dataclasses
@@ -14,12 +16,13 @@ import random
 import pytest
 
 from hetmod import cohomology as coh
+from hetmod import linalg
 from hetmod import qcomplex as qc
 from hetmod.exterior import EndForm, InvariantForm, VectorForm
 from hetmod.geometry import ModelError, bismut, validate_model
-from hetmod.scalars import GaussRat, S_ONE, Scalar
+from hetmod.scalars import GaussRat, S_ONE, S_ZERO, Scalar
 from helpers import gram_pair, section_from_coordinates
-from test_cohomology import _random_flat_model
+from test_cohomology import _iwasawa_t2, _random_flat_model
 
 
 def test_q_basis_dimensions(iwasawa, calabi_eckmann):
@@ -41,10 +44,16 @@ def test_coordinates_round_trip(builtins):
             assert section_from_coordinates(m, 1, coords) == s
 
 
+def _dbar(m, p, diagonal):
+    """Dbar from degree p, or its decoupled view with ``diagonal``."""
+    op = qc.assemble_Dbar(m, p)
+    return qc.decoupled(m, op) if diagonal else op
+
+
 def _assert_tables_match_forms(m, p, diagonal):
-    """assemble_Dbar (slot couplings and leg maps) against apply_Dbar (form
-    code), column by column."""
-    op = qc.assemble_Dbar(m, p, diagonal)
+    """assemble_Dbar (slot couplings and leg maps), or its decoupled view,
+    against apply_Dbar (form code), column by column."""
+    op = _dbar(m, p, diagonal)
     basis = qc.q_basis(m, p)
     assert op.source_labels == basis.labels
     assert op.target_labels == qc.q_basis(m, p + 1).labels
@@ -93,7 +102,7 @@ def test_pencil_rows_are_the_dense_view_specialized(builtins,
     for m in builtins + random_flat_models:
         for p in range(m.n):
             for diagonal in (False, True):
-                op = qc.assemble_Dbar(m, p, diagonal)
+                op = _dbar(m, p, diagonal)
                 for a0 in (GaussRat.of(0), GaussRat.of(1)):
                     want = [{c: x.evaluate(a0) for c, x in enumerate(row)
                              if x.evaluate(a0)} for row in op.entries]
@@ -109,45 +118,56 @@ def test_pencil_rows_are_the_dense_view_specialized(builtins,
 def test_pencil_refuses_a_squared(iwasawa):
     # an a^2 slot coupling reaches the assembly: refused, not truncated
     m = dataclasses.replace(iwasawa, name="iwasawa-a2")
-    parts = [list(x) for x in qc._slot_couplings(m, False)]
+    parts = [list(x) for x in qc._slot_couplings(m)]
     parts[0].append((0, 0, None, 2, GaussRat.of(1)))   # a^2 ab^1 ^ .
-    m._cache[("slot_couplings", False)] = parts
+    m._cache["slot_couplings"] = parts
     with pytest.raises(ModelError, match="degree 2 in the coupling"):
         qc.assemble_Dbar(m, 0)
     with pytest.raises(ModelError, match="degree 2 in the coupling"):
         coh.cohomology_data(m)
 
 
+# the leg of each q_basis label, in the order of _leg_bounds: T*, End, T
+_LEGS = ("e1", "e2", "e3")
+
+
 def test_block_reassembly(builtins, random_flat_models,
                           dense_metric_builtins):
     # each block is Dbar on its source and target legs, found here by the
-    # labels e1 (T*), e2 (End) and e3 (T)
-    legs = {qc.assemble_Dbar1: (("e2", "e3"), ("e2", "e3")),
-            qc.assemble_Dbar2: (("e1", "e2"), ("e1", "e2")),
-            qc.assemble_H: (("e2", "e3"), ("e1",)),
-            qc.assemble_Hstar: (("e3",), ("e1", "e2"))}
+    # labels e1 (T*), e2 (End) and e3 (T); the decoupled view keeps, in
+    # Dbar's shape, the entries whose source and target are on one leg
+    blocks = {"D1": ((1, 3), (1, 3)), "D2": ((0, 2), (0, 2)),
+              "H": ((1, 3), (0, 1)), "H*": ((2, 3), (0, 2))}
     for m in builtins + random_flat_models + dense_metric_builtins:
         for p in range(m.n):
-            res = qc.reassembly_residuals(m, p)
-            assert res == {"split": True, "dual": True}, (m.name, p)
+            assert qc.upper_triangular(m, p), (m.name, p)
             full = qc.assemble_Dbar(m, p)
-            for block, (src, tgt) in legs.items():
-                op = block(m, p)
+            for name, (src, tgt) in blocks.items():
+                op = qc.leg_block(m, full, src, tgt)
                 cols = [j for j, label in enumerate(full.source_labels)
-                        if label[:2] in src]
+                        if label[:2] in _LEGS[slice(*src)]]
                 rows = [i for i, label in enumerate(full.target_labels)
-                        if label[:2] in tgt]
+                        if label[:2] in _LEGS[slice(*tgt)]]
                 assert op.source_labels == tuple(
-                    full.source_labels[j] for j in cols)
+                    full.source_labels[j] for j in cols), name
                 assert op.target_labels == tuple(
-                    full.target_labels[i] for i in rows)
+                    full.target_labels[i] for i in rows), name
                 assert op.entries == tuple(
                     tuple(full.entries[i][j] for j in cols) for i in rows)
+            graded = qc.decoupled(m, full)
+            assert (graded.source_labels, graded.target_labels) == (
+                full.source_labels, full.target_labels)
+            assert graded.entries == tuple(
+                tuple(x if full.source_labels[j][:2] == tlabel[:2]
+                      else S_ZERO for j, x in enumerate(row))
+                for tlabel, row in zip(full.target_labels, full.entries))
 
 
 def test_block_reassembly_sees_a_broken_pencil(builtins, random_flat_models):
-    # one stray entry below the split in the cached pencil breaks "split",
-    # and one changed T -> T entry breaks "dual"
+    # one stray entry below the diagonal blocks in the cached pencil makes
+    # Dbar fail to be upper triangular; one changed T -> T entry leaves it
+    # triangular, and the decoupled view, read off the same pencil, then
+    # disagrees with the form route's own decoupled operator
     for base in builtins + random_flat_models:
         for p in range(base.n):
             _, c1, c2, _ = qc._leg_bounds(base, p)
@@ -161,10 +181,76 @@ def test_block_reassembly_sees_a_broken_pencil(builtins, random_flat_models):
                     rows[row][col] = v
                 else:
                     del rows[row][col]
-                m._cache[("Dbar", p, False)] = dataclasses.replace(
+                m._cache[("Dbar", p)] = dataclasses.replace(
                     op, pencil=(tuple(rows), op.pencil[1]))
-                res = qc.reassembly_residuals(m, p)
-                assert res[broken] is False, (m.name, p, res)
+                if broken == "split":
+                    assert not qc.upper_triangular(m, p), (m.name, p)
+                    continue
+                assert qc.upper_triangular(m, p), (m.name, p)
+                with pytest.raises(AssertionError):
+                    _assert_tables_match_forms(m, p, diagonal=True)
+
+
+def _block_counts(m, legs):
+    """h^p, p = 0..n, of the block of Dbar on the legs (first, end) at the
+    model's coupling, from the ranks of the block's rows alone."""
+    a0 = coh.resolve_alpha(m, None)
+    ranks = [0] + [linalg.rank_rows(qc.leg_block(
+        m, qc.assemble_Dbar(m, p), legs, legs).rows(a0))
+        for p in range(m.n)] + [0]
+    dims = [bounds[legs[1]] - bounds[legs[0]]
+            for bounds in (qc._leg_bounds(m, p) for p in range(m.n + 1))]
+    return [dims[p] - ranks[p] - ranks[p + 1] for p in range(m.n + 1)]
+
+
+# the blocks of the filtration T* in T* + End in Q, by leg range
+_FILTRATION = {"T*": (0, 1), "End": (1, 2), "T": (2, 3), "sub": (0, 2),
+               "quotient": (1, 3), "Q": (0, 3)}
+
+
+def test_q_filtration_block_counts(builtins):
+    # Dbar is upper triangular in (T*, End, T), so T* and the sub T* + End
+    # are subcomplexes and End + T and T quotient complexes; the diagonal
+    # blocks are the E_1 page of the filtration's spectral sequence
+    want = {
+        "iwasawa": {"T*": [3, 6, 6, 3], "End": [3, 6, 6, 3],
+                    "T": [3, 6, 6, 3], "sub": [5, 11, 10, 4],
+                    "quotient": [4, 10, 11, 5], "Q": [6, 11, 11, 6]},
+        "torus": {"T*": [3, 9, 9, 3], "End": [3, 9, 9, 3],
+                  "T": [3, 9, 9, 3], "sub": [6, 18, 18, 6],
+                  "quotient": [6, 18, 18, 6], "Q": [9, 27, 27, 9]},
+        "calabi-eckmann": {"T*": [0, 1, 1, 0], "End": [8, 8, 0, 0],
+                           "T": [1, 1, 0, 0], "sub": [8, 9, 1, 0],
+                           "quotient": [9, 9, 0, 0], "Q": [8, 8, 0, 0]},
+    }
+    for m in builtins:
+        got = {name: _block_counts(m, legs)
+               for name, legs in _FILTRATION.items()}
+        assert got == want[m.name], m.name
+        assert got["Q"] == coh.cohomology_data(m).h, m.name
+
+
+def test_sub_and_quotient_are_serre_dual_on_solutions(iwasawa,
+                                                      calabi_eckmann):
+    # on a solution the sub T* + End and the quotient End + T have
+    # Serre-dual counts, h^p(sub) = h^{n-p}(quotient); on iwasawa neither
+    # is symmetric alone, and calabi-eckmann, which fails check, is not
+    # dual
+    t2 = _iwasawa_t2()
+    pinned = {"iwasawa": ([5, 11, 10, 4], [4, 10, 11, 5]),
+              "iwasawa-t2": ([7, 29, 51, 49, 26, 6], [6, 26, 49, 51, 29, 7])}
+    for m in (iwasawa, t2):
+        assert coh.system_report(m, None)["passed"], m.name
+        sub, quotient = (_block_counts(m, _FILTRATION[name])
+                         for name in ("sub", "quotient"))
+        assert (sub, quotient) == pinned[m.name]
+        assert sub == quotient[::-1], m.name
+        if m is iwasawa:
+            assert sub != sub[::-1] and quotient != quotient[::-1]
+    assert not coh.system_report(calabi_eckmann, None)["passed"]
+    sub, quotient = (_block_counts(calabi_eckmann, _FILTRATION[name])
+                     for name in ("sub", "quotient"))
+    assert sub != quotient[::-1]
 
 
 def test_adjoint_formula_matches_gram_route(builtins, random_flat_models):
