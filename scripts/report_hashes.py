@@ -21,11 +21,12 @@ and 6; ``trivialize iwasawa --degree 3`` at alpha' = 0, 1 and 1/7, where the
 anomaly does not balance, so the chart identity fails (exit 1) and the
 report names its first failing section; and ``serre``, ``serre
 --alpha-prime 0``, ``cohomology --samples 50``, ``cohomology --samples
-50 --diagonal-dbar``, ``symbol`` and ``symbol --alpha-prime 2 --samples
-400`` on each model file given (``scripts/scale_models.py`` writes larger
-ones, and ``kt-t1``, whose scan fails; ``symbol`` scans all 7^n - 1
-samples, about 0.1 s for the 16,806 of ``iwasawa-t2`` at n = 5 on a
-2-vCPU Xeon, and seven times as many per step of n).  Then ``check`` on
+50 --diagonal-dbar``, ``symbol``, ``symbol --alpha-prime 2 --samples
+400`` and ``trivialize --degree 1`` on each model file given
+(``scripts/scale_models.py`` writes larger ones, with charts, and
+``kt-t1``, whose scan fails and which has no chart; ``symbol`` scans all
+7^n - 1 samples, about 0.1 s for the 16,806 of ``iwasawa-t2`` at n = 5 on
+a 2-vCPU Xeon, and seven times as many per step of n).  Then ``check`` on
 each model file of ``REFUSALS``, a built-in's file with one field
 malformed or ambiguous, written to a temporary directory; these lines read
 ``check refusal:LABEL``, and a refusal exits 2 with an ``error:`` line.
@@ -114,6 +115,7 @@ def commands(files):
         yield ["cohomology", path, "--samples", "50", "--diagonal-dbar"]
         yield ["symbol", path]
         yield ["symbol", path, "--alpha-prime", "2", "--samples", "400"]
+        yield ["trivialize", path, "--degree", "1"]
 
 
 def digest(text: str) -> str:

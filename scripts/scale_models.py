@@ -2,9 +2,11 @@
 """Write the larger model files that the ROADMAP's Baseline times.
 
 - ``iwasawa-t2.json``: iwasawa's data with two more closed coframe legs,
-  coframe ``a1..a5``, metric ``1/2 I`` and no chart (iwasawa x T^2);
-- ``flat<n>r<r>.json``: ``d = 0``, metric ``1/2 I``, bundle rank ``r`` and
-  ``F = 0``, for (n, r) in (5, 3), (6, 2), (7, 1), (8, 1);
+  coframe ``a1..a5``, metric ``1/2 I`` and iwasawa's chart with
+  ``a4 = dz4`` and ``a5 = dz5`` (iwasawa x T^2);
+- ``flat<n>r<r>.json``: ``d = 0``, metric ``1/2 I``, bundle rank ``r``,
+  ``F = 0`` and the identity chart ``a<k> = dz<k>``, for (n, r) in (5, 3),
+  (6, 2), (7, 1), (8, 1);
 - ``kt-t1.json``: a Kodaira-Thurston type model times T^1, coframe
   ``a1..a3`` with ``d a2 = a1 ^ ab1``, unit metric, bundle rank 1 and
   ``F = 0``; its symbol loses rank at some samples for alpha' = 1 and 2.
@@ -35,7 +37,8 @@ def _coframe(n):
 
 def iwasawa_t2():
     data = model_to_json(builtin_model("iwasawa"))
-    del data["chart"]
+    data["chart"]["coords"] = 5
+    data["chart"]["coframe_pullback"].update(a4="dz4", a5="dz5")
     data.update(name="iwasawa-t2", n=5, coframe=_coframe(5),
                 metric=_half_identity(5))
     return data
@@ -44,7 +47,9 @@ def iwasawa_t2():
 def flat(n, r):
     return {"name": f"flat{n}r{r}", "n": n, "coframe": _coframe(n), "d": {},
             "metric": _half_identity(n), "omega_coeff": "1",
-            "bundle": {"rank": r, "F": {}}}
+            "bundle": {"rank": r, "F": {}},
+            "chart": {"coords": n, "coframe_pullback": {
+                f"a{k + 1}": f"dz{k + 1}" for k in range(n)}}}
 
 
 def kt_t1():

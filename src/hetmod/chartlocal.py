@@ -12,7 +12,8 @@ provides:
   coordinate connection potential Gamma and a potential tau for the torsion,
   with the conjugation identity  D = phi^{-1} o dbar o phi  checkable on
   polynomial sections,
-* transitions phi_1 o phi_2^{-1} between potential choices, run through
+* transitions phi_1 o phi_2^{-1} between three potential choices, which
+  ``build_trivialization`` defines on every chart and rank, run through
   the same phi and phi^{-1} ops as the identity, with a holomorphy check
   and a cocycle check, phi_1 phi_2^{-1} phi_2 phi_3^{-1} = phi_1 phi_3^{-1},
   that holds only where each phi^{-1} table inverts its phi.
@@ -25,10 +26,12 @@ emptiness, ``==`` and ``hash`` ignore insertion order, ``+ - neg scale``,
 copy and pickle are the base's, and terms are sorted only for printing.
 ``Poly`` and ``ChartForm`` nest (monomial -> GaussRat, leg key -> Poly),
 and ``ChartForm`` is an ``exterior.Form``, so its leg signs are those of
-the invariant forms.  A ``ChartSection`` is flat: (slot, dzbar legs, z
-exponents, zbar exponents) -> GaussRat.  The public constructors and
-``build`` validate what they are given; everything else builds each result
-in one pass through the unchecked ``exterior._make`` and never sorts.
+the invariant forms; a new leg from a derivative or a coupling takes its
+sign from ``exterior._merge``, as ``qcomplex._prepend``'s does.  A
+``ChartSection`` is flat: (slot, dzbar legs, z exponents, zbar exponents)
+-> GaussRat.  The public constructors and ``build`` validate what they are
+given; everything else builds each result in one pass through the
+unchecked ``exterior._make`` and never sorts.
 
 Operators on sections.  On a monomial section e_k z^x zbar^y dzbar^L, a
 coupling multiplies by a fixed monomial, which shifts (x, y), and dbar or
@@ -53,7 +56,6 @@ from operator import add
 from types import MappingProxyType as _frozen
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .cohomology import resolve_alpha
 from .exterior import (
     EndForm,
     Form,
@@ -65,13 +67,13 @@ from .exterior import (
     _merge,
     _sum_terms,
     end_pair_trace,
-    sort_with_sign,
 )
 from .geometry import (
     HomogeneousModel,
     ModelError,
     bismut,
     chern_connection,
+    resolve_alpha,
     torsion,
 )
 from .linalg import det
@@ -87,12 +89,6 @@ _EMPTY: Mapping = _frozen({})
 # the caches below are keyed by exponents and leg tuples, so their size is
 # bounded by the polynomial degree and the chart dimension
 _int = lru_cache(maxsize=None)(GaussRat.of)      # small exact integers
-
-
-@lru_cache(maxsize=None)
-def _front(leg: int, legs: Tuple[int, ...]):
-    """(sign, sorted legs) of d(leg) ^ d(legs); (0, ()) on a repeat."""
-    return sort_with_sign((leg,) + legs)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +229,7 @@ def _derivative(x: ChartForm, anti: bool) -> ChartForm:
     flip = anti and x.p % 2
     for (h, a), c in x.terms:
         for k in range(x.n):
-            sign, legs = _front(k + 1, a if anti else h)
+            sign, legs = _merge((k + 1,), a if anti else h)
             if not sign:
                 continue
             d = c.diff(k, anti)
@@ -434,23 +430,17 @@ def _poly_matrix_inverse(P, m_coords: int):
     return tuple(tuple(cofactor(i, j) for j in range(k)) for i in range(k))
 
 
-def invariant_to_chart(P, f) -> ChartForm:
-    """Substitute the invariant coframe by its chart pullback
-    alpha^{i+1} = sum_a P[i][a] dz^{a+1}."""
-    mc = len(P[0])
+def invariant_to_chart(coframe, f) -> ChartForm:
+    """Substitute the invariant coframe by its chart pullback: ``coframe``
+    holds the chart 1-forms of alpha^1..alpha^n, then of abar^1..abar^n."""
+    n, mc = f.n, coframe[0].n
     acc = ChartForm.zero(mc, f.p, f.q)
-    pull = [ChartForm.build(mc, 1, 0, {((a + 1,), ()): c
-                                       for a, c in enumerate(row)})
-            for row in P]
-    pull_bar = [x.conjugate() for x in pull]
     for (holo, anti), c in f.terms:
         if c.degree > 0:
             raise ModelError("chart pullback of a coupling-dependent form")
         piece = ChartForm.func(Poly.const(mc, c.coefficient(0)))
-        for i in holo:
-            piece = piece.wedge(pull[i - 1])
-        for i in anti:
-            piece = piece.wedge(pull_bar[i - 1])
+        for i in holo + tuple(n + a for a in anti):
+            piece = piece.wedge(coframe[i - 1])
         acc = acc + piece
     return acc
 
@@ -474,20 +464,22 @@ def chart_data(m: HomogeneousModel) -> ChartData:
                     raise ModelError("chart pullback must be holomorphic")
         Pt = tuple(tuple(r) for r in P)
         Q = _poly_matrix_inverse(Pt, mc)
+        pull = [ChartForm.build(mc, 1, 0, {((a + 1,), ()): c
+                                           for a, c in enumerate(row)})
+                for row in Pt]
+        coframe = pull + [x.conjugate() for x in pull]
         # d of each pulled-back a_k is the pullback of d a_k, part by part
-        for name, row, d in zip(m.coframe_names, Pt, m.d_coframe):
-            pull = ChartForm.build(mc, 1, 0, {((a + 1,), ()): c
-                                              for a, c in enumerate(row)})
+        for name, a_k, d in zip(m.coframe_names, pull, m.d_coframe):
             for part, deriv in (((2, 0), partial_chart), ((1, 1), dbar_chart)):
-                res = deriv(pull) - invariant_to_chart(Pt, d.part(*part))
+                res = deriv(a_k) - invariant_to_chart(coframe, d.part(*part))
                 if res:
                     raise ModelError(
                         f"chart.coframe_pullback.{name} breaks the structure "
                         f"equations: d of the pullback minus the pullback of "
                         f"d {name} has ({part[0]},{part[1]}) part {res}")
-        T_chart = invariant_to_chart(Pt, torsion(m))
+        T_chart = invariant_to_chart(coframe, torsion(m))
         F_chart = tuple(
-            tuple(invariant_to_chart(Pt, m.curvature_F.entry(i, j))
+            tuple(invariant_to_chart(coframe, m.curvature_F.entry(i, j))
                   for j in range(m.rank))
             for i in range(m.rank)
         )
@@ -657,17 +649,18 @@ def build_trivialization(m: HomogeneousModel,
                          alpha0: Optional[GaussRat] = None,
                          shift: int = 0) -> Trivialization:
     """Solve for the potentials A (dbar A = F) and tau (torsion potential)
-    by the radial homotopy; `shift` adds a holomorphic modification to both,
-    producing a genuinely different potential pair for transition checks."""
+    by the radial homotopy.  `shift` s adds s times a fixed pair with
+    dbar = 0: the trace-free (z1 dz2 - z2 dz1)(E11 - E22) on A, before tau
+    is solved, when mc and the rank are at least 2, and z1 z_mc (E12 - E21)
+    on tau, or z1^2 when mc = 1.  The tau part is never 0, so the shifts 0,
+    1 and 2 give three distinct potential pairs."""
     cd = chart_data(m)
     a0 = resolve_alpha(m, alpha0)
     mc, r = cd.m_coords, cd.rank
+    s = GaussRat.of(shift)
     A = [[dbar_homotopy(cd.F_chart[u][v]) if cd.F_chart[u][v]
           else ChartForm.zero(mc, 1, 0) for v in range(r)] for u in range(r)]
-    if shift:
-        # add s * (z_1 dz_2 - z_2 dz_1) on the first diagonal slot pair,
-        # a closed holomorphic form, keeping dbar A = F and tracelessness
-        s = GaussRat.of(shift)
+    if mc > 1 and r > 1:
         mod = (ChartForm.monomial(mc, (2,), (), Poly.coord(mc, 0).scale(s))
                - ChartForm.monomial(mc, (1,), (), Poly.coord(mc, 1).scale(s)))
         A[0][0] = A[0][0] + mod
@@ -679,11 +672,12 @@ def build_trivialization(m: HomogeneousModel,
             rhs = _tau_rhs(cd, Acomp, a0, a, b)
             if rhs:
                 tau[a][b] = dbar_homotopy(rhs).coeff((), ())
-    if shift:
-        s = GaussRat.of(shift)
-        zz = Poly.coord(mc, 2) * Poly.coord(mc, 0)
-        tau[0][1] = tau[0][1] + zz.scale(s)
-        tau[1][0] = tau[1][0] - zz.scale(s)
+    zz = (Poly.coord(mc, mc - 1) * Poly.coord(mc, 0)).scale(s)
+    if mc > 1:
+        tau[0][1] = tau[0][1] + zz
+        tau[1][0] = tau[1][0] - zz
+    else:
+        tau[0][0] = tau[0][0] + zz
     return Trivialization(m.name, a0, cd, tuple(tuple(r_) for r_ in A),
                           tuple(tuple(r_) for r_ in tau))
 
@@ -812,12 +806,12 @@ def _bring_down(e: Exp, j: int, anti: bool) -> Tuple[Poly, Exp]:
             e[:j] + (e[j] - 1,) + e[j + 1:])
 
 
-def _dbar(t: Optional[Trivialization], terms: Mapping) -> dict:
+def _dbar(t: Trivialization, terms: Mapping) -> dict:
     """dbar of a generic term map, slot by slot (``t`` is not read)."""
     acc: Dict = {}
     for (k, legs, sx, sy), f in terms.items():
         for j in range(f.m):
-            sign, new = _front(j + 1, legs)
+            sign, new = _merge((j + 1,), legs)
             if sign:
                 g, low = _bring_down(sy, j, True)
                 _acc(acc, (k, new, sx, low), f * g if sign == 1 else -f * g)
@@ -872,16 +866,13 @@ def _residual(t: Trivialization, terms: Mapping) -> dict:
     return _sum_terms(_D(t, terms), rhs.items(), -1)
 
 
-_DBAR_TABLES: Dict = {}    # dbar depends on no trivialization
-
-
-def _evaluate(t: Optional[Trivialization], op, s: ChartSection,
+def _evaluate(t: Trivialization, op, s: ChartSection,
               q: int) -> ChartSection:
     """Each term c z^x zbar^y of ``s`` through the table of ``op`` for its
     (k, L), made on first use, evaluated at (x, y).  An entry whose shifted
     exponent is negative must vanish there: a derivative brought down the
     zero exponent."""
-    tables = _DBAR_TABLES if t is None else t.op_tables
+    tables = t.op_tables
     mc, rank, _ = s.shape
     z = (0,) * mc
     acc: Dict = {}
@@ -915,10 +906,6 @@ def apply_phi(t: Trivialization, s: ChartSection) -> ChartSection:
 
 def apply_phi_inverse(t: Trivialization, s: ChartSection) -> ChartSection:
     return _evaluate(t, _phi_inv, s, s.q)
-
-
-def dbar_section(s: ChartSection) -> ChartSection:
-    return _evaluate(None, _dbar, s, s.q + 1)
 
 
 def trivialization_residual(t: Trivialization,

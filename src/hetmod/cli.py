@@ -24,7 +24,7 @@ import sys
 from typing import Optional
 
 from . import chartlocal, cohomology
-from .geometry import HomogeneousModel, ModelError
+from .geometry import HomogeneousModel, ModelError, resolve_alpha
 from .models import BUILTIN_NAMES, builtin_model, parse_model_file
 from .scalars import GaussRat, ScalarError, parse_gauss
 
@@ -79,7 +79,7 @@ def _emit(report: dict, out: Optional[str]) -> None:
 
 def _symbol_report(m: HomogeneousModel, alpha: Optional[GaussRat],
                    opts: dict) -> dict:
-    a0 = cohomology.resolve_alpha(m, alpha)
+    a0 = resolve_alpha(m, alpha)
     return {"model": m.name, "alpha_prime": str(a0),
             **cohomology.injectivity_scan(m, a0, limit=opts["--samples"])}
 

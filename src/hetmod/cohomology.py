@@ -29,29 +29,13 @@ from .geometry import (
     anomaly_residual,
     check_heterotic_system,
     curvature_array,
+    resolve_alpha,
 )
 from .scalars import GR_ZERO, GaussRat
 
 
 def q_space_dimension(m: HomogeneousModel, p: int) -> int:
     return len(qcomplex.q_labels(m, p))
-
-
-def resolve_alpha(m: HomogeneousModel, alpha0: Optional[GaussRat]
-                  ) -> GaussRat:
-    """The coupling a report uses: ``alpha0`` if given (it must be real),
-    else the model's alpha', else 1."""
-    if alpha0 is not None:
-        if alpha0.im:
-            raise ModelError(
-                f"the coupling alpha' must be real, not {alpha0}: the "
-                "adjoint treats the coupling variable a as real")
-        return alpha0
-    if m.alpha_prime is not None:
-        return m.alpha_prime
-    # unconstrained coupling (both anomaly sides vanish): any value gives the
-    # same dimensions when F = 0; pick 1 for definiteness
-    return GaussRat.of(1)
 
 
 def _operator_chain(m: HomogeneousModel, alpha0: GaussRat,

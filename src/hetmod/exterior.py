@@ -11,7 +11,9 @@ only in coefficients and printing: ``InvariantForm`` (coframe legs alpha^k,
 ``Scalar`` coefficients) and ``chartlocal.ChartForm`` (chart legs dz_k,
 dzbar_k, ``Poly`` coefficients).  Every normalization sign of both layers
 is produced here, from ``sort_with_sign`` and ``merge_with_sign``, so the
-convention cannot drift between them.
+convention cannot drift between them: a new leg put in front of a form's
+legs (``qcomplex._prepend``, the chart derivatives and couplings) takes its
+sign from ``_merge``, the cached ``merge_with_sign``.
 
 ``Sparse`` is the package's one sparse term container: a shape and a map of
 nonzero values, with equality, hashing, copying, ``+ - neg scale`` and the

@@ -1,6 +1,8 @@
 """Homogeneous Hermitian models: exterior calculus on the invariant coframe,
-connections (Levi-Civita / Chern / Bismut), curvature, torsion, and the
-coupled-system checker.
+connections (Levi-Civita / Chern / Bismut), the Chern curvature, torsion,
+the coupling a report uses (``resolve_alpha``) and the coupled-system
+checker.  ``_frame_values`` gives a form's values on frame vectors to the
+bracket table and to both Levi-Civita routes.
 
 Conventions fixed here once and used everywhere downstream:
 
@@ -21,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .exterior import EndForm, InvariantForm, MixedForm, _acc, sort_with_sign
+from .exterior import (EndForm, InvariantForm, MixedForm, _acc, _make,
+                       sort_with_sign)
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRat, S_A, S_I, S_ONE, Scalar
 
 
@@ -129,26 +132,17 @@ def _as_gauss(s: Scalar, what: str) -> GaussRat:
 
 def bracket_table(m: HomogeneousModel):
     """brackets[u][w]: components of [e_u, e_w] on the complexified frame,
-    via alpha^c([X,Y]) = -d(alpha^c)(X,Y).
-
-    A term v theta^s ^ theta^t of d(alpha^c), with s < t in the frame order
-    (a^1..a^n, ab^1..ab^n), is v on (e_s, e_t) and -v on (e_t, e_s), so the
-    constants are read off the terms of d(alpha^c) and of its conjugate.
+    via alpha^c([X,Y]) = -d(alpha^c)(X,Y), with the values of d(alpha^c)
+    and of its conjugate read by ``_frame_values``.
     """
     def build():
         n = m.n
-        d_all = [m.d_coframe[c] for c in range(n)] + [
-            m.d_coframe[c].conjugate() for c in range(n)
-        ]
+        d_all = [*m.d_coframe, *(d.conjugate() for d in m.d_coframe)]
         table = [[[GR_ZERO] * (2 * n) for _ in range(2 * n)]
                  for _ in range(2 * n)]
         for c, dc in enumerate(d_all):
-            for _, f in dc.parts:
-                for (h, a), v in f.terms:
-                    s, t = [i - 1 for i in h] + [n + i - 1 for i in a]
-                    val = _as_gauss(v, "structure constant")
-                    table[s][t][c] = -val
-                    table[t][s][c] = val
+            for (s, t), v in _frame_values(dc, "structure constant").items():
+                table[s][t][c] = -v
         return table
     return m.cached("brackets", build)
 
@@ -263,21 +257,23 @@ def _dc_omega(m: HomogeneousModel) -> MixedForm:
     return (MixedForm.of(anti) - MixedForm.of(hol)).scale(S_I)
 
 
-def _triple_values(form: MixedForm, what: str):
-    """Values of a 3-form on ordered triples of complexified frame vectors,
+def _frame_values(form: MixedForm, what: str):
+    """Values of a k-form on ordered k-tuples of complexified frame vectors,
     keyed by 0-based frame indices (V_1..V_n, then Vbar_1..Vbar_n).
 
-    A term c theta^s ^ theta^t ^ theta^u, with s < t < u in frame order, is
-    c times the sign of the permutation on every reordering of (s, t, u);
-    every other triple is 0 and absent."""
+    A term c theta^{s_1} ^ ... ^ theta^{s_k}, with s_1 < ... < s_k in frame
+    order, is c times the sign of the permutation on every reordering of
+    its slots; every other tuple is 0 and absent."""
     n = form.n
+    odd = [sort_with_sign(p)[0] < 0
+           for p in itertools.permutations(range(form.degree))]
     values = {}
     for _, f in form.parts:
         for (h, a), c in f.terms:
             val = _as_gauss(c, what)
             slots = [i - 1 for i in h] + [n + i - 1 for i in a]
-            for perm in itertools.permutations(slots):
-                values[perm] = val if sort_with_sign(perm)[0] > 0 else -val
+            for perm, o in zip(itertools.permutations(slots), odd):
+                values[perm] = -val if o else val
     return values
 
 
@@ -297,7 +293,7 @@ def _via_levi_civita(m: HomogeneousModel, kind: str, three_form: MixedForm,
     its nonzero entries, to the (gamma, mu) blocks of the module
     docstring."""
     n = m.n
-    values = _triple_values(three_form, f"the {kind} 3-form")
+    values = _frame_values(three_form, f"the {kind} 3-form")
     hinv = [[(d, v) for d, v in enumerate(row) if v]
             for row in metric_inverse(m)]
     half = GaussRat.of("1/2")
@@ -373,69 +369,37 @@ def bismut(m: HomogeneousModel) -> ConnectionData:
     return m.cached("bismut", build)
 
 
-def connection_form(conn: ConnectionData, n: int):
-    """Matrix of connection 1-forms: theta[b][c] with
-    nabla e_c = theta[b][c] e_b."""
-    out = []
-    for b in range(n):
-        row = []
-        for c in range(n):
-            acc = MixedForm.zero(n, 1)
-            for a in range(n):
-                g = conn.gamma[a][b][c]
-                if g:
-                    acc = acc + MixedForm.of(
-                        InvariantForm.monomial(n, [a + 1], [], Scalar.const(g))
-                    )
-                mu = conn.mu[a][b][c]
-                if mu:
-                    acc = acc + MixedForm.of(
-                        InvariantForm.monomial(n, [], [a + 1],
-                                               Scalar.const(mu))
-                    )
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def curvature_mixed(conn: ConnectionData, m: HomogeneousModel):
-    """R = d theta + theta ^ theta as a matrix of MixedForms."""
-    n = m.n
-    theta = connection_form(conn, n)
-    out = []
-    for b in range(n):
-        row = []
-        for c in range(n):
-            acc = MixedForm.zero(n, 2)
-            for key, f in theta[b][c].parts:
-                acc = acc + exterior_derivative(f, m)
-            for k in range(n):
-                acc = acc + theta[b][k].wedge(theta[k][c])
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def curvature(conn: ConnectionData, m: HomogeneousModel) -> EndForm:
-    """Curvature as an End(T)-valued (1,1) form; raises if any other
-    bidegree appears.  Only ``chern_curvature`` calls it, and the Chern
-    curvature is always pure (1,1)."""
-    n = m.n
-    mixed = curvature_mixed(conn, m)
-    flat = []
-    for b in range(n):
-        for c in range(n):
-            for (p, q), f in mixed[b][c].parts:
-                if (p, q) != (1, 1) and f:
-                    raise ModelError(
-                        f"curvature of kind={conn.kind} has a ({p},{q}) part"
-                    )
-            flat.append(mixed[b][c].part(1, 1))
-    return EndForm(n, n, 1, 1, tuple(flat))
-
-
 def chern_curvature(m: HomogeneousModel) -> EndForm:
-    return m.cached("chern_R", lambda: curvature(chern_connection(m), m))
+    """The Chern curvature d theta + theta ^ theta as an End(T)-valued (1,1)
+    form, from the matrix of connection 1-forms theta[b][c] = sum_a
+    gamma[a][b][c] alpha^a + mu[a][b][c] abar^a (nabla e_c = theta[b][c]
+    e_b); raises if any other bidegree appears."""
+    def build():
+        n, conn = m.n, chern_connection(m)
+
+        def part(block, b, c, p):
+            return _make(InvariantForm, (n, p, 1 - p), {
+                ((a + 1,), ()) if p else ((), (a + 1,)):
+                    Scalar.const(block[a][b][c])
+                for a in range(n) if block[a][b][c]})
+        theta = [[MixedForm(n, 1, {(1, 0): part(conn.gamma, b, c, 1),
+                                   (0, 1): part(conn.mu, b, c, 0)})
+                  for c in range(n)] for b in range(n)]
+        flat = []
+        for b in range(n):
+            for c in range(n):
+                R = MixedForm.zero(n, 2)
+                for _, f in theta[b][c].parts:
+                    R = R + exterior_derivative(f, m)
+                for k in range(n):
+                    R = R + theta[b][k].wedge(theta[k][c])
+                for p, q in R.coeffs:
+                    if (p, q) != (1, 1):
+                        raise ModelError(
+                            f"curvature of kind=chern has a ({p},{q}) part")
+                flat.append(R.part(1, 1))
+        return EndForm(n, n, 1, 1, tuple(flat))
+    return m.cached("chern_R", build)
 
 
 def curvature_array(m: HomogeneousModel):
@@ -516,6 +480,23 @@ def anomaly_residual(m: HomogeneousModel,
     rhs = trFF - trRR
     factor = Scalar.const(alpha) if alpha is not None else S_A
     return lhs - rhs.scale(factor)
+
+
+def resolve_alpha(m: HomogeneousModel, alpha0: Optional[GaussRat]
+                  ) -> GaussRat:
+    """The coupling a report uses: ``alpha0`` if given (it must be real),
+    else the model's alpha', else 1."""
+    if alpha0 is not None:
+        if alpha0.im:
+            raise ModelError(
+                f"the coupling alpha' must be real, not {alpha0}: the "
+                "adjoint treats the coupling variable a as real")
+        return alpha0
+    if m.alpha_prime is not None:
+        return m.alpha_prime
+    # unconstrained coupling (both anomaly sides vanish): any value gives the
+    # same dimensions when F = 0; pick 1 for definiteness
+    return GaussRat.of(1)
 
 
 def check_heterotic_system(m: HomogeneousModel,

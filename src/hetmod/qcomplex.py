@@ -21,7 +21,7 @@ and a vector) tensored with invariant (0,p)-forms.  This module builds:
 
 Convention: every operator that creates a new antiholomorphic leg prepends it
 (left of the existing legs) before normalization.  All sign bookkeeping flows
-from that single choice (``_prepend``) plus the exterior-algebra normalizer.
+from that single choice (``_prepend``), whose sign ``exterior._merge`` gives.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .exterior import (
     VectorForm,
     _acc,
     _make,
+    _merge,
     contract,
     end_pair_trace,
 )
@@ -161,14 +162,13 @@ def _couple(table, srcs: Sequence[InvariantForm], q: int, leg
 
 def _prepend(k: int, f: InvariantForm):
     """The terms of ab^{k+1} ^ f (the new-leg-first convention)."""
-    t = k + 1
+    new = (k + 1,)
     out = []
     for (holo, anti), c in f.terms:
-        if t in anti:
-            continue
-        pos = sum(1 for x in anti if x < t)
-        key = (holo, anti[:pos] + (t,) + anti[pos:])
-        out.append((key, -c if (len(holo) + pos) % 2 else c))
+        sign, legs = _merge(new, anti)
+        if sign:
+            out.append(((holo, legs),
+                        -c if (sign == -1) != len(holo) % 2 else c))
     return out
 
 

@@ -253,19 +253,6 @@ class Scalar:
                     out[j + k] = out[j + k] + cj * ck
         return Scalar.make(out)
 
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        """Division by a unit (nonzero degree-0 scalar) only.
-
-        The coefficient ring is not a field in a, so anything else raises.
-        """
-        if other.degree != 0:
-            raise ScalarError(
-                "can only divide by a nonzero constant scalar "
-                f"(got degree {other.degree})"
-            )
-        u = other.coeffs[0]
-        return Scalar(tuple(c / u for c in self.coeffs))
-
     def conjugate(self) -> "Scalar":
         return Scalar(tuple(c.conjugate() for c in self.coeffs))
 

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import functools
 import itertools
+import json
 import operator
 import pickle
 import random
@@ -15,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetmod import chartlocal as cl
+from hetmod import cli
 from hetmod.exterior import InvariantForm, MixedForm
 from hetmod.geometry import ModelError, _mixed_str
+from hetmod.models import parse_model_text
 from hetmod.scalars import GR_ONE, GR_ZERO, S_ONE, GaussRat, Scalar
 
 
@@ -732,7 +735,7 @@ def _compare_with_reference(t, degree):
     number of nonzero residuals."""
     failures = 0
     for s in cl.monomial_sections(t, degree):
-        one = cl.dbar_section(cl.apply_phi(t, s))
+        one = cl._evaluate(t, cl._dbar, cl.apply_phi(t, s), s.q + 1)
         assert one == _ref_dbar(_ref_phi(t, s))
         for x in (s, one):
             assert cl.apply_Dbar_chart(t, x) == _ref_Dbar(t, x)
@@ -830,3 +833,36 @@ def test_a_negative_exponent_with_a_nonzero_value_is_refused(iwasawa):
     t.op_tables[(cl._phi, MC, k, legs)] = ((k, legs, (-1, 0, 0), zb, cp(1)),)
     with pytest.raises(cl.FormError, match="negative exponent"):
         cl.apply_phi(t, s)
+
+
+@pytest.mark.parametrize("n, rank", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1),
+                                     (4, 1)])
+def test_trivialize_on_flat_charts_of_every_size(tmp_path, capsys, n, rank):
+    # the three potential choices exist on a line and at rank 1, where no
+    # trace-free A shift does: each chart's report passes on every section
+    # of degree <= 2, and its transitions compare three distinct pairs
+    text = json.dumps({
+        "name": "flat", "n": n, "coframe": [f"a{k + 1}" for k in range(n)],
+        "d": {}, "metric": [["1" if i == j else "0" for j in range(n)]
+                            for i in range(n)],
+        "omega_coeff": "1", "bundle": {"rank": rank, "F": {}},
+        "chart": {"coords": n, "coframe_pullback": {
+            f"a{k + 1}": f"dz{k + 1}" for k in range(n)}}})
+    path = tmp_path / "flat.json"
+    path.write_text(text)
+    code = cli.main(["trivialize", str(path), "--degree", "2"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert rep["potentials"] == {"gauge_potential": True,
+                                 "torsion_potential": True}
+    assert rep["chern_simons_transgression"] is True
+    monomials = (2 * n + 1) * (2 * n + 2) // 2
+    assert rep["operator_identity"] == {
+        "sections_checked": monomials * (2 * n + rank * rank - 1),
+        "failures": 0, "passed": True}
+    assert rep["transitions"] == {"pairs": 3, "holomorphic": True,
+                                  "cocycle": True}
+    m = parse_model_text(text)
+    pairs = {(t.A, t.tau) for t in (cl.build_trivialization(m, None, shift)
+                                    for shift in (0, 1, 2))}
+    assert len(pairs) == 3

@@ -256,11 +256,11 @@ def test_triple_table_matches_form_evaluation(builtins,
         forms = (geo.exterior_derivative(geo.omega_form(m), m),
                  geo._dc_omega(m))
         for form in forms:
-            values = geo._triple_values(form, "test 3-form")
+            values = geo._frame_values(form, "test 3-form")
             for t in itertools.product(range(size), repeat=3):
                 want = form.evaluate([basis[i] for i in t]).coefficient(0)
                 assert values.get(t, GR_ZERO) == want, (m.name, t)
-    assert any(geo._triple_values(geo._dc_omega(m), "") for m in builtins)
+    assert any(geo._frame_values(geo._dc_omega(m), "") for m in builtins)
 
 
 def test_bismut_differs_from_chern_by_raised_torsion(iwasawa):

@@ -11,6 +11,7 @@ apply_Dbar's own decoupled mode.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -61,6 +62,27 @@ def _assert_tables_match_forms(m, p, diagonal):
         col = qc.q_coordinates(qc.apply_Dbar(s, m, diagonal))
         assert [row[j] for row in op.entries] == col, (m.name, p, diagonal,
                                                        basis.labels[j])
+
+
+def test_prepend_is_the_wedge_with_the_new_leg():
+    # both routes of Dbar put a new leg in front through _prepend, so no
+    # comparison of the two can see a sign slip in it: check it against
+    # the form algebra's wedge on every monomial of every bidegree
+    seen = set()
+    c = Scalar.of(2, -3)
+    for n in range(1, 5):
+        legs = [x for k in range(n + 1)
+                for x in itertools.combinations(range(1, n + 1), k)]
+        for holo, anti in itertools.product(legs, repeat=2):
+            f = InvariantForm.monomial(n, holo, anti, c)
+            for k in range(n):
+                want = InvariantForm.monomial(n, [], [k + 1]).wedge(f)
+                got = qc._prepend(k, f)
+                assert dict(got) == dict(want.terms), (n, holo, anti, k)
+                seen.update("+" if v == c else "-" for _, v in got)
+                if not got:
+                    seen.add("repeat")
+    assert seen == {"+", "-", "repeat"}
 
 
 def test_matrix_matches_direct_application(builtins, random_flat_models,

@@ -142,13 +142,6 @@ def test_scalar_conjugate_fixes_the_variable():
     assert c.coefficient(1) == -GR_I
 
 
-def test_scalar_division_by_constant_only():
-    s = Scalar.var() * Scalar.of(3)
-    assert s / Scalar.of(3) == Scalar.var()
-    with pytest.raises(ScalarError):
-        s / Scalar.var()
-
-
 @given(scalars, scalars, scalars)
 @settings(max_examples=40, deadline=None)
 def test_scalar_ring_laws(x, y, z):
