@@ -48,13 +48,12 @@ the exact residual was so evaluated.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 from operator import add
 from types import MappingProxyType as _frozen
-from typing import Dict, List, Mapping, Optional, Tuple
 
 from .exterior import (
     EndForm,
@@ -78,11 +77,12 @@ from .geometry import (
 )
 from .linalg import det
 from .qcomplex import fibre_basis
-from .scalars import GR_ONE, GR_ZERO, GaussRat, ScalarError, parse_gauss
+from .scalars import (GR_ONE, GR_ZERO, GaussRat, Record, ScalarError,
+                      parse_gauss)
 
-Exp = Tuple[int, ...]
-PKey = Tuple[Exp, Exp]
-Legs = Tuple[Tuple[int, ...], Tuple[int, ...]]
+Exp = tuple[int, ...]
+PKey = tuple[Exp, Exp]
+Legs = tuple[tuple[int, ...], tuple[int, ...]]
 
 _EMPTY: Mapping = _frozen({})
 
@@ -126,7 +126,7 @@ class Poly(Sparse):
         return _make(Poly, (m,), {key: GR_ONE})
 
     def __mul__(self, o: "Poly") -> "Poly":
-        acc: Dict[PKey, GaussRat] = {}
+        acc: dict[PKey, GaussRat] = {}
         right = o.terms
         for (a1, b1), c1 in self.terms:
             for (a2, b2), c2 in right:
@@ -160,7 +160,7 @@ class Poly(Sparse):
 
     def antiholomorphic_split(self):
         """Group terms by total zbar-degree: {degree: Poly}."""
-        parts: Dict[int, Dict[PKey, GaussRat]] = {}
+        parts: dict[int, dict[PKey, GaussRat]] = {}
         for (a, b), c in self.terms:
             parts.setdefault(sum(b), {})[(a, b)] = c
         return {d: _make(Poly, self.shape, t) for d, t in parts.items()}
@@ -225,7 +225,7 @@ def _derivative(x: ChartForm, anti: bool) -> ChartForm:
     """partial (anti=False) or dbar (anti=True) of a chart form: each new
     leg dz_k or dzbar_k enters at the front of its leg group, and a dzbar
     leg then passes the p dz legs."""
-    acc: Dict[Legs, Poly] = {}
+    acc: dict[Legs, Poly] = {}
     flip = anti and x.p % 2
     for (h, a), c in x.terms:
         for k in range(x.n):
@@ -246,7 +246,7 @@ def dbar_chart(x: ChartForm) -> ChartForm:
     return _derivative(x, anti=True)
 
 
-def d_chart(x: ChartForm) -> Tuple[ChartForm, ChartForm]:
+def d_chart(x: ChartForm) -> tuple[ChartForm, ChartForm]:
     return partial_chart(x), dbar_chart(x)
 
 
@@ -259,7 +259,7 @@ def dbar_homotopy(x: ChartForm) -> ChartForm:
     """
     if x.q < 1:
         raise FormError("a primitive needs antiholomorphic degree >= 1")
-    acc: Dict[Legs, Poly] = {}
+    acc: dict[Legs, Poly] = {}
     psign = -1 if x.p % 2 else 1
     for (h, a), c in x.terms:
         for d, part in c.antiholomorphic_split().items():
@@ -277,7 +277,7 @@ def dbar_homotopy(x: ChartForm) -> ChartForm:
 
 
 def _parse_one_form(m_coords: int, name: str,
-                    text: str) -> List[Tuple[Poly, int]]:
+                    text: str) -> list[tuple[Poly, int]]:
     """Parse the pullback of coframe leg ``name``, such as '-dz3 + z1 dz2',
     into (polynomial coefficient, leg) pairs."""
     def refuse(term, why):
@@ -335,19 +335,19 @@ def _parse_one_form(m_coords: int, name: str,
     return out
 
 
-def _offsets(mc: int, r: int) -> Tuple[int, int, int]:
+def _offsets(mc: int, r: int) -> tuple[int, int, int]:
     """The first gauge, vector and nabla slot of a term map: covector a is
     slot a, gauge entry (u, v) is g0 + u r + v, vector a is w0 + a, and the
     derivative (nabla_c w)_b of the vector part is n0 + c mc + b."""
     return mc, mc + r * r, 2 * mc + r * r
 
 
-def _flat_table(entries) -> Dict:
+def _flat_table(entries) -> dict:
     """Couplings ``(source slot, target slot, coefficient, factor)`` as
     {source: ((target, legs, z, zbar, c), ...)}: the coefficient, a function
     (Poly) or a (0,1)-form, is split into its monomial terms, each times
     the factor; terms that meet on the same target are added."""
-    acc: Dict = {}
+    acc: dict = {}
     for src, dst, f, k in entries:
         forms = f.terms if isinstance(f, ChartForm) else ((((), ()), f),)
         for (_, legs), poly in forms:
@@ -357,40 +357,36 @@ def _flat_table(entries) -> Dict:
             for src, t in acc.items() if t}
 
 
-def _derived(obj, **values) -> None:
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
-
-
-@dataclass(frozen=True)
-class ChartData:
+class ChartData(Record):
     """Everything the trivialization needs, in chart coordinates.
 
     The component arrays are derived from the torsion, curvature and
-    Christoffel data when the object is made, and so is ``nabla_table``,
-    the flat table (see ``_flat_table``) of the torsion-shifted derivative
+    Christoffel data (``_derive``), and so is ``nabla_table``, the flat
+    table (see ``_flat_table``) of the torsion-shifted derivative
     (nabla_c w)_a += GammaPlus_c[a][b] w_b in the directions ``nabla_dirs``
-    that the R and Gamma couplings read.
+    that the R and Gamma couplings read.  They are made again whenever a
+    ChartData is made, ``replace`` included, and ``replace`` refuses
+    their names.
     """
 
     m_coords: int
     n: int
     rank: int
     # P[i][a]: alpha^{i+1} = sum_a P[i][a] dz^{a+1} (holomorphic Poly)
-    P: Tuple[Tuple[Poly, ...], ...]
-    Q: Tuple[Tuple[Poly, ...], ...]       # inverse: V_k = sum_a Q[a][k] d/dz_a
+    P: tuple[tuple[Poly, ...], ...]
+    Q: tuple[tuple[Poly, ...], ...]       # inverse: V_k = sum_a Q[a][k] d/dz_a
     T_chart: ChartForm                    # torsion (2,1) in chart coordinates
-    F_chart: Tuple[Tuple[ChartForm, ...], ...]   # gauge curvature entries
-    Gamma: Tuple                          # Gamma[c][a][b] Poly ((1,0) Chern)
-    GammaPlus: Tuple                      # coordinate torsion-shifted blocks
-    Tcomp: List = field(init=False, repr=False, compare=False)
-    Fcomp: List = field(init=False, repr=False, compare=False)
-    Rcomp: List = field(init=False, repr=False, compare=False)
-    nabla_dirs: Tuple[int, ...] = field(init=False, repr=False,
-                                        compare=False)
-    nabla_table: Dict = field(init=False, repr=False, compare=False)
+    F_chart: tuple[tuple[ChartForm, ...], ...]   # gauge curvature entries
+    Gamma: tuple                          # Gamma[c][a][b] Poly ((1,0) Chern)
+    GammaPlus: tuple                      # coordinate torsion-shifted blocks
+    Tcomp: list
+    Fcomp: list
+    Rcomp: list
+    nabla_dirs: tuple[int, ...]
+    nabla_table: dict
+    _derived = ("Tcomp", "Fcomp", "Rcomp", "nabla_dirs", "nabla_table")
 
-    def __post_init__(self):
+    def _derive(self) -> dict:
         mc, r = self.m_coords, self.rank
         ms = range(mc)
         R = _gamma_r_components(mc, self.Gamma)
@@ -400,8 +396,8 @@ class ChartData:
         _, w0, n0 = _offsets(mc, r)
         # T = sum_{l<j} dz^l ^ dz^j ^ T_{lj}, antisymmetric in l, j
         T = [_split_front(x) for x in _split_front(self.T_chart)]
-        _derived(
-            self, Tcomp=[[T[l][j] - T[j][l] for j in ms] for l in ms],
+        return dict(
+            Tcomp=[[T[l][j] - T[j][l] for j in ms] for l in ms],
             Fcomp=_split_front(self.F_chart), Rcomp=R,
             nabla_dirs=dirs,
             nabla_table=_flat_table(
@@ -528,7 +524,7 @@ def _end(grid) -> EndForm:
     return EndForm.build(f.n, len(grid), f.p, f.q, grid)
 
 
-def chern_simons(A) -> Tuple[ChartForm, ChartForm]:
+def chern_simons(A) -> tuple[ChartForm, ChartForm]:
     """tr(A ^ dA + 2/3 A ^ A ^ A) for a matrix of (1,0)-form potentials,
     returned as its (3,0) part tr(A ^ del A) + 2/3 tr(A ^ A ^ A) and its
     (2,1) part tr(A ^ dbar A)."""
@@ -540,7 +536,7 @@ def chern_simons(A) -> Tuple[ChartForm, ChartForm]:
             end_pair_trace(A, dbarA))
 
 
-def cs_transgression_residual(A, F) -> Tuple[ChartForm, ...]:
+def cs_transgression_residual(A, F) -> tuple[ChartForm, ...]:
     """d CS(A) - tr(F ^ F), returned by bidegree; zero when F = dbar A and
     the (2,0)-part of the curvature of A vanishes for the model at hand."""
     cs30, cs21 = chern_simons(A)
@@ -557,37 +553,39 @@ def cs_transgression_residual(A, F) -> Tuple[ChartForm, ...]:
 # the trivialization
 
 
-@dataclass(frozen=True)
-class Trivialization:
+class Trivialization(Record):
     """A potential pair (A, tau) together with the chart data and coupling.
 
     The A components and the flat coupling tables (see ``_flat_table``) of
     the operators on sections are derived from A, tau, alpha and the chart
-    data when the object is made, and the exponent tables start empty, so a
-    copy made with ``dataclasses.replace`` stays consistent.  The
+    data (``_derive``), and the exponent tables start empty.  They are made
+    again whenever a Trivialization is made, so a copy made with
+    ``replace`` stays consistent, and ``replace`` refuses their names.  The
     coefficients already carry alpha' and the sign.
     """
 
     model_name: str
     alpha: GaussRat
     cd: ChartData
-    A: Tuple[Tuple[ChartForm, ...], ...]      # (1,0)-form gauge potential
-    tau: Tuple[Tuple[Poly, ...], ...]         # tau[a][b] functions
-    Acomp: List = field(init=False, repr=False, compare=False)
+    A: tuple[tuple[ChartForm, ...], ...]      # (1,0)-form gauge potential
+    tau: tuple[tuple[Poly, ...], ...]         # tau[a][b] functions
+    Acomp: list
     # the couplings of D: kappa_j += alpha' F_j[u][v] ^ gamma_vu,
     # gamma_uv += F_l[u][v] ^ w_l, kappa_j += T_lj ^ w_l and
     # kappa_j += alpha' R_j[b][c] ^ (nabla_c w)_b
-    D_table: Dict = field(init=False, repr=False, compare=False)
+    D_table: dict
     # phi (s = 1) and phi^{-1} (s = -1) are the identity plus
     # gamma_uv -= s A_a[u][v] w_a, kappa_a -= s alpha' A_a[u][v] gamma_vu,
     # kappa_a += s tau_ab w_b, kappa_a += s alpha' Gamma_a[c][b] (nabla_c w)_b
     # and, in phi^{-1} only, kappa_a += alpha' tr(A_a A_d) w_d
-    phi_table: Dict = field(init=False, repr=False, compare=False)
-    phi_inv_table: Dict = field(init=False, repr=False, compare=False)
+    phi_table: dict
+    phi_inv_table: dict
     # the section operators' exponent tables (see ``_evaluate``)
-    op_tables: Dict = field(init=False, repr=False, compare=False)
+    op_tables: dict
+    _derived = ("Acomp", "D_table", "phi_table", "phi_inv_table",
+                "op_tables")
 
-    def __post_init__(self):
+    def _derive(self) -> dict:
         cd, al = self.cd, self.alpha
         mc, r = cd.m_coords, cd.rank
         ms, rs = range(mc), range(r)
@@ -616,8 +614,8 @@ class Trivialization:
                 ((w0 + d, a, A[a][u][v] * A[d][v][u], al)
                  for a, u, v in gauge for d in ms if s != GR_ONE)))
 
-        _derived(self, Acomp=A, D_table=D, phi_table=phi(GR_ONE),
-                 phi_inv_table=phi(-GR_ONE), op_tables={})
+        return dict(Acomp=A, D_table=D, phi_table=phi(GR_ONE),
+                    phi_inv_table=phi(-GR_ONE), op_tables={})
 
 
 def _split_front(x):
@@ -625,7 +623,7 @@ def _split_front(x):
     form, its terms grouped by their first dz leg with that leg taken off;
     for a (nested) list of chart forms, entry by entry, with a first."""
     if isinstance(x, ChartForm):
-        parts: List[Dict] = [{} for _ in range(x.n)]
+        parts: list[dict] = [{} for _ in range(x.n)]
         for (h, a), c in x.terms:
             parts[h[0] - 1][(h[1:], a)] = c
         return [_make(ChartForm, (x.n, x.p - 1, x.q), t) for t in parts]
@@ -646,7 +644,7 @@ def _gamma_r_components(mc: int, Gamma):
 
 
 def build_trivialization(m: HomogeneousModel,
-                         alpha0: Optional[GaussRat] = None,
+                         alpha0: GaussRat | None = None,
                          shift: int = 0) -> Trivialization:
     """Solve for the potentials A (dbar A = F) and tau (torsion potential)
     by the radial homotopy.  `shift` s adds s times a fixed pair with
@@ -697,7 +695,7 @@ def _tau_rhs(cd: ChartData, Acomp, alpha: GaussRat, a: int,
     return rhs
 
 
-def potential_residuals(t: Trivialization) -> Dict[str, bool]:
+def potential_residuals(t: Trivialization) -> dict[str, bool]:
     """dbar A = F and the torsion-potential equation, checked exactly."""
     cd = t.cd
     ms, rs = range(cd.m_coords), range(cd.rank)
@@ -731,7 +729,7 @@ class ChartSection(Sparse):
 
     def __new__(cls, mc: int, rank: int, q: int,
                 kappa: Mapping[int, ChartForm] = _EMPTY,
-                gamma: Mapping[Tuple[int, int], ChartForm] = _EMPTY,
+                gamma: Mapping[tuple[int, int], ChartForm] = _EMPTY,
                 w: Mapping[int, ChartForm] = _EMPTY):
         g0, w0, _ = _offsets(mc, rank)
 
@@ -762,14 +760,14 @@ class ChartSection(Sparse):
             raise FormError(f"slot {k} outside 0..{2 * mc + rank * rank - 1}")
         return (k, _legs(legs, q, mc, key)) + Poly._key((mc,), (z, zb), value)
 
-    def _parts(self) -> Tuple[Mapping, Mapping, Mapping]:
+    def _parts(self) -> tuple[Mapping, Mapping, Mapping]:
         """The terms regrouped as the kappa, gamma and w mappings."""
         mc, rank, q = self.shape
         g0, w0, _ = _offsets(mc, rank)
-        groups: Dict = {}
+        groups: dict = {}
         for (k, legs, z, zb), c in self.terms:
             groups.setdefault(k, {}).setdefault(legs, {})[(z, zb)] = c
-        parts: Tuple[dict, dict, dict] = ({}, {}, {})
+        parts: tuple[dict, dict, dict] = ({}, {}, {})
         for k, by_legs in groups.items():
             part, key = ((0, k) if k < g0 else (2, k - w0) if k >= w0
                          else (1, divmod(k - g0, rank)))
@@ -782,7 +780,7 @@ class ChartSection(Sparse):
     gamma = property(lambda self: self._parts()[1])
     w = property(lambda self: self._parts()[2])
 
-    def labelled(self) -> Dict[str, str]:
+    def labelled(self) -> dict[str, str]:
         """The nonzero slots in slot order, as {label: printed form}:
         e1:dz^a (covector), e2:E(u,v) (gauge matrix unit), e3:d/dz^a
         (vector), 1-based."""
@@ -797,7 +795,7 @@ class ChartSection(Sparse):
         return out
 
 
-def _bring_down(e: Exp, j: int, anti: bool) -> Tuple[Poly, Exp]:
+def _bring_down(e: Exp, j: int, anti: bool) -> tuple[Poly, Exp]:
     """What d/dz_j (anti=False) or d/dzbar_j does to a monomial whose z or
     zbar exponent is shifted by e: the factor x_j + e_j or y_j + e_j, and
     the shift lowered at j."""
@@ -808,7 +806,7 @@ def _bring_down(e: Exp, j: int, anti: bool) -> Tuple[Poly, Exp]:
 
 def _dbar(t: Trivialization, terms: Mapping) -> dict:
     """dbar of a generic term map, slot by slot (``t`` is not read)."""
-    acc: Dict = {}
+    acc: dict = {}
     for (k, legs, sx, sy), f in terms.items():
         for j in range(f.m):
             sign, new = _merge((j + 1,), legs)
@@ -818,7 +816,7 @@ def _dbar(t: Trivialization, terms: Mapping) -> dict:
     return acc
 
 
-def _couple(acc: dict, table: Dict, terms: Mapping) -> dict:
+def _couple(acc: dict, table: dict, terms: Mapping) -> dict:
     """acc += every coupling of a flat table applied to a generic term map:
     the shifts add, and a (0,1) coefficient leg goes in front of the legs."""
     get = table.get
@@ -832,14 +830,14 @@ def _couple(acc: dict, table: Dict, terms: Mapping) -> dict:
     return acc
 
 
-def _coupled(acc: dict, table: Dict, t: Trivialization,
+def _coupled(acc: dict, table: dict, t: Trivialization,
              terms: Mapping) -> dict:
     """acc += the couplings of ``table`` on ``terms`` and on nabla^+ of
     their vector part in the directions the couplings read, keyed by the
     nabla slot n0 + c mc + b of (nabla_c w)_b (see ``_offsets``)."""
     mc = t.cd.m_coords
     _, w0, n0 = _offsets(mc, t.cd.rank)
-    nabla: Dict = {}
+    nabla: dict = {}
     for (k, legs, sx, sy), f in terms.items():
         if k >= w0:
             for d in t.cd.nabla_dirs:
@@ -875,7 +873,7 @@ def _evaluate(t: Trivialization, op, s: ChartSection,
     tables = t.op_tables
     mc, rank, _ = s.shape
     z = (0,) * mc
-    acc: Dict = {}
+    acc: dict = {}
     for (k, legs, x, y), c in s.terms:
         table = tables.get((op, mc, k, legs))
         if table is None:
@@ -956,7 +954,7 @@ def _slot_maps(t: Trivialization):
     return [{(k, (), z, z): one} for k in range(2 * mc + t.cd.rank ** 2)]
 
 
-def transition(t1: Trivialization, t2: Trivialization) -> List[dict]:
+def transition(t1: Trivialization, t2: Trivialization) -> list[dict]:
     """phi_1 o phi_2^{-1} as a table: per value slot k, the term map that
     the phi ops make of the generic term of k, with Polys in its exponents
     (x, y).  The differential parts cancel, so a valid pair gives
@@ -966,7 +964,7 @@ def transition(t1: Trivialization, t2: Trivialization) -> List[dict]:
     return [_phi(t1, _phi_inv(t2, g)) for g in _slot_maps(t2)]
 
 
-def transition_holomorphic(tr: List[dict]) -> bool:
+def transition_holomorphic(tr: list[dict]) -> bool:
     """Every entry a constant, with no zbar shift and no new leg."""
     return all(not legs and not any(sy)
                and not any(any(a + b) for (a, b), _ in f.terms)
@@ -974,7 +972,7 @@ def transition_holomorphic(tr: List[dict]) -> bool:
 
 
 def transition_cocycle_residual(t1: Trivialization, t2: Trivialization,
-                                tr23: List[dict], tr13: List[dict]) -> bool:
+                                tr23: list[dict], tr13: list[dict]) -> bool:
     """phi_1 phi_2^{-1} applied to the transition ``tr23`` = phi_2
     phi_3^{-1} equals ``tr13`` = phi_1 phi_3^{-1} on every slot (True when
     exact): each phi^{-1} table must invert its phi."""
@@ -985,7 +983,7 @@ def transition_cocycle_residual(t1: Trivialization, t2: Trivialization,
 # report
 
 
-def operator_identity_report(t: Trivialization, degree: int) -> Dict:
+def operator_identity_report(t: Trivialization, degree: int) -> dict:
     """The chart identity on every monomial section up to ``degree``; a
     failing run also names its first failing section (slot label and
     monomial) and that section's residual, slot by slot."""
@@ -1007,7 +1005,7 @@ def operator_identity_report(t: Trivialization, degree: int) -> Dict:
 
 
 def trivialization_report(m: HomogeneousModel, degree: int = 3,
-                          alpha0: Optional[GaussRat] = None) -> Dict:
+                          alpha0: GaussRat | None = None) -> dict:
     t0 = build_trivialization(m, alpha0, shift=0)
     pots = potential_residuals(t0)
     cs_ok = not any(cs_transgression_residual(t0.A, t0.cd.F_chart))

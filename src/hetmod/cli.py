@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Optional
 
 from . import chartlocal, cohomology
 from .geometry import HomogeneousModel, ModelError, resolve_alpha
@@ -42,7 +41,7 @@ def _load_model(spec: str) -> HomogeneousModel:
         f"({', '.join(BUILTIN_NAMES)}) and not a file")
 
 
-def _parse_alpha(text: Optional[str]) -> Optional[GaussRat]:
+def _parse_alpha(text: str | None) -> GaussRat | None:
     """The coupling, read as model files read a constant; it must be real."""
     if text is None:
         return None
@@ -68,7 +67,7 @@ def _int_at_least(least: int, why: str):
     return parse
 
 
-def _emit(report: dict, out: Optional[str]) -> None:
+def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -77,7 +76,7 @@ def _emit(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _symbol_report(m: HomogeneousModel, alpha: Optional[GaussRat],
+def _symbol_report(m: HomogeneousModel, alpha: GaussRat | None,
                    opts: dict) -> dict:
     a0 = resolve_alpha(m, alpha)
     return {"model": m.name, "alpha_prime": str(a0),
@@ -147,7 +146,7 @@ class _UsageError(Exception):
     it breaks (None for the top level) and the message."""
 
 
-def _offered(command: Optional[str]) -> tuple:
+def _offered(command: str | None) -> tuple:
     if command is None:
         return ("--help",)
     return ("--help",) + _COMMON + _COMMANDS[command][3]
@@ -158,14 +157,14 @@ def _spelled(opt: str) -> str:
     return opt if metavar is None else f"{opt} {metavar}"
 
 
-def _usage(command: Optional[str]) -> str:
+def _usage(command: str | None) -> str:
     if command is None:
         return f"usage: hetmod [-h] {{{','.join(_COMMANDS)}}} ...\n"
     shown = "".join(f" [{_spelled(o)}]" for o in _offered(command)[1:])
     return f"usage: hetmod {command} [-h]{shown} model\n"
 
 
-def _help(command: Optional[str]) -> str:
+def _help(command: str | None) -> str:
     if command is None:
         about = _DESCRIPTION
         rows = [(name, spec[0]) for name, spec in _COMMANDS.items()]
@@ -184,7 +183,7 @@ def _is_option(token: str) -> bool:
     return len(token) > 1 and token[0] == "-" and token[1] not in "0123456789."
 
 
-def _option(token: str, command: Optional[str]):
+def _option(token: str, command: str | None):
     """The option that ``token`` names, in full, and the value given after
     '=' in it, or None."""
     name, eq, value = token.partition("=")

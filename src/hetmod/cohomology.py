@@ -18,8 +18,6 @@ alone when the model has no coupling terms) and else by its rank over Q(i).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
 
 from . import linalg, qcomplex
 from .geometry import (
@@ -31,7 +29,7 @@ from .geometry import (
     curvature_array,
     resolve_alpha,
 )
-from .scalars import GR_ZERO, GaussRat
+from .scalars import GR_ZERO, GaussRat, Record
 
 
 def q_space_dimension(m: HomogeneousModel, p: int) -> int:
@@ -66,7 +64,7 @@ def _require_nilpotent(m: HomogeneousModel, chain, alpha0: GaussRat) -> None:
                 )
 
 
-def _counts(m: HomogeneousModel, alpha0: Optional[GaussRat],
+def _counts(m: HomogeneousModel, alpha0: GaussRat | None,
             diagonal: bool = False):
     """The count step: the coupling, the specialized chain D_p as sparse
     rows, the ranks (0, rank D_0, .., rank D_{n-1}, 0) and h_p = dim_p -
@@ -82,17 +80,16 @@ def _counts(m: HomogeneousModel, alpha0: Optional[GaussRat],
                               - ranks[p] for p in range(m.n + 1)]
 
 
-def _serre_pairs(h: List[int]) -> List[list]:
+def _serre_pairs(h: list[int]) -> list[list]:
     """[p, n - p, h^p == h^{n-p}] for p = 0..n."""
     return [[p, len(h) - 1 - p, x == h[-1 - p]] for p, x in enumerate(h)]
 
 
-def _euler(h: List[int]) -> int:
+def _euler(h: list[int]) -> int:
     return sum((-1) ** p * x for p, x in enumerate(h))
 
 
-@dataclass(frozen=True)
-class DegreeData:
+class DegreeData(Record):
     p: int
     dim: int
     kernel_dim: int
@@ -101,18 +98,17 @@ class DegreeData:
     harmonic: int
 
 
-@dataclass(frozen=True)
-class CohomologyData:
+class CohomologyData(Record):
     model: str
     alpha0: GaussRat
-    degrees: Tuple[DegreeData, ...]
+    degrees: tuple[DegreeData, ...]
 
     @property
-    def h(self) -> List[int]:
+    def h(self) -> list[int]:
         return [d.h for d in self.degrees]
 
     @property
-    def harmonic(self) -> List[int]:
+    def harmonic(self) -> list[int]:
         return [d.harmonic for d in self.degrees]
 
     @property
@@ -124,7 +120,7 @@ class CohomologyData:
         return all(ok for *_, ok in _serre_pairs(self.h))
 
 
-def cohomology_data(m: HomogeneousModel, alpha0: Optional[GaussRat] = None,
+def cohomology_data(m: HomogeneousModel, alpha0: GaussRat | None = None,
                     diagonal: bool = False) -> CohomologyData:
     """Exact h^{0,p} (from ``_counts``, which may refuse) and harmonic
     dimensions, for p = 0..n.
@@ -156,7 +152,7 @@ def cohomology_data(m: HomogeneousModel, alpha0: Optional[GaussRat] = None,
 
 
 def serre_report(m: HomogeneousModel,
-                 alpha0: Optional[GaussRat] = None) -> Dict:
+                 alpha0: GaussRat | None = None) -> dict:
     """h^p against h^{n-p} and the Euler number, from the ranks of the D_p
     alone: no Gram adjoint and no harmonic count is built."""
     h = _counts(m, alpha0)[3]
@@ -169,8 +165,8 @@ def serre_report(m: HomogeneousModel,
 # principal symbol
 
 
-def symbol_matrix(m: HomogeneousModel, xi: List[GaussRat],
-                  alpha0: GaussRat) -> List[List[GaussRat]]:
+def symbol_matrix(m: HomogeneousModel, xi: list[GaussRat],
+                  alpha0: GaussRat) -> list[list[GaussRat]]:
     """Symbol of Dbar + Dbar* at the cotangent sample xi, acting from
     Q-valued (0,1) data to Q-valued (0,2) data plus Q-valued scalars.
 
@@ -268,18 +264,17 @@ def symbol_samples(n: int):
 _ROUTES = ((GaussRat, GR_ZERO, 0), (linalg.residue, 0, linalg.CERT_P))
 
 
-@dataclass(frozen=True)
-class SymbolBlocks:
+class SymbolBlocks(Record):
     """The coupling terms of ``symbol_blocks`` on each route of _ROUTES:
     ``coupling[route]`` holds A_{kjt} = sum_m c * xi_m, with c the image
     of a Gaussian integer, as (j, ((k, ((t, ((m, c), ...)), ...)), ...))
     where any, and ``delta[route]`` the image of den_R."""
 
     n: int
-    coupling: Tuple[tuple, tuple]
-    delta: Tuple[GaussRat, int]
+    coupling: tuple[tuple, tuple]
+    delta: tuple[GaussRat, int]
 
-    def _scaled(self, xi: List[GaussRat], route: int):
+    def _scaled(self, xi: list[GaussRat], route: int):
         """xi scaled by the common denominator of its components, then it
         and its conjugate as y in the route's ring, and s = xi . conj(xi)
         there, reduced mod p on the prime route."""
@@ -292,7 +287,7 @@ class SymbolBlocks:
         s = sum([a * b for a, b in zip(y, y[self.n:])], zero)
         return y, s % p if p else s
 
-    def _schur(self, xi: List[GaussRat], route: int):
+    def _schur(self, xi: list[GaussRat], route: int):
         """N = delta^2 s^2 I - s G + sum_j a_j b_j^T at xi, scaled as in
         ``_scaled``, as dense rows in the route's ring (on the prime route,
         unreduced ints); None when s or delta is zero there."""
@@ -326,16 +321,16 @@ class SymbolBlocks:
                             Nt[u] += x * z
         return N
 
-    def schur(self, xi: List[GaussRat]) -> List[List[GaussRat]]:
+    def schur(self, xi: list[GaussRat]) -> list[list[GaussRat]]:
         """N at xi over Z[i]; there s > 0 and delta >= 1."""
         return self._schur(xi, 0)
 
-    def schur_mod_p(self, xi: List[GaussRat]):
+    def schur_mod_p(self, xi: list[GaussRat]):
         """N at xi mod CERT_P as dense int rows, congruent to its residues
         and not reduced; None when s or delta is 0 mod p."""
         return self._schur(xi, 1)
 
-    def full_rank_mod_p(self, xi: List[GaussRat]) -> bool:
+    def full_rank_mod_p(self, xi: list[GaussRat]) -> bool:
         """Whether N at xi has full rank mod CERT_P, which proves that it
         has full rank over Q(i).  With no coupling terms N is
         (delta s)^2 I, so delta s != 0 mod p decides and N is not built."""
@@ -383,7 +378,7 @@ def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat) -> SymbolBlocks:
 
 
 def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
-                     limit: Optional[int] = None) -> Dict:
+                     limit: int | None = None) -> dict:
     """Decide injectivity of the symbol at every sample, in order, up to
     the first failure; reports the number of samples asked for (the first
     ``limit`` of ``symbol_samples``) and the first failing sample if any.
@@ -418,7 +413,7 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
 # reports
 
 
-def _system_report_dict(rep: SystemReport) -> Dict:
+def _system_report_dict(rep: SystemReport) -> dict:
     return {
         "model": rep.model,
         "alpha_prime": rep.alpha_label,
@@ -432,15 +427,15 @@ def _system_report_dict(rep: SystemReport) -> Dict:
 
 
 def system_report(m: HomogeneousModel,
-                  alpha0: Optional[GaussRat] = None) -> Dict:
+                  alpha0: GaussRat | None = None) -> dict:
     """JSON-ready result of the coupled-system checker."""
     return _system_report_dict(check_heterotic_system(m, alpha0))
 
 
 def cohomology_report(m: HomogeneousModel,
-                      alpha0: Optional[GaussRat] = None,
-                      symbol_limit: Optional[int] = None,
-                      diagonal: bool = False) -> Dict:
+                      alpha0: GaussRat | None = None,
+                      symbol_limit: int | None = None,
+                      diagonal: bool = False) -> dict:
     """Full JSON-ready report: dimensions, Serre symmetry, Euler number,
     symbol scan and the coupled-system check."""
     a0 = resolve_alpha(m, alpha0)

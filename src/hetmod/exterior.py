@@ -26,13 +26,12 @@ with componentwise arithmetic (``Valued``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from operator import add, sub
-from typing import Iterable, Mapping, Tuple
 
 from .linalg import det
-from .scalars import S_ONE, S_ZERO, Scalar
+from .scalars import S_ONE, S_ZERO, Record, Scalar
 
 _alloc = object.__new__
 
@@ -58,7 +57,7 @@ def sort_with_sign(idx: Iterable[int]):
     return sign, tuple(lst)
 
 
-def merge_with_sign(left: Tuple[int, ...], right: Tuple[int, ...]):
+def merge_with_sign(left: tuple[int, ...], right: tuple[int, ...]):
     """Merge two sorted index tuples, counting the transposition sign."""
     sign = 1
     out = []
@@ -119,7 +118,7 @@ def _sum_terms(x: Mapping, y, sign: int = 1) -> dict:
     return acc
 
 
-def _legs(legs, count: int, n: int, key) -> Tuple[int, ...]:
+def _legs(legs, count: int, n: int, key) -> tuple[int, ...]:
     """``legs`` as a tuple, checked to be ``count`` strictly increasing legs
     within 1..n; ``key`` names the term in the error."""
     legs = tuple(legs)
@@ -148,7 +147,7 @@ class Sparse:
     """
 
     __slots__ = ("shape", "terms")
-    _fields: Tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         for i, name in enumerate(cls.__dict__.get("_fields", ())):
@@ -414,14 +413,13 @@ class Valued:
         return any(self._vals())
 
 
-@dataclass(frozen=True)
-class LegForm(Valued):
+class LegForm(Valued, Record):
     """An n-component value leg tensored with invariant (p,q)-forms."""
 
     n: int
     p: int
     q: int
-    comps: Tuple[InvariantForm, ...]
+    comps: tuple[InvariantForm, ...]
 
     @classmethod
     def build(cls, n, p, q, comps):
@@ -447,8 +445,7 @@ class CovectorForm(LegForm):
     """(T^{1,0})*-valued invariant (p,q)-form: comps[j-1] multiplies alpha^j."""
 
 
-@dataclass(frozen=True)
-class EndForm(Valued):
+class EndForm(Valued, Record):
     """An r x r matrix of (p,q)-forms of either layer (invariant forms, or
     chart forms): ``flat`` holds the grid row by row, and ``entry(i, j)``
     reads it.  The products and the trace take their zero from the
@@ -458,7 +455,7 @@ class EndForm(Valued):
     r: int
     p: int
     q: int
-    flat: Tuple[Form, ...]
+    flat: tuple[Form, ...]
 
     @staticmethod
     def build(n, r, p, q, comps) -> "EndForm":
@@ -474,7 +471,7 @@ class EndForm(Valued):
         return EndForm(n, r, p, q, (InvariantForm.zero(n, p, q),) * (r * r))
 
     @property
-    def comps(self) -> Tuple[Tuple[Form, ...], ...]:
+    def comps(self) -> tuple[tuple[Form, ...], ...]:
         """The grid as a tuple of rows, for readers that walk it by rows."""
         r = self.r
         return tuple(self.flat[i * r:(i + 1) * r] for i in range(r))

@@ -19,33 +19,36 @@ Conventions fixed here once and used everywhere downstream:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from functools import lru_cache
 
 from . import linalg
 from .exterior import (EndForm, InvariantForm, MixedForm, _acc, _make,
                        sort_with_sign)
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRat, S_A, S_I, S_ONE, Scalar
+from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussRat, Record, S_A, S_I,
+                      S_ONE, Scalar)
 
 
 class ModelError(ValueError):
     pass
 
 
-@dataclass
-class HomogeneousModel:
+class HomogeneousModel(Record):
     name: str
     n: int
-    coframe_names: List[str]
-    d_coframe: List[MixedForm]          # d(alpha^a), total degree 2
-    metric: List[List[GaussRat]]        # Hermitian positive h[a][b]
+    coframe_names: list[str]
+    d_coframe: list[MixedForm]          # d(alpha^a), total degree 2
+    metric: list[list[GaussRat]]        # Hermitian positive h[a][b]
     omega_coeff: GaussRat               # Omega = omega_coeff * alpha^{1..n}
     rank: int
     curvature_F: EndForm                # gauge curvature, (1,1), trace-free
-    alpha_prime: Optional[GaussRat]
-    chart: Optional[dict] = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    alpha_prime: GaussRat | None
+    chart: dict | None = None
+    _cache: dict          # built values, keyed by name; empty on each copy
+    _derived = ("_cache",)
+    __hash__ = None
+
+    def _derive(self) -> dict:
+        return {"_cache": {}}
 
     def cached(self, key, builder):
         if key not in self._cache:
@@ -188,8 +191,7 @@ def levi_civita(m: HomogeneousModel) -> dict:
     return m.cached("levi_civita", build)
 
 
-@dataclass(frozen=True)
-class ConnectionData:
+class ConnectionData(Record):
     """Connection on T^{1,0} in the invariant frame (see module docstring)."""
 
     kind: str
@@ -257,6 +259,14 @@ def _dc_omega(m: HomogeneousModel) -> MixedForm:
     return (MixedForm.of(anti) - MixedForm.of(hol)).scale(S_I)
 
 
+@lru_cache(maxsize=None)
+def _odd_permutations(k: int) -> tuple[bool, ...]:
+    """Whether each permutation of range(k), in ``itertools.permutations``
+    order, is odd; built once per form degree."""
+    return tuple(sort_with_sign(p)[0] < 0
+                 for p in itertools.permutations(range(k)))
+
+
 def _frame_values(form: MixedForm, what: str):
     """Values of a k-form on ordered k-tuples of complexified frame vectors,
     keyed by 0-based frame indices (V_1..V_n, then Vbar_1..Vbar_n).
@@ -265,8 +275,7 @@ def _frame_values(form: MixedForm, what: str):
     order, is c times the sign of the permutation on every reordering of
     its slots; every other tuple is 0 and absent."""
     n = form.n
-    odd = [sort_with_sign(p)[0] < 0
-           for p in itertools.permutations(range(form.degree))]
+    odd = _odd_permutations(form.degree)
     values = {}
     for _, f in form.parts:
         for (h, a), c in f.terms:
@@ -424,19 +433,17 @@ def curvature_array(m: HomogeneousModel):
 # system checker and symmetry identity
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(Record):
     name: str
     passed: bool
     residual: str
 
 
-@dataclass(frozen=True)
-class SystemReport:
+class SystemReport(Record):
     model: str
     alpha_label: str
     degenerate: bool
-    conditions: Tuple[ConditionResult, ...]
+    conditions: tuple[ConditionResult, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -467,7 +474,7 @@ def _end_str(x: EndForm) -> str:
 
 
 def anomaly_residual(m: HomogeneousModel,
-                     alpha: Optional[GaussRat]) -> InvariantForm:
+                     alpha: GaussRat | None) -> InvariantForm:
     """2i d-del-bar omega - alpha' (tr F^F - tr R^R) as a (2,2) form; when
     alpha is None the result is symbolic in a."""
     w = omega_form(m)
@@ -482,7 +489,7 @@ def anomaly_residual(m: HomogeneousModel,
     return lhs - rhs.scale(factor)
 
 
-def resolve_alpha(m: HomogeneousModel, alpha0: Optional[GaussRat]
+def resolve_alpha(m: HomogeneousModel, alpha0: GaussRat | None
                   ) -> GaussRat:
     """The coupling a report uses: ``alpha0`` if given (it must be real),
     else the model's alpha', else 1."""
@@ -500,7 +507,7 @@ def resolve_alpha(m: HomogeneousModel, alpha0: Optional[GaussRat]
 
 
 def check_heterotic_system(m: HomogeneousModel,
-                           alpha_override: Optional[GaussRat] = None
+                           alpha_override: GaussRat | None = None
                            ) -> SystemReport:
     alpha = alpha_override if alpha_override is not None else m.alpha_prime
     if alpha is None:
@@ -568,7 +575,7 @@ def chern_symmetry_residual(m: HomogeneousModel):
 # model validation
 
 
-def validate_model(m: HomogeneousModel) -> List[str]:
+def validate_model(m: HomogeneousModel) -> list[str]:
     """Full validation; returns a list of failure messages (empty = valid)."""
     errors = []
     n = m.n

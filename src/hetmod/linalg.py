@@ -18,12 +18,12 @@ One sparse elimination engine, a dense rank test mod p and a determinant:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import lcm
-from typing import Dict, List, Sequence, Tuple
 
 from .scalars import GR_ONE, GR_ZERO, GaussRat
 
-Matrix = List[List[GaussRat]]
+Matrix = list[list[GaussRat]]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -60,14 +60,14 @@ def transpose(a: Matrix) -> Matrix:
     return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
-def sparse_rows(a: Matrix) -> List[Dict[int, GaussRat]]:
+def sparse_rows(a: Matrix) -> list[dict[int, GaussRat]]:
     return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
-def row_sum(terms) -> Dict[int, GaussRat]:
+def row_sum(terms) -> dict[int, GaussRat]:
     """The sparse row sum of x * row over the terms (x, row), where each row
     is a sequence of (index, value) pairs."""
-    acc: Dict[int, GaussRat] = {}
+    acc: dict[int, GaussRat] = {}
     for x, row in terms:
         for j, v in row:
             y = x * v
@@ -75,7 +75,7 @@ def row_sum(terms) -> Dict[int, GaussRat]:
     return acc
 
 
-def _echelon(rows, reduced: bool = False) -> Dict[int, Dict]:
+def _echelon(rows, reduced: bool = False) -> dict[int, dict]:
     """Pivot rows by leading column, each scaled to a leading 1.
 
     ``rows`` are sparse ``{col: GaussRat}`` dicts with no zero values; they
@@ -83,7 +83,7 @@ def _echelon(rows, reduced: bool = False) -> Dict[int, Dict]:
     column has no pivot, then becomes the pivot there.  ``reduced``
     back-substitutes, so every pivot column is zero outside its pivot row.
     """
-    pivots: Dict[int, Dict] = {}
+    pivots: dict[int, dict] = {}
 
     def eliminate(row, c):
         # row -= row[c] * pivots[c], which clears column c
@@ -120,7 +120,7 @@ def rank(a: Matrix) -> int:
     return rank_rows(sparse_rows(a))
 
 
-def kernel_basis(a: Matrix, cols: int = None) -> List[List[GaussRat]]:
+def kernel_basis(a: Matrix, cols: int = None) -> list[list[GaussRat]]:
     """Basis of the right null space, one vector per free column."""
     if cols is None:
         cols = len(a[0]) if a else 0
@@ -170,7 +170,7 @@ def det(rows, one):
     return rows[0][0] if total is None else total
 
 
-def gauss_ints(xs: Sequence[GaussRat]) -> Tuple[int, List[Tuple[int, int]]]:
+def gauss_ints(xs: Sequence[GaussRat]) -> tuple[int, list[tuple[int, int]]]:
     """The least positive integer d that clears the denominators of xs,
     and d * xs as (re, im) int pairs."""
     den = lcm(*(x.d for x in xs))

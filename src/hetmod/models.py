@@ -20,7 +20,6 @@ conjugate name ("ab1").
 from __future__ import annotations
 
 import json
-from typing import Dict
 
 from .exterior import EndForm, FormError, InvariantForm, MixedForm
 from .geometry import HomogeneousModel, ModelError, validate_model
@@ -90,7 +89,7 @@ def _conj_name(name: str) -> str:
     return "ab" + name[1:] if name.startswith("a") else name + "_bar"
 
 
-def _parse_wedge(legs, names: Dict[str, int], where: str):
+def _parse_wedge(legs, names: dict[str, int], where: str):
     if not isinstance(legs, list) or not all(isinstance(x, str)
                                              for x in legs):
         raise ModelError(f"{where}: wedge must be a list of coframe names, "
@@ -281,7 +280,7 @@ def model_to_json(m: HomogeneousModel) -> dict:
                 })
         if terms:
             d[m.coframe_names[a]] = terms
-    fmap: Dict[str, list] = {}
+    fmap: dict[str, list] = {}
     for i in range(m.rank):
         for j in range(m.rank):
             for key, c in m.curvature_F.entry(i, j).terms:

@@ -26,10 +26,9 @@ from that single choice (``_prepend``), whose sign ``exterior._merge`` gives.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .exterior import (
@@ -57,17 +56,17 @@ from .geometry import (
     metric_inverse,
     torsion_lower,
 )
-from .scalars import GR_ONE, GR_ZERO, GaussRat, S_A, S_ONE, S_ZERO, Scalar
+from .scalars import (GR_ONE, GR_ZERO, GaussRat, Record, S_A, S_ONE, S_ZERO,
+                      Scalar)
 
 
-@dataclass(frozen=True)
-class QSection(Valued):
+class QSection(Valued, Record):
     """A Q-valued invariant (0,p)-form: comps = (kappa, gamma, w)."""
 
     n: int
     r: int
     p: int
-    comps: Tuple[CovectorForm, EndForm, VectorForm]
+    comps: tuple[CovectorForm, EndForm, VectorForm]
 
     kappa = property(lambda self: self.comps[0])
     gamma = property(lambda self: self.comps[1])
@@ -131,7 +130,7 @@ def _table(m: HomogeneousModel, key, nout: int, entries):
     with the constants of equal (j, k, i) summed and zeros dropped.
     `entries()` yields ((j, k, i), c) with c a GaussRat."""
     def build():
-        acc: Dict[Tuple[int, int, int], GaussRat] = {}
+        acc: dict[tuple[int, int, int], GaussRat] = {}
         for idx, c in entries():
             if c:
                 acc[idx] = acc[idx] + c if idx in acc else c
@@ -141,10 +140,10 @@ def _table(m: HomogeneousModel, key, nout: int, entries):
 
 
 def _couple(table, srcs: Sequence[InvariantForm], q: int, leg
-            ) -> List[InvariantForm]:
+            ) -> list[InvariantForm]:
     """out[j] = sum of c * leg(k, srcs[i]) over the table, as (0,q)-forms."""
     nout, entries = table
-    acc: List[Dict] = [{} for _ in range(nout)]
+    acc: list[dict] = [{} for _ in range(nout)]
     legs = {}
     for j, k, i, c in entries:
         f = srcs[i]
@@ -348,15 +347,14 @@ def _leg_label(K) -> str:
     return "abar{" + "".join(str(k) for k in K) + "}"
 
 
-@dataclass(frozen=True)
-class QBasis:
+class QBasis(Record):
     """Ordered invariant basis of Q-valued (0,p)-forms with printable labels."""
 
     n: int
     r: int
     p: int
-    labels: Tuple[str, ...]
-    sections: Tuple[QSection, ...]
+    labels: tuple[str, ...]
+    sections: tuple[QSection, ...]
 
     @property
     def dim(self) -> int:
@@ -380,7 +378,7 @@ def fibre_basis(n: int, r: int, covector: str = "a^", vector: str = "V^"):
             + [(f"e3:{vector}{j + 1}", {w + j: GR_ONE}) for j in range(n)])
 
 
-def q_labels(m: HomogeneousModel, p: int) -> Tuple[str, ...]:
+def q_labels(m: HomogeneousModel, p: int) -> tuple[str, ...]:
     """The labels of the q_basis, without building its sections."""
     return m.cached(("q_labels", p), lambda: tuple(
         f"{label}:{_leg_label(K)}" for label, _ in fibre_basis(m.n, m.rank)
@@ -405,7 +403,7 @@ def q_basis(m: HomogeneousModel, p: int) -> QBasis:
     return m.cached(("q_basis", p), build)
 
 
-def q_coordinates(s: QSection) -> List[Scalar]:
+def q_coordinates(s: QSection) -> list[Scalar]:
     """Coordinates of a Q-section in the q_basis order (Scalars): its value
     slots read as the coefficients ``_coordinates`` takes."""
     combos = _combos(s.n, s.p)
@@ -420,13 +418,13 @@ def q_coordinates(s: QSection) -> List[Scalar]:
     return out
 
 
-def _coordinates(acc: Dict, n: int, r: int, nt: int) -> Dict:
+def _coordinates(acc: dict, n: int, r: int, nt: int) -> dict:
     """The nonzero q_basis coordinates {index: value} of the section with
     value-slot coefficients acc[(slot, K')] (GaussRats or Scalars).  On the
     gauge grid of each K', the coordinate of D(k) is the sum of the first
     k + 1 diagonal entries, and E(u, t) is read off its entry."""
     out = {}
-    diags: Dict[int, Dict] = {}
+    diags: dict[int, dict] = {}
     for (j, K), v in acc.items():
         if j < n:
             out[j * nt + K] = v
@@ -452,7 +450,7 @@ def _coordinates(acc: Dict, n: int, r: int, nt: int) -> Dict:
 # operator matrices
 
 
-Rows = Tuple[Dict[int, GaussRat], ...]
+Rows = tuple[dict[int, GaussRat], ...]
 
 
 def _refuse_degree(e: int, what: str) -> None:
@@ -461,8 +459,7 @@ def _refuse_degree(e: int, what: str) -> None:
                          "coupling a; operators are linear in a")
 
 
-@dataclass(frozen=True)
-class QOperatorMatrix:
+class QOperatorMatrix(Record):
     """A linear operator between invariant Q-section spaces, linear in the
     formal coupling variable a: the pencil M = M_0 + a M_1.
 
@@ -475,16 +472,16 @@ class QOperatorMatrix:
 
     source_p: int
     target_p: int
-    source_labels: Tuple[str, ...]
-    target_labels: Tuple[str, ...]
-    pencil: Tuple[Rows, Rows]
+    source_labels: tuple[str, ...]
+    target_labels: tuple[str, ...]
+    pencil: tuple[Rows, Rows]
 
     @property
-    def shape(self) -> Tuple[int, int]:
+    def shape(self) -> tuple[int, int]:
         return (len(self.target_labels), len(self.source_labels))
 
     @cached_property
-    def entries(self) -> Tuple[Tuple[Scalar, ...], ...]:
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
         """Dense rows of Scalar: rows are targets, columns sources."""
         out = []
         for r0, r1 in zip(*self.pencil):
@@ -495,7 +492,7 @@ class QOperatorMatrix:
             out.append(tuple(row))
         return tuple(out)
 
-    def rows(self, a0: GaussRat) -> List[Dict[int, GaussRat]]:
+    def rows(self, a0: GaussRat) -> list[dict[int, GaussRat]]:
         """M_0 + a0 M_1 as new sparse rows, cancelled entries dropped."""
         out = []
         for r0, r1 in zip(*self.pencil):
@@ -597,7 +594,7 @@ def assemble_Dbar(m: HomogeneousModel, p: int) -> QOperatorMatrix:
         col = 0
         for _, value in fibre_basis(n, r):
             for K in range(nk):
-                accs: Tuple[Dict, Dict] = ({}, {})
+                accs: tuple[dict, dict] = ({}, {})
                 for i, x in value.items():
                     for e, j, c, legs in couplings[i]:
                         cx = c * x
@@ -616,7 +613,7 @@ def assemble_Dbar(m: HomogeneousModel, p: int) -> QOperatorMatrix:
 # leg blocks
 
 
-def _leg_bounds(m: HomogeneousModel, p: int) -> List[int]:
+def _leg_bounds(m: HomogeneousModel, p: int) -> list[int]:
     """Where the kappa, gamma and w coordinates start and end in q_basis."""
     nk = len(_combos(m.n, p))
     ne = m.rank * m.rank - 1
@@ -644,7 +641,7 @@ def decoupled(m: HomogeneousModel, op: QOperatorMatrix) -> QOperatorMatrix:
     End -> End, T -> T) kept.  On Dbar, which is upper triangular in the
     legs, this is the associated graded of T* in T* + End in Q."""
     src, tgt = _leg_bounds(m, op.source_p), _leg_bounds(m, op.target_p)
-    return replace(op, pencil=tuple(
+    return op.replace(pencil=tuple(
         tuple({c: x for c, x in row.items() if src[t] <= c < src[t + 1]}
               for t in range(3) for row in mk[tgt[t]:tgt[t + 1]])
         for mk in op.pencil))
@@ -726,7 +723,7 @@ def _gram_rows(m: HomogeneousModel, p: int, inverse: bool = False):
     return m.cached(("gram_rows", p, inverse), build)
 
 
-def gram(m: HomogeneousModel, p: int) -> List[List[GaussRat]]:
+def gram(m: HomogeneousModel, p: int) -> list[list[GaussRat]]:
     """Hermitian positive Gram matrix of the q_basis, block diagonal in the
     three value legs: G_p = (+)_b V_b (x) L_p (see ``_gram_factors``)."""
     def build():
@@ -740,7 +737,7 @@ def gram(m: HomogeneousModel, p: int) -> List[List[GaussRat]]:
 
 
 def gram_lowered(m: HomogeneousModel, target_p: int, rows
-                 ) -> List[Dict[int, GaussRat]]:
+                 ) -> list[dict[int, GaussRat]]:
     """conj(M^T G_tgt) as sparse rows, one per source column of M, where M
     maps degree target_p - 1 into degree target_p and is given by its
     sparse rows.
@@ -749,7 +746,7 @@ def gram_lowered(m: HomogeneousModel, target_p: int, rows
     it is the Gram adjoint of M, and no Gram factor is inverted here.
     """
     g_tgt = _gram_rows(m, target_p)
-    columns: List[List] = [[] for _ in q_labels(m, target_p - 1)]
+    columns: list[list] = [[] for _ in q_labels(m, target_p - 1)]
     for r, row in enumerate(rows):
         for c, x in row.items():
             columns[c].append((x, g_tgt[r]))
@@ -812,7 +809,7 @@ def op_F_star_kappa(kap: CovectorForm, m: HomogeneousModel) -> EndForm:
         _couple(table, kap.comps, q, partial(_interior, m))))
 
 
-def _vector_from_paired(m: HomogeneousModel, C: List[InvariantForm],
+def _vector_from_paired(m: HomogeneousModel, C: list[InvariantForm],
                         q: int) -> VectorForm:
     """Solve sum_p h[p][j] X_p = C_j for the vector components X."""
     n = m.n
@@ -880,7 +877,7 @@ def _leg_derivative_adjoint(m: HomogeneousModel, l: int, q: int):
 def _apply_leg_matrix(m: HomogeneousModel, mat, f: InvariantForm
                       ) -> InvariantForm:
     combos = _combos(m.n, f.q)
-    acc: Dict = {}
+    acc: dict = {}
     for c, K in enumerate(combos):
         v = f.coeffs.get(((), K))
         if v is None:
@@ -1001,12 +998,12 @@ def duality_residual(m: HomogeneousModel, beta: EndForm, v: VectorForm,
 def scale_gauge(m: HomogeneousModel, factor: GaussRat) -> HomogeneousModel:
     """Copy of the model with the gauge curvature scaled (breaks the anomaly
     balance unless factor is 1)."""
-    return replace(
-        m, name=m.name + f"[F*{factor}]",
+    return m.replace(
+        name=m.name + f"[F*{factor}]",
         curvature_F=m.curvature_F.scale(Scalar.const(factor)))
 
 
-def nilpotency_report(m: HomogeneousModel, p: int = 0) -> Dict:
+def nilpotency_report(m: HomogeneousModel, p: int = 0) -> dict:
     """Apply Dbar twice to the full basis of degree p, symbolically in a.
 
     Reports whether the square vanishes, whether any residual is confined to

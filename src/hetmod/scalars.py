@@ -10,10 +10,10 @@ package runs over these types; floats never appear.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Tuple
+
+_alloc = object.__new__
 
 
 class ScalarError(ValueError):
@@ -29,7 +29,7 @@ def _fraction(text: str) -> Fraction:
         raise ScalarError(f"zero denominator in {text!r}") from None
 
 
-def _ratio(x) -> Tuple[int, int]:
+def _ratio(x) -> tuple[int, int]:
     """Numerator and positive denominator, in lowest terms, of an exact
     rational given as an int, a Fraction or text such as "-3/4"."""
     if isinstance(x, int):
@@ -158,7 +158,6 @@ class GaussRat:
         return f"{re} {sign} {imtxt}"
 
 
-_alloc = object.__new__
 _set_a = GaussRat.a.__set__
 _set_b = GaussRat.b.__set__
 _set_d = GaussRat.d.__set__
@@ -186,8 +185,101 @@ GR_ONE = GaussRat.of(1)
 GR_I = GaussRat.of(0, 1)
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Record:
+    """A record: named fields, compared, hashed, printed, copied and
+    pickled by value.  Every record class of the package derives from it.
+
+    A subclass declares its fields as class annotations, in order, and a
+    class attribute of a field's name is its default; ``_fields`` collects
+    the names, as ``exterior.Sparse`` names its shape.  The constructor
+    takes the fields by position or by keyword.  ``==`` needs the same
+    class, and ``==``, ``hash`` and ``repr`` read the fields in order.
+    Names in ``_derived`` are annotated too but are not fields: ``_derive``
+    returns their values from the fields, which are set on construction
+    (so again by ``replace`` and on copy and pickle) and left out of
+    ``==``, ``hash`` and ``repr``.  A record is immutable.  Fields live in
+    the instance ``__dict__``; a subclass with slots builds its instances
+    itself (``Scalar``).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _derived: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        slots = cls.__dict__.get("__slots__", ())
+        own = [k for k in cls.__annotations__ if k not in cls._derived]
+        cls._fields += tuple(own)
+        cls._defaults = {**cls._defaults, **{
+            k: cls.__dict__[k] for k in own
+            if k in cls.__dict__ and k not in slots}}
+
+    def __new__(cls, *args, **kw):
+        x = _alloc(cls)
+        fields = cls._fields
+        if kw or len(args) != len(fields):
+            args = cls._bind(args, kw)
+        values = x.__dict__
+        values.update(zip(fields, args))
+        if cls._derived:
+            values.update(x._derive())
+        return x
+
+    @classmethod
+    def _bind(cls, args: tuple, kw: dict) -> list:
+        """The field values in order from a call's arguments and the
+        defaults; a missing, unknown or repeated argument is a TypeError."""
+        fields = cls._fields
+        given = dict(zip(fields, args))
+        for k, v in kw.items():
+            if k not in fields or k in given:
+                raise TypeError(f"{cls.__name__}() got an unexpected or "
+                                f"repeated argument {k!r}")
+            given[k] = v
+        values = {**cls._defaults, **given}
+        if len(args) > len(fields) or len(values) < len(fields):
+            raise TypeError(f"{cls.__name__}() takes the fields "
+                            f"{', '.join(fields)}")
+        return [values[k] for k in fields]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, k) for k in self._fields)
+
+    def replace(self, **changes):
+        """A new record with the given fields changed; its derived
+        values are made again from the new fields."""
+        derived = sorted(changes.keys() & set(self._derived))
+        if derived:
+            raise ValueError(f"{type(self).__name__}.{derived[0]} is "
+                             "derived from the fields; replace cannot set it")
+        return type(self)(**dict(zip(self._fields, self._values()))
+                          | changes)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{k}={getattr(self, k)!r}" for k in self._fields) + ")"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Scalar(Record):
     """Polynomial in the formal variable ``a`` with GaussRat coefficients.
 
     ``coeffs[k]`` multiplies a^k; trailing zero coefficients are stripped so
@@ -195,14 +287,18 @@ class Scalar:
     conjugation acts on the coefficients only.
     """
 
-    coeffs: tuple = ()
+    __slots__ = ("coeffs",)
+    coeffs: tuple
+
+    def __new__(cls, coeffs: tuple = ()):
+        return _scalar(coeffs)
 
     @staticmethod
     def make(coeffs) -> "Scalar":
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
-        return Scalar(tuple(cs))
+        return _scalar(tuple(cs))
 
     @staticmethod
     def const(c: GaussRat) -> "Scalar":
@@ -239,11 +335,11 @@ class Scalar:
         )
 
     def __neg__(self) -> "Scalar":
-        return Scalar(tuple(-c for c in self.coeffs))
+        return _scalar(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         if not self.coeffs or not other.coeffs:
-            return Scalar()
+            return S_ZERO
         out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for j, cj in enumerate(self.coeffs):
             if not cj:
@@ -254,7 +350,7 @@ class Scalar:
         return Scalar.make(out)
 
     def conjugate(self) -> "Scalar":
-        return Scalar(tuple(c.conjugate() for c in self.coeffs))
+        return _scalar(tuple(c.conjugate() for c in self.coeffs))
 
     def evaluate(self, a0: GaussRat) -> GaussRat:
         acc = GR_ZERO
@@ -264,6 +360,16 @@ class Scalar:
 
     def __str__(self) -> str:
         return format_scalar(self)
+
+
+_set_coeffs = Scalar.coeffs.__set__
+
+
+def _scalar(coeffs: tuple) -> Scalar:
+    """A Scalar from a coefficient tuple that is already stripped."""
+    x = _alloc(Scalar)
+    _set_coeffs(x, coeffs)
+    return x
 
 
 S_ZERO = Scalar()

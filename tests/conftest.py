@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -41,7 +40,7 @@ def random_flat_models():
 def dense_metric_builtins(iwasawa, calabi_eckmann):
     """iwasawa and calabi-eckmann with the dense, non-real Hermitian metric
     I + A^dagger A, so that the curvature and the Bismut shift fill their
-    tables; ``dataclasses.replace`` gives each copy a cache of its own."""
+    tables; the record's ``replace`` gives each copy a cache of its own."""
     out = []
     for m in (iwasawa, calabi_eckmann):
         n = m.n
@@ -50,8 +49,7 @@ def dense_metric_builtins(iwasawa, calabi_eckmann):
         metric = [[sum((A[k][i].conjugate() * A[k][j] for k in range(n)),
                        start=GR_ONE if i == j else GR_ZERO)
                    for j in range(n)] for i in range(n)]
-        out.append(dataclasses.replace(m, name=m.name + "-dense",
-                                       metric=metric))
+        out.append(m.replace(name=m.name + "-dense", metric=metric))
     return out
 
 

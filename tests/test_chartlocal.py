@@ -2,7 +2,6 @@
 construction and the conjugation identity for the deformation operator."""
 
 import copy
-import dataclasses
 import functools
 import itertools
 import json
@@ -132,7 +131,7 @@ def test_chartless_models_refuse(torus, calabi_eckmann):
 def test_chart_breaking_a_mixed_structure_equation_refused(calabi_eckmann):
     # d a1 on calabi-eckmann is all (1,1), and a holomorphic chart cannot
     # pull it back: the (1,1) comparison names the leg and the residual
-    m = dataclasses.replace(calabi_eckmann, chart={
+    m = calabi_eckmann.replace(chart={
         "coords": 3,
         "coframe_pullback": {"a1": "dz1", "a2": "dz2", "a3": "dz3"}})
     with pytest.raises(ModelError) as exc:
@@ -247,7 +246,7 @@ def _zbar_in_A(t):
     mod = cl.ChartForm.monomial(MC, (1,), (), zbp(2))
     A = [list(row) for row in t.A]
     A[0][0], A[1][1] = A[0][0] + mod, A[1][1] - mod
-    return dataclasses.replace(t, A=tuple(tuple(row) for row in A))
+    return t.replace(A=tuple(tuple(row) for row in A))
 
 
 def test_a_zbar_term_makes_a_transition_non_holomorphic(iwasawa):
@@ -264,7 +263,7 @@ def test_cocycle_needs_each_phi_inverse_to_invert_its_phi(iwasawa):
                   for s in (0, 1, 2))
     # phi^{-1} without its alpha' tr(A_a A_d) entry is phi with every
     # coefficient negated, since all other entries are linear in s
-    bad = dataclasses.replace(t1)
+    bad = t1.replace()
     object.__setattr__(bad, "phi_inv_table", {
         src: tuple(e[:-1] + (-e[-1],) for e in row)
         for src, row in t1.phi_table.items()})
@@ -604,7 +603,7 @@ def _perturbed(t):
     # torsion-potential equation and the conjugation identity both break
     tau = [list(row) for row in t.tau]
     tau[0][1] = tau[0][1] + zbp(0)
-    return dataclasses.replace(t, tau=tuple(tuple(row) for row in tau))
+    return t.replace(tau=tuple(tuple(row) for row in tau))
 
 
 def test_perturbed_potential_breaks_the_identity(iwasawa):
@@ -762,10 +761,10 @@ def _bent(t):
     R = dbar Gamma, which no chart model has, is nonzero."""
     G = [[list(row) for row in g] for g in t.cd.Gamma]
     G[0][2][1] = G[0][2][1] + zbp(1) * zp(0)
-    cd = dataclasses.replace(t.cd, Gamma=tuple(
+    cd = t.cd.replace(Gamma=tuple(
         tuple(tuple(row) for row in g) for g in G))
     assert any(f for g in cd.Rcomp for row in g for f in row)
-    return dataclasses.replace(t, cd=cd)
+    return t.replace(cd=cd)
 
 
 def test_curvature_coupling_R_nabla_plus(iwasawa):

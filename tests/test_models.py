@@ -1,6 +1,5 @@
 """Built-in models and the JSON model description format."""
 
-import dataclasses
 import json
 
 import pytest
@@ -97,8 +96,8 @@ def test_printed_model_ignores_term_insertion_order(builtins):
         F = m.curvature_F
         grid = [[_reversed_terms(F.entry(i, j)) for j in range(F.r)]
                 for i in range(F.r)]
-        m2 = dataclasses.replace(
-            m, d_coframe=d,
+        m2 = m.replace(
+            d_coframe=d,
             curvature_F=EndForm.build(F.n, F.r, F.p, F.q, grid))
         assert m2.d_coframe == m.d_coframe
         assert print_model(m2) == print_model(m)
@@ -110,11 +109,11 @@ def test_replaced_model_has_its_own_cache():
     assert metric_inverse(m)[0][0] == GaussRat.of(2)     # metric 1/2 I
     two = [[GaussRat.of(2) if i == j else GR_ZERO for j in range(m.n)]
            for i in range(m.n)]
-    m2 = dataclasses.replace(m, metric=two)
+    m2 = m.replace(metric=two)
     assert metric_inverse(m2)[0][0] == GaussRat.of("1/2")
     assert metric_inverse(m)[0][0] == GaussRat.of(2)
     with pytest.raises(ValueError):
-        dataclasses.replace(m, _cache={})
+        m.replace(_cache={})
 
 
 def test_parse_rejects_missing_keys(iwasawa):

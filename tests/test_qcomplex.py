@@ -10,7 +10,6 @@ upper triangular in the legs, and check the decoupled view against
 apply_Dbar's own decoupled mode.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -139,7 +138,7 @@ def test_pencil_rows_are_the_dense_view_specialized(builtins,
 
 def test_pencil_refuses_a_squared(iwasawa):
     # an a^2 slot coupling reaches the assembly: refused, not truncated
-    m = dataclasses.replace(iwasawa, name="iwasawa-a2")
+    m = iwasawa.replace(name="iwasawa-a2")
     parts = [list(x) for x in qc._slot_couplings(m)]
     parts[0].append((0, 0, None, 2, GaussRat.of(1)))   # a^2 ab^1 ^ .
     m._cache["slot_couplings"] = parts
@@ -195,7 +194,7 @@ def test_block_reassembly_sees_a_broken_pencil(builtins, random_flat_models):
             _, c1, c2, _ = qc._leg_bounds(base, p)
             _, r1, r2, _ = qc._leg_bounds(base, p + 1)
             for broken, row, col in (("split", r1, c1 - 1), ("dual", r2, c2)):
-                m = dataclasses.replace(base, name=f"{base.name}-{broken}")
+                m = base.replace(name=f"{base.name}-{broken}")
                 op = qc.assemble_Dbar(m, p)
                 rows = [dict(r) for r in op.pencil[0]]
                 v = rows[row].get(col, GaussRat.of(0)) + GaussRat.of(1)
@@ -203,8 +202,8 @@ def test_block_reassembly_sees_a_broken_pencil(builtins, random_flat_models):
                     rows[row][col] = v
                 else:
                     del rows[row][col]
-                m._cache[("Dbar", p)] = dataclasses.replace(
-                    op, pencil=(tuple(rows), op.pencil[1]))
+                m._cache[("Dbar", p)] = op.replace(
+                    pencil=(tuple(rows), op.pencil[1]))
                 if broken == "split":
                     assert not qc.upper_triangular(m, p), (m.name, p)
                     continue
