@@ -30,6 +30,10 @@ a 2-vCPU Xeon, and seven times as many per step of n).  Then ``check`` on
 each model file of ``REFUSALS``, a built-in's file with one field
 malformed or ambiguous, written to a temporary directory; these lines read
 ``check refusal:LABEL``, and a refusal exits 2 with an ``error:`` line.
+Then ``check`` on each model file of ``RESPELLED``, a built-in's file with
+one ``d`` wedge or ``F`` key written antiholomorphic leg first and its
+coefficient negated, which is the same model; these lines read ``check
+respelled:LABEL`` and hash as the built-in's own ``check`` line.
 An exception that escapes ``cli.main`` is printed as its type and message,
 with exit code 1, as an uncaught error would exit.  Last, one line
 ``print_model SPEC sha256`` for each built-in and each model file: no
@@ -61,6 +65,7 @@ from hetmod.models import (
     parse_model_file,
     print_model,
 )
+from hetmod.scalars import parse_gauss
 
 ALPHAS = (None, "0", "1", "-4", "1/7")
 
@@ -88,6 +93,37 @@ REFUSALS = (
      lambda d: d["metric"][0].__setitem__(1, "1")),
     ("coefficient-with-a", "torus",
      lambda d: d["metric"][0].__setitem__(0, "a")),
+)
+
+
+def _respell_d(leg, wedge):
+    """Edit: the d term of ``leg`` on ``wedge`` with its two legs swapped
+    and its coefficient negated."""
+    def edit(data):
+        term = next(t for t in data["d"][leg] if t["wedge"] == wedge)
+        term.update(wedge=wedge[::-1], coeff=str(-parse_gauss(term["coeff"])))
+    return edit
+
+
+def _respell_F(key):
+    """Edit: the F key ``key`` with its two legs swapped and every entry of
+    its array negated."""
+    def edit(data):
+        fmap = data["bundle"]["F"]
+        holo, anti = key.split("^")
+        fmap[f"{anti}^{holo}"] = [[str(-parse_gauss(x)) for x in row]
+                                  for row in fmap.pop(key)]
+    return edit
+
+
+# (label, built-in, edit of its model file): the same model written with an
+# antiholomorphic leg first, so each checks as the built-in does
+RESPELLED = (
+    ("iwasawa-F-ab1-a1", "iwasawa", _respell_F("a1^ab1")),
+    ("calabi-eckmann-d-a1", "calabi-eckmann",
+     _respell_d("a1", ["a2", "ab2"])),
+    ("calabi-eckmann-d-a3", "calabi-eckmann",
+     _respell_d("a3", ["a3", "ab1"])),
 )
 
 
@@ -140,14 +176,15 @@ def main(files) -> int:
         first[tuple(argv)] = run(argv)
         print(" ".join(argv), *first[tuple(argv)], flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for label, name, edit in REFUSALS:
-            data = model_to_json(builtin_model(name))
-            edit(data)
-            path = os.path.join(tmp, label + ".json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(data, fh)
-            print("check", "refusal:" + label, *run(["check", path]),
-                  flush=True)
+        for kind, edits in (("refusal", REFUSALS), ("respelled", RESPELLED)):
+            for label, name, edit in edits:
+                data = model_to_json(builtin_model(name))
+                edit(data)
+                path = os.path.join(tmp, label + ".json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(data, fh)
+                print("check", f"{kind}:{label}", *run(["check", path]),
+                      flush=True)
     for name in BUILTIN_NAMES:
         print("print_model", name, digest(print_model(builtin_model(name))))
     for path in files:

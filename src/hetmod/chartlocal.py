@@ -19,11 +19,12 @@ provides:
   that holds only where each phi^{-1} table inverts its phi.
 
 Representation.  ``Poly``, ``ChartForm`` and ``ChartSection`` are
-``exterior.Sparse`` term maps, so they share one container with the
-invariant forms: no zero is ever stored, ``terms`` is a read-only view of
-the (key, value) pairs and ``coeffs`` the mapping behind it, ``bool`` is
-emptiness, ``==`` and ``hash`` ignore insertion order, ``+ - neg scale``,
-copy and pickle are the base's, and terms are sorted only for printing.
+``scalars.Sparse`` term maps, so they share one container with the
+invariant forms and scalars: no zero is ever stored, ``terms`` is a
+read-only view of the (key, value) pairs and ``coeffs`` the mapping behind
+it, ``bool`` is emptiness, ``==`` and ``hash`` ignore insertion order,
+``+ - neg scale``, copy and pickle are the base's, and terms are sorted
+only for printing.
 ``Poly`` and ``ChartForm`` nest (monomial -> GaussRat, leg key -> Poly),
 and ``ChartForm`` is an ``exterior.Form``, so its leg signs are those of
 the invariant forms; a new leg from a derivative or a coupling takes its
@@ -31,7 +32,7 @@ sign from ``exterior._merge``, as ``qcomplex._prepend``'s does.  A
 ``ChartSection`` is flat: (slot, dzbar legs, z exponents, zbar exponents)
 -> GaussRat.  The public constructors and ``build`` validate what they are
 given; everything else builds each result in one pass through the
-unchecked ``exterior._make`` and never sorts.
+unchecked ``scalars._make`` and never sorts.
 
 Operators on sections.  On a monomial section e_k z^x zbar^y dzbar^L, a
 coupling multiplies by a fixed monomial, which shifts (x, y), and dbar or
@@ -55,18 +56,7 @@ from math import prod
 from operator import add
 from types import MappingProxyType as _frozen
 
-from .exterior import (
-    EndForm,
-    Form,
-    FormError,
-    Sparse,
-    _acc,
-    _legs,
-    _make,
-    _merge,
-    _sum_terms,
-    end_pair_trace,
-)
+from .exterior import EndForm, Form, _legs, _merge, end_pair_trace
 from .geometry import (
     HomogeneousModel,
     ModelError,
@@ -77,7 +67,8 @@ from .geometry import (
 )
 from .linalg import det
 from .qcomplex import fibre_basis
-from .scalars import (GR_ONE, GR_ZERO, GaussRat, Record, ScalarError,
+from .scalars import (GR_ONE, GR_ZERO, FormError, GaussRat, Record,
+                      ScalarError, Sparse, _acc, _make, _sum_terms,
                       parse_gauss)
 
 Exp = tuple[int, ...]
@@ -97,7 +88,7 @@ _int = lru_cache(maxsize=None)(GaussRat.of)      # small exact integers
 
 class Poly(Sparse):
     """Polynomial in z_1..z_m, zbar_1..zbar_m with Gaussian rational
-    coefficients: an ``exterior.Sparse`` term map (z exponents, zbar
+    coefficients: a ``scalars.Sparse`` term map (z exponents, zbar
     exponents) -> GaussRat, so the zero polynomial has no terms.
     """
 
@@ -204,10 +195,6 @@ class ChartForm(Form):
     def scale(self, c: GaussRat) -> "ChartForm":
         return _make(ChartForm, self.shape,
                      {k: v.scale(c) for k, v in self.terms} if c else {})
-
-    def is_holomorphic(self) -> bool:
-        return (self.q == 0
-                and all(c.is_holomorphic() for c in self.coeffs.values()))
 
     def __str__(self) -> str:
         """Terms in key order as ``[coefficient] legs``; the legs print
@@ -714,7 +701,7 @@ def potential_residuals(t: Trivialization) -> dict[str, bool]:
 class ChartSection(Sparse):
     """A Q-valued chart section of form degree (0,q).
 
-    An ``exterior.Sparse`` term map (slot, dzbar legs, z exponents, zbar
+    A ``scalars.Sparse`` term map (slot, dzbar legs, z exponents, zbar
     exponents) -> GaussRat, with the slots numbered as in ``_offsets``:
     covector dz^{a+1}, then gauge matrix entry (u, v), then vector
     d/dz^{a+1}, all 0-based; ``build(mc, rank, q, terms)`` checks such keys.

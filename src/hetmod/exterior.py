@@ -15,29 +15,21 @@ convention cannot drift between them: a new leg put in front of a form's
 legs (``qcomplex._prepend``, the chart derivatives and couplings) takes its
 sign from ``_merge``, the cached ``merge_with_sign``.
 
-``Sparse`` is the package's one sparse term container: a shape and a map of
-nonzero values, with equality, hashing, copying, ``+ - neg scale`` and the
-validating ``build``/``zero`` written once.  ``Form`` and ``MixedForm``
-(parts of several bidegrees, keyed by (p, q)) derive from it here, and
-``chartlocal.Poly`` and ``chartlocal.ChartSection`` in the chart layer.
+``Form`` and ``MixedForm`` (parts of several bidegrees, keyed by (p, q))
+are ``scalars.Sparse`` term maps, as their ``Scalar`` coefficients are.
 The value legs (``LegForm``, ``EndForm``) are fixed-length tuples of forms
 with componentwise arithmetic (``Valued``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from functools import lru_cache
 from operator import add, sub
 
 from .linalg import det
-from .scalars import S_ONE, S_ZERO, Record, Scalar
-
-_alloc = object.__new__
-
-
-class FormError(ValueError):
-    pass
+from .scalars import (S_ONE, S_ZERO, FormError, Record, Scalar, Sparse, _acc,
+                      _make)
 
 
 def sort_with_sign(idx: Iterable[int]):
@@ -94,30 +86,6 @@ def normalize_key(holo: Iterable[int], anti: Iterable[int]):
     return sh * sa, (h, a)
 
 
-def _acc(acc: dict, key, v) -> None:
-    """acc[key] += v, leaving out zero summands and cancelled sums."""
-    if not v:
-        return
-    c = acc.get(key)
-    if c is None:
-        acc[key] = v
-    else:
-        c = c + v
-        if c:
-            acc[key] = c
-        else:
-            del acc[key]
-
-
-def _sum_terms(x: Mapping, y, sign: int = 1) -> dict:
-    """x + sign * y term by term, for a mapping and (key, value) pairs of
-    nonzero terms; the result holds no zero either."""
-    acc = x.copy()
-    for k, v in y:
-        _acc(acc, k, v if sign == 1 else -v)
-    return acc
-
-
 def _legs(legs, count: int, n: int, key) -> tuple[int, ...]:
     """``legs`` as a tuple, checked to be ``count`` strictly increasing legs
     within 1..n; ``key`` names the term in the error."""
@@ -127,115 +95,6 @@ def _legs(legs, count: int, n: int, key) -> tuple[int, ...]:
         raise FormError(f"key {key} needs {count} strictly increasing legs "
                         f"within 1..{n}")
     return legs
-
-
-class Sparse:
-    """A shape and a sparse term map: the one container behind forms,
-    polynomials, chart sections and mixed-degree forms.
-
-    ``shape`` is a tuple of sizes, which a subclass names in ``_fields``
-    and reads back as properties of those names.  ``terms`` is a read-only
-    view of the (key, value) pairs of a dict that never holds a zero value,
-    and ``coeffs`` the read-only mapping behind it, so ``bool`` is emptiness
-    and ``==``/``hash`` ignore insertion order.  ``cls(*shape, terms)`` and
-    ``build`` check each key with the subclass's ``_key`` and drop zero
-    values; copy and pickle rebuild through ``build``.  Everything else
-    builds its result through the unchecked ``_make``: the values form an
-    integral domain (or are such containers), so no nonzero product
-    vanishes and only a cancelled sum needs dropping.  A subclass gives its
-    shape, its key check, its products and derivatives, and its printing.
-    """
-
-    __slots__ = ("shape", "terms")
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls):
-        for i, name in enumerate(cls.__dict__.get("_fields", ())):
-            setattr(cls, name, property(lambda self, i=i: self.shape[i]))
-
-    def __new__(cls, *args):
-        return cls.build(*args)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def build(cls, *args):
-        """``cls.build(*shape, terms)``, or ``cls.build(*shape)`` for zero."""
-        k = len(cls._fields)
-        if len(args) not in (k, k + 1):
-            raise TypeError(f"{cls.__name__} takes {', '.join(cls._fields)} "
-                            "and a term mapping")
-        shape = args[:k]
-        clean = {}
-        for key, v in (args[k].items() if len(args) > k else ()):
-            key = cls._key(shape, key, v)
-            if v:
-                clean[key] = v
-        return _make(cls, shape, clean)
-
-    @classmethod
-    def zero(cls, *shape):
-        return _make(cls, shape, {})
-
-    @property
-    def coeffs(self) -> Mapping:
-        return self.terms.mapping
-
-    def __reduce__(self):
-        return type(self).build, self.shape + (dict(self.terms),)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.shape == other.shape and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.shape, frozenset(self.terms)))
-
-    def __repr__(self) -> str:
-        args = self.shape + (dict(sorted(self.terms)),)
-        return f"{type(self).__name__}{args!r}"
-
-    def __add__(self, o):
-        if type(o) is not type(self) or o.shape != self.shape:
-            raise FormError(f"{type(self).__name__} shape mismatch")
-        if not self.terms:
-            return o
-        return _make(type(self), self.shape,
-                     _sum_terms(self.terms.mapping, o.terms))
-
-    def __sub__(self, o):
-        if type(o) is not type(self) or o.shape != self.shape:
-            raise FormError(f"{type(self).__name__} shape mismatch")
-        return _make(type(self), self.shape,
-                     _sum_terms(self.terms.mapping, o.terms, -1))
-
-    def __neg__(self):
-        return _make(type(self), self.shape, {k: -v for k, v in self.terms})
-
-    def scale(self, s):
-        """Every value times the coefficient s."""
-        return _make(type(self), self.shape,
-                     {k: v * s for k, v in self.terms} if s else {})
-
-
-_set_shape, _set_terms = Sparse.shape.__set__, Sparse.terms.__set__
-
-
-def _make(cls, shape: tuple, terms: dict):
-    """A ``cls`` of ``shape`` from a dict of nonzero values with canonical
-    keys that no one else holds."""
-    x = _alloc(cls)
-    _set_shape(x, shape)
-    _set_terms(x, terms.items())
-    return x
 
 
 class Form(Sparse):

@@ -22,10 +22,9 @@ import itertools
 from functools import lru_cache
 
 from . import linalg
-from .exterior import (EndForm, InvariantForm, MixedForm, _acc, _make,
-                       sort_with_sign)
+from .exterior import EndForm, InvariantForm, MixedForm, sort_with_sign
 from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussRat, Record, S_A, S_I,
-                      S_ONE, Scalar)
+                      S_ONE, Scalar, _acc, _make)
 
 
 class ModelError(ValueError):

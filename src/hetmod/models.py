@@ -90,20 +90,25 @@ def _conj_name(name: str) -> str:
 
 
 def _parse_wedge(legs, names: dict[str, int], where: str):
+    """The sign of moving a wedge's holomorphic legs before its
+    antiholomorphic ones, and the two lists of legs in their order."""
     if not isinstance(legs, list) or not all(isinstance(x, str)
                                              for x in legs):
         raise ModelError(f"{where}: wedge must be a list of coframe names, "
                          f"not {json.dumps(legs)}")
     holo, anti = [], []
+    sign = 1
     conj = {_conj_name(nm): idx for nm, idx in names.items()}
     for leg in legs:
         if leg in names:
             holo.append(names[leg])
+            if len(anti) % 2:
+                sign = -sign
         elif leg in conj:
             anti.append(conj[leg])
         else:
             raise ModelError(f"{where}: unknown coframe leg {leg!r}")
-    return holo, anti
+    return sign, holo, anti
 
 
 def _parse_const(text, where: str) -> GaussRat:
@@ -155,11 +160,12 @@ def parse_model_text(text: str) -> HomogeneousModel:
             where = f"d.{nm}[{pos}]"
             if not isinstance(term, dict) or set(term) != {"coeff", "wedge"}:
                 raise ModelError(f"{where}: expected coeff/wedge keys")
-            holo, anti = _parse_wedge(term["wedge"], names, where)
+            sign, holo, anti = _parse_wedge(term["wedge"], names, where)
             if len(holo) + len(anti) != 2:
                 raise ModelError(f"{where}: wedge must have two legs")
-            c = Scalar.const(_parse_const(term["coeff"], where))
-            mono = InvariantForm.monomial(n, holo, anti, c)
+            c = _parse_const(term["coeff"], where)
+            mono = InvariantForm.monomial(n, holo, anti,
+                                          Scalar.const(c if sign > 0 else -c))
             if mono:
                 acc = acc + MixedForm.of(mono)
         d_coframe.append(acc)
@@ -190,7 +196,7 @@ def parse_model_text(text: str) -> HomogeneousModel:
     for mono_name, rows in fmap.items():
         where = f"bundle.F[{mono_name!r}]"
         legs = mono_name.split("^")
-        holo, anti = _parse_wedge(legs, names, where)
+        sign, holo, anti = _parse_wedge(legs, names, where)
         if len(holo) != 1 or len(anti) != 1:
             raise ModelError(f"{where}: key must name one a and one ab leg")
         if (not isinstance(rows, list) or len(rows) != rank
@@ -202,7 +208,7 @@ def parse_model_text(text: str) -> HomogeneousModel:
                 c = _parse_const(rows[i][j], f"{where}[{i}][{j}]")
                 if c:
                     fgrid[i][j] = fgrid[i][j] + InvariantForm.monomial(
-                        n, holo, anti, Scalar.const(c))
+                        n, holo, anti, Scalar.const(c if sign > 0 else -c))
     F = EndForm.build(n, rank, 1, 1, fgrid)
 
     alpha_raw = data.get("alpha_prime")

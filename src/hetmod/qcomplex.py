@@ -34,12 +34,9 @@ from . import linalg
 from .exterior import (
     CovectorForm,
     EndForm,
-    FormError,
     InvariantForm,
     Valued,
     VectorForm,
-    _acc,
-    _make,
     _merge,
     contract,
     end_pair_trace,
@@ -56,8 +53,8 @@ from .geometry import (
     metric_inverse,
     torsion_lower,
 )
-from .scalars import (GR_ONE, GR_ZERO, GaussRat, Record, S_A, S_ONE, S_ZERO,
-                      Scalar)
+from .scalars import (GR_ONE, GR_ZERO, FormError, GaussRat, Record, S_A,
+                      S_ONE, S_ZERO, Scalar, _acc, _make)
 
 
 class QSection(Valued, Record):
@@ -945,8 +942,8 @@ def assemble_Dstar_formula(m: HomogeneousModel, p: int) -> QOperatorMatrix:
             img = img + _section(m, p - 1, w=op_F_star_gamma(g, m))
         for i, v in enumerate(q_coordinates(img)):
             _refuse_degree(v.degree, "the formula adjoint")
-            for mk, x in zip(pencil, v.coeffs):
-                _acc(mk[i], s_idx, x)
+            for k, mk in enumerate(pencil):
+                _acc(mk[i], s_idx, v.coefficient(k))
     return QOperatorMatrix(p, p - 1, src.labels, tgt.labels,
                            tuple(tuple(mk) for mk in pencil))
 

@@ -1,15 +1,22 @@
 """Exact coefficient arithmetic: Gaussian rationals and polynomials in the
-formal coupling variable ``a``.
+formal coupling variable ``a``, and the sparse term container.
 
 A Gaussian rational is one normalized Gaussian-integer triple (a + b*i)/d of
 Python ints (d > 0, gcd(a, b, d) = 1, zero is (0, 0, 1)), so arithmetic is
 integer arithmetic plus one gcd per operation.  All linear algebra in this
 package runs over these types; floats never appear.
+
+``Sparse`` is the package's one sparse term container: a shape and a map of
+nonzero values, with equality, hashing, copying, ``+ - neg scale`` and the
+validating ``build``/``zero`` written once.  ``Scalar`` (power of a ->
+GaussRat) derives from it here, the forms in ``exterior`` and the chart
+polynomials and sections in ``chartlocal``.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -60,9 +67,9 @@ class GaussRat:
         p, q = _ratio(re)
         r, s = _ratio(im)
         if q == s:
-            return _make(p, r, q)
+            return _gauss(p, r, q)
         d = lcm(q, s)
-        return _make(p * (d // q), r * (d // s), d)
+        return _gauss(p * (d // q), r * (d // s), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -102,7 +109,7 @@ class GaussRat:
         oa, ob, od = other.a, other.b, other.d
         if d == od:
             if d == 1:
-                return _make(a + oa, b + ob, 1)
+                return _gauss(a + oa, b + ob, 1)
             return _canonical(a + oa, b + ob, d)
         return _canonical(a * od + oa * d, b * od + ob * d, d * od)
 
@@ -111,19 +118,19 @@ class GaussRat:
         oa, ob, od = other.a, other.b, other.d
         if d == od:
             if d == 1:
-                return _make(a - oa, b - ob, 1)
+                return _gauss(a - oa, b - ob, 1)
             return _canonical(a - oa, b - ob, d)
         return _canonical(a * od - oa * d, b * od - ob * d, d * od)
 
     def __neg__(self) -> "GaussRat":
-        return _make(-self.a, -self.b, self.d)
+        return _gauss(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussRat") -> "GaussRat":
         a, b, d = self.a, self.b, self.d
         oa, ob, od = other.a, other.b, other.d
         d *= od
         if d == 1:
-            return _make(a * oa - b * ob, a * ob + b * oa, 1)
+            return _gauss(a * oa - b * ob, a * ob + b * oa, 1)
         return _canonical(a * oa - b * ob, a * ob + b * oa, d)
 
     def __truediv__(self, other: "GaussRat") -> "GaussRat":
@@ -137,7 +144,7 @@ class GaussRat:
                           self.d * n)
 
     def conjugate(self) -> "GaussRat":
-        return _make(self.a, -self.b, self.d)
+        return _gauss(self.a, -self.b, self.d)
 
     def __repr__(self) -> str:
         return f"GaussRat({self.re!r}, {self.im!r})"
@@ -163,7 +170,7 @@ _set_b = GaussRat.b.__set__
 _set_d = GaussRat.d.__set__
 
 
-def _make(a: int, b: int, d: int) -> GaussRat:
+def _gauss(a: int, b: int, d: int) -> GaussRat:
     """A GaussRat from a triple that is already canonical."""
     x = _alloc(GaussRat)
     _set_a(x, a)
@@ -176,13 +183,150 @@ def _canonical(a: int, b: int, d: int) -> GaussRat:
     """A GaussRat from any triple with d > 0."""
     g = gcd(a, b, d)
     if g == 1:
-        return _make(a, b, d)
-    return _make(a // g, b // g, d // g)
+        return _gauss(a, b, d)
+    return _gauss(a // g, b // g, d // g)
 
 
 GR_ZERO = GaussRat()
 GR_ONE = GaussRat.of(1)
 GR_I = GaussRat.of(0, 1)
+
+
+class FormError(ValueError):
+    pass
+
+
+def _acc(acc: dict, key, v) -> None:
+    """acc[key] += v, leaving out zero summands and cancelled sums."""
+    if not v:
+        return
+    c = acc.get(key)
+    if c is None:
+        acc[key] = v
+    else:
+        c = c + v
+        if c:
+            acc[key] = c
+        else:
+            del acc[key]
+
+
+def _sum_terms(x: Mapping, y, sign: int = 1) -> dict:
+    """x + sign * y term by term, for a mapping and (key, value) pairs of
+    nonzero terms; the result holds no zero either."""
+    acc = x.copy()
+    for k, v in y:
+        _acc(acc, k, v if sign == 1 else -v)
+    return acc
+
+
+class Sparse:
+    """A shape and a sparse term map: the one container behind scalars,
+    forms, polynomials, chart sections and mixed-degree forms.
+
+    ``shape`` is a tuple of sizes, which a subclass names in ``_fields``
+    and reads back as properties of those names.  ``terms`` is a read-only
+    view of the (key, value) pairs of a dict that never holds a zero value,
+    and ``coeffs`` the read-only mapping behind it, so ``bool`` is emptiness
+    and ``==``/``hash`` ignore insertion order.  ``cls(*shape, terms)`` and
+    ``build`` check each key with the subclass's ``_key`` and drop zero
+    values; copy and pickle rebuild through ``build``.  Everything else
+    builds its result through the unchecked ``_make``: the values form an
+    integral domain (or are such containers), so no nonzero product
+    vanishes and only a cancelled sum needs dropping.  A subclass gives its
+    shape, its key check, its products and derivatives, and its printing.
+    """
+
+    __slots__ = ("shape", "terms")
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls.__dict__.get("_fields", ())):
+            setattr(cls, name, property(lambda self, i=i: self.shape[i]))
+
+    def __new__(cls, *args):
+        return cls.build(*args)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def build(cls, *args):
+        """``cls.build(*shape, terms)``, or ``cls.build(*shape)`` for zero."""
+        k = len(cls._fields)
+        if len(args) not in (k, k + 1):
+            raise TypeError(f"{cls.__name__} takes {', '.join(cls._fields)} "
+                            "and a term mapping")
+        shape = args[:k]
+        clean = {}
+        for key, v in (args[k].items() if len(args) > k else ()):
+            key = cls._key(shape, key, v)
+            if v:
+                clean[key] = v
+        return _make(cls, shape, clean)
+
+    @classmethod
+    def zero(cls, *shape):
+        return _make(cls, shape, {})
+
+    @property
+    def coeffs(self) -> Mapping:
+        return self.terms.mapping
+
+    def __reduce__(self):
+        return type(self).build, self.shape + (dict(self.terms),)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.shape, frozenset(self.terms)))
+
+    def __repr__(self) -> str:
+        args = self.shape + (dict(sorted(self.terms)),)
+        return f"{type(self).__name__}({', '.join(map(repr, args))})"
+
+    def __add__(self, o):
+        if type(o) is not type(self) or o.shape != self.shape:
+            raise FormError(f"{type(self).__name__} shape mismatch")
+        if not self.terms:
+            return o
+        return _make(type(self), self.shape,
+                     _sum_terms(self.terms.mapping, o.terms))
+
+    def __sub__(self, o):
+        if type(o) is not type(self) or o.shape != self.shape:
+            raise FormError(f"{type(self).__name__} shape mismatch")
+        return _make(type(self), self.shape,
+                     _sum_terms(self.terms.mapping, o.terms, -1))
+
+    def __neg__(self):
+        return _make(type(self), self.shape, {k: -v for k, v in self.terms})
+
+    def scale(self, s):
+        """Every value times the coefficient s."""
+        return _make(type(self), self.shape,
+                     {k: v * s for k, v in self.terms} if s else {})
+
+
+_set_shape, _set_terms = Sparse.shape.__set__, Sparse.terms.__set__
+
+
+def _make(cls, shape: tuple, terms: dict):
+    """A ``cls`` of ``shape`` from a dict of nonzero values with canonical
+    keys that no one else holds."""
+    x = _alloc(cls)
+    _set_shape(x, shape)
+    _set_terms(x, terms.items())
+    return x
 
 
 class Record:
@@ -191,15 +335,14 @@ class Record:
 
     A subclass declares its fields as class annotations, in order, and a
     class attribute of a field's name is its default; ``_fields`` collects
-    the names, as ``exterior.Sparse`` names its shape.  The constructor
-    takes the fields by position or by keyword.  ``==`` needs the same
-    class, and ``==``, ``hash`` and ``repr`` read the fields in order.
-    Names in ``_derived`` are annotated too but are not fields: ``_derive``
-    returns their values from the fields, which are set on construction
-    (so again by ``replace`` and on copy and pickle) and left out of
-    ``==``, ``hash`` and ``repr``.  A record is immutable.  Fields live in
-    the instance ``__dict__``; a subclass with slots builds its instances
-    itself (``Scalar``).
+    the names, as ``Sparse`` names its shape.  The constructor takes the
+    fields by position or by keyword.  ``==`` needs the same class, and
+    ``==``, ``hash`` and ``repr`` read the fields in order.  Names in
+    ``_derived`` are annotated too but are not fields: ``_derive`` returns
+    their values from the fields, which are set on construction (so again
+    by ``replace`` and on copy and pickle) and left out of ``==``, ``hash``
+    and ``repr``.  A record is immutable; its fields live in the instance
+    ``__dict__``.
     """
 
     __slots__ = ()
@@ -208,12 +351,10 @@ class Record:
     _derived: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        slots = cls.__dict__.get("__slots__", ())
         own = [k for k in cls.__annotations__ if k not in cls._derived]
         cls._fields += tuple(own)
         cls._defaults = {**cls._defaults, **{
-            k: cls.__dict__[k] for k in own
-            if k in cls.__dict__ and k not in slots}}
+            k: cls.__dict__[k] for k in own if k in cls.__dict__}}
 
     def __new__(cls, *args, **kw):
         x = _alloc(cls)
@@ -279,30 +420,30 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Scalar(Record):
+class Scalar(Sparse):
     """Polynomial in the formal variable ``a`` with GaussRat coefficients.
 
-    ``coeffs[k]`` multiplies a^k; trailing zero coefficients are stripped so
-    equality is structural.  The variable a stands for a real parameter, so
-    conjugation acts on the coefficients only.
+    A ``Sparse`` of no shape whose terms map each power k >= 0 of a to its
+    nonzero coefficient; ``make`` takes the coefficients in order of power.
+    The variable a stands for a real parameter, so conjugation acts on the
+    coefficients only.
     """
 
-    __slots__ = ("coeffs",)
-    coeffs: tuple
+    __slots__ = ()
 
-    def __new__(cls, coeffs: tuple = ()):
-        return _scalar(coeffs)
+    @staticmethod
+    def _key(shape, k, c):
+        if type(k) is not int or k < 0:
+            raise ScalarError(f"a power of a is an int >= 0, not {k!r}")
+        return k
 
     @staticmethod
     def make(coeffs) -> "Scalar":
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        return _scalar(tuple(cs))
+        return _make(Scalar, (), {k: c for k, c in enumerate(coeffs) if c})
 
     @staticmethod
     def const(c: GaussRat) -> "Scalar":
-        return Scalar.make([c])
+        return _make(Scalar, (), {0: c} if c else {})
 
     @staticmethod
     def of(re=0, im=0) -> "Scalar":
@@ -310,66 +451,33 @@ class Scalar(Record):
 
     @staticmethod
     def var() -> "Scalar":
-        return Scalar.make([GR_ZERO, GR_ONE])
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return _make(Scalar, (), {1: GR_ONE})
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return max(self.terms.mapping, default=-1)
 
     def coefficient(self, k: int) -> GaussRat:
-        return self.coeffs[k] if k < len(self.coeffs) else GR_ZERO
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        m = max(len(self.coeffs), len(other.coeffs))
-        return Scalar.make(
-            [self.coefficient(k) + other.coefficient(k) for k in range(m)]
-        )
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        m = max(len(self.coeffs), len(other.coeffs))
-        return Scalar.make(
-            [self.coefficient(k) - other.coefficient(k) for k in range(m)]
-        )
-
-    def __neg__(self) -> "Scalar":
-        return _scalar(tuple(-c for c in self.coeffs))
+        return self.terms.mapping.get(k, GR_ZERO)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        if not self.coeffs or not other.coeffs:
-            return S_ZERO
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, cj in enumerate(self.coeffs):
-            if not cj:
-                continue
-            for k, ck in enumerate(other.coeffs):
-                if ck:
-                    out[j + k] = out[j + k] + cj * ck
-        return Scalar.make(out)
+        acc = {}
+        for j, cj in self.terms:
+            for k, ck in other.terms:
+                _acc(acc, j + k, cj * ck)
+        return _make(Scalar, (), acc)
 
     def conjugate(self) -> "Scalar":
-        return _scalar(tuple(c.conjugate() for c in self.coeffs))
+        return _make(Scalar, (), {k: c.conjugate() for k, c in self.terms})
 
     def evaluate(self, a0: GaussRat) -> GaussRat:
         acc = GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * a0 + c
+        for k in range(self.degree, -1, -1):
+            acc = acc * a0 + self.coefficient(k)
         return acc
 
     def __str__(self) -> str:
         return format_scalar(self)
-
-
-_set_coeffs = Scalar.coeffs.__set__
-
-
-def _scalar(coeffs: tuple) -> Scalar:
-    """A Scalar from a coefficient tuple that is already stripped."""
-    x = _alloc(Scalar)
-    _set_coeffs(x, coeffs)
-    return x
 
 
 S_ZERO = Scalar()
@@ -391,9 +499,7 @@ def format_scalar(s: Scalar) -> str:
     if not s:
         return "0"
     parts = []
-    for k, c in enumerate(s.coeffs):
-        if not c:
-            continue
+    for k, c in sorted(s.terms):
         pw = _format_power(k)
         if not pw:
             parts.append(str(c))
@@ -506,8 +612,7 @@ def parse_scalar(text: str) -> Scalar:
             if power == 0:
                 raise ScalarError("empty term in scalar")
             coeff = GR_ONE
-        cs = [GR_ZERO] * power + [sign * coeff]
-        return Scalar.make(cs)
+        return Scalar.build({power: sign * coeff})
 
     total = parse_term()
     while pos < len(toks):

@@ -570,7 +570,8 @@ def test_containers_are_immutable_and_validated():
     y = cl.ChartForm.monomial(MC, (), (2,), f)
     s = cl.ChartSection(MC, 2, 1, {0: y}, {(1, 0): y}, {2: y})
     mf = MixedForm.of(g) + MixedForm.of(InvariantForm.monomial(MC, (1, 3), ()))
-    for obj in (f, x, g, s, mf):
+    c = Scalar.make([GaussRat.of(1, 2), GR_ZERO, GaussRat.of(-3)])
+    for obj in (f, x, g, s, mf, c):
         for name in obj._fields + ("shape", "terms"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, getattr(obj, name))

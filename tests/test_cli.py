@@ -366,7 +366,9 @@ _PULLBACK_RULE = ("a term is [coefficient] [z<k> ...] dz<k> with 1 <= k <= 3, "
     ("dzx", "cannot read 'dzx' in term 'dzx'"),
     ("dz2 + q dz1", "cannot read 'q' in term 'q dz1'"),
     ("dz7", "'dz7' is out of range in term 'dz7'"),
-], ids=["zbar", "leg-not-a-number", "bad-coefficient", "leg-out-of-range"])
+    ("dz1 dz2", "two coframe legs in term 'dz1 dz2'"),
+], ids=["zbar", "leg-not-a-number", "bad-coefficient", "leg-out-of-range",
+        "two-legs"])
 def test_chart_pullback_syntax_refused(tmp_path, capsys, a2, why):
     # a pullback the chart parser cannot read names its field and the rule
     path = _edit_chart(tmp_path,
@@ -399,6 +401,13 @@ def test_chart_that_is_not_the_model_refused(tmp_path, capsys, leg, text,
                        lambda c: c["coframe_pullback"].update({leg: text}))
     code, out, got = run(capsys, "trivialize", path, "--degree", "2")
     assert (code, out, got) == (2, "", err)
+
+
+def test_chart_coords_must_be_the_dimension(tmp_path, capsys):
+    path = _edit_chart(tmp_path, lambda c: c.update(coords=4))
+    code, out, err = run(capsys, "trivialize", path, "--degree", "0")
+    assert (code, out, err) == (2, "", "error: chart must have as many "
+                                "coordinates as the complex dimension\n")
 
 
 def test_trivialize(capsys):
@@ -495,6 +504,10 @@ def test_readme_model_example_checks(tmp_path, capsys, iwasawa):
 
 
 
+def _d_term(wedge):
+    return [{"coeff": "1", "wedge": wedge}]
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("torus", lambda d: d["bundle"].update(F=[]),
      "bundle.F must map wedge names such as 'a1^ab1' to rank x rank "
@@ -518,14 +531,49 @@ def test_readme_model_example_checks(tmp_path, capsys, iwasawa):
      "metric is not Hermitian: metric[0][1] = 1 but conj(metric[1][0]) = 0"),
     ("torus", lambda d: d["metric"][0].__setitem__(0, "2 a"),
      "metric[0][0]: expected a constant, got '2 a'"),
+    ("torus", lambda d: d.update(d=[]),
+     "d must map coframe names to term lists"),
+    ("torus", lambda d: d["d"].update(b7=[]), "d.b7: not a coframe name"),
+    ("iwasawa", lambda d: d["d"]["a3"][0].pop("coeff"),
+     "d.a3[0]: expected coeff/wedge keys"),
+    ("iwasawa", lambda d: d["d"]["a3"][0].update(wedge=["a1", "a2", "a3"]),
+     "d.a3[0]: wedge must have two legs"),
+    ("torus", lambda d: d.update(metric=[["1"]]),
+     "metric must be an n x n array"),
+    ("torus", lambda d: d.update(bundle={"F": {}}),
+     "bundle must be an object with a rank"),
+    ("torus",
+     lambda d: d["bundle"].update(F={"a1^a2": [["0", "0"], ["0", "0"]]}),
+     "bundle.F['a1^a2']: key must name one a and one ab leg"),
+    ("torus", lambda d: d.update(alpha_prime="i"),
+     "alpha_prime must be a real rational"),
+    ("iwasawa", lambda d: d["chart"].pop("coords"),
+     "chart needs coords and coframe_pullback"),
+    ("iwasawa", lambda d: d["chart"]["coframe_pullback"].pop("a2"),
+     "chart.coframe_pullback missing ['a2']"),
+    ("torus", lambda d: d["d"].update(a3=_d_term(["ab1", "ab2"])),
+     "non-integrable: d a3 has a (0,2) part"),
+    ("torus", lambda d: d["d"].update(a3=_d_term(["a1", "a2"]),
+                                      a1=_d_term(["a3", "ab3"])),
+     "d^2 a1 != 0; d^2 a3 != 0"),
+    ("torus",
+     lambda d: d["bundle"].update(F={"a1^ab1": [["1", "0"], ["0", "0"]]}),
+     "gauge curvature F is not trace-free"),
+    ("torus", lambda d: d.update(omega_coeff="0"),
+     "omega_coeff must be nonzero"),
 ], ids=["F-list", "F-row-int", "wedge-entry-list", "wedge-string",
         "coframe-entry-list", "name-null", "coframe-conjugate-name",
-        "metric-not-hermitian", "constant-with-a"])
+        "metric-not-hermitian", "constant-with-a", "d-list",
+        "d-unknown-name", "d-term-keys", "wedge-three-legs", "metric-shape",
+        "bundle-no-rank", "F-key-two-a", "alpha-not-real", "chart-no-coords",
+        "chart-pullback-missing", "d-02-part", "d-squared", "F-trace",
+        "omega-zero"])
 def test_refused_model_file_exits_2(tmp_path, capsys, name, edit, message):
     # a malformed or ambiguous field is a usage error: one error line that
     # names the field, no report, exit 2 (not 1, "a check failed")
     code, out, err = run(capsys, "check", _builtin_file(tmp_path, name, edit))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 
 def test_reused_parser_leaks_no_state(capsys):

@@ -137,6 +137,30 @@ def test_parse_rejects_unknown_leg(iwasawa):
         parse_model_text(json.dumps(data))
 
 
+def _torus_with(wedge, coeff, key, rows):
+    """The torus's model file with one d term on a3 and one F key."""
+    data = model_to_json(builtin_model("torus"))
+    data["d"] = {"a3": [{"coeff": coeff, "wedge": wedge}]}
+    data["bundle"]["F"] = {key: rows}
+    return parse_model_text(json.dumps(data))
+
+
+def test_wedge_order_carries_its_sign():
+    # ab1 ^ a2 = -a2 ^ ab1: a leg list or an F key that puts an
+    # antiholomorphic leg first reads with the sign of reordering it
+    M = [["1", "0"], ["0", "-1"]]
+    minus_M = [["-1", "0"], ["0", "1"]]
+    m1 = _torus_with(["ab1", "a2"], "1", "ab2^a1", M)
+    m2 = _torus_with(["a2", "ab1"], "-1", "a1^ab2", minus_M)
+    assert m1.d_coframe == m2.d_coframe
+    assert m1.curvature_F == m2.curvature_F
+    assert print_model(m1) == print_model(m2)
+    assert m1.d_coframe[2] == MixedForm.of(
+        InvariantForm.monomial(3, (2,), (1,), Scalar.of(-1)))
+    assert m1.curvature_F.entry(0, 0) == InvariantForm.monomial(
+        3, (1,), (2,), Scalar.of(-1))
+
+
 def test_parse_rejects_variable_coefficient(iwasawa):
     data = model_to_json(iwasawa)
     data["metric"][0][0] = "a"

@@ -13,10 +13,10 @@ from hetmod import geometry as geo
 from hetmod import qcomplex as qc
 from hetmod.exterior import CovectorForm, EndForm, LegForm, VectorForm
 from hetmod.models import builtin_model
-from hetmod.scalars import GR_ONE, S_ZERO, GaussRat, Record, Scalar
+from hetmod.scalars import GaussRat, Record
 
 RECORD_CLASSES = {
-    "Scalar", "LegForm", "VectorForm", "CovectorForm", "EndForm",
+    "LegForm", "VectorForm", "CovectorForm", "EndForm",
     "HomogeneousModel", "ConnectionData", "ConditionResult", "SystemReport",
     "QSection", "QBasis", "QOperatorMatrix", "DegreeData", "CohomologyData",
     "SymbolBlocks", "ChartData", "Trivialization"}
@@ -29,7 +29,7 @@ def records():
     report = geo.check_heterotic_system(m)
     data = coh.cohomology_data(m)
     t = cl.build_trivialization(m, shift=1)
-    return [Scalar.of(1, 2), LegForm.zero(3, 0, 1), VectorForm.zero(3, 0, 1),
+    return [LegForm.zero(3, 0, 1), VectorForm.zero(3, 0, 1),
             CovectorForm.zero(3, 1, 0), m.curvature_F, m,
             geo.chern_connection(m), report.conditions[0], report,
             qc.QSection.zero(3, 2, 1), qc.q_basis(m, 1),
@@ -79,10 +79,9 @@ def test_no_equality_across_classes(records):
 
 
 def test_unequal_fields_give_unequal_records(records):
-    m = records[5]
+    m = records[4]
     assert m.replace(name="other") != m
-    assert Scalar.of(1) != Scalar.of(2)
-    assert records[7].replace(passed=not records[7].passed) != records[7]
+    assert records[6].replace(passed=not records[6].passed) != records[6]
 
 
 def test_frozen_records_refuse_assignment(records):
@@ -107,13 +106,10 @@ def test_copy_and_pickle_keep_the_value(records):
 
 
 def test_constructor_arguments_and_defaults(records):
-    m = records[5]
+    m = records[4]
     fields = {k: getattr(m, k) for k in m._fields if k != "chart"}
     assert geo.HomogeneousModel(**fields).chart is None
-    assert Scalar() == S_ZERO and Scalar(coeffs=(GR_ONE,)) == Scalar.of(1)
-    assert repr(Scalar.of(1)) == "Scalar(coeffs=(GaussRat(Fraction(1, 1), " \
-        "Fraction(0, 1)),))"
-    c = records[7]
+    c = records[6]
     assert repr(c) == (f"ConditionResult(name={c.name!r}, "
                        f"passed={c.passed!r}, residual={c.residual!r})")
     with pytest.raises(TypeError):
@@ -127,7 +123,7 @@ def test_constructor_arguments_and_defaults(records):
 
 
 def test_replace_rebuilds_derived_values(records):
-    m, t = records[5], records[-1]
+    m, t = records[4], records[-1]
     cd = t.cd
     assert m._cache and "_cache" not in repr(m)
     m2 = m.replace(name="copy")

@@ -13,6 +13,7 @@ from hetmod.scalars import (
     GR_I,
     GR_ONE,
     GR_ZERO,
+    S_ZERO,
     GaussRat,
     Scalar,
     ScalarError,
@@ -123,8 +124,21 @@ def test_scalar_structure():
     assert s.coefficient(0) == GaussRat.of(2)
     assert s.coefficient(1) == GR_ZERO
     assert s.coefficient(2) == GR_ONE
-    # trailing zeros are stripped, so equality is structural
+    # zero coefficients are not stored, so equality is structural
     assert Scalar.make([GR_ONE, GR_ZERO]) == Scalar.of(1)
+    assert Scalar.make([GR_ZERO, GR_ZERO, GR_ONE]).coeffs == {2: GR_ONE}
+
+
+def test_scalar_is_a_term_map_of_powers():
+    # the container form: a map from powers of a to nonzero coefficients
+    assert Scalar() == S_ZERO and not Scalar({3: GR_ZERO})
+    assert Scalar({0: GR_ONE}) == Scalar.of(1) != Scalar.of(2)
+    assert repr(Scalar.of(1)) == \
+        "Scalar({0: GaussRat(Fraction(1, 1), Fraction(0, 1))})"
+    assert Scalar({2: GR_ONE, 0: GR_I}) == Scalar({0: GR_I, 2: GR_ONE})
+    for power in (-1, 1.0, True, "1", (1,)):
+        with pytest.raises(ScalarError, match="power of a"):
+            Scalar({power: GR_ONE})
 
 
 def test_scalar_evaluate_horner():
@@ -140,6 +154,68 @@ def test_scalar_conjugate_fixes_the_variable():
     c = s.conjugate()
     assert c.degree == 1
     assert c.coefficient(1) == -GR_I
+
+
+def _pair_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def _pair_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _strip(cs):
+    while cs and cs[-1] == (0, 0):
+        cs.pop()
+    return cs
+
+
+def _dense(s):
+    """A Scalar's coefficients, constant first, as (Fraction, Fraction)."""
+    return [(s.coefficient(k).re, s.coefficient(k).im)
+            for k in range(s.degree + 1)]
+
+
+@given(st.lists(parts, max_size=4), st.lists(parts, max_size=4), parts)
+@settings(max_examples=200, deadline=None)
+def test_scalar_matches_dense_pair_oracle(xs, ys, a0):
+    # the oracle computes on dense lists of (Fraction, Fraction) pairs,
+    # never on GaussRat or Scalar
+    xs = [tuple(map(Fraction, p)) for p in xs]
+    ys = [tuple(map(Fraction, p)) for p in ys]
+    a0 = tuple(map(Fraction, a0))
+    x = Scalar.make([GaussRat(*p) for p in xs])
+    y = Scalar.make([GaussRat(*p) for p in ys])
+    m = max(len(xs), len(ys))
+    xp = xs + [(0, 0)] * (m - len(xs))
+    yp = ys + [(0, 0)] * (m - len(ys))
+    prod = [(0, 0)] * max(len(xs) + len(ys) - 1, 0)
+    for j, cj in enumerate(xs):
+        for k, ck in enumerate(ys):
+            prod[j + k] = _pair_add(prod[j + k], _pair_mul(cj, ck))
+    expected = {
+        "+": [_pair_add(p, q) for p, q in zip(xp, yp)],
+        "-": [(p[0] - q[0], p[1] - q[1]) for p, q in zip(xp, yp)],
+        "*": prod,
+        "neg": [(-re, -im) for re, im in xs],
+        "conj": [(re, -im) for re, im in xs],
+        "x": list(xs),
+    }
+    got = {"+": x + y, "-": x - y, "*": x * y, "neg": -x,
+           "conj": x.conjugate(), "x": x}
+    for op, z in got.items():
+        want = _strip(expected[op])
+        assert _dense(z) == want, op
+        assert all(z.coeffs.values()), op
+        same = Scalar.make([GaussRat(*p) for p in want])
+        assert z == same and hash(z) == hash(same), op
+        assert bool(z) == bool(want), op
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(xs):
+        acc = _pair_add(_pair_mul(acc, a0), c)
+    v = x.evaluate(GaussRat(*a0))
+    assert (v.re, v.im) == acc
 
 
 @given(scalars, scalars, scalars)
