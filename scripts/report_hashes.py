@@ -93,6 +93,11 @@ REFUSALS = (
      lambda d: d["metric"][0].__setitem__(1, "1")),
     ("coefficient-with-a", "torus",
      lambda d: d["metric"][0].__setitem__(0, "a")),
+    ("wedge-repeated-leg", "iwasawa",
+     lambda d: d["d"]["a3"][0].update(wedge=["a1", "a1"])),
+    ("F-two-spellings", "iwasawa",
+     lambda d: d["bundle"]["F"].update(
+         {"ab1^a1": d["bundle"]["F"]["a1^ab1"]})),
 )
 
 

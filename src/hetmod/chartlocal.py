@@ -66,7 +66,7 @@ from .geometry import (
     torsion,
 )
 from .linalg import det
-from .qcomplex import fibre_basis
+from .qcomplex import _offsets, fibre_basis
 from .scalars import (GR_ONE, GR_ZERO, FormError, GaussRat, Record,
                       ScalarError, Sparse, _acc, _make, _sum_terms,
                       parse_gauss)
@@ -320,13 +320,6 @@ def _parse_one_form(m_coords: int, name: str,
             raise refuse(term, "no coframe leg")
         out.append((coeff, leg))
     return out
-
-
-def _offsets(mc: int, r: int) -> tuple[int, int, int]:
-    """The first gauge, vector and nabla slot of a term map: covector a is
-    slot a, gauge entry (u, v) is g0 + u r + v, vector a is w0 + a, and the
-    derivative (nabla_c w)_b of the vector part is n0 + c mc + b."""
-    return mc, mc + r * r, 2 * mc + r * r
 
 
 def _flat_table(entries) -> dict:
@@ -743,8 +736,9 @@ class ChartSection(Sparse):
     def _key(shape, key, value):
         mc, rank, q = shape
         k, legs, z, zb = key
-        if not 0 <= k < 2 * mc + rank * rank:
-            raise FormError(f"slot {k} outside 0..{2 * mc + rank * rank - 1}")
+        slots = _offsets(mc, rank)[2]
+        if not 0 <= k < slots:
+            raise FormError(f"slot {k} outside 0..{slots - 1}")
         return (k, _legs(legs, q, mc, key)) + Poly._key((mc,), (z, zb), value)
 
     def _parts(self) -> tuple[Mapping, Mapping, Mapping]:
@@ -938,7 +932,8 @@ def _slot_maps(t: Trivialization):
     """The generic term map {(k, (), 0, 0): 1} of each value slot k."""
     mc = t.cd.m_coords
     z, one = (0,) * mc, Poly.const(mc, GR_ONE)
-    return [{(k, (), z, z): one} for k in range(2 * mc + t.cd.rank ** 2)]
+    return [{(k, (), z, z): one}
+            for k in range(_offsets(mc, t.cd.rank)[2])]
 
 
 def transition(t1: Trivialization, t2: Trivialization) -> list[dict]:

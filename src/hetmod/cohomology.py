@@ -13,6 +13,9 @@ injectivity scan over a lattice of nonzero cotangent samples, which is the
 effective content of ellipticity here: one n x n Schur complement N decides
 each sample, by a division-free dense rank mod p where it can (by delta s
 alone when the model has no coupling terms) and else by its rank over Q(i).
+Each report is built once, as the dict the CLI prints: ``system_report`` is
+the ``check`` report, and ``cohomology_report`` embeds it under ``checks``
+beside the ``dims`` of ``cohomology_data``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from . import linalg, qcomplex
 from .geometry import (
     HomogeneousModel,
     ModelError,
-    SystemReport,
     anomaly_residual,
     check_heterotic_system,
     curvature_array,
@@ -66,18 +68,17 @@ def _require_nilpotent(m: HomogeneousModel, chain, alpha0: GaussRat) -> None:
 
 def _counts(m: HomogeneousModel, alpha0: GaussRat | None,
             diagonal: bool = False):
-    """The count step: the coupling, the specialized chain D_p as sparse
-    rows, the ranks (0, rank D_0, .., rank D_{n-1}, 0) and h_p = dim_p -
-    rank D_p - rank D_{p-1}.  Refuses (with the anomaly residual in the
-    message) when the operator does not square to zero at the chosen
-    coupling."""
+    """The count step: the specialized chain D_p as sparse rows, the ranks
+    (0, rank D_0, .., rank D_{n-1}, 0) and h_p = dim_p - rank D_p -
+    rank D_{p-1}.  Refuses (with the anomaly residual in the message) when
+    the operator does not square to zero at the chosen coupling."""
     a0 = resolve_alpha(m, alpha0)
     chain = _operator_chain(m, a0, diagonal)
     if not diagonal:
         _require_nilpotent(m, chain, a0)
     ranks = [0] + [linalg.rank_rows(d) for d in chain] + [0]
-    return a0, chain, ranks, [q_space_dimension(m, p) - ranks[p + 1]
-                              - ranks[p] for p in range(m.n + 1)]
+    return chain, ranks, [q_space_dimension(m, p) - ranks[p + 1] - ranks[p]
+                          for p in range(m.n + 1)]
 
 
 def _serre_pairs(h: list[int]) -> list[list]:
@@ -89,41 +90,10 @@ def _euler(h: list[int]) -> int:
     return sum((-1) ** p * x for p, x in enumerate(h))
 
 
-class DegreeData(Record):
-    p: int
-    dim: int
-    kernel_dim: int
-    rank: int
-    h: int
-    harmonic: int
-
-
-class CohomologyData(Record):
-    model: str
-    alpha0: GaussRat
-    degrees: tuple[DegreeData, ...]
-
-    @property
-    def h(self) -> list[int]:
-        return [d.h for d in self.degrees]
-
-    @property
-    def harmonic(self) -> list[int]:
-        return [d.harmonic for d in self.degrees]
-
-    @property
-    def euler(self) -> int:
-        return _euler(self.h)
-
-    @property
-    def serre(self) -> bool:
-        return all(ok for *_, ok in _serre_pairs(self.h))
-
-
 def cohomology_data(m: HomogeneousModel, alpha0: GaussRat | None = None,
-                    diagonal: bool = False) -> CohomologyData:
-    """Exact h^{0,p} (from ``_counts``, which may refuse) and harmonic
-    dimensions, for p = 0..n.
+                    diagonal: bool = False) -> dict:
+    """The ``dims`` of the cohomology report: exact h^{0,p} (from
+    ``_counts``, which may refuse) and harmonic dimensions, for p = 0..n.
 
     The harmonic space in degree p is the intersection of ker D_p and
     ker D*_{p-1}, so its dimension is dim_p - rank [D_p ; D*_{p-1}].  The
@@ -135,27 +105,21 @@ def cohomology_data(m: HomogeneousModel, alpha0: GaussRat | None = None,
     count step's sparse rows, and no Gram factor is inverted.  At p = 0
     there is no adjoint, and the count step has ranked D_0.
     """
-    a0, chain, ranks, h = _counts(m, alpha0, diagonal)
+    chain, ranks, h = _counts(m, alpha0, diagonal)
     n = m.n
-    degrees = []
-    for p in range(n + 1):
-        dim = q_space_dimension(m, p)
-        if p == 0:
-            harm = dim - ranks[1]
-        else:
-            harm = dim - linalg.rank_rows(
-                (chain[p] if p < n else [])
-                + qcomplex.gram_lowered(m, p, chain[p - 1]))
-        degrees.append(DegreeData(p, dim, dim - ranks[p + 1], ranks[p + 1],
-                                  h[p], harm))
-    return CohomologyData(m.name, a0, tuple(degrees))
+    harmonic = [q_space_dimension(m, 0) - ranks[1]]
+    for p in range(1, n + 1):
+        harmonic.append(q_space_dimension(m, p) - linalg.rank_rows(
+            (chain[p] if p < n else [])
+            + qcomplex.gram_lowered(m, p, chain[p - 1])))
+    return {"basis": "invariant", "h": h, "harmonic": harmonic}
 
 
 def serre_report(m: HomogeneousModel,
                  alpha0: GaussRat | None = None) -> dict:
     """h^p against h^{n-p} and the Euler number, from the ranks of the D_p
     alone: no Gram adjoint and no harmonic count is built."""
-    h = _counts(m, alpha0)[3]
+    h = _counts(m, alpha0)[2]
     pairs = _serre_pairs(h)
     return {"h": h, "pairs": pairs, "symmetric": all(ok for *_, ok in pairs),
             "euler": _euler(h)}
@@ -413,23 +377,20 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
 # reports
 
 
-def _system_report_dict(rep: SystemReport) -> dict:
-    return {
-        "model": rep.model,
-        "alpha_prime": rep.alpha_label,
-        "degenerate": rep.degenerate,
-        "passed": rep.all_passed,
-        "conditions": {
-            c.name: {"passed": c.passed, "residual": c.residual}
-            for c in rep.conditions
-        },
-    }
-
-
 def system_report(m: HomogeneousModel,
                   alpha0: GaussRat | None = None) -> dict:
-    """JSON-ready result of the coupled-system checker."""
-    return _system_report_dict(check_heterotic_system(m, alpha0))
+    """The ``check`` report: the coupling the conditions used (alpha0, else
+    the model's alpha', else "arbitrary"), whether it is 0, and the four
+    conditions of ``check_heterotic_system``."""
+    alpha = alpha0 if alpha0 is not None else m.alpha_prime
+    conditions = check_heterotic_system(m, alpha0)
+    return {
+        "model": m.name,
+        "alpha_prime": "arbitrary" if alpha is None else str(alpha),
+        "degenerate": alpha is not None and not alpha,
+        "passed": all(c["passed"] for c in conditions.values()),
+        "conditions": conditions,
+    }
 
 
 def cohomology_report(m: HomogeneousModel,
@@ -437,21 +398,17 @@ def cohomology_report(m: HomogeneousModel,
                       symbol_limit: int | None = None,
                       diagonal: bool = False) -> dict:
     """Full JSON-ready report: dimensions, Serre symmetry, Euler number,
-    symbol scan and the coupled-system check."""
+    symbol scan and the ``check`` report."""
     a0 = resolve_alpha(m, alpha0)
-    data = cohomology_data(m, alpha0, diagonal)
-    scan = injectivity_scan(m, a0, limit=symbol_limit)
+    dims = cohomology_data(m, a0, diagonal)
+    h = dims["h"]
     return {
         "model": m.name,
         "alpha_prime": str(a0),
         "degenerate": not a0,
-        "dims": {
-            "basis": "invariant",
-            "h": data.h,
-            "harmonic": data.harmonic,
-        },
-        "serre": data.serre,
-        "euler": data.euler,
-        "symbol": scan,
-        "checks": _system_report_dict(check_heterotic_system(m, alpha0)),
+        "dims": dims,
+        "serre": all(ok for *_, ok in _serre_pairs(h)),
+        "euler": _euler(h),
+        "symbol": injectivity_scan(m, a0, limit=symbol_limit),
+        "checks": system_report(m, alpha0),
     }

@@ -1,7 +1,8 @@
 """Homogeneous Hermitian models: exterior calculus on the invariant coframe,
 connections (Levi-Civita / Chern / Bismut), the Chern curvature, torsion,
 the coupling a report uses (``resolve_alpha``) and the coupled-system
-checker.  ``_frame_values`` gives a form's values on frame vectors to the
+checker, which gives the four conditions as the dict the ``check`` report
+prints.  ``_frame_values`` gives a form's values on frame vectors to the
 bracket table and to both Levi-Civita routes.
 
 Conventions fixed here once and used everywhere downstream:
@@ -432,29 +433,6 @@ def curvature_array(m: HomogeneousModel):
 # system checker and symmetry identity
 
 
-class ConditionResult(Record):
-    name: str
-    passed: bool
-    residual: str
-
-
-class SystemReport(Record):
-    model: str
-    alpha_label: str
-    degenerate: bool
-    conditions: tuple[ConditionResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def condition(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
 def _mixed_str(x: MixedForm) -> str:
     if not x:
         return "0"
@@ -506,15 +484,11 @@ def resolve_alpha(m: HomogeneousModel, alpha0: GaussRat | None
 
 
 def check_heterotic_system(m: HomogeneousModel,
-                           alpha_override: GaussRat | None = None
-                           ) -> SystemReport:
+                           alpha_override: GaussRat | None = None) -> dict:
+    """{name: {"passed", "residual"}} for F1 (d Omega = 0), F2 (the anomaly
+    residual), D1 (F ^ omega^{n-1} = 0) and D2 (d omega^{n-1} = 0), at
+    ``alpha_override``, else the model's alpha', else symbolic in a."""
     alpha = alpha_override if alpha_override is not None else m.alpha_prime
-    if alpha is None:
-        alpha_label = "arbitrary"
-        degenerate = False
-    else:
-        alpha_label = str(alpha)
-        degenerate = not alpha
     n = m.n
     w = omega_form(m)
 
@@ -529,13 +503,9 @@ def check_heterotic_system(m: HomogeneousModel,
     # |Omega|_omega is constant on invariant data, so the conformally
     # balanced condition reduces to d(omega^{n-1}) = 0
     d2 = exterior_derivative(wn, m)
-    conds = (
-        ConditionResult("F1", not f1, _mixed_str(f1)),
-        ConditionResult("F2", not f2, str(f2)),
-        ConditionResult("D1", not d1, _end_str(d1)),
-        ConditionResult("D2", not d2, _mixed_str(d2)),
-    )
-    return SystemReport(m.name, alpha_label, degenerate, conds)
+    return {name: {"passed": not x, "residual": text(x)} for name, x, text
+            in (("F1", f1, _mixed_str), ("F2", f2, str), ("D1", d1, _end_str),
+                ("D2", d2, _mixed_str))}
 
 
 def chern_symmetry_residual(m: HomogeneousModel):

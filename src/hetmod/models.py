@@ -91,7 +91,8 @@ def _conj_name(name: str) -> str:
 
 def _parse_wedge(legs, names: dict[str, int], where: str):
     """The sign of moving a wedge's holomorphic legs before its
-    antiholomorphic ones, and the two lists of legs in their order."""
+    antiholomorphic ones, and the two lists of legs in their order.  A leg
+    named twice is refused: the wedge would read as zero."""
     if not isinstance(legs, list) or not all(isinstance(x, str)
                                              for x in legs):
         raise ModelError(f"{where}: wedge must be a list of coframe names, "
@@ -99,7 +100,9 @@ def _parse_wedge(legs, names: dict[str, int], where: str):
     holo, anti = [], []
     sign = 1
     conj = {_conj_name(nm): idx for nm, idx in names.items()}
-    for leg in legs:
+    for pos, leg in enumerate(legs):
+        if leg in legs[:pos]:
+            raise ModelError(f"{where}: wedge repeats the leg {leg!r}")
         if leg in names:
             holo.append(names[leg])
             if len(anti) % 2:
@@ -193,12 +196,17 @@ def parse_model_text(text: str) -> HomogeneousModel:
     if not isinstance(fmap, dict):
         raise ModelError("bundle.F must map wedge names such as 'a1^ab1' "
                          f"to rank x rank arrays, not {json.dumps(fmap)}")
+    spelled: dict[tuple, str] = {}   # (holo, anti) -> the key naming it
     for mono_name, rows in fmap.items():
         where = f"bundle.F[{mono_name!r}]"
         legs = mono_name.split("^")
         sign, holo, anti = _parse_wedge(legs, names, where)
         if len(holo) != 1 or len(anti) != 1:
             raise ModelError(f"{where}: key must name one a and one ab leg")
+        first = spelled.setdefault((holo[0], anti[0]), mono_name)
+        if first != mono_name:
+            raise ModelError(f"bundle.F: keys {first!r} and {mono_name!r} "
+                             "name the same component")
         if (not isinstance(rows, list) or len(rows) != rank
                 or any(not isinstance(r, list) or len(r) != rank
                        for r in rows)):

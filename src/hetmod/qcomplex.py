@@ -358,14 +358,22 @@ class QBasis(Record):
         return len(self.labels)
 
 
+def _offsets(n: int, r: int) -> tuple[int, int, int]:
+    """The value-slot layout of Q's fibre, in both layers: covector a is
+    slot a, gauge entry (u, v) is g0 + u r + v and vector a is w0 + a, for
+    (g0, w0, n0) returned here; n0 is the number of value slots, and in a
+    chart the derivative (nabla_c w)_b of the vector part is n0 + c n + b."""
+    return n, n + r * r, 2 * n + r * r
+
+
 def fibre_basis(n: int, r: int, covector: str = "a^", vector: str = "V^"):
     """The basis of Q's fibre in order, as (label, {slot: GaussRat}) over
-    the value slots: the covector leg 0..n-1 (labels ``covector`` + index),
-    the gauge grid n..n+r^2-1 row by row, where the trace-free basis is the
+    the value slots of ``_offsets``: the covector leg (labels ``covector`` +
+    index), the gauge grid row by row, where the trace-free basis is the
     diagonal differences D(k) = E(k,k) - E(k+1,k+1), then the off-diagonal
     units E(u,v), and the vector leg (``vector`` + index).  Indices in
     labels are 1-based."""
-    g, w = n, n + r * r          # the first gauge and vector slots
+    g, w, _ = _offsets(n, r)
     return ([(f"e1:{covector}{j + 1}", {j: GR_ONE}) for j in range(n)]
             + [(f"e2:D({k})", {g + (k - 1) * (r + 1): GR_ONE,
                                g + k * (r + 1): -GR_ONE})
@@ -385,17 +393,18 @@ def q_labels(m: HomogeneousModel, p: int) -> tuple[str, ...]:
 def q_basis(m: HomogeneousModel, p: int) -> QBasis:
     def build():
         n, r = m.n, m.rank
+        g, w, slots = _offsets(n, r)
         sections = []
         for _, value in fibre_basis(n, r):
             for K in _combos(n, p):
                 comps = [InvariantForm.monomial(n, [], K,
                                                 Scalar.const(value[i]))
                          if i in value else InvariantForm.zero(n, 0, p)
-                         for i in range(2 * n + r * r)]
+                         for i in range(slots)]
                 sections.append(QSection.build(
-                    CovectorForm.build(n, 0, p, comps[:n]),
-                    EndForm(n, r, 0, p, tuple(comps[n:n + r * r])),
-                    VectorForm.build(n, 0, p, comps[n + r * r:])))
+                    CovectorForm.build(n, 0, p, comps[:g]),
+                    EndForm(n, r, 0, p, tuple(comps[g:w])),
+                    VectorForm.build(n, 0, p, comps[w:])))
         return QBasis(n, r, p, q_labels(m, p), tuple(sections))
     return m.cached(("q_basis", p), build)
 
@@ -409,7 +418,7 @@ def q_coordinates(s: QSection) -> list[Scalar]:
     acc = {(j, index[K]): v for j, f in enumerate(slots)
            for (_, K), v in f.terms}
     nt = len(combos)
-    out = [S_ZERO] * ((2 * s.n + s.r * s.r - 1) * nt)
+    out = [S_ZERO] * ((_offsets(s.n, s.r)[2] - 1) * nt)
     for t, v in _coordinates(acc, s.n, s.r, nt).items():
         out[t] = v
     return out
@@ -422,11 +431,12 @@ def _coordinates(acc: dict, n: int, r: int, nt: int) -> dict:
     k + 1 diagonal entries, and E(u, t) is read off its entry."""
     out = {}
     diags: dict[int, dict] = {}
+    g, w, _ = _offsets(n, r)
     for (j, K), v in acc.items():
-        if j < n:
+        if j < g:
             out[j * nt + K] = v
-        elif j < n + r * r:
-            u, t = divmod(j - n, r)
+        elif j < w:
+            u, t = divmod(j - g, r)
             if u == t:
                 diags.setdefault(K, {})[u] = v
             else:   # after the r - 1 D(k), the E(u, t) row by row
@@ -543,8 +553,8 @@ def _slot_couplings(m: HomogeneousModel):
     constant tables."""
     def build():
         n, r = m.n, m.rank
-        g, w = n, n + r * r            # the first gauge and vector slots
-        parts = [(i, i, None, None, 0, S_ONE) for i in range(w + n)]
+        g, w, slots = _offsets(n, r)
+        parts = [(i, i, None, None, 0, S_ONE) for i in range(slots)]
         parts += [(i, j, k, None, 0, c)
                   for j, k, i, c in _mu_table(m, True)[1]]
         parts += [(w + i, w + j, k, None, 0, c)
@@ -564,7 +574,7 @@ def _slot_couplings(m: HomogeneousModel):
             parts.append((w + mm, j, k, l, 1, c))
             parts += [(w + b, j, k, None, 1, c * Scalar.const(v))
                       for b, v in enumerate(gp[l][mm]) if v]
-        out = [[] for _ in range(w + n)]
+        out = [[] for _ in range(slots)]
         for i, j, k, l, e, c in parts:
             out[i].append((j, k, l, e, c.coefficient(0)))
         return out

@@ -561,13 +561,22 @@ def _d_term(wedge):
      "gauge curvature F is not trace-free"),
     ("torus", lambda d: d.update(omega_coeff="0"),
      "omega_coeff must be nonzero"),
+    # a repeated leg would make the term zero, and two spellings of one F
+    # component would be summed: both are refused, not read
+    ("torus",
+     lambda d: d["d"].update(a3=[{"coeff": "5", "wedge": ["a1", "a1"]}]),
+     "d.a3[0]: wedge repeats the leg 'a1'"),
+    ("torus", lambda d: d["bundle"].update(F={
+        "a1^ab1": [["1", "0"], ["0", "-1"]],
+        "ab1^a1": [["1", "0"], ["0", "-1"]]}),
+     "bundle.F: keys 'a1^ab1' and 'ab1^a1' name the same component"),
 ], ids=["F-list", "F-row-int", "wedge-entry-list", "wedge-string",
         "coframe-entry-list", "name-null", "coframe-conjugate-name",
         "metric-not-hermitian", "constant-with-a", "d-list",
         "d-unknown-name", "d-term-keys", "wedge-three-legs", "metric-shape",
         "bundle-no-rank", "F-key-two-a", "alpha-not-real", "chart-no-coords",
         "chart-pullback-missing", "d-02-part", "d-squared", "F-trace",
-        "omega-zero"])
+        "omega-zero", "wedge-repeated-leg", "F-two-spellings"])
 def test_refused_model_file_exits_2(tmp_path, capsys, name, edit, message):
     # a malformed or ambiguous field is a usage error: one error line that
     # names the field, no report, exit 2 (not 1, "a check failed")

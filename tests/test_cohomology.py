@@ -15,7 +15,8 @@ from hetmod import cohomology as coh
 from hetmod import linalg
 from hetmod import qcomplex as qc
 from hetmod.exterior import EndForm, InvariantForm, MixedForm
-from hetmod.geometry import HomogeneousModel, ModelError, frame_dbar_matrix
+from hetmod.geometry import (HomogeneousModel, ModelError, frame_dbar_matrix,
+                             resolve_alpha)
 from hetmod.models import builtin_model, model_to_json, parse_model_text
 from hetmod.scalars import GR_ONE, GR_ZERO, GaussRat, Scalar
 
@@ -56,31 +57,31 @@ def test_space_dimensions_by_formula(n, r):
 
 def test_iwasawa_dimensions(iwasawa):
     data = coh.cohomology_data(iwasawa)
-    assert data.h == [6, 11, 11, 6]
-    assert data.harmonic == [6, 11, 11, 6]
-    assert data.euler == 0
-    assert data.serre
+    assert data["h"] == [6, 11, 11, 6]
+    assert data["harmonic"] == [6, 11, 11, 6]
+    assert coh._euler(data["h"]) == 0
+    assert data["h"] == data["h"][::-1]
 
 
 def test_torus_dimensions(torus):
     data = coh.cohomology_data(torus, GaussRat.of(1))
-    assert data.h == [9, 27, 27, 9]
-    assert data.harmonic == data.h
+    assert data["h"] == [9, 27, 27, 9]
+    assert data["harmonic"] == data["h"]
 
 
 def test_calabi_eckmann_dimensions(calabi_eckmann):
     # the invariant subcomplex of this non-nilpotent group is concentrated
     # in low degree; see the acceptance notes for the degree-1 block
     data = coh.cohomology_data(calabi_eckmann, GaussRat.of(1))
-    assert data.h == [8, 8, 0, 0]
-    assert data.harmonic == data.h
-    assert data.euler == 0
+    assert data["h"] == [8, 8, 0, 0]
+    assert data["harmonic"] == data["h"]
+    assert coh._euler(data["h"]) == 0
 
 
 def test_iwasawa_diagonal_baseline(iwasawa):
     data = coh.cohomology_data(iwasawa, diagonal=True)
-    assert data.h == [9, 18, 18, 9]
-    assert data.harmonic == data.h
+    assert data["h"] == [9, 18, 18, 9]
+    assert data["harmonic"] == data["h"]
 
 
 def test_refuses_without_nilpotency(iwasawa):
@@ -88,7 +89,7 @@ def test_refuses_without_nilpotency(iwasawa):
     with pytest.raises(ModelError, match="anomaly"):
         coh.cohomology_data(bad)
     # the diagonal truncation stays well defined
-    assert coh.cohomology_data(bad, diagonal=True).h == [9, 18, 18, 9]
+    assert coh.cohomology_data(bad, diagonal=True)["h"] == [9, 18, 18, 9]
 
 
 def test_nilpotency_check_reads_every_product(iwasawa):
@@ -135,9 +136,10 @@ def test_serre_report_agrees_with_cohomology_data(builtins,
             assert rep == data, label
             refused.append(label)
             continue
-        assert rep == {"h": data.h, "symmetric": data.serre,
-                       "euler": data.euler,
-                       "pairs": [[p, m.n - p, data.h[p] == data.h[m.n - p]]
+        h = data["h"]
+        assert rep == {"h": h, "symmetric": h == h[::-1],
+                       "euler": sum((-1) ** p * x for p, x in enumerate(h)),
+                       "pairs": [[p, m.n - p, h[p] == h[m.n - p]]
                                  for p in range(m.n + 1)]}, label
         if not rep["symmetric"]:
             asymmetric.append((label, rep["h"]))
@@ -176,7 +178,7 @@ def test_cohomology_data_ranks_each_matrix_once(monkeypatch):
         m = builtin_model(name)
         data = coh.cohomology_data(m)
         assert len(calls) == 2 * m.n
-        assert data.harmonic == data.h
+        assert data["harmonic"] == data["h"]
 
 
 def _harmonic_via_gram_adjoint(m, a0, diagonal):
@@ -211,8 +213,8 @@ def test_harmonic_counts_agree_with_the_gram_adjoint_route(
             except ModelError:
                 assert not diagonal, (m.name, str(a))
                 continue
-            assert data.harmonic == _harmonic_via_gram_adjoint(
-                m, data.alpha0, diagonal), (m.name, str(a), diagonal)
+            assert data["harmonic"] == _harmonic_via_gram_adjoint(
+                m, resolve_alpha(m, a), diagonal), (m.name, str(a), diagonal)
             checked += 1
     assert checked > 3 * len(cases) // 2, checked
 
@@ -284,9 +286,19 @@ def test_symbol_scan_limited(builtins):
 
 def test_system_report_dict(iwasawa):
     rep = coh.system_report(iwasawa)
+    assert list(rep) == ["model", "alpha_prime", "degenerate", "passed",
+                         "conditions"]
+    assert (rep["model"], rep["alpha_prime"], rep["degenerate"]) == (
+        "iwasawa", "-4", False)
     assert rep["passed"] is True
     assert set(rep["conditions"]) == {"F1", "F2", "D1", "D2"}
-    assert all(c["passed"] for c in rep["conditions"].values())
+    assert all(c == {"passed": True, "residual": "0"}
+               for c in rep["conditions"].values())
+    # at alpha' = 0 the anomaly residual is left, and the report says so
+    rep = coh.system_report(iwasawa, GaussRat.of(0))
+    assert (rep["alpha_prime"], rep["degenerate"], rep["passed"]) == (
+        "0", True, False)
+    assert not rep["conditions"]["F2"]["passed"]
 
 
 def test_cohomology_report_shape(iwasawa):
@@ -297,6 +309,7 @@ def test_cohomology_report_shape(iwasawa):
     assert rep["symbol"]["injective"]
     assert rep["serre"] is True
     assert rep["euler"] == 0
+    assert rep["checks"] == coh.system_report(iwasawa)
     assert rep["checks"]["passed"] is True
 
 
@@ -343,8 +356,8 @@ def test_hodge_isomorphism_random_metrics():
         from hetmod.geometry import validate_model
         assert validate_model(m) == []
         data = coh.cohomology_data(m)
-        assert data.harmonic == data.h, (m.name, data.h, data.harmonic)
-        assert data.euler == 0
+        assert data["harmonic"] == data["h"], (m.name, data)
+        assert coh._euler(data["h"]) == 0
 
 
 # -- the certified scan against the full GaussRat symbol --------------------
@@ -671,7 +684,7 @@ def test_decoupled_counts_by_the_structure_constants(iwasawa, torus,
         assert h0q == want, m.name
         copies = 2 * m.n + m.rank ** 2 - 1
         data = coh.cohomology_data(m, diagonal=True)
-        assert data.h == [copies * x for x in h0q], m.name
+        assert data["h"] == [copies * x for x in h0q], m.name
         # the diagonal blocks carry no a: the view's a-coefficient is empty
         for p in range(m.n):
             graded = qc.decoupled(m, qc.assemble_Dbar(m, p))
@@ -763,4 +776,5 @@ def test_non_real_coupling_is_refused(torus, iwasawa):
         coh.cohomology_report(torus, GaussRat.of(2, -1), symbol_limit=1)
     with pytest.raises(ModelError, match="must be real"):
         chartlocal.build_trivialization(iwasawa, GaussRat.of(0, 1))
-    assert coh.cohomology_data(torus, GaussRat.of("1/7")).h == [9, 27, 27, 9]
+    data = coh.cohomology_data(torus, GaussRat.of("1/7"))
+    assert data["h"] == [9, 27, 27, 9]

@@ -64,18 +64,17 @@ def test_calabi_eckmann_shape(calabi_eckmann):
     assert calabi_eckmann.chart is None
 
 
-def test_json_round_trip(builtins):
-    for m in builtins:
+def test_json_round_trip(builtins, random_flat_models,
+                         dense_metric_builtins, kt_models):
+    # beyond the built-ins: dense non-real metrics, nonzero off-diagonal F,
+    # n = 2 and rank 1
+    for m in (builtins + random_flat_models + dense_metric_builtins
+              + kt_models):
         text = print_model(m)
         m2 = parse_model_text(text)
-        assert m2.name == m.name
-        assert m2.d_coframe == m.d_coframe
-        assert m2.metric == m.metric
-        assert m2.curvature_F == m.curvature_F
-        assert m2.alpha_prime == m.alpha_prime
-        assert m2.chart == m.chart
+        assert m2 == m, m.name
         # and the serialization itself is a fixed point
-        assert print_model(m2) == text
+        assert print_model(m2) == text, m.name
 
 
 def _reversed_terms(f):

@@ -17,23 +17,19 @@ from hetmod.scalars import GaussRat, Record
 
 RECORD_CLASSES = {
     "LegForm", "VectorForm", "CovectorForm", "EndForm",
-    "HomogeneousModel", "ConnectionData", "ConditionResult", "SystemReport",
-    "QSection", "QBasis", "QOperatorMatrix", "DegreeData", "CohomologyData",
-    "SymbolBlocks", "ChartData", "Trivialization"}
+    "HomogeneousModel", "ConnectionData", "QSection", "QBasis",
+    "QOperatorMatrix", "SymbolBlocks", "ChartData", "Trivialization"}
 
 
 @pytest.fixture(scope="module")
 def records():
     """One instance of each record class, from a fresh iwasawa."""
     m = builtin_model("iwasawa")
-    report = geo.check_heterotic_system(m)
-    data = coh.cohomology_data(m)
     t = cl.build_trivialization(m, shift=1)
     return [LegForm.zero(3, 0, 1), VectorForm.zero(3, 0, 1),
             CovectorForm.zero(3, 1, 0), m.curvature_F, m,
-            geo.chern_connection(m), report.conditions[0], report,
-            qc.QSection.zero(3, 2, 1), qc.q_basis(m, 1),
-            qc.assemble_Dbar(m, 0), data.degrees[1], data,
+            geo.chern_connection(m), qc.QSection.zero(3, 2, 1),
+            qc.q_basis(m, 1), qc.assemble_Dbar(m, 0),
             coh.symbol_blocks(m, GaussRat.of(-4)), t.cd, t]
 
 
@@ -42,9 +38,19 @@ def _same_fields(x):
     return type(x)(**{k: getattr(x, k) for k in x._fields})
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
 def test_every_record_class_is_covered(records):
     assert {type(x).__name__ for x in records} == RECORD_CLASSES
     assert all(isinstance(x, Record) for x in records)
+    # every record class the package defines (all its modules are loaded
+    # here); a report is the dict it prints, not a record
+    assert {c.__name__ for c in _subclasses(Record)
+            if c.__module__.startswith("hetmod.")} == RECORD_CLASSES
 
 
 def test_equal_fields_give_equal_records_and_hashes(records):
@@ -79,9 +85,9 @@ def test_no_equality_across_classes(records):
 
 
 def test_unequal_fields_give_unequal_records(records):
-    m = records[4]
+    m, c = records[4], records[5]
     assert m.replace(name="other") != m
-    assert records[6].replace(passed=not records[6].passed) != records[6]
+    assert c.replace(kind="bismut") != c
 
 
 def test_frozen_records_refuse_assignment(records):
@@ -109,17 +115,19 @@ def test_constructor_arguments_and_defaults(records):
     m = records[4]
     fields = {k: getattr(m, k) for k in m._fields if k != "chart"}
     assert geo.HomogeneousModel(**fields).chart is None
-    c = records[6]
-    assert repr(c) == (f"ConditionResult(name={c.name!r}, "
-                       f"passed={c.passed!r}, residual={c.residual!r})")
+    c = records[5]
+    assert repr(c) == (f"ConnectionData(kind={c.kind!r}, n={c.n!r}, "
+                       f"gamma={c.gamma!r}, mu={c.mu!r})")
+    g, mu = c.gamma, c.mu
+    assert geo.ConnectionData("chern", 3, g, mu=mu) == c
     with pytest.raises(TypeError):
-        geo.ConditionResult("F1", True)                     # missing
+        geo.ConnectionData("chern", 3, g)                   # missing
     with pytest.raises(TypeError):
-        geo.ConditionResult("F1", True, "0", "extra")       # too many
+        geo.ConnectionData("chern", 3, g, mu, "extra")      # too many
     with pytest.raises(TypeError):
-        geo.ConditionResult("F1", True, "0", name="F2")     # repeated
+        geo.ConnectionData("chern", 3, g, mu, kind="x")     # repeated
     with pytest.raises(TypeError):
-        geo.ConditionResult("F1", True, residual="0", bad=1)  # unknown
+        geo.ConnectionData("chern", 3, g, mu=mu, bad=1)     # unknown
 
 
 def test_replace_rebuilds_derived_values(records):
