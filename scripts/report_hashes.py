@@ -17,12 +17,13 @@ divides the denominator of alpha' R, so every sample is decided by the
 exact rank over Q(i)); ``check iwasawa --alpha-prime=VALUE`` for values
 that a model file refuses as a constant or that are not real (each exits
 2 with an ``error:`` line); ``trivialize iwasawa --degree`` 0..4
-and 6; ``trivialize iwasawa --degree 3`` at alpha' = 0, 1 and 1/7, where the
-anomaly does not balance, so the chart identity fails (exit 1) and the
-report names its first failing section; and ``serre``, ``serre
---alpha-prime 0``, ``cohomology --samples 50``, ``cohomology --samples
-50 --diagonal-dbar``, ``symbol``, ``symbol --alpha-prime 2 --samples
-400`` and ``trivialize --degree 1`` on each model file given
+and 6; ``trivialize iwasawa --degree 3`` at alpha' = 0, 1 and 1/7, and
+``--degree 6`` at 0 and 1/7, where the anomaly does not balance, so the
+chart identity fails (exit 1) and the report names its first failing
+section; and ``serre``, ``serre --alpha-prime 0``, ``cohomology --samples
+50``, ``cohomology --samples 50 --diagonal-dbar``, ``symbol``, ``symbol
+--alpha-prime 2 --samples 400``, ``trivialize --degree 1`` and
+``trivialize --degree 3`` on each model file given
 (``scripts/scale_models.py`` writes larger ones, with charts, and
 ``kt-t1``, whose scan fails and which has no chart; ``symbol`` scans all
 7^n - 1 samples, about 0.1 s for the 16,806 of ``iwasawa-t2`` at n = 5 on
@@ -149,6 +150,9 @@ def commands(files):
     for alpha in ("0", "1", "1/7"):
         yield ["trivialize", "iwasawa", "--degree", "3",
                "--alpha-prime", alpha]
+    for alpha in ("0", "1/7"):
+        yield ["trivialize", "iwasawa", "--degree", "6",
+               "--alpha-prime", alpha]
     for path in files:
         yield ["serre", path]
         yield ["serre", path, "--alpha-prime", "0"]
@@ -157,6 +161,7 @@ def commands(files):
         yield ["symbol", path]
         yield ["symbol", path, "--alpha-prime", "2", "--samples", "400"]
         yield ["trivialize", path, "--degree", "1"]
+        yield ["trivialize", path, "--degree", "3"]
 
 
 def digest(text: str) -> str:

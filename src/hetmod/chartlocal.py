@@ -43,8 +43,9 @@ and legs (k, L), finite tables of (target slot, legs, z shift, zbar shift,
 Poly in (x, y)): a Poly's z and zbar exponents stand for x and y.  Each is
 made once per ``Trivialization`` by running the flat coupling tables on the
 generic term map {(k, L, 0, 0): 1}, and is evaluated at the exponents of
-every section it meets; ``sections_checked`` counts the sections at which
-the exact residual was so evaluated.
+every section it meets.  An empty residual table proves the identity on
+every section of its slot at once, so ``operator_identity_report``
+evaluates only the sections that touch a nonempty one.
 """
 
 from __future__ import annotations
@@ -845,23 +846,33 @@ def _residual(t: Trivialization, terms: Mapping) -> dict:
     return _sum_terms(_D(t, terms), rhs.items(), -1)
 
 
+def _table(t: Trivialization, op, k: int, legs: tuple[int, ...]) -> tuple:
+    """The exponent table of ``op`` for slot k and dzbar legs L: ``op`` run
+    on the generic term map {(k, L, 0, 0): 1}, as (target slot, legs, z
+    shift, zbar shift, Poly in (x, y)) entries.  Made on first use and kept
+    in ``t.op_tables``."""
+    mc = t.cd.m_coords
+    key = (op, mc, k, legs)
+    table = t.op_tables.get(key)
+    if table is None:
+        z = (0,) * mc
+        g = op(t, {(k, legs, z, z): Poly.const(mc, GR_ONE)})
+        table = t.op_tables[key] = tuple(e + (f,) for e, f in g.items())
+    return table
+
+
 def _evaluate(t: Trivialization, op, s: ChartSection,
               q: int) -> ChartSection:
     """Each term c z^x zbar^y of ``s`` through the table of ``op`` for its
-    (k, L), made on first use, evaluated at (x, y).  An entry whose shifted
-    exponent is negative must vanish there: a derivative brought down the
-    zero exponent."""
-    tables = t.op_tables
+    (k, L) (``_table``), evaluated at (x, y).  On one term the entries'
+    distinct keys give distinct monomials and no entry holds a zero Poly,
+    so an empty table gives zero on every section of its (k, L), in every
+    degree.  An entry whose shifted exponent is negative must vanish there:
+    a derivative brought down the zero exponent."""
     mc, rank, _ = s.shape
-    z = (0,) * mc
     acc: dict = {}
     for (k, legs, x, y), c in s.terms:
-        table = tables.get((op, mc, k, legs))
-        if table is None:
-            g = op(t, {(k, legs, z, z): Poly.const(mc, GR_ONE)})
-            table = tables[(op, mc, k, legs)] = tuple(
-                key + (f,) for key, f in g.items())
-        for dst, new, sx, sy, f in table:
+        for dst, new, sx, sy, f in _table(t, op, k, legs):
             v = f.evaluate(x, y)
             if v:
                 x2, y2 = tuple(map(add, x, sx)), tuple(map(add, y, sy))
@@ -899,9 +910,11 @@ def trivialization_residual(t: Trivialization,
 
 
 def _labelled_sections(t: Trivialization, degree: int):
-    """Yield (slot label, monomial, section) for every section with a single
-    monomial slot entry of total degree up to the bound, covering every
-    covector, trace-free gauge and vector slot."""
+    """Yield (slot label, fibre value, z exponents, zbar exponents) for
+    every section with a single monomial slot entry of total degree up to
+    the bound, monomial first and then in ``fibre_basis`` order, covering
+    every covector, trace-free gauge and vector slot; ``_section`` builds
+    the section itself."""
     mc, r = t.cd.m_coords, t.cd.rank
     slots = fibre_basis(mc, r, "dz^", "d/dz^")
     for total in range(degree + 1):
@@ -911,17 +924,22 @@ def _labelled_sections(t: Trivialization, degree: int):
             for x in za:
                 e[x] += 1
             z, zb = tuple(e[:mc]), tuple(e[mc:])
-            mono = _make(Poly, (mc,), {(z, zb): GR_ONE})
             for label, value in slots:
-                yield label, mono, _make(ChartSection, (mc, r, 0),
-                                         {(k, (), z, zb): c
-                                          for k, c in value.items()})
+                yield label, value, z, zb
+
+
+def _section(t: Trivialization, value: Mapping, z: Exp,
+             zb: Exp) -> ChartSection:
+    """The (0,0)-section of fibre value ``value`` times z^z zbar^zb."""
+    return _make(ChartSection, (t.cd.m_coords, t.cd.rank, 0),
+                 {(k, (), z, zb): c for k, c in value.items()})
 
 
 def monomial_sections(t: Trivialization, degree: int):
     """All sections with a single monomial slot entry of total degree up to
     the bound, covering every covector, trace-free gauge and vector slot."""
-    return [s for _, _, s in _labelled_sections(t, degree)]
+    return [_section(t, value, z, zb)
+            for _, value, z, zb in _labelled_sections(t, degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -968,15 +986,28 @@ def transition_cocycle_residual(t1: Trivialization, t2: Trivialization,
 def operator_identity_report(t: Trivialization, degree: int) -> dict:
     """The chart identity on every monomial section up to ``degree``; a
     failing run also names its first failing section (slot label and
-    monomial) and that section's residual, slot by slot."""
+    monomial) and that section's residual, slot by slot.
+
+    The residual of a section of fibre value {k: c_k} at z^x zbar^y is
+    sum_k c_k table_k(x, y), shifted, with table_k the residual's table of
+    slot k and no dzbar leg (``_table``).  So a section that touches only
+    empty tables passes, in every degree: it is counted in
+    ``sections_checked`` but neither built nor evaluated.  On a valid pair
+    every table is empty."""
+    mc, r = t.cd.m_coords, t.cd.rank
+    live = {k for _, value in fibre_basis(mc, r) for k in value
+            if _table(t, _residual, k, ())}
     checked = bad = 0
     first = None
-    for label, mono, s in _labelled_sections(t, degree):
+    for label, value, z, zb in _labelled_sections(t, degree):
         checked += 1
-        res = trivialization_residual(t, s)
+        if live.isdisjoint(value):
+            continue
+        res = trivialization_residual(t, _section(t, value, z, zb))
         if res:
             bad += 1
             if first is None:
+                mono = _make(Poly, (mc,), {(z, zb): GR_ONE})
                 first = {"slot": label, "monomial": str(mono),
                          "residual": res.labelled()}
     out = {"sections_checked": checked, "failures": bad,

@@ -17,7 +17,7 @@ import types
 from hetmod import chartlocal as cl
 from hetmod import qcomplex as qc
 from hetmod.models import BUILTIN_NAMES, builtin_model
-from hetmod.scalars import Scalar
+from hetmod.scalars import GR_ONE, GaussRat, Scalar
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -63,12 +63,13 @@ def test_micro_metrics_run_on_the_builtins():
     assert all(v > 0 for v in metrics.values()), metrics
 
 
-def test_chart_identity_calls_the_traced_residual_once_per_section(
+def test_chart_identity_evaluates_only_sections_with_a_nonzero_table(
         iwasawa, monkeypatch):
     # the tracer counts chartlocal.sections as calls of
-    # trivialization_residual, so the report must make exactly one per
-    # section it checks: 1890 on the chart workload's degree 4
-    t = cl.build_trivialization(iwasawa)
+    # trivialization_residual; the report makes one only for a section
+    # whose value touches a slot with a nonempty residual table, and counts
+    # every section it passes in sections_checked: none on the valid pair
+    # of the chart workload, 1890 sections at degree 4
     calls = []
     residual = cl.trivialization_residual
 
@@ -77,11 +78,26 @@ def test_chart_identity_calls_the_traced_residual_once_per_section(
         return residual(*args)
 
     monkeypatch.setattr(cl, "trivialization_residual", counted)
+    t = cl.build_trivialization(iwasawa)
     for degree, want in ((1, 63), (4, 1890)):
+        rep = cl.operator_identity_report(t, degree)
+        assert rep["sections_checked"] == want and rep["passed"]
+        assert calls == []
+    # at alpha' = 0 the anomaly does not balance and two vector slots'
+    # tables are nonempty: exactly the sections touching them are evaluated
+    t = cl.build_trivialization(iwasawa, GaussRat.of(0))
+    z = (0,) * t.cd.m_coords
+    live = {k for k in range(qc._offsets(t.cd.m_coords, t.cd.rank)[2])
+            if cl._residual(t, {(k, (), z, z): cl.Poly.const(len(z), GR_ONE)})}
+    assert len(live) == 2
+    for degree in (1, 2):
         calls.clear()
         rep = cl.operator_identity_report(t, degree)
-        assert rep["sections_checked"] == len(calls) == want
-        assert calls == cl.monomial_sections(t, degree)
+        sections = cl.monomial_sections(t, degree)
+        assert rep["sections_checked"] == len(sections)
+        assert calls == [s for s in sections
+                         if any(k in live for (k, *_), _ in s.terms)]
+        assert 0 < rep["failures"] <= len(calls)
 
 
 def test_traced_pass_reports_every_layer(tmp_path):

@@ -1,6 +1,7 @@
 """Coordinate-chart side: polynomial forms, the radial primitive, potential
 construction and the conjugation identity for the deformation operator."""
 
+import collections
 import copy
 import functools
 import itertools
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from hetmod import chartlocal as cl
 from hetmod import cli
+from hetmod import qcomplex as qc
 from hetmod.exterior import InvariantForm, MixedForm
 from hetmod.geometry import ModelError, _mixed_str
 from hetmod.models import parse_model_text
@@ -241,11 +243,14 @@ def test_transitions(iwasawa):
     assert cl.transition(t0, t0) == [{(k, (), z, z): cp(1)} for k in slots]
 
 
-def _zbar_in_A(t):
-    """``t`` with zbar_3 dz^1 added to A_11 and taken from A_22."""
+def _zbar_in_A(t, only_A22=False):
+    """``t`` with zbar_3 dz^1 added to A_11 and taken from A_22, or only
+    taken from A_22."""
     mod = cl.ChartForm.monomial(MC, (1,), (), zbp(2))
     A = [list(row) for row in t.A]
-    A[0][0], A[1][1] = A[0][0] + mod, A[1][1] - mod
+    if not only_A22:
+        A[0][0] = A[0][0] + mod
+    A[1][1] = A[1][1] - mod
     return t.replace(A=tuple(tuple(row) for row in A))
 
 
@@ -821,6 +826,84 @@ def test_residual_matches_the_reference_at_higher_exponents(iwasawa):
             assert res == _ref_residual(bad, s)
             failures += bool(res)
         assert failures > 0
+
+
+def _reference_scan(t, degree):
+    """(total degree, slot label, monomial, residual) of every monomial
+    section up to ``degree``, in the report's order (monomial first, then
+    fibre value), with the residual of the ChartForm-level reference."""
+    labels = [label for label, _ in qc.fibre_basis(MC, t.cd.rank, "dz^",
+                                                   "d/dz^")]
+    out = []
+    for i, s in enumerate(cl.monomial_sections(t, degree)):
+        (_, _, z, zb), _ = next(iter(s.terms))
+        mono = cl.Poly.build(MC, {(z, zb): GR_ONE})
+        out.append((sum(z + zb), labels[i % len(labels)], str(mono),
+                    _ref_residual(t, s)))
+    return out
+
+
+def _report_of(scan, degree):
+    rows = [row for row in scan if row[0] <= degree]
+    bad = [row for row in rows if row[3]]
+    out = {"sections_checked": len(rows), "failures": len(bad),
+           "passed": not bad}
+    if bad:
+        _, label, mono, res = bad[0]
+        out["first_failure"] = {"slot": label, "monomial": mono,
+                                "residual": res.labelled()}
+    return out
+
+
+def test_report_matches_a_reference_scan_of_every_section(iwasawa):
+    # the report evaluates only the sections whose value touches a slot
+    # with a nonempty residual table; a scan of every section through the
+    # reference must give the same counts and witness.  The failing pairs
+    # have nonempty tables on vector slots (alpha' in {0, 1, 1/7}, tau and
+    # Gamma bent) and on the gauge slot E(2,2), which only the second slot
+    # of D(1) touches
+    t = cl.build_trivialization(iwasawa)
+    pairs = [t, _perturbed(t), _bent(t), _zbar_in_A(t, only_A22=True)] + [
+        cl.build_trivialization(iwasawa, GaussRat.of(a))
+        for a in ("0", "1", "1/7")]
+    for i, pair in enumerate(pairs):
+        scan = _reference_scan(pair, 2)
+        assert any(row[3] for row in scan) == (i > 0)
+        for degree in (0, 1, 2):
+            assert (cl.operator_identity_report(pair, degree)
+                    == _report_of(scan, degree))
+
+
+def test_residual_tables_of_every_leg_set(iwasawa):
+    # the residual's table of each value slot k and dzbar legs L with
+    # q = |L| = 0..3: all 80 are empty on the valid pair; where the anomaly
+    # does not balance, 2, 6 and 4 are nonempty at q = 0, 1 and 2, and each
+    # nonempty table shows on a section of its (k, L) of degree <= 1, where
+    # the reference agrees with the flat residual
+    def tables(t):
+        return {(k, L): cl._table(t, cl._residual, k, L)
+                for q in range(MC + 1)
+                for L in itertools.combinations(range(1, MC + 1), q)
+                for k in range(cl._offsets(MC, t.cd.rank)[2])}
+
+    valid = tables(cl.build_trivialization(iwasawa))
+    assert len(valid) == 80 and not any(valid.values())
+    exps = [(0,) * 2 * MC] + [tuple(int(i == j) for j in range(2 * MC))
+                              for i in range(2 * MC)]
+    for a in ("0", "1", "1/7"):
+        t = cl.build_trivialization(iwasawa, GaussRat.of(a))
+        live = [key for key, table in tables(t).items() if table]
+        assert collections.Counter(len(L) for _, L in live) == {
+            0: 2, 1: 6, 2: 4}
+        for k, L in live:
+            shown = False
+            for e in exps:
+                s = cl.ChartSection.build(MC, t.cd.rank, len(L),
+                                          {(k, L, e[:MC], e[MC:]): GR_ONE})
+                res = _ref_residual(t, s)
+                assert res == cl.trivialization_residual(t, s)
+                shown |= bool(res)
+            assert shown, (a, k, L)
 
 
 def test_a_negative_exponent_with_a_nonzero_value_is_refused(iwasawa):
