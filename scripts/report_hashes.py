@@ -22,12 +22,14 @@ and 6; ``trivialize iwasawa --degree 3`` at alpha' = 0, 1 and 1/7, and
 chart identity fails (exit 1) and the report names its first failing
 section; and ``serre``, ``serre --alpha-prime 0``, ``cohomology --samples
 50``, ``cohomology --samples 50 --diagonal-dbar``, ``symbol``, ``symbol
---alpha-prime 2 --samples 400``, ``trivialize --degree 1`` and
-``trivialize --degree 3`` on each model file given
-(``scripts/scale_models.py`` writes larger ones, with charts, and
-``kt-t1``, whose scan fails and which has no chart; ``symbol`` scans all
-7^n - 1 samples, about 0.1 s for the 16,806 of ``iwasawa-t2`` at n = 5 on
-a 2-vCPU Xeon, and seven times as many per step of n).  Then ``check`` on
+--alpha-prime 2 --samples 400``, ``symbol`` at alpha' = 1 and -1,
+``symbol --samples`` at one below, at and one above the scan's block size
+``cohomology.SCAN_BLOCK``, ``trivialize --degree 1`` and ``trivialize
+--degree 3`` on each model file given (``scripts/scale_models.py`` writes
+larger ones, with charts, and ``kt-t1``, whose scan fails at alpha' = 1,
+-1 and 2 and which has no chart; ``symbol`` scans all 7^n - 1 samples,
+about 0.05 s for the 16,806 of ``iwasawa-t2`` at n = 5 on a 2-vCPU Xeon,
+and seven times as many per step of n).  Then ``check`` on
 each model file of ``REFUSALS``, a built-in's file with one field
 malformed or ambiguous, written to a temporary directory; these lines read
 ``check refusal:LABEL``, and a refusal exits 2 with an ``error:`` line.
@@ -58,6 +60,7 @@ import sys
 import tempfile
 
 from hetmod import cli
+from hetmod.cohomology import SCAN_BLOCK
 from hetmod.linalg import CERT_P
 from hetmod.models import (
     BUILTIN_NAMES,
@@ -160,6 +163,10 @@ def commands(files):
         yield ["cohomology", path, "--samples", "50", "--diagonal-dbar"]
         yield ["symbol", path]
         yield ["symbol", path, "--alpha-prime", "2", "--samples", "400"]
+        for alpha in ("1", "-1"):
+            yield ["symbol", path, "--alpha-prime", alpha]
+        for samples in (SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1):
+            yield ["symbol", path, "--samples", str(samples)]
         yield ["trivialize", path, "--degree", "1"]
         yield ["trivialize", path, "--degree", "3"]
 

@@ -11,8 +11,11 @@ lowered adjoint conj(D_{p-1}^T G_p), which needs no inverse Gram matrix.
 The module also implements the principal symbol of Dbar + Dbar* and an
 injectivity scan over a lattice of nonzero cotangent samples, which is the
 effective content of ellipticity here: one n x n Schur complement N decides
-each sample, by a division-free dense rank mod p where it can (by delta s
-alone when the model has no coupling terms) and else by its rank over Q(i).
+each sample.  The scan takes the samples a block at a time, builds N
+column-wise across the block and tests full rank mod p for the whole block
+with one division-free elimination (by delta s alone when the model has no
+coupling terms); a sample that this leaves open is decided by the rank of
+its N over Q(i).
 Each report is built once, as the dict the CLI prints: ``system_report`` is
 the ``check`` report, and ``cohomology_report`` embeds it under ``checks``
 beside the ``dims`` of ``cohomology_data``.
@@ -227,81 +230,106 @@ def symbol_samples(n: int):
 # per route: the image of re + im*i, the zero and the modulus (0 for Z[i])
 _ROUTES = ((GaussRat, GR_ZERO, 0), (linalg.residue, 0, linalg.CERT_P))
 
+SCAN_BLOCK = 7 ** 3   # samples the scan decides together
+
 
 class SymbolBlocks(Record):
     """The coupling terms of ``symbol_blocks`` on each route of _ROUTES:
     ``coupling[route]`` holds A_{kjt} = sum_m c * xi_m, with c the image
     of a Gaussian integer, as (j, ((k, ((t, ((m, c), ...)), ...)), ...))
-    where any, and ``delta[route]`` the image of den_R."""
+    where any, and ``delta[route]`` the image of den_R.  ``_schur``
+    evaluates N on a whole block of samples, each entry one list over the
+    block; ``schur`` and ``schur_mod_p`` are blocks of one."""
 
     n: int
     coupling: tuple[tuple, tuple]
     delta: tuple[GaussRat, int]
 
-    def _scaled(self, xi: list[GaussRat], route: int):
-        """xi scaled by the common denominator of its components, then it
-        and its conjugate as y in the route's ring, and s = xi . conj(xi)
-        there, reduced mod p on the prime route."""
-        if len(xi) != self.n:
+    def _schur(self, block: list[list[GaussRat]], route: int):
+        """delta s and N = delta^2 s^2 I - s G + sum_j a_j b_j^T over a
+        block of samples, column-wise in the route's ring (unreduced ints
+        on the prime route): ``ds`` lists delta s, and ``N[t][u]`` the
+        (t, u) entry, at each sample.  Each sample is first scaled by the
+        common denominator of its components, which keeps the rank of N,
+        and s = xi . conj(xi) is taken there.  N is None when there are
+        no coupling terms, where it is (delta s)^2 I."""
+        n = self.n
+        if set(map(len, block)) - {n}:
             raise ModelError("cotangent sample has the wrong length")
         of, zero, p = _ROUTES[route]
-        g = ([(x.a, x.b) for x in xi] if all(x.d == 1 for x in xi)
-             else linalg.gauss_ints(xi)[1])
-        y = [of(re, im) for re, im in g] + [of(re, -im) for re, im in g]
-        s = sum([a * b for a, b in zip(y, y[self.n:])], zero)
-        return y, s % p if p else s
-
-    def _schur(self, xi: list[GaussRat], route: int):
-        """N = delta^2 s^2 I - s G + sum_j a_j b_j^T at xi, scaled as in
-        ``_scaled``, as dense rows in the route's ring (on the prime route,
-        unreduced ints); None when s or delta is zero there."""
-        y, s = self._scaled(xi, route)
-        if not (d := self.delta[route] * s):
-            return None
-        zero, n = _ROUTES[route][1], self.n
-        N = [[d * d if t == u else zero for u in range(n)] for t in range(n)]
+        cols = list(zip(*block))
+        if {x.d for c in cols for x in c} - {1}:
+            cols = list(zip(*[[GaussRat(re, im) for re, im
+                               in linalg.gauss_ints(xi)[1]] for xi in block]))
+        s = [0] * len(block)
+        for c in cols:
+            s = [v + x.a * x.a + x.b * x.b for v, x in zip(s, c)]
+        s = [of(v, 0) for v in s]
+        delta = self.delta[route]
+        ds = [delta * v % p for v in s] if p else [delta * v for v in s]
+        if not self.coupling[route]:
+            return ds, None
+        y = ([[of(x.a, x.b) for x in c] for c in cols]
+             + [[of(x.a, -x.b) for x in c] for c in cols])
+        zeros = [zero] * len(block)
+        dd = [v * v for v in ds]
+        N = [[dd if t == u else zeros for u in range(n)] for t in range(n)]
         for j, legs in self.coupling[route]:
-            aj, bj = [zero] * n, [zero] * n
+            aj, bj = {}, {}
             for k, entries in legs:
-                yk, ykb = y[k], y[n + k]
-                v = []
+                A = []
                 for t, terms in entries:
-                    x = zero
+                    x = zeros
                     for m, c in terms:
-                        x += c * y[m]
-                    if x:
-                        v.append((t, x))
-                        aj[t] += ykb * x
-                        bj[t] += yk * x
-                for t, x in v:
-                    Nt, sx = N[t], s * x
-                    for u, z in v:
-                        Nt[u] -= sx * z
-            for t, x in enumerate(aj):
-                if x:
+                        x = [v + c * w for v, w in zip(x, y[m])]
+                    A.append((t, x))
+                for t, x in A:
                     Nt = N[t]
-                    for u, z in enumerate(bj):
-                        if z:
-                            Nt[u] += x * z
-        return N
+                    for u, z in A:
+                        Nt[u] = [v - r * w * q for v, r, w, q
+                                 in zip(Nt[u], s, x, z)]
+                    aj[t] = [v + w * q for v, w, q
+                             in zip(aj.get(t, zeros), y[n + k], x)]
+                    bj[t] = [v + w * q for v, w, q
+                             in zip(bj.get(t, zeros), y[k], x)]
+            for t, x in aj.items():
+                Nt = N[t]
+                for u, z in bj.items():
+                    Nt[u] = [v + w * q for v, w, q in zip(Nt[u], x, z)]
+        return ds, N
+
+    def _one(self, xi: list[GaussRat], route: int):
+        """N at the single sample xi as dense rows; None where delta s is
+        zero in the route's ring."""
+        ds, N = self._schur([xi], route)
+        if not (d := ds[0]):
+            return None
+        if N is None:
+            zero = _ROUTES[route][1]
+            return [[d * d if t == u else zero for u in range(self.n)]
+                    for t in range(self.n)]
+        return [[e[0] for e in row] for row in N]
 
     def schur(self, xi: list[GaussRat]) -> list[list[GaussRat]]:
         """N at xi over Z[i]; there s > 0 and delta >= 1."""
-        return self._schur(xi, 0)
+        return self._one(xi, 0)
 
     def schur_mod_p(self, xi: list[GaussRat]):
         """N at xi mod CERT_P as dense int rows, congruent to its residues
         and not reduced; None when s or delta is 0 mod p."""
-        return self._schur(xi, 1)
+        return self._one(xi, 1)
 
-    def full_rank_mod_p(self, xi: list[GaussRat]) -> bool:
-        """Whether N at xi has full rank mod CERT_P, which proves that it
-        has full rank over Q(i).  With no coupling terms N is
-        (delta s)^2 I, so delta s != 0 mod p decides and N is not built."""
-        if not self.coupling[1]:
-            return bool(self.delta[1] * self._scaled(xi, 1)[1])
-        N = self.schur_mod_p(xi)
-        return N is not None and linalg.rank_mod_p(N) == self.n
+    def undecided_mod_p(self, block: list[list[GaussRat]]) -> list[int]:
+        """The positions, in order, of the samples of ``block`` where N
+        mod CERT_P does not prove that N has full rank over Q(i): delta s
+        is 0 mod p there, or ``linalg.rank_drops_mod_p`` finds N short of
+        full rank.  With no coupling terms N is (delta s)^2 I, so delta s
+        alone decides and N is not built."""
+        ds, N = self._schur(block, 1)
+        out = [i for i, d in enumerate(ds) if not d] if 0 in ds else []
+        if N is not None:
+            out = sorted(set(out).union(linalg.rank_drops_mod_p(N)))
+        return out
 
 
 def symbol_blocks(m: HomogeneousModel, alpha0: GaussRat) -> SymbolBlocks:
@@ -348,11 +376,14 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
     ``limit`` of ``symbol_samples``) and the first failing sample if any.
 
     The symbol is injective at xi iff the n x n matrix N of
-    ``symbol_blocks`` has full rank over Q(i).  When N has full rank mod
-    the prime ``linalg.CERT_P`` (``SymbolBlocks.full_rank_mod_p``), so has
-    N over Q(i).  Otherwise N is evaluated over Z[i] and ``linalg.rank``
-    decides it over Q(i); a rank drop is never reported on the strength of
-    the prime.  An empty scan is refused.
+    ``symbol_blocks`` has full rank over Q(i).  The samples are drawn
+    ``SCAN_BLOCK`` at a time, never past ``limit``, so a scan holds one block
+    however large the lattice is.  When N has full rank mod the prime
+    ``linalg.CERT_P``, so has N over Q(i); ``undecided_mod_p`` tests a
+    whole block that way at once.  Each sample it leaves, in order, has N
+    evaluated over Z[i], and ``linalg.rank`` decides it over Q(i); a rank
+    drop is never reported on the strength of the prime.  An empty scan
+    is refused.
     """
     total = len(_ALPHABET) ** m.n - 1
     count = total if limit is None else min(max(limit, 0), total)
@@ -360,17 +391,16 @@ def injectivity_scan(m: HomogeneousModel, alpha0: GaussRat,
         raise ModelError("the symbol scan needs at least one sample")
     n = m.n
     blocks = symbol_blocks(m, alpha0)
-    first_failure = None
-    for xi in itertools.islice(symbol_samples(n), count):
-        if not (blocks.full_rank_mod_p(xi)
-                or linalg.rank(blocks.schur(xi)) == n):
-            first_failure = "(" + ", ".join(str(x) for x in xi) + ")"
-            break
-    return {
-        "samples": count,
-        "injective": first_failure is None,
-        **({"first_failure": first_failure} if first_failure else {}),
-    }
+    samples = symbol_samples(n)
+    for start in range(0, count, SCAN_BLOCK):
+        block = list(itertools.islice(samples,
+                                      min(SCAN_BLOCK, count - start)))
+        for i in blocks.undecided_mod_p(block):
+            if linalg.rank(blocks.schur(block[i])) != n:
+                return {"samples": count, "injective": False,
+                        "first_failure": "(" + ", ".join(
+                            str(x) for x in block[i]) + ")"}
+    return {"samples": count, "injective": True}
 
 
 # ---------------------------------------------------------------------------

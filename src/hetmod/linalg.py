@@ -12,6 +12,8 @@ One sparse elimination engine, a dense rank test mod p and a determinant:
 * ``rank_mod_p`` ranks small dense int rows over F_CERT_P, division-free.
   Full rank there proves full rank over Q(i) of the Gaussian integer
   matrix they reduce; a shortfall proves nothing, and ``rank`` decides.
+  ``rank_drops_mod_p`` runs the same elimination on a block of square
+  matrices at once, entry by entry across the block.
 * ``det``: cofactor expansion over any ring whose unit is passed in
   (GaussRat, Scalar and chart Poly entries alike), for small matrices.
 """
@@ -209,3 +211,28 @@ def rank_mod_p(rows) -> int:
                 rows[i] = [(a * x - f * y) % p
                            for x, y in zip(rows[i], pivot)]
     return rank
+
+
+def rank_drops_mod_p(block) -> list[int]:
+    """The positions, in order, of the n x n matrices of a block whose rank
+    over F_CERT_P is below n.  The block is held column-wise: ``block[t][u]``
+    lists the (t, u) entries of all its matrices, as ints read mod CERT_P
+    and not changed.  One division-free elimination on the diagonal pivots
+    runs over the whole block: below a pivot a, a row with f in the pivot's
+    column becomes a * row - f * pivot.  A matrix whose diagonal pivot is
+    0 mod p needs a row swap, so ``rank_mod_p`` ranks it on its own rows."""
+    p, n = CERT_P, len(block)
+    rows = [[[x % p for x in e] for e in row] for row in block]
+    stuck = set()
+    for c in range(n):
+        pivot = rows[c]
+        a = pivot[c]
+        if 0 in a:
+            stuck.update(i for i, x in enumerate(a) if not x)
+        for row in rows[c + 1:]:
+            f = row[c]
+            row[c + 1:] = [[(x * v - y * w) % p
+                            for x, v, y, w in zip(a, e, f, g)]
+                           for e, g in zip(row[c + 1:], pivot[c + 1:])]
+    return [i for i in sorted(stuck)
+            if rank_mod_p([[e[i] for e in row] for row in block]) < n]

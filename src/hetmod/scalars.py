@@ -524,7 +524,20 @@ def format_scalar(s: Scalar) -> str:
 _RAT = r"-?\d+(?:/\d+)?"
 _TOKEN = re.compile(
     rf"\s*(?:(?P<rat>{_RAT})|(?P<sym>[ia+\-^()])|(?P<num>\d+))")
-_PLAIN = re.compile(_RAT)    # a whole text that is one "rat" token
+# the constants a model file spells as the printer does: "RAT", "RAT i",
+# "i", "-i" and "RAT + RAT i" (either sign, RAT i may be i), one space
+# between the parts and no zero denominator
+_URAT = r"\d+(?:/0*[1-9]\d*)?"
+_CONSTANT = re.compile(rf"(-?{_URAT})(?: ([+-]) (?:({_URAT}) )?i)?"
+                       rf"|(-?)(?:({_URAT}) )?i")
+
+
+def _rational(text: str):
+    """An unsigned or signed int or p/q with q > 0, as an int or Fraction."""
+    if "/" in text:
+        p, q = text.split("/")
+        return Fraction(int(p), int(q))
+    return int(text)
 
 
 def _tokenize(text: str):
@@ -623,11 +636,18 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def parse_gauss(text: str) -> GaussRat:
-    """A constant in the scalar syntax.  Plain integers and p/q, which are
-    most of a model file's entries, are read without the general parser;
-    the value and any error are the same."""
-    if _PLAIN.fullmatch(text):
-        return GaussRat(_fraction(text) if "/" in text else int(text))
+    """A constant in the scalar syntax.  The spellings of ``_CONSTANT``,
+    which are nearly all of a model file's entries, are read without the
+    general parser; anything else goes to ``parse_scalar``, so the value
+    and any error are the same."""
+    if m := _CONSTANT.fullmatch(text):
+        re_, sign, im, neg, im_only = m.groups()
+        if re_ is None:
+            re_, sign, im = "0", neg, im_only
+        elif sign is None:
+            return GaussRat(_rational(re_))
+        im = _rational(im) if im else 1
+        return GaussRat(_rational(re_), -im if sign == "-" else im)
     s = parse_scalar(text)
     if s.degree > 0:
         raise ScalarError(f"expected a constant, got {text!r}")

@@ -53,18 +53,27 @@ def dense_metric_builtins(iwasawa, calabi_eckmann):
     return out
 
 
+def kt_model(n: int):
+    """The Kodaira-Thurston type model at n: d a2 = a1 ^ ab1, the other
+    legs closed, unit metric, a line bundle with F = 0, so the symbol has
+    no gauge block and alpha' R couples the rest."""
+    return parse_model_text(json.dumps({
+        "name": f"kt{n}", "n": n,
+        "coframe": [f"a{k + 1}" for k in range(n)],
+        "d": {"a2": [{"coeff": "1", "wedge": ["a1", "ab1"]}]},
+        "metric": [["1" if i == j else "0" for j in range(n)]
+                   for i in range(n)],
+        "omega_coeff": "1", "bundle": {"rank": 1, "F": {}}}))
+
+
 @pytest.fixture(scope="session")
 def kt_models():
-    """Kodaira-Thurston type models for n = 2 and 3: d a2 = a1 ^ ab1, the
-    other legs closed, unit metric, a line bundle with F = 0, so the
-    symbol has no gauge block and alpha' R couples the rest."""
-    out = []
-    for n in (2, 3):
-        out.append(parse_model_text(json.dumps({
-            "name": f"kt{n}", "n": n,
-            "coframe": [f"a{k + 1}" for k in range(n)],
-            "d": {"a2": [{"coeff": "1", "wedge": ["a1", "ab1"]}]},
-            "metric": [["1" if i == j else "0" for j in range(n)]
-                       for i in range(n)],
-            "omega_coeff": "1", "bundle": {"rank": 1, "F": {}}})))
-    return out
+    """The Kodaira-Thurston type models for n = 2 and 3."""
+    return [kt_model(2), kt_model(3)]
+
+
+@pytest.fixture(scope="session")
+def kt4():
+    """The Kodaira-Thurston type model for n = 4: 2,400 samples, so that
+    the symbol scan spans several blocks."""
+    return kt_model(4)

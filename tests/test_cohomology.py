@@ -694,12 +694,14 @@ def test_decoupled_counts_by_the_structure_constants(iwasawa, torus,
 def test_prime_route_decides_every_sample_it_can(builtins, monkeypatch):
     # on the built-ins N mod p falls short only where N itself does: the
     # whole scan makes no exact rank call except at calabi-eckmann's rank
-    # drop (0, 0, i) at alpha' = -4, where it stops.  With no coupling
-    # terms (iwasawa, torus, iwasawa x T^2) delta s alone decides each
-    # sample mod p, so N is not even ranked mod p there
+    # drop (0, 0, i) at alpha' = -4, where it stops.  With coupling terms
+    # the block decider ranks N mod p at every sample; with none (iwasawa,
+    # torus, iwasawa x T^2) delta s alone decides each sample mod p, so N
+    # is not even ranked mod p there
     rank_mod_p = linalg.rank_mod_p
     ranked = _record_ranks(monkeypatch)
     ranked_mod_p = _record_ranks(monkeypatch, "rank_mod_p")
+    decided = _record_ranks(monkeypatch, "rank_drops_mod_p")
     drop = [GR_ZERO, GR_ZERO, GaussRat.of(0, 1)]
     for m in builtins:
         for a in (None, "0", "1", "-4", "1/7"):
@@ -707,6 +709,7 @@ def test_prime_route_decides_every_sample_it_can(builtins, monkeypatch):
             blocks = coh.symbol_blocks(m, a0)
             ranked.clear()
             ranked_mod_p.clear()
+            decided.clear()
             rep = coh.injectivity_scan(m, a0)
             if (m.name, a) == ("calabi-eckmann", "-4"):
                 assert rep == {"samples": 342, "injective": False,
@@ -717,30 +720,42 @@ def test_prime_route_decides_every_sample_it_can(builtins, monkeypatch):
                 assert ranked == [], (m.name, a)
             uncoupled = m.name != "calabi-eckmann" or a == "0"
             assert (blocks.coupling == ((), ())) == uncoupled
-            assert (ranked_mod_p == []) == uncoupled, (m.name, a)
+            if uncoupled:
+                assert decided == [] and ranked_mod_p == [], (m.name, a)
+            else:
+                # every sample is in a block that the decider ranks, each
+                # block as 3 x 3 entries over its samples
+                assert [len(N[0][0]) for N in decided] == [342], (m.name, a)
+                assert all(len(N) == len(N[0]) == 3 for N in decided)
     m = _iwasawa_t2()
     a0 = coh.resolve_alpha(m, None)
     blocks = coh.symbol_blocks(m, a0)
     assert blocks.coupling == ((), ())
     ranked.clear()
     ranked_mod_p.clear()
+    decided.clear()
     assert coh.injectivity_scan(m, a0, limit=500) == {
         "samples": 500, "injective": True}
-    assert ranked == [] and ranked_mod_p == []
+    assert ranked == [] and ranked_mod_p == [] and decided == []
     # the shortcut says what ranking N = (delta s)^2 I mod p would say
-    for xi in itertools.islice(coh.symbol_samples(5), 0, None, 97):
+    block = list(itertools.islice(coh.symbol_samples(5), 0, None, 97))
+    undecided = blocks.undecided_mod_p(block)
+    for i, xi in enumerate(block):
         N = blocks.schur_mod_p(xi)
         assert N is not None and N == [[N[0][0] if t == u else 0
                                         for u in range(5)] for t in range(5)]
-        assert blocks.full_rank_mod_p(xi) == (rank_mod_p(N) == 5)
+        assert (i in undecided) == (rank_mod_p(N) < 5)
+
+
+_OFF_LATTICE = [[GaussRat.of("1/2"), GaussRat.of(0, "1/3"), GR_ZERO],
+                [GaussRat.of("2/5", "-1/5"), GR_ONE, GaussRat.of(0, "-3/4")]]
 
 
 def test_samples_with_denominators_are_scaled(calabi_eckmann, kt_models):
     # off the lattice, xi is scaled by the common denominator of its
     # components, which keeps the rank: N is the formula's N at that
     # multiple, on both routes, and has the kernel of the full symbol
-    samples = [[GaussRat.of("1/2"), GaussRat.of(0, "1/3"), GR_ZERO],
-               [GaussRat.of("2/5", "-1/5"), GR_ONE, GaussRat.of(0, "-3/4")]]
+    samples = _OFF_LATTICE
     for m, a0 in [(calabi_eckmann, GaussRat.of(1)),
                   (calabi_eckmann, GaussRat.of(-4)),
                   (kt_models[1], GaussRat.of("1/2"))]:
@@ -753,6 +768,242 @@ def test_samples_with_denominators_are_scaled(calabi_eckmann, kt_models):
             assert blocks.schur(xi) == N
             assert _reduced(blocks.schur_mod_p(xi)) == _residue_rows(N)
             assert m.n - linalg.rank(N) == _symbol_kernel(m, xi, a0)
+
+
+# -- the block route against the per-sample references ----------------------
+
+
+def _entries_at(cols, i):
+    """The dense rows of sample i of a column-wise block."""
+    return [[e[i] for e in row] for row in cols]
+
+
+def _assert_block_is_per_sample(m, alpha0, block):
+    """``_schur`` on the block, on both routes, is the formula's N at each
+    sample scaled to Gaussian integers, entry for entry (its reduction mod
+    p on the prime route), or delta s alone where there are no coupling
+    terms; ``rank_drops_mod_p`` and ``undecided_mod_p`` name the samples
+    that ``rank_mod_p`` finds short, one sample at a time."""
+    n, p = m.n, linalg.CERT_P
+    blocks = coh.symbol_blocks(m, alpha0)
+    R = coh.curvature_array(m)
+    ds, exact = blocks._schur(block, 0)
+    ds_p, mod_p = blocks._schur(block, 1)
+    uncoupled = blocks.coupling == ((), ())
+    assert (exact is None) == (mod_p is None) == uncoupled
+    short, undecided = [], []
+    for i, xi in enumerate(block):
+        label = (m.name, str(alpha0), [str(x) for x in xi])
+        den = linalg.gauss_ints(xi)[0]
+        N = schur_complement(R, alpha0, [x * GaussRat.of(den) for x in xi])
+        if uncoupled:
+            d = ds[i]
+            assert N == [[d * d if t == u else GR_ZERO for u in range(n)]
+                         for t in range(n)], label
+        else:
+            assert _entries_at(exact, i) == N, label
+            rows = _entries_at(mod_p, i)
+            assert _reduced(rows) == _residue_rows(N), label
+            if linalg.rank_mod_p(rows) < n:
+                short.append(i)
+        assert ds_p[i] % p == linalg.residue(ds[i].a, ds[i].b), label
+        assert blocks.schur(xi) == N, label
+        assert (blocks.schur_mod_p(xi) is None) == (not ds_p[i]), label
+        if not ds_p[i] or linalg.rank_mod_p(_residue_rows(N)) < n:
+            undecided.append(i)
+    if not uncoupled:
+        assert linalg.rank_drops_mod_p(mod_p) == short
+    assert blocks.undecided_mod_p(block) == undecided
+    return len(undecided)
+
+
+def _blocks_of(samples, size):
+    samples = list(samples)
+    return [samples[i:i + size] for i in range(0, len(samples), size)]
+
+
+def test_block_schur_is_the_per_sample_schur(builtins, dense_metric_builtins,
+                                             kt_models):
+    # N column-wise against the formula's N, block by block, on both
+    # routes; the kt models lose rank at some samples, and the samples
+    # off the lattice are scaled by their denominators
+    undecided = 0
+    for m in builtins + dense_metric_builtins:
+        for a0 in (coh.resolve_alpha(m, None), GaussRat.of(-4)):
+            for block in _blocks_of(itertools.islice(
+                    coh.symbol_samples(m.n), 0, 120, 3), 16):
+                undecided += _assert_block_is_per_sample(m, a0, block)
+    for m in kt_models:
+        for a0 in [GaussRat.of(x) for x in ("1", "-1", "2", "1/2")]:
+            for block in _blocks_of(itertools.islice(
+                    coh.symbol_samples(m.n), 60), 25):
+                undecided += _assert_block_is_per_sample(m, a0, block)
+    lattice = next(itertools.islice(coh.symbol_samples(3), 20, None))
+    calabi_eckmann = builtins[2]
+    for m, a0 in [(calabi_eckmann, GaussRat.of(1)),
+                  (calabi_eckmann, GaussRat.of(-4)),
+                  (kt_models[1], GaussRat.of("1/2"))]:
+        _assert_block_is_per_sample(m, a0, _OFF_LATTICE + [lattice])
+    assert undecided > 0
+
+
+def test_block_decider_falls_back_where_a_diagonal_pivot_vanishes():
+    # the block's elimination takes its pivots on the diagonal; where one
+    # is 0 mod p the matrix is ranked on its own rows, with row swaps, so
+    # a full-rank matrix is not reported short and a short one is
+    p = linalg.CERT_P
+    mats = [
+        [[1, 2, 0], [0, 1, 0], [0, 0, 1]],        # full, no swap
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],        # full, first pivot 0
+        [[p, 1, 1], [1, 0, 1], [1, 1, 0]],        # full, first pivot p
+        [[1, 1, 0], [1, 1, 0], [0, 0, 1]],        # rank 2, second pivot 0
+        [[1, 1, 0], [1, 1, 1], [0, 1, 0]],        # full, second pivot 0
+        [[0, 0, 0], [0, 1, 0], [0, 0, 1]],        # rank 2, first pivot 0
+        [[2, 4, 6], [1, 2, 3], [0, 0, p + 1]],    # rank 2
+        [[3, 1, 4], [1, 5, 9], [2, 6, 5 + 2 * p]],  # full, no swap
+    ]
+    block = [[[M[t][u] for M in mats] for u in range(3)] for t in range(3)]
+    assert [i for i, M in enumerate(mats)
+            if linalg.rank_mod_p(M) < 3] == [3, 5, 6]
+    assert linalg.rank_drops_mod_p(block) == [3, 5, 6]
+    # a block of one is each matrix alone
+    for i, M in enumerate(mats):
+        one = [[[x] for x in row] for row in M]
+        assert linalg.rank_drops_mod_p(one) == ([0] if i in (3, 5, 6)
+                                                else [])
+
+
+def test_scan_ranks_exactly_where_n_drops_rank_only_mod_p(torus,
+                                                         monkeypatch):
+    # one curvature entry c = p + 1 at xi = (1, 0, 0) gives
+    # N = diag(1 - c^2, 1, 1): its first diagonal entry is 0 mod p, so the
+    # block decider ranks N on its own rows and finds it short, while over
+    # Q(i) N has full rank; the exact route decides the sample injective
+    p = linalg.CERT_P
+    R = [[[[GR_ZERO] * 3 for _ in range(3)] for _ in range(3)]
+         for _ in range(3)]
+    R[1][1][0][0] = GaussRat.of(p + 1)
+    monkeypatch.setattr(coh, "curvature_array", lambda _: R)
+    a0, xi = GR_ONE, [GR_ONE, GR_ZERO, GR_ZERO]
+    N = schur_complement(R, a0, xi)
+    assert N == [[GaussRat.of(1 - (p + 1) ** 2), GR_ZERO, GR_ZERO],
+                 [GR_ZERO, GR_ONE, GR_ZERO], [GR_ZERO, GR_ZERO, GR_ONE]]
+    blocks = coh.symbol_blocks(torus, a0)
+    assert blocks.schur(xi) == N
+    assert _reduced(blocks.schur_mod_p(xi)) == [[0, 0, 0], [0, 1, 0],
+                                                [0, 0, 1]]
+    assert blocks.undecided_mod_p([xi]) == [0]
+    assert linalg.rank(N) == 3 and _symbol_kernel(torus, xi, a0) == 0
+    monkeypatch.setattr(coh, "symbol_samples", lambda n: iter([xi]))
+    fallback = _record_ranks(monkeypatch, "rank_mod_p")
+    ranked = _record_ranks(monkeypatch)
+    assert coh.injectivity_scan(torus, a0, limit=1) == {
+        "samples": 1, "injective": True}
+    assert [_reduced(M) for M in fallback] == [[[0, 0, 0], [0, 1, 0],
+                                                [0, 0, 1]]]
+    assert ranked == [N]
+
+
+# -- block edges, sample order and laziness ---------------------------------
+
+
+def _per_sample_scan(m, alpha0, samples, count):
+    """The scan one sample at a time: a sample is decided by N mod p where
+    that has full rank, else by the rank of N over Q(i), and the first
+    failure ends the scan.  The reference for the block scan."""
+    blocks = coh.symbol_blocks(m, alpha0)
+    for xi in itertools.islice(samples, count):
+        N = blocks.schur_mod_p(xi)
+        if ((N is None or linalg.rank_mod_p(N) < m.n)
+                and linalg.rank(blocks.schur(xi)) < m.n):
+            return {"samples": count, "injective": False,
+                    "first_failure": "(" + ", ".join(map(str, xi)) + ")"}
+    return {"samples": count, "injective": True}
+
+
+@pytest.mark.parametrize("size", [coh.SCAN_BLOCK, 7])
+def test_block_scan_matches_the_per_sample_scan(kt_models, kt4,
+                                                calabi_eckmann, monkeypatch,
+                                                size):
+    # at limits on either side of a block edge.  In blocks of 7, kt3 at
+    # alpha' = 1 first fails at the last sample of the first block (6),
+    # at alpha' = 2 four times in one block (49..52), and calabi-eckmann
+    # at alpha' = -4 twice in its first block (2, 3)
+    monkeypatch.setattr(coh, "SCAN_BLOCK", size)
+    cases = [(m, GaussRat.of(a)) for m in kt_models + [kt4]
+             for a in ("1", "2")]
+    cases += [(calabi_eckmann, GaussRat.of(-4)),
+              (calabi_eckmann, GaussRat.of(1)), (kt4, GaussRat.of("1/2"))]
+    for m, a0 in cases:
+        total = 7 ** m.n - 1
+        for limit in (1, size - 1, size, size + 1, 2 * size + 1, total):
+            count = min(limit, total)
+            assert coh.injectivity_scan(m, a0, limit=limit) == (
+                _per_sample_scan(m, a0, coh.symbol_samples(m.n), count)), (
+                m.name, str(a0), size, limit)
+
+
+def test_block_scan_reports_the_first_failure_of_its_block(kt4,
+                                                           monkeypatch):
+    # kt4 at alpha' = 1 fails at two samples; placed in the middle of the
+    # second block, and both in one block in either order, the scan names
+    # the first in sample order and ranks no sample after it exactly
+    a0 = GaussRat.of(1)
+    lattice = list(coh.symbol_samples(4))
+    fails = [xi for xi in lattice
+             if _per_sample_scan(kt4, a0, iter([xi]), 1)["injective"] is False]
+    assert len(fails) == 2
+    passes = [xi for xi in lattice if xi not in fails]
+    B = coh.SCAN_BLOCK
+    mid = B + B // 2
+    orders = [passes[:mid] + [fails[1]] + passes[mid:],
+              passes[:B + 5] + [fails[1]] + passes[B + 5:B + 40] + [fails[0]]
+              + passes[B + 40:],
+              passes[:B + 5] + [fails[0]] + passes[B + 5:B + 40] + [fails[1]]
+              + passes[B + 40:]]
+    blocks = coh.symbol_blocks(kt4, a0)
+    ranked = _record_ranks(monkeypatch)
+    for seq in orders:
+        monkeypatch.setattr(coh, "symbol_samples", lambda n: iter(seq))
+        first = next(xi for xi in seq if xi in fails)
+        want = _per_sample_scan(kt4, a0, iter(seq), len(lattice))
+        ranked.clear()
+        rep = coh.injectivity_scan(kt4, a0)
+        assert rep == want
+        assert rep["first_failure"] == "(" + ", ".join(map(str, first)) + ")"
+        assert ranked == [blocks.schur(first)]
+
+
+def test_limited_scan_draws_at_most_limit_samples(kt4, calabi_eckmann,
+                                                  monkeypatch):
+    # the samples come from an iterator that refuses to be drawn past the
+    # limit; an injective scan draws exactly the samples asked for, and
+    # one that fails draws no more
+    lattice = coh.symbol_samples
+    drawn = []
+
+    def strict(limit):
+        def samples(n):
+            for xi in lattice(n):
+                if len(drawn) == limit:
+                    raise AssertionError("a sample past the limit was drawn")
+                drawn.append(xi)
+                yield xi
+        return samples
+
+    B = coh.SCAN_BLOCK
+    for m, a in [(kt4, "1/2"), (calabi_eckmann, "1"), (kt4, "2")]:
+        a0 = GaussRat.of(a)
+        for limit in (1, B - 1, B, B + 1, 2 * B + 1, 7 ** m.n - 1):
+            count = min(limit, 7 ** m.n - 1)
+            drawn.clear()
+            monkeypatch.setattr(coh, "symbol_samples", strict(count))
+            rep = coh.injectivity_scan(m, a0, limit=limit)
+            assert rep["samples"] == count
+            if rep["injective"]:
+                assert len(drawn) == count, (m.name, a, limit)
+            else:
+                assert len(drawn) <= count, (m.name, a, limit)
 
 
 def test_scan_refuses_empty(iwasawa):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetmod import scalars as scalars_module
 from hetmod.scalars import (
     GR_I,
     GR_ONE,
@@ -244,11 +245,21 @@ def test_parse_examples():
 
 def _gauss_via_scalar(text):
     """parse_gauss through the general scalar parser alone: the reference
-    for its direct path on plain numbers."""
+    for its direct path on the spellings the model printer writes."""
     s = parse_scalar(text)
     if s.degree > 0:
         raise ScalarError(f"expected a constant, got {text!r}")
     return s.coefficient(0)
+
+
+def _outcome(parse, text):
+    """The value of ``parse(text)`` as its type and triple, or the message
+    of its refusal."""
+    try:
+        x = parse(text)
+    except ScalarError as exc:
+        return str(exc)
+    return type(x), (x.a, x.b, x.d)
 
 
 @pytest.mark.parametrize("text", [
@@ -258,11 +269,46 @@ def _gauss_via_scalar(text):
 def test_parse_gauss_agrees_with_parse_scalar(text):
     # plain integers and p/q are read directly; the value, and the message
     # of a refusal, are those of the general parser
-    def outcome(parse):
-        try:
-            x = parse(text)
-        except ScalarError as exc:
-            return str(exc)
-        return type(x), (x.a, x.b, x.d)
+    assert _outcome(parse_gauss, text) == _outcome(_gauss_via_scalar, text)
 
-    assert outcome(parse_gauss) == outcome(_gauss_via_scalar)
+
+# (spelling, read without the general parser): the constants as the model
+# printer writes them are read by parse_gauss's own pattern; any other
+# spelling, also of the same numbers, goes to parse_scalar
+_CONSTANT_SPELLINGS = [
+    ("0", True), ("-0", True), ("7", True), ("-3/4", True), ("03/004", True),
+    ("3/2 i", True), ("-3/2 i", True), ("-1 i", True), ("0 i", True),
+    ("i", True), ("-i", True), ("3/2 + 1/3 i", True), ("-1/2 + i", True),
+    ("1/2 - i", True), ("-1 - 2/3 i", True), ("0 + 0 i", True),
+    ("-7/7 - 14/2 i", True),
+    ("(1 + i)", False), ("1/0 i", False), ("2 a", False), (" i ", False),
+    ("1/0", False), ("3/0 + i", False), ("1 + 1/00 i", False),
+    ("1 -1/3 i", False), ("1 - -1/3 i", False), ("- i", False),
+    ("3/2i", False), ("1 + -i", False), ("+3", False), ("1/2  + i", False),
+    ("i 2", False), ("", False), ("1 + i + i", False), ("2 i a", False),
+    ("1/2/3", False),
+]
+
+
+@pytest.mark.parametrize("text, direct", _CONSTANT_SPELLINGS)
+def test_parse_gauss_reads_printed_constants_directly(text, direct,
+                                                      monkeypatch):
+    # the value, or the message of a refusal, is that of
+    # parse_scalar(text).coefficient(0); only the spellings that
+    # parse_gauss does not read itself reach the general parser
+    reached = []
+    general = scalars_module.parse_scalar
+    monkeypatch.setattr(scalars_module, "parse_scalar",
+                        lambda t: reached.append(t) or general(t))
+    got = _outcome(parse_gauss, text)
+    assert (reached == []) == direct
+    assert got == _outcome(_gauss_via_scalar, text)
+
+
+def test_parse_gauss_reads_every_printed_constant_directly(monkeypatch):
+    # str(GaussRat) is the printer's spelling of a constant
+    monkeypatch.setattr(scalars_module, "parse_scalar", None)
+    for re in ("0", "1", "-1", "3/2", "-5/12"):
+        for im in ("0", "1", "-1", "1/3", "-7/4"):
+            x = GaussRat.of(re, im)
+            assert parse_gauss(str(x)) == x, str(x)
