@@ -16,7 +16,10 @@ dims carry no alpha', the rest of the report does), and ``symbol NAME
 divides the denominator of alpha' R, so every sample is decided by the
 exact rank over Q(i)); ``check iwasawa --alpha-prime=VALUE`` for values
 that a model file refuses as a constant or that are not real (each exits
-2 with an ``error:`` line); ``trivialize iwasawa --degree`` 0..4
+2 with an ``error:`` line), and for ``a^0`` and ``-4 -0 i``, which read as
+1 and -4 (a reader that refuses a lone ``a^0``, or whose number tokens
+carry a sign, exits 2 on them, so these two lines differ from its lines
+by design); ``trivialize iwasawa --degree`` 0..4
 and 6; ``trivialize iwasawa --degree 3`` at alpha' = 0, 1 and 1/7, and
 ``--degree 6`` at 0 and 1/7, where the anomaly does not balance, so the
 chart identity fails (exit 1) and the report names its first failing
@@ -35,8 +38,14 @@ malformed or ambiguous, written to a temporary directory; these lines read
 ``check refusal:LABEL``, and a refusal exits 2 with an ``error:`` line.
 Then ``check`` on each model file of ``RESPELLED``, a built-in's file with
 one ``d`` wedge or ``F`` key written antiholomorphic leg first and its
-coefficient negated, which is the same model; these lines read ``check
-respelled:LABEL`` and hash as the built-in's own ``check`` line.
+coefficient negated, or with every constant spelled another way of
+``SPELLINGS`` (such as ``(1/2)``, ``+1/2``, ``1/2 + 0 i``, ``2/4 + 0/2 i``
+and ``- 1/4 i``), which is the same model; these lines read ``check respelled:LABEL``
+and hash as the built-in's own ``check`` line.  Then ``trivialize
+--degree 3`` on each file of ``RESPELLED_CHARTS``, a built-in's file with
+one chart pullback spelled another way; these lines read ``trivialize
+respelled:LABEL --degree 3`` and hash as the built-in's own ``trivialize
+NAME --degree 3`` line.
 An exception that escapes ``cli.main`` is printed as its type and message,
 with exit code 1, as an uncaught error would exit.  Last, one line
 ``print_model SPEC sha256`` for each built-in and each model file: no
@@ -125,15 +134,59 @@ def _respell_F(key):
     return edit
 
 
+def _respell_constants(spell):
+    """Edit: every constant of the model file written as ``spell`` writes
+    its value."""
+    def text(x):
+        return spell(parse_gauss(x))
+
+    def edit(data):
+        data["metric"] = [[text(x) for x in row] for row in data["metric"]]
+        for terms in data["d"].values():
+            for term in terms:
+                term["coeff"] = text(term["coeff"])
+        fmap = data["bundle"]["F"]
+        for key, rows in fmap.items():
+            fmap[key] = [[text(x) for x in row] for row in rows]
+        for key in ("omega_coeff", "alpha_prime"):
+            if data[key] is not None:
+                data[key] = text(data[key])
+    return edit
+
+
+# other spellings of a constant (a GaussRat): "(1/2)", "+1/2", "1/2 + 0 i",
+# "2/4 + 0/2 i" and "- 1/4 i"
+SPELLINGS = (
+    ("parenthesized", lambda x: f"({x})"),
+    ("plus", lambda x: f"+{x}"),
+    ("both-parts", lambda x: f"{x.re} + {x.im} i"),
+    ("unreduced", lambda x: f"{2 * x.a}/{2 * x.d} + {2 * x.b}/{2 * x.d} i"),
+    ("spaced-sign", lambda x: str(x).replace("-", "- ")),
+)
+
+
 # (label, built-in, edit of its model file): the same model written with an
-# antiholomorphic leg first, so each checks as the built-in does
+# antiholomorphic leg first, or with its constants spelled otherwise, so
+# each checks as the built-in does
 RESPELLED = (
     ("iwasawa-F-ab1-a1", "iwasawa", _respell_F("a1^ab1")),
     ("calabi-eckmann-d-a1", "calabi-eckmann",
      _respell_d("a1", ["a2", "ab2"])),
     ("calabi-eckmann-d-a3", "calabi-eckmann",
      _respell_d("a3", ["a3", "ab1"])),
+) + tuple((f"{name}-{label}", name, _respell_constants(spell))
+          for name in ("iwasawa", "calabi-eckmann")
+          for label, spell in SPELLINGS)
+
+# (label, built-in, edit of its model file): the same chart spelled
+# otherwise, so each trivializes as the built-in does
+RESPELLED_CHARTS = (
+    ("iwasawa-chart-a3", "iwasawa", lambda d: d["chart"]["coframe_pullback"]
+     .update(a3="- dz3 + 1 z1 dz2")),
 )
+
+# --alpha-prime values that read as 1 and -4
+READ_ALPHAS = ("a^0", "-4 -0 i")
 
 
 def commands(files):
@@ -146,7 +199,7 @@ def commands(files):
         yield ["cohomology", name, "--diagonal-dbar"]
         yield ["cohomology", name, "--diagonal-dbar", "--alpha-prime", "1/7"]
         yield ["symbol", name, "--alpha-prime", f"1/{CERT_P}"]
-    for alpha in BAD_ALPHAS:
+    for alpha in BAD_ALPHAS + READ_ALPHAS:
         yield ["check", "iwasawa", f"--alpha-prime={alpha}"]
     for degree in (0, 1, 2, 3, 4, 6):
         yield ["trivialize", "iwasawa", "--degree", str(degree)]
@@ -193,15 +246,19 @@ def main(files) -> int:
         first[tuple(argv)] = run(argv)
         print(" ".join(argv), *first[tuple(argv)], flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for kind, edits in (("refusal", REFUSALS), ("respelled", RESPELLED)):
+        for kind, argv, edits in (
+                ("refusal", ["check"], REFUSALS),
+                ("respelled", ["check"], RESPELLED),
+                ("respelled", ["trivialize", "--degree", "3"],
+                 RESPELLED_CHARTS)):
             for label, name, edit in edits:
                 data = model_to_json(builtin_model(name))
                 edit(data)
                 path = os.path.join(tmp, label + ".json")
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(data, fh)
-                print("check", f"{kind}:{label}", *run(["check", path]),
-                      flush=True)
+                print(argv[0], f"{kind}:{label}", *argv[1:],
+                      *run(argv[:1] + [path] + argv[1:]), flush=True)
     for name in BUILTIN_NAMES:
         print("print_model", name, digest(print_model(builtin_model(name))))
     for path in files:

@@ -18,6 +18,9 @@ provides:
   and a cocycle check, phi_1 phi_2^{-1} phi_2 phi_3^{-1} = phi_1 phi_3^{-1},
   that holds only where each phi^{-1} table inverts its phi.
 
+A chart's pullbacks, sums of ``[coefficient] [z<k> ...] dz<k>``, are read
+by ``scalars.read_terms``, so a coefficient is written as a model constant.
+
 Representation.  ``Poly``, ``ChartForm`` and ``ChartSection`` are
 ``scalars.Sparse`` term maps, so they share one container with the
 invariant forms and scalars: no zero is ever stored, ``terms`` is a
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 from operator import add
 from types import MappingProxyType as _frozen
@@ -70,7 +73,7 @@ from .linalg import det
 from .qcomplex import _offsets, fibre_basis
 from .scalars import (GR_ONE, GR_ZERO, FormError, GaussRat, Record,
                       ScalarError, Sparse, _acc, _make, _sum_terms,
-                      parse_gauss)
+                      read_terms, term_lexer)
 
 Exp = tuple[int, ...]
 PKey = tuple[Exp, Exp]
@@ -264,63 +267,51 @@ def dbar_homotopy(x: ChartForm) -> ChartForm:
 # chart data derived from a model
 
 
-def _parse_one_form(m_coords: int, name: str,
-                    text: str) -> list[tuple[Poly, int]]:
-    """Parse the pullback of coframe leg ``name``, such as '-dz3 + z1 dz2',
-    into (polynomial coefficient, leg) pairs."""
-    def refuse(term, why):
-        return ModelError(
-            f"chart.coframe_pullback.{name}: {why} in term {term!r}; a term "
-            f"is [coefficient] [z<k> ...] dz<k> with 1 <= k <= {m_coords}, "
-            "and zb<k> is not read yet")
+# a pullback's symbols are words: z<k> and dz<k> are read, and any other
+# word is refused by name
+_PULLBACK = term_lexer(r"[^\W\d]\w*")
 
-    def index(term, f, prefix):
+
+def _pullback_key(m: int, symbols: tuple[str, ...]) -> tuple[Exp, int]:
+    """The z exponents and the leg k of a term's symbols z<k> and dz<k>."""
+    z, leg = [0] * m, None
+    for s in symbols:
+        name = "dz" if s.startswith("dz") else "z"
+        if name == "dz" and leg is not None:
+            raise ScalarError("two coframe legs")
         try:
-            k = int(f[len(prefix):])
+            k = int(s.removeprefix(name)) if s.startswith(name) else None
         except ValueError:
-            raise refuse(term, f"cannot read {f!r}") from None
-        if not 1 <= k <= m_coords:
-            raise refuse(term, f"{f!r} is out of range")
-        return k
-
-    text = text.strip()
-    out = []
-    # split into signed terms
-    terms = []
-    cur = ""
-    for ch in text:
-        if ch in "+-" and cur.strip():
-            terms.append(cur)
-            cur = ch
+            k = None
+        if k is None:
+            raise ScalarError(f"cannot read {s!r}")
+        if not 1 <= k <= m:
+            raise ScalarError(f"{s!r} is out of range")
+        if name == "z":
+            z[k - 1] += 1
         else:
-            cur += ch
-    if cur.strip():
-        terms.append(cur)
-    for term in terms:
-        term = term.strip()
-        sign = GR_ONE
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:].strip()
-        coeff = Poly.const(m_coords, sign)
-        leg = None
-        for f in term.split():
-            if f.startswith("dz"):
-                if leg is not None:
-                    raise refuse(term, "two coframe legs")
-                leg = index(term, f, "dz")
-            elif f.startswith("z"):
-                coeff = coeff * Poly.coord(m_coords, index(term, f, "z") - 1)
-            else:
-                try:
-                    coeff = coeff.scale(parse_gauss(f))
-                except ScalarError:
-                    raise refuse(term, f"cannot read {f!r}") from None
-        if leg is None:
-            raise refuse(term, "no coframe leg")
-        out.append((coeff, leg))
-    return out
+            leg = k
+    if leg is None:
+        raise ScalarError("no coframe leg")
+    return tuple(z), leg
+
+
+def _parse_one_form(m: int, name: str, text: str) -> tuple[Poly, ...]:
+    """The pullback of coframe leg ``name``, a written sum (see
+    ``scalars.read_terms``) such as '-dz3 + z1 dz2', as the polynomial
+    coefficient of each dz<k>."""
+    try:
+        terms = read_terms(text, _PULLBACK, partial(_pullback_key, m))
+    except ScalarError as exc:
+        raise ModelError(
+            f"chart.coframe_pullback.{name}: {exc}; a term is [coefficient] "
+            f"[z<k> ...] dz<k> with 1 <= k <= {m}, and zb<k> is not read "
+            "yet") from None
+    row = [{} for _ in range(m)]
+    zero = (0,) * m
+    for (z, leg), c in terms.items():
+        row[leg - 1][z, zero] = c
+    return tuple(_make(Poly, (m,), t) for t in row)
 
 
 def _flat_table(entries) -> dict:
@@ -431,15 +422,11 @@ def chart_data(m: HomogeneousModel) -> ChartData:
             raise ModelError("chart must have as many coordinates as the "
                              "complex dimension")
         pullback = m.chart["coframe_pullback"]
-        P = [[Poly.zero(mc) for _ in range(mc)] for _ in range(m.n)]
-        for i, name in enumerate(m.coframe_names):
+        for name in m.coframe_names:
             if name not in pullback:
                 raise ModelError(f"chart pullback missing for {name}")
-            for coeff, leg in _parse_one_form(mc, name, pullback[name]):
-                P[i][leg - 1] = P[i][leg - 1] + coeff
-                if not coeff.is_holomorphic():
-                    raise ModelError("chart pullback must be holomorphic")
-        Pt = tuple(tuple(r) for r in P)
+        Pt = tuple(_parse_one_form(mc, name, pullback[name])
+                   for name in m.coframe_names)
         Q = _poly_matrix_inverse(Pt, mc)
         pull = [ChartForm.build(mc, 1, 0, {((a + 1,), ()): c
                                            for a, c in enumerate(row)})

@@ -11,6 +11,10 @@ nonzero values, with equality, hashing, copying, ``+ - neg scale`` and the
 validating ``build``/``zero`` written once.  ``Scalar`` (power of a ->
 GaussRat) derives from it here, the forms in ``exterior`` and the chart
 polynomials and sections in ``chartlocal``.
+
+``read_terms`` is the one reader of written numbers and terms: signed
+terms, each a coefficient and symbols of the caller's alphabet (``a^k`` in
+``parse_scalar`` and ``parse_gauss``, ``z<k>`` and ``dz<k>`` in a chart).
 """
 
 from __future__ import annotations
@@ -521,134 +525,142 @@ def format_scalar(s: Scalar) -> str:
     return out
 
 
-_RAT = r"-?\d+(?:/\d+)?"
-_TOKEN = re.compile(
-    rf"\s*(?:(?P<rat>{_RAT})|(?P<sym>[ia+\-^()])|(?P<num>\d+))")
-# the constants a model file spells as the printer does: "RAT", "RAT i",
-# "i", "-i" and "RAT + RAT i" (either sign, RAT i may be i), one space
-# between the parts and no zero denominator
-_URAT = r"\d+(?:/0*[1-9]\d*)?"
-_CONSTANT = re.compile(rf"(-?{_URAT})(?: ([+-]) (?:({_URAT}) )?i)?"
-                       rf"|(-?)(?:({_URAT}) )?i")
+def term_lexer(symbol: str) -> re.Pattern:
+    """The tokens of a written sum whose symbols match the regex ``symbol``
+    (with no groups): an unsigned number ``p`` or ``p/q``, one of ``+ - ( )
+    i``, a symbol, or any other character, which no term reads."""
+    return re.compile(rf"\s*(?:(\d+)(?:/(\d+))?|([-+()i])|({symbol})|(\S))")
 
 
-def _rational(text: str):
-    """An unsigned or signed int or p/q with q > 0, as an int or Fraction."""
-    if "/" in text:
-        p, q = text.split("/")
-        return Fraction(int(p), int(q))
-    return int(text)
+def read_terms(text: str, lexer: re.Pattern, key) -> dict:
+    """The written sum ``text`` as {key: coefficient}, terms with one key
+    added together and no zero kept.
 
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ScalarError(f"bad scalar syntax near {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group("rat") is not None:
-            out.append(("rat", _fraction(m.group("rat"))))
-        elif m.group("num") is not None:
-            out.append(("rat", Fraction(m.group("num"))))
-        else:
-            out.append((m.group("sym"), None))
+    Each term after the first starts with a sign; a run of signs
+    multiplies.  A term is a coefficient, then symbols, at least one of
+    the two; a coefficient is a number, a number and ``i``, ``i``, or a
+    parenthesized sum of those, and a number never carries a sign.
+    ``key`` maps a term's symbols, in order, to its key; a ScalarError it
+    raises is re-raised naming the term.  Blank text is the empty sum."""
+    toks = lexer.findall(text)
+    if not toks:
+        return {}
+    toks.append(_END)
+    try:
+        terms = _sum(toks, 0, key)[0]
+    except _Fault as fault:
+        why, first, end = fault.args
+        spans = [m.span() for m in lexer.finditer(text)]
+        if end:     # the term of tokens first..end - 1
+            term = text[spans[first][0]:spans[end - 1][1]].lstrip()
+            why = f"{why} in term {term!r}"
+        elif toks[first][4]:    # a character that no term reads
+            why = f"bad scalar syntax near {text[spans[first][0]:]!r}"
+        raise ScalarError(why) from None
+    out = {}
+    for k, (a, b, d) in terms.items():
+        if a or b:
+            out[k] = _canonical(a, b, d)
     return out
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse the canonical scalar syntax.
+_END = ("",) * 5    # the token after the last, which matches nothing
 
-    Accepts sums of terms like "3/2", "-1/2 i", "a^2", "2/3 a",
-    "(1/2 + 3/4 i) a^3".
-    """
-    toks = _tokenize(text)
-    if not toks:
+
+class _Fault(Exception):
+    """A fault: its message, its token, and the token after a bad term."""
+
+
+def _sum(toks, pos, key):
+    """The terms from token ``pos`` on, summed by key as triples (a, b, d)
+    of (a + b i)/d, and the position after them; with ``key`` None, the
+    symbol-free sum in parentheses, up to a token after a term not a sign."""
+    acc = {}
+    while True:
+        p, q, op, _, _ = toks[pos]
+        neg = False
+        while op == "+" or op == "-":
+            neg ^= op == "-"
+            pos += 1
+            p, q, op, _, _ = toks[pos]
+        start = pos
+        a, b, d = -1 if neg else 1, 0, 1
+        if p:
+            d = int(q) if q else 1
+            if not d:
+                raise ScalarError(f"zero denominator in {p + '/' + q!r}")
+            a = -int(p) if neg else int(p)
+            pos += 1
+            if toks[pos][2] == "i":
+                a, b, pos = 0, a, pos + 1
+        elif op == "i":
+            a, b, pos = 0, a, pos + 1
+        elif op == "(" and key is not None:
+            inner, pos = _sum(toks, pos + 1, None)
+            if toks[pos][2] != ")":
+                raise _Fault("unbalanced parenthesis in scalar", pos, 0)
+            x, y, d = inner.get((), (0, 0, 1))
+            a, b, pos = a * x, a * y, pos + 1
+        symbols = []
+        if key is not None:
+            while sym := toks[pos][3]:
+                symbols.append(sym)
+                pos += 1
+        if pos == start:
+            raise _Fault("empty term in scalar" if key else
+                         f"expected a coefficient at token {pos}", pos, 0)
+        op = toks[pos][2]
+        last = op != "+" and op != "-"
+        if key is None:
+            k = ()
+        else:
+            if last and toks[pos] is not _END:
+                raise _Fault(f"unexpected token at position {pos}", pos, 0)
+            try:
+                k = key(tuple(symbols))
+            except ScalarError as exc:
+                raise _Fault(str(exc), start, pos) from None
+        if k in acc:
+            x, y, e = acc[k]
+            a, b, d = x * d + a * e, y * d + b * e, e * d
+        acc[k] = a, b, d
+        if last:
+            return acc, pos
+
+
+def _power(symbols) -> int:
+    """The power of a that a term's factors ``a`` and ``a^k`` make."""
+    k = 0
+    for s in symbols:
+        e = _fraction(s.partition("^")[2].strip() or "1")
+        if e.denominator != 1 or e < 0:
+            raise ScalarError(f"bad exponent {e}")
+        k += e.numerator
+    return k
+
+
+_POWERS = term_lexer(r"a(?:\s*\^\s*-?\d+(?:/\d+)?)?")
+
+
+def _powers(text: str) -> dict:
+    terms = read_terms(text, _POWERS, _power)
+    if not terms and not text.strip():
         raise ScalarError("empty scalar")
-    pos = 0
+    return terms
 
-    def parse_coeff_atom():
-        # rational, optionally followed by i; or bare i
-        nonlocal pos
-        kind, val = toks[pos]
-        if kind == "rat":
-            pos += 1
-            if pos < len(toks) and toks[pos][0] == "i":
-                pos += 1
-                return GaussRat(Fraction(0), val)
-            return GaussRat(val, Fraction(0))
-        if kind == "i":
-            pos += 1
-            return GR_I
-        raise ScalarError(f"expected a coefficient at token {pos}")
 
-    def parse_term():
-        # [sign] [coeff] [a[^k]]   with optional parenthesized complex coeff
-        nonlocal pos
-        sign = GR_ONE
-        while pos < len(toks) and toks[pos][0] in "+-":
-            if toks[pos][0] == "-":
-                sign = -sign
-            pos += 1
-        coeff = None
-        if pos < len(toks) and toks[pos][0] == "(":
-            pos += 1
-            acc = parse_coeff_atom()
-            while pos < len(toks) and toks[pos][0] in "+-":
-                neg = toks[pos][0] == "-"
-                pos += 1
-                nxt = parse_coeff_atom()
-                acc = acc - nxt if neg else acc + nxt
-            if pos >= len(toks) or toks[pos][0] != ")":
-                raise ScalarError("unbalanced parenthesis in scalar")
-            pos += 1
-            coeff = acc
-        elif pos < len(toks) and toks[pos][0] in ("rat", "i"):
-            coeff = parse_coeff_atom()
-        power = 0
-        if pos < len(toks) and toks[pos][0] == "a":
-            pos += 1
-            power = 1
-            if pos < len(toks) and toks[pos][0] == "^":
-                pos += 1
-                if pos >= len(toks) or toks[pos][0] != "rat":
-                    raise ScalarError("expected an integer exponent after ^")
-                exp = toks[pos][1]
-                if exp.denominator != 1 or exp < 0:
-                    raise ScalarError(f"bad exponent {exp}")
-                power = int(exp)
-                pos += 1
-        if coeff is None:
-            if power == 0:
-                raise ScalarError("empty term in scalar")
-            coeff = GR_ONE
-        return Scalar.build({power: sign * coeff})
-
-    total = parse_term()
-    while pos < len(toks):
-        if toks[pos][0] not in "+-":
-            raise ScalarError(f"unexpected token at position {pos}")
-        total = total + parse_term()
-    return total
+def parse_scalar(text: str) -> Scalar:
+    """A polynomial in a written as a sum of terms (``read_terms``) whose
+    symbols are ``a`` and ``a^k``, such as "3/2", "-1/2 i", "a^2",
+    "2/3 a" or "(1/2 + 3/4 i) a^3"; ``a^0`` is 1."""
+    return _make(Scalar, (), _powers(text))
 
 
 def parse_gauss(text: str) -> GaussRat:
-    """A constant in the scalar syntax.  The spellings of ``_CONSTANT``,
-    which are nearly all of a model file's entries, are read without the
-    general parser; anything else goes to ``parse_scalar``, so the value
-    and any error are the same."""
-    if m := _CONSTANT.fullmatch(text):
-        re_, sign, im, neg, im_only = m.groups()
-        if re_ is None:
-            re_, sign, im = "0", neg, im_only
-        elif sign is None:
-            return GaussRat(_rational(re_))
-        im = _rational(im) if im else 1
-        return GaussRat(_rational(re_), -im if sign == "-" else im)
-    s = parse_scalar(text)
-    if s.degree > 0:
+    """A constant written as ``parse_scalar`` reads it, such as "-3/4",
+    "3/2 + 1/3 i" or "-i"; a power of a that does not cancel is refused."""
+    terms = _powers(text)
+    c = terms.pop(0, GR_ZERO)
+    if terms:
         raise ScalarError(f"expected a constant, got {text!r}")
-    return s.coefficient(0)
+    return c

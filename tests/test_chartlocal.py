@@ -97,14 +97,46 @@ def test_homotopy_rejects_functions():
 
 
 def test_one_form_parser():
+    # the coefficient of each dz<k>
     parsed = cl._parse_one_form(3, "a3", "-dz3 + z1 dz2")
-    assert parsed == [(cp(-1), 3), (zp(0), 2)]
+    assert parsed == (cp(0), zp(0), cp(-1))
     parsed = cl._parse_one_form(3, "a1", "1/2 z1 z2 dz1")
-    assert parsed == [(zp(0) * zp(1) * cp("1/2"), 1)]
+    assert parsed == (zp(0) * zp(1) * cp("1/2"), cp(0), cp(0))
     with pytest.raises(ModelError):
         cl._parse_one_form(3, "a1", "z1 z2")
     with pytest.raises(ModelError):
         cl._parse_one_form(3, "a1", "dz9")
+
+
+# pullback spellings that the splitter before the one term grammar read
+# otherwise: (spelling of a1, the coefficients of dz1..dz3 or the reason
+# of the refusal; the comment gives the earlier reading)
+_CHANGED_PULLBACKS = [
+    ("(1 + i) dz1", (cl.Poly.const(MC, GaussRat.of(1, 1)), cp(0), cp(0))),
+    # cannot read '(1' in term '(1'
+    ("1/2dz1", (cp("1/2"), cp(0), cp(0))),     # cannot read '1/2dz1'
+    ("z1 2 dz2", "unexpected token at position 1"),    # 2 z1 dz2
+    ("2 3 dz1", "unexpected token at position 1"),     # 6 dz1
+    ("dz1 2", "unexpected token at position 1"),       # 2 dz1
+    ("dz1 # 2", "bad scalar syntax near ' # 2'"),
+    # cannot read '#' in term 'dz1 # 2'
+    ("dz1 +", "empty term in scalar"),   # no coframe leg in term ''
+]
+
+
+@pytest.mark.parametrize("text, want", _CHANGED_PULLBACKS,
+                         ids=[text for text, _ in _CHANGED_PULLBACKS])
+def test_one_form_parser_reads_the_term_grammar(text, want):
+    # a term is [coefficient] [z<k> ...] dz<k>, the coefficient as a model
+    # file writes one
+    try:
+        got = cl._parse_one_form(3, "a1", text)
+    except ModelError as exc:
+        got = str(exc)
+        want = (f"chart.coframe_pullback.a1: {want}; a term is [coefficient] "
+                "[z<k> ...] dz<k> with 1 <= k <= 3, and zb<k> is not read "
+                "yet")
+    assert got == want
 
 
 def test_chart_data_iwasawa(iwasawa):

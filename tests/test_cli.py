@@ -183,12 +183,14 @@ def test_negative_alpha_spaced_and_joined(capsys, value):
     assert json.loads(out)["alpha_prime"] == value
 
 
-@pytest.mark.parametrize("value", ["-4_0", "-4.0", "-4e0", "1 + i", "i"])
+@pytest.mark.parametrize("value", ["-4_0", "-4.0", "-4e0", "1 + i", "i",
+                                   "(", "1 + ("])
 def test_alpha_prime_outside_the_model_file_syntax_refused(capsys, value):
     # --alpha-prime is read as a model file reads a constant, so "-4_0",
-    # "-4.0" and "-4e0" are refused as model files refuse them; a non-real
-    # value is refused in the same place, since check never resolves the
-    # coupling that the count path refuses it in
+    # "-4.0" and "-4e0" are refused as model files refuse them, and so is
+    # an unclosed parenthesis; a non-real value is refused in the same
+    # place, since check never resolves the coupling that the count path
+    # refuses it in
     code, out, err = run(capsys, "check", "iwasawa", f"--alpha-prime={value}")
     assert (code, out) == (2, "")
     assert err.startswith("error: bad --alpha-prime value ")
@@ -196,7 +198,9 @@ def test_alpha_prime_outside_the_model_file_syntax_refused(capsys, value):
 
 
 @pytest.mark.parametrize("value, alpha, want", [
-    ("-4", "-4", 0), ("-1/7", "-1/7", 1), (" -4 ", "-4", 0)])
+    ("-4", "-4", 0), ("-1/7", "-1/7", 1), (" -4 ", "-4", 0),
+    # a number carries no sign, and a^0 is 1, as in a model file
+    ("-4 -0 i", "-4", 0), ("a^0", "1", 1)])
 def test_alpha_prime_in_the_model_file_syntax(capsys, value, alpha, want):
     code, out, err = run(capsys, "check", "iwasawa", f"--alpha-prime={value}")
     assert (code, err) == (want, "")

@@ -1,8 +1,11 @@
 """Built-in models and the JSON model description format."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetmod import linalg, models
 from hetmod.exterior import EndForm, InvariantForm, MixedForm
@@ -75,6 +78,26 @@ def test_json_round_trip(builtins, random_flat_models,
         assert m2 == m, m.name
         # and the serialization itself is a fixed point
         assert print_model(m2) == text, m.name
+
+
+@given(st.randoms(use_true_random=False), st.integers(0, 99),
+       st.integers(1, 4),
+       st.fractions(min_value=Fraction(1, 60), max_value=60,
+                    max_denominator=60))
+@settings(max_examples=50, deadline=None)
+def test_json_round_trip_property(rng, idx, n, scale):
+    # test_json_round_trip's two assertions on generated flat models with
+    # a dense non-real metric, here times a positive rational, and F, so
+    # that the constants the printer writes, p/q + r/s i among them, are
+    # read back by the model file's reader
+    from test_cohomology import _random_flat_model
+    m = _random_flat_model(rng, idx, n)
+    c = GaussRat.of(scale)
+    m = m.replace(metric=[[x * c for x in row] for row in m.metric])
+    text = print_model(m)
+    m2 = parse_model_text(text)
+    assert m2 == m
+    assert print_model(m2) == text
 
 
 def _reversed_terms(f):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetmod import scalars as scalars_module
 from hetmod.scalars import (
     GR_I,
     GR_ONE,
@@ -243,72 +242,126 @@ def test_parse_examples():
         parse_scalar("1 +")
 
 
-def _gauss_via_scalar(text):
-    """parse_gauss through the general scalar parser alone: the reference
-    for its direct path on the spellings the model printer writes."""
-    s = parse_scalar(text)
-    if s.degree > 0:
-        raise ScalarError(f"expected a constant, got {text!r}")
-    return s.coefficient(0)
+F = Fraction
 
 
-def _outcome(parse, text):
-    """The value of ``parse(text)`` as its type and triple, or the message
-    of its refusal."""
+def _outcome(text):
+    """``parse_gauss(text)`` as its real and imaginary Fractions, or the
+    message of its refusal."""
     try:
-        x = parse(text)
+        x = parse_gauss(text)
     except ScalarError as exc:
         return str(exc)
-    return type(x), (x.a, x.b, x.d)
+    return x.re, x.im
 
 
-@pytest.mark.parametrize("text", [
-    "0", "-0", "7", "-12", "3/6", "-3/4", "0/5", "03", "1/0", "-5/0", " 3",
-    "+3", "- 3", "3/4 i", "(1 + i)", "a",
-])
-def test_parse_gauss_agrees_with_parse_scalar(text):
-    # plain integers and p/q are read directly; the value, and the message
-    # of a refusal, are those of the general parser
-    assert _outcome(parse_gauss, text) == _outcome(_gauss_via_scalar, text)
-
-
-# (spelling, read without the general parser): the constants as the model
-# printer writes them are read by parse_gauss's own pattern; any other
-# spelling, also of the same numbers, goes to parse_scalar
-_CONSTANT_SPELLINGS = [
-    ("0", True), ("-0", True), ("7", True), ("-3/4", True), ("03/004", True),
-    ("3/2 i", True), ("-3/2 i", True), ("-1 i", True), ("0 i", True),
-    ("i", True), ("-i", True), ("3/2 + 1/3 i", True), ("-1/2 + i", True),
-    ("1/2 - i", True), ("-1 - 2/3 i", True), ("0 + 0 i", True),
-    ("-7/7 - 14/2 i", True),
-    ("(1 + i)", False), ("1/0 i", False), ("2 a", False), (" i ", False),
-    ("1/0", False), ("3/0 + i", False), ("1 + 1/00 i", False),
-    ("1 -1/3 i", False), ("1 - -1/3 i", False), ("- i", False),
-    ("3/2i", False), ("1 + -i", False), ("+3", False), ("1/2  + i", False),
-    ("i 2", False), ("", False), ("1 + i + i", False), ("2 i a", False),
-    ("1/2/3", False),
+# (spelling, its value as (re, im) or the message of its refusal)
+_PLAIN_CONSTANTS = [
+    ("0", (0, 0)), ("-0", (0, 0)), ("7", (7, 0)), ("-12", (-12, 0)),
+    ("3/6", (F(1, 2), 0)), ("-3/4", (F(-3, 4), 0)), ("0/5", (0, 0)),
+    ("03", (3, 0)), ("1/0", "zero denominator in '1/0'"),
+    ("-5/0", "zero denominator in '5/0'"), (" 3", (3, 0)), ("+3", (3, 0)),
+    ("- 3", (-3, 0)), ("3/4 i", (0, F(3, 4))), ("(1 + i)", (1, 1)),
+    ("a", "expected a constant, got 'a'"),
 ]
 
 
-@pytest.mark.parametrize("text, direct", _CONSTANT_SPELLINGS)
-def test_parse_gauss_reads_printed_constants_directly(text, direct,
-                                                      monkeypatch):
-    # the value, or the message of a refusal, is that of
-    # parse_scalar(text).coefficient(0); only the spellings that
-    # parse_gauss does not read itself reach the general parser
-    reached = []
-    general = scalars_module.parse_scalar
-    monkeypatch.setattr(scalars_module, "parse_scalar",
-                        lambda t: reached.append(t) or general(t))
-    got = _outcome(parse_gauss, text)
-    assert (reached == []) == direct
-    assert got == _outcome(_gauss_via_scalar, text)
+@pytest.mark.parametrize("text, want", _PLAIN_CONSTANTS,
+                         ids=[text for text, _ in _PLAIN_CONSTANTS])
+def test_parse_gauss_agrees_with_parse_scalar(text, want):
+    # plain integers and p/q: the value written above, or the refusal
+    assert _outcome(text) == want
+    if not isinstance(want, str):
+        assert parse_scalar(text) == Scalar.of(*want)
 
 
-def test_parse_gauss_reads_every_printed_constant_directly(monkeypatch):
-    # str(GaussRat) is the printer's spelling of a constant
-    monkeypatch.setattr(scalars_module, "parse_scalar", None)
+# (spelling, in the shape the model printer writes a constant -- RAT,
+# RAT i, i, -i or RAT +/- RAT i, one space between the parts -- and its
+# value as (re, im) or the message of its refusal)
+_CONSTANT_SPELLINGS = [
+    ("0", True, (0, 0)), ("-0", True, (0, 0)), ("7", True, (7, 0)),
+    ("-3/4", True, (F(-3, 4), 0)), ("03/004", True, (F(3, 4), 0)),
+    ("3/2 i", True, (0, F(3, 2))), ("-3/2 i", True, (0, F(-3, 2))),
+    ("-1 i", True, (0, -1)), ("0 i", True, (0, 0)), ("i", True, (0, 1)),
+    ("-i", True, (0, -1)), ("3/2 + 1/3 i", True, (F(3, 2), F(1, 3))),
+    ("-1/2 + i", True, (F(-1, 2), 1)), ("1/2 - i", True, (F(1, 2), -1)),
+    ("-1 - 2/3 i", True, (-1, F(-2, 3))), ("0 + 0 i", True, (0, 0)),
+    ("-7/7 - 14/2 i", True, (-1, -7)),
+    ("(1 + i)", False, (1, 1)), ("1/0 i", False, "zero denominator in '1/0'"),
+    ("2 a", False, "expected a constant, got '2 a'"), (" i ", False, (0, 1)),
+    ("1/0", False, "zero denominator in '1/0'"),
+    ("3/0 + i", False, "zero denominator in '3/0'"),
+    ("1 + 1/00 i", False, "zero denominator in '1/00'"),
+    # a number token carries no sign, so the sign before 1/3 is the
+    # second term's
+    ("1 -1/3 i", False, (1, F(-1, 3))), ("1-1/3 i", False, (1, F(-1, 3))),
+    ("-4 -0 i", False, (-4, 0)),
+    ("1 - -1/3 i", False, (1, F(1, 3))), ("- i", False, (0, -1)),
+    ("3/2i", False, (0, F(3, 2))), ("1 + -i", False, (1, -1)),
+    ("+3", False, (3, 0)), ("1/2  + i", False, (F(1, 2), 1)),
+    ("i 2", False, "unexpected token at position 1"),
+    ("", False, "empty scalar"), ("1 + i + i", False, (1, 2)),
+    ("2 i a", False, "expected a constant, got '2 i a'"),
+    ("1/2/3", False, "bad scalar syntax near '/3'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, printed, want", _CONSTANT_SPELLINGS,
+    ids=[f"{text}-{printed}" for text, printed, _ in _CONSTANT_SPELLINGS])
+def test_parse_gauss_reads_printed_constants_directly(text, printed, want):
+    # the value written above, or the refusal; a spelling in the printer's
+    # shape is always read
+    assert _outcome(text) == want
+    assert not (printed and isinstance(want, str))
+
+
+def test_parse_gauss_reads_every_printed_constant_directly():
+    # str(GaussRat) is the printer's spelling of a constant; it reads back
+    # as the parts it was built from
     for re in ("0", "1", "-1", "3/2", "-5/12"):
         for im in ("0", "1", "-1", "1/3", "-7/4"):
-            x = GaussRat.of(re, im)
-            assert parse_gauss(str(x)) == x, str(x)
+            text = str(GaussRat.of(re, im))
+            assert _outcome(text) == (F(re), F(im)), text
+
+
+def test_a_to_the_zero_is_one():
+    # a^0 is a symbol like a^2, so it stands alone as 1
+    assert parse_scalar("a^0") == Scalar.of(1)
+    assert parse_scalar("-a^0 + a") == Scalar.make([-GR_ONE, GR_ONE])
+    assert parse_scalar("2 a^0") == Scalar.of(2)
+    assert parse_gauss("a^0") == GR_ONE
+    assert parse_gauss("a^0 + i") == GaussRat.of(1, 1)
+
+
+# spellings that an earlier reader, whose number tokens carried a sign,
+# read otherwise: (spelling, what it reads now, as a Scalar or the message
+# of its refusal; the comment gives the earlier refusal)
+_CHANGED_SPELLINGS = [
+    # read, and refused before
+    ("1 -1/3 i", Scalar.of(1, "-1/3")),        # unexpected token
+    ("a^-0", Scalar.of(1)),                   # empty term
+    ("a a^2", Scalar.make([0, 0, 0, GR_ONE])),  # unexpected token
+    ("(- 1 + i) a", Scalar.make([0, GaussRat.of(-1, 1)])),
+    ("(1 + - i)", Scalar.of(1, -1)),          # expected a coefficient
+    # refused, with another message
+    ("(", "expected a coefficient at token 1"),  # an IndexError before
+    ("1 + (", "expected a coefficient at token 3"),
+    ("-5/0", "zero denominator in '5/0'"),
+    ("-2 3", "unexpected token at position 2"),  # at position 1
+    ("2 3 x", "unexpected token at position 1"),  # bad syntax near ' x'
+    ("2 ^ 3", "bad scalar syntax near ' ^ 3'"),  # unexpected token
+    ("a^", "bad scalar syntax near '^'"),  # expected an integer exponent
+    ("a^1/2", "bad exponent 1/2 in term 'a^1/2'"),
+    ("2 a^-1", "bad exponent -1 in term '2 a^-1'"),
+]
+
+
+@pytest.mark.parametrize("text, want", _CHANGED_SPELLINGS,
+                         ids=[text for text, _ in _CHANGED_SPELLINGS])
+def test_spellings_read_by_the_one_grammar(text, want):
+    try:
+        got = parse_scalar(text)
+    except ScalarError as exc:
+        got = str(exc)
+    assert got == want
