@@ -29,8 +29,10 @@ section; and ``serre``, ``serre --alpha-prime 0``, ``cohomology --samples
 ``symbol --samples`` at one below, at and one above the scan's block size
 ``cohomology.SCAN_BLOCK``, ``trivialize --degree 1`` and ``trivialize
 --degree 3`` on each model file given (``scripts/scale_models.py`` writes
-larger ones, with charts, and ``kt-t1``, whose scan fails at alpha' = 1,
--1 and 2 and which has no chart; ``symbol`` scans all 7^n - 1 samples,
+larger ones, with charts; ``kt-t1``, whose scan fails at alpha' = 1,
+-1 and 2 and which has no chart; and ``dense4r2``, whose dense rational
+metric gives its Gram factors large denominators; ``symbol`` scans all
+7^n - 1 samples,
 about 0.05 s for the 16,806 of ``iwasawa-t2`` at n = 5 on a 2-vCPU Xeon,
 and seven times as many per step of n).  Then ``check`` on
 each model file of ``REFUSALS``, a built-in's file with one field

@@ -105,8 +105,12 @@ def cohomology_data(m: HomogeneousModel, alpha0: GaussRat | None = None,
     conj(G_{p-1})^{-1} is invertible: multiplying the lower block by it
     leaves the stacked rank unchanged.  So the stack ranked here is
     [D_p ; conj(D_{p-1}^T G_p)] (``qcomplex.gram_lowered``), read off the
-    count step's sparse rows, and no Gram factor is inverted.  At p = 0
-    there is no adjoint, and the count step has ranked D_0.
+    count step's sparse rows, and no Gram factor is inverted.  The lower
+    block is summed in Gaussian integers from s G_p and e D_{p-1} for
+    positive integers s and e, and the engine clears each row of the
+    stack by a positive integer: a nonzero scalar on a row leaves the
+    rank unchanged.  At p = 0 there is no adjoint, and the count step has
+    ranked D_0.
     """
     chain, ranks, h = _counts(m, alpha0, diagonal)
     n = m.n

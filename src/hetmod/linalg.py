@@ -1,14 +1,19 @@
 """Exact linear algebra over the Gaussian rationals.
 
-One sparse elimination engine, a dense rank test mod p and a determinant:
+One sparse elimination engine over Z[i], a dense rank test mod p and a
+determinant:
 
-* ``_echelon`` row-reduces sparse rows ``{col: GaussRat}`` over Q(i) and
-  keeps one pivot row, scaled to a leading 1, per leading column.
-  ``rank_rows`` counts its pivots on sparse rows, and ``rank`` is the same
-  on a dense matrix; ``kernel_basis`` and ``inverse`` ask for the reduced
-  form and read their answer off it.  ``inverse`` only ever sees small
-  matrices: the metric and the Kronecker factors of the Gram matrices,
-  never a Gram matrix itself.
+* ``_echelon`` eliminates division-free over Gaussian integers held as
+  ``(re, im)`` int pairs: each GaussRat row is cleared once by the lcm of
+  its denominators, and below a pivot with lead p a row with lead r
+  becomes p * row - r * pivot, divided by the integer content of its
+  parts (as Bareiss, Math. Comp. 22 (1968), keeps to integers).  No
+  fraction and no leading 1 is formed while eliminating.  ``rank_rows``
+  counts its pivots, and ``rank`` is the same on a dense matrix;
+  ``kernel_basis`` and ``inverse`` read the reduced form, whose pivot rows
+  only they turn into GaussRats with a leading 1 (``_monic``).
+  ``inverse`` only ever sees small matrices: the metric and the Kronecker
+  factors of the Gram matrices, never a Gram matrix itself.
 * ``rank_mod_p`` ranks small dense int rows over F_CERT_P, division-free.
   Full rank there proves full rank over Q(i) of the Gaussian integer
   matrix they reduce; a shortfall proves nothing, and ``rank`` decides.
@@ -16,14 +21,17 @@ One sparse elimination engine, a dense rank test mod p and a determinant:
   matrices at once, entry by entry across the block.
 * ``det``: cofactor expansion over any ring whose unit is passed in
   (GaussRat, Scalar and chart Poly entries alike), for small matrices.
+* ``row_sum`` and ``int_row_sum`` sum sparse rows of GaussRats and of
+  Gaussian integers (``gauss_ints`` clears a list by one integer).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
-from .scalars import GR_ONE, GR_ZERO, GaussRat
+from .scalars import GR_ONE, GR_ZERO, GaussRat, _canonical
 
 Matrix = list[list[GaussRat]]
 
@@ -77,44 +85,111 @@ def row_sum(terms) -> dict[int, GaussRat]:
     return acc
 
 
-def _echelon(rows, reduced: bool = False) -> dict[int, dict]:
-    """Pivot rows by leading column, each scaled to a leading 1.
+def int_row_sum(terms) -> dict[int, tuple[int, int]]:
+    """The sparse row sum of x * row over the terms (x, row), where x is a
+    Gaussian integer (re, im) and each row a sequence of (index, (re, im))
+    pairs; a sum that cancels is kept as (0, 0)."""
+    acc: dict[int, tuple[int, int]] = {}
+    for (a, b), row in terms:
+        for j, (u, v) in row:
+            if j in acc:
+                x, y = acc[j]
+                acc[j] = x + a * u - b * v, y + a * v + b * u
+            else:
+                acc[j] = a * u - b * v, a * v + b * u
+    return acc
 
-    ``rows`` are sparse ``{col: GaussRat}`` dicts with no zero values; they
-    are consumed.  Each row is reduced on its leading column until that
-    column has no pivot, then becomes the pivot there.  ``reduced``
-    back-substitutes, so every pivot column is zero outside its pivot row.
+
+def _int_row(row) -> dict[int, tuple[int, int]]:
+    """A sparse GaussRat row cleared by the lcm of its denominators, as
+    Gaussian integers {col: (re, im)}."""
+    den = lcm(*[x.d for x in row.values()])
+    if den == 1:
+        return {j: (x.a, x.b) for j, x in row.items()}
+    out = {}
+    for j, x in row.items():
+        f = den // x.d
+        out[j] = x.a * f, x.b * f
+    return out
+
+
+def _eliminate(row, pivot, c):
+    """p * row - r * pivot, with p and r the entries of ``pivot`` and
+    ``row`` in column c (first divided by the rational integers that
+    divide both), which clears column c, divided by the rational integer
+    content of its parts; both rows hold Gaussian integers."""
+    if len(pivot) == 1:     # p * row - r * pivot is p times row off c
+        del row[c]
+        return row
+    pa, pb = pivot[c]
+    ra, rb = row[c]
+    g = gcd(pa, pb, ra, rb)
+    if g != 1:
+        pa, pb, ra, rb = pa // g, pb // g, ra // g, rb // g
+    out = {}
+    for j, (x, y) in row.items():
+        if j in pivot:
+            u, v = pivot[j]
+            x, y = pa * x - pb * y - ra * u + rb * v, \
+                pa * y + pb * x - ra * v - rb * u
+            if x or y:
+                out[j] = x, y
+        else:
+            out[j] = pa * x - pb * y, pa * y + pb * x
+    for j, (u, v) in pivot.items():
+        if j not in row:
+            out[j] = rb * v - ra * u, -ra * v - rb * u
+    g = gcd(*chain.from_iterable(out.values()))
+    if g > 1:
+        for j, (x, y) in out.items():
+            out[j] = x // g, y // g
+    return out
+
+
+def _echelon(rows, reduced: bool = False) -> dict[int, dict]:
+    """Pivot rows by leading column, division-free over Z[i].
+
+    ``rows`` are sparse ``{col: GaussRat}`` dicts with no zero values.
+    Each is cleared once by the lcm of its denominators, then reduced on
+    its leading column until that column has no pivot, and becomes the
+    pivot there, as Gaussian integers {col: (re, im)}; no pivot is scaled
+    to a leading 1.  ``reduced`` back-substitutes the same way, so every
+    pivot column is zero outside its pivot row.
     """
     pivots: dict[int, dict] = {}
-
-    def eliminate(row, c):
-        # row -= row[c] * pivots[c], which clears column c
-        f = row[c]
-        for j, y in pivots[c].items():
-            v = row[j] - f * y if j in row else -f * y
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-
     for row in rows:
+        if not row:
+            continue
+        row = _int_row(row)
         while row and (c := min(row)) in pivots:
-            eliminate(row, c)
+            row = _eliminate(row, pivots[c], c)
         if row:
-            s = GR_ONE / row[c]
-            pivots[c] = {j: x * s for j, x in row.items()}
+            pivots[c] = row
     if reduced:
         for c in sorted(pivots, reverse=True):
             row = pivots[c]
             for j in [j for j in row if j != c and j in pivots]:
-                eliminate(row, j)
+                row = _eliminate(row, pivots[j], j)
+            pivots[c] = row
     return pivots
+
+
+def _monic(pivots) -> dict[int, dict[int, GaussRat]]:
+    """Each pivot row of ``_echelon`` as GaussRats scaled to a leading 1."""
+    out = {}
+    for c, row in pivots.items():
+        # (x + y i) / (a + b i) = (x + y i)(a - b i) / (a^2 + b^2)
+        a, b = row[c]
+        n = a * a + b * b
+        out[c] = {j: _canonical(x * a + y * b, y * a - x * b, n)
+                  for j, (x, y) in row.items()}
+    return out
 
 
 def rank_rows(rows) -> int:
     """Rank over Q(i) of sparse rows {col: nonzero GaussRat}; the rows are
-    copied, not consumed."""
-    return len(_echelon([dict(row) for row in rows]))
+    not changed."""
+    return len(_echelon(rows))
 
 
 def rank(a: Matrix) -> int:
@@ -126,7 +201,7 @@ def kernel_basis(a: Matrix, cols: int = None) -> list[list[GaussRat]]:
     """Basis of the right null space, one vector per free column."""
     if cols is None:
         cols = len(a[0]) if a else 0
-    pivots = _echelon(sparse_rows(a), reduced=True)
+    pivots = _monic(_echelon(sparse_rows(a), reduced=True))
     basis = []
     for fc in range(cols):
         if fc in pivots:
@@ -148,6 +223,7 @@ def inverse(a: Matrix) -> Matrix:
     pivots = _echelon(aug, reduced=True)
     if any(c not in pivots for c in range(k)):
         raise ValueError("matrix is singular")
+    pivots = _monic(pivots)
     return [[pivots[i].get(k + j, GR_ZERO) for j in range(k)]
             for i in range(k)]
 

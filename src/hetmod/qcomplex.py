@@ -16,7 +16,8 @@ and a vector) tensored with invariant (0,p)-forms.  This module builds:
 * the Hermitian Gram matrix of the invariant section basis, a direct sum of
   Kronecker products; the lowered adjoint conj(D^T G_tgt), which the
   harmonic counts rank; and the adjoint Dbar*, computed both from the Gram
-  matrix's factors and from closed index formulas,
+  matrix's factors and from closed index formulas; the Gram products are
+  summed in Gaussian integers (``_gram_rows``),
 * the volume-form pairings behind the duality identity for H and H*.
 
 Convention: every operator that creates a new antiholomorphic leg prepends it
@@ -54,7 +55,7 @@ from .geometry import (
     torsion_lower,
 )
 from .scalars import (GR_ONE, GR_ZERO, FormError, GaussRat, Record, S_A,
-                      S_ONE, S_ZERO, Scalar, _acc, _make)
+                      S_ONE, S_ZERO, Scalar, _acc, _canonical, _make)
 
 
 class QSection(Valued, Record):
@@ -712,21 +713,34 @@ def _gram_factors(m: HomogeneousModel, p: int, inverse: bool = False):
 
 
 def _gram_rows(m: HomogeneousModel, p: int, inverse: bool = False):
-    """The nonzero entries (column, value) of each row of G_p, or of
-    G_p^{-1} with ``inverse``, expanded from the Kronecker factors."""
+    """A positive integer s and the nonzero entries (column, (re, im)) of
+    each row of s conj(G_p), or of s conj(G_p^{-1}) with ``inverse``, as
+    Gaussian integers expanded from the Kronecker factors: the value
+    factors V_b are cleared by one lcm of their denominators and L_p by
+    another, and s is the product of the two.  The rows are conjugated
+    because both products that read them, ``_lowered`` and
+    ``gram_adjoint``, need conj(G)."""
     def build():
         values, L = _gram_factors(m, p, inverse)
         nk = len(L)
+        ds, vs = linalg.gauss_ints([x.conjugate() for V in values
+                                    for row in V for x in row])
+        dl, ls = linalg.gauss_ints([x.conjugate() for row in L for x in row])
+        legs = [[(b, z) for b, z in enumerate(ls[a * nk:(a + 1) * nk])
+                 if any(z)] for a in range(nk)]
         rows = []
-        off = 0
+        off = pos = 0
         for V in values:
-            for row in V:
-                for a in range(nk):
-                    rows.append([(off + t * nk + b, v * L[a][b])
-                                 for t, v in enumerate(row) if v
-                                 for b in range(nk) if L[a][b]])
-            off += len(V) * nk
-        return rows
+            k = len(V)
+            for _ in range(k):
+                row = [(t, z) for t, z in enumerate(vs[pos:pos + k]) if any(z)]
+                pos += k
+                for leg in legs:
+                    rows.append([(off + t * nk + b,
+                                  (x * u - y * v, x * v + y * u))
+                                 for t, (x, y) in row for b, (u, v) in leg])
+            off += k * nk
+        return ds * dl, rows
     return m.cached(("gram_rows", p, inverse), build)
 
 
@@ -734,13 +748,32 @@ def gram(m: HomogeneousModel, p: int) -> list[list[GaussRat]]:
     """Hermitian positive Gram matrix of the q_basis, block diagonal in the
     three value legs: G_p = (+)_b V_b (x) L_p (see ``_gram_factors``)."""
     def build():
-        rows = _gram_rows(m, p)
+        s, rows = _gram_rows(m, p)
         G = linalg.zeros(len(rows), len(rows))
         for i, row in enumerate(rows):
-            for j, v in row:
-                G[i][j] = v
+            for j, (x, y) in row:
+                G[i][j] = _canonical(x, -y, s)
         return G
     return m.cached(("gram", p), build)
+
+
+def _lowered(m: HomogeneousModel, target_p: int, rows):
+    """A positive integer t and the sums of t conj(M^T G_tgt) as Gaussian
+    integers {col: (re, im)}, one row per source column of M, a sum that
+    cancels kept as (0, 0).  M maps degree target_p - 1 into degree
+    target_p and is given by its sparse GaussRat rows; t is s e, for
+    s conj(G_tgt) from ``_gram_rows`` and e the lcm of the denominators
+    of M."""
+    s, g_tgt = _gram_rows(m, target_p)
+    e, flat = linalg.gauss_ints([x.conjugate() for row in rows
+                                 for x in row.values()])
+    ints = iter(flat)
+    columns: list[list] = [[] for _ in q_labels(m, target_p - 1)]
+    for r, row in enumerate(rows):
+        for c in row:
+            columns[c].append((next(ints), g_tgt[r]))
+    return s * e, [linalg.int_row_sum(terms) if terms else {}
+                   for terms in columns]
 
 
 def gram_lowered(m: HomogeneousModel, target_p: int, rows
@@ -750,18 +783,13 @@ def gram_lowered(m: HomogeneousModel, target_p: int, rows
     sparse rows.
 
     This is the adjoint with its source Gram left on: conj(G_src^{-1}) times
-    it is the Gram adjoint of M, and no Gram factor is inverted here.
+    it is the Gram adjoint of M, and no Gram factor is inverted here.  It
+    is summed in Gaussian integers from one integer multiple of G_tgt and
+    one of M (``_lowered``), and each entry is divided once at the end.
     """
-    g_tgt = _gram_rows(m, target_p)
-    columns: list[list] = [[] for _ in q_labels(m, target_p - 1)]
-    for r, row in enumerate(rows):
-        for c, x in row.items():
-            columns[c].append((x, g_tgt[r]))
-    out = []
-    for terms in columns:
-        out.append({j: z.conjugate()
-                    for j, z in linalg.row_sum(terms).items() if z})
-    return out
+    t, low = _lowered(m, target_p, rows)
+    return [{j: _canonical(x, y, t) for j, (x, y) in row.items() if x or y}
+            for row in low]
 
 
 def gram_adjoint(m: HomogeneousModel, op: QOperatorMatrix) -> QOperatorMatrix:
@@ -770,20 +798,20 @@ def gram_adjoint(m: HomogeneousModel, op: QOperatorMatrix) -> QOperatorMatrix:
 
     With <x,y> = x^T G conj(y) and M the operator matrix, the adjoint is
     conj(G_src^{-1} M^T G_tgt) = conj(G_src^{-1}) conj(M^T G_tgt), the
-    second factor from ``gram_lowered``.  Each Gram is
-    G_p = (+)_b V_b (x) L_p, so G_src^{-1} comes from the inverted factors
-    V_b^{-1} and L_p^{-1}, and the products run over nonzero entries only.
+    second factor from ``_lowered``.  Each Gram is G_p = (+)_b V_b (x) L_p,
+    so G_src^{-1} comes from the inverted factors V_b^{-1} and L_p^{-1},
+    and the products run over nonzero entries only, in Gaussian integers
+    from integer multiples of each factor, with one division at the end.
     The coupling a is assumed real: conj leaves it alone, so the pencil
     M_0 + a M_1 is transformed one coefficient matrix at a time.
     """
-    g_inv = _gram_rows(m, op.source_p, inverse=True)
+    s, g_inv = _gram_rows(m, op.source_p, inverse=True)
     pencil = []
     for mk in op.pencil:
-        low = gram_lowered(m, op.target_p, mk)
+        t, low = _lowered(m, op.target_p, mk)
         pencil.append(tuple(
-            {j: z for j, z in linalg.row_sum(
-                (g.conjugate(), low[c].items()) for c, g in grow).items()
-             if z}
+            {j: _canonical(x, y, s * t) for j, (x, y) in linalg.int_row_sum(
+                (g, low[c].items()) for c, g in grow).items() if x or y}
             for grow in g_inv))
     return QOperatorMatrix(op.target_p, op.source_p, op.target_labels,
                            op.source_labels, tuple(pencil))

@@ -32,12 +32,16 @@ class ScalarError(ValueError):
 
 
 def _fraction(text: str) -> Fraction:
-    """Rational text such as "-3/4" as a Fraction; a zero denominator is bad
-    input, not arithmetic, so it raises ScalarError."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ScalarError(f"zero denominator in {text!r}") from None
+    """Rational text ``p`` or ``p/q``, p optionally signed, such as "-3/4",
+    as a Fraction; other text, and a zero denominator, is bad input, not
+    arithmetic, so it raises ScalarError."""
+    p, slash, q = text.partition("/")
+    digits = p[1:] if p[:1] in ("+", "-") else p
+    if not digits.isdecimal() or slash and not q.isdecimal():
+        raise ScalarError(f"bad rational {text!r}; write p or p/q")
+    if slash and not int(q):
+        raise ScalarError(f"zero denominator in {text!r}")
+    return Fraction(int(p), int(q) if slash else 1)
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -62,7 +66,9 @@ class GaussRat:
     immutable; ``re`` and ``im`` are read-only Fraction views.
 
     ``GaussRat(re, im)`` and ``GaussRat.of(re, im)`` take the parts as ints,
-    Fractions or rational text such as "-3/4".
+    Fractions or rational text ``p`` or ``p/q`` such as "-3/4", the number
+    grammar of ``read_terms`` with an optional sign; other text, such as
+    "0.5" or "1e1", raises ScalarError.
     """
 
     __slots__ = ("a", "b", "d")
@@ -549,13 +555,17 @@ def read_terms(text: str, lexer: re.Pattern, key) -> dict:
     try:
         terms = _sum(toks, 0, key)[0]
     except _Fault as fault:
-        why, first, end = fault.args
+        why, first, end, place = fault.args
         spans = [m.span() for m in lexer.finditer(text)]
+        rest = text[spans[first][0]:] if first < len(spans) else ""
         if end:     # the term of tokens first..end - 1
             term = text[spans[first][0]:spans[end - 1][1]].lstrip()
             why = f"{why} in term {term!r}"
         elif toks[first][4]:    # a character that no term reads
-            why = f"bad scalar syntax near {text[spans[first][0]:]!r}"
+            why = f"bad scalar syntax near {rest!r}"
+        elif place:
+            why = f"{why} near {rest!r}" if rest else \
+                f"{why} at the end of {text!r}"
         raise ScalarError(why) from None
     out = {}
     for k, (a, b, d) in terms.items():
@@ -568,7 +578,9 @@ _END = ("",) * 5    # the token after the last, which matches nothing
 
 
 class _Fault(Exception):
-    """A fault: its message, its token, and the token after a bad term."""
+    """A fault: its message, its token, the token after a bad term (0 when
+    the fault is not a term's), and whether the message goes on to quote
+    the text from its token on."""
 
 
 def _sum(toks, pos, key):
@@ -598,7 +610,8 @@ def _sum(toks, pos, key):
         elif op == "(" and key is not None:
             inner, pos = _sum(toks, pos + 1, None)
             if toks[pos][2] != ")":
-                raise _Fault("unbalanced parenthesis in scalar", pos, 0)
+                raise _Fault("unbalanced parenthesis in scalar", pos, 0,
+                             False)
             x, y, d = inner.get((), (0, 0, 1))
             a, b, pos = a * x, a * y, pos + 1
         symbols = []
@@ -607,19 +620,20 @@ def _sum(toks, pos, key):
                 symbols.append(sym)
                 pos += 1
         if pos == start:
-            raise _Fault("empty term in scalar" if key else
-                         f"expected a coefficient at token {pos}", pos, 0)
+            if key is None:
+                raise _Fault("expected a coefficient", pos, 0, True)
+            raise _Fault("empty term in scalar", pos, 0, False)
         op = toks[pos][2]
         last = op != "+" and op != "-"
         if key is None:
             k = ()
         else:
             if last and toks[pos] is not _END:
-                raise _Fault(f"unexpected token at position {pos}", pos, 0)
+                raise _Fault("unexpected token", pos, 0, True)
             try:
                 k = key(tuple(symbols))
             except ScalarError as exc:
-                raise _Fault(str(exc), start, pos) from None
+                raise _Fault(str(exc), start, pos, False) from None
         if k in acc:
             x, y, e = acc[k]
             a, b, d = x * d + a * e, y * d + b * e, e * d

@@ -115,9 +115,9 @@ _CHANGED_PULLBACKS = [
     ("(1 + i) dz1", (cl.Poly.const(MC, GaussRat.of(1, 1)), cp(0), cp(0))),
     # cannot read '(1' in term '(1'
     ("1/2dz1", (cp("1/2"), cp(0), cp(0))),     # cannot read '1/2dz1'
-    ("z1 2 dz2", "unexpected token at position 1"),    # 2 z1 dz2
-    ("2 3 dz1", "unexpected token at position 1"),     # 6 dz1
-    ("dz1 2", "unexpected token at position 1"),       # 2 dz1
+    ("z1 2 dz2", "unexpected token near ' 2 dz2'"),    # 2 z1 dz2
+    ("2 3 dz1", "unexpected token near ' 3 dz1'"),     # 6 dz1
+    ("dz1 2", "unexpected token near ' 2'"),       # 2 dz1
     ("dz1 # 2", "bad scalar syntax near ' # 2'"),
     # cannot read '#' in term 'dz1 # 2'
     ("dz1 +", "empty term in scalar"),   # no coframe leg in term ''

@@ -241,6 +241,50 @@ def test_lowered_adjoint_is_the_conjugate_source_gram_times_the_adjoint(
                         m.name, str(a0), p)
 
 
+def _dense_flat_model(n, r):
+    """A closed coframe with F = 0 and the dense, non-real metric I + A^H A
+    for a fixed A whose entries have denominators up to n + 2."""
+    A = [[GaussRat.of(f"{(i + 2 * j) % 3 - 1}/{j + 2}",
+                      f"{(i * j + 1) % 3 - 1}/{i + 3}") for j in range(n)]
+         for i in range(n)]
+    metric = [[sum((A[k][i].conjugate() * A[k][j] for k in range(n)),
+                   start=GR_ONE if i == j else GR_ZERO) for j in range(n)]
+              for i in range(n)]
+    return HomogeneousModel(
+        name=f"dense-flat{n}r{r}", n=n,
+        coframe_names=[f"a{k + 1}" for k in range(n)],
+        d_coframe=[MixedForm.zero(n, 2) for _ in range(n)],
+        metric=metric, omega_coeff=GR_ONE, rank=r,
+        curvature_F=EndForm.zero(n, r, 1, 1), alpha_prime=GaussRat.of(1))
+
+
+@pytest.mark.parametrize("n, r", [(3, 2), (4, 1), (4, 2)])
+def test_flat_counts_with_a_dense_metric(n, r):
+    # with d = 0, F = 0 and a constant metric the connections, torsion and
+    # curvature vanish, so Dbar is 0 on every degree: each of the
+    # 2n + r^2 - 1 fibre directions carries the invariant (0,p)-forms, and
+    # h^{0,p} = (2n + r^2 - 1) C(n, p) at every coupling.  The harmonic
+    # count is a rank of its own, over the dense Gram factors
+    m = _dense_flat_model(n, r)
+    assert any(x.b for row in m.metric for x in row)
+    assert max(x.d for row in m.metric for x in row) > 1
+    want = [(2 * n + r * r - 1) * math.comb(n, p) for p in range(n + 1)]
+    for a in (None, "0", "-1/7"):
+        a0 = None if a is None else GaussRat.of(a)
+        for diagonal in (False, True):
+            data = coh.cohomology_data(m, a0, diagonal)
+            assert data["h"] == data["harmonic"] == want, (a, diagonal)
+
+
+def test_random_flat_counts_are_pinned(random_flat_models):
+    # h and the harmonic count of the two random flat models, at a nonzero
+    # coupling and at 0, where the F coupling drops out
+    for m in random_flat_models:
+        for a, want in ((1, [5, 17, 17, 5]), (0, [6, 21, 23, 8])):
+            data = coh.cohomology_data(m, GaussRat.of(a))
+            assert data["h"] == data["harmonic"] == want, (m.name, a)
+
+
 def test_symbol_sample_count():
     assert sum(1 for _ in coh.symbol_samples(3)) == 7 ** 3 - 1
 

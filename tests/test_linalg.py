@@ -8,6 +8,7 @@ that no nonzero minor vanishes mod p, and never above it.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
@@ -113,21 +114,21 @@ _VALUES = [GR_ZERO, GR_ONE, -GR_ONE, GaussRat.of(0, 1), GaussRat.of("1/2"),
            GaussRat.of(2, -1)]
 
 
-def _random_matrix(rng, rows, cols):
-    return [[rng.choice(_VALUES) for _ in range(cols)] for _ in range(rows)]
+def _random_matrix(rng, rows, cols, values=_VALUES):
+    return [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
 
 
-def _planted_matrix(rng, rows, cols):
+def _planted_matrix(rng, rows, cols, values=_VALUES):
     """A random matrix with some zero rows, rows that combine two earlier
     rows, and sometimes a zero column."""
-    m = _random_matrix(rng, rows, cols)
+    m = _random_matrix(rng, rows, cols, values)
     for i in range(rows):
         roll = rng.random()
         if roll < 0.15:
             m[i] = [GR_ZERO] * cols
         elif roll < 0.5 and i >= 2:
             j, k = rng.sample(range(i), 2)
-            a, b = rng.choice(_VALUES), rng.choice(_VALUES)
+            a, b = rng.choice(values), rng.choice(values)
             m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
     if rng.random() < 0.3:
         c = rng.randrange(cols)
@@ -140,6 +141,80 @@ def _planted_matrices(seed, count=60):
     rng = random.Random(seed)
     for _ in range(count):
         yield _planted_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+
+
+# entries whose denominators exceed 10^12, so that clearing a row and
+# eliminating it run through integers of several machine words
+_BIG_VALUES = [
+    GR_ZERO, GR_ONE, GaussRat.of(Fraction(1, 10 ** 12 + 39)),
+    GaussRat.of(Fraction(-5, 3 * 10 ** 12 + 7), Fraction(2, 10 ** 13 + 1)),
+    GaussRat.of(0, Fraction(7, 2 ** 41 + 1)),
+    GaussRat.of(Fraction(10 ** 12 + 1, 10 ** 12 + 3), -1),
+]
+
+# Gaussian integers that are not units, one of them a rational integer
+_CONTENTS = [GaussRat.of(1, 1), GaussRat.of(2, -1), GaussRat.of(3, 2),
+             GaussRat.of(6)]
+
+
+def _big_planted_matrices(seed, count=40):
+    """Planted matrices over _BIG_VALUES in which some rows are multiplied
+    by a Gaussian integer of _CONTENTS: once cleared of denominators, such
+    a row shares that content, which no rational integer divides out.
+    Yields each matrix and the number of its nonzero rows so multiplied."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        m = _planted_matrix(rng, rows, cols, _BIG_VALUES)
+        shared = 0
+        for i in range(rows):
+            if rng.random() < 0.4:
+                c = rng.choice(_CONTENTS)
+                m[i] = [c * x for x in m[i]]
+                shared += any(m[i])
+        yield m, shared
+
+
+def test_rank_kernel_and_inverse_with_big_denominators():
+    # rank, kernel and inverse against the cofactor minors, on the big
+    # entries and on square matrices of them
+    drops = big = shared = 0
+    for m, k in _big_planted_matrices(20261022):
+        cols, rk = len(m[0]), _minor_rank(m)
+        assert linalg.rank(m) == rk, m
+        basis = linalg.kernel_basis(m, cols=cols)
+        assert len(basis) == cols - rk
+        for v in basis:
+            assert all(not x for x in mat_vec(m, v))
+        if basis:
+            assert _minor_rank(basis) == len(basis)
+        drops += rk < min(len(m), cols)
+        big += any(x.d > 10 ** 12 for row in m for x in row)
+        shared += k
+    assert drops >= 8 and big >= 25 and shared >= 20
+    rng = random.Random(20261023)
+    singular = 0
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        a = _planted_matrix(rng, k, k, _BIG_VALUES)
+        if rng.random() < 0.5:
+            a[0] = [rng.choice(_CONTENTS) * x for x in a[0]]
+        if not linalg.det(a, GR_ONE):
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                linalg.inverse(a)
+            continue
+        inv = linalg.inverse(a)
+        assert linalg.mat_mul(inv, a) == linalg.identity(k)
+        assert linalg.mat_mul(a, inv) == linalg.identity(k)
+    assert 10 <= singular <= 32
+
+
+def test_inverse_of_the_dense_metrics(dense_metric_builtins):
+    for m in dense_metric_builtins:
+        inv = linalg.inverse(m.metric)
+        assert linalg.mat_mul(inv, m.metric) == linalg.identity(m.n)
+        assert linalg.mat_mul(m.metric, inv) == linalg.identity(m.n)
 
 
 def test_rank_is_the_largest_nonzero_minor():

@@ -36,6 +36,40 @@ def test_gauss_basic():
     assert GR_I * GR_I == -GR_ONE
 
 
+# rational text that GaussRat reads, p or p/q with an optional sign, and
+# the value of each part written out as a numerator and a denominator
+_GAUSS_TEXTS = [("0", 0, 1), ("-0", 0, 1), ("+5", 5, 1), ("12", 12, 1),
+                ("-3/4", -3, 4), ("+2/4", 1, 2), ("0/9", 0, 1),
+                ("007/014", 1, 2)]
+
+# text that it refuses, and the message: decimals, exponents, spaces,
+# signed denominators and what parse_gauss reads but a part is not
+_GAUSS_REFUSALS = [
+    (text, f"bad rational {text!r}; write p or p/q")
+    for text in ("0.5", "1e1", "1.", ".5", " 1/2", "1/2 ", "1 /2", "1/-2",
+                 "--1", "1_000", "", "inf", "nan", "1/2/3", "(1/2)", "i")
+] + [("1/0", "zero denominator in '1/0'"),
+     ("-3/00", "zero denominator in '-3/00'")]
+
+
+@pytest.mark.parametrize("text, p, q", _GAUSS_TEXTS,
+                         ids=[t for t, _, _ in _GAUSS_TEXTS])
+def test_gauss_reads_rational_text(text, p, q):
+    assert GaussRat.of(text) == GaussRat(text) == GaussRat.of(Fraction(p, q))
+    assert GaussRat.of(0, text).im == Fraction(p, q)
+
+
+@pytest.mark.parametrize("text, message", _GAUSS_REFUSALS,
+                         ids=[t for t, _ in _GAUSS_REFUSALS])
+def test_gauss_refuses_other_text(text, message):
+    for parts in ((text,), (0, text)):
+        with pytest.raises(ScalarError) as exc:
+            GaussRat.of(*parts)
+        assert str(exc.value) == message
+        with pytest.raises(ScalarError):
+            GaussRat(*parts)
+
+
 def test_gauss_division_inverts_multiplication():
     x = GaussRat.of("3/7", "2")
     y = GaussRat.of(-2, "1/3")
@@ -299,7 +333,7 @@ _CONSTANT_SPELLINGS = [
     ("1 - -1/3 i", False, (1, F(1, 3))), ("- i", False, (0, -1)),
     ("3/2i", False, (0, F(3, 2))), ("1 + -i", False, (1, -1)),
     ("+3", False, (3, 0)), ("1/2  + i", False, (F(1, 2), 1)),
-    ("i 2", False, "unexpected token at position 1"),
+    ("i 2", False, "unexpected token near ' 2'"),
     ("", False, "empty scalar"), ("1 + i + i", False, (1, 2)),
     ("2 i a", False, "expected a constant, got '2 i a'"),
     ("1/2/3", False, "bad scalar syntax near '/3'"),
@@ -345,11 +379,11 @@ _CHANGED_SPELLINGS = [
     ("(- 1 + i) a", Scalar.make([0, GaussRat.of(-1, 1)])),
     ("(1 + - i)", Scalar.of(1, -1)),          # expected a coefficient
     # refused, with another message
-    ("(", "expected a coefficient at token 1"),  # an IndexError before
-    ("1 + (", "expected a coefficient at token 3"),
+    ("(", "expected a coefficient at the end of '('"),  # an IndexError before
+    ("1 + (", "expected a coefficient at the end of '1 + ('"),
     ("-5/0", "zero denominator in '5/0'"),
-    ("-2 3", "unexpected token at position 2"),  # at position 1
-    ("2 3 x", "unexpected token at position 1"),  # bad syntax near ' x'
+    ("-2 3", "unexpected token near ' 3'"),  # unexpected token at position 1
+    ("2 3 x", "unexpected token near ' 3 x'"),  # bad syntax near ' x'
     ("2 ^ 3", "bad scalar syntax near ' ^ 3'"),  # unexpected token
     ("a^", "bad scalar syntax near '^'"),  # expected an integer exponent
     ("a^1/2", "bad exponent 1/2 in term 'a^1/2'"),
