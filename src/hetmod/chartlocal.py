@@ -46,9 +46,11 @@ and legs (k, L), finite tables of (target slot, legs, z shift, zbar shift,
 Poly in (x, y)): a Poly's z and zbar exponents stand for x and y.  Each is
 made once per ``Trivialization`` by running the flat coupling tables on the
 generic term map {(k, L, 0, 0): 1}, and is evaluated at the exponents of
-every section it meets.  An empty residual table proves the identity on
-every section of its slot at once, so ``operator_identity_report``
-evaluates only the sections that touch a nonempty one.
+every section it meets (``_evaluate``).  An empty residual table proves
+the identity on every section of its slot at once, so
+``operator_identity_report`` evaluates only the sections that touch a
+nonempty one; the commands evaluate no other table on a section, and the
+tests evaluate D, phi and phi^{-1} through ``_evaluate`` themselves.
 """
 
 from __future__ import annotations
@@ -149,9 +151,6 @@ class Poly(Sparse):
         """The value at the integer point z = x, zbar = y."""
         return sum((c * _int(prod(v ** e for v, e in zip(x + y, a + b)))
                     for (a, b), c in self.terms), GR_ZERO)
-
-    def is_holomorphic(self) -> bool:
-        return not any(any(b) for (_, b), _ in self.terms)
 
     def antiholomorphic_split(self):
         """Group terms by total zbar-degree: {degree: Poly}."""
@@ -870,21 +869,6 @@ def _evaluate(t: Trivialization, op, s: ChartSection,
     return _make(ChartSection, (mc, rank, q), acc)
 
 
-def apply_Dbar_chart(t: Trivialization, s: ChartSection) -> ChartSection:
-    """The deformation operator in chart coordinates: coordinate frames are
-    holomorphic, so the diagonal is the plain dbar and the couplings use the
-    chart components of F, T and R."""
-    return _evaluate(t, _D, s, s.q + 1)
-
-
-def apply_phi(t: Trivialization, s: ChartSection) -> ChartSection:
-    return _evaluate(t, _phi, s, s.q)
-
-
-def apply_phi_inverse(t: Trivialization, s: ChartSection) -> ChartSection:
-    return _evaluate(t, _phi_inv, s, s.q)
-
-
 def trivialization_residual(t: Trivialization,
                             s: ChartSection) -> ChartSection:
     """D s - phi^{-1} dbar (phi s); identically zero for a valid pair.
@@ -920,13 +904,6 @@ def _section(t: Trivialization, value: Mapping, z: Exp,
     """The (0,0)-section of fibre value ``value`` times z^z zbar^zb."""
     return _make(ChartSection, (t.cd.m_coords, t.cd.rank, 0),
                  {(k, (), z, zb): c for k, c in value.items()})
-
-
-def monomial_sections(t: Trivialization, degree: int):
-    """All sections with a single monomial slot entry of total degree up to
-    the bound, covering every covector, trace-free gauge and vector slot."""
-    return [_section(t, value, z, zb)
-            for _, value, z, zb in _labelled_sections(t, degree)]
 
 
 # ---------------------------------------------------------------------------

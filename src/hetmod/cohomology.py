@@ -243,7 +243,8 @@ class SymbolBlocks(Record):
     of a Gaussian integer, as (j, ((k, ((t, ((m, c), ...)), ...)), ...))
     where any, and ``delta[route]`` the image of den_R.  ``_schur``
     evaluates N on a whole block of samples, each entry one list over the
-    block; ``schur`` and ``schur_mod_p`` are blocks of one."""
+    block; ``_one`` is a block of one sample, and ``schur`` is that on
+    Z[i]."""
 
     n: int
     coupling: tuple[tuple, tuple]
@@ -317,11 +318,6 @@ class SymbolBlocks(Record):
     def schur(self, xi: list[GaussRat]) -> list[list[GaussRat]]:
         """N at xi over Z[i]; there s > 0 and delta >= 1."""
         return self._one(xi, 0)
-
-    def schur_mod_p(self, xi: list[GaussRat]):
-        """N at xi mod CERT_P as dense int rows, congruent to its residues
-        and not reduced; None when s or delta is 0 mod p."""
-        return self._one(xi, 1)
 
     def undecided_mod_p(self, block: list[list[GaussRat]]) -> list[int]:
         """The positions, in order, of the samples of ``block`` where N

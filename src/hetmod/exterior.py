@@ -17,8 +17,8 @@ sign from ``_merge``, the cached ``merge_with_sign``.
 
 ``Form`` and ``MixedForm`` (parts of several bidegrees, keyed by (p, q))
 are ``scalars.Sparse`` term maps, as their ``Scalar`` coefficients are.
-The value legs (``LegForm``, ``EndForm``) are fixed-length tuples of forms
-with componentwise arithmetic (``Valued``).
+The gauge leg ``EndForm`` is an r x r grid of forms with componentwise
+arithmetic (``Valued``), which the tests' vector and covector legs share.
 """
 
 from __future__ import annotations
@@ -272,38 +272,6 @@ class Valued:
         return any(self._vals())
 
 
-class LegForm(Valued, Record):
-    """An n-component value leg tensored with invariant (p,q)-forms."""
-
-    n: int
-    p: int
-    q: int
-    comps: tuple[InvariantForm, ...]
-
-    @classmethod
-    def build(cls, n, p, q, comps):
-        comps = tuple(comps)
-        if len(comps) != n:
-            raise FormError(f"{cls.__name__} needs n components")
-        _check_same(comps, n, p, q)
-        return cls(n, p, q, comps)
-
-    @classmethod
-    def zero(cls, n, p, q):
-        return cls(n, p, q, (InvariantForm.zero(n, p, q),) * n)
-
-    def _like(self, comps):
-        return type(self)(self.n, self.p, self.q, comps)
-
-
-class VectorForm(LegForm):
-    """T^{1,0}-valued invariant (p,q)-form: comps[j-1] multiplies V_j."""
-
-
-class CovectorForm(LegForm):
-    """(T^{1,0})*-valued invariant (p,q)-form: comps[j-1] multiplies alpha^j."""
-
-
 class EndForm(Valued, Record):
     """An r x r matrix of (p,q)-forms of either layer (invariant forms, or
     chart forms): ``flat`` holds the grid row by row, and ``entry(i, j)``
@@ -363,17 +331,6 @@ class EndForm(Valued, Record):
 
     def is_trace_free(self) -> bool:
         return not self.trace()
-
-
-def contract(v: LegForm, k: LegForm) -> InvariantForm:
-    """Pair a vector leg against a covector leg (either may come first) and
-    wedge the form parts in argument order."""
-    if v.n != k.n:
-        raise FormError("contract over different coframes")
-    acc = InvariantForm.zero(v.n, v.p + k.p, v.q + k.q)
-    for j in range(v.n):
-        acc = acc + v.comps[j].wedge(k.comps[j])
-    return acc
 
 
 def end_pair_trace(a: EndForm, b: EndForm) -> Form:

@@ -3,7 +3,8 @@ connections (Levi-Civita / Chern / Bismut), the Chern curvature, torsion,
 the coupling a report uses (``resolve_alpha``) and the coupled-system
 checker, which gives the four conditions as the dict the ``check`` report
 prints.  ``_frame_values`` gives a form's values on frame vectors to the
-bracket table and to both Levi-Civita routes.
+bracket table and to both Levi-Civita routes.  The symmetry of the Chern
+curvature against the torsion is a test oracle (``tests/oracles.py``).
 
 Conventions fixed here once and used everywhere downstream:
 
@@ -430,7 +431,7 @@ def curvature_array(m: HomogeneousModel):
 
 
 # ---------------------------------------------------------------------------
-# system checker and symmetry identity
+# system checker
 
 
 def _mixed_str(x: MixedForm) -> str:
@@ -506,38 +507,6 @@ def check_heterotic_system(m: HomogeneousModel,
     return {name: {"passed": not x, "residual": text(x)} for name, x, text
             in (("F1", f1, _mixed_str), ("F2", f2, str), ("D1", d1, _end_str),
                 ("D2", d2, _mixed_str))}
-
-
-def chern_symmetry_residual(m: HomogeneousModel):
-    """Residuals of the first-Bianchi-type symmetry of the Chern curvature
-    against the (0,1) covariant derivative of the raised torsion, evaluated
-    on every index tuple in the invariant frame."""
-    n = m.n
-    R = curvature_array(m)
-    Tr = torsion_raised(m)
-    ch = chern_connection(m)
-    mu = ch.mu
-    residuals = {}
-    for k in range(n):
-        for q in range(n):
-            for mm in range(n):
-                for l in range(n):
-                    # (0,1)-covariant derivative of T^mm_{l q} in direction k
-                    dT = sum(
-                        (mu[k][mm][c] * Tr[c][l][q]
-                         - mu[k][c][l] * Tr[mm][c][q]
-                         - mu[k][c][q] * Tr[mm][l][c]
-                         for c in range(n)),
-                        start=GR_ZERO,
-                    )
-                    res = R[k][q][mm][l] - R[k][l][mm][q] - dT
-                    if res:
-                        residuals[(k + 1, q + 1, mm + 1, l + 1)] = res
-    return {
-        "zero": not residuals,
-        "nonzero_count": len(residuals),
-        "entries": {str(k): str(v) for k, v in residuals.items()},
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -40,13 +40,6 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[GR_ZERO for _ in range(cols)] for _ in range(rows)]
 
 
-def identity(k: int) -> Matrix:
-    m = zeros(k, k)
-    for i in range(k):
-        m[i][i] = GR_ONE
-    return m
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
     out = zeros(rows, cols)
@@ -62,12 +55,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 if bk[j]:
                     oi[j] = oi[j] + c * bk[j]
     return out
-
-
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
 def sparse_rows(a: Matrix) -> list[dict[int, GaussRat]]:

@@ -14,7 +14,7 @@ polynomials and sections in ``chartlocal``.
 
 ``read_terms`` is the one reader of written numbers and terms: signed
 terms, each a coefficient and symbols of the caller's alphabet (``a^k`` in
-``parse_scalar`` and ``parse_gauss``, ``z<k>`` and ``dz<k>`` in a chart).
+``parse_gauss``, ``z<k>`` and ``dz<k>`` in a chart).
 """
 
 from __future__ import annotations
@@ -609,9 +609,11 @@ def _sum(toks, pos, key):
             a, b, pos = 0, a, pos + 1
         elif op == "(" and key is not None:
             inner, pos = _sum(toks, pos + 1, None)
-            if toks[pos][2] != ")":
+            if toks[pos] is _END:
                 raise _Fault("unbalanced parenthesis in scalar", pos, 0,
                              False)
+            if toks[pos][2] != ")":
+                raise _Fault("unexpected token", pos, 0, True)
             x, y, d = inner.get((), (0, 0, 1))
             a, b, pos = a * x, a * y, pos + 1
         symbols = []
@@ -657,22 +659,19 @@ _POWERS = term_lexer(r"a(?:\s*\^\s*-?\d+(?:/\d+)?)?")
 
 
 def _powers(text: str) -> dict:
+    """A polynomial in a written as a sum of terms (``read_terms``) whose
+    symbols are ``a`` and ``a^k``, such as "3/2", "-1/2 i", "a^2",
+    "2/3 a" or "(1/2 + 3/4 i) a^3", as {power: GaussRat}; ``a^0`` is 1."""
     terms = read_terms(text, _POWERS, _power)
     if not terms and not text.strip():
         raise ScalarError("empty scalar")
     return terms
 
 
-def parse_scalar(text: str) -> Scalar:
-    """A polynomial in a written as a sum of terms (``read_terms``) whose
-    symbols are ``a`` and ``a^k``, such as "3/2", "-1/2 i", "a^2",
-    "2/3 a" or "(1/2 + 3/4 i) a^3"; ``a^0`` is 1."""
-    return _make(Scalar, (), _powers(text))
-
-
 def parse_gauss(text: str) -> GaussRat:
-    """A constant written as ``parse_scalar`` reads it, such as "-3/4",
-    "3/2 + 1/3 i" or "-i"; a power of a that does not cancel is refused."""
+    """A constant written as a sum of terms in a (``_powers``), such as
+    "-3/4", "3/2 + 1/3 i" or "-i"; a power of a that does not cancel is
+    refused."""
     terms = _powers(text)
     c = terms.pop(0, GR_ZERO)
     if terms:

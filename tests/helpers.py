@@ -1,13 +1,20 @@
 """Functions that only the tests call, kept out of ``src/hetmod``: each one
-makes test inputs or is an oracle with its own route to the answer."""
+makes test inputs, is an oracle with its own route to the answer, or is a
+one-line view of package code that no command needs (a chart operator's
+sections, the mod-p Schur complement, a polynomial in a read from text).
+The second routes of the oracle pairs, moved out of the package whole, are
+in ``oracles.py``."""
 
 from typing import List, Sequence
 
+from hetmod import chartlocal as cl
 from hetmod.exterior import FormError, InvariantForm, MixedForm
 from hetmod.geometry import HomogeneousModel
 from hetmod.linalg import Matrix, gauss_ints
-from hetmod.qcomplex import QSection, gram, q_basis
-from hetmod.scalars import GR_ZERO, S_ZERO, GaussRat, Scalar
+from hetmod.qcomplex import gram
+from hetmod.scalars import (GR_ZERO, S_ZERO, GaussRat, Scalar, _make,
+                            _powers)
+from oracles import QSection, q_basis
 
 
 def section_from_coordinates(m: HomogeneousModel, p: int,
@@ -20,6 +27,36 @@ def section_from_coordinates(m: HomogeneousModel, p: int,
         if c:
             acc = acc + b.scale(c)
     return acc
+
+
+def scale_gauge(m: HomogeneousModel, factor: GaussRat) -> HomogeneousModel:
+    """A copy of the model with the gauge curvature scaled, which breaks the
+    anomaly balance unless factor is 1."""
+    return m.replace(name=m.name + f"[F*{factor}]",
+                     curvature_F=m.curvature_F.scale(Scalar.const(factor)))
+
+
+def parse_scalar(text: str) -> Scalar:
+    """The polynomial in a that ``text`` writes (``scalars._powers``)."""
+    return _make(Scalar, (), _powers(text))
+
+
+def is_holomorphic(f: cl.Poly) -> bool:
+    """Whether the chart polynomial f has no zbar in any term."""
+    return not any(any(b) for (_, b), _ in f.terms)
+
+
+def monomial_sections(t: cl.Trivialization, degree: int):
+    """The sections that ``operator_identity_report`` walks, in its order:
+    one monomial slot entry of total degree up to ``degree``."""
+    return [cl._section(t, value, z, zb)
+            for _, value, z, zb in cl._labelled_sections(t, degree)]
+
+
+def schur_mod_p(blocks, xi: Sequence[GaussRat]):
+    """N at xi mod CERT_P as dense int rows, congruent to its residues and
+    not reduced; None when s or delta is 0 mod p."""
+    return blocks._one(xi, 1)
 
 
 def gram_pair(m: HomogeneousModel, p: int, x: Sequence[Scalar],

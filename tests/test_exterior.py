@@ -5,19 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetmod.exterior import (
-    CovectorForm,
     EndForm,
     FormError,
     InvariantForm,
     MixedForm,
-    VectorForm,
-    contract,
     end_pair_trace,
     merge_with_sign,
     normalize_key,
     sort_with_sign,
 )
 from hetmod.scalars import GR_ONE, S_I, S_ONE, Scalar
+from oracles import CovectorForm, VectorForm, contract
 
 N = 3
 

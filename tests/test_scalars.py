@@ -19,8 +19,8 @@ from hetmod.scalars import (
     ScalarError,
     format_scalar,
     parse_gauss,
-    parse_scalar,
 )
+from helpers import parse_scalar
 
 fractions = st.fractions(max_denominator=50)
 gauss = st.builds(GaussRat, fractions, fractions)
@@ -337,6 +337,9 @@ _CONSTANT_SPELLINGS = [
     ("", False, "empty scalar"), ("1 + i + i", False, (1, 2)),
     ("2 i a", False, "expected a constant, got '2 i a'"),
     ("1/2/3", False, "bad scalar syntax near '/3'"),
+    # a parenthesized sum that lacks its ")"
+    ("(1 + 2", False, "unbalanced parenthesis in scalar"),
+    ("-(2 i", False, "unbalanced parenthesis in scalar"),
 ]
 
 
@@ -369,8 +372,9 @@ def test_a_to_the_zero_is_one():
 
 
 # spellings that an earlier reader, whose number tokens carried a sign,
-# read otherwise: (spelling, what it reads now, as a Scalar or the message
-# of its refusal; the comment gives the earlier refusal)
+# read otherwise, and parenthesized sums with a stray token, which a later
+# one refused as unbalanced: (spelling, what it reads now, as a Scalar or
+# the message of its refusal; the comment gives the earlier refusal)
 _CHANGED_SPELLINGS = [
     # read, and refused before
     ("1 -1/3 i", Scalar.of(1, "-1/3")),        # unexpected token
@@ -388,6 +392,11 @@ _CHANGED_SPELLINGS = [
     ("a^", "bad scalar syntax near '^'"),  # expected an integer exponent
     ("a^1/2", "bad exponent 1/2 in term 'a^1/2'"),
     ("2 a^-1", "bad exponent -1 in term '2 a^-1'"),
+    # a token that is neither a sign nor ")" after a term in parentheses
+    ("( 2 3)", "unexpected token near ' 3)'"),  # unbalanced parenthesis
+    ("(1 2) a", "unexpected token near ' 2) a'"),  # unbalanced parenthesis
+    ("(1 a)", "unexpected token near ' a)'"),  # unbalanced parenthesis
+    ("(1 + 2 3", "unexpected token near ' 3'"),  # unbalanced parenthesis
 ]
 
 
